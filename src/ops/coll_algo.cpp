@@ -68,7 +68,7 @@ const char* to_string(CollKind kind) {
 }
 
 std::vector<CollAlgorithm> supported_algorithms(CollKind kind) {
-  // Default (legacy) schedule first — default_algorithm() relies on it.
+  // Default schedule first — default_algorithm() relies on it.
   switch (kind) {
     case CollKind::kBarrier:
       return {CollAlgorithm::kDissemination, CollAlgorithm::kBinomialTree};
@@ -81,7 +81,6 @@ std::vector<CollAlgorithm> supported_algorithms(CollKind kind) {
       return {CollAlgorithm::kBinomialTree, CollAlgorithm::kRing,
               CollAlgorithm::kRecursiveDoubling};
     case CollKind::kGather:
-      return {CollAlgorithm::kBinomialTree, CollAlgorithm::kDirect};
     case CollKind::kScatter:
       return {CollAlgorithm::kBinomialTree, CollAlgorithm::kDirect};
     case CollKind::kAlltoall:

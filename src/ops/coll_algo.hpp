@@ -6,10 +6,10 @@
 /// Every collective kind maps to a set of selectable schedules; the
 /// CollAlgorithm::kAuto default resolves through a process-global *selection
 /// table* keyed by (collective kind, log2 team size, log2 payload bytes).
-/// Tables come from two places: the built-in per-kind defaults (the legacy
-/// schedules, so untuned runs keep their historical traces bit-for-bit), or
-/// a table measured under the simulator by `bench_collectives --tune` and
-/// loaded back here (load_selection_table_file / set_selection_table, or
+/// Tables come from two places: the built-in per-kind defaults (the first
+/// entry of supported_algorithms), or a table measured under the simulator
+/// by `bench_collectives --tune` and loaded back here
+/// (load_selection_table_file / set_selection_table, or
 /// RuntimeOptions::coll_selection_table / the CAF2_COLL_TABLE environment
 /// variable at caf2::run entry).
 ///
@@ -33,8 +33,8 @@ namespace caf2::ops {
 /// Schedules implemented for \p kind, default first. Never empty.
 std::vector<CollAlgorithm> supported_algorithms(CollKind kind);
 
-/// The legacy / fallback schedule for \p kind (what ran before the
-/// algorithm layer existed, so untuned runs are trace-identical).
+/// The fallback schedule for \p kind: what kAuto runs when no table entry
+/// applies.
 CollAlgorithm default_algorithm(CollKind kind);
 
 bool algorithm_supported(CollKind kind, CollAlgorithm algorithm);

@@ -1,4 +1,3 @@
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -13,9 +12,11 @@
 /// the busiest rank, no intermediate hops. Latency-optimal for tiny teams
 /// and the only schedule whose message sizes can differ per pair, which is
 /// why the variable-count collectives (gatherv / scatterv / alltoallv)
-/// live here. Zero-byte chunks are still sent: receivers complete by
-/// *counting* p-1 arrivals, which keeps completion deterministic without a
-/// separate handshake for empty pairs.
+/// live here. Their uniform counterparts (gather / scatter / alltoall) are
+/// the same schedules with every count equal, filled in by the factory.
+/// Zero-byte chunks are still sent: receivers complete by *counting* p-1
+/// arrivals, which keeps completion deterministic without a separate
+/// handshake for empty pairs.
 
 namespace caf2::ops::detail {
 
@@ -24,126 +25,13 @@ namespace {
 using rt::CollStageMsg;
 using rt::Image;
 
-/// Byte displacement of rank \p r given per-rank byte counts.
-std::size_t displacement(const std::vector<std::size_t>& counts, int r) {
-  return std::accumulate(counts.begin(),
-                         counts.begin() + static_cast<std::size_t>(r),
-                         std::size_t{0});
+/// Byte offset of every rank's chunk, given per-rank byte counts.
+std::vector<std::size_t> displacements(const std::vector<std::size_t>& counts) {
+  std::vector<std::size_t> out(counts.size());
+  std::exclusive_scan(counts.begin(), counts.end(), out.begin(),
+                      std::size_t{0});
+  return out;
 }
-
-/// Direct gather: every non-root sends its contribution straight to the
-/// root; the root counts p-1 arrivals and places them by source rank.
-class DirectGatherImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                      static_cast<std::size_t>(team_rank()) * desc().bytes,
-                  desc().buf, desc().bytes);
-      for (auto& [from, data] : pending_) {
-        place(from, data);
-      }
-      pending_.clear();
-      maybe_done(image);
-    } else {
-      send_stage(image, desc().root, 0, desc().buf, desc().bytes);
-      mark_data_done(image, /*after_stages=*/true);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.emplace_back(msg.from_team_rank, std::move(msg.data));
-      return;
-    }
-    place(msg.from_team_rank, msg.data);
-    maybe_done(image);
-  }
-
-  bool role_done() const override {
-    if (!started_) {
-      return false;
-    }
-    return team_rank() == desc().root ? received_ == team_size() - 1 : true;
-  }
-
- private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "direct gather size mismatch");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(from) * desc().bytes,
-                data.data(), data.size());
-    ++received_;
-  }
-
-  void maybe_done(Image& image) {
-    if (received_ == team_size() - 1) {
-      mark_data_done(image);
-    }
-  }
-
-  bool started_ = false;
-  int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
-};
-
-/// Direct scatter: the root sends each member its chunk directly.
-class DirectScatterImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-      for (int r = 0; r < team_size(); ++r) {
-        if (r == team_rank()) {
-          std::memcpy(desc().buf2,
-                      in + static_cast<std::size_t>(r) * desc().bytes2,
-                      desc().bytes2);
-        } else {
-          send_stage(image, r, 0,
-                     in + static_cast<std::size_t>(r) * desc().bytes2,
-                     desc().bytes2);
-        }
-      }
-      have_chunk_ = true;
-      mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_chunk_) {
-      deliver(image);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    chunk_ = std::move(msg.data);
-    pending_chunk_ = true;
-    if (started_) {
-      deliver(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && have_chunk_; }
-
- private:
-  void deliver(Image& image) {
-    CAF2_ASSERT(chunk_.size() == desc().bytes2,
-                "direct scatter size mismatch");
-    std::memcpy(desc().buf2, chunk_.data(), chunk_.size());
-    have_chunk_ = true;
-    pending_chunk_ = false;
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
-  bool have_chunk_ = false;
-  bool pending_chunk_ = false;
-  std::vector<std::uint8_t> chunk_;
-};
 
 /// Direct allgather: everyone sends its block to everyone else.
 class DirectAllgatherImpl final : public CollImplBase {
@@ -152,54 +40,38 @@ class DirectAllgatherImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(team_rank()) * desc().bytes,
-                desc().buf, desc().bytes);
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   static_cast<std::size_t>(team_rank()) * desc().bytes,
+               desc().buf, desc().bytes);
     for (int r = 0; r < team_size(); ++r) {
       if (r != team_rank()) {
         send_stage(image, r, 0, desc().buf, desc().bytes);
       }
     }
-    for (auto& [from, data] : pending_) {
-      place(from, data);
-    }
-    pending_.clear();
     maybe_done(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.emplace_back(msg.from_team_rank, std::move(msg.data));
-      return;
-    }
-    place(msg.from_team_rank, msg.data);
+    CAF2_ASSERT(msg.data.size() == desc().bytes,
+                "direct allgather size mismatch");
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   static_cast<std::size_t>(msg.from_team_rank) *
+                       desc().bytes,
+               msg.data.data(), msg.data.size());
+    ++received_;
     maybe_done(image);
   }
 
-  bool role_done() const override {
-    return started_ && received_ == team_size() - 1;
-  }
+  bool role_done() const override { return received_ == team_size() - 1; }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes,
-                "direct allgather size mismatch");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(from) * desc().bytes,
-                data.data(), data.size());
-    ++received_;
-  }
-
   void maybe_done(Image& image) {
     if (received_ == team_size() - 1) {
       mark_data_done(image, /*after_stages=*/true);
     }
   }
 
-  bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
 };
 
 /// Direct reduce-scatter: rank r sends chunk j of its contribution to rank
@@ -210,7 +82,6 @@ class DirectReduceScatterImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     const auto* in = static_cast<const std::uint8_t*>(desc().buf);
     acc_.assign(in + static_cast<std::size_t>(team_rank()) * desc().bytes2,
                 in + static_cast<std::size_t>(team_rank() + 1) *
@@ -222,65 +93,44 @@ class DirectReduceScatterImpl final : public CollImplBase {
                    desc().bytes2);
       }
     }
-    for (auto& data : pending_) {
-      fold(data);
-    }
-    pending_.clear();
     maybe_done(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.push_back(std::move(msg.data));
-      return;
-    }
-    fold(msg.data);
+    CAF2_ASSERT(msg.data.size() == desc().bytes2,
+                "direct reduce-scatter size mismatch");
+    desc().reducer.combine(acc_.data(), msg.data.data(),
+                           msg.data.size() / desc().reducer.elem_size);
+    ++received_;
     maybe_done(image);
   }
 
-  bool role_done() const override {
-    return started_ && received_ == team_size() - 1;
-  }
+  bool role_done() const override { return received_ == team_size() - 1; }
 
  private:
-  void fold(const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes2,
-                "direct reduce-scatter size mismatch");
-    desc().reducer.combine(acc_.data(), data.data(),
-                           data.size() / desc().reducer.elem_size);
-    ++received_;
-  }
-
   void maybe_done(Image& image) {
     if (received_ == team_size() - 1) {
-      std::memcpy(desc().buf2, acc_.data(), acc_.size());
+      copy_bytes(desc().buf2, acc_.data(), acc_.size());
       mark_data_done(image, /*after_stages=*/true);
     }
   }
 
-  bool started_ = false;
   int received_ = 0;
   std::vector<std::uint8_t> acc_;
-  std::vector<std::vector<std::uint8_t>> pending_;
 };
 
-/// Variable-count gather: desc().counts (root only) carries per-rank byte
-/// counts; arrivals are placed at their prefix-sum displacement.
+/// Gather(v): desc().counts (root only) carries per-rank byte counts; every
+/// non-root sends its contribution straight to the root, which places the
+/// p-1 arrivals at their prefix-sum displacement.
 class GathervImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     if (team_rank() == desc().root) {
-      std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                      displacement(desc().counts, team_rank()),
-                  desc().buf, desc().bytes);
-      for (auto& [from, data] : pending_) {
-        place(from, data);
-      }
-      pending_.clear();
+      displs_ = displacements(desc().counts);
+      copy_bytes(out(team_rank()), desc().buf, desc().bytes);
       maybe_done(image);
     } else {
       send_stage(image, desc().root, 0, desc().buf, desc().bytes);
@@ -289,29 +139,22 @@ class GathervImpl final : public CollImplBase {
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.emplace_back(msg.from_team_rank, std::move(msg.data));
-      return;
-    }
-    place(msg.from_team_rank, msg.data);
+    CAF2_ASSERT(msg.data.size() ==
+                    desc().counts[static_cast<std::size_t>(msg.from_team_rank)],
+                "gather: contribution does not match the root's count");
+    copy_bytes(out(msg.from_team_rank), msg.data.data(), msg.data.size());
+    ++received_;
     maybe_done(image);
   }
 
   bool role_done() const override {
-    if (!started_) {
-      return false;
-    }
-    return team_rank() == desc().root ? received_ == team_size() - 1 : true;
+    return team_rank() != desc().root || received_ == team_size() - 1;
   }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().counts[static_cast<std::size_t>(from)],
-                "gatherv: contribution does not match the root's count");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    displacement(desc().counts, from),
-                data.data(), data.size());
-    ++received_;
+  std::uint8_t* out(int rank) const {
+    return static_cast<std::uint8_t*>(desc().buf2) +
+           displs_[static_cast<std::size_t>(rank)];
   }
 
   void maybe_done(Image& image) {
@@ -320,118 +163,94 @@ class GathervImpl final : public CollImplBase {
     }
   }
 
-  bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
+  std::vector<std::size_t> displs_;
 };
 
-/// Variable-count scatter: the root slices its buffer by desc().counts;
-/// each member's receive extent must equal its chunk (zero included).
+/// Scatter(v): the root slices its buffer by desc().counts and sends each
+/// member its chunk directly; each member's receive extent must equal its
+/// chunk (zero included).
 class ScattervImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-      for (int r = 0; r < team_size(); ++r) {
-        const std::size_t bytes = desc().counts[static_cast<std::size_t>(r)];
-        const std::size_t offset = displacement(desc().counts, r);
-        if (r == team_rank()) {
-          std::memcpy(desc().buf2, in + offset, bytes);
-        } else {
-          send_stage(image, r, 0, in + offset, bytes);
-        }
-      }
-      have_chunk_ = true;
-      mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_chunk_) {
-      deliver(image);
+    if (team_rank() != desc().root) {
+      return;
     }
+    const auto* in = static_cast<const std::uint8_t*>(desc().buf);
+    const std::vector<std::size_t> displs = displacements(desc().counts);
+    for (int r = 0; r < team_size(); ++r) {
+      const auto index = static_cast<std::size_t>(r);
+      if (r == team_rank()) {
+        copy_bytes(desc().buf2, in + displs[index], desc().counts[index]);
+      } else {
+        send_stage(image, r, 0, in + displs[index], desc().counts[index]);
+      }
+    }
+    have_chunk_ = true;
+    mark_data_done(image, /*after_stages=*/true);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    chunk_ = std::move(msg.data);
-    pending_chunk_ = true;
-    if (started_) {
-      deliver(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && have_chunk_; }
-
- private:
-  void deliver(Image& image) {
-    CAF2_ASSERT(chunk_.size() == desc().bytes2,
-                "scatterv: chunk does not match this rank's receive extent");
-    std::memcpy(desc().buf2, chunk_.data(), chunk_.size());
+    CAF2_ASSERT(msg.data.size() == desc().bytes2,
+                "scatter: chunk does not match this rank's receive extent");
+    copy_bytes(desc().buf2, msg.data.data(), msg.data.size());
     have_chunk_ = true;
-    pending_chunk_ = false;
     mark_data_done(image);
   }
 
-  bool started_ = false;
+  bool role_done() const override { return have_chunk_; }
+
+ private:
   bool have_chunk_ = false;
-  bool pending_chunk_ = false;
-  std::vector<std::uint8_t> chunk_;
 };
 
-/// Variable-count all-to-all: desc().counts = per-destination send bytes,
+/// All-to-all(v): desc().counts = per-destination send bytes,
 /// desc().counts2 = per-source receive bytes; both packed by prefix sum.
-/// Lifts alltoall's "extent divisible by team size" restriction.
+/// Local data completion needs both directions — the send buffer injected
+/// (reads) and every incoming chunk placed (writes).
 class AlltoallvImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     const int r = team_rank();
+    const auto me = static_cast<std::size_t>(r);
     const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-    CAF2_ASSERT(desc().counts[static_cast<std::size_t>(r)] ==
-                    desc().counts2[static_cast<std::size_t>(r)],
-                "alltoallv: send/recv counts disagree for the local pair");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    displacement(desc().counts2, r),
-                in + displacement(desc().counts, r),
-                desc().counts[static_cast<std::size_t>(r)]);
+    const std::vector<std::size_t> send_displs = displacements(desc().counts);
+    recv_displs_ = displacements(desc().counts2);
+    CAF2_ASSERT(desc().counts[me] == desc().counts2[me],
+                "alltoall: send/recv counts disagree for the local pair");
+    copy_bytes(out(r), in + send_displs[me], desc().counts[me]);
     for (int to = 0; to < team_size(); ++to) {
+      const auto index = static_cast<std::size_t>(to);
       if (to != r) {
-        send_stage(image, to, 0, in + displacement(desc().counts, to),
-                   desc().counts[static_cast<std::size_t>(to)]);
+        send_stage(image, to, 0, in + send_displs[index],
+                   desc().counts[index]);
       }
     }
-    for (auto& [from, data] : pending_) {
-      place(from, data);
-    }
-    pending_.clear();
     maybe_done(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.emplace_back(msg.from_team_rank, std::move(msg.data));
-      return;
-    }
-    place(msg.from_team_rank, msg.data);
+    CAF2_ASSERT(
+        msg.data.size() ==
+            desc().counts2[static_cast<std::size_t>(msg.from_team_rank)],
+        "alltoall: arrival does not match the receive count");
+    copy_bytes(out(msg.from_team_rank), msg.data.data(), msg.data.size());
+    ++received_;
     maybe_done(image);
   }
 
-  bool role_done() const override {
-    return started_ && received_ == team_size() - 1;
-  }
+  bool role_done() const override { return received_ == team_size() - 1; }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() ==
-                    desc().counts2[static_cast<std::size_t>(from)],
-                "alltoallv: arrival does not match the receive count");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    displacement(desc().counts2, from),
-                data.data(), data.size());
-    ++received_;
+  std::uint8_t* out(int rank) const {
+    return static_cast<std::uint8_t*>(desc().buf2) +
+           recv_displs_[static_cast<std::size_t>(rank)];
   }
 
   void maybe_done(Image& image) {
@@ -440,30 +259,43 @@ class AlltoallvImpl final : public CollImplBase {
     }
   }
 
-  bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
+  std::vector<std::size_t> recv_displs_;
 };
 
 }  // namespace
 
 std::unique_ptr<CollImplBase> make_direct_impl(rt::CollKey key,
                                                CollDesc desc) {
+  const auto p = static_cast<std::size_t>(desc.team.size());
+  const bool root = desc.team.rank() == desc.root;
   switch (desc.kind) {
     case CollKind::kGather:
-      return std::make_unique<DirectGatherImpl>(key, std::move(desc));
+      if (root) {
+        desc.counts.assign(p, desc.bytes);
+      }
+      [[fallthrough]];
+    case CollKind::kGatherv:
+      return std::make_unique<GathervImpl>(key, std::move(desc));
     case CollKind::kScatter:
-      return std::make_unique<DirectScatterImpl>(key, std::move(desc));
+      if (root) {
+        desc.counts.assign(p, desc.bytes2);
+      }
+      [[fallthrough]];
+    case CollKind::kScatterv:
+      return std::make_unique<ScattervImpl>(key, std::move(desc));
+    case CollKind::kAlltoall:
+      desc.counts.assign(p, desc.bytes / p);
+      desc.counts2 = desc.counts;
+      [[fallthrough]];
+    case CollKind::kAlltoallv:
+      return std::make_unique<AlltoallvImpl>(key, std::move(desc));
     case CollKind::kAllgather:
       return std::make_unique<DirectAllgatherImpl>(key, std::move(desc));
     case CollKind::kReduceScatter:
       return std::make_unique<DirectReduceScatterImpl>(key, std::move(desc));
-    case CollKind::kGatherv:
-      return std::make_unique<GathervImpl>(key, std::move(desc));
-    case CollKind::kScatterv:
-      return std::make_unique<ScattervImpl>(key, std::move(desc));
-    case CollKind::kAlltoallv:
-      return std::make_unique<AlltoallvImpl>(key, std::move(desc));
+    case CollKind::kSort:
+      return make_sort_impl(key, std::move(desc));
     default:
       throw UsageError("direct schedule: unsupported collective kind");
   }

@@ -1,4 +1,3 @@
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -22,33 +21,6 @@ namespace {
 using rt::CollStageMsg;
 using rt::Image;
 
-/// Per-stage receive buffer: non-FIFO-safe storage keyed by stage number.
-class StageBuffer {
- public:
-  void store(int stage, std::vector<std::uint8_t>&& data) {
-    const auto index = static_cast<std::size_t>(stage);
-    if (index >= has_.size()) {
-      data_.resize(index + 1);
-      has_.resize(index + 1, false);
-    }
-    data_[index] = std::move(data);
-    has_[index] = true;
-  }
-
-  bool has(int stage) const {
-    const auto index = static_cast<std::size_t>(stage);
-    return index < has_.size() && has_[index];
-  }
-
-  std::vector<std::uint8_t>& at(int stage) {
-    return data_[static_cast<std::size_t>(stage)];
-  }
-
- private:
-  std::vector<std::vector<std::uint8_t>> data_;
-  std::vector<bool> has_;
-};
-
 /// Ring broadcast: a p-1 hop chain from the root. Strictly worse in latency
 /// than the trees for whole-message sends, but included as the degenerate
 /// pipeline schedule (and as a table stress case).
@@ -58,25 +30,23 @@ class RingBroadcastImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     if (team_rank() == desc().root) {
       have_data_ = true;
       forward(image);
       mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_payload_) {
-      deliver(image);
     }
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    payload_ = std::move(msg.data);
-    pending_payload_ = true;
-    if (started_) {
-      deliver(image);
-    }
+    CAF2_ASSERT(msg.data.size() == desc().bytes,
+                "ring broadcast size mismatch");
+    copy_bytes(desc().buf, msg.data.data(), msg.data.size());
+    have_data_ = true;
+    forward(image);
+    mark_data_done(image);
   }
 
-  bool role_done() const override { return started_ && have_data_; }
+  bool role_done() const override { return have_data_; }
 
  private:
   int vrank() const {
@@ -92,20 +62,7 @@ class RingBroadcastImpl final : public CollImplBase {
     }
   }
 
-  void deliver(Image& image) {
-    CAF2_ASSERT(payload_.size() == desc().bytes,
-                "ring broadcast size mismatch");
-    std::memcpy(desc().buf, payload_.data(), payload_.size());
-    have_data_ = true;
-    pending_payload_ = false;
-    forward(image);
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
   bool have_data_ = false;
-  bool pending_payload_ = false;
-  std::vector<std::uint8_t> payload_;
 };
 
 /// Ring allreduce: a reduce-scatter phase (steps 0..p-2, rank r sends
@@ -120,22 +77,19 @@ class RingAllreduceImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     const int p = team_size();
     stages_ = 2 * (p - 1);
     acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
+    copy_bytes(acc_.data(), desc().buf, desc().bytes);
     pump(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
     got_.store(msg.stage, std::move(msg.data));
-    if (started_) {
-      pump(image);
-    }
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && stage_ == stages_; }
+  bool role_done() const override { return stage_ == stages_; }
 
  private:
   std::size_t elems() const {
@@ -176,18 +130,17 @@ class RingAllreduceImpl final : public CollImplBase {
                                incoming.data(),
                                incoming.size() / desc().reducer.elem_size);
       } else {
-        std::memcpy(acc_.data() + chunk_begin(recv_chunk), incoming.data(),
-                    incoming.size());
+        copy_bytes(acc_.data() + chunk_begin(recv_chunk), incoming.data(),
+                   incoming.size());
       }
       incoming.clear();
       ++stage_;
       sent_current_ = false;
     }
-    std::memcpy(desc().buf, acc_.data(), acc_.size());
+    copy_bytes(desc().buf, acc_.data(), acc_.size());
     mark_data_done(image);
   }
 
-  bool started_ = false;
   bool sent_current_ = false;
   int stage_ = 0;
   int stages_ = 0;
@@ -204,20 +157,17 @@ class RingAllgatherImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     stages_ = team_size() - 1;
-    std::memcpy(slot(team_rank()), desc().buf, desc().bytes);
+    copy_bytes(slot(team_rank()), desc().buf, desc().bytes);
     pump(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
     got_.store(msg.stage, std::move(msg.data));
-    if (started_) {
-      pump(image);
-    }
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && stage_ == stages_; }
+  bool role_done() const override { return stage_ == stages_; }
 
  private:
   std::uint8_t* slot(int rank) const {
@@ -242,7 +192,7 @@ class RingAllgatherImpl final : public CollImplBase {
       CAF2_ASSERT(incoming.size() == desc().bytes,
                   "ring allgather block size mismatch");
       const int recv_block = (r - 1 - stage_ + 2 * p) % p;
-      std::memcpy(slot(recv_block), incoming.data(), incoming.size());
+      copy_bytes(slot(recv_block), incoming.data(), incoming.size());
       incoming.clear();
       ++stage_;
       sent_current_ = false;
@@ -250,7 +200,6 @@ class RingAllgatherImpl final : public CollImplBase {
     mark_data_done(image, /*after_stages=*/true);
   }
 
-  bool started_ = false;
   bool sent_current_ = false;
   int stage_ = 0;
   int stages_ = 0;
@@ -267,21 +216,18 @@ class RingReduceScatterImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     stages_ = team_size() - 1;
     acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
+    copy_bytes(acc_.data(), desc().buf, desc().bytes);
     pump(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
     got_.store(msg.stage, std::move(msg.data));
-    if (started_) {
-      pump(image);
-    }
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && stage_ == stages_; }
+  bool role_done() const override { return stage_ == stages_; }
 
  private:
   std::uint8_t* chunk(int index) {
@@ -311,11 +257,10 @@ class RingReduceScatterImpl final : public CollImplBase {
       ++stage_;
       sent_current_ = false;
     }
-    std::memcpy(desc().buf2, chunk(r), desc().bytes2);
+    copy_bytes(desc().buf2, chunk(r), desc().bytes2);
     mark_data_done(image);
   }
 
-  bool started_ = false;
   bool sent_current_ = false;
   int stage_ = 0;
   int stages_ = 0;

@@ -1,4 +1,4 @@
-#include <cstring>
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -7,11 +7,26 @@
 #include "support/error.hpp"
 
 /// \file coll_algo_tree.cpp
-/// Tree-family schedules (DESIGN.md §4.13): radix-4 k-nomial broadcast and
-/// reduce (shallower than binomial — depth log_4 p — at the cost of up to
-/// three sends per level per node), and a binomial gather+release barrier
-/// (an alternative to the default dissemination rounds: 2 log2 p hops of
-/// depth instead of log2 p rounds of p messages).
+/// Tree-family schedules (DESIGN.md §4.13): one k-nomial tree serves every
+/// tree kind, with the radix as its only parameter — 2 for kBinomialTree
+/// (the paper's schedule), 4 for kKnomialTree (depth log_4 p at the cost of
+/// up to three sends per level per node). supported_algorithms() offers
+/// kKnomialTree for broadcast and reduce only.
+///
+/// Ranks are rotated so desc().root is relative rank 0. A node's parent
+/// clears its lowest nonzero base-k digit; its children add j*k^d (j in
+/// [1, k)) for every digit position d below that digit. Hence a node's
+/// subtree is the contiguous relative-rank range [vr, vr + span), which is
+/// what lets gather and scatter move one contiguous block per tree edge.
+///
+/// Every kind is an up phase (children -> parent, kStageUp), a down phase
+/// (parent -> children, kStageDown), or both:
+///   reduce     up: combine            broadcast  down: whole buffer
+///   gather     up: concatenate        scatter    down: subtree slice
+///   allreduce  up + down (rooted at team rank 0)
+///   barrier    up + down with zero-byte tokens (rooted at team rank 0)
+/// A release is causally ordered after the node's own up message, so it can
+/// never arrive before the up phase is done.
 
 namespace caf2::ops::detail {
 
@@ -20,221 +35,198 @@ namespace {
 using rt::CollStageMsg;
 using rt::Image;
 
-/// k-nomial broadcast from desc().root (relative-rank rotation, like the
-/// binomial schedule in collectives.cpp).
-class KnomialBroadcastImpl final : public CollImplBase {
+constexpr int kStageUp = 0;
+constexpr int kStageDown = 1;
+
+bool has_up_phase(CollKind kind) {
+  return kind == CollKind::kReduce || kind == CollKind::kGather ||
+         kind == CollKind::kAllreduce || kind == CollKind::kBarrier;
+}
+
+bool has_down_phase(CollKind kind) {
+  return kind == CollKind::kBroadcast || kind == CollKind::kScatter ||
+         kind == CollKind::kAllreduce || kind == CollKind::kBarrier;
+}
+
+class TreeImpl final : public CollImplBase {
  public:
-  using CollImplBase::CollImplBase;
+  TreeImpl(rt::CollKey key, CollDesc desc)
+      : CollImplBase(key, std::move(desc)),
+        radix_(this->desc().algorithm == CollAlgorithm::kKnomialTree ? 4 : 2),
+        p_(team_size()),
+        vr_((team_rank() - this->desc().root + p_) % p_),
+        up_done_(!has_up_phase(this->desc().kind)),
+        down_done_(!has_down_phase(this->desc().kind)) {
+    // Children in ascending order: digit position first, then digit value.
+    for (long pw = 1; pw < span_digit(vr_) && pw < p_; pw *= radix_) {
+      for (int j = 1; j < radix_ && vr_ + j * pw < p_; ++j) {
+        children_.push_back(vr_ + j * static_cast<int>(pw));
+      }
+    }
+  }
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      have_data_ = true;
-      forward(image);
-      mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_payload_) {
-      deliver(image);
+    const CollKind kind = desc().kind;
+    const auto* in = static_cast<const std::uint8_t*>(desc().buf);
+    if (kind == CollKind::kReduce || kind == CollKind::kAllreduce) {
+      acc_.assign(in, in + desc().bytes);
+    } else if (kind == CollKind::kGather) {
+      acc_.resize(static_cast<std::size_t>(span(vr_)) * desc().bytes);
+      std::copy_n(in, desc().bytes, acc_.begin());
+    } else if (kind == CollKind::kScatter && vr_ == 0) {
+      // Relative-rank order: the root's chunk first.
+      acc_.resize(static_cast<std::size_t>(p_) * desc().bytes2);
+      std::rotate_copy(
+          in, in + static_cast<std::size_t>(desc().root) * desc().bytes2,
+          in + acc_.size(), acc_.begin());
+    }
+    if (!up_done_) {
+      if (vr_ != 0 && down_done_) {
+        mark_data_done(image);  // inputs captured; user buffer reusable
+      }
+      try_up(image);
+    } else if (vr_ == 0) {
+      release(image, kind == CollKind::kScatter ? acc_.data() : in);
     }
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    payload_ = std::move(msg.data);
-    pending_payload_ = true;
-    if (started_) {
-      deliver(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && have_data_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void forward(Image& image) {
-    const int p = team_size();
-    for (int child : knomial_children(vrank(), p, kKnomialRadix)) {
-      send_stage(image, (child + desc().root) % p, 0, desc().buf,
-                 desc().bytes);
-    }
-  }
-
-  void deliver(Image& image) {
-    CAF2_ASSERT(payload_.size() == desc().bytes,
-                "knomial broadcast size mismatch");
-    std::memcpy(desc().buf, payload_.data(), payload_.size());
-    have_data_ = true;
-    pending_payload_ = false;
-    forward(image);
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
-  bool have_data_ = false;
-  bool pending_payload_ = false;
-  std::vector<std::uint8_t> payload_;
-};
-
-/// k-nomial reduction toward desc().root.
-class KnomialReduceImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
-    expected_ = static_cast<int>(
-        knomial_children(vrank(), team_size(), kKnomialRadix).size());
-    if (team_rank() != desc().root) {
-      mark_data_done(image);  // inputs captured; user buffer reusable
-    }
-    for (auto& pending : pending_msgs_) {
-      absorb(pending);
-    }
-    pending_msgs_.clear();
-    try_advance(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_msgs_.push_back(std::move(msg.data));
+    if (msg.stage == kStageDown) {
+      CAF2_ASSERT(up_done_, "tree released before its subtree arrived");
+      CAF2_ASSERT(msg.data.size() == down_bytes(vr_),
+                  "tree release size mismatch");
+      release(image, msg.data.data());
       return;
     }
-    absorb(msg.data);
-    try_advance(image);
-  }
-
-  bool role_done() const override { return started_ && done_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void absorb(const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "knomial reduce size mismatch");
-    const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.data(), data.data(),
-                    desc().bytes / reducer.elem_size);
+    const int from = (msg.from_team_rank - desc().root + p_) % p_;
+    CAF2_ASSERT(msg.data.size() == up_bytes(from), "tree up size mismatch");
+    if (desc().kind == CollKind::kGather) {
+      std::copy(msg.data.begin(), msg.data.end(),
+                acc_.begin() + static_cast<std::ptrdiff_t>(
+                                   static_cast<std::size_t>(from - vr_) *
+                                   desc().bytes));
+    } else if (!msg.data.empty()) {
+      desc().reducer.combine(acc_.data(), msg.data.data(),
+                             msg.data.size() / desc().reducer.elem_size);
+    }
     ++got_;
-  }
-
-  void try_advance(Image& image) {
-    if (done_ || got_ < expected_) {
-      return;
-    }
-    done_ = true;
-    if (team_rank() == desc().root) {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
-      mark_data_done(image);
-    } else {
-      const int p = team_size();
-      send_stage(image,
-                 (knomial_parent(vrank(), kKnomialRadix) + desc().root) % p,
-                 0, acc_.data(), acc_.size());
-    }
-  }
-
-  bool started_ = false;
-  bool done_ = false;
-  int expected_ = 0;
-  int got_ = 0;
-  std::vector<std::uint8_t> acc_;
-  std::vector<std::vector<std::uint8_t>> pending_msgs_;
-};
-
-/// Binomial gather+release barrier rooted at team rank 0: zero-byte tokens
-/// flow up the tree (stage 0); once the root holds its whole subtree it
-/// releases back down (stage 1). The release is causally ordered after this
-/// node's own up token, so it can never arrive before the up phase is done.
-class TreeBarrierImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
-  static constexpr int kStageUp = 0;
-  static constexpr int kStageDown = 1;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    expected_ = static_cast<int>(
-        binomial_children(team_rank(), team_size()).size());
     try_up(image);
-    if (pending_release_) {
-      release(image);
-    }
   }
 
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (msg.stage == kStageUp) {
-      ++got_;
-      if (started_) {
-        try_up(image);
-      }
-    } else {
-      pending_release_ = true;
-      if (started_) {
-        release(image);
-      }
-    }
-  }
-
-  bool role_done() const override { return started_ && released_; }
+  bool role_done() const override { return up_done_ && down_done_; }
 
  private:
+  /// k^(position of vr's lowest nonzero digit); p for the root.
+  long span_digit(int vr) const {
+    if (vr == 0) {
+      return p_;
+    }
+    long low = 1;
+    while ((vr / low) % radix_ == 0) {
+      low *= radix_;
+    }
+    return low;
+  }
+  /// Size of vr's subtree: relative ranks [vr, vr + span(vr)).
+  int span(int vr) const {
+    return static_cast<int>(std::min<long>(span_digit(vr), p_ - vr));
+  }
+  int parent() const {
+    const long low = span_digit(vr_);
+    return vr_ - static_cast<int>((vr_ / low) % radix_ * low);
+  }
+  int team_rank_of(int vr) const { return (vr + desc().root) % p_; }
+
+  /// Payload a node sends up / receives down.
+  std::size_t up_bytes(int vr) const {
+    return desc().kind == CollKind::kGather
+               ? static_cast<std::size_t>(span(vr)) * desc().bytes
+               : desc().bytes;
+  }
+  std::size_t down_bytes(int vr) const {
+    return desc().kind == CollKind::kScatter
+               ? static_cast<std::size_t>(span(vr)) * desc().bytes2
+               : desc().bytes;
+  }
+
   void try_up(Image& image) {
-    if (up_done_ || got_ < expected_) {
+    if (up_done_ || got_ < static_cast<int>(children_.size())) {
       return;
     }
     up_done_ = true;
-    if (team_rank() == 0) {
-      release(image);
-    } else {
-      send_stage(image, binomial_parent(team_rank()), kStageUp, nullptr, 0);
+    if (vr_ != 0) {
+      send_stage(image, team_rank_of(parent()), kStageUp, acc_.data(),
+                 acc_.size());
+      return;
+    }
+    switch (desc().kind) {
+      case CollKind::kReduce:
+        std::copy(acc_.begin(), acc_.end(),
+                  static_cast<std::uint8_t*>(desc().buf));
+        mark_data_done(image);
+        break;
+      case CollKind::kGather:
+        // Back from relative-rank order to team-rank order.
+        std::rotate_copy(
+            acc_.begin(),
+            acc_.begin() + static_cast<std::ptrdiff_t>(
+                               static_cast<std::size_t>(p_ - desc().root) *
+                               desc().bytes),
+            acc_.end(), static_cast<std::uint8_t*>(desc().buf2));
+        mark_data_done(image);
+        break;
+      default:  // allreduce, barrier: the root turns the result around
+        release(image, acc_.data());
+        break;
     }
   }
 
-  void release(Image& image) {
-    CAF2_ASSERT(up_done_, "tree barrier released before its subtree arrived");
-    pending_release_ = false;
-    released_ = true;
-    for (int child : binomial_children(team_rank(), team_size())) {
-      send_stage(image, child, kStageDown, nullptr, 0);
+  /// Down phase: \p block is this node's subtree data (the whole buffer
+  /// for broadcast/allreduce, the subtree's chunks for scatter).
+  void release(Image& image, const std::uint8_t* block) {
+    down_done_ = true;
+    const bool slices = desc().kind == CollKind::kScatter;
+    if (slices) {
+      std::copy_n(block, desc().bytes2,
+                  static_cast<std::uint8_t*>(desc().buf2));
+    } else if (block != desc().buf) {
+      std::copy_n(block, desc().bytes,
+                  static_cast<std::uint8_t*>(desc().buf));
     }
-    mark_data_done(image);
+    for (const int child : children_) {
+      if (slices) {
+        send_stage(image, team_rank_of(child), kStageDown,
+                   block + static_cast<std::size_t>(child - vr_) *
+                               desc().bytes2,
+                   down_bytes(child));
+      } else {
+        send_stage(image, team_rank_of(child), kStageDown, desc().buf,
+                   desc().bytes);
+      }
+    }
+    // A down-only root only reads its buffer: data completion waits for
+    // the injections.
+    mark_data_done(image, /*after_stages=*/vr_ == 0 &&
+                              !has_up_phase(desc().kind));
   }
 
-  bool started_ = false;
-  bool up_done_ = false;
-  bool released_ = false;
-  bool pending_release_ = false;
-  int expected_ = 0;
+  const int radix_;
+  const int p_;
+  const int vr_;
+  bool up_done_;
+  bool down_done_;
   int got_ = 0;
+  std::vector<int> children_;  ///< relative ranks
+  std::vector<std::uint8_t> acc_;
 };
 
 }  // namespace
 
-std::unique_ptr<CollImplBase> make_tree_barrier_impl(rt::CollKey key,
-                                                     CollDesc desc) {
-  return std::make_unique<TreeBarrierImpl>(key, std::move(desc));
-}
-
-std::unique_ptr<CollImplBase> make_knomial_impl(rt::CollKey key,
-                                                CollDesc desc) {
-  switch (desc.kind) {
-    case CollKind::kBroadcast:
-      return std::make_unique<KnomialBroadcastImpl>(key, std::move(desc));
-    case CollKind::kReduce:
-      return std::make_unique<KnomialReduceImpl>(key, std::move(desc));
-    default:
-      throw UsageError("knomial schedule: unsupported collective kind");
-  }
+std::unique_ptr<CollImplBase> make_tree_impl(rt::CollKey key, CollDesc desc) {
+  CAF2_ASSERT(has_up_phase(desc.kind) || has_down_phase(desc.kind),
+              "tree schedule: unsupported collective kind");
+  return std::make_unique<TreeImpl>(key, std::move(desc));
 }
 
 }  // namespace caf2::ops::detail

@@ -1,10 +1,13 @@
 #pragma once
 
 /// \file coll_detail.hpp
-/// Internal machinery shared by the collective implementations
-/// (collectives.cpp) and the distributed sort (sort.cpp). Not public API.
+/// Internal machinery shared by the collective schedules (coll_algo_*.cpp)
+/// and the distributed sort (sort.cpp). Not public API.
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "ops/collectives.hpp"
@@ -12,27 +15,55 @@
 
 namespace caf2::ops::detail {
 
-/// Binomial-tree helpers over `p` relative ranks rooted at 0. A node's
-/// parent clears its lowest set bit; its children add every power of two
-/// below that bit.
-int binomial_parent(int vr);
-std::vector<int> binomial_children(int vr, int p);
-int ceil_log2(int p);
+inline int ceil_log2(int p) {
+  return p <= 1 ? 0 : std::bit_width(static_cast<unsigned>(p - 1));
+}
 
-/// k-nomial-tree helpers (radix \p k >= 2) over `p` relative ranks rooted
-/// at 0: a node's parent clears its lowest nonzero base-k digit; its
-/// children add j*k^d (j in [1, k)) for every digit position d below that
-/// digit. k = 2 degenerates to the binomial tree.
-int knomial_parent(int vr, int k);
-std::vector<int> knomial_children(int vr, int p, int k);
+/// memcpy for payloads that may be empty: zero counts are legal in the
+/// v-collectives and ring chunks go empty when p exceeds the element count,
+/// and empty buffers may have null data pointers, which memcpy forbids.
+inline void copy_bytes(void* dst, const void* src, std::size_t bytes) {
+  if (bytes > 0) {
+    std::memcpy(dst, src, bytes);
+  }
+}
 
-/// Radix of CollAlgorithm::kKnomialTree (shallower than binomial: depth
-/// log_4 p, at most 3 sends per level per node).
-inline constexpr int kKnomialRadix = 4;
+/// Per-stage receive buffer for the ring and round-based schedules. Channels
+/// are non-FIFO (delivery jitter can reorder same-link messages), so a
+/// stage-s payload may arrive before stage s-1's; schedules store by stage
+/// number and pump strictly in stage order.
+class StageBuffer {
+ public:
+  void store(int stage, std::vector<std::uint8_t>&& data) {
+    const auto index = static_cast<std::size_t>(stage);
+    if (index >= has_.size()) {
+      data_.resize(index + 1);
+      has_.resize(index + 1, false);
+    }
+    data_[index] = std::move(data);
+    has_[index] = true;
+  }
+
+  bool has(int stage) const {
+    const auto index = static_cast<std::size_t>(stage);
+    return index < has_.size() && has_[index];
+  }
+
+  std::vector<std::uint8_t>& at(int stage) {
+    return data_[static_cast<std::size_t>(stage)];
+  }
+
+ private:
+  std::vector<std::vector<std::uint8_t>> data_;
+  std::vector<bool> has_;
+};
 
 /// Common machinery: stage-message sending with staged/ack bookkeeping, the
 /// two completion points (local data / local operation), and finish
 /// attribution captured at start time.
+///
+/// start() runs begin() before the caller replays any stage messages that
+/// arrived early, so handle() never runs ahead of begin().
 class CollImplBase : public rt::CollBase {
  public:
   CollImplBase(rt::CollKey key, CollDesc desc);
@@ -66,6 +97,10 @@ class CollImplBase : public rt::CollBase {
   int team_size() const { return desc_.team.size(); }
 
  private:
+  /// A staged/acked callback moved a counter: re-check completion and, if
+  /// this was the last event the operation waited for, drop its state.
+  void on_send_progress(rt::Image& image);
+
   rt::CollKey key_;
   CollDesc desc_;
   net::FinishKey finish_{};
@@ -79,19 +114,19 @@ class CollImplBase : public rt::CollBase {
   bool erasable_ = false;
 };
 
-/// Factory for the distributed sample sort (implemented in sort.cpp).
-std::unique_ptr<CollImplBase> make_sort_impl(rt::CollKey key, CollDesc desc);
-
-/// Algorithm-family factories (one translation unit per family; each
-/// switches on desc.kind for the kinds its schedule covers). desc.algorithm
-/// is already resolved to the family's concrete value.
-std::unique_ptr<CollImplBase> make_tree_barrier_impl(rt::CollKey key,
-                                                     CollDesc desc);
-std::unique_ptr<CollImplBase> make_knomial_impl(rt::CollKey key,
-                                                CollDesc desc);
+/// Schedule-family factories, one translation unit per family. Each
+/// switches on desc.kind for the kinds its schedule covers; desc.algorithm
+/// is already resolved to one of the family's values.
+///   tree    kBinomialTree, kKnomialTree (coll_algo_tree.cpp)
+///   ring    kRing (coll_algo_ring.cpp)
+///   rounds  kRecursiveDoubling, kDissemination (coll_algo_rd.cpp)
+///   direct  kDirect (coll_algo_direct.cpp; sort.cpp for kSort)
+std::unique_ptr<CollImplBase> make_tree_impl(rt::CollKey key, CollDesc desc);
 std::unique_ptr<CollImplBase> make_ring_impl(rt::CollKey key, CollDesc desc);
-std::unique_ptr<CollImplBase> make_rd_impl(rt::CollKey key, CollDesc desc);
+std::unique_ptr<CollImplBase> make_rounds_impl(rt::CollKey key,
+                                               CollDesc desc);
 std::unique_ptr<CollImplBase> make_direct_impl(rt::CollKey key,
                                                CollDesc desc);
+std::unique_ptr<CollImplBase> make_sort_impl(rt::CollKey key, CollDesc desc);
 
 }  // namespace caf2::ops::detail

@@ -1,7 +1,7 @@
 #include "ops/collectives.hpp"
 
-#include <bit>
-#include <cstring>
+#include <array>
+#include <memory>
 
 #include "obs/obs.hpp"
 #include "ops/coll_algo.hpp"
@@ -17,56 +17,6 @@ namespace detail {
 using rt::CollKey;
 using rt::CollStageMsg;
 using rt::Image;
-
-int binomial_parent(int vr) { return vr & (vr - 1); }
-
-std::vector<int> binomial_children(int vr, int p) {
-  std::vector<int> children;
-  const unsigned low = vr == 0 ? ~0u : static_cast<unsigned>(vr & -vr);
-  for (unsigned bit = 1; bit < low && vr + static_cast<int>(bit) < p;
-       bit <<= 1) {
-    children.push_back(vr + static_cast<int>(bit));
-  }
-  return children;
-}
-
-int ceil_log2(int p) {
-  return p <= 1 ? 0 : std::bit_width(static_cast<unsigned>(p - 1));
-}
-
-int knomial_parent(int vr, int k) {
-  if (vr == 0) {
-    return -1;
-  }
-  int pw = 1;
-  while ((vr / pw) % k == 0) {
-    pw *= k;
-  }
-  return vr - ((vr / pw) % k) * pw;
-}
-
-std::vector<int> knomial_children(int vr, int p, int k) {
-  std::vector<int> children;
-  // low = k^(position of vr's lowest nonzero base-k digit); children live
-  // at every strictly lower digit position. Root 0 has no nonzero digit, so
-  // every position below log_k(p) applies.
-  long low = p;
-  if (vr != 0) {
-    low = 1;
-    while ((vr / low) % k == 0) {
-      low *= k;
-    }
-  }
-  for (long pw = 1; pw < low && pw < p; pw *= k) {
-    for (int j = 1; j < k; ++j) {
-      const long child = vr + j * pw;
-      if (child < p) {
-        children.push_back(static_cast<int>(child));
-      }
-    }
-  }
-  return children;
-}
 
 CollImplBase::CollImplBase(CollKey key, CollDesc desc)
     : key_(key), desc_(std::move(desc)) {}
@@ -112,15 +62,25 @@ void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
   net::SendCallbacks callbacks;
   callbacks.on_staged = [this, img] {
     --pending_stage_;
-    try_complete(*img);
-    img->runtime().engine().unblock(img->rank());
+    on_send_progress(*img);
   };
   callbacks.on_acked = [this, img] {
     --pending_ack_;
-    try_complete(*img);
-    img->runtime().engine().unblock(img->rank());
+    on_send_progress(*img);
   };
   image.send_message(std::move(message), std::move(callbacks));
+}
+
+void CollImplBase::on_send_progress(Image& image) {
+  try_complete(image);
+  image.runtime().engine().unblock(image.rank());
+  if (erasable_) {
+    // Completion on the send path: every stage message this image expects
+    // has already arrived, so nothing will look the state up again. The
+    // message path (start_collective, the stage handler) erases the rest.
+    const CollKey key = key_;
+    image.erase_coll_state(key);  // destroys *this
+  }
 }
 
 void CollImplBase::mark_data_done(Image& image, bool after_stages) {
@@ -179,762 +139,59 @@ void CollImplBase::try_complete(Image& image) {
 
 namespace {
 
-using detail::binomial_children;
-using detail::binomial_parent;
-using detail::ceil_log2;
 using detail::CollImplBase;
 using rt::CollKey;
 using rt::CollStageMsg;
 using rt::Image;
 
-/// Dissemination barrier: round k sends a token to (rank + 2^k) mod p and
-/// waits for the token from (rank - 2^k) mod p.
-class BarrierImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
+using ImplFactory = std::unique_ptr<CollImplBase> (*)(CollKey, CollDesc);
 
- protected:
-  void begin(Image& image) override {
-    rounds_ = ceil_log2(team_size());
-    got_.assign(static_cast<std::size_t>(rounds_), false);
-    started_ = true;
-    pump(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (static_cast<std::size_t>(msg.stage) >= got_.size()) {
-      got_.resize(static_cast<std::size_t>(msg.stage) + 1, false);
-    }
-    got_[static_cast<std::size_t>(msg.stage)] = true;
-    if (started_) {
-      pump(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && round_ == rounds_; }
-
- private:
-  void pump(Image& image) {
-    const int p = team_size();
-    while (round_ < rounds_) {
-      if (!sent_current_) {
-        send_stage(image, (team_rank() + (1 << round_)) % p, round_, nullptr,
-                   0);
-        sent_current_ = true;
-      }
-      if (static_cast<std::size_t>(round_) >= got_.size() ||
-          !got_[static_cast<std::size_t>(round_)]) {
-        return;
-      }
-      ++round_;
-      sent_current_ = false;
-    }
-    mark_data_done(image);
-  }
-
-  int rounds_ = 0;
-  int round_ = 0;
-  bool sent_current_ = false;
-  bool started_ = false;
-  std::vector<bool> got_;
+/// Schedule family per resolved algorithm, indexed by CollAlgorithm. Each
+/// family factory switches on the kind; resolve_algorithm() already
+/// rejected unsupported pairings and clamped structurally impossible ones.
+constexpr std::array<ImplFactory, 7> kFamilies = {
+    nullptr,                   // kAuto never survives resolution
+    detail::make_tree_impl,    // kBinomialTree
+    detail::make_tree_impl,    // kKnomialTree
+    detail::make_ring_impl,    // kRing
+    detail::make_rounds_impl,  // kRecursiveDoubling
+    detail::make_rounds_impl,  // kDissemination
+    detail::make_direct_impl,  // kDirect
 };
-
-/// Binomial broadcast from desc().root.
-class BroadcastImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      have_data_ = true;
-      forward(image);
-      mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_payload_) {
-      deliver(image);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    payload_ = std::move(msg.data);
-    pending_payload_ = true;
-    if (started_) {
-      deliver(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && have_data_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void forward(Image& image) {
-    const int p = team_size();
-    for (int child : binomial_children(vrank(), p)) {
-      send_stage(image, (child + desc().root) % p, 0, desc().buf,
-                 desc().bytes);
-    }
-  }
-
-  void deliver(Image& image) {
-    CAF2_ASSERT(payload_.size() == desc().bytes, "broadcast size mismatch");
-    std::memcpy(desc().buf, payload_.data(), payload_.size());
-    have_data_ = true;
-    pending_payload_ = false;
-    forward(image);
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
-  bool have_data_ = false;
-  bool pending_payload_ = false;
-  std::vector<std::uint8_t> payload_;
-};
-
-/// Binomial reduction toward desc().root.
-class ReduceImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
-    expected_ =
-        static_cast<int>(binomial_children(vrank(), team_size()).size());
-    if (team_rank() != desc().root) {
-      mark_data_done(image);  // inputs captured; user buffer reusable
-    }
-    for (auto& pending : pending_msgs_) {
-      absorb(pending);
-    }
-    pending_msgs_.clear();
-    try_advance(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_msgs_.push_back(std::move(msg.data));
-      return;
-    }
-    absorb(msg.data);
-    try_advance(image);
-  }
-
-  bool role_done() const override { return started_ && done_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void absorb(const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "reduce size mismatch");
-    const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.data(), data.data(),
-                    desc().bytes / reducer.elem_size);
-    ++got_;
-  }
-
-  void try_advance(Image& image) {
-    if (done_ || got_ < expected_) {
-      return;
-    }
-    done_ = true;
-    if (team_rank() == desc().root) {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
-      mark_data_done(image);
-    } else {
-      const int p = team_size();
-      send_stage(image, (binomial_parent(vrank()) + desc().root) % p, 0,
-                 acc_.data(), acc_.size());
-    }
-  }
-
-  bool started_ = false;
-  bool done_ = false;
-  int expected_ = 0;
-  int got_ = 0;
-  std::vector<std::uint8_t> acc_;
-  std::vector<std::vector<std::uint8_t>> pending_msgs_;
-};
-
-/// Allreduce = binomial reduce to team rank 0 (stage 0) + binomial broadcast
-/// from team rank 0 (stage 1): one pass through a reduction tree and one
-/// through a broadcast tree, the structure the paper's critical-path bound
-/// assumes.
-class AllreduceImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
-  static constexpr int kStageReduce = 0;
-  static constexpr int kStageBcast = 1;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
-    expected_ = static_cast<int>(
-        binomial_children(team_rank(), team_size()).size());
-    for (auto& pending : pending_reduce_) {
-      absorb(pending);
-    }
-    pending_reduce_.clear();
-    try_reduce(image);
-    if (pending_bcast_) {
-      deliver(image);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (msg.stage == kStageReduce) {
-      if (!started_) {
-        pending_reduce_.push_back(std::move(msg.data));
-        return;
-      }
-      absorb(msg.data);
-      try_reduce(image);
-    } else {
-      bcast_payload_ = std::move(msg.data);
-      pending_bcast_ = true;
-      if (started_) {
-        deliver(image);
-      }
-    }
-  }
-
-  bool role_done() const override { return started_ && have_result_; }
-
- private:
-  void absorb(const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "allreduce size mismatch");
-    const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.data(), data.data(),
-                    desc().bytes / reducer.elem_size);
-    ++got_;
-  }
-
-  void try_reduce(Image& image) {
-    if (reduce_done_ || got_ < expected_) {
-      return;
-    }
-    reduce_done_ = true;
-    if (team_rank() == 0) {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
-      have_result_ = true;
-      for (int child : binomial_children(0, team_size())) {
-        send_stage(image, child, kStageBcast, desc().buf, desc().bytes);
-      }
-      mark_data_done(image);
-    } else {
-      send_stage(image, binomial_parent(team_rank()), kStageReduce,
-                 acc_.data(), acc_.size());
-    }
-  }
-
-  void deliver(Image& image) {
-    CAF2_ASSERT(bcast_payload_.size() == desc().bytes,
-                "allreduce broadcast size mismatch");
-    std::memcpy(desc().buf, bcast_payload_.data(), bcast_payload_.size());
-    pending_bcast_ = false;
-    have_result_ = true;
-    for (int child : binomial_children(team_rank(), team_size())) {
-      send_stage(image, child, kStageBcast, desc().buf, desc().bytes);
-    }
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
-  bool reduce_done_ = false;
-  bool have_result_ = false;
-  bool pending_bcast_ = false;
-  int expected_ = 0;
-  int got_ = 0;
-  std::vector<std::uint8_t> acc_;
-  std::vector<std::uint8_t> bcast_payload_;
-  std::vector<std::vector<std::uint8_t>> pending_reduce_;
-};
-
-/// Binomial gather toward desc().root. Each interior node accumulates its
-/// whole subtree's contributions (tagged with their team ranks) before
-/// sending one combined message to its parent. The subtree of relative rank
-/// vr covers [vr, vr + lowbit(vr)) clipped to p.
-class GatherImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    chunks_.emplace_back(team_rank(),
-                         std::vector<std::uint8_t>(
-                             static_cast<const std::uint8_t*>(desc().buf),
-                             static_cast<const std::uint8_t*>(desc().buf) +
-                                 desc().bytes));
-    if (team_rank() != desc().root) {
-      mark_data_done(image);  // contribution captured
-    }
-    for (auto& pending : pending_msgs_) {
-      absorb(std::move(pending));
-    }
-    pending_msgs_.clear();
-    try_advance(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_msgs_.push_back(std::move(msg.data));
-      return;
-    }
-    absorb(std::move(msg.data));
-    try_advance(image);
-  }
-
-  bool role_done() const override { return started_ && done_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  int subtree_size() const {
-    const int p = team_size();
-    const int vr = vrank();
-    const int low = vr == 0 ? p : (vr & -vr);
-    return std::min(low, p - vr);
-  }
-
-  void absorb(std::vector<std::uint8_t>&& data) {
-    ReadArchive archive(data);
-    const auto count = archive.read<std::int32_t>();
-    for (int i = 0; i < count; ++i) {
-      const auto rank = archive.read<std::int32_t>();
-      std::vector<std::uint8_t> chunk(desc().bytes);
-      archive.read_bytes(chunk.data(), chunk.size());
-      chunks_.emplace_back(rank, std::move(chunk));
-    }
-  }
-
-  void try_advance(Image& image) {
-    if (done_ || static_cast<int>(chunks_.size()) < subtree_size()) {
-      return;
-    }
-    done_ = true;
-    if (team_rank() == desc().root) {
-      auto* out = static_cast<std::uint8_t*>(desc().buf2);
-      for (const auto& [rank, chunk] : chunks_) {
-        std::memcpy(out + static_cast<std::size_t>(rank) * desc().bytes,
-                    chunk.data(), chunk.size());
-      }
-      mark_data_done(image);
-    } else {
-      WriteArchive archive;
-      archive.write(static_cast<std::int32_t>(chunks_.size()));
-      for (const auto& [rank, chunk] : chunks_) {
-        archive.write(static_cast<std::int32_t>(rank));
-        archive.write_bytes(chunk.data(), chunk.size());
-      }
-      const auto packed = archive.take();
-      const int p = team_size();
-      send_stage(image, (binomial_parent(vrank()) + desc().root) % p, 0,
-                 packed.data(), packed.size());
-    }
-  }
-
-  bool started_ = false;
-  bool done_ = false;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> chunks_;
-  std::vector<std::vector<std::uint8_t>> pending_msgs_;
-};
-
-/// Binomial scatter from desc().root: each node receives the packed chunks
-/// of its whole subtree and forwards sub-ranges to its children.
-class ScatterImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      // Pack [rank, chunk] pairs for the whole team from the send buffer.
-      const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-      const std::size_t chunk = desc().bytes2;
-      std::vector<std::pair<int, std::vector<std::uint8_t>>> all;
-      all.reserve(static_cast<std::size_t>(team_size()));
-      for (int r = 0; r < team_size(); ++r) {
-        all.emplace_back(
-            r, std::vector<std::uint8_t>(
-                   in + static_cast<std::size_t>(r) * chunk,
-                   in + static_cast<std::size_t>(r + 1) * chunk));
-      }
-      distribute(image, all);
-      mark_data_done(image, /*after_stages=*/true);
-      have_chunk_ = true;
-    } else if (!pending_.empty()) {
-      auto data = std::move(pending_);
-      pending_.clear();
-      accept(image, std::move(data));
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_ = std::move(msg.data);
-      return;
-    }
-    accept(image, std::move(msg.data));
-  }
-
-  bool role_done() const override { return started_ && have_chunk_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void accept(Image& image, std::vector<std::uint8_t>&& data) {
-    ReadArchive archive(data);
-    const auto count = archive.read<std::int32_t>();
-    std::vector<std::pair<int, std::vector<std::uint8_t>>> mine;
-    mine.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      const auto rank = archive.read<std::int32_t>();
-      std::vector<std::uint8_t> chunk(desc().bytes2);
-      archive.read_bytes(chunk.data(), chunk.size());
-      if (rank == team_rank()) {
-        std::memcpy(desc().buf2, chunk.data(), chunk.size());
-      } else {
-        mine.emplace_back(rank, std::move(chunk));
-      }
-    }
-    distribute(image, mine);
-    have_chunk_ = true;
-    mark_data_done(image);
-    try_complete(image);
-  }
-
-  void distribute(
-      Image& image,
-      const std::vector<std::pair<int, std::vector<std::uint8_t>>>& all) {
-    const int p = team_size();
-    for (int child : binomial_children(vrank(), p)) {
-      const int low = child & -child;
-      const int child_end = std::min(child + low, p);
-      WriteArchive archive;
-      std::int32_t count = 0;
-      for (const auto& [rank, chunk] : all) {
-        const int vr = (rank - desc().root + p) % p;
-        if (vr >= child && vr < child_end) {
-          ++count;
-        }
-      }
-      archive.write(count);
-      for (const auto& [rank, chunk] : all) {
-        const int vr = (rank - desc().root + p) % p;
-        if (vr >= child && vr < child_end) {
-          archive.write(static_cast<std::int32_t>(rank));
-          archive.write_bytes(chunk.data(), chunk.size());
-        }
-      }
-      const auto packed = archive.take();
-      send_stage(image, (child + desc().root) % p, 0, packed.data(),
-                 packed.size());
-      // Root's own chunk when this node is the root:
-    }
-    if (team_rank() == desc().root) {
-      const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-      std::memcpy(desc().buf2,
-                  in + static_cast<std::size_t>(team_rank()) * desc().bytes2,
-                  desc().bytes2);
-    }
-  }
-
-  bool started_ = false;
-  bool have_chunk_ = false;
-  std::vector<std::uint8_t> pending_;
-};
-
-/// Direct all-to-all personalized exchange: p-1 tagged sends, p-1 receives.
-class AlltoallImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    const std::size_t chunk =
-        desc().bytes / static_cast<std::size_t>(team_size());
-    const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-    // Own chunk moves locally.
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(team_rank()) * chunk,
-                in + static_cast<std::size_t>(team_rank()) * chunk, chunk);
-    for (int r = 0; r < team_size(); ++r) {
-      if (r != team_rank()) {
-        send_stage(image, r, 0, in + static_cast<std::size_t>(r) * chunk,
-                   chunk);
-      }
-    }
-    for (auto& [from, data] : pending_) {
-      place(from, data);
-    }
-    pending_.clear();
-    maybe_data_done(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.emplace_back(msg.from_team_rank, std::move(msg.data));
-      return;
-    }
-    place(msg.from_team_rank, msg.data);
-    maybe_data_done(image);
-  }
-
-  bool role_done() const override {
-    return started_ && received_ == team_size() - 1;
-  }
-
- private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
-    const std::size_t chunk =
-        desc().bytes2 / static_cast<std::size_t>(team_size());
-    CAF2_ASSERT(data.size() == chunk, "alltoall chunk size mismatch");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(from) * chunk,
-                data.data(), data.size());
-    ++received_;
-  }
-
-  /// Local data completion needs both directions: the send buffer injected
-  /// (reads) and every incoming chunk placed (writes) — an alltoall both
-  /// reads and writes initiator-local data.
-  void maybe_data_done(Image& image) {
-    if (received_ == team_size() - 1) {
-      mark_data_done(image, /*after_stages=*/true);
-    }
-  }
-
-  bool started_ = false;
-  int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
-};
-
-/// Hillis-Steele inclusive scan: in round k, rank r sends its running
-/// prefix to r + 2^k and folds in the prefix received from r - 2^k. After
-/// ceil(log2 p) rounds the accumulator holds the prefix over ranks [0, r].
-/// The exclusive variant ships the prefix *before* folding in its own
-/// contribution.
-class ScanImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    rounds_ = ceil_log2(team_size());
-    acc_.assign(static_cast<const std::uint8_t*>(desc().buf),
-                static_cast<const std::uint8_t*>(desc().buf) + desc().bytes);
-    // carry_ = reduction over strictly-lower ranks (identity-free: tracked
-    // with a has_carry_ flag instead of requiring an identity element).
-    got_.resize(static_cast<std::size_t>(rounds_));
-    pump(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    const auto k = static_cast<std::size_t>(msg.stage);
-    if (k >= got_.size()) {
-      got_.resize(k + 1);
-    }
-    got_[k] = std::move(msg.data);
-    has_got_.resize(std::max(has_got_.size(), k + 1), false);
-    has_got_[k] = true;
-    if (started_) {
-      pump(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && round_ == rounds_; }
-
- private:
-  void pump(Image& image) {
-    const int p = team_size();
-    while (round_ < rounds_) {
-      const int dist = 1 << round_;
-      if (!sent_current_) {
-        if (team_rank() + dist < p) {
-          send_stage(image, team_rank() + dist, round_, acc_.data(),
-                     acc_.size());
-        }
-        sent_current_ = true;
-      }
-      if (team_rank() - dist >= 0) {
-        if (static_cast<std::size_t>(round_) >= has_got_.size() ||
-            !has_got_[static_cast<std::size_t>(round_)]) {
-          return;  // wait for this round's prefix
-        }
-        const auto& incoming = got_[static_cast<std::size_t>(round_)];
-        if (!has_carry_) {
-          carry_ = incoming;
-          has_carry_ = true;
-        } else {
-          desc().reducer.combine(carry_.data(), incoming.data(),
-                                 carry_.size() / desc().reducer.elem_size);
-        }
-        // Fold the incoming prefix into the running accumulator too: the
-        // accumulator is what later rounds forward.
-        desc().reducer.combine(acc_.data(), incoming.data(),
-                               acc_.size() / desc().reducer.elem_size);
-      }
-      ++round_;
-      sent_current_ = false;
-    }
-    // Done: write the result into the user buffer.
-    if (desc().exclusive_scan) {
-      if (has_carry_) {
-        std::memcpy(desc().buf, carry_.data(), carry_.size());
-      }
-      // Rank 0's buffer is left unchanged (no identity element available).
-    } else {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
-    }
-    mark_data_done(image);
-  }
-
-  int rounds_ = 0;
-  int round_ = 0;
-  bool sent_current_ = false;
-  bool started_ = false;
-  bool has_carry_ = false;
-  std::vector<std::uint8_t> acc_;
-  std::vector<std::uint8_t> carry_;
-  std::vector<std::vector<std::uint8_t>> got_;
-  std::vector<bool> has_got_;
-};
-
-/// Dispatch on (kind, resolved algorithm). The legacy schedules live in
-/// this file; the alternative families live in coll_algo_*.cpp behind the
-/// detail::make_*_impl factories. resolve_algorithm() already rejected
-/// unsupported pairings and clamped structurally impossible ones, so an
-/// unhandled combination here is a programming error.
-std::unique_ptr<CollImplBase> make_impl(CollKind kind, CollKey key,
-                                        CollDesc desc) {
-  const CollAlgorithm algorithm = desc.algorithm;
-  switch (kind) {
-    case CollKind::kBarrier:
-      if (algorithm == CollAlgorithm::kBinomialTree) {
-        return detail::make_tree_barrier_impl(key, std::move(desc));
-      }
-      return std::make_unique<BarrierImpl>(key, std::move(desc));
-    case CollKind::kBroadcast:
-      if (algorithm == CollAlgorithm::kKnomialTree) {
-        return detail::make_knomial_impl(key, std::move(desc));
-      }
-      if (algorithm == CollAlgorithm::kRing) {
-        return detail::make_ring_impl(key, std::move(desc));
-      }
-      return std::make_unique<BroadcastImpl>(key, std::move(desc));
-    case CollKind::kReduce:
-      if (algorithm == CollAlgorithm::kKnomialTree) {
-        return detail::make_knomial_impl(key, std::move(desc));
-      }
-      return std::make_unique<ReduceImpl>(key, std::move(desc));
-    case CollKind::kAllreduce:
-      if (algorithm == CollAlgorithm::kRing) {
-        return detail::make_ring_impl(key, std::move(desc));
-      }
-      if (algorithm == CollAlgorithm::kRecursiveDoubling) {
-        return detail::make_rd_impl(key, std::move(desc));
-      }
-      return std::make_unique<AllreduceImpl>(key, std::move(desc));
-    case CollKind::kGather:
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return std::make_unique<GatherImpl>(key, std::move(desc));
-    case CollKind::kScatter:
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return std::make_unique<ScatterImpl>(key, std::move(desc));
-    case CollKind::kAlltoall:
-      return std::make_unique<AlltoallImpl>(key, std::move(desc));
-    case CollKind::kScan:
-      return std::make_unique<ScanImpl>(key, std::move(desc));
-    case CollKind::kSort:
-      return detail::make_sort_impl(key, std::move(desc));
-    case CollKind::kAllgather:
-      if (algorithm == CollAlgorithm::kRecursiveDoubling) {
-        return detail::make_rd_impl(key, std::move(desc));
-      }
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return detail::make_ring_impl(key, std::move(desc));
-    case CollKind::kReduceScatter:
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return detail::make_ring_impl(key, std::move(desc));
-    case CollKind::kGatherv:
-    case CollKind::kScatterv:
-    case CollKind::kAlltoallv:
-      return detail::make_direct_impl(key, std::move(desc));
-  }
-  throw UsageError("unknown collective kind");
-}
+static_assert(kFamilies.size() ==
+              static_cast<std::size_t>(CollAlgorithm::kDirect) + 1);
 
 /// Per-kind cofence classification: does the operation read / write
 /// initiator-local data? (paper Fig. 4 rows)
 void classify(const CollDesc& desc, bool& reads, bool& writes) {
+  const bool root = desc.team.rank() == desc.root;
   switch (desc.kind) {
     case CollKind::kBarrier:
       reads = writes = false;
       break;
     case CollKind::kBroadcast:
-      reads = desc.team.rank() == desc.root;
-      writes = !reads;
+      reads = root;
+      writes = !root;
       break;
     case CollKind::kReduce:
+    case CollKind::kGather:
+    case CollKind::kGatherv:
       reads = true;
-      writes = desc.team.rank() == desc.root;
+      writes = root;
+      break;
+    case CollKind::kScatter:
+    case CollKind::kScatterv:
+      reads = root;
+      writes = true;
       break;
     case CollKind::kAllreduce:
     case CollKind::kScan:
     case CollKind::kAlltoall:
     case CollKind::kSort:
-      reads = writes = true;
-      break;
-    case CollKind::kGather:
-      reads = true;
-      writes = desc.team.rank() == desc.root;
-      break;
-    case CollKind::kScatter:
-      reads = desc.team.rank() == desc.root;
-      writes = true;
-      break;
     case CollKind::kAllgather:
     case CollKind::kReduceScatter:
     case CollKind::kAlltoallv:
       reads = writes = true;
-      break;
-    case CollKind::kGatherv:
-      reads = true;
-      writes = desc.team.rank() == desc.root;
-      break;
-    case CollKind::kScatterv:
-      reads = desc.team.rank() == desc.root;
-      writes = true;
       break;
   }
 }
@@ -982,8 +239,11 @@ void start_collective(CollDesc desc) {
   const CollKey key{desc.team.id(), image.next_coll_seq(desc.team.id())};
   rt::PendingColl& pending = image.coll_state(key);
   CAF2_ASSERT(pending.op == nullptr, "collective sequence collision");
-  auto impl = make_impl(desc.kind, key, desc);
-  auto* raw = static_cast<CollImplBase*>(impl.get());
+  const ImplFactory factory =
+      kFamilies[static_cast<std::size_t>(desc.algorithm)];
+  CAF2_ASSERT(factory != nullptr, "collective algorithm left unresolved");
+  std::unique_ptr<CollImplBase> impl = factory(key, std::move(desc));
+  CollImplBase* const raw = impl.get();
   pending.op = std::move(impl);
   raw->start(image, finish, std::move(op));
 

@@ -14,12 +14,13 @@
 /// completion and an enclosing finish block provides global completion.
 ///
 /// Algorithms (DESIGN.md §4.13): every collective kind maps to one or more
-/// selectable *schedules* — binomial tree, radix-4 k-nomial tree, ring,
-/// recursive doubling, dissemination, direct pairwise — implemented over a
-/// shared stage-message state machine. CollOptions::algorithm picks one;
-/// the default CollAlgorithm::kAuto consults a selection table (built-in
-/// heuristics, or a table measured by `bench_collectives --tune` and loaded
-/// with ops::load_selection_table_file / RuntimeOptions::coll_selection_table)
+/// selectable *schedules* — binomial / radix-4 k-nomial tree (one tree,
+/// two radices), ring, recursive doubling, dissemination, direct pairwise —
+/// implemented over a shared stage-message state machine.
+/// CollOptions::algorithm picks one; the default CollAlgorithm::kAuto
+/// consults a selection table (built-in defaults, or a table measured by
+/// `bench_collectives --tune` and loaded with
+/// ops::load_selection_table_file / RuntimeOptions::coll_selection_table)
 /// so the winner can depend on payload size and team size.
 
 #include <algorithm>
@@ -212,6 +213,8 @@ T allreduce(const Team& team, T value, RedOp op) {
 /// Asynchronous gather: every member contributes `send` (equal sizes); team
 /// rank \p root receives the concatenation (by team rank) into `recv`
 /// (size = team size × send size). `recv` is ignored on non-roots.
+/// Schedules: binomial tree (default), direct (gatherv's schedule with
+/// every count equal).
 template <typename T>
 void gather_async(const Team& team, std::span<const T> send,
                   std::span<T> recv, int root, CollOptions options = {}) {
@@ -237,6 +240,8 @@ void gather_async(const Team& team, std::span<const T> send,
 
 /// Asynchronous scatter: team rank \p root's `send` (team size × chunk) is
 /// split by team rank; every member receives its chunk into `recv`.
+/// Schedules: binomial tree (default), direct (scatterv's schedule with
+/// every count equal).
 template <typename T>
 void scatter_async(const Team& team, std::span<const T> send,
                    std::span<T> recv, int root, CollOptions options = {}) {
@@ -262,7 +267,8 @@ void scatter_async(const Team& team, std::span<const T> send,
 
 /// Asynchronous all-to-all personalized exchange: chunk j of `send` goes to
 /// team rank j; chunk i of `recv` comes from team rank i. Both spans hold
-/// team size × chunk elements.
+/// team size × chunk elements. Runs alltoallv's direct schedule with every
+/// count equal.
 template <typename T>
 void alltoall_async(const Team& team, std::span<const T> send,
                     std::span<T> recv, CollOptions options = {}) {
@@ -490,7 +496,9 @@ void sort_async(const Team& team, std::vector<T>& keys,
                         std::size_t bytes) {
     auto* out = static_cast<std::vector<T>*>(sink);
     out->resize(bytes / sizeof(T));
-    std::memcpy(out->data(), data, bytes);
+    if (bytes > 0) {  // an empty result may come with null pointers
+      std::memcpy(out->data(), data, bytes);
+    }
   };
   desc.sort_sort = [](std::uint8_t* data, std::size_t bytes) {
     T* keys_begin = reinterpret_cast<T*>(data);

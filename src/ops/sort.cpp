@@ -36,7 +36,6 @@ class SortImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     const std::size_t es = desc().elem_size;
     keys_.assign(static_cast<const std::uint8_t*>(desc().buf),
                  static_cast<const std::uint8_t*>(desc().buf) +
@@ -69,29 +68,9 @@ class SortImpl final : public CollImplBase {
     } else {
       send_stage(image, 0, kStageSamples, packed.data(), packed.size());
     }
-    replay(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.push_back(std::move(msg));
-      return;
-    }
-    dispatch(image, std::move(msg));
-  }
-
-  bool role_done() const override { return started_ && done_; }
-
- private:
-  void replay(Image& image) {
-    auto pending = std::move(pending_);
-    pending_.clear();
-    for (auto& msg : pending) {
-      dispatch(image, std::move(msg));
-    }
-  }
-
-  void dispatch(Image& image, CollStageMsg&& msg) {
     switch (msg.stage) {
       case kStageSamples:
         absorb_samples(image, msg.data);
@@ -109,6 +88,9 @@ class SortImpl final : public CollImplBase {
     }
   }
 
+  bool role_done() const override { return done_; }
+
+ private:
   void absorb_samples(Image& image, const std::vector<std::uint8_t>& data) {
     const std::size_t es = desc().elem_size;
     ReadArchive archive(data);
@@ -208,7 +190,6 @@ class SortImpl final : public CollImplBase {
     mark_data_done(image);
   }
 
-  bool started_ = false;
   bool done_ = false;
   bool sent_parts_ = false;
   int sample_contributions_ = 0;
@@ -217,7 +198,6 @@ class SortImpl final : public CollImplBase {
   std::vector<std::vector<std::uint8_t>> samples_;
   std::vector<std::vector<std::uint8_t>> splitters_;
   std::vector<std::vector<std::uint8_t>> partitions_;
-  std::vector<CollStageMsg> pending_;
 };
 
 }  // namespace

@@ -207,6 +207,9 @@ class Image {
   PendingColl& coll_state(const CollKey& key);
   void erase_coll_state(const CollKey& key);
   std::uint32_t next_coll_seq(int team_id);
+  /// Collective instances with live state on this image (started and not
+  /// yet locally complete, or holding early stage messages).
+  std::size_t live_collectives() const { return colls_.size(); }
 
   /// --- deferred copy plans (predicated copies) -----------------------------
 

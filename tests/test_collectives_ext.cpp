@@ -191,7 +191,9 @@ TEST_P(ExtSizes, SampleSortProducesGlobalOrder) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Images, ExtSizes, ::testing::Values(1, 2, 3, 4, 8));
+// 13 gives the radix-4 tree two levels with a partial last subtree.
+INSTANTIATE_TEST_SUITE_P(Images, ExtSizes,
+                         ::testing::Values(1, 2, 3, 4, 8, 13));
 
 TEST(ExtCollectives, SortWithUnevenBlocks) {
   run(ext_options(4), [] {
@@ -853,6 +855,43 @@ TEST(CollMatrix, ResultBuffersIdenticalAcrossAlgorithmsAtNonPow2) {
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(results[i], results[0]);
   }
+}
+
+/// A collective whose last event is an acknowledgement of its own send
+/// completes on the send path, not the message path; its state must still
+/// be dropped. After a final barrier every image holds no collective state.
+TEST(ExtCollectives, CompletedCollectivesLeaveNoState) {
+  run(ext_options(5), [] {
+    Team world = team_world();
+    const int p = world.size();
+    for (const CollAlgorithm algo :
+         ops::supported_algorithms(ops::CollKind::kAllreduce)) {
+      std::vector<long> value(64, world.rank());
+      Event done;
+      allreduce_async<long>(world, value, RedOp::kSum,
+                            {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+    }
+    for (const CollAlgorithm algo :
+         ops::supported_algorithms(ops::CollKind::kBroadcast)) {
+      std::vector<long> buf(64, world.rank());
+      Event done;
+      broadcast_async<long>(world, buf, 1,
+                            {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+    }
+    for (const CollAlgorithm algo :
+         ops::supported_algorithms(ops::CollKind::kScatter)) {
+      std::vector<long> send(static_cast<std::size_t>(p), 1);
+      std::vector<long> recv(1);
+      Event done;
+      scatter_async<long>(world, send, recv, 2,
+                          {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+    }
+    team_barrier(world);
+    EXPECT_EQ(rt::Image::current().live_collectives(), 0u);
+  });
 }
 
 TEST(ExtCollectives, AlltoallOnSubteam) {
