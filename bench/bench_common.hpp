@@ -257,10 +257,6 @@ inline void emit_bench_json(const BenchArgs& args, const std::string& name,
                     args.shards <= 1 ? "serial"
                     : sim::resolve_adaptive_lookahead(true) ? "adaptive"
                                                             : "static");
-  // Which execution backend these numbers came from (threads vs fibers) —
-  // wall-clock figures are not comparable across backends.
-  meta.emplace_back("engine_backend",
-                    to_string(sim::resolve_backend(ExecBackend::kAuto)));
   if (write_bench_json(path, name, records, meta)) {
     std::printf("\nwrote %s\n", path.c_str());
   } else {
@@ -317,8 +313,6 @@ inline void emit_blame_json(
   const std::string path = sidecar_path(args, name, "blame");
   std::vector<std::pair<std::string, std::string>> meta;
   meta.emplace_back("quick", args.quick ? "true" : "false");
-  meta.emplace_back("engine_backend",
-                    to_string(sim::resolve_backend(ExecBackend::kAuto)));
   for (auto& entry : extra_meta) {
     meta.push_back(std::move(entry));
   }

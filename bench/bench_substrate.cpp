@@ -5,7 +5,7 @@
 ///
 /// Three layers are measured:
 ///  - engine/*: the raw discrete-event loop (self-wake fast path, token
-///    handoffs between participant threads, Call-event dispatch);
+///    handoffs between participant fibers, Call-event dispatch);
 ///  - allreduce/*, randomaccess/*: full runtime stacks over the simulated
 ///    Gemini-class interconnect, swept over image counts and bunch sizes;
 ///  - detector/*: the UTS termination-detection workload per detector kind.
@@ -44,9 +44,8 @@ using bench::SweepPoint;
 
 /// Measure a raw engine run (no runtime stack on top).
 BenchRecord measure_engine(int participants,
-                           const std::function<void(int)>& body,
-                           sim::EngineOptions options = {}) {
-  sim::Engine engine(participants, options);
+                           const std::function<void(int)>& body) {
+  sim::Engine engine(participants);
   WallTimer timer;
   engine.run(body);
   BenchRecord record;
@@ -88,30 +87,16 @@ std::vector<SweepPoint> build_sweep(const BenchArgs& args) {
                        }
                      });
                    }});
-  // Hand-off throughput per backend: the same round-robin token workload
-  // forced onto OS threads vs fibers. The fiber backend's whole reason to
-  // exist is this ratio (DESIGN.md §4.8); expect well over 5x.
+  // Hand-off throughput: a round-robin token workload where every advance
+  // switches fibers (DESIGN.md §4.8).
   for (const int participants : {4, 64}) {
     const std::string suffix = std::to_string(participants);
-    sweep.push_back({"engine/handoff" + suffix + "/threads",
+    sweep.push_back({"engine/handoff" + suffix + "/fibers",
                      [scale, participants] {
                        const int steps = 20'000 * scale / (participants / 4);
-                       sim::EngineOptions options;
-                       options.backend = ExecBackend::kThreads;
                        return measure_engine(participants,
-                                             handoff_body(steps), options);
+                                             handoff_body(steps));
                      }});
-    if (sim::fibers_supported()) {
-      sweep.push_back({"engine/handoff" + suffix + "/fibers",
-                       [scale, participants] {
-                         const int steps =
-                             20'000 * scale / (participants / 4);
-                         sim::EngineOptions options;
-                         options.backend = ExecBackend::kFibers;
-                         return measure_engine(participants,
-                                               handoff_body(steps), options);
-                       }});
-    }
   }
   sweep.push_back({"engine/post", [scale] {
                      const int steps = 50'000 * scale;

@@ -54,8 +54,8 @@ void run(const RuntimeOptions& options, const std::function<void()>& body);
 /// simulation, as opposed to the virtual-time results the run computed).
 ///
 /// events, virtual_us, context_switches, and faults are deterministic: for a
-/// given options + body they are bit-identical across execution backends and
-/// with the scheduler fast path on or off. backend and fastpath describe the
+/// given options + body (and shard count) they are bit-identical across
+/// repeats and with the scheduler fast path on or off. fastpath describes the
 /// configuration that ran; peak_rss_bytes is a *measured* property of the
 /// host process (monotone high-water mark, not deterministic) — determinism
 /// comparisons must exclude those.
@@ -64,14 +64,13 @@ struct RunStats {
   double virtual_us = 0.0;   ///< final virtual time
   std::uint64_t context_switches = 0;  ///< token handoffs between images
   bool fastpath = true;      ///< self-wake fast path was active
-  ExecBackend backend = ExecBackend::kAuto;  ///< resolved backend that ran
   /// Process peak RSS after the run, summed over every worker thread (Linux:
   /// VmHWM of the whole process, not just the scheduler thread).
   std::uint64_t peak_rss_bytes = 0;
   /// --- sharded execution (DESIGN.md §4.11) ----------------------------------
   /// shards, windows, window_stalls, and shard_events are deterministic for a
   /// fixed shard count; shards=1 reports windows = window_stalls = 0 and a
-  /// single shard_events entry equal to `events`, matching the legacy engine.
+  /// single shard_events entry equal to `events`.
   int shards = 1;                     ///< engine shards the run executed on
   std::uint64_t windows = 0;          ///< conservative window advances
   std::uint64_t window_stalls = 0;    ///< per-shard window entries with no

@@ -901,10 +901,4 @@ void Network::fill_postmortem(obs::PmNetwork& net) const {
   }
 }
 
-std::string Network::describe_state() const {
-  obs::PmNetwork net;
-  fill_postmortem(net);
-  return obs::network_section_text(net);
-}
-
 }  // namespace caf2::net

@@ -170,11 +170,6 @@ class Network {
   /// shards).
   std::size_t inflight_reliable() const;
 
-  /// Watchdog-report section: in-flight reliable messages (sender, receiver,
-  /// sequence number, attempts, age) plus the fault counters. Thin shim over
-  /// fill_postmortem() + obs::network_section_text().
-  std::string describe_state() const;
-
   /// Snapshot the network's postmortem section: reliability mode, in-flight
   /// reliable messages (first obs::kMaxListedFlights of them), fault stats.
   void fill_postmortem(obs::PmNetwork& net) const;

@@ -8,9 +8,8 @@
 ///    which loads directly in Perfetto (https://ui.perfetto.dev) or
 ///    chrome://tracing — one track per image plus a network track;
 ///  - a compact deterministic text form used by tests to assert that two
-///    runs (e.g. thread vs fiber backend) recorded byte-identical captures.
-///    The text form deliberately excludes Capture::backend so the backends
-///    can be compared with plain string equality.
+///    runs (e.g. repeats, or fast path on vs off) recorded byte-identical
+///    captures with plain string equality.
 
 #include <string>
 
@@ -32,7 +31,7 @@ std::string chrome_trace_events(const Capture& capture, int pid,
                                 const std::string& process_name);
 
 /// Deterministic fixed-precision text dump of every track, metric, and drop
-/// counter. Byte-identical across execution backends for the same run.
+/// counter. Byte-identical across repeats of the same run.
 std::string to_text(const Capture& capture);
 
 /// Write \p content to \p path; returns false (after printing to stderr) on

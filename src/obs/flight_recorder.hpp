@@ -14,10 +14,11 @@
 ///     overwrite oldest-first. Instrumented schedules stay bit-identical
 ///     because recording never touches the engine (no events scheduled, no
 ///     blocking, no RNG draws).
-///   - No locking: exactly one simulated context runs at a time (the engine's
-///     token discipline), and postmortem collection happens either under the
-///     engine mutex (thread backend) or on the only running context (fiber
-///     backend), so reads are ordered after all writes.
+///   - No locking: an image's ring is written only on its home shard, where
+///     exactly one simulated context runs at a time (the engine's token
+///     discipline), and postmortem collection happens on a quiesced engine
+///     (every shard parked at the window barrier, or the only running
+///     context of a one-shard run), so reads are ordered after all writes.
 ///   - `label` fields must point at string literals (or other storage that
 ///     outlives the recorder); the ring stores the pointer, not a copy.
 

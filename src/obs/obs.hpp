@@ -34,8 +34,7 @@
 /// id assignment is track-local and deterministic without any cross-shard
 /// coordination. take()/snapshot() merge the lanes into the capture's single
 /// network track by (begin, end, image, peer, id), a total order, so the
-/// exported capture is deterministic for a fixed shard count and identical
-/// across execution backends.
+/// exported capture is deterministic for a fixed shard count.
 
 #include <array>
 #include <cstdint>
@@ -171,15 +170,13 @@ struct Track {
 };
 
 /// Immutable snapshot of everything recorded during one run. Deterministic:
-/// for a given options + body it is bit-identical across execution backends
-/// and with the scheduler fast path on or off (export::to_text serializes it
-/// byte-stably for exactly that comparison).
+/// for a given options + body (and shard count) it is bit-identical across
+/// repeats and with the scheduler fast path on or off (export::to_text
+/// serializes it byte-stably for exactly that comparison).
 struct Capture {
   ObsConfig config{};
   int images = 0;
   double end_us = 0.0;                       ///< final virtual time
-  ExecBackend backend = ExecBackend::kAuto;  ///< resolved backend that ran
-                                             ///< (excluded from to_text)
   std::vector<Track> tracks;   ///< size images + 1; tracks[images] = network
   std::vector<Metrics> metrics;  ///< size images
 
@@ -259,12 +256,12 @@ class Recorder {
   /// --- snapshot ------------------------------------------------------------
 
   /// Move everything recorded so far into an immutable Capture.
-  Capture take(double end_us, ExecBackend backend);
+  Capture take(double end_us);
 
   /// Copy everything recorded so far, leaving the recorder untouched. Used
   /// by the postmortem collector: a failing run's blame summary must not
   /// consume the capture a later take() would return.
-  Capture snapshot(double end_us, ExecBackend backend) const;
+  Capture snapshot(double end_us) const;
 
  private:
   struct PerImage {

@@ -297,6 +297,9 @@ void find_cycles(WaitGraph& graph, int num_images) {
             });
 }
 
+namespace {
+
+/// The network section of to_text().
 std::string network_section_text(const PmNetwork& net) {
   std::string out = "network: reliable delivery ";
   out += net.reliable ? "on" : "off";
@@ -327,6 +330,7 @@ std::string network_section_text(const PmNetwork& net) {
   return out;
 }
 
+/// The per-image runtime state + network sections of to_text().
 std::string runtime_sections_text(const Postmortem& pm) {
   std::string out;
   for (const PmImage& img : pm.per_image) {
@@ -376,6 +380,8 @@ std::string runtime_sections_text(const Postmortem& pm) {
   }
   return out;
 }
+
+}  // namespace
 
 std::string to_text(const Postmortem& pm) {
   std::string out;
@@ -434,12 +440,6 @@ std::string to_text(const Postmortem& pm) {
   if (!pm.collector_error.empty()) {
     appendf(out, "collector error (swallowed): %s\n",
             pm.collector_error.c_str());
-  }
-  if (!pm.extra.empty()) {
-    out += pm.extra;
-    if (out.back() != '\n') {
-      out += '\n';
-    }
   }
   if (pm.blame != nullptr) {
     out += "blame summary:\n";
@@ -595,7 +595,6 @@ std::string to_json(const Postmortem& pm) {
           pm.net.faults.scripted_applied);
   appendf(out, "\"collector_error\": \"%s\", ",
           json_escape(pm.collector_error).c_str());
-  appendf(out, "\"extra\": \"%s\", ", json_escape(pm.extra).c_str());
   if (pm.blame != nullptr) {
     appendf(out,
             "\"blame\": {\"critical_path_us\": %.6f, "

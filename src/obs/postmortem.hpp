@@ -13,7 +13,7 @@
 ///
 /// Three renderers:
 ///   to_text()            deterministic fixed-precision text — byte-identical
-///                        across thread/fiber backends and repeated runs
+///                        across repeated runs at a fixed shard count
 ///   to_json()            machine-readable mirror of the struct
 ///   wait_graph_to_dot()  Graphviz digraph of the wait-for graph, cycle
 ///                        members highlighted
@@ -203,12 +203,9 @@ struct Postmortem {
   /// Critical-path blame summary; non-null only when the span recorder
   /// (RuntimeOptions::obs.enabled) was on.
   std::shared_ptr<const BlameReport> blame;
-  /// Non-empty when a postmortem/diagnostics callback itself threw while
-  /// the engine lock was held; the exception is swallowed here instead of
-  /// deadlocking the failing run.
+  /// Non-empty when the postmortem collector itself threw; the exception is
+  /// swallowed here instead of deadlocking the failing run.
   std::string collector_error;
-  /// Legacy free-form diagnostics (Engine::set_diagnostics), if any.
-  std::string extra;
 };
 
 /// Thrown out of Engine::run() on failure. Derives FatalError so existing
@@ -230,13 +227,6 @@ class StallError : public FatalError {
 
 /// Deterministic text rendering (fixed-precision doubles, sorted sections).
 std::string to_text(const Postmortem& pm);
-
-/// The per-image runtime state + network sections of to_text() only —
-/// the compat body of rt::Runtime::watchdog_report().
-std::string runtime_sections_text(const Postmortem& pm);
-
-/// The network section alone — the body of net::Network::describe_state().
-std::string network_section_text(const PmNetwork& net);
 
 /// Machine-readable mirror of the whole struct.
 std::string to_json(const Postmortem& pm);

@@ -316,7 +316,7 @@ Track Recorder::merged_net_track() const {
   }
   // (begin, end, image, peer, id) is a total order — ids are unique across
   // lanes — so the merged track is identical for any lane fill order: the
-  // capture stays deterministic for a fixed shard count and across backends.
+  // capture stays deterministic for a fixed shard count.
   std::sort(merged.spans.begin(), merged.spans.end(),
             [](const Span& a, const Span& b) {
               if (a.begin != b.begin) {
@@ -336,12 +336,11 @@ Track Recorder::merged_net_track() const {
   return merged;
 }
 
-Capture Recorder::snapshot(double end_us, ExecBackend backend) const {
+Capture Recorder::snapshot(double end_us) const {
   Capture capture;
   capture.config = config_;
   capture.images = images();
   capture.end_us = end_us;
-  capture.backend = backend;
   capture.tracks.reserve(images_.size() + 1);
   capture.metrics.reserve(images_.size());
   for (const PerImage& state : images_) {
@@ -352,12 +351,11 @@ Capture Recorder::snapshot(double end_us, ExecBackend backend) const {
   return capture;
 }
 
-Capture Recorder::take(double end_us, ExecBackend backend) {
+Capture Recorder::take(double end_us) {
   Capture capture;
   capture.config = config_;
   capture.images = images();
   capture.end_us = end_us;
-  capture.backend = backend;
   capture.tracks.reserve(images_.size() + 1);
   capture.metrics.reserve(images_.size());
   for (PerImage& state : images_) {

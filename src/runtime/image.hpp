@@ -146,11 +146,11 @@ class Image {
   /// Type-erased per-image storage for higher layers (e.g. the centralized
   /// termination detector's owner/member bookkeeping, the last finish
   /// report). Layers used to keep such state in `thread_local` variables,
-  /// which silently assumed one OS thread per image — false under the fiber
-  /// execution backend, where every image of an engine shares the scheduler
-  /// thread. \p tag is an arbitrary unique address (take the address of a
-  /// file-local object); the slot is created empty on first use and lives as
-  /// long as the image.
+  /// which silently assumed one OS thread per image — false with fibers,
+  /// where every image of a shard shares that shard's scheduler thread.
+  /// \p tag is an arbitrary unique address (take the address of a file-local
+  /// object); the slot is created empty on first use and lives as long as
+  /// the image.
   std::shared_ptr<void>& scratch(const void* tag) { return scratch_[tag]; }
 
   /// --- message send helpers ------------------------------------------------

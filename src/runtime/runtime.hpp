@@ -63,14 +63,6 @@ class Runtime {
   /// UsageError, everything else becomes a caf2::FatalError.
   void run(const std::function<void()>& body);
 
-  /// Runtime sections of the engine's stall/watchdog report: per-image
-  /// finish epoch counters {sent, delivered, received, completed},
-  /// outstanding implicit operations, pending mailbox messages, recent
-  /// flight-recorder events, and the network's in-flight reliable messages
-  /// (see sim/engine.hpp and DESIGN.md §4.7, §4.10). Compatibility shim:
-  /// renders the runtime sections of a fresh structured postmortem.
-  std::string watchdog_report();
-
   /// Fill the runtime-owned sections of a postmortem: per-image mailbox and
   /// cofence state, finish scopes, wait stacks, recent flight-recorder
   /// events, the network section, the wait-for graph with cycle detection,

@@ -5,30 +5,12 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 
 namespace caf2::sim {
-
-ExecBackend resolve_backend(ExecBackend configured) {
-  ExecBackend backend = configured;
-  if (const char* env = std::getenv("CAF2_SIM_BACKEND");
-      env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "threads") == 0) {
-      backend = ExecBackend::kThreads;
-    } else if (std::strcmp(env, "fibers") == 0) {
-      backend = ExecBackend::kFibers;
-    }
-    // Unknown values fall through to whatever was configured.
-  }
-  if (backend == ExecBackend::kAuto) {
-    backend = fibers_supported() ? ExecBackend::kFibers : ExecBackend::kThreads;
-  } else if (backend == ExecBackend::kFibers && !fibers_supported()) {
-    backend = ExecBackend::kThreads;  // TSan builds: silent fallback
-  }
-  return backend;
-}
 
 int resolve_shards(int configured) {
   if (configured >= 1) {
@@ -59,14 +41,12 @@ bool resolve_adaptive_lookahead(bool configured) {
 }
 
 namespace {
-/// The calling context's identity. Participant threads own theirs for the
-/// whole run; the fiber scheduler swaps it on every fiber switch (the
-/// suspended copy lives in Participant::context).
+/// The calling context's identity. The scheduler loop swaps it on every
+/// fiber switch (the suspended copy lives in Participant::context).
 thread_local ExecContext tls_context;
 
-/// The shard the calling OS thread works for (multi-shard runs only). Set by
-/// shard workers for their whole tenure and by participant threads in the
-/// thread backend; fiber switches never change the OS thread, so unlike
+/// The shard the calling OS thread works for, set by each shard loop for its
+/// whole tenure. Fiber switches never change the OS thread, so unlike
 /// tls_context this needs no swapping.
 struct ShardTls {
   Engine* engine = nullptr;
@@ -93,19 +73,18 @@ Engine::Engine(int participants, EngineOptions options)
       env != nullptr && *env != '\0' && *env != '0') {
     fastpath_ = false;
   }
-  backend_ = resolve_backend(options_.backend);
 
   int shard_count = resolve_shards(options_.shards);
   lookahead_ = options_.lookahead_us;
   if (lookahead_ <= 0.0) {
-    shard_count = 1;  // no conservative window exists -> serial execution
+    shard_count = 1;  // no conservative window exists -> one shard
   }
   shard_count = std::min(shard_count, participants);
-  sharded_ = shard_count > 1;
-  if (!sharded_) {
+  if (shard_count == 1) {
     lookahead_ = 0.0;
   }
-  adaptive_ = sharded_ && resolve_adaptive_lookahead(options_.adaptive_lookahead);
+  adaptive_ = shard_count > 1 &&
+              resolve_adaptive_lookahead(options_.adaptive_lookahead);
 
   participants_.reserve(static_cast<std::size_t>(participants));
   for (int i = 0; i < participants; ++i) {
@@ -135,28 +114,21 @@ Engine::Engine(int participants, EngineOptions options)
 }
 
 Engine::~Engine() {
-  // run() joins all threads / finishes all fibers; nothing to do unless
-  // run() was never called.
+  // run() joins every shard loop and finishes all fibers; nothing to do
+  // unless run() was never called.
 }
 
 Engine::Shard& Engine::calling_shard() {
-  if (sharded_ && tls_shard.engine == this) {
-    return *shards_[static_cast<std::size_t>(tls_shard.index)];
-  }
-  return *shards_[0];
+  return *shards_[tls_shard.engine == this
+                      ? static_cast<std::size_t>(tls_shard.index)
+                      : 0];
 }
 
 int Engine::current_shard() const {
-  if (!sharded_) {
-    return tls_context.engine == this ? 0 : -1;
-  }
   return tls_shard.engine == this ? tls_shard.index : -1;
 }
 
 double Engine::now() const {
-  if (!sharded_) {
-    return shards_[0]->now_us.load(std::memory_order_relaxed);
-  }
   if (tls_shard.engine == this) {
     return shards_[static_cast<std::size_t>(tls_shard.index)]->now_us.load(
         std::memory_order_relaxed);
@@ -194,7 +166,9 @@ std::uint64_t Engine::trace_dropped() const {
   return total;
 }
 
-std::uint64_t Engine::window_count() const { return windows_; }
+std::uint64_t Engine::window_count() const {
+  return sharded() ? windows_ : 0;
+}
 
 std::uint64_t Engine::window_stall_count() const { return window_stalls_; }
 
@@ -219,22 +193,6 @@ void Engine::record(Shard& shard, TraceKind kind, int participant) {
   shard.trace.push_back(TraceEntry{shard.trace.size(),
                                    shard.now_us.load(std::memory_order_relaxed),
                                    kind, participant});
-}
-
-void Engine::fail_locked(std::unique_lock<std::mutex>& lock,
-                         const std::string& why) {
-  (void)lock;
-  if (failed()) {
-    return;
-  }
-  failure_reason_ = options_.label + ": " + why;
-  failed_.store(true, std::memory_order_release);
-  if (backend_ == ExecBackend::kThreads) {
-    for (auto& participant : participants_) {
-      participant->cv.notify_all();
-    }
-    done_cv_.notify_all();
-  }
 }
 
 std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
@@ -275,44 +233,20 @@ std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
     pm->per_image.push_back(std::move(img));
   }
   pm->classification = obs::classify(kind, false);
-  // Both callbacks run with the engine lock held; an exception escaping here
-  // would deadlock the very failure we are reporting (the thread backend's
-  // wake-up notifications would never run), so tag and swallow instead.
-  auto swallow = [&pm](const char* who, const auto& fn) {
-    try {
-      fn();
-    } catch (const std::exception& e) {
-      if (!pm->collector_error.empty()) {
-        pm->collector_error += "; ";
-      }
-      pm->collector_error += who;
-      pm->collector_error += ": ";
-      pm->collector_error += e.what();
-    } catch (...) {
-      if (!pm->collector_error.empty()) {
-        pm->collector_error += "; ";
-      }
-      pm->collector_error += who;
-      pm->collector_error += ": non-standard exception";
-    }
-  };
+  // An exception escaping the collector would abandon the very failure we
+  // are reporting (every shard is parked at the barrier), so tag and
+  // swallow it instead.
   if (collector_) {
-    swallow("postmortem collector", [&] { collector_(*pm); });
-  }
-  if (diagnostics_) {
-    swallow("diagnostics callback", [&] { pm->extra = diagnostics_(); });
+    try {
+      collector_(*pm);
+    } catch (const std::exception& e) {
+      pm->collector_error =
+          std::string("postmortem collector: ") + e.what();
+    } catch (...) {
+      pm->collector_error = "postmortem collector: non-standard exception";
+    }
   }
   return pm;
-}
-
-void Engine::fail_report_locked(std::unique_lock<std::mutex>& lock,
-                                obs::FailKind kind,
-                                const std::string& headline) {
-  if (failed()) {
-    return;  // the first failure's postmortem wins
-  }
-  last_postmortem_ = build_postmortem_locked(kind, headline);
-  fail_locked(lock, obs::to_text(*last_postmortem_));
 }
 
 void Engine::fail_pending(obs::FailKind kind, const std::string& headline,
@@ -343,9 +277,9 @@ void Engine::finish_failure_locked() {
     if (!first_error_) {
       // Synthesize the error every participant will surface so the exception
       // run() rethrows is deterministic (with live workers, "first
-      // participant to unwind" would be a race). Callback failures mirror
-      // the single-shard message (label + headline); everything else carries
-      // the full postmortem rendering.
+      // participant to unwind" would be a race). Callback failures carry
+      // label + headline; everything else carries the full postmortem
+      // rendering.
       const std::string what = pending_fail_is_callback_
                                    ? options_.label + ": " + pending_fail_headline_
                                    : failure_reason_;
@@ -382,33 +316,22 @@ void Engine::fail(const std::string& why) {
 }
 
 void Engine::fail(const std::string& why, obs::FailKind kind) {
-  if (sharded_ && !quiesced_.load(std::memory_order_acquire)) {
-    // Other shards are executing: record the failure now, collect the
-    // postmortem at the next window barrier where every shard is quiesced.
-    fail_pending(kind, why, nullptr, false);
-    return;
+  fail_pending(kind, why, nullptr, false);
+  if (quiesced_.load(std::memory_order_acquire)) {
+    finish_failure_locked();  // no run in progress: nothing to wait for
   }
-  auto lock = lock_gate(*shards_[0]);
-  fail_report_locked(lock, kind, why);
-}
-
-void Engine::set_diagnostics(std::function<std::string()> fn) {
-  auto lock = lock_gate(*shards_[0]);
-  diagnostics_ = std::move(fn);
 }
 
 void Engine::set_postmortem_collector(PostmortemCollector fn) {
-  auto lock = lock_gate(*shards_[0]);
   collector_ = std::move(fn);
 }
 
 obs::Postmortem Engine::snapshot_postmortem(const std::string& headline) {
-  if (!sharded_ || quiesced_.load(std::memory_order_acquire)) {
-    auto lock = lock_gate(*shards_[0]);
+  if (!sharded() || quiesced_.load(std::memory_order_acquire)) {
     return *build_postmortem_locked(obs::FailKind::kOnDemand, headline);
   }
-  // Mid-run snapshot of a sharded engine: other shards are executing, so
-  // per-participant state and the collector's sections cannot be read
+  // Mid-run snapshot of a multi-shard engine: other shards are executing,
+  // so per-participant state and the collector's sections cannot be read
   // race-free. Report the engine-level counters only.
   obs::Postmortem pm;
   pm.kind = obs::FailKind::kOnDemand;
@@ -436,88 +359,18 @@ std::uint32_t Engine::acquire_slot(Shard& shard, InlineFn fn) {
   return slot;
 }
 
-std::string Engine::describe_callback_error(
-    Participant* dispatcher, const std::exception_ptr& error) const {
-  const std::string who =
-      dispatcher != nullptr ? "participant " + std::to_string(dispatcher->id)
-                            : std::string("the scheduler");
-  std::string what = "engine callback (dispatched from " + who + ")";
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    what += " raised: ";
-    what += e.what();
-  } catch (...) {
-    what += " raised a non-standard exception";
-  }
-  return what;
-}
-
-void Engine::shard_idle_locked(Shard& shard) {
-  shard.window_idle = true;
-  if (backend_ == ExecBackend::kThreads) {
-    shard.idle_cv.notify_one();
-  }
-}
-
-void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
-                            Participant* dispatcher) {
+void Engine::dispatch_chain(Shard& shard) {
   for (;;) {
-    if (failed()) {
-      if (sharded_) {
-        shard_idle_locked(shard);
-      }
+    // An exhausted shard is not a deadlock: other shards may still feed
+    // this one at the next window merge. The barrier performs the global
+    // deadlock / budget / watchdog checks with every shard quiesced.
+    if (failed() || shard.finished_count == shard.count ||
+        shard.heap.empty() ||
+        shard.heap.top().at >=
+            shard.window_end.load(std::memory_order_relaxed) ||
+        (options_.max_events != 0 &&
+         total_dispatched() >= options_.max_events)) {
       return;
-    }
-    if (shard.finished_count == shard.count) {
-      if (sharded_) {
-        shard_idle_locked(shard);
-      } else {
-        done_cv_.notify_all();
-      }
-      return;
-    }
-    if (sharded_) {
-      // An exhausted shard is not a deadlock: other shards may still feed
-      // this one at the next window merge. The barrier performs the global
-      // deadlock / budget / watchdog checks with every shard quiesced.
-      if (shard.heap.empty() ||
-          shard.heap.top().at >=
-              shard.window_end.load(std::memory_order_relaxed)) {
-        shard_idle_locked(shard);
-        return;
-      }
-      if (options_.max_events != 0 &&
-          total_dispatched() >= options_.max_events) {
-        shard_idle_locked(shard);
-        return;
-      }
-    } else {
-      if (shard.heap.empty()) {
-        fail_report_locked(lock, obs::FailKind::kDeadlock,
-                           "deadlock: no pending events and every "
-                           "unfinished participant is blocked");
-        return;
-      }
-      if (options_.max_events != 0 &&
-          shard.dispatched.load(std::memory_order_relaxed) >=
-              options_.max_events) {
-        fail_report_locked(lock, obs::FailKind::kEventBudget,
-                           "simulation event budget exceeded");
-        return;
-      }
-      if (options_.watchdog_quiet_us > 0.0 &&
-          shard.heap.top().at >
-              shard.now_us.load(std::memory_order_relaxed) +
-                  options_.watchdog_quiet_us &&
-          all_unfinished_blocked_locked()) {
-        std::ostringstream os;
-        os << "watchdog: every image is blocked and no event is due within "
-           << options_.watchdog_quiet_us << " us (next event at t="
-           << shard.heap.top().at << " us)";
-        fail_report_locked(lock, obs::FailKind::kQuietWatchdog, os.str());
-        return;
-      }
     }
 
     const Event event = shard.heap.top();
@@ -529,49 +382,26 @@ void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
 
     if (event.call_slot != kNoSlot) {
       record(shard, TraceKind::kCall, -1);
-      // Callbacks (network staging, deliveries, timers) run with the engine
-      // lock released. No participant of this shard holds the token here, so
-      // callbacks may freely mutate the shard's runtime state (mailboxes,
+      // Callbacks (network staging, deliveries, timers) run on the shard's
+      // scheduler loop. No participant of this shard holds the token here,
+      // so callbacks may freely mutate the shard's runtime state (mailboxes,
       // counters) without racing.
       InlineFn fn = std::move(shard.call_pool[event.call_slot]);
       shard.free_slots.push_back(event.call_slot);
-      std::exception_ptr error;
-      if (lock.mutex() != nullptr) {
-        lock.unlock();
-      }
+      // A throwing callback must not propagate out of the scheduler loop;
+      // convert it into an engine failure.
+      std::string error;
       try {
         fn();
+      } catch (const std::exception& e) {
+        error = std::string(" raised: ") + e.what();
       } catch (...) {
-        error = std::current_exception();
+        error = " raised a non-standard exception";
       }
-      fn.reset();  // destroy the closure before retaking the lock
-      if (error && sharded_) {
-        // fail_pending must not run under a shard gate; we are unlocked here.
+      if (!error.empty()) {
         fail_pending(obs::FailKind::kCallbackError,
-                     describe_callback_error(dispatcher, error), nullptr,
-                     /*callback_error=*/true);
-      }
-      if (lock.mutex() != nullptr) {
-        lock.lock();
-      }
-      if (error) {
-        if (sharded_) {
-          shard_idle_locked(shard);
-          return;
-        }
-        // A throwing callback must not propagate through whoever happens to
-        // be dispatching (from run()'s chain it would escape with
-        // participant threads still live). Convert it into an engine
-        // failure, tagged with the dispatching context.
-        if (!first_error_) {
-          const std::string what = describe_callback_error(dispatcher, error);
-          fail_report_locked(lock, obs::FailKind::kCallbackError, what);
-          first_error_ = std::make_exception_ptr(obs::StallError(
-              options_.label + ": " + what, last_postmortem_));
-        } else {
-          fail_report_locked(lock, obs::FailKind::kCallbackError,
-                             "engine callback raised an exception");
-        }
+                     "engine callback (dispatched from the scheduler)" + error,
+                     nullptr, /*callback_error=*/true);
         return;
       }
       continue;
@@ -587,60 +417,29 @@ void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
     if (target.id != shard.token_owner) {
       // Counted only when the token moves between participants, so the
       // value is a pure function of the dispatch order: identical across
-      // backends and with the fast path on or off (a fast-pathed self-wake
+      // repeats and with the fast path on or off (a fast-pathed self-wake
       // is exactly a dispatch that keeps the token in place).
       shard.token_owner = target.id;
       shard.context_switches.fetch_add(1, std::memory_order_relaxed);
     }
     shard.activated = &target;
-    if (backend_ == ExecBackend::kThreads && &target != dispatcher) {
-      target.cv.notify_one();
-    }
     return;
   }
 }
 
-void Engine::switch_out(Shard& shard, std::unique_lock<std::mutex>& lock,
-                        Participant& self) {
+void Engine::switch_out(Participant& self) {
   self.active = false;
-  if (backend_ == ExecBackend::kFibers) {
-    // Hand control back to the shard's scheduler loop, which dispatches the
-    // next event. If the run already failed *and* the failure postmortem is
-    // ready, suspending would leave this fiber parked forever (the unwind
-    // pass resumes each live fiber exactly once) — throw immediately
-    // instead. A sharded run builds the postmortem at the window barrier, so
-    // until shutdown_ready_ the fiber still parks normally and the unwind
-    // pass (which runs only after the barrier completed the failure) picks
-    // it up.
-    if (!failed() || (sharded_ && !shutdown_ready_.load(
-                                      std::memory_order_acquire))) {
-      Fiber::suspend();
-    }
-    if (failed()) {
-      throw_failure();
-    }
-    self.state = PState::kRunnable;
-    self.block_reason.clear();
-    return;
+  // Hand control back to the shard's scheduler loop, which dispatches the
+  // next event. Once the failure postmortem is ready, suspending would leave
+  // this fiber parked forever (the unwind pass resumes each live fiber
+  // exactly once) — throw immediately instead. Before that, a failed run
+  // still parks normally: the barrier builds the postmortem, and the unwind
+  // pass that follows it picks this fiber up.
+  if (!shutdown_ready_.load(std::memory_order_acquire)) {
+    Fiber::suspend();
   }
-  dispatch_chain(shard, lock, &self);
-  if (!sharded_) {
-    while (!self.active && !failed()) {
-      self.cv.wait(lock);
-    }
-    if (failed()) {
-      throw_failure();
-    }
-  } else {
-    // Parked until re-activated by a dispatch, or until the shutdown
-    // sequence (failure postmortem built at the barrier, coordinator
-    // notifies every participant).
-    while (!self.active) {
-      if (failed() && shutdown_ready_.load(std::memory_order_acquire)) {
-        throw_failure();
-      }
-      self.cv.wait(lock);
-    }
+  if (failed()) {
+    throw_failure();
   }
   self.state = PState::kRunnable;
   self.block_reason.clear();
@@ -655,30 +454,25 @@ void Engine::advance(double dt) {
   Shard& shard = home_shard(self.id);
 
   // Self-wake fast path: the caller holds the token, so every shard field
-  // below is owned by this context until the token is handed off through the
-  // gate (which publishes these plain writes). If the wake we are about to
-  // schedule — (target, next_seq) — would be the very next event dispatched,
-  // and the event budget permits dispatching it, skip the heap round-trip
-  // and the switch_out() handoff entirely. Ties at `target` go to the heap
-  // (existing events hold smaller sequence numbers), so the strict `>`
-  // comparison is exact, and the recorded trace (kAdvance then kWake) is
-  // bit-identical to the slow path's. In a sharded run the jump must also
-  // stay strictly inside the conservative window — the shard clock may never
-  // reach window_end, or later cross-shard merges could land in its past.
+  // below is owned by this context until it suspends. If the wake we are
+  // about to schedule — (target, next_seq) — would be the very next event
+  // dispatched, and the event budget permits dispatching it, skip the heap
+  // round-trip and the switch_out() handoff entirely. Ties at `target` go to
+  // the heap (existing events hold smaller sequence numbers), so the strict
+  // `>` comparison is exact, and the recorded trace (kAdvance then kWake) is
+  // bit-identical to the slow path's. The jump must also stay strictly
+  // inside the conservative window — the shard clock may never reach
+  // window_end, or later cross-shard merges could land in its past.
+  const double now = shard.now_us.load(std::memory_order_relaxed);
+  const double target = now + dt;
   if (fastpath_ && !failed() &&
-      (shard.heap.empty() ||
-       shard.heap.top().at >
-           shard.now_us.load(std::memory_order_relaxed) + dt) &&
-      (!sharded_ ||
-       shard.now_us.load(std::memory_order_relaxed) + dt <
-           shard.window_end.load(std::memory_order_relaxed)) &&
+      (shard.heap.empty() || shard.heap.top().at > target) &&
+      target < shard.window_end.load(std::memory_order_relaxed) &&
       (options_.max_events == 0 ||
        total_dispatched() < options_.max_events)) {
     record(shard, TraceKind::kAdvance, self.id);
-    const double target = shard.now_us.load(std::memory_order_relaxed) + dt;
     if (observer_ != nullptr && dt > 0.0) {
-      observer_->on_compute(
-          self.id, shard.now_us.load(std::memory_order_relaxed), target);
+      observer_->on_compute(self.id, now, target);
     }
     ++shard.next_seq;  // the number the slow path's wake would consume
     shard.dispatched.fetch_add(1, std::memory_order_relaxed);
@@ -687,12 +481,9 @@ void Engine::advance(double dt) {
     return;
   }
 
-  auto lock = lock_gate(shard);
   record(shard, TraceKind::kAdvance, self.id);
-  const double target = shard.now_us.load(std::memory_order_relaxed) + dt;
   if (observer_ != nullptr && dt > 0.0) {
-    observer_->on_compute(self.id,
-                          shard.now_us.load(std::memory_order_relaxed), target);
+    observer_->on_compute(self.id, now, target);
   }
   shard.heap.push(Event{target, shard.next_seq++, self.id, kNoSlot});
   // Stray wakes (e.g. an unblock() from a completion callback) can activate
@@ -700,7 +491,7 @@ void Engine::advance(double dt) {
   // must not finish early, so re-relinquish until the clock reaches the
   // target (the scheduled wake is still in the heap).
   do {
-    switch_out(shard, lock, self);
+    switch_out(self);
   } while (shard.now_us.load(std::memory_order_relaxed) < target);
 }
 
@@ -709,7 +500,6 @@ void Engine::block(const char* reason) {
                "block() must be called from a participant context");
   Participant& self = *participants_[tls_context.id];
   Shard& shard = home_shard(self.id);
-  auto lock = lock_gate(shard);
   CAF2_ASSERT(self.active, "block() caller does not hold the token");
   record(shard, TraceKind::kBlock, self.id);
   if (observer_ != nullptr) {
@@ -718,7 +508,7 @@ void Engine::block(const char* reason) {
   }
   self.state = PState::kWaiting;
   self.block_reason = reason;
-  switch_out(shard, lock, self);
+  switch_out(self);
   // switch_out throws on engine failure, harmlessly abandoning the pending
   // blocked span.
   if (observer_ != nullptr) {
@@ -730,23 +520,20 @@ void Engine::block(const char* reason) {
 void Engine::unblock(int participant) {
   CAF2_REQUIRE(participant >= 0 && participant < size(),
                "unblock(): participant id out of range");
-  if (sharded_) {
-    const int dest = shard_of(participant);
-    if (tls_shard.engine != this || tls_shard.index != dest) {
-      CAF2_REQUIRE(tls_shard.engine == this,
-                   "cross-shard unblock() outside an engine context");
-      // Cross-shard wake: stage into the owner's inbox without peeking at
-      // the target's state (that would race); stale wakes are filtered at
-      // dispatch, exactly like same-shard ones. The timestamp is clamped to
-      // the destination clock at merge time.
-      Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
-      cross_post(dest, src.now_us.load(std::memory_order_relaxed), participant,
-                 InlineFn());
-      return;
-    }
+  const int dest = shard_of(participant);
+  if (sharded() && (tls_shard.engine != this || tls_shard.index != dest)) {
+    CAF2_REQUIRE(tls_shard.engine == this,
+                 "cross-shard unblock() outside an engine context");
+    // Cross-shard wake: stage into the owner's inbox without peeking at the
+    // target's state (that would race); stale wakes are filtered at
+    // dispatch, exactly like same-shard ones. The timestamp is clamped to
+    // the destination clock at merge time.
+    Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
+    cross_post(dest, src.now_us.load(std::memory_order_relaxed), participant,
+               InlineFn());
+    return;
   }
-  Shard& shard = home_shard(participant);
-  auto lock = lock_gate(shard);
+  Shard& shard = *shards_[static_cast<std::size_t>(dest)];
   Participant& target = *participants_[participant];
   if (target.state == PState::kFinished || target.active) {
     return;
@@ -755,16 +542,11 @@ void Engine::unblock(int participant) {
                         shard.next_seq++, participant, kNoSlot});
 }
 
-std::uint64_t Engine::reserve_seq() {
-  Shard& shard = calling_shard();
-  auto lock = lock_gate(shard);
-  return shard.next_seq++;
-}
+std::uint64_t Engine::reserve_seq() { return calling_shard().next_seq++; }
 
 void Engine::post_reserved(double at, std::uint64_t seq, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post_reserved() needs a callable");
   Shard& shard = calling_shard();
-  auto lock = lock_gate(shard);
   const double when =
       std::max(at, shard.now_us.load(std::memory_order_relaxed));
   const std::uint32_t slot = acquire_slot(shard, std::move(fn));
@@ -774,7 +556,6 @@ void Engine::post_reserved(double at, std::uint64_t seq, InlineFn fn) {
 void Engine::post_call(double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post() needs a callable");
   Shard& shard = calling_shard();
-  auto lock = lock_gate(shard);
   const double when =
       std::max(at, shard.now_us.load(std::memory_order_relaxed));
   const std::uint32_t slot = acquire_slot(shard, std::move(fn));
@@ -785,18 +566,16 @@ void Engine::post_for_call(int participant, double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post_for() needs a callable");
   CAF2_REQUIRE(participant >= 0 && participant < size(),
                "post_for(): participant id out of range");
-  if (sharded_) {
-    const int dest = shard_of(participant);
-    if (tls_shard.engine != this || tls_shard.index != dest) {
-      CAF2_REQUIRE(tls_shard.engine == this,
-                   "cross-shard post_for() outside an engine context");
-      Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
-      CAF2_ASSERT(
-          at >= src.now_us.load(std::memory_order_relaxed) + lookahead_ - 1e-9,
-          "cross-shard event violates the conservative lookahead window");
-      cross_post(dest, at, -1, std::move(fn));
-      return;
-    }
+  const int dest = shard_of(participant);
+  if (sharded() && (tls_shard.engine != this || tls_shard.index != dest)) {
+    CAF2_REQUIRE(tls_shard.engine == this,
+                 "cross-shard post_for() outside an engine context");
+    Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
+    CAF2_ASSERT(
+        at >= src.now_us.load(std::memory_order_relaxed) + lookahead_ - 1e-9,
+        "cross-shard event violates the conservative lookahead window");
+    cross_post(dest, at, -1, std::move(fn));
+    return;
   }
   post_call(at, std::move(fn));
 }
@@ -813,8 +592,8 @@ void Engine::cross_post(int dest_shard, double at,
     // event as early as `at`, and anything it creates for us rides at least
     // one wire latency). The sender therefore caps its own window here —
     // dispatches so far are at or below the current clock, which is below
-    // the horizon, so the cap never retracts executed time. Same-context
-    // writer as the dispatch loop reading it; the gate publishes the store.
+    // the horizon, so the cap never retracts executed time. Same-thread
+    // writer as the dispatch loop reading it.
     const double horizon = at + lookahead_;
     if (horizon < src.window_end.load(std::memory_order_relaxed)) {
       src.window_end.store(horizon, std::memory_order_relaxed);
@@ -822,7 +601,7 @@ void Engine::cross_post(int dest_shard, double at,
   }
   CrossEvent ev;
   ev.at = at;
-  // Only the source shard's current token holder (or its dispatcher) stages
+  // Only the source shard's token holder (or its scheduler loop) stages
   // cross events, so the per-source counter needs no synchronization.
   ev.order = src.cross_order++;
   ev.source_shard = src.index;
@@ -891,26 +670,28 @@ bool Engine::window_rendezvous() {
   if (sync_done_) {
     return false;
   }
-  if (++sync_waiting_ == static_cast<int>(shards_.size())) {
+  if (++sync_waiting_ == shard_count()) {
     sync_waiting_ = 0;
-    const bool cont = advance_window_locked();
-    if (!cont) {
-      sync_done_ = true;
-    }
-    ++sync_generation_;
-    sync_cv_.notify_all();
-    return cont;
+    sync_done_ = !advance_window_locked();
+    sync_generation_.fetch_add(1, std::memory_order_release);
+    sync_generation_.notify_all();
+    return !sync_done_;
   }
-  const std::uint64_t generation = sync_generation_;
-  sync_cv_.wait(lock, [&] { return sync_generation_ != generation; });
+  // The completer needs sync_mutex_ to bump the generation, so the value
+  // read here is the one it will move past; its release publishes every
+  // write the barrier made (sync_done_ and all shard state).
+  const std::uint32_t generation =
+      sync_generation_.load(std::memory_order_relaxed);
+  lock.unlock();
+  sync_generation_.wait(generation, std::memory_order_acquire);
   return !sync_done_;
 }
 
 bool Engine::advance_window_locked() {
-  // Every shard worker is parked in this rendezvous and every participant is
-  // parked in its shard (the coordinator only arrives once its shard is
-  // quiescent), so all shard state is safe to read and mutate here; the
-  // sync mutex hand-off publishes whatever this thread writes.
+  // Every shard loop is parked in this rendezvous and every participant is
+  // parked in its shard (a loop only arrives once its shard is quiescent),
+  // so all shard state is safe to read and mutate here; the barrier handoff
+  // publishes whatever this thread writes.
   if (failed()) {
     finish_failure_locked();
     return false;
@@ -959,17 +740,16 @@ bool Engine::advance_window_locked() {
     finish_failure_locked();
     return false;
   }
-  if (options_.watchdog_quiet_us > 0.0) {
+  const double quiet = options_.watchdog_quiet_us;
+  if (quiet > 0.0) {
     double latest = 0.0;
     for (const auto& shard : shards_) {
       latest = std::max(latest, shard->now_us.load(std::memory_order_relaxed));
     }
-    if (global_min > latest + options_.watchdog_quiet_us &&
-        all_unfinished_blocked_locked()) {
+    if (global_min > latest + quiet && all_unfinished_blocked_locked()) {
       std::ostringstream os;
       os << "watchdog: every image is blocked and no event is due within "
-         << options_.watchdog_quiet_us << " us (next event at t=" << global_min
-         << " us)";
+         << quiet << " us (next event at t=" << global_min << " us)";
       fail_pending(obs::FailKind::kQuietWatchdog, os.str(), nullptr, false);
       finish_failure_locked();
       return false;
@@ -979,8 +759,10 @@ bool Engine::advance_window_locked() {
   ++windows_;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
-    double bound;
-    if (!adaptive_) {
+    // A shard with no peers can receive nothing, so its window is
+    // unbounded (kInf).
+    double bound = kInf;
+    if (!adaptive_ && sharded()) {
       // Static windows: every shard gets the same end. The merge clamp makes
       // global_min non-decreasing across windows, so the max() below is
       // provably a no-op — kept as a defensive invariant: a window end must
@@ -999,101 +781,27 @@ bool Engine::advance_window_locked() {
       // below the static floor; +inf (every other shard empty) lets shard
       // i drain its whole heap — empty peers root no chains, and any chain
       // i starts by messaging them re-enters through the clamp.
-      bound = kInf;
       for (std::size_t j = 0; j < shards_.size(); ++j) {
         if (j != i && tops[j] + lookahead_ < bound) {
           bound = tops[j] + lookahead_;
         }
       }
     }
-    const double new_end =
+    double new_end =
         std::max(shard.window_end.load(std::memory_order_relaxed), bound);
+    if (quiet > 0.0) {
+      // Watchdog cap: a quiet gap ends the window, so the check above sees
+      // it at the next barrier instead of the clock jumping across it. The
+      // previous end is at most the previous global_min + quiet, so the cap
+      // never moves an end backwards.
+      new_end = std::min(new_end, global_min + quiet);
+    }
     shard.window_end.store(new_end, std::memory_order_relaxed);
     if (shard.heap.empty() || shard.heap.top().at >= new_end) {
       ++window_stalls_;
     }
   }
   return true;
-}
-
-void Engine::participant_main(int id, const std::function<void(int)>& body) {
-  tls_context = ExecContext{this, id, {}};
-  Participant& self = *participants_[id];
-  Shard& shard = home_shard(id);
-  if (sharded_) {
-    tls_shard = ShardTls{this, shard.index};
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    if (!sharded_) {
-      while (!self.active && !failed()) {
-        self.cv.wait(lock);
-      }
-      if (failed()) {
-        self.state = PState::kFinished;
-        ++shard.finished_count;
-        done_cv_.notify_all();
-        tls_context = {};
-        return;
-      }
-    } else {
-      while (!self.active) {
-        if (failed() && shutdown_ready_.load(std::memory_order_acquire)) {
-          // Never received the token; exit without running the body.
-          self.state = PState::kFinished;
-          ++shard.finished_count;
-          tls_context = {};
-          tls_shard = {};
-          return;
-        }
-        self.cv.wait(lock);
-      }
-    }
-    self.state = PState::kRunnable;
-  }
-
-  std::exception_ptr error;
-  try {
-    body(id);
-  } catch (...) {
-    error = std::current_exception();
-  }
-
-  if (error && sharded_) {
-    // Must run before taking the shard gate (fail_pending's contract).
-    fail_pending(obs::FailKind::kImageError,
-                 "participant raised an exception", error, false);
-  }
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  self.state = PState::kFinished;
-  self.active = false;
-  ++shard.finished_count;
-  record(shard, TraceKind::kFinish, id);
-  if (error && !sharded_) {
-    if (!first_error_) {
-      first_error_ = error;
-    }
-    fail_report_locked(lock, obs::FailKind::kImageError,
-                       "participant raised an exception");
-  }
-  if (!sharded_) {
-    if (shard.finished_count == shard.count || failed()) {
-      done_cv_.notify_all();
-    } else {
-      dispatch_chain(shard, lock, nullptr);
-    }
-  } else {
-    if (shard.finished_count == shard.count || failed()) {
-      shard_idle_locked(shard);
-    } else {
-      dispatch_chain(shard, lock, nullptr);
-    }
-  }
-  tls_context = {};
-  if (sharded_) {
-    tls_shard = {};
-  }
 }
 
 void Engine::fiber_main(int id, const std::function<void(int)>& body) {
@@ -1107,25 +815,17 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
     error = std::current_exception();
   }
 
-  // Mirrors participant_main's epilogue; the shard's scheduler loop takes
-  // over dispatching as soon as this entry function returns.
-  Shard& shard = home_shard(id);
-  if (error && sharded_) {
+  // The shard's scheduler loop takes over dispatching as soon as this entry
+  // function returns.
+  if (error) {
     fail_pending(obs::FailKind::kImageError,
                  "participant raised an exception", error, false);
   }
-  auto lock = lock_gate(shard);
+  Shard& shard = home_shard(id);
   self.state = PState::kFinished;
   self.active = false;
   ++shard.finished_count;
   record(shard, TraceKind::kFinish, id);
-  if (error && !sharded_) {
-    if (!first_error_) {
-      first_error_ = error;
-    }
-    fail_report_locked(lock, obs::FailKind::kImageError,
-                       "participant raised an exception");
-  }
 }
 
 void Engine::resume_fiber(Participant& target) {
@@ -1143,8 +843,8 @@ void Engine::unwind_live_fibers(Shard& shard) {
       continue;
     }
     if (!participant.fiber->started()) {
-      // Never received the token: the thread backend's participant_main
-      // exits without running the body (and without a kFinish record).
+      // Never received the token: retire it without running the body (and
+      // without a kFinish record).
       participant.state = PState::kFinished;
       participant.active = false;
       ++shard.finished_count;
@@ -1160,68 +860,8 @@ void Engine::unwind_live_fibers(Shard& shard) {
   }
 }
 
-void Engine::run_fibers(const std::function<void(int)>& body) {
-  Shard& shard = *shards_[0];
-  for (auto& participant : participants_) {
-    participant->context = ExecContext{this, participant->id, {}};
-    participant->fiber = std::make_unique<Fiber>(
-        options_.fiber_stack_bytes,
-        [this, id = participant->id, &body] { fiber_main(id, body); });
-  }
-
-  // The scheduler loop: dispatch until a participant is activated, switch
-  // onto its fiber, repeat when it suspends or finishes. Single-threaded by
-  // construction, so `gate` is an empty lock (see lock_gate()).
-  std::unique_lock<std::mutex> gate;
-  while (shard.finished_count < size() && !failed()) {
-    dispatch_chain(shard, gate, nullptr);
-    Participant* target = shard.activated;
-    shard.activated = nullptr;
-    if (target == nullptr) {
-      break;  // failed, or everyone finished during the chain
-    }
-    resume_fiber(*target);
-  }
-  if (failed()) {
-    unwind_live_fibers(shard);
-  }
-  for (auto& participant : participants_) {
-    participant->fiber.reset();
-  }
-}
-
-void Engine::run_threads(const std::function<void(int)>& body) {
-  Shard& shard = *shards_[0];
-  for (auto& participant : participants_) {
-    participant->thread =
-        std::thread([this, id = participant->id, &body] {
-          participant_main(id, body);
-        });
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    dispatch_chain(shard, lock, nullptr);  // hand the token to participant 0
-    done_cv_.wait(lock, [this, &shard] {
-      return shard.finished_count == size() || failed();
-    });
-    if (failed()) {
-      // Every live participant will observe failed_ at its next engine call
-      // (or is already being notified) and unwind.
-      done_cv_.wait(lock,
-                    [this, &shard] { return shard.finished_count == size(); });
-    }
-  }
-
-  for (auto& participant : participants_) {
-    if (participant->thread.joinable()) {
-      participant->thread.join();
-    }
-  }
-}
-
-void Engine::shard_worker_fibers(Shard& shard,
-                                 const std::function<void(int)>& body) {
+void Engine::shard_loop(Shard& shard, const std::function<void(int)>& body) {
+  const ShardTls saved = tls_shard;
   tls_shard = ShardTls{this, shard.index};
   for (int p = shard.first; p < shard.first + shard.count; ++p) {
     Participant& participant = *participants_[p];
@@ -1230,21 +870,19 @@ void Engine::shard_worker_fibers(Shard& shard,
         options_.fiber_stack_bytes, [this, p, &body] { fiber_main(p, body); });
   }
 
-  // Per-window scheduler loop: dispatch this shard's events up to the window
-  // end, then rendezvous with the other shards to open the next window.
-  std::unique_lock<std::mutex> gate;
-  for (;;) {
+  // Open a window at the barrier, then dispatch this shard's events up to
+  // its end: switch onto each activated participant's fiber until it
+  // suspends or finishes, and repeat until the shard has nothing left to
+  // dispatch this window.
+  while (window_rendezvous()) {
     while (shard.finished_count < shard.count && !failed()) {
-      dispatch_chain(shard, gate, nullptr);
+      dispatch_chain(shard);
       Participant* target = shard.activated;
       shard.activated = nullptr;
       if (target == nullptr) {
         break;  // window exhausted, shard drained, or run failed
       }
       resume_fiber(*target);
-    }
-    if (!window_rendezvous()) {
-      break;
     }
   }
   if (failed()) {
@@ -1253,101 +891,34 @@ void Engine::shard_worker_fibers(Shard& shard,
   for (int p = shard.first; p < shard.first + shard.count; ++p) {
     participants_[p]->fiber.reset();
   }
-  tls_shard = {};
-}
-
-void Engine::shard_worker_threads(Shard& shard,
-                                  const std::function<void(int)>& body) {
-  tls_shard = ShardTls{this, shard.index};
-  for (int p = shard.first; p < shard.first + shard.count; ++p) {
-    participants_[p]->thread =
-        std::thread([this, p, &body] { participant_main(p, body); });
-  }
-
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  for (;;) {
-    shard.window_idle = false;
-    dispatch_chain(shard, lock, nullptr);
-    // The shard is quiescent exactly when window_idle is set (the last
-    // token holder found nothing more to dispatch this window) or everyone
-    // finished — only then is it safe to expose the shard's state to the
-    // barrier completer.
-    shard.idle_cv.wait(lock, [&shard] {
-      return shard.window_idle || shard.finished_count == shard.count;
-    });
-    lock.unlock();
-    const bool cont = window_rendezvous();
-    lock.lock();
-    if (!cont) {
-      break;
-    }
-  }
-  // Shutdown: release every parked participant (they observe the finished /
-  // failed state and exit or unwind).
-  for (int p = shard.first; p < shard.first + shard.count; ++p) {
-    participants_[p]->cv.notify_all();
-  }
-  lock.unlock();
-
-  for (int p = shard.first; p < shard.first + shard.count; ++p) {
-    if (participants_[p]->thread.joinable()) {
-      participants_[p]->thread.join();
-    }
-  }
-  tls_shard = {};
-}
-
-void Engine::run_sharded(const std::function<void(int)>& body) {
-  // The initial window is the static one in both lookahead modes: every
-  // shard's heap holds its participants' t=0 wakes, so the adaptive
-  // derivation would yield exactly `0 + lookahead` anyway.
-  windows_ = 1;
-  for (auto& shard : shards_) {
-    shard->window_end.store(lookahead_, std::memory_order_relaxed);
-    for (int p = shard->first; p < shard->first + shard->count; ++p) {
-      shard->heap.push(Event{0.0, shard->next_seq++, p, kNoSlot});
-    }
-  }
-
-  std::vector<std::thread> workers;
-  workers.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    Shard* raw = shard.get();
-    workers.emplace_back([this, raw, &body] {
-      if (backend_ == ExecBackend::kFibers) {
-        shard_worker_fibers(*raw, body);
-      } else {
-        shard_worker_threads(*raw, body);
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
+  tls_shard = saved;
 }
 
 void Engine::run(const std::function<void(int)>& body) {
   CAF2_REQUIRE(!running_, "Engine::run() may only be called once");
   running_ = true;
 
-  if (sharded_) {
-    quiesced_.store(false, std::memory_order_release);
-    run_sharded(body);
-    quiesced_.store(true, std::memory_order_release);
-  } else {
-    {
-      auto lock = lock_gate(*shards_[0]);
-      Shard& shard = *shards_[0];
-      for (auto& participant : participants_) {
-        shard.heap.push(Event{0.0, shard.next_seq++, participant->id, kNoSlot});
-      }
-    }
-    if (backend_ == ExecBackend::kFibers) {
-      run_fibers(body);
-    } else {
-      run_threads(body);
+  // Every participant starts with a wake at t=0; the first barrier opens
+  // the first window (the static one in both lookahead modes, since every
+  // shard's earliest event is at t=0).
+  for (auto& shard : shards_) {
+    for (int p = shard->first; p < shard->first + shard->count; ++p) {
+      shard->heap.push(Event{0.0, shard->next_seq++, p, kNoSlot});
     }
   }
+
+  quiesced_.store(false, std::memory_order_release);
+  std::vector<std::thread> workers;
+  workers.reserve(shards_.size() - 1);
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    Shard* raw = shards_[s].get();
+    workers.emplace_back([this, raw, &body] { shard_loop(*raw, body); });
+  }
+  shard_loop(*shards_[0], body);
+  for (auto& worker : workers) {
+    worker.join();
+  }
+  quiesced_.store(true, std::memory_order_release);
 
   if (options_.record_trace) {
     if (shards_.size() == 1) {

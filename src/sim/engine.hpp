@@ -5,24 +5,15 @@
 ///
 /// This is the substrate that substitutes for the paper's Cray XK6/XE6
 /// testbeds (DESIGN.md §1, §4.1). Each CAF process image runs as its own
-/// execution context, but the engine admits exactly **one runnable context
-/// at a time per shard**: a participant that blocks, advances its virtual
-/// clock, or finishes hands the token to whichever pending event is earliest
-/// in *virtual time* (ties broken by insertion sequence, so runs are fully
-/// deterministic).
-///
-/// Two execution backends implement that contract (DESIGN.md §4.8):
-///  - ExecBackend::kThreads — one OS thread per participant; the token
-///    handoff is a mutex + per-participant condition variable. This is the
-///    backend ThreadSanitizer can instrument.
-///  - ExecBackend::kFibers — one stackful fiber per participant, all
-///    multiplexed on the thread that called run(); the token handoff is a
-///    userspace register swap and the engine runs lock-free. This is what
-///    makes 1024-image (paper-scale) runs practical.
-/// Both backends execute participants in exactly the same order, so traces,
-/// event counts, and context-switch counts are bit-identical across them.
-/// EngineOptions::backend picks one; CAF2_SIM_BACKEND={threads,fibers}
-/// overrides it from the environment.
+/// stackful fiber (sim/fiber.hpp), but the engine admits exactly **one
+/// runnable context at a time per shard**: a participant that blocks,
+/// advances its virtual clock, or finishes suspends back to its shard's
+/// scheduler loop, which hands the token to whichever pending event is
+/// earliest in *virtual time* (ties broken by insertion sequence, so runs
+/// are fully deterministic). A hand-off is a userspace register swap, which
+/// is what makes 1024-image (paper-scale) runs practical; the fiber switches
+/// are annotated for AddressSanitizer and ThreadSanitizer, so sanitizer
+/// builds run the same code (DESIGN.md §4.8).
 ///
 /// Three event kinds live in the heap:
 ///  - Wake(p, t): hand the token to participant p at time t (created by
@@ -44,11 +35,12 @@
 ///
 /// --- sharded parallel execution (DESIGN.md §4.11) ---------------------------
 ///
-/// With EngineOptions::shards > 1 (or CAF2_SIM_SHARDS=N) the engine runs a
-/// conservative parallel discrete-event simulation: participants are
+/// Every run is a conservative parallel discrete-event simulation over
+/// EngineOptions::shards (or CAF2_SIM_SHARDS=N) shards: participants are
 /// partitioned into contiguous shards, each shard owns its own event heap,
-/// call pool, sequence counter, clock, and lock, and one worker thread per
-/// shard executes that shard's events. Virtual time advances in windows: a
+/// call pool, sequence counter, and clock, and one scheduler loop per shard
+/// executes that shard's events — shard 0 on the thread that called run(),
+/// shards 1..N-1 on worker threads. Virtual time advances in windows: a
 /// shard may dispatch any event strictly below `window_end = global_min +
 /// lookahead`, where `global_min` is the minimum pending event time across
 /// shards and the lookahead is the network's minimum link latency
@@ -58,12 +50,12 @@
 /// already executing — cross-shard events are staged into the destination's
 /// inbox and merged at the next window boundary in the deterministic order
 /// `(time, source shard, per-source counter)`, then re-sequenced into the
-/// destination heap. `shards=1` runs the exact single-shard code path and is
-/// bit-identical to the pre-sharding engine; any fixed shard count is
-/// deterministic across repeats and across backends. Sharding requires a
-/// positive lookahead; configurations without one (zero-latency networks)
-/// automatically fall back to one shard. The reliable-delivery protocol and
-/// obs span capture both run sharded (DESIGN.md §4.12).
+/// destination heap. Any fixed shard count is deterministic across repeats.
+/// Sharding requires a positive lookahead; configurations without one
+/// (zero-latency networks) automatically fall back to one shard. A shard
+/// with no peers can receive nothing, so its window is unbounded: `shards=1`
+/// is the same loop with a single window. The reliable-delivery protocol
+/// and obs span capture both run sharded (DESIGN.md §4.12).
 ///
 /// Window ends are per shard. With EngineOptions::adaptive_lookahead (the
 /// default; CAF2_SIM_ADAPTIVE_LOOKAHEAD=0 forces it off) a shard's window
@@ -98,13 +90,14 @@
 /// A virtual-time quiet-period watchdog (EngineOptions::watchdog_quiet_us)
 /// produces the same postmortem when every unfinished participant is blocked
 /// and the next pending event is suspiciously far in the virtual future
-/// (e.g. a runaway retransmission backoff chain). Sharded runs perform the
-/// deadlock / budget / watchdog checks at window boundaries, where every
-/// shard is quiesced and the global state is consistent.
+/// (e.g. a runaway retransmission backoff chain). The deadlock / budget /
+/// watchdog checks run at window boundaries, where every shard is quiesced
+/// and the global state is consistent. With the watchdog on, every window
+/// end is capped at `global_min + watchdog_quiet_us`, so a quiet gap always
+/// ends a window and the barrier sees it before the clock jumps across it.
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -112,7 +105,6 @@
 #include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -131,13 +123,6 @@ namespace caf2::sim {
 
 class Engine;
 
-/// The execution backend a given configuration actually runs: applies the
-/// CAF2_SIM_BACKEND environment override, resolves kAuto, and falls back to
-/// threads where fibers are unsupported (ThreadSanitizer builds). This is
-/// exactly the resolution the Engine constructor performs; exposed so tools
-/// (bench metadata stamps) can report the backend without building an engine.
-ExecBackend resolve_backend(ExecBackend configured);
-
 /// The shard count a given configuration requests before the Engine clamps
 /// it against the participant count and the lookahead: an explicit
 /// `configured >= 1` wins; `configured <= 0` reads CAF2_SIM_SHARDS and
@@ -147,20 +132,19 @@ int resolve_shards(int configured);
 /// Whether a sharded engine uses adaptive lookahead windows: the environment
 /// variable CAF2_SIM_ADAPTIVE_LOOKAHEAD ("0"/"off" forces static, "1"/"on"
 /// forces adaptive) overrides \p configured. Exposed for bench metadata
-/// stamps; meaningless for unsharded runs.
+/// stamps; meaningless for single-shard runs.
 bool resolve_adaptive_lookahead(bool configured);
 
 /// Everything that makes the calling context "participant N of engine E".
-/// With the thread backend each participant thread simply owns one of these
-/// in thread-local storage; with the fiber backend the scheduler swaps the
-/// thread-local instance on every fiber switch, so code above the engine
-/// (e.g. the runtime's current-image pointer, stored in a slot) never needs
-/// to know which backend is running it.
+/// The scheduler swaps the thread-local instance on every fiber switch, so
+/// code above the engine (e.g. the runtime's current-image pointer, stored
+/// in a slot) follows the participant even though many participants share
+/// one OS thread.
 struct ExecContext {
   Engine* engine = nullptr;
   int id = -1;
-  /// Backend-agnostic replacement for participant-local `thread_local`
-  /// variables in higher layers. Slot 0: rt::Image*, slot 1: rt::Runtime*.
+  /// Replacement for participant-local `thread_local` variables in higher
+  /// layers. Slot 0: rt::Image*, slot 1: rt::Runtime*.
   std::array<void*, 2> slots{};
 };
 
@@ -190,20 +174,18 @@ struct EngineOptions {
   /// hold a scheduled wake and never trip the watchdog.
   double watchdog_quiet_us = 0.0;
 
-  /// Execution backend (see the file comment). kAuto resolves to fibers
-  /// wherever fibers_supported(), else threads; an explicit kFibers also
-  /// falls back to threads when unsupported (ThreadSanitizer builds). The
-  /// environment variable CAF2_SIM_BACKEND={threads,fibers} overrides this.
-  ExecBackend backend = ExecBackend::kAuto;
+  /// Execution backend. Stackful fibers are the only one (see
+  /// caf2::ExecBackend); the field stays for source compatibility.
+  ExecBackend backend = ExecBackend::kFibers;
 
   /// Usable stack bytes per participant fiber (rounded up to whole pages; a
   /// PROT_NONE guard page is added below). Virtual memory only — resident
   /// cost is the pages a participant actually touches.
   std::size_t fiber_stack_bytes = std::size_t{1} << 20;
 
-  /// Number of engine shards (parallel worker threads). An explicit value
-  /// >= 1 is used as-is; <= 0 means "from the environment": CAF2_SIM_SHARDS
-  /// when set, else 1. The engine clamps the result to the participant count
+  /// Number of engine shards (scheduler loops; shard 0 runs on the thread
+  /// that calls run()). An explicit value >= 1 is used as-is; <= 0 means
+  /// "from the environment": CAF2_SIM_SHARDS when set, else 1. The engine clamps the result to the participant count
   /// and falls back to 1 whenever lookahead_us <= 0 (no conservative window
   /// exists without a minimum cross-participant latency).
   int shards = 0;
@@ -237,7 +219,7 @@ class Engine {
   /// Number of participants.
   int size() const { return static_cast<int>(participants_.size()); }
 
-  /// --- calls valid only on a participant thread ---------------------------
+  /// --- calls valid only on a participant context --------------------------
 
   /// Engine owning the calling participant context (nullptr elsewhere).
   static Engine* current_engine();
@@ -266,7 +248,7 @@ class Engine {
   /// calls unblock() on it. \p reason appears in deadlock diagnostics.
   void block(const char* reason = "blocked");
 
-  /// --- calls valid on a participant thread or inside a Call callback ------
+  /// --- calls valid on a participant context or inside a Call callback -----
 
   /// Make a blocked participant runnable at the current virtual time.
   /// Harmless if the participant is already runnable or finished. When the
@@ -292,7 +274,7 @@ class Engine {
   }
 
   /// Schedule a callback on the shard that owns \p participant. Same-shard
-  /// (and unsharded) calls are exactly post(); cross-shard calls stage the
+  /// (and single-shard) calls are exactly post(); cross-shard calls stage the
   /// event into the owning shard's inbox for the next window merge and
   /// require `at >= now() + lookahead_us` (the conservative-window
   /// contract; the network's wire latency provides it).
@@ -317,10 +299,10 @@ class Engine {
   /// Abort the run with a diagnosable failure: a structured obs::Postmortem
   /// is collected and every blocked participant is woken with an
   /// obs::StallError carrying the postmortem's text rendering. Callable from
-  /// a participant thread or an engine callback; the reliability layer uses
+  /// a participant context or an engine callback; the reliability layer uses
   /// the two-argument form when a message exhausts its retransmission
   /// budget. The one-argument form tags the postmortem
-  /// obs::FailKind::kExplicitFail. In a sharded run the failure is recorded
+  /// obs::FailKind::kExplicitFail. During a run the failure is recorded
   /// immediately but the postmortem is collected at the next window
   /// boundary, where every shard is quiesced.
   void fail(const std::string& why);
@@ -328,25 +310,21 @@ class Engine {
 
   /// Install a callback that fills the runtime-owned sections of a
   /// Postmortem (wait-for graph, per-image counters, network state, blame).
-  /// Invoked with the engine lock held: it must not call back into the
-  /// engine except now(), backend(), and event_count(), and must only *read*
-  /// simulation state — safe, because a stalling engine has no other context
-  /// running. Exceptions it throws are swallowed into
-  /// Postmortem::collector_error (never allowed to deadlock a failing run).
+  /// Invoked on a quiesced engine: it must not call back into the engine
+  /// except now() and event_count(), and must only *read* simulation state —
+  /// safe, because no other context is running. Exceptions it throws are
+  /// swallowed into Postmortem::collector_error (never allowed to deadlock a
+  /// failing run).
   using PostmortemCollector = std::function<void(obs::Postmortem&)>;
   void set_postmortem_collector(PostmortemCollector fn);
 
-  /// Install a callback that contributes extra free-form sections to
-  /// postmortems (legacy hook; prefer set_postmortem_collector). Same
-  /// lock-held contract; exceptions are likewise swallowed.
-  void set_diagnostics(std::function<std::string()> fn);
-
   /// Collect a Postmortem of the current (healthy or stalled) state, tagged
   /// obs::FailKind::kOnDemand. Callable from a participant context or from
-  /// outside the run. During a *sharded* run other shards execute
+  /// outside the run. During a multi-shard run other shards execute
   /// concurrently, so the snapshot contains only the engine-level counters
-  /// (no per-participant detail, no collector sections); a quiesced engine
-  /// (shards=1, or between runs) produces the full report.
+  /// (no per-participant detail, no collector sections); a one-shard run
+  /// (whose caller is the only running context) or an engine between runs
+  /// produces the full report.
   obs::Postmortem snapshot_postmortem(const std::string& headline);
 
   /// The postmortem collected by the first failure, or null if the run has
@@ -363,13 +341,9 @@ class Engine {
   /// True when the self-wake fast path is active (options + environment).
   bool fastpath_enabled() const { return fastpath_; }
 
-  /// The resolved execution backend (options + environment + build support);
-  /// never kAuto.
-  ExecBackend backend() const { return backend_; }
-
   /// Token handoffs between *different* participants dispatched so far,
   /// summed over shards. Within a shard this is a pure function of the
-  /// dispatch order, so bit-identical across backends and with the fast path
+  /// dispatch order, so bit-identical across repeats and with the fast path
   /// on or off — the determinism suite compares it.
   std::uint64_t context_switch_count() const;
 
@@ -398,15 +372,15 @@ class Engine {
   /// The calling context's shard, or -1 outside any engine context.
   int current_shard() const;
 
-  /// Conservative lookahead window (0 when unsharded).
+  /// Conservative lookahead window (0 for a single shard).
   double lookahead_us() const { return lookahead_; }
 
   /// True when this (sharded) engine derives window ends adaptively from
-  /// per-shard lower bounds; false for static windows and unsharded runs.
+  /// per-shard lower bounds; false for static windows and single shards.
   bool adaptive_lookahead() const { return adaptive_; }
 
-  /// Window advances performed so far (1 for the initial window; always 0
-  /// for an unsharded run, which has no windows).
+  /// Window barriers between shards so far (1 for the initial window;
+  /// always 0 for a single shard, whose barriers synchronize nothing).
   std::uint64_t window_count() const;
 
   /// Shard-windows in which a shard had no executable event (its next event
@@ -435,10 +409,6 @@ class Engine {
     PState state = PState::kIdle;
     bool active = false;  ///< holds (or is about to receive) the token
     std::string block_reason;
-    // Thread backend only:
-    std::condition_variable cv;
-    std::thread thread;
-    // Fiber backend only:
     std::unique_ptr<Fiber> fiber;
     ExecContext context;  ///< saved while the fiber is suspended
   };
@@ -475,39 +445,36 @@ class Engine {
     InlineFn fn;
   };
 
-  /// Per-shard scheduler state. With shards=1 the single instance holds
-  /// exactly the fields the pre-sharding engine kept globally, and every
-  /// code path touches them through shard 0 — which is what keeps the
-  /// single-shard schedule bit-identical. The inbox is the only member other
-  /// shards may touch, always under inbox_mutex.
+  /// Per-shard scheduler state. Everything but the inbox is touched only by
+  /// the shard's own scheduler loop and the fibers it resumes (one OS
+  /// thread), or by the barrier completer while every shard is quiesced. The
+  /// inbox is the only member other shards may touch, always under
+  /// inbox_mutex.
   struct Shard {
     int index = 0;
     int first = 0;  ///< first participant id; shard spans [first, first+count)
     int count = 0;
 
-    mutable std::mutex mutex;  ///< the shard's engine gate (thread backend)
-    std::condition_variable idle_cv;  ///< coordinator waits for quiescence
     std::priority_queue<Event, std::vector<Event>, EventOrder> heap;
     std::vector<InlineFn> call_pool;         ///< Call closures, slot-addressed
     std::vector<std::uint32_t> free_slots;   ///< recycled call_pool indices
 
     // now_us and dispatched are atomics so now()/event_count() stay callable
-    // without the shard lock; all *writes* happen on the single context that
-    // currently owns the shard's scheduler, so relaxed ordering suffices —
-    // cross-thread publication rides the mutex / window-barrier handoff.
+    // from other threads; all *writes* happen on the shard's own thread, so
+    // relaxed ordering suffices — cross-thread publication rides the
+    // window-barrier handoff.
     std::atomic<double> now_us{0.0};
     std::atomic<std::uint64_t> dispatched{0};
     std::atomic<std::uint64_t> context_switches{0};
     // This shard's conservative window end: events strictly below it may
-    // dispatch this window. Written only at the window barrier (every shard
-    // quiesced); read lock-free on the shard's own hot paths, so it is an
-    // atomic with relaxed ordering (publication rides the barrier handoff).
+    // dispatch this window. Written at the window barrier (every shard
+    // quiesced) and lowered by the shard's own cross-shard sends; read on
+    // the shard's hot paths, so it is an atomic with relaxed ordering.
     std::atomic<double> window_end{0.0};
     std::uint64_t next_seq = 0;
     int token_owner = -1;  ///< participant last handed the token
-    Participant* activated = nullptr;  ///< dispatch_chain -> fiber scheduler
+    Participant* activated = nullptr;  ///< dispatch_chain -> scheduler loop
     int finished_count = 0;
-    bool window_idle = false;  ///< no dispatchable event this window
 
     std::vector<TraceEntry> trace;
     std::uint64_t trace_dropped = 0;
@@ -518,37 +485,20 @@ class Engine {
     std::uint64_t cross_order = 0;  ///< next CrossEvent stamp (source side)
   };
 
-  friend struct CurrentParticipantGuard;
-
   Shard& home_shard(int participant) {
     return *shards_[static_cast<std::size_t>(shard_of(participant))];
   }
 
   /// The shard of the calling context; shard 0 from outside any engine
-  /// context (which only happens unsharded, or before the run starts).
+  /// context (before or after the run).
   Shard& calling_shard();
-
-  /// Acquire a shard's engine gate — in thread mode. The fiber backend runs
-  /// every participant, callback, and the scheduler of a shard on one OS
-  /// thread, so it skips the mutex entirely: lock_gate() then returns an
-  /// empty unique_lock (no associated mutex), and the lock/unlock sites test
-  /// lock.mutex() first.
-  std::unique_lock<std::mutex> lock_gate(Shard& shard) {
-    return backend_ == ExecBackend::kThreads
-               ? std::unique_lock<std::mutex>(shard.mutex)
-               : std::unique_lock<std::mutex>();
-  }
 
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
-  void run_threads(const std::function<void(int)>& body);
-  void run_fibers(const std::function<void(int)>& body);
-
-  /// Multi-shard run: one worker thread per shard plus the window-barrier
-  /// protocol.
-  void run_sharded(const std::function<void(int)>& body);
-  void shard_worker_fibers(Shard& shard, const std::function<void(int)>& body);
-  void shard_worker_threads(Shard& shard, const std::function<void(int)>& body);
+  /// One shard's scheduler loop: create its participants' fibers, then
+  /// alternately open a window at the barrier and dispatch the shard's
+  /// events up to its end, until the barrier ends the run.
+  void shard_loop(Shard& shard, const std::function<void(int)>& body);
 
   /// Arrive at the window barrier; the last arriver merges inboxes and opens
   /// the next window (or completes the run). Returns false when the run is
@@ -556,7 +506,8 @@ class Engine {
   bool window_rendezvous();
 
   /// Last-arriver body: every shard is quiesced, the sync mutex serializes
-  /// access. Returns false to end the run.
+  /// access. Runs the deadlock / budget / watchdog checks and sets every
+  /// shard's next window end. Returns false to end the run.
   bool advance_window_locked();
 
   /// Merge a shard's inbox into its heap (deterministic order, fresh local
@@ -567,54 +518,40 @@ class Engine {
   /// corrupt every latency-derived metric downstream.
   bool drain_inbox_locked(Shard& shard, std::string& violation);
 
-  /// Build the failure postmortem at the window barrier and release every
+  /// Build the failure postmortem on a quiesced engine and release every
   /// participant to unwind (shutdown_ready_).
   void finish_failure_locked();
 
-  /// Record a failure without collecting the postmortem (sharded mode: the
-  /// collection happens at the window barrier where every shard is
-  /// quiesced). First failure wins. Must not be called while holding a shard
-  /// gate.
+  /// Record a failure without collecting the postmortem (the collection
+  /// happens at the window barrier where every shard is quiesced). First
+  /// failure wins.
   void fail_pending(obs::FailKind kind, const std::string& headline,
                     std::exception_ptr participant_error, bool callback_error);
 
-  void participant_main(int id, const std::function<void(int)>& body);
-
-  /// Fiber-backend participant body (entry function of the fiber).
+  /// Participant body (entry function of the participant's fiber).
   void fiber_main(int id, const std::function<void(int)>& body);
 
   /// Switch onto a participant's fiber, installing its ExecContext for the
   /// duration and saving it back (with any slot changes) on return.
   void resume_fiber(Participant& target);
 
-  /// After a failure in fiber mode: resume every live fiber of \p shard once
-  /// so its pending engine call observes failed_ and throws, unwinding the
-  /// body. Runs in rank order (deterministic); never-started fibers are
-  /// retired directly, matching the thread backend's early-exit path.
+  /// After a failure: resume every live fiber of \p shard once so its
+  /// pending engine call observes failed_ and throws, unwinding the body.
+  /// Runs in rank order (deterministic); never-started fibers are retired
+  /// without running the body.
   void unwind_live_fibers(Shard& shard);
 
-  /// Relinquish the token. Must be called with the gate held by a
-  /// participant that currently has it. Thread mode: dispatches events until
-  /// another participant is activated (possibly the caller), then waits
-  /// until re-activated. Fiber mode: suspends back to the scheduler loop,
-  /// which dispatches. Throws FatalError if the run failed meanwhile.
-  void switch_out(Shard& shard, std::unique_lock<std::mutex>& lock,
-                  Participant& self);
+  /// Relinquish the token: suspend back to the shard's scheduler loop, which
+  /// dispatches. Must be called by the participant that currently has the
+  /// token. Throws obs::StallError if the run failed meanwhile.
+  void switch_out(Participant& self);
 
   /// Pop and dispatch \p shard's events until a participant is activated,
-  /// the shard drains, or (sharded) the window is exhausted. Returns with
-  /// the gate held; the activated participant (if any) is left in
-  /// shard.activated. \p dispatcher is the participant running this chain
-  /// (nullptr when dispatching from run() or a finishing participant);
-  /// activating the dispatcher itself skips the condition-variable notify,
-  /// since the dispatcher observes `active` directly. A callback that throws
-  /// fails the run with a dispatcher-tagged error instead of propagating.
-  void dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
-                      Participant* dispatcher);
-
-  /// Mark the shard quiescent for this window and wake its coordinator.
-  /// Requires the shard gate (thread mode).
-  void shard_idle_locked(Shard& shard);
+  /// the shard drains, the window is exhausted, or the event budget is
+  /// spent. The activated participant (if any) is left in shard.activated.
+  /// A callback that throws fails the run with a tagged error instead of
+  /// propagating.
+  void dispatch_chain(Shard& shard);
 
   void post_call(double at, InlineFn fn);
   void post_for_call(int participant, double at, InlineFn fn);
@@ -628,28 +565,14 @@ class Engine {
 
   std::uint64_t total_dispatched() const;
 
-  /// Compose the failure text for a throwing engine callback (shared by the
-  /// sharded and unsharded paths so the message stays identical).
-  std::string describe_callback_error(Participant* dispatcher,
-                                      const std::exception_ptr& error) const;
-
-  void fail_locked(std::unique_lock<std::mutex>& lock, const std::string& why);
-
   /// Collect the structured postmortem: engine-owned fields (participant
-  /// states, event counts) plus whatever the postmortem collector and the
-  /// legacy diagnostics callback contribute. Exceptions from either callback
-  /// are swallowed into Postmortem::collector_error — a report must never
-  /// deadlock the failing run it is reporting on. Requires the engine to be
-  /// quiesced (single-shard gate held, or every shard parked at the window
-  /// barrier).
+  /// states, event counts) plus whatever the postmortem collector
+  /// contributes. Exceptions from the collector are swallowed into
+  /// Postmortem::collector_error — a report must never deadlock the failing
+  /// run it is reporting on. Requires a quiesced engine (every shard parked
+  /// at the window barrier, a one-shard run's own context, or no run).
   std::shared_ptr<const obs::Postmortem> build_postmortem_locked(
       obs::FailKind kind, const std::string& headline);
-
-  /// Fail the run with a freshly collected postmortem (no-op when already
-  /// failed — the first postmortem wins). failure_reason_ becomes the
-  /// postmortem's text rendering. Single-shard only; requires the gate held.
-  void fail_report_locked(std::unique_lock<std::mutex>& lock,
-                          obs::FailKind kind, const std::string& headline);
 
   /// Throw the failure as an obs::StallError carrying last_postmortem_.
   [[noreturn]] void throw_failure() const;
@@ -661,17 +584,13 @@ class Engine {
 
   void record(Shard& shard, TraceKind kind, int participant);
 
-  std::condition_variable done_cv_;  ///< single-shard thread backend
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::int32_t> shard_index_;  ///< participant id -> shard
   std::vector<std::unique_ptr<Participant>> participants_;
   EngineOptions options_;
   bool fastpath_ = true;
-  bool sharded_ = false;
   bool adaptive_ = false;  ///< resolved adaptive-lookahead mode (sharded only)
   double lookahead_ = 0.0;
-  ExecBackend backend_ = ExecBackend::kThreads;  ///< resolved, never kAuto
-  std::function<std::string()> diagnostics_;
   PostmortemCollector collector_;
   std::shared_ptr<const obs::Postmortem> last_postmortem_;
 
@@ -679,21 +598,20 @@ class Engine {
   std::string failure_reason_;
   std::exception_ptr first_error_;
   bool running_ = false;
-  std::atomic<bool> quiesced_{true};  ///< false while shard workers run
+  std::atomic<bool> quiesced_{true};  ///< false while shard loops run
 
-  // Window-barrier state (multi-shard runs only). sync_mutex_ orders every
-  // barrier handoff, which is what lets the last arriver read and mutate
-  // every shard's state race-free.
+  // Window-barrier state. sync_mutex_ orders every arrival, which is what
+  // lets the last arriver read and mutate every shard's state race-free;
+  // the others wait for sync_generation_ to move on.
   std::mutex sync_mutex_;
-  std::condition_variable sync_cv_;
   int sync_waiting_ = 0;
-  std::uint64_t sync_generation_ = 0;
+  std::atomic<std::uint32_t> sync_generation_{0};
   bool sync_done_ = false;
   std::uint64_t windows_ = 0;
   std::uint64_t window_stalls_ = 0;
 
-  // Failure staging for sharded runs: the postmortem is built later, at the
-  // barrier, so the failing context only records what happened here.
+  // Failure staging: the postmortem is built later, at the barrier, so the
+  // failing context only records what happened here.
   std::mutex fail_mutex_;
   obs::FailKind pending_fail_kind_{};
   std::string pending_fail_headline_;

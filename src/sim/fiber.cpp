@@ -14,7 +14,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
 #include <unistd.h>
-#define CAF2_FIBER_POSIX 1
+#else
+#error "caf2 fibers require POSIX (mmap stacks, ucontext or x86-64 swap)"
 #endif
 
 // Sanitizer detection (GCC defines __SANITIZE_*, Clang has __has_feature).
@@ -36,11 +37,14 @@
 #if defined(CAF2_ASAN)
 #include <sanitizer/common_interface_defs.h>
 #endif
+#if defined(CAF2_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 /// The fast context switch is hand-rolled for x86-64 SysV; everything else
 /// POSIX falls back to ucontext (correct, but swapcontext pays a sigprocmask
 /// syscall per switch).
-#if defined(__x86_64__) && defined(CAF2_FIBER_POSIX)
+#if defined(__x86_64__)
 #define CAF2_FIBER_ASM_X86_64 1
 #else
 #include <ucontext.h>
@@ -52,13 +56,9 @@ namespace {
 thread_local Fiber* tl_current_fiber = nullptr;
 
 std::size_t page_size() {
-#if defined(CAF2_FIBER_POSIX)
   static const std::size_t size =
       static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return size;
-#else
-  return 4096;
-#endif
 }
 
 std::size_t round_up_pages(std::size_t bytes) {
@@ -102,7 +102,6 @@ class StackPool {
         }
       }
     }
-#if defined(CAF2_FIBER_POSIX)
     int flags = MAP_PRIVATE | MAP_ANONYMOUS;
 #if defined(MAP_STACK)
     flags |= MAP_STACK;
@@ -137,15 +136,9 @@ class StackPool {
                    std::strerror(errno));
     }
     return Fiber::Stack{base, total, 0};
-#else
-    void* base = std::malloc(total);
-    CAF2_ASSERT(base != nullptr, "fiber stack allocation failed");
-    return Fiber::Stack{base, total, 0};
-#endif
   }
 
   void release(Fiber::Stack stack) {
-#if defined(CAF2_FIBER_POSIX)
     // Drop the resident pages but keep the mapping cached.
     madvise(stack.limit(), stack.usable(), MADV_DONTNEED);
     {
@@ -156,9 +149,6 @@ class StackPool {
       }
     }
     unmap(stack);
-#else
-    std::free(stack.base);
-#endif
   }
 
   void trim(std::size_t keep) {
@@ -170,26 +160,18 @@ class StackPool {
         free_.pop_back();
       }
     }
-#if defined(CAF2_FIBER_POSIX)
     for (const Fiber::Stack& stack : victims) {
       unmap(stack);
     }
-#else
-    for (const Fiber::Stack& stack : victims) {
-      std::free(stack.base);
-    }
-#endif
   }
 
  private:
-#if defined(CAF2_FIBER_POSIX)
   void unmap(const Fiber::Stack& stack) {
     if (stack.guard > 0) {
       guarded_mapped_.fetch_sub(1, std::memory_order_relaxed);
     }
     munmap(stack.base, stack.total);
   }
-#endif
 
   static constexpr std::size_t kMaxCached = 4096;
   /// Guard-paged mappings cost 2 VMAs each; cap them far enough below the
@@ -207,14 +189,6 @@ class StackPool {
 };
 
 }  // namespace
-
-bool fibers_supported() {
-#if defined(CAF2_TSAN) || !defined(CAF2_FIBER_POSIX)
-  return false;
-#else
-  return true;
-#endif
-}
 
 void Fiber::trim_stack_pool(std::size_t keep) {
   StackPool::instance().trim(keep);
@@ -335,12 +309,29 @@ void ucontext_tramp(unsigned hi, unsigned lo) {
 #define CAF2_ASAN_FINISH_SWITCH(fake, bottom, size) ((void)0)
 #endif
 
+/// --- TSan fiber annotations -------------------------------------------------
+///
+/// Each Fiber owns a TSan fiber context; every switch announces its target
+/// right before the register swap. The default (synchronizing) switch orders
+/// everything before it ahead of everything after it, which is exactly the
+/// happens-before edge the cooperative token hand-off provides, while
+/// accesses from different OS threads (shards) are still checked.
+
+#if defined(CAF2_TSAN)
+#define CAF2_TSAN_SWITCH_TO(fiber) __tsan_switch_to_fiber((fiber), 0)
+#else
+#define CAF2_TSAN_SWITCH_TO(fiber) ((void)0)
+#endif
+
 /// --- Fiber ------------------------------------------------------------------
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> entry)
     : entry_(std::move(entry)) {
   CAF2_REQUIRE(static_cast<bool>(entry_), "Fiber needs an entry function");
   stack_ = StackPool::instance().acquire(stack_bytes);
+#if defined(CAF2_TSAN)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 #if defined(CAF2_FIBER_ASM_X86_64)
   fiber_sp_ = make_initial_frame(stack_.top());
 #else
@@ -358,6 +349,9 @@ Fiber::Fiber(std::size_t stack_bytes, std::function<void()> entry)
 }
 
 Fiber::~Fiber() {
+#if defined(CAF2_TSAN)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
 #if !defined(CAF2_FIBER_ASM_X86_64)
   delete static_cast<UctxPair*>(fiber_sp_);
 #endif
@@ -374,6 +368,10 @@ void Fiber::resume() {
   started_ = true;
   CAF2_ASAN_START_SWITCH(&asan_resumer_fake_stack_, stack_.limit(),
                          stack_.usable());
+#if defined(CAF2_TSAN)
+  tsan_resumer_ = __tsan_get_current_fiber();
+#endif
+  CAF2_TSAN_SWITCH_TO(tsan_fiber_);
 #if defined(CAF2_FIBER_ASM_X86_64)
   caf2_ctx_swap(&resumer_sp_, fiber_sp_, this);
 #else
@@ -391,6 +389,7 @@ void Fiber::suspend() {
   CAF2_ASAN_START_SWITCH(&self->asan_fiber_fake_stack_,
                          self->asan_resumer_stack_bottom_,
                          self->asan_resumer_stack_size_);
+  CAF2_TSAN_SWITCH_TO(self->tsan_resumer_);
 #if defined(CAF2_FIBER_ASM_X86_64)
   caf2_ctx_swap(&self->fiber_sp_, self->resumer_sp_, nullptr);
 #else
@@ -440,6 +439,7 @@ void Fiber::run_entry() {
   finished_ = true;
   CAF2_ASAN_START_SWITCH(nullptr, asan_resumer_stack_bottom_,
                          asan_resumer_stack_size_);
+  CAF2_TSAN_SWITCH_TO(tsan_resumer_);
 #if defined(CAF2_FIBER_ASM_X86_64)
   void* dummy = nullptr;
   caf2_ctx_swap(&dummy, resumer_sp_, nullptr);

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file fiber.hpp
-/// Stackful fibers for the simulation engine's fiber execution backend
+/// Stackful fibers: how the simulation engine runs its participants
 /// (DESIGN.md §4.8).
 ///
 /// A Fiber is a user-level execution context with its own stack, multiplexed
@@ -21,12 +21,11 @@
 ///    silently corrupting a neighbouring allocation, and they are recycled
 ///    through a process-wide pool because benchmark sweeps construct
 ///    thousands of engines back to back;
-///  - AddressSanitizer is kept informed of every stack switch via the
-///    __sanitizer_*_switch_fiber API, so ASan builds run fibers natively.
-///    ThreadSanitizer is not: TSan models synchronization between OS
-///    threads, and a single-threaded fiber scheduler would hide exactly the
-///    races it exists to find — fibers_supported() is false under TSan and
-///    the engine falls back to the thread backend (DESIGN.md §4.8).
+///  - the sanitizers are kept informed of every stack switch: AddressSanitizer
+///    via __sanitizer_{start,finish}_switch_fiber, ThreadSanitizer via
+///    __tsan_{create,switch_to,destroy}_fiber (each fiber has its own TSan
+///    context, and a switch is a happens-before edge), so sanitizer builds
+///    run the same fibers as release builds.
 ///
 /// Discipline: resume() may only be called from outside the fiber (the
 /// scheduler), suspend() only from inside it, and both always on the same
@@ -39,10 +38,6 @@
 #include <functional>
 
 namespace caf2::sim {
-
-/// True when the stackful-fiber backend can be used in this build (false
-/// under ThreadSanitizer).
-bool fibers_supported();
 
 class Fiber {
  public:
@@ -109,6 +104,10 @@ class Fiber {
   void* asan_fiber_fake_stack_ = nullptr;
   const void* asan_resumer_stack_bottom_ = nullptr;
   std::size_t asan_resumer_stack_size_ = 0;
+
+  // ThreadSanitizer contexts: this fiber's own, and its resumer's.
+  void* tsan_fiber_ = nullptr;
+  void* tsan_resumer_ = nullptr;
 };
 
 }  // namespace caf2::sim

@@ -7,18 +7,6 @@
 
 namespace caf2 {
 
-const char* to_string(ExecBackend backend) {
-  switch (backend) {
-    case ExecBackend::kAuto:
-      return "auto";
-    case ExecBackend::kThreads:
-      return "threads";
-    case ExecBackend::kFibers:
-      return "fibers";
-  }
-  return "?";
-}
-
 bool FaultPlan::active() const {
   if (!scripted.empty() || all.any()) {
     return true;

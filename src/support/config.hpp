@@ -17,22 +17,14 @@ namespace caf2 {
 
 /// --- execution backend -------------------------------------------------------
 
-/// How simulated participants execute (sim/engine.hpp, DESIGN.md §4.8).
-///
-/// kThreads runs one OS thread per image with a mutex+condvar token handoff;
-/// kFibers multiplexes every image as a stackful fiber on the scheduler
-/// thread, so a handoff is a userspace register swap. Results are
-/// bit-identical either way; kAuto picks fibers wherever they are supported
-/// (everywhere except ThreadSanitizer builds, which need real threads to
-/// instrument). The environment variable CAF2_SIM_BACKEND={threads,fibers}
-/// overrides whatever is configured here.
+/// How simulated participants execute (sim/engine.hpp, DESIGN.md §4.8):
+/// every image is a stackful fiber multiplexed on its shard's scheduler
+/// thread, so a token hand-off is a userspace register swap. Fibers are the
+/// only backend (sanitizer builds included); the enum remains so code that
+/// names it keeps compiling.
 enum class ExecBackend : std::uint8_t {
-  kAuto,
-  kThreads,
   kFibers,
 };
-
-const char* to_string(ExecBackend backend);
 
 /// --- fault injection ---------------------------------------------------------
 ///
@@ -266,16 +258,12 @@ struct RuntimeOptions {
   /// tests and perf comparisons. CAF2_SIM_NO_FASTPATH=1 also disables it.
   bool sim_fastpath = true;
 
-  /// Execution backend for simulated images (see ExecBackend). kAuto picks
-  /// stackful fibers where supported; results are bit-identical across
-  /// backends. CAF2_SIM_BACKEND={threads,fibers} overrides this.
-  ExecBackend sim_backend = ExecBackend::kAuto;
-
-  /// Number of engine shards: worker threads executing the conservative
-  /// parallel-DES scheme of DESIGN.md §4.11. <= 0 means "resolve from the
+  /// Number of engine shards: scheduler loops executing the conservative
+  /// parallel-DES scheme of DESIGN.md §4.11 (shard 0 on the calling thread,
+  /// the rest on worker threads). <= 0 means "resolve from the
   /// environment": CAF2_SIM_SHARDS when set, one shard otherwise; an
-  /// explicit value >= 1 always wins over the environment. shards=1 is
-  /// bit-identical to the unsharded engine, and any fixed shard count is
+  /// explicit value >= 1 always wins over the environment. shards=1 is the
+  /// same loop with a single unbounded window, and any fixed shard count is
   /// deterministic run to run. The runtime derives the conservative
   /// lookahead from the network's wire latency; reliable delivery, fault
   /// plans, and obs span capture all run sharded (per-shard protocol cells

@@ -3,7 +3,7 @@
 /// algorithm suite of DESIGN.md §4.13 — the new allgather / reduce-scatter
 /// / v-collectives, per-algorithm correctness oracles, the selection table
 /// (JSON round-trip, Auto resolution), rooted-entry validation, and the
-/// algorithm × shards × backend determinism matrix.
+/// algorithm × shards × repeats determinism matrix.
 
 #include <gtest/gtest.h>
 
@@ -695,11 +695,10 @@ struct CollFingerprint {
   std::vector<long> result;  // image 0's buffers after the workload
 };
 
-RuntimeOptions matrix_options(int shards, ExecBackend backend) {
+RuntimeOptions matrix_options(int shards) {
   RuntimeOptions options;
   options.num_images = 8;
   options.shards = shards;
-  options.sim_backend = backend;
   options.net.latency_us = 2.0;
   options.net.bandwidth_bytes_per_us = 500.0;
   options.net.handler_cost_us = 0.1;
@@ -784,28 +783,19 @@ CollFingerprint coll_fingerprint(const RuntimeOptions& options,
 
 class CollMatrix : public ::testing::TestWithParam<CollAlgorithm> {};
 
-TEST_P(CollMatrix, BitIdenticalTracesAndResultsAcrossShardsAndBackends) {
+TEST_P(CollMatrix, BitIdenticalTracesAndResultsAcrossShardsAndRepeats) {
   const CollAlgorithm algo = GetParam();
   std::vector<CollFingerprint> fps;
   std::vector<long> expect_result;
   bool have_expect = false;
   for (const int shards : {1, 4}) {
-    // Repeats at a fixed (shards, backend) must be bit-identical.
-    const CollFingerprint a =
-        coll_fingerprint(matrix_options(shards, ExecBackend::kThreads), algo);
-    const CollFingerprint b =
-        coll_fingerprint(matrix_options(shards, ExecBackend::kThreads), algo);
+    // Repeats at a fixed shard count must be bit-identical.
+    const CollFingerprint a = coll_fingerprint(matrix_options(shards), algo);
+    const CollFingerprint b = coll_fingerprint(matrix_options(shards), algo);
     EXPECT_EQ(a.trace, b.trace) << "shards " << shards;
     EXPECT_EQ(a.events, b.events) << "shards " << shards;
     EXPECT_EQ(a.end_us, b.end_us) << "shards " << shards;
     EXPECT_EQ(a.result, b.result) << "shards " << shards;
-    // Threads vs fibers at the same shard count must be bit-identical.
-    if (sim::fibers_supported()) {
-      const CollFingerprint f = coll_fingerprint(
-          matrix_options(shards, ExecBackend::kFibers), algo);
-      EXPECT_EQ(a.trace, f.trace) << "shards " << shards << " (fibers)";
-      EXPECT_EQ(a.result, f.result) << "shards " << shards << " (fibers)";
-    }
     // Result buffers are schedule-independent and shard-count-independent.
     if (!have_expect) {
       expect_result = a.result;

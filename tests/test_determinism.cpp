@@ -1,23 +1,22 @@
 /// Determinism regression tests for the scheduler fast path (DESIGN.md §4.6)
-/// and the execution backends (DESIGN.md §4.8).
+/// and repeated runs.
 ///
-/// The self-wake fast path, the pooled Call-event storage, and the fiber
-/// execution backend are pure performance transformations: the engine must
-/// produce *bit-identical* results with them enabled, disabled via
-/// EngineOptions, or disabled via the CAF2_SIM_NO_FASTPATH /
-/// CAF2_SIM_BACKEND environment variables. These tests pin that down at
-/// both layers:
+/// The self-wake fast path and the pooled Call-event storage are pure
+/// performance transformations: the engine must produce *bit-identical*
+/// results with them enabled, disabled via EngineOptions, or disabled via
+/// the CAF2_SIM_NO_FASTPATH environment variable, and every run must repeat
+/// exactly. These tests pin that down at both layers:
 ///  - engine level: recorded traces (every scheduler decision) and context
 ///    switch counts must match entry for entry between fast path on and
-///    off, and between the thread and fiber backends;
+///    off, and between repeats;
 ///  - runtime level: a seeded RandomAccess workload over the jittered
 ///    Gemini-class network must dispatch the same number of events, end at
 ///    the same virtual time, and compute the same kernel timings on every
-///    backend x fastpath combination — with and without injected faults.
+///    repeat x fastpath combination — with and without injected faults.
 ///
 /// Deterministic RunStats fields (events, virtual_us, context_switches,
-/// faults) are compared bit-for-bit; backend/fastpath/peak_rss_bytes
-/// describe the configuration or the host and are deliberately excluded.
+/// faults) are compared bit-for-bit; fastpath/peak_rss_bytes describe the
+/// configuration or the host and are deliberately excluded.
 
 #include <gtest/gtest.h>
 
@@ -62,12 +61,10 @@ struct EngineResult {
   std::uint64_t events = 0;
 };
 
-EngineResult traced_engine_run(bool enable_fastpath,
-                               caf2::ExecBackend backend) {
+EngineResult traced_engine_run(bool enable_fastpath) {
   EngineOptions options;
   options.record_trace = true;
   options.enable_fastpath = enable_fastpath;
-  options.backend = backend;
   Engine engine(4, options);
   engine.run(mixed_body);
   EXPECT_EQ(engine.fastpath_enabled(), enable_fastpath);
@@ -77,11 +74,18 @@ EngineResult traced_engine_run(bool enable_fastpath,
 }
 
 std::string traced_run(bool enable_fastpath) {
-  return traced_engine_run(enable_fastpath, caf2::ExecBackend::kAuto).trace;
+  return traced_engine_run(enable_fastpath).trace;
 }
 
 TEST(Determinism, EngineTraceIdenticalAcrossRepeats) {
-  EXPECT_EQ(traced_run(true), traced_run(true));
+  for (const bool fastpath : {true, false}) {
+    const EngineResult first = traced_engine_run(fastpath);
+    const EngineResult second = traced_engine_run(fastpath);
+    EXPECT_EQ(first.trace, second.trace) << "fastpath=" << fastpath;
+    EXPECT_EQ(first.events, second.events) << "fastpath=" << fastpath;
+    EXPECT_EQ(first.context_switches, second.context_switches)
+        << "fastpath=" << fastpath;
+  }
 }
 
 TEST(Determinism, EngineTraceIdenticalFastPathOnAndOff) {
@@ -101,37 +105,12 @@ TEST(Determinism, EnvVarForcesSlowPathWithIdenticalTrace) {
   EXPECT_EQ(render_trace(engine.trace()), baseline);
 }
 
-/// --- thread backend vs fiber backend (DESIGN.md §4.8) -----------------------
-///
-/// The backends must make exactly the same scheduling decisions: recorded
-/// traces, event counts, and context-switch counts are compared bit-for-bit
-/// on every fastpath setting. Skipped where the fiber backend is unavailable
-/// (e.g. under ThreadSanitizer, which cannot instrument fiber switches).
-
-TEST(Determinism, EngineTraceIdenticalThreadsVsFibers) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  for (const bool fastpath : {true, false}) {
-    const EngineResult threads =
-        traced_engine_run(fastpath, caf2::ExecBackend::kThreads);
-    const EngineResult fibers =
-        traced_engine_run(fastpath, caf2::ExecBackend::kFibers);
-    EXPECT_EQ(threads.trace, fibers.trace) << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.events, fibers.events) << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.context_switches, fibers.context_switches)
-        << "fastpath=" << fastpath;
-  }
-}
-
 TEST(Determinism, ContextSwitchCountInvariantUnderFastPath) {
   // context_switches counts token handoffs (dispatches that move the token
   // to a different participant), which is a pure function of the dispatch
   // order — so it must not change when the fast path elides heap traffic.
-  const EngineResult fast =
-      traced_engine_run(true, caf2::ExecBackend::kAuto);
-  const EngineResult slow =
-      traced_engine_run(false, caf2::ExecBackend::kAuto);
+  const EngineResult fast = traced_engine_run(true);
+  const EngineResult slow = traced_engine_run(false);
   EXPECT_GT(fast.context_switches, 0u);
   EXPECT_EQ(fast.context_switches, slow.context_switches);
 }
@@ -150,14 +129,12 @@ struct StackResult {
   }
 };
 
-StackResult stack_run(bool fastpath,
-                      caf2::ExecBackend backend = caf2::ExecBackend::kAuto) {
+StackResult stack_run(bool fastpath) {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
   options.seed = 20130520;
   options.sim_fastpath = fastpath;
-  options.sim_backend = backend;
   StackResult result;
   result.stats = caf2::run_stats(options, [&] {
     caf2::kernels::RaConfig config;
@@ -176,11 +153,18 @@ StackResult stack_run(bool fastpath,
 }
 
 TEST(Determinism, RuntimeWorkloadIdenticalAcrossRepeats) {
-  const StackResult first = stack_run(true);
-  const StackResult second = stack_run(true);
-  EXPECT_EQ(first.stats.events, second.stats.events);
-  EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us);
-  EXPECT_EQ(first.elapsed_us, second.elapsed_us);
+  for (const bool fastpath : {true, false}) {
+    const StackResult first = stack_run(fastpath);
+    const StackResult second = stack_run(fastpath);
+    // Deterministic RunStats fields must be bit-identical across repeats.
+    EXPECT_EQ(first.stats.events, second.stats.events)
+        << "fastpath=" << fastpath;
+    EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us)
+        << "fastpath=" << fastpath;
+    EXPECT_EQ(first.stats.context_switches, second.stats.context_switches)
+        << "fastpath=" << fastpath;
+    EXPECT_EQ(first.elapsed_us, second.elapsed_us) << "fastpath=" << fastpath;
+  }
 }
 
 TEST(Determinism, RuntimeWorkloadIdenticalFastPathOnAndOff) {
@@ -189,29 +173,6 @@ TEST(Determinism, RuntimeWorkloadIdenticalFastPathOnAndOff) {
   EXPECT_EQ(fast.stats.events, slow.stats.events);
   EXPECT_EQ(fast.stats.virtual_us, slow.stats.virtual_us);
   EXPECT_EQ(fast.elapsed_us, slow.elapsed_us);
-}
-
-TEST(Determinism, RuntimeWorkloadIdenticalThreadsVsFibers) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  for (const bool fastpath : {true, false}) {
-    const StackResult threads =
-        stack_run(fastpath, caf2::ExecBackend::kThreads);
-    const StackResult fibers =
-        stack_run(fastpath, caf2::ExecBackend::kFibers);
-    EXPECT_EQ(threads.stats.backend, caf2::ExecBackend::kThreads);
-    EXPECT_EQ(fibers.stats.backend, caf2::ExecBackend::kFibers);
-    // Deterministic RunStats fields must be bit-identical across backends.
-    EXPECT_EQ(threads.stats.events, fibers.stats.events)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.virtual_us, fibers.stats.virtual_us)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.context_switches, fibers.stats.context_switches)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.elapsed_us, fibers.elapsed_us)
-        << "fastpath=" << fastpath;
-  }
 }
 
 /// --- determinism under injected faults (DESIGN.md §4.7) ---------------------
@@ -227,8 +188,7 @@ struct FaultyResult {
   std::string trace;
 };
 
-FaultyResult faulty_traced_run(
-    bool fastpath, caf2::ExecBackend backend = caf2::ExecBackend::kAuto) {
+FaultyResult faulty_traced_run(bool fastpath) {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
@@ -240,7 +200,6 @@ FaultyResult faulty_traced_run(
   options.net.faults.all.delay_max_us = 5.0;
   options.seed = 424242;
   options.sim_fastpath = fastpath;
-  options.sim_backend = backend;
   options.record_trace = true;
 
   caf2::rt::Runtime runtime(options);
@@ -278,12 +237,6 @@ FaultyResult faulty_traced_run(
   return result;
 }
 
-TEST(Determinism, FaultyRunTraceIdenticalAcrossRepeats) {
-  const FaultyResult first = faulty_traced_run(true);
-  const FaultyResult second = faulty_traced_run(true);
-  EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.stats.events, second.stats.events);
-}
 
 TEST(Determinism, FaultyRunTraceIdenticalFastPathOnAndOff) {
   const FaultyResult fast = faulty_traced_run(true);
@@ -300,33 +253,28 @@ TEST(Determinism, FaultyRunTraceIdenticalFastPathOnAndOff) {
             slow.stats.faults.duplicates_suppressed);
 }
 
-TEST(Determinism, FaultyRunTraceIdenticalThreadsVsFibers) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
+TEST(Determinism, FaultyRunTraceIdenticalAcrossRepeats) {
   for (const bool fastpath : {true, false}) {
-    const FaultyResult threads =
-        faulty_traced_run(fastpath, caf2::ExecBackend::kThreads);
-    const FaultyResult fibers =
-        faulty_traced_run(fastpath, caf2::ExecBackend::kFibers);
-    EXPECT_EQ(threads.trace, fibers.trace) << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.events, fibers.stats.events)
+    const FaultyResult first = faulty_traced_run(fastpath);
+    const FaultyResult second = faulty_traced_run(fastpath);
+    EXPECT_EQ(first.trace, second.trace) << "fastpath=" << fastpath;
+    EXPECT_EQ(first.stats.events, second.stats.events)
         << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.virtual_us, fibers.stats.virtual_us)
+    EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us)
         << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.context_switches, fibers.stats.context_switches)
+    EXPECT_EQ(first.stats.context_switches, second.stats.context_switches)
         << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.faults.deliveries_dropped,
-              fibers.stats.faults.deliveries_dropped)
+    EXPECT_EQ(first.stats.faults.deliveries_dropped,
+              second.stats.faults.deliveries_dropped)
         << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.faults.deliveries_duplicated,
-              fibers.stats.faults.deliveries_duplicated)
+    EXPECT_EQ(first.stats.faults.deliveries_duplicated,
+              second.stats.faults.deliveries_duplicated)
         << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.faults.acks_dropped,
-              fibers.stats.faults.acks_dropped)
+    EXPECT_EQ(first.stats.faults.acks_dropped,
+              second.stats.faults.acks_dropped)
         << "fastpath=" << fastpath;
-    EXPECT_EQ(threads.stats.faults.retransmits,
-              fibers.stats.faults.retransmits)
+    EXPECT_EQ(first.stats.faults.retransmits,
+              second.stats.faults.retransmits)
         << "fastpath=" << fastpath;
   }
 }

@@ -305,26 +305,40 @@ TEST(ReliableDelivery, StagedSendsSurviveLossToo) {
 /// --- watchdog ----------------------------------------------------------------
 
 TEST(Watchdog, QuietPeriodTripsWithStructuredReport) {
-  sim::EngineOptions options;
-  options.watchdog_quiet_us = 1000.0;
-  sim::Engine engine(2, options);
-  try {
-    engine.run([&](int id) {
-      sim::Engine& e = sim::this_engine();
-      if (id == 0) {
-        // The only pending event is five virtual seconds away.
-        e.post(5'000'000.0, [&e] { e.unblock(1); });
-      } else {
-        e.block("waiting for a far-future event");
-      }
-    });
-    FAIL() << "quiet-period watchdog must abort the run";
-  } catch (const FatalError& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
-    EXPECT_NE(what.find("participants:"), std::string::npos) << what;
-    EXPECT_NE(what.find("waiting for a far-future event"), std::string::npos)
-        << what;
+  // Explicit shard counts: the window cap at global_min + quiet must stop
+  // every shard's clock short of the quiet gap so the barrier check fires.
+  for (const int shards : {1, 2, 4}) {
+    sim::EngineOptions options;
+    options.watchdog_quiet_us = 1000.0;
+    options.shards = shards;
+    options.lookahead_us = 10.0;
+    sim::Engine engine(4, options);
+    ASSERT_EQ(engine.shard_count(), shards);
+    try {
+      engine.run([&](int id) {
+        sim::Engine& e = sim::this_engine();
+        if (id == 0) {
+          // The only pending event is five virtual seconds away.
+          e.post(5'000'000.0, [&e] { e.unblock(1); });
+        } else {
+          e.block("waiting for a far-future event");
+        }
+      });
+      ADD_FAILURE() << "quiet-period watchdog must abort the run, shards="
+                    << shards;
+    } catch (const obs::StallError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
+      EXPECT_NE(what.find("participants:"), std::string::npos) << what;
+      EXPECT_NE(what.find("waiting for a far-future event"),
+                std::string::npos)
+          << what;
+      ASSERT_NE(error.postmortem(), nullptr);
+      EXPECT_EQ(error.postmortem()->kind, obs::FailKind::kQuietWatchdog)
+          << "shards=" << shards;
+      // The watchdog fires before the clock jumps across the quiet gap.
+      EXPECT_LT(error.postmortem()->now_us, 1000.0) << "shards=" << shards;
+    }
   }
 }
 

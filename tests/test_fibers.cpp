@@ -1,14 +1,12 @@
 /// Tests for the stackful-fiber primitive and the engine's fiber execution
-/// backend (DESIGN.md §4.8): backend resolution (options + environment),
-/// per-participant context slots across fiber switches, paper-scale
-/// participant counts, guard-page protection against stack overflow, and
-/// the failure path for exceptions thrown by engine callbacks.
+/// (DESIGN.md §4.8): per-participant context slots across fiber switches,
+/// paper-scale participant counts, guard-page protection against stack
+/// overflow, and the failure path for exceptions thrown by engine callbacks.
 
 #include <gtest/gtest.h>
 
 #include <alloca.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,9 +24,6 @@ using namespace caf2::sim;
 /// --- the fiber primitive ----------------------------------------------------
 
 TEST(Fiber, PingPongTransfersControl) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   std::vector<int> order;
   Fiber fiber(64 * 1024, [&] {
     order.push_back(1);
@@ -51,9 +46,6 @@ TEST(Fiber, PingPongTransfersControl) {
 }
 
 TEST(Fiber, CurrentIsSetInsideTheFiber) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   Fiber* seen = nullptr;
   Fiber fiber(64 * 1024, [&] { seen = Fiber::current(); });
   fiber.resume();
@@ -62,9 +54,6 @@ TEST(Fiber, CurrentIsSetInsideTheFiber) {
 }
 
 TEST(Fiber, ManySequentialFibersRecycleStacks) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   // Hundreds of short-lived fibers must be cheap: the pool recycles the
   // mapping instead of hitting mmap/munmap each time.
   long total = 0;
@@ -78,9 +67,6 @@ TEST(Fiber, ManySequentialFibersRecycleStacks) {
 }
 
 TEST(Fiber, DeepStacksSurviveWithinTheLimit) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   // Recursion that stays inside the requested stack size must work; the
   // guard page only trips past the end.
   struct Recur {
@@ -100,86 +86,34 @@ TEST(Fiber, DeepStacksSurviveWithinTheLimit) {
   EXPECT_EQ(result, 0);
 }
 
-/// --- backend resolution -----------------------------------------------------
-
-TEST(FiberBackend, AutoResolvesToFibersWhereSupported) {
-  Engine engine(2, {});
-  const caf2::ExecBackend expect = fibers_supported()
-                                       ? caf2::ExecBackend::kFibers
-                                       : caf2::ExecBackend::kThreads;
-  EXPECT_EQ(engine.backend(), expect);
-}
-
-TEST(FiberBackend, ExplicitThreadsIsHonoured) {
-  EngineOptions options;
-  options.backend = caf2::ExecBackend::kThreads;
-  Engine engine(2, options);
-  EXPECT_EQ(engine.backend(), caf2::ExecBackend::kThreads);
-}
-
-TEST(FiberBackend, EnvVarOverridesOptions) {
-  ASSERT_EQ(setenv("CAF2_SIM_BACKEND", "threads", 1), 0);
-  {
-    EngineOptions options;
-    options.backend = caf2::ExecBackend::kFibers;
-    Engine engine(2, options);
-    EXPECT_EQ(engine.backend(), caf2::ExecBackend::kThreads);
-  }
-  if (fibers_supported()) {
-    ASSERT_EQ(setenv("CAF2_SIM_BACKEND", "fibers", 1), 0);
-    EngineOptions options;
-    options.backend = caf2::ExecBackend::kThreads;
-    Engine engine(2, options);
-    EXPECT_EQ(engine.backend(), caf2::ExecBackend::kFibers);
-  }
-  // Unknown values are ignored, not fatal.
-  ASSERT_EQ(setenv("CAF2_SIM_BACKEND", "hamsters", 1), 0);
-  {
-    EngineOptions options;
-    options.backend = caf2::ExecBackend::kThreads;
-    Engine engine(2, options);
-    EXPECT_EQ(engine.backend(), caf2::ExecBackend::kThreads);
-  }
-  unsetenv("CAF2_SIM_BACKEND");
-}
-
-/// --- engine behaviour on the fiber backend ----------------------------------
+/// --- engine behaviour on fibers ---------------------------------------------
 
 /// Each participant stores a distinctive pointer in its context slot, yields
 /// repeatedly, and checks the slot still holds its own value: the engine
 /// must swap the whole ExecContext on every fiber switch.
 TEST(FiberBackend, ContextSlotsAreIsolatedPerParticipant) {
-  for (const caf2::ExecBackend backend :
-       {caf2::ExecBackend::kThreads, caf2::ExecBackend::kFibers}) {
-    EngineOptions options;
-    options.backend = backend;
-    Engine engine(8, options);
-    engine.run([](int id) {
-      Engine& e = this_engine();
-      Engine::context_slot(0) =
-          reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1));
-      for (int i = 0; i < 20; ++i) {
-        e.advance(0.5 * (id + 1));
-        ASSERT_EQ(Engine::context_slot(0),
-                  reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1)))
-            << "slot leaked across participants, id=" << id;
-        if (i % 4 == 0) {
-          e.unblock((id + 3) % e.size());
-        }
+  Engine engine(8, {});
+  engine.run([](int id) {
+    Engine& e = this_engine();
+    Engine::context_slot(0) =
+        reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1));
+    for (int i = 0; i < 20; ++i) {
+      e.advance(0.5 * (id + 1));
+      ASSERT_EQ(Engine::context_slot(0),
+                reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1)))
+          << "slot leaked across participants, id=" << id;
+      if (i % 4 == 0) {
+        e.unblock((id + 3) % e.size());
       }
-    });
-  }
+    }
+  });
 }
 
 TEST(FiberBackend, RunsAThousandParticipants) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   // Paper scale: 1024 participants in one engine. Each participant advances
   // a few times and pokes a neighbour; the run must terminate and count
   // real context switches.
   EngineOptions options;
-  options.backend = caf2::ExecBackend::kFibers;
   options.fiber_stack_bytes = 128 * 1024;
   Engine engine(1024, options);
   engine.run([](int id) {
@@ -189,7 +123,6 @@ TEST(FiberBackend, RunsAThousandParticipants) {
       e.unblock((id + 1) % e.size());
     }
   });
-  EXPECT_EQ(engine.backend(), caf2::ExecBackend::kFibers);
   EXPECT_GT(engine.context_switch_count(), 1024u);
   Fiber::trim_stack_pool();
 }
@@ -197,13 +130,13 @@ TEST(FiberBackend, RunsAThousandParticipants) {
 /// --- failure paths ----------------------------------------------------------
 
 /// A participant body that throws must fail the whole run with a
-/// rank-tagged error on both backends (regression for the fiber unwind
-/// path, which resumes live fibers so their destructors run).
-TEST(FiberBackend, BodyExceptionFailsTheRunOnBothBackends) {
-  for (const caf2::ExecBackend backend :
-       {caf2::ExecBackend::kThreads, caf2::ExecBackend::kFibers}) {
+/// rank-tagged error (regression for the fiber unwind path, which resumes
+/// live fibers so their destructors run).
+TEST(FiberBackend, BodyExceptionFailsTheRun) {
+  for (const int shards : {1, 2}) {
     EngineOptions options;
-    options.backend = backend;
+    options.shards = shards;
+    options.lookahead_us = 0.5;
     options.label = "boom-test";
     Engine engine(4, options);
     bool cleaned[4] = {false, false, false, false};
@@ -236,13 +169,13 @@ TEST(FiberBackend, BodyExceptionFailsTheRunOnBothBackends) {
 
 /// Satellite regression: a *callback* (Call event) that throws during
 /// dispatch must surface as a context-tagged FatalError instead of
-/// terminating the process — including when the dispatching context is the
-/// scheduler itself (fiber backend) rather than a participant thread.
+/// terminating the process: the dispatching context is the shard's
+/// scheduler loop, which must not let the exception escape.
 TEST(FiberBackend, CallbackExceptionIsTaggedWithDispatchContext) {
-  for (const caf2::ExecBackend backend :
-       {caf2::ExecBackend::kThreads, caf2::ExecBackend::kFibers}) {
+  for (const int shards : {1, 2}) {
     EngineOptions options;
-    options.backend = backend;
+    options.shards = shards;
+    options.lookahead_us = 0.5;
     options.label = "cbfail";
     Engine engine(3, options);
     try {
@@ -268,7 +201,7 @@ TEST(FiberBackend, CallbackExceptionIsTaggedWithDispatchContext) {
 
 void bump(caf2::Coref<long> counter) { counter.local()[0] += 1; }
 
-TEST(FiberBackend, RunStatsReportBackendAndSwitches) {
+TEST(FiberBackend, RunStatsReportSwitches) {
   caf2::RuntimeOptions options;
   options.num_images = 8;
   options.net = caf2::NetworkParams::gemini_like();
@@ -286,10 +219,6 @@ TEST(FiberBackend, RunStatsReportBackendAndSwitches) {
     EXPECT_EQ(counter[0], world.size());
     caf2::team_barrier(world);
   });
-  const caf2::ExecBackend expect = fibers_supported()
-                                       ? caf2::ExecBackend::kFibers
-                                       : caf2::ExecBackend::kThreads;
-  EXPECT_EQ(stats.backend, expect);
   EXPECT_GT(stats.context_switches, 0u);
   EXPECT_GT(stats.events, 0u);
 #if defined(__linux__)
@@ -314,9 +243,6 @@ TEST(FiberBackendDeathTest, StackOverflowHitsTheGuardPage) {
 #if defined(CAF2_TEST_ASAN)
   GTEST_SKIP() << "ASan reports the poisoned guard page differently";
 #else
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {

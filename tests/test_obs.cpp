@@ -4,8 +4,8 @@
 /// The load-bearing properties:
 ///  - enabling obs does not perturb the run (same events, same virtual time,
 ///    same context switches — recording only appends to buffers);
-///  - captures are deterministic: byte-identical text exports across the
-///    thread and fiber execution backends, with and without injected faults;
+///  - captures are deterministic: byte-identical text exports across
+///    repeated runs, with and without injected faults;
 ///  - blame attribution matches the paper's cost model: cofence < events <
 ///    finish at the producer of the Fig. 12 micro-benchmark, and time added
 ///    by retransmissions lands in the network bucket, not finish-wait;
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -152,27 +151,13 @@ TEST(Obs, CaptureTilesTimelinesAndLinksFlights) {
   EXPECT_EQ(finishes, 4u);  // one finish scope per image
 }
 
-/// --- cross-backend determinism ----------------------------------------------
+/// --- repeat determinism -----------------------------------------------------
 
-TEST(Obs, ThreadsAndFibersRecordByteIdenticalCaptures) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  if (std::getenv("CAF2_SIM_BACKEND") != nullptr) {
-    GTEST_SKIP() << "backend pinned by CAF2_SIM_BACKEND";
-  }
-  RuntimeOptions threads = obs_options(4);
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = obs_options(4);
-  fibers.sim_backend = ExecBackend::kFibers;
-
-  const RunStats a = run_stats(threads, mixed_workload);
-  const RunStats b = run_stats(fibers, mixed_workload);
+TEST(Obs, RepeatedRunsRecordByteIdenticalCaptures) {
+  const RunStats a = run_stats(obs_options(4), mixed_workload);
+  const RunStats b = run_stats(obs_options(4), mixed_workload);
   ASSERT_NE(a.obs, nullptr);
   ASSERT_NE(b.obs, nullptr);
-  ASSERT_NE(a.obs->backend, b.obs->backend);  // really compared two backends
-
-  // to_text excludes the backend field precisely so this holds bytewise.
   EXPECT_EQ(obs::to_text(*a.obs), obs::to_text(*b.obs));
 
   const obs::BlameReport ra = obs::analyze_blame(*a.obs);
@@ -249,25 +234,14 @@ TEST(Obs, RetransmitDelayBlamedOnNetworkNotFinishWait) {
   EXPECT_EQ(retransmits, 1u);
 }
 
-TEST(Obs, FaultyCapturesAreBackendIdenticalToo) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  if (std::getenv("CAF2_SIM_BACKEND") != nullptr) {
-    GTEST_SKIP() << "backend pinned by CAF2_SIM_BACKEND";
-  }
-  RuntimeOptions base = obs_options(4);
-  base.net = reliable_wire();
-  base.net.faults.scripted.push_back(
+TEST(Obs, FaultyCapturesRepeatByteIdentically) {
+  RuntimeOptions options = obs_options(4);
+  options.net = reliable_wire();
+  options.net.faults.scripted.push_back(
       {.source = 0, .dest = 1, .nth = 1, .kind = FaultKind::kDrop});
 
-  RuntimeOptions threads = base;
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = base;
-  fibers.sim_backend = ExecBackend::kFibers;
-
-  const RunStats a = run_stats(threads, spawn_in_finish);
-  const RunStats b = run_stats(fibers, spawn_in_finish);
+  const RunStats a = run_stats(options, spawn_in_finish);
+  const RunStats b = run_stats(options, spawn_in_finish);
   ASSERT_NE(a.obs, nullptr);
   ASSERT_NE(b.obs, nullptr);
   EXPECT_EQ(obs::to_text(*a.obs), obs::to_text(*b.obs));

@@ -1,10 +1,9 @@
 /// Tests for the failure-diagnosis subsystem (DESIGN.md §4.10): the flight
 /// recorder, the wait-for graph with SCC cycle detection, StallClass
 /// classification (true deadlock vs slow-network stall vs suspected
-/// livelock), postmortem determinism across backends / repeats / fault
-/// plans, schedule-neutrality of the always-on flight recorder, the
-/// collector-exception fix, the watchdog_report() compat shim, and the
-/// on-demand dump path.
+/// livelock), postmortem determinism across repeats / fault plans,
+/// schedule-neutrality of the always-on flight recorder, the
+/// collector-exception fix, and the on-demand dump path.
 
 #include <gtest/gtest.h>
 
@@ -99,7 +98,6 @@ TEST(FlightRecorder, RecordsDeliveriesDuringARun) {
 
 TEST(Postmortem, TwoImageEventCycleNamesImagesAndResources) {
   RuntimeOptions options = base_options(2);
-  options.sim_backend = ExecBackend::kFibers;
   const obs::StallError error = expect_stall(options, [] {
     Team world = team_world();
     team_barrier(world);
@@ -221,9 +219,8 @@ TEST(Postmortem, RetryCapClassifiedAsSuspectedLivelock) {
 
 /// --- determinism -------------------------------------------------------------
 
-std::string deadlock_text(ExecBackend backend) {
+std::string deadlock_text() {
   RuntimeOptions options = base_options(2);
-  options.sim_backend = backend;
   const obs::StallError error = expect_stall(options, [] {
     Team world = team_world();
     team_barrier(world);
@@ -234,18 +231,15 @@ std::string deadlock_text(ExecBackend backend) {
                                        : std::string();
 }
 
-TEST(PostmortemDeterminism, TextByteIdenticalAcrossBackendsAndRepeats) {
-  const std::string fibers_once = deadlock_text(ExecBackend::kFibers);
-  const std::string fibers_twice = deadlock_text(ExecBackend::kFibers);
-  const std::string threads_once = deadlock_text(ExecBackend::kThreads);
-  ASSERT_FALSE(fibers_once.empty());
-  EXPECT_EQ(fibers_once, fibers_twice);
-  EXPECT_EQ(fibers_once, threads_once);
+TEST(PostmortemDeterminism, TextByteIdenticalAcrossRepeats) {
+  const std::string once = deadlock_text();
+  const std::string twice = deadlock_text();
+  ASSERT_FALSE(once.empty());
+  EXPECT_EQ(once, twice);
 }
 
-std::string faulty_deadlock_text(ExecBackend backend) {
+std::string faulty_deadlock_text() {
   RuntimeOptions options = base_options(3);
-  options.sim_backend = backend;
   options.net.jitter_us = 1.0;
   options.net.faults.all.drop_probability = 0.3;
   options.net.faults.all.dup_probability = 0.2;
@@ -262,11 +256,11 @@ std::string faulty_deadlock_text(ExecBackend backend) {
 }
 
 TEST(PostmortemDeterminism, TextByteIdenticalUnderAFaultPlan) {
-  const std::string fibers = faulty_deadlock_text(ExecBackend::kFibers);
-  const std::string threads = faulty_deadlock_text(ExecBackend::kThreads);
-  ASSERT_FALSE(fibers.empty());
-  EXPECT_EQ(fibers, threads);
-  EXPECT_NE(fibers.find("fault stats:"), std::string::npos) << fibers;
+  const std::string once = faulty_deadlock_text();
+  const std::string twice = faulty_deadlock_text();
+  ASSERT_FALSE(once.empty());
+  EXPECT_EQ(once, twice);
+  EXPECT_NE(once.find("fault stats:"), std::string::npos) << once;
 }
 
 /// --- schedule neutrality of the flight recorder ------------------------------
@@ -295,26 +289,6 @@ TEST(FlightRecorder, OnOrOffLeavesTheScheduleBitIdentical) {
 }
 
 /// --- collector exceptions must not deadlock the failing run ------------------
-
-TEST(Postmortem, ThrowingDiagnosticsCallbackIsSwallowedIntoThePostmortem) {
-  sim::Engine engine(2);
-  engine.set_diagnostics(
-      []() -> std::string { throw std::runtime_error("diag boom"); });
-  try {
-    engine.run([](int id) {
-      if (id == 1) {
-        sim::this_engine().block("never woken");
-      }
-    });
-    FAIL() << "the deadlock must abort the run";
-  } catch (const obs::StallError& error) {
-    ASSERT_NE(error.postmortem(), nullptr);
-    EXPECT_NE(error.postmortem()->collector_error.find("diag boom"),
-              std::string::npos)
-        << error.postmortem()->collector_error;
-    EXPECT_EQ(error.postmortem()->kind, obs::FailKind::kDeadlock);
-  }
-}
 
 TEST(Postmortem, ThrowingPostmortemCollectorIsSwallowedToo) {
   sim::Engine engine(2);
@@ -355,22 +329,12 @@ TEST(Postmortem, OnDemandDumpOfAHealthyRun) {
   EXPECT_NE(json.find("\"per_image\""), std::string::npos);
   const std::string dot = obs::wait_graph_to_dot(pm);
   EXPECT_EQ(dot.rfind("digraph", 0), 0u) << dot;
-}
-
-TEST(Postmortem, WatchdogReportShimKeepsTheLegacySections) {
-  RuntimeOptions options = base_options(2);
-  std::string report;
-  run(options, [&] {
-    team_barrier(team_world());
-    if (this_image() == 0) {
-      report = rt::Image::current().runtime().watchdog_report();
-    }
-    team_barrier(team_world());
-  });
-  EXPECT_NE(report.find("image 0: mailbox pending="), std::string::npos)
-      << report;
-  EXPECT_NE(report.find("network: reliable delivery off"), std::string::npos)
-      << report;
+  // The text form carries the runtime's per-image and network sections.
+  const std::string text = obs::to_text(pm);
+  EXPECT_NE(text.find("image 0: mailbox pending="), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("network: reliable delivery off"), std::string::npos)
+      << text;
 }
 
 TEST(Postmortem, BlameSummaryAttachedWhenSpanRecorderIsOn) {

@@ -1,9 +1,9 @@
 /// Sharded parallel-DES engine (DESIGN.md §4.11, §4.12) through the full
-/// runtime: shards=1 bit-identity with the serial engine, fixed-shard-count
-/// determinism across repeats and backends, cross-shard asynchronous
-/// constructs at paper scale, cross-shard deadlock postmortems, fault plans
-/// and obs span capture under sharding, adaptive lookahead windows, and the
-/// remaining zero-lookahead fallback to the serial engine.
+/// runtime: shards=1 repeat identity and stats shape, fixed-shard-count
+/// determinism across repeats, cross-shard asynchronous constructs at paper
+/// scale, cross-shard deadlock postmortems, fault plans and obs span capture
+/// under sharding, adaptive lookahead windows, and the remaining
+/// zero-lookahead fallback to one shard.
 
 #include <gtest/gtest.h>
 
@@ -95,7 +95,7 @@ Fingerprint fingerprint_run(const RuntimeOptions& options,
   return fp;
 }
 
-/// --- shards=1: the serial engine, bit for bit -------------------------------
+/// --- shards=1: one shard, one unbounded window ------------------------------
 
 TEST(Shards, SerialEngineIsBitIdenticalAcrossRepeats) {
   const Fingerprint a = fingerprint_run(shard_options(3, 1, 7), mixed_workload);
@@ -104,7 +104,7 @@ TEST(Shards, SerialEngineIsBitIdenticalAcrossRepeats) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
   EXPECT_EQ(a.image0_us, b.image0_us);
-  // shards=1 reports the serial engine's stats shape: no windows, one
+  // shards=1 reports no windows (its barriers synchronize nothing) and one
   // per-shard bucket holding every event.
   EXPECT_EQ(a.shards, 1);
   EXPECT_EQ(a.windows, 0u);
@@ -127,7 +127,7 @@ TEST(Shards, ExplicitRequestBeatsEnvironment) {
   }
 }
 
-/// --- fixed shard count: deterministic across repeats and backends -----------
+/// --- fixed shard count: deterministic across repeats ------------------------
 
 TEST(Shards, FixedCountIsDeterministicAcrossRepeats) {
   for (const int shards : {2, 4}) {
@@ -146,16 +146,10 @@ TEST(Shards, FixedCountIsDeterministicAcrossRepeats) {
   }
 }
 
-TEST(Shards, ThreadsAndFibersAgreeWhenSharded) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  RuntimeOptions threads = shard_options(8, 4, 33);
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = shard_options(8, 4, 33);
-  fibers.sim_backend = ExecBackend::kFibers;
-  const Fingerprint a = fingerprint_run(threads, mixed_workload);
-  const Fingerprint b = fingerprint_run(fibers, mixed_workload);
+TEST(Shards, ShardedRunsRepeatBitIdentically) {
+  const RuntimeOptions options = shard_options(8, 4, 33);
+  const Fingerprint a = fingerprint_run(options, mixed_workload);
+  const Fingerprint b = fingerprint_run(options, mixed_workload);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
@@ -166,9 +160,7 @@ TEST(Shards, ThreadsAndFibersAgreeWhenSharded) {
 /// --- cross-shard constructs at paper scale ----------------------------------
 
 TEST(Shards, CrossShardConstructsAtPaperScale) {
-  // Without fibers (TSan builds) every image is an OS thread — keep the
-  // thread count civilised there, paper-scale otherwise.
-  const int kImages = sim::fibers_supported() ? 4096 : 512;
+  const int kImages = 4096;
   RuntimeOptions options = shard_options(kImages, 4, 5);
   options.record_trace = false;  // 4K images: keep memory flat
   const RunStats stats = run_stats(options, [] {
@@ -213,9 +205,6 @@ TEST(Shards, FinishDetectionBoundHoldsAtPaperScaleSharded) {
   // Paper Theorem 1 (at most L+1 reduction waves) at 4K images on four
   // shards: the termination detector must stay within the bound when its
   // reduction waves cross shard boundaries, not merely terminate.
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "4096 OS threads is too heavy without the fiber backend";
-  }
   const int depth = 6;
   RuntimeOptions options = shard_options(4096, 4, 53);
   options.record_trace = false;  // 4K images: keep memory flat
@@ -321,21 +310,17 @@ TEST(Shards, FaultPlansRunShardedAndDeterministically) {
   EXPECT_EQ(summed.acks_dropped, stats.faults.acks_dropped);
 }
 
-TEST(Shards, FaultyShardedRunsAgreeAcrossBackends) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
+TEST(Shards, FaultyRunsRepeatBitIdenticallyAtEveryShardCount) {
+  for (const int shards : {1, 2, 4}) {
+    const RuntimeOptions options = faulty_shard_options(8, shards, 31);
+    const Fingerprint a = fingerprint_run(options, mixed_workload);
+    const Fingerprint b = fingerprint_run(options, mixed_workload);
+    EXPECT_EQ(a.shards, shards);
+    EXPECT_EQ(a.trace, b.trace) << "shards=" << shards;
+    EXPECT_EQ(a.events, b.events) << "shards=" << shards;
+    EXPECT_EQ(a.end_us, b.end_us) << "shards=" << shards;
+    EXPECT_EQ(a.shard_events, b.shard_events) << "shards=" << shards;
   }
-  RuntimeOptions threads = faulty_shard_options(8, 4, 31);
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = faulty_shard_options(8, 4, 31);
-  fibers.sim_backend = ExecBackend::kFibers;
-  const Fingerprint a = fingerprint_run(threads, mixed_workload);
-  const Fingerprint b = fingerprint_run(fibers, mixed_workload);
-  EXPECT_EQ(a.shards, 4);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.end_us, b.end_us);
-  EXPECT_EQ(a.shard_events, b.shard_events);
 }
 
 /// --- obs span capture under sharding (DESIGN.md §4.12) ----------------------
@@ -376,25 +361,17 @@ TEST(Shards, ObsCaptureDoesNotPerturbShardedSchedules) {
   EXPECT_EQ(a.end_us, b.end_us);
 }
 
-TEST(Shards, ShardedObsCapturesAgreeAcrossBackends) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
+TEST(Shards, ObsChromeTracesRepeatByteIdenticallyAtEveryShardCount) {
+  for (const int shards : {1, 2, 4}) {
+    const RuntimeOptions options = obs_shard_options(8, shards, 41);
+    const RunStats a = run_stats(options, mixed_workload);
+    const RunStats b = run_stats(options, mixed_workload);
+    ASSERT_NE(a.obs, nullptr);
+    ASSERT_NE(b.obs, nullptr);
+    EXPECT_EQ(a.shards, shards);
+    EXPECT_EQ(obs::to_chrome_trace(*a.obs), obs::to_chrome_trace(*b.obs))
+        << "shards=" << shards;
   }
-  if (std::getenv("CAF2_SIM_BACKEND") != nullptr) {
-    GTEST_SKIP() << "CAF2_SIM_BACKEND pins the backend for this run";
-  }
-  RuntimeOptions threads = obs_shard_options(8, 4, 41);
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = obs_shard_options(8, 4, 41);
-  fibers.sim_backend = ExecBackend::kFibers;
-  const RunStats a = run_stats(threads, mixed_workload);
-  const RunStats b = run_stats(fibers, mixed_workload);
-  ASSERT_NE(a.obs, nullptr);
-  ASSERT_NE(b.obs, nullptr);
-  // to_text prints the backend line from the capture itself; compare the
-  // tracks through the blame analyzer (backend-independent) and the span
-  // payloads via chrome-trace export.
-  EXPECT_EQ(obs::to_chrome_trace(*a.obs), obs::to_chrome_trace(*b.obs));
 }
 
 /// --- adaptive lookahead windows (DESIGN.md §4.12) ---------------------------

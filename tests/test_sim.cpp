@@ -7,6 +7,7 @@
 #include <atomic>
 #include <vector>
 
+#include "obs/postmortem.hpp"
 #include "sim/engine.hpp"
 #include "sim/participant.hpp"
 
@@ -172,13 +173,21 @@ TEST(Engine, EventBudgetGuardsRunaways) {
   EngineOptions options;
   options.max_events = 50;
   Engine engine(1, options);
-  EXPECT_THROW(engine.run([](int) {
-                 Engine& e = this_engine();
-                 for (;;) {
-                   e.advance(1.0);
-                 }
-               }),
-               caf2::FatalError);
+  try {
+    engine.run([](int) {
+      Engine& e = this_engine();
+      for (;;) {
+        e.advance(1.0);
+      }
+    });
+    FAIL() << "the event budget must abort the run";
+  } catch (const caf2::obs::StallError& error) {
+    // The budget is checked at the window barrier, yet stops the run at
+    // exactly the budgeted dispatch.
+    ASSERT_NE(error.postmortem(), nullptr);
+    EXPECT_EQ(error.postmortem()->kind, caf2::obs::FailKind::kEventBudget);
+    EXPECT_EQ(error.postmortem()->events, 50u);
+  }
 }
 
 TEST(Engine, RunTwiceRejected) {
