@@ -22,7 +22,7 @@ FinishReport& last_report(rt::Image& image) {
 
 net::FinishKey begin_finish(rt::Image& image, const Team& team) {
   CAF2_REQUIRE(team.valid(), "finish over an invalid team");
-  CAF2_REQUIRE(team.rank_of_world(image.rank()) == team.rank(),
+  CAF2_REQUIRE(team.world_rank(team.rank()) == image.rank(),
                "finish caller is not a member of the team");
   CAF2_REQUIRE(image.cofence_tracker().depth() == 1,
                "finish may not be used inside a shipped function");

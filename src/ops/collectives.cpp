@@ -201,7 +201,7 @@ void classify(const CollDesc& desc, bool& reads, bool& writes) {
 void start_collective(CollDesc desc) {
   Image& image = Image::current();
   CAF2_REQUIRE(desc.team.valid(), "collective on an invalid team");
-  CAF2_REQUIRE(desc.team.rank_of_world(image.rank()) == desc.team.rank(),
+  CAF2_REQUIRE(desc.team.world_rank(desc.team.rank()) == image.rank(),
                "collective caller is not a member of the team");
 
   // Resolve kAuto to a concrete schedule. Every resolution input must be

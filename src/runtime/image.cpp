@@ -4,17 +4,14 @@
 
 namespace caf2::rt {
 
-Image::Image(Runtime& runtime, int rank, std::uint64_t seed)
+Image::Image(Runtime& runtime, int rank, std::uint64_t seed,
+             std::shared_ptr<const std::vector<int>> world_members)
     : runtime_(runtime), rank_(rank), rng_(seed) {
   // Every image starts as a member of team_world (id 0).
   auto world = std::make_shared<TeamData>();
   world->id = 0;
   world->my_rank = rank;
-  world->members.resize(
-      static_cast<std::size_t>(runtime.options().num_images));
-  for (int i = 0; i < runtime.options().num_images; ++i) {
-    world->members[static_cast<std::size_t>(i)] = i;
-  }
+  world->members = std::move(world_members);
   teams_.emplace(0, std::move(world));
 }
 

@@ -69,7 +69,10 @@ struct PendingColl {
 
 class Image {
  public:
-  Image(Runtime& runtime, int rank, std::uint64_t seed);
+  /// \p world_members is team_world's member list (0..p-1), built once by
+  /// the runtime and shared by every image.
+  Image(Runtime& runtime, int rank, std::uint64_t seed,
+        std::shared_ptr<const std::vector<int>> world_members);
   ~Image();
 
   Image(const Image&) = delete;

@@ -1,6 +1,7 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string_view>
 
 #include "obs/blame.hpp"
@@ -104,10 +105,14 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   engine_->set_postmortem_collector(
       [this](obs::Postmortem& pm) { fill_postmortem(pm); });
   SplitMix64 seeder(options_.seed);
+  auto world_members = std::make_shared<std::vector<int>>(
+      static_cast<std::size_t>(options_.num_images));
+  std::iota(world_members->begin(), world_members->end(), 0);
   images_.reserve(static_cast<std::size_t>(options_.num_images));
   for (int rank = 0; rank < options_.num_images; ++rank) {
     images_.push_back(std::make_unique<Image>(
-        *this, rank, seeder.child(static_cast<std::uint64_t>(rank) + 1)));
+        *this, rank, seeder.child(static_cast<std::uint64_t>(rank) + 1),
+        world_members));
   }
 }
 
@@ -227,7 +232,7 @@ std::vector<int> raw_satisfiers(const obs::ResourceId& resource,
     case obs::ResourceKind::kSplit: {
       const auto team = any_image.find_team(static_cast<int>(resource.a));
       if (team != nullptr) {
-        out = team->members;
+        out = *team->members;
       } else {
         for (int rank = 0; rank < num_images; ++rank) {
           out.push_back(rank);

@@ -12,17 +12,16 @@
 namespace caf2 {
 
 int Team::world_rank(int team_rank) const {
-  const TeamData& data = require();
-  CAF2_REQUIRE(team_rank >= 0 &&
-                   team_rank < static_cast<int>(data.members.size()),
+  const std::vector<int>& members = this->members();
+  CAF2_REQUIRE(team_rank >= 0 && team_rank < static_cast<int>(members.size()),
                "team rank out of range");
-  return data.members[static_cast<std::size_t>(team_rank)];
+  return members[static_cast<std::size_t>(team_rank)];
 }
 
 int Team::rank_of_world(int world) const {
-  const TeamData& data = require();
-  for (std::size_t i = 0; i < data.members.size(); ++i) {
-    if (data.members[i] == world) {
+  const std::vector<int>& members = this->members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i] == world) {
       return static_cast<int>(i);
     }
   }
@@ -30,10 +29,12 @@ int Team::rank_of_world(int world) const {
 }
 
 bool Team::contains_team(const Team& other) const {
-  const TeamData& mine = require();
-  for (int member : other.require().members) {
-    if (std::find(mine.members.begin(), mine.members.end(), member) ==
-        mine.members.end()) {
+  const std::vector<int>& mine = members();
+  if (&mine == &other.members()) {
+    return true;  // the same team: its members share one list
+  }
+  for (int member : other.members()) {
+    if (std::find(mine.begin(), mine.end(), member) == mine.end()) {
       return false;
     }
   }
@@ -56,6 +57,7 @@ Team Team::split(int color, int key) const {
   rt::Image& image = rt::Image::current();
   rt::Runtime& runtime = image.runtime();
   const TeamData& parent = require();
+  const std::vector<int>& parent_members = *parent.members;
 
   const std::uint32_t seq =
       image.next_split_seq(parent.id);
@@ -63,7 +65,7 @@ Team Team::split(int color, int key) const {
   // members contribute from different OS threads (runtime.hpp, SplitOp).
   std::unique_lock<std::mutex> split_lock(runtime.split_mutex());
   rt::SplitOp& op = runtime.split_op(
-      parent.id, seq, static_cast<int>(parent.members.size()));
+      parent.id, seq, static_cast<int>(parent_members.size()));
   op.entries[parent.my_rank] = {color, key};
   op.contributed += 1;
 
@@ -85,12 +87,12 @@ Team Team::split(int color, int key) const {
       std::sort(members.begin(), members.end());
       const int team_id = base_id + offset;
       ++offset;
-      std::vector<int> world_ranks;
-      world_ranks.reserve(members.size());
+      auto world_ranks = std::make_shared<std::vector<int>>();
+      world_ranks->reserve(members.size());
       for (const auto& [member_key, parent_rank] : members) {
         (void)member_key;
-        world_ranks.push_back(
-            parent.members[static_cast<std::size_t>(parent_rank)]);
+        world_ranks->push_back(
+            parent_members[static_cast<std::size_t>(parent_rank)]);
       }
       for (std::size_t new_rank = 0; new_rank < members.size(); ++new_rank) {
         auto data = std::make_shared<TeamData>();
@@ -102,7 +104,7 @@ Team Team::split(int color, int key) const {
     }
     op.computed.store(true, std::memory_order_release);
     split_lock.unlock();
-    for (int world : parent.members) {
+    for (int world : parent_members) {
       runtime.engine().unblock(world);
     }
   } else {
@@ -124,7 +126,7 @@ Team Team::split(int color, int key) const {
   split_lock.unlock();
 
   runtime.engine().advance(
-      split_cost_us(static_cast<int>(parent.members.size()),
+      split_cost_us(static_cast<int>(parent_members.size()),
                     runtime.options().net));
 
   if (!mine) {

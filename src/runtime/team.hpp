@@ -9,7 +9,10 @@
 /// split(color, key).
 ///
 /// Team is a cheap value handle; the underlying TeamData is immutable and
-/// per-image (each member holds its own copy with its own rank).
+/// per-image (each member holds its own, carrying its own rank). The member
+/// list itself is built once per team and shared by every member's
+/// TeamData, so a p-image team costs O(p) ints in total, not O(p) per
+/// member.
 
 #include <memory>
 #include <vector>
@@ -25,8 +28,9 @@ class Runtime;
 
 struct TeamData {
   int id = -1;
-  int my_rank = -1;              ///< calling image's rank within the team
-  std::vector<int> members;      ///< world ranks indexed by team rank
+  int my_rank = -1;  ///< calling image's rank within the team
+  /// World ranks indexed by team rank; distinct, and shared by all members.
+  std::shared_ptr<const std::vector<int>> members;
 };
 
 class Team {
@@ -43,16 +47,19 @@ class Team {
   int rank() const { return require().my_rank; }
 
   /// Number of member images.
-  int size() const { return static_cast<int>(require().members.size()); }
+  int size() const { return static_cast<int>(require().members->size()); }
 
   /// World rank of the member with team rank \p team_rank.
   int world_rank(int team_rank) const;
 
-  /// Team rank of world-rank \p world, or -1 if not a member.
+  /// Team rank of world-rank \p world, or -1 if not a member. A linear scan,
+  /// O(team size): keep it off per-operation paths. The calling image's own
+  /// membership is `world_rank(rank()) == image rank`, which is O(1).
   int rank_of_world(int world) const;
 
   /// True when every member of \p other is also a member of this team
   /// (used to validate collectives inside finish blocks, paper §III-A1).
+  /// O(1) when \p other is this team; a scan of both lists otherwise.
   bool contains_team(const Team& other) const;
 
   /// Collectively split this team. Members calling with the same \p color
@@ -60,7 +67,7 @@ class Team {
   /// All members of this team must call split (SPMD).
   Team split(int color, int key) const;
 
-  const std::vector<int>& members() const { return require().members; }
+  const std::vector<int>& members() const { return *require().members; }
 
  private:
   const TeamData& require() const {

@@ -1,13 +1,39 @@
 #include "support/sha1.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace caf2 {
 
 namespace {
-std::uint32_t rotl32(std::uint32_t x, int k) {
-  return (x << k) | (x >> (32 - k));
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
 }
+
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+// The three round functions of FIPS 180-4 §4.1.1. ch and maj are the
+// usual branch-free rewrites of (b & c) | (~b & d) and
+// (b & c) | (b & d) | (c & d).
+std::uint32_t f_ch(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return d ^ (b & (c ^ d));
+}
+std::uint32_t f_parity(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return b ^ c ^ d;
+}
+std::uint32_t f_maj(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return (b & c) | (d & (b | c));
+}
+
 }  // namespace
 
 Sha1::Sha1() { reset(); }
@@ -42,71 +68,85 @@ void Sha1::update(std::span<const std::uint8_t> data) {
 }
 
 Sha1::Digest Sha1::digest() {
+  // update() never leaves a full block buffered, so the 0x80 byte fits. The
+  // 8-byte length goes in bytes 56..63; when the tail has no room for it
+  // (more than 55 message bytes buffered), pad out and compress one extra
+  // block first.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(std::span<const std::uint8_t>(&pad_one, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  std::uint8_t length_be[8];
-  for (int i = 0; i < 8; ++i) {
-    length_be[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  }
-  update(std::span<const std::uint8_t>(length_be, 8));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  store_be32(buffer_.data() + 56, static_cast<std::uint32_t>(bit_length >> 32));
+  store_be32(buffer_.data() + 60, static_cast<std::uint32_t>(bit_length));
+  process_block(buffer_.data());
 
   Digest out{};
   for (int i = 0; i < 5; ++i) {
-    out[4 * i + 0] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
+    store_be32(out.data() + 4 * i, h_[static_cast<std::size_t>(i)]);
   }
   return out;
 }
 
+// One round: e absorbs a's rotation, the round function of b, c, d, the
+// constant and the schedule word; b rotates by 30. Instead of shifting the
+// five variables down after each round, the next round names them in
+// rotated order (e, a, b, c, d), so five rounds bring the names back.
+#define CAF2_SHA1_ROUND(a, b, c, d, e, f, k, wt)    \
+  do {                                               \
+    e += std::rotl(a, 5) + f(b, c, d) + (k) + (wt); \
+    b = std::rotl(b, 30);                            \
+  } while (0)
+
+// Schedule word t from a 16-word ring: the first 16 are the block itself,
+// later ones overwrite slot t & 15 (W[t-16]) in place. t is a literal, so
+// the comparison folds away.
+#define CAF2_SHA1_W(t)                                                 \
+  ((t) < 16 ? w[(t) & 15]                                              \
+            : (w[(t) & 15] = std::rotl(w[((t) + 13) & 15] ^            \
+                                           w[((t) + 8) & 15] ^         \
+                                           w[((t) + 2) & 15] ^         \
+                                           w[(t) & 15],                \
+                                       1)))
+
+#define CAF2_SHA1_ROUND5(f, k, t)                               \
+  CAF2_SHA1_ROUND(a, b, c, d, e, f, k, CAF2_SHA1_W(t));         \
+  CAF2_SHA1_ROUND(e, a, b, c, d, f, k, CAF2_SHA1_W((t) + 1));   \
+  CAF2_SHA1_ROUND(d, e, a, b, c, f, k, CAF2_SHA1_W((t) + 2));   \
+  CAF2_SHA1_ROUND(c, d, e, a, b, f, k, CAF2_SHA1_W((t) + 3));   \
+  CAF2_SHA1_ROUND(b, c, d, e, a, f, k, CAF2_SHA1_W((t) + 4))
+
+#define CAF2_SHA1_ROUND20(f, k, t)     \
+  CAF2_SHA1_ROUND5(f, k, t);           \
+  CAF2_SHA1_ROUND5(f, k, (t) + 5);     \
+  CAF2_SHA1_ROUND5(f, k, (t) + 10);    \
+  CAF2_SHA1_ROUND5(f, k, (t) + 15)
+
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int t = 0; t < 16; ++t) {
-    w[t] = (static_cast<std::uint32_t>(block[4 * t]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * t + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * t + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * t + 3]);
-  }
-  for (int t = 16; t < 80; ++t) {
-    w[t] = rotl32(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
+    w[t] = load_be32(block + 4 * t);
   }
 
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int t = 0; t < 80; ++t) {
-    std::uint32_t f;
-    std::uint32_t k;
-    if (t < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl32(a, 5) + f + e + k + w[t];
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = temp;
-  }
+  CAF2_SHA1_ROUND20(f_ch, 0x5A827999u, 0);
+  CAF2_SHA1_ROUND20(f_parity, 0x6ED9EBA1u, 20);
+  CAF2_SHA1_ROUND20(f_maj, 0x8F1BBCDCu, 40);
+  CAF2_SHA1_ROUND20(f_parity, 0xCA62C1D6u, 60);
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;
   h_[3] += d;
   h_[4] += e;
 }
+
+#undef CAF2_SHA1_ROUND20
+#undef CAF2_SHA1_ROUND5
+#undef CAF2_SHA1_W
+#undef CAF2_SHA1_ROUND
 
 Sha1::Digest Sha1::hash(std::span<const std::uint8_t> data) {
   Sha1 hasher;

@@ -35,6 +35,14 @@ TEST(UtsTree, DeterministicAndNontrivial) {
   const std::uint64_t count2 = tree.count_tree();
   EXPECT_EQ(count1, count2);
   EXPECT_GT(count1, 50u);  // unbalanced but not degenerate
+
+  // The paper's tree (b0 = 4, root 19) to depth 8 pins every SHA-1 digest
+  // on its ~113K nodes.
+  UtsTree paper;
+  paper.b0 = 4.0;
+  paper.max_depth = 8;
+  paper.root_seed = 19;
+  EXPECT_EQ(paper.count_tree(), 112'955u);
 }
 
 TEST(UtsTree, DepthLimitMakesLeaves) {

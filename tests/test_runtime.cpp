@@ -54,6 +54,27 @@ TEST(Team, SplitByParity) {
   });
 }
 
+TEST(Team, MembersAreSharedNotCopiedPerImage) {
+  constexpr int kImages = 64;
+  std::vector<const int*> world_lists(kImages, nullptr);
+  std::vector<const int*> split_lists(kImages, nullptr);
+  run(options_with(kImages), [&] {
+    Team world = team_world();
+    Team sub = world.split(world.rank() % 2, world.rank());
+    world_lists[static_cast<std::size_t>(this_image())] =
+        world.members().data();
+    split_lists[static_cast<std::size_t>(this_image())] =
+        sub.members().data();
+  });
+  for (int r = 0; r < kImages; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(world_lists[i], world_lists[0]) << "image " << r;
+    EXPECT_EQ(split_lists[i], split_lists[static_cast<std::size_t>(r % 2)])
+        << "image " << r;
+  }
+  EXPECT_NE(split_lists[0], split_lists[1]);
+}
+
 TEST(Team, SplitKeyOrdersRanks) {
   run(options_with(4), [] {
     Team world = team_world();
@@ -87,6 +108,7 @@ TEST(Team, NestedSplits) {
     EXPECT_TRUE(world.contains_team(half));
     EXPECT_TRUE(half.contains_team(quarter));
     EXPECT_FALSE(quarter.contains_team(half));
+    EXPECT_TRUE(quarter.contains_team(quarter));
     team_barrier(quarter);
     team_barrier(half);
   });

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "support/config.hpp"
 #include "support/rng.hpp"
@@ -146,6 +147,17 @@ TEST(Sha1, IncrementalEqualsOneShot) {
     hasher.update(bytes_of(text.substr(split).c_str()));
     EXPECT_EQ(hasher.digest(), Sha1::hash(bytes_of(text.c_str())))
         << "split at " << split;
+  }
+  // Lengths 0..130 cross every padding edge (55/56 bytes in the last block,
+  // 63/64 at a block boundary, 119/120 one block later).
+  std::vector<std::uint8_t> message;
+  for (std::size_t length = 0; length <= 130; ++length) {
+    Sha1 bytewise;
+    for (std::uint8_t byte : message) {
+      bytewise.update(std::span<const std::uint8_t>(&byte, 1));
+    }
+    EXPECT_EQ(bytewise.digest(), Sha1::hash(message)) << "length " << length;
+    message.push_back(static_cast<std::uint8_t>(length * 37 + 11));
   }
 }
 
