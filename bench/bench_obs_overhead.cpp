@@ -2,8 +2,9 @@
 /// (obs::FlightRecorder, DESIGN.md §4.10) must be cheap enough to leave on
 /// by default. This driver runs the same communication-heavy workload with
 /// the recorder off and on and reports:
-///  - the wall-clock overhead of recording (best-of-N trials, so scheduler
-///    noise does not masquerade as recorder cost), and
+///  - the wall-clock overhead of recording (best-of-N trials per side, run
+///    as alternating off/on pairs, so scheduler noise and host-speed drift
+///    do not masquerade as recorder cost), and
 ///  - whether the virtual schedule stayed bit-identical (events, virtual
 ///    time, context switches) — recording must never schedule events.
 ///
@@ -47,20 +48,29 @@ struct Sample {
   RunStats stats;          ///< schedule fields are identical across trials
 };
 
-Sample measure(bool recorder_on, int images, int iters, int trials) {
-  Sample sample;
-  for (int t = 0; t < trials; ++t) {
-    RuntimeOptions options = bench::bench_options(images);
-    options.obs.flight_recorder = recorder_on;
-    WallTimer timer;
-    const RunStats stats = run_stats(options, [iters] { workload(iters); });
-    const double wall = timer.seconds();
-    if (t == 0 || wall < sample.best_wall) {
-      sample.best_wall = wall;
-    }
-    sample.stats = stats;
+/// One trial of one side; keeps the side's best wall time.
+void trial(Sample& sample, bool recorder_on, int images, int iters) {
+  RuntimeOptions options = bench::bench_options(images);
+  options.obs.flight_recorder = recorder_on;
+  WallTimer timer;
+  sample.stats = run_stats(options, [iters] { workload(iters); });
+  const double wall = timer.seconds();
+  if (sample.best_wall == 0.0 || wall < sample.best_wall) {
+    sample.best_wall = wall;
   }
-  return sample;
+}
+
+/// Best-of-\p trials for both sides, run as alternating off/on pairs (the
+/// order flips every pair) so a phase of slow or fast host speed lands on
+/// both sides instead of on one.
+void measure(Sample& off, Sample& on, int images, int iters, int trials) {
+  off = Sample{};
+  on = Sample{};
+  for (int t = 0; t < trials; ++t) {
+    const bool on_first = t % 2 == 1;
+    trial(on_first ? on : off, on_first, images, iters);
+    trial(on_first ? off : on, !on_first, images, iters);
+  }
 }
 
 bool schedule_identical(const RunStats& a, const RunStats& b) {
@@ -98,8 +108,7 @@ int main(int argc, char** argv) {
   Sample on;
   bool identical = false;
   for (int round = 0; round < 2; ++round) {
-    off = measure(false, images, iters, trials);
-    on = measure(true, images, iters, trials);
+    measure(off, on, images, iters, trials);
     identical = schedule_identical(off.stats, on.stats);
     overhead_pct = off.best_wall > 0.0
                        ? (on.best_wall - off.best_wall) / off.best_wall * 100.0

@@ -17,15 +17,13 @@
 ///
 /// The sharded/* and staggered/* sections measure the parallel-DES engine
 /// (DESIGN.md §4.11): a paper-scale ring workload plus a stagger-phased
-/// variant, swept over shard counts 1..hardware threads and — at each shard
-/// count above 1 — under both static and adaptive conservative windows
-/// (DESIGN.md §4.12). Those points own all cores, so they run serially
-/// *after* the pooled sweep; events/sec across the shard axis is the
-/// engine's strong-scaling curve (expect monotone growth while shards <=
-/// physical cores). The staggered points carry the adaptive-vs-static
-/// window_stalls and barrier-count deltas — the dense ring ties the two
-/// modes by design (every adaptive window clamps at its first in-flight
-/// send), the sparse staggered phases are where adaptive windows pay.
+/// variant, swept over shard counts 1..hardware threads (staggered from 2).
+/// Those points own all cores, so they run serially *after* the pooled
+/// sweep; events/sec across the shard axis is the engine's strong-scaling
+/// curve (expect monotone growth while shards <= physical cores). The dense
+/// ring keeps every shard busy in every window; the staggered points guard
+/// the sparse-traffic regime, where most windows of a shard hold no event
+/// (watch window_stalls and windows there).
 
 #include <algorithm>
 #include <span>
@@ -195,13 +193,11 @@ void ring_workload(int rounds) {
   team_barrier(world);
 }
 
-/// Staggered compute/exchange workload for the lookahead comparison: each
-/// image computes at a rank-proportional virtual offset before its ring
-/// exchange, so heap events spread densely over the stagger span while
-/// almost all near-term traffic stays shard-local — the sparse-communication
-/// regime adaptive windows exist for (DESIGN.md §4.12). Static lookahead
-/// must cross the span in wire-latency steps; adaptive windows reach out to
-/// the other shards' far-off heap tops and cross it in a few barriers.
+/// Staggered compute/exchange workload: each image computes at a
+/// rank-proportional virtual offset before its ring exchange, so heap events
+/// spread densely over the stagger span while almost all near-term traffic
+/// stays shard-local — the sparse-communication regime, which the windows
+/// must cross in wire-latency steps (DESIGN.md §4.12).
 void staggered_workload(int rounds) {
   Team world = team_world();
   Coarray<long> slot(world, 8);
@@ -242,58 +238,24 @@ std::vector<SweepPoint> build_sharded_sweep(const BenchArgs& args) {
   }
   for (const int images : image_counts) {
     for (const int shards : shard_axis()) {
-      // Static vs adaptive conservative windows (DESIGN.md §4.12): the same
-      // point under both policies, so BENCH_substrate.json carries the
-      // window_stalls and events/sec deltas per shard count. One shard has
-      // no windows — a single serial point suffices.
-      const int modes = shards == 1 ? 1 : 2;
-      for (int mode = 0; mode < modes; ++mode) {
-        const bool adaptive = mode == 1;
-        std::string name =
-            "sharded/images=" + std::to_string(images) +
-            "/shards=" + std::to_string(shards);
-        if (shards > 1) {
-          name += adaptive ? "/adaptive" : "/static";
-        }
-        sweep.push_back({name, [images, shards, adaptive] {
-                           RuntimeOptions options =
-                               bench::bench_options(images, shards);
-                           options.adaptive_lookahead = adaptive;
+      const std::string suffix = "/images=" + std::to_string(images) +
+                                 "/shards=" + std::to_string(shards);
+      sweep.push_back({"sharded" + suffix, [images, shards] {
+                         BenchRecord record = bench::measure_run(
+                             bench::bench_options(images, shards),
+                             [] { ring_workload(4); });
+                         record.metrics.emplace_back("images", images);
+                         return record;
+                       }});
+      // The sparse-traffic guard; one shard has no windows, so it starts at 2.
+      if (shards > 1) {
+        sweep.push_back({"staggered" + suffix, [images, shards] {
                            BenchRecord record = bench::measure_run(
-                               options, [] { ring_workload(4); });
+                               bench::bench_options(images, shards),
+                               [] { staggered_workload(4); });
                            record.metrics.emplace_back("images", images);
-                           if (shards == 1) {
-                             record.metrics.emplace_back("shards", 1.0);
-                           } else {
-                             record.metrics.emplace_back(
-                                 "adaptive", adaptive ? 1.0 : 0.0);
-                           }
                            return record;
                          }});
-      }
-      // The staggered points carry the adaptive-vs-static window_stalls and
-      // events/sec deltas: the dense ring above clamps every adaptive window
-      // at its first in-flight send (DESIGN.md §4.12), so the two modes tie
-      // there by design; the payoff shows where communication is sparse.
-      if (shards > 1) {
-        for (int mode = 0; mode < 2; ++mode) {
-          const bool adaptive = mode == 1;
-          const std::string name =
-              "staggered/images=" + std::to_string(images) +
-              "/shards=" + std::to_string(shards) +
-              (adaptive ? "/adaptive" : "/static");
-          sweep.push_back({name, [images, shards, adaptive] {
-                             RuntimeOptions options =
-                                 bench::bench_options(images, shards);
-                             options.adaptive_lookahead = adaptive;
-                             BenchRecord record = bench::measure_run(
-                                 options, [] { staggered_workload(4); });
-                             record.metrics.emplace_back("images", images);
-                             record.metrics.emplace_back(
-                                 "adaptive", adaptive ? 1.0 : 0.0);
-                             return record;
-                           }});
-        }
       }
     }
   }

@@ -43,10 +43,6 @@ RunStats run_stats(const RuntimeOptions& options,
   stats.windows = runtime.engine().window_count();
   stats.window_stalls = runtime.engine().window_stall_count();
   stats.shard_events = runtime.engine().shard_event_counts();
-  stats.lookahead_mode =
-      !runtime.engine().sharded()
-          ? "serial"
-          : (runtime.engine().adaptive_lookahead() ? "adaptive" : "static");
   stats.faults = runtime.network().fault_stats();
   stats.shard_faults = runtime.network().shard_fault_stats();
   stats.obs = runtime.take_capture();

@@ -77,11 +77,6 @@ struct RunStats {
                                       ///< dispatchable event (scaling-loss
                                       ///< diagnostic, summed over shards)
   std::vector<std::uint64_t> shard_events;  ///< events dispatched per shard
-  /// Resolved conservative-window policy: "serial" (one shard), "static"
-  /// (windows pinned to the global minimum plus the lookahead), or
-  /// "adaptive" (per-shard windows from the other shards' next-event lower
-  /// bounds; RuntimeOptions::adaptive_lookahead / CAF2_SIM_ADAPTIVE_LOOKAHEAD).
-  std::string lookahead_mode = "serial";
   FaultStats faults{};       ///< injected-fault / retransmission counters
   /// Per-shard fault/protocol counters (one entry per shard; summed they
   /// equal `faults`). Deliveries dropped/duplicated/delayed, ack losses, and

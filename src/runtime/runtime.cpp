@@ -83,7 +83,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   // DESIGN.md §4.12); only a zero-latency "instant" network still forces the
   // engine back to one shard, because it leaves no positive lookahead.
   engine_options.lookahead_us = options_.net.latency_us;
-  engine_options.adaptive_lookahead = options_.adaptive_lookahead;
   engine_ = std::make_unique<sim::Engine>(options_.num_images,
                                           std::move(engine_options));
   network_ = std::make_unique<net::Network>(*engine_, options_.net,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -24,20 +23,6 @@ int resolve_shards(int configured) {
     }
   }
   return 1;
-}
-
-bool resolve_adaptive_lookahead(bool configured) {
-  if (const char* env = std::getenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD");
-      env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
-      return false;
-    }
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0) {
-      return true;
-    }
-    // Unknown values fall through to whatever was configured.
-  }
-  return configured;
 }
 
 namespace {
@@ -83,8 +68,6 @@ Engine::Engine(int participants, EngineOptions options)
   if (shard_count == 1) {
     lookahead_ = 0.0;
   }
-  adaptive_ = shard_count > 1 &&
-              resolve_adaptive_lookahead(options_.adaptive_lookahead);
 
   participants_.reserve(static_cast<std::size_t>(participants));
   for (int i = 0; i < participants; ++i) {
@@ -365,11 +348,8 @@ void Engine::dispatch_chain(Shard& shard) {
     // this one at the next window merge. The barrier performs the global
     // deadlock / budget / watchdog checks with every shard quiesced.
     if (failed() || shard.finished_count == shard.count ||
-        shard.heap.empty() ||
-        shard.heap.top().at >=
-            shard.window_end.load(std::memory_order_relaxed) ||
-        (options_.max_events != 0 &&
-         total_dispatched() >= options_.max_events)) {
+        shard.heap.empty() || shard.heap.top().at >= window_end_ ||
+        shard.dispatched.load(std::memory_order_relaxed) >= shard.event_cap) {
       return;
     }
 
@@ -462,14 +442,13 @@ void Engine::advance(double dt) {
   // `>` comparison is exact, and the recorded trace (kAdvance then kWake) is
   // bit-identical to the slow path's. The jump must also stay strictly
   // inside the conservative window — the shard clock may never reach
-  // window_end, or later cross-shard merges could land in its past.
+  // window_end_, or later cross-shard merges could land in its past.
   const double now = shard.now_us.load(std::memory_order_relaxed);
   const double target = now + dt;
   if (fastpath_ && !failed() &&
       (shard.heap.empty() || shard.heap.top().at > target) &&
-      target < shard.window_end.load(std::memory_order_relaxed) &&
-      (options_.max_events == 0 ||
-       total_dispatched() < options_.max_events)) {
+      target < window_end_ &&
+      shard.dispatched.load(std::memory_order_relaxed) < shard.event_cap) {
     record(shard, TraceKind::kAdvance, self.id);
     if (observer_ != nullptr && dt > 0.0) {
       observer_->on_compute(self.id, now, target);
@@ -584,21 +563,6 @@ void Engine::cross_post(int dest_shard, double at,
                         std::int32_t wake_participant, InlineFn fn) {
   Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
   Shard& dst = *shards_[static_cast<std::size_t>(dest_shard)];
-  if (adaptive_) {
-    // In-flight horizon clamp (DESIGN.md §4.12). The barrier bound only
-    // covers reaction chains rooted in events already materialized in some
-    // heap; the chain rooted at *this* staging is not, and its earliest
-    // possible return is `at + lookahead` (the destination may dispatch the
-    // event as early as `at`, and anything it creates for us rides at least
-    // one wire latency). The sender therefore caps its own window here —
-    // dispatches so far are at or below the current clock, which is below
-    // the horizon, so the cap never retracts executed time. Same-thread
-    // writer as the dispatch loop reading it.
-    const double horizon = at + lookahead_;
-    if (horizon < src.window_end.load(std::memory_order_relaxed)) {
-      src.window_end.store(horizon, std::memory_order_relaxed);
-    }
-  }
   CrossEvent ev;
   ev.at = at;
   // Only the source shard's token holder (or its scheduler loop) stages
@@ -640,10 +604,10 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
     // Clamping wakes to the destination clock keeps every heap entry at or
     // above the clock, which is what makes the global minimum — and with it
     // the window end — monotone (DESIGN.md §4.11). Calls are provably
-    // already in the destination's future — the barrier bound covers chains
-    // rooted in other shards' heaps and the staging-time horizon clamp
-    // covers chains this shard's own sends set off (§4.12) — so the clamp
-    // is a no-op for them; verify that instead of silently time-shifting a
+    // already in the destination's future — a sender's clock is at least
+    // global_min and a call rides at least one lookahead, so it lands at or
+    // past the window end every clock stayed below — so the clamp is a
+    // no-op for them; verify that instead of silently time-shifting a
     // straggler, which would corrupt latency metrics undetectably.
     if (ev.wake_participant < 0 && ev.at < local_now - 1e-9 && ok) {
       std::ostringstream os;
@@ -713,17 +677,13 @@ bool Engine::advance_window_locked() {
     }
   }
 
-  // Per-shard lower bounds: the earliest pending event of each shard after
-  // the inbox merge (+inf for an empty heap). These are the window inputs
-  // for both lookahead modes and the broadcast the adaptive mode derives
-  // cross-shard windows from.
+  // The earliest pending event across shards after the inbox merge (+inf
+  // when every heap is empty).
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> tops(shards_.size(), kInf);
   double global_min = kInf;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s]->heap.empty()) {
-      tops[s] = shards_[s]->heap.top().at;
-      global_min = std::min(global_min, tops[s]);
+  for (const auto& shard : shards_) {
+    if (!shard->heap.empty()) {
+      global_min = std::min(global_min, shard->heap.top().at);
     }
   }
   if (global_min == kInf) {
@@ -734,7 +694,8 @@ bool Engine::advance_window_locked() {
     finish_failure_locked();
     return false;
   }
-  if (options_.max_events != 0 && total_dispatched() >= options_.max_events) {
+  const std::uint64_t dispatched = total_dispatched();
+  if (options_.max_events != 0 && dispatched >= options_.max_events) {
     fail_pending(obs::FailKind::kEventBudget,
                  "simulation event budget exceeded", nullptr, false);
     finish_failure_locked();
@@ -757,47 +718,34 @@ bool Engine::advance_window_locked() {
   }
 
   ++windows_;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    // A shard with no peers can receive nothing, so its window is
-    // unbounded (kInf).
-    double bound = kInf;
-    if (!adaptive_ && sharded()) {
-      // Static windows: every shard gets the same end. The merge clamp makes
-      // global_min non-decreasing across windows, so the max() below is
-      // provably a no-op — kept as a defensive invariant: a window end must
-      // never move backwards once shard clocks have entered a window.
-      bound = global_min + lookahead_;
-    } else {
-      // Adaptive windows: shard i is bounded by the earliest event any
-      // *materialized* chain could deliver to it. A chain rooted in shard
-      // j's heap reaches i no earlier than tops[j] + lookahead (>= 1 hop,
-      // and j dispatches nothing before tops[j]); chains rooted in events
-      // shard i itself sends *during* the window are invisible to this
-      // bound — they are capped at staging time by cross_post's horizon
-      // clamp (at + lookahead), which also knocks the stored window end
-      // down so the max() below cannot resurrect a stale value the clamp
-      // retired. All tops are >= global_min, hence the bound never drops
-      // below the static floor; +inf (every other shard empty) lets shard
-      // i drain its whole heap — empty peers root no chains, and any chain
-      // i starts by messaging them re-enters through the clamp.
-      for (std::size_t j = 0; j < shards_.size(); ++j) {
-        if (j != i && tops[j] + lookahead_ < bound) {
-          bound = tops[j] + lookahead_;
-        }
-      }
-    }
-    double new_end =
-        std::max(shard.window_end.load(std::memory_order_relaxed), bound);
-    if (quiet > 0.0) {
-      // Watchdog cap: a quiet gap ends the window, so the check above sees
-      // it at the next barrier instead of the clock jumping across it. The
-      // previous end is at most the previous global_min + quiet, so the cap
-      // never moves an end backwards.
-      new_end = std::min(new_end, global_min + quiet);
-    }
-    shard.window_end.store(new_end, std::memory_order_relaxed);
-    if (shard.heap.empty() || shard.heap.top().at >= new_end) {
+  // One shard has no peers and can receive nothing, so its window is
+  // unbounded. Otherwise every shard gets the same end. The merge clamp makes
+  // global_min non-decreasing across windows, so the max() is provably a
+  // no-op — kept as a defensive invariant: a window end must never move
+  // backwards once shard clocks have entered a window.
+  double end = sharded() ? std::max(window_end_, global_min + lookahead_)
+                         : kInf;
+  if (quiet > 0.0) {
+    // Watchdog cap: a quiet gap ends the window, so the check above sees it
+    // at the next barrier instead of the clock jumping across it. The
+    // previous end is at most the previous global_min + quiet, so the cap
+    // never moves the end backwards.
+    end = std::min(end, global_min + quiet);
+  }
+  window_end_ = end;
+
+  // Split the remaining event budget, ceil(remaining / shards) each, so a
+  // shard's cap depends only on barrier state, never on another shard's
+  // progress mid-window.
+  const std::uint64_t shards = shards_.size();
+  const std::uint64_t share =
+      (options_.max_events - dispatched + shards - 1) / shards;
+  for (auto& shard : shards_) {
+    shard->event_cap =
+        options_.max_events == 0
+            ? std::numeric_limits<std::uint64_t>::max()
+            : shard->dispatched.load(std::memory_order_relaxed) + share;
+    if (shard->heap.empty() || shard->heap.top().at >= end) {
       ++window_stalls_;
     }
   }
@@ -899,8 +847,7 @@ void Engine::run(const std::function<void(int)>& body) {
   running_ = true;
 
   // Every participant starts with a wake at t=0; the first barrier opens
-  // the first window (the static one in both lookahead modes, since every
-  // shard's earliest event is at t=0).
+  // the first window.
   for (auto& shard : shards_) {
     for (int p = shard->first; p < shard->first + shard->count; ++p) {
       shard->heap.push(Event{0.0, shard->next_seq++, p, kNoSlot});

@@ -41,9 +41,9 @@
 /// call pool, sequence counter, and clock, and one scheduler loop per shard
 /// executes that shard's events — shard 0 on the thread that called run(),
 /// shards 1..N-1 on worker threads. Virtual time advances in windows: a
-/// shard may dispatch any event strictly below `window_end = global_min +
-/// lookahead`, where `global_min` is the minimum pending event time across
-/// shards and the lookahead is the network's minimum link latency
+/// shard may dispatch any event strictly below one engine-wide `window_end =
+/// global_min + lookahead`, where `global_min` is the minimum pending event
+/// time across shards and the lookahead is the network's minimum link latency
 /// (EngineOptions::lookahead_us). Any event one shard creates on another
 /// (a message delivery) carries a timestamp at least `lookahead` in the
 /// future, so it can never land inside the window a destination shard is
@@ -56,29 +56,6 @@
 /// with no peers can receive nothing, so its window is unbounded: `shards=1`
 /// is the same loop with a single window. The reliable-delivery protocol
 /// and obs span capture both run sharded (DESIGN.md §4.12).
-///
-/// Window ends are per shard. With EngineOptions::adaptive_lookahead (the
-/// default; CAF2_SIM_ADAPTIVE_LOOKAHEAD=0 forces it off) a shard's window
-/// end has two components. At each barrier it is raised to the other shards'
-/// earliest pending events: `W_i = max(W_i, min_{j != i}(top_j +
-/// lookahead))`, where `top_j` is shard j's earliest pending event time
-/// after the inbox merge (+inf for an empty heap) — sound for every reaction
-/// chain rooted in an event some heap already holds, since such a chain
-/// reaches shard i through at least one wire hop after its root dispatches.
-/// Chains rooted in events shard i *itself* sends during the window are not
-/// visible to any heap top, so cross-shard staging clamps the sender's own
-/// window to the staged timestamp plus one lookahead (`W_i = min(W_i, at +
-/// lookahead)`): the destination can dispatch the staged event no earlier
-/// than `at`, and anything it sends back rides at least one more latency.
-/// The clamp overwrites the stored end, so a later barrier max() restarts
-/// from the fresh bound (which by then sees the chain's materialized
-/// events), never from a retired stale value. Because every `top_j >=
-/// global_min` and a sender's clock is at least its own top, the adaptive
-/// end never drops below the static `global_min + lookahead` floor.
-/// Sparse-communication phases therefore get long windows (fewer barriers,
-/// fewer `window_stalls`). Adaptive and static windows admit different
-/// cross-shard wake clamp points, so the two modes produce different (each
-/// individually deterministic) virtual schedules.
 ///
 /// If the heap drains while unfinished participants are blocked, the
 /// simulated program has provably deadlocked; the engine collects a
@@ -95,6 +72,11 @@
 /// and the global state is consistent. With the watchdog on, every window
 /// end is capped at `global_min + watchdog_quiet_us`, so a quiet gap always
 /// ends a window and the barrier sees it before the clock jumps across it.
+/// The event budget (EngineOptions::max_events) is split at each barrier:
+/// every shard may dispatch up to ⌈remaining / shards⌉ more events before it
+/// parks, so the hot paths compare only the shard's own counter, a run stops
+/// at the same point on every repeat, and it overshoots the budget by at
+/// most `shards - 1` events (exactly on budget for one shard).
 
 #include <array>
 #include <atomic>
@@ -128,12 +110,6 @@ class Engine;
 /// `configured >= 1` wins; `configured <= 0` reads CAF2_SIM_SHARDS and
 /// defaults to 1. Exposed for bench metadata stamps.
 int resolve_shards(int configured);
-
-/// Whether a sharded engine uses adaptive lookahead windows: the environment
-/// variable CAF2_SIM_ADAPTIVE_LOOKAHEAD ("0"/"off" forces static, "1"/"on"
-/// forces adaptive) overrides \p configured. Exposed for bench metadata
-/// stamps; meaningless for single-shard runs.
-bool resolve_adaptive_lookahead(bool configured);
 
 /// Everything that makes the calling context "participant N of engine E".
 /// The scheduler swaps the thread-local instance on every fiber switch, so
@@ -195,12 +171,6 @@ struct EngineOptions {
   /// another. The runtime derives it from the network's minimum link
   /// latency. <= 0 disables sharding (automatic fallback to shards = 1).
   double lookahead_us = 0.0;
-
-  /// Derive each shard's window end from the other shards' earliest pending
-  /// events at the barrier instead of the global static minimum (see the
-  /// file comment). Static lookahead remains the floor; the environment
-  /// variable CAF2_SIM_ADAPTIVE_LOOKAHEAD={0,off,1,on} overrides this.
-  bool adaptive_lookahead = true;
 };
 
 class Engine {
@@ -375,10 +345,6 @@ class Engine {
   /// Conservative lookahead window (0 for a single shard).
   double lookahead_us() const { return lookahead_; }
 
-  /// True when this (sharded) engine derives window ends adaptively from
-  /// per-shard lower bounds; false for static windows and single shards.
-  bool adaptive_lookahead() const { return adaptive_; }
-
   /// Window barriers between shards so far (1 for the initial window;
   /// always 0 for a single shard, whose barriers synchronize nothing).
   std::uint64_t window_count() const;
@@ -466,11 +432,10 @@ class Engine {
     std::atomic<double> now_us{0.0};
     std::atomic<std::uint64_t> dispatched{0};
     std::atomic<std::uint64_t> context_switches{0};
-    // This shard's conservative window end: events strictly below it may
-    // dispatch this window. Written at the window barrier (every shard
-    // quiesced) and lowered by the shard's own cross-shard sends; read on
-    // the shard's hot paths, so it is an atomic with relaxed ordering.
-    std::atomic<double> window_end{0.0};
+    // This shard's share of the event budget: it parks once `dispatched`
+    // reaches this value (see the file comment). Written by the barrier,
+    // read on the shard's hot paths.
+    std::uint64_t event_cap = 0;
     std::uint64_t next_seq = 0;
     int token_owner = -1;  ///< participant last handed the token
     Participant* activated = nullptr;  ///< dispatch_chain -> scheduler loop
@@ -506,8 +471,8 @@ class Engine {
   bool window_rendezvous();
 
   /// Last-arriver body: every shard is quiesced, the sync mutex serializes
-  /// access. Runs the deadlock / budget / watchdog checks and sets every
-  /// shard's next window end. Returns false to end the run.
+  /// access. Runs the deadlock / budget / watchdog checks, sets the next
+  /// window end and every shard's event cap. Returns false to end the run.
   bool advance_window_locked();
 
   /// Merge a shard's inbox into its heap (deterministic order, fresh local
@@ -589,7 +554,6 @@ class Engine {
   std::vector<std::unique_ptr<Participant>> participants_;
   EngineOptions options_;
   bool fastpath_ = true;
-  bool adaptive_ = false;  ///< resolved adaptive-lookahead mode (sharded only)
   double lookahead_ = 0.0;
   PostmortemCollector collector_;
   std::shared_ptr<const obs::Postmortem> last_postmortem_;
@@ -609,6 +573,10 @@ class Engine {
   bool sync_done_ = false;
   std::uint64_t windows_ = 0;
   std::uint64_t window_stalls_ = 0;
+  // Every shard's conservative window end: events strictly below it may
+  // dispatch this window. Only the barrier completer writes it, while every
+  // other shard waits; the generation release/acquire publishes it.
+  double window_end_ = 0.0;
 
   // Failure staging: the postmortem is built later, at the barrier, so the
   // failing context only records what happened here.

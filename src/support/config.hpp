@@ -271,16 +271,6 @@ struct RuntimeOptions {
   /// leaves no positive lookahead and falls back to a single shard.
   int shards = 0;
 
-  /// Let a sharded engine widen each shard's conservative window from the
-  /// other shards' next-event lower bounds at every barrier (DESIGN.md
-  /// §4.12) instead of pinning every window to the global minimum plus the
-  /// static lookahead. The static window remains the floor. Ignored on
-  /// serial engines; both modes are deterministic for a fixed shard count,
-  /// but they produce different (equally valid) virtual schedules. The
-  /// environment variable CAF2_SIM_ADAPTIVE_LOOKAHEAD={0,off,1,on}
-  /// overrides this.
-  bool adaptive_lookahead = true;
-
   /// Virtual-time watchdog quiet period (microseconds). When > 0 and every
   /// unfinished image is blocked while the next pending event is more than
   /// this far in the virtual future, the run is aborted with a structured

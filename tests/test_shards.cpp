@@ -2,8 +2,9 @@
 /// runtime: shards=1 repeat identity and stats shape, fixed-shard-count
 /// determinism across repeats, cross-shard asynchronous constructs at paper
 /// scale, cross-shard deadlock postmortems, fault plans and obs span capture
-/// under sharding, adaptive lookahead windows, and the remaining
-/// zero-lookahead fallback to one shard.
+/// under sharding, the static conservative window (determinism, reaction
+/// chains, no shard turn-taking), and the remaining zero-lookahead fallback
+/// to one shard.
 
 #include <gtest/gtest.h>
 
@@ -374,43 +375,29 @@ TEST(Shards, ObsChromeTracesRepeatByteIdenticallyAtEveryShardCount) {
   }
 }
 
-/// --- adaptive lookahead windows (DESIGN.md §4.12) ---------------------------
+/// --- the static conservative window (DESIGN.md §4.12) ----------------------
 
-TEST(Shards, AdaptiveLookaheadIsDefaultDeterministicAndReported) {
-  const RuntimeOptions options = shard_options(8, 4, 43);
+TEST(Shards, StaticWindowsAreDeterministic) {
+  const RuntimeOptions options = shard_options(8, 4, 47);
   const Fingerprint a = fingerprint_run(options, mixed_workload);
   const Fingerprint b = fingerprint_run(options, mixed_workload);
+  EXPECT_EQ(a.shards, 4);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
-  const RunStats stats = run_stats(options, mixed_workload);
-  EXPECT_EQ(stats.lookahead_mode, "adaptive");
-  const RunStats serial = run_stats(shard_options(8, 1, 43), mixed_workload);
-  EXPECT_EQ(serial.lookahead_mode, "serial");
-}
-
-TEST(Shards, StaticLookaheadStillAvailableAndDeterministic) {
-  RuntimeOptions options = shard_options(8, 4, 47);
-  options.adaptive_lookahead = false;
-  const Fingerprint a = fingerprint_run(options, mixed_workload);
-  const Fingerprint b = fingerprint_run(options, mixed_workload);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.end_us, b.end_us);
-  const RunStats stats = run_stats(options, mixed_workload);
-  EXPECT_EQ(stats.shards, 4);
-  EXPECT_EQ(stats.lookahead_mode, "static");
+  EXPECT_EQ(a.shard_events, b.shard_events);
+  EXPECT_EQ(a.windows, b.windows);
 }
 
 /// Ping-pong reaction chain rooted in a window-interior send. Images 0,1
 /// land on shard 0 and images 2,3 on shard 1 (contiguous partition). Image
 /// 3's long compute parks shard 1's earliest materialized event at t=2000,
-/// so the barrier bound alone would grant shard 0 a window ending near
-/// 2004 — far past the ~20 us round trip of the ping image 0 launches at
-/// t=10. Without the staging-time horizon clamp, shard 0 burns through its
-/// 1000 unit computes inside that stale window and the pong merges into its
-/// past (now a detected conservative-window violation); with the clamp,
-/// shard 0 stops at ping + lookahead and the pong lands in its future.
+/// so a window bounded by the other shard's next event would end near 2004 —
+/// far past the ~20 us round trip of the ping image 0 launches at t=10 —
+/// and the pong would merge into shard 0's past after it burns through its
+/// 1000 unit computes (a detected conservative-window violation). Windows
+/// that end at global_min + lookahead stop shard 0 well before the pong's
+/// arrival time, so it lands in shard 0's future.
 void reaction_chain_workload() {
   Team world = team_world();
   CoEvent ev(world);
@@ -435,7 +422,7 @@ void reaction_chain_workload() {
   }
 }
 
-TEST(Shards, AdaptiveWindowsStayConservativeForReactionChains) {
+TEST(Shards, WindowsStayConservativeForReactionChains) {
   const RuntimeOptions options = shard_options(4, 2, 61);
   const Fingerprint a = fingerprint_run(options, reaction_chain_workload);
   const Fingerprint b = fingerprint_run(options, reaction_chain_workload);
@@ -444,8 +431,6 @@ TEST(Shards, AdaptiveWindowsStayConservativeForReactionChains) {
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
-  const RunStats stats = run_stats(options, reaction_chain_workload);
-  EXPECT_EQ(stats.lookahead_mode, "adaptive");
 
   // The pong is the only message delivered to image 0; its recorded latency
   // proves the delivery was not time-shifted to image 0's t=1010 wait (the
@@ -459,17 +444,39 @@ TEST(Shards, AdaptiveWindowsStayConservativeForReactionChains) {
   EXPECT_LT(latency.sum_us / static_cast<double>(latency.count), 50.0);
 }
 
-TEST(Shards, AdaptiveLookaheadEnvOverrideWins) {
-  char* prior = std::getenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD");
-  const std::string saved = prior != nullptr ? prior : "";
-  ::setenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD", "0", 1);
-  const RunStats stats = run_stats(shard_options(8, 4, 49), mixed_workload);
-  EXPECT_EQ(stats.lookahead_mode, "static");
-  if (prior != nullptr) {
-    ::setenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD", saved.c_str(), 1);
-  } else {
-    ::unsetenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD");
-  }
+/// Dense neighbor ring: every image streams copy_async rounds to its
+/// successor, so both shards hold events in almost every window.
+void dense_ring_workload() {
+  Team world = team_world();
+  Coarray<long> slot(world, 8);
+  team_barrier(world);
+  const std::vector<long> payload(8, 1);
+  finish(world, [&] {
+    for (int round = 0; round < 4; ++round) {
+      copy_async(slot((world.rank() + 1) % world.size()),
+                 std::span<const long>(payload));
+      cofence();
+    }
+  });
+  team_barrier(world);
+}
+
+TEST(Shards, DenseExchangeKeepsBothShardsBusy) {
+  // Regression for shard turn-taking: a window rule that lets one shard run
+  // ahead to the other's next event plus one lookahead leaves that shard's
+  // own next event a full lookahead out, so in the next window only the
+  // other shard can run. With every window ending at global_min +
+  // lookahead, a dense exchange leaves almost no shard-window idle. Stall
+  // counts are deterministic for a fixed shard count.
+  RuntimeOptions options = shard_options(256, 2, 67);
+  options.net = NetworkParams::gemini_like();
+  options.record_trace = false;
+  const RunStats stats = run_stats(options, dense_ring_workload);
+  ASSERT_EQ(stats.shards, 2);
+  ASSERT_GT(stats.windows, 0u);
+  EXPECT_LT(stats.window_stalls * 10, stats.windows * 2)
+      << stats.window_stalls << " of " << stats.windows * 2
+      << " shard-windows stalled";
 }
 
 /// --- the remaining fallback to the serial engine ----------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "obs/postmortem.hpp"
@@ -187,6 +188,68 @@ TEST(Engine, EventBudgetGuardsRunaways) {
     ASSERT_NE(error.postmortem(), nullptr);
     EXPECT_EQ(error.postmortem()->kind, caf2::obs::FailKind::kEventBudget);
     EXPECT_EQ(error.postmortem()->events, 50u);
+  }
+}
+
+/// Where a sharded runaway stops, as the postmortem reports it.
+struct BudgetStop {
+  std::uint64_t events = 0;
+  double now_us = 0.0;
+  std::vector<std::string> states;
+};
+
+BudgetStop sharded_runaway(std::uint64_t budget) {
+  EngineOptions options;
+  options.shards = 2;
+  options.lookahead_us = 1.0;
+  options.max_events = budget;
+  Engine engine(64, options);
+  try {
+    engine.run([](int id) {
+      Engine& e = this_engine();
+      for (;;) {
+        e.advance(0.5 + 0.1 * (id % 5));
+        if (id % 2 == 0) {
+          // Wake the odd partner (same shard) and send the other shard a
+          // call one lookahead out.
+          e.unblock(id + 1);
+          e.post_for((id + 32) % 64, e.now() + 1.0, [] {});
+        } else {
+          e.block("waiting for partner");
+        }
+      }
+    });
+  } catch (const caf2::obs::StallError& error) {
+    BudgetStop stop;
+    if (error.postmortem() == nullptr) {
+      ADD_FAILURE() << "budget failure carried no postmortem";
+      return stop;
+    }
+    EXPECT_EQ(error.postmortem()->kind, caf2::obs::FailKind::kEventBudget);
+    stop.events = error.postmortem()->events;
+    stop.now_us = error.postmortem()->now_us;
+    for (const auto& image : error.postmortem()->per_image) {
+      stop.states.push_back(image.state);
+    }
+    return stop;
+  }
+  ADD_FAILURE() << "the event budget must abort the run";
+  return {};
+}
+
+TEST(Engine, ShardedEventBudgetStopsAtTheSamePointEveryRun) {
+  // The budget is split across shards at each barrier, so a two-shard
+  // runaway stops at most one event past it, at a point that does not
+  // depend on how the shard threads interleave.
+  constexpr std::uint64_t kBudget = 200'000;
+  const BudgetStop first = sharded_runaway(kBudget);
+  EXPECT_GE(first.events, kBudget);
+  EXPECT_LE(first.events, kBudget + 1);
+  for (int repeat = 1; repeat < 5; ++repeat) {
+    const BudgetStop again = sharded_runaway(kBudget);
+    EXPECT_EQ(again.events, first.events) << "repeat " << repeat;
+    EXPECT_EQ(again.now_us, first.now_us) << "repeat " << repeat;
+    EXPECT_EQ(again.states, first.states) << "repeat " << repeat;
   }
 }
 
