@@ -19,7 +19,7 @@ RemoteEvent Event::handle() const {
 void Event::post() {
   if (!triggers_.empty()) {
     auto trigger = std::move(triggers_.front());
-    triggers_.pop_front();
+    triggers_.erase(triggers_.begin());
     trigger();
     return;
   }

@@ -15,7 +15,6 @@
 /// hands out remote handles by team rank (the coarray-of-events idiom).
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -82,7 +81,10 @@ class Event {
   std::uint64_t id_ = 0;
   std::uint64_t count_ = 0;
   rt::Image* owner_ = nullptr;
-  std::deque<std::function<void()>> triggers_;
+  /// Armed when_posted() continuations, oldest first. A vector, not a deque:
+  /// only predicated copies ever arm one, and an empty std::deque still
+  /// allocates on construction.
+  std::vector<std::function<void()>> triggers_;
 };
 
 /// Notify an event wherever it lives: locally if owned by the calling

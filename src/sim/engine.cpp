@@ -26,8 +26,9 @@ int resolve_shards(int configured) {
 }
 
 namespace {
-/// The calling context's identity. The scheduler loop swaps it on every
-/// fiber switch (the suspended copy lives in Participant::context).
+/// The calling context's identity. The engine swaps it on every fiber switch
+/// (a switched-away participant's copy lives in Participant::context, the
+/// scheduler loop's in Shard::loop_context).
 thread_local ExecContext tls_context;
 
 /// The shard the calling OS thread works for, set by each shard loop for its
@@ -38,6 +39,13 @@ struct ShardTls {
   int index = 0;
 };
 thread_local ShardTls tls_shard;
+
+/// Bump a counter only its own shard's thread writes: a plain load + store,
+/// no locked read-modify-write.
+void bump(std::atomic<std::uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
 }  // namespace
 
 Engine* Engine::current_engine() { return tls_context.engine; }
@@ -188,7 +196,7 @@ std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
   std::uint64_t pending_calls = 0;
   for (const auto& shard : shards_) {
     now = std::max(now, shard->now_us.load(std::memory_order_relaxed));
-    pending_calls += shard->call_pool.size() - shard->free_slots.size();
+    pending_calls += shard->calls.in_use();
   }
   pm->now_us = now;
   pm->events = total_dispatched();
@@ -204,7 +212,9 @@ std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
         break;
       case PState::kWaiting:
         img.state = "blocked";
-        img.block_reason = participant->block_reason;
+        if (participant->block_reason != nullptr) {
+          img.block_reason = participant->block_reason;
+        }
         break;
       case PState::kIdle:
         img.state = "not started";
@@ -330,59 +340,59 @@ obs::Postmortem Engine::snapshot_postmortem(const std::string& headline) {
   return pm;
 }
 
-std::uint32_t Engine::acquire_slot(Shard& shard, InlineFn fn) {
-  if (!shard.free_slots.empty()) {
-    const std::uint32_t slot = shard.free_slots.back();
-    shard.free_slots.pop_back();
-    shard.call_pool[slot] = std::move(fn);
-    return slot;
+void Engine::enqueue(Shard& shard, double when, std::int32_t wake_participant,
+                     std::uint32_t call_slot) {
+  const QueuedEvent event{when, shard.next_seq++, wake_participant, call_slot};
+  if (when == shard.now_us.load(std::memory_order_relaxed)) {
+    shard.queue.push_now(event);
+  } else {
+    shard.queue.push(event);
   }
-  const std::uint32_t slot = static_cast<std::uint32_t>(shard.call_pool.size());
-  shard.call_pool.push_back(std::move(fn));
-  return slot;
 }
 
-void Engine::dispatch_chain(Shard& shard) {
+Engine::Participant* Engine::dispatch_chain(Shard& shard) {
   for (;;) {
     // An exhausted shard is not a deadlock: other shards may still feed
     // this one at the next window merge. The barrier performs the global
     // deadlock / budget / watchdog checks with every shard quiesced.
     if (failed() || shard.finished_count == shard.count ||
-        shard.heap.empty() || shard.heap.top().at >= window_end_ ||
+        shard.queue.empty() || shard.queue.top().at >= window_end_ ||
         shard.dispatched.load(std::memory_order_relaxed) >= shard.event_cap) {
-      return;
+      return nullptr;
     }
 
-    const Event event = shard.heap.top();
-    shard.heap.pop();
-    shard.dispatched.fetch_add(1, std::memory_order_relaxed);
+    const QueuedEvent event = shard.queue.pop();
+    bump(shard.dispatched);
     shard.now_us.store(
         std::max(shard.now_us.load(std::memory_order_relaxed), event.at),
         std::memory_order_relaxed);
 
     if (event.call_slot != kNoSlot) {
       record(shard, TraceKind::kCall, -1);
-      // Callbacks (network staging, deliveries, timers) run on the shard's
-      // scheduler loop. No participant of this shard holds the token here,
-      // so callbacks may freely mutate the shard's runtime state (mailboxes,
-      // counters) without racing.
-      InlineFn fn = std::move(shard.call_pool[event.call_slot]);
-      shard.free_slots.push_back(event.call_slot);
-      // A throwing callback must not propagate out of the scheduler loop;
-      // convert it into an engine failure.
+      // Callbacks (network staging, deliveries, timers) run under the
+      // scheduler loop's context, on the loop or on the stack of the
+      // participant that is handing the token on. No participant of this
+      // shard holds the token here, so callbacks may freely mutate the
+      // shard's runtime state (mailboxes, counters) without racing. The
+      // closure runs in place — its slot cannot move or be reused while it
+      // posts more — and is released once it returns.
+      // A throwing callback must not propagate into the dispatching
+      // participant or out of the scheduler loop; convert it into an engine
+      // failure.
       std::string error;
       try {
-        fn();
+        shard.calls[event.call_slot]();
       } catch (const std::exception& e) {
         error = std::string(" raised: ") + e.what();
       } catch (...) {
         error = " raised a non-standard exception";
       }
+      shard.calls.release(event.call_slot);
       if (!error.empty()) {
         fail_pending(obs::FailKind::kCallbackError,
                      "engine callback (dispatched from the scheduler)" + error,
                      nullptr, /*callback_error=*/true);
-        return;
+        return nullptr;
       }
       continue;
     }
@@ -400,29 +410,41 @@ void Engine::dispatch_chain(Shard& shard) {
       // repeats and with the fast path on or off (a fast-pathed self-wake
       // is exactly a dispatch that keeps the token in place).
       shard.token_owner = target.id;
-      shard.context_switches.fetch_add(1, std::memory_order_relaxed);
+      bump(shard.context_switches);
     }
-    shard.activated = &target;
-    return;
+    return &target;
   }
 }
 
 void Engine::switch_out(Participant& self) {
   self.active = false;
-  // Hand control back to the shard's scheduler loop, which dispatches the
-  // next event. Once the failure postmortem is ready, suspending would leave
-  // this fiber parked forever (the unwind pass resumes each live fiber
-  // exactly once) — throw immediately instead. Before that, a failed run
-  // still parks normally: the barrier builds the postmortem, and the unwind
-  // pass that follows it picks this fiber up.
+  // Once the failure postmortem is ready, parking would leave this fiber
+  // parked forever (the unwind pass resumes each live fiber exactly once) —
+  // throw immediately instead. Before that, a failed run still parks
+  // normally: the barrier builds the postmortem, and the unwind pass that
+  // follows it picks this fiber up.
   if (!shutdown_ready_.load(std::memory_order_acquire)) {
-    Fiber::suspend();
+    // Dispatch the next events right here, under the loop's context so that
+    // callbacks see no participant (current_id() == -1).
+    Shard& shard = home_shard(self.id);
+    self.context = tls_context;
+    tls_context = shard.loop_context;
+    Participant* const next = dispatch_chain(shard);
+    if (next == &self) {
+      tls_context = self.context;  // re-activated: keep running, no switch
+    } else if (next != nullptr) {
+      tls_context = next->context;
+      Fiber::switch_to(*next->fiber);
+    } else {
+      Fiber::suspend();  // nothing left this window: the loop takes over
+    }
+    // Whoever switches back to this fiber installs its context first.
   }
   if (failed()) {
     throw_failure();
   }
   self.state = PState::kRunnable;
-  self.block_reason.clear();
+  self.block_reason = nullptr;
 }
 
 void Engine::advance(double dt) {
@@ -436,9 +458,9 @@ void Engine::advance(double dt) {
   // Self-wake fast path: the caller holds the token, so every shard field
   // below is owned by this context until it suspends. If the wake we are
   // about to schedule — (target, next_seq) — would be the very next event
-  // dispatched, and the event budget permits dispatching it, skip the heap
+  // dispatched, and the event budget permits dispatching it, skip the queue
   // round-trip and the switch_out() handoff entirely. Ties at `target` go to
-  // the heap (existing events hold smaller sequence numbers), so the strict
+  // the queue (existing events hold smaller sequence numbers), so the strict
   // `>` comparison is exact, and the recorded trace (kAdvance then kWake) is
   // bit-identical to the slow path's. The jump must also stay strictly
   // inside the conservative window — the shard clock may never reach
@@ -446,7 +468,7 @@ void Engine::advance(double dt) {
   const double now = shard.now_us.load(std::memory_order_relaxed);
   const double target = now + dt;
   if (fastpath_ && !failed() &&
-      (shard.heap.empty() || shard.heap.top().at > target) &&
+      (shard.queue.empty() || shard.queue.top().at > target) &&
       target < window_end_ &&
       shard.dispatched.load(std::memory_order_relaxed) < shard.event_cap) {
     record(shard, TraceKind::kAdvance, self.id);
@@ -454,7 +476,7 @@ void Engine::advance(double dt) {
       observer_->on_compute(self.id, now, target);
     }
     ++shard.next_seq;  // the number the slow path's wake would consume
-    shard.dispatched.fetch_add(1, std::memory_order_relaxed);
+    bump(shard.dispatched);
     shard.now_us.store(target, std::memory_order_relaxed);
     record(shard, TraceKind::kWake, self.id);
     return;
@@ -464,11 +486,11 @@ void Engine::advance(double dt) {
   if (observer_ != nullptr && dt > 0.0) {
     observer_->on_compute(self.id, now, target);
   }
-  shard.heap.push(Event{target, shard.next_seq++, self.id, kNoSlot});
+  enqueue(shard, target, self.id, kNoSlot);
   // Stray wakes (e.g. an unblock() from a completion callback) can activate
   // this participant before its scheduled resume time; modeled computation
   // must not finish early, so re-relinquish until the clock reaches the
-  // target (the scheduled wake is still in the heap).
+  // target (the scheduled wake is still queued).
   do {
     switch_out(self);
   } while (shard.now_us.load(std::memory_order_relaxed) < target);
@@ -517,8 +539,8 @@ void Engine::unblock(int participant) {
   if (target.state == PState::kFinished || target.active) {
     return;
   }
-  shard.heap.push(Event{shard.now_us.load(std::memory_order_relaxed),
-                        shard.next_seq++, participant, kNoSlot});
+  enqueue(shard, shard.now_us.load(std::memory_order_relaxed), participant,
+          kNoSlot);
 }
 
 std::uint64_t Engine::reserve_seq() { return calling_shard().next_seq++; }
@@ -528,8 +550,8 @@ void Engine::post_reserved(double at, std::uint64_t seq, InlineFn fn) {
   Shard& shard = calling_shard();
   const double when =
       std::max(at, shard.now_us.load(std::memory_order_relaxed));
-  const std::uint32_t slot = acquire_slot(shard, std::move(fn));
-  shard.heap.push(Event{when, seq, -1, slot});
+  shard.queue.push(
+      QueuedEvent{when, seq, -1, shard.calls.acquire(std::move(fn))});
 }
 
 void Engine::post_call(double at, InlineFn fn) {
@@ -537,8 +559,7 @@ void Engine::post_call(double at, InlineFn fn) {
   Shard& shard = calling_shard();
   const double when =
       std::max(at, shard.now_us.load(std::memory_order_relaxed));
-  const std::uint32_t slot = acquire_slot(shard, std::move(fn));
-  shard.heap.push(Event{when, shard.next_seq++, -1, slot});
+  enqueue(shard, when, -1, shard.calls.acquire(std::move(fn)));
 }
 
 void Engine::post_for_call(int participant, double at, InlineFn fn) {
@@ -601,7 +622,7 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
   const double local_now = shard.now_us.load(std::memory_order_relaxed);
   bool ok = true;
   for (auto& ev : batch) {
-    // Clamping wakes to the destination clock keeps every heap entry at or
+    // Clamping wakes to the destination clock keeps every queued event at or
     // above the clock, which is what makes the global minimum — and with it
     // the window end — monotone (DESIGN.md §4.11). Calls are provably
     // already in the destination's future — a sender's clock is at least
@@ -619,11 +640,9 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
     }
     const double when = std::max(ev.at, local_now);
     if (ev.wake_participant >= 0) {
-      shard.heap.push(
-          Event{when, shard.next_seq++, ev.wake_participant, kNoSlot});
+      enqueue(shard, when, ev.wake_participant, kNoSlot);
     } else {
-      const std::uint32_t slot = acquire_slot(shard, std::move(ev.fn));
-      shard.heap.push(Event{when, shard.next_seq++, -1, slot});
+      enqueue(shard, when, -1, shard.calls.acquire(std::move(ev.fn)));
     }
   }
   return ok;
@@ -678,12 +697,12 @@ bool Engine::advance_window_locked() {
   }
 
   // The earliest pending event across shards after the inbox merge (+inf
-  // when every heap is empty).
+  // when every queue is empty).
   constexpr double kInf = std::numeric_limits<double>::infinity();
   double global_min = kInf;
   for (const auto& shard : shards_) {
-    if (!shard->heap.empty()) {
-      global_min = std::min(global_min, shard->heap.top().at);
+    if (!shard->queue.empty()) {
+      global_min = std::min(global_min, shard->queue.top().at);
     }
   }
   if (global_min == kInf) {
@@ -745,7 +764,7 @@ bool Engine::advance_window_locked() {
         options_.max_events == 0
             ? std::numeric_limits<std::uint64_t>::max()
             : shard->dispatched.load(std::memory_order_relaxed) + share;
-    if (shard->heap.empty() || shard->heap.top().at >= end) {
+    if (shard->queue.empty() || shard->queue.top().at >= end) {
       ++window_stalls_;
     }
   }
@@ -763,8 +782,8 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
     error = std::current_exception();
   }
 
-  // The shard's scheduler loop takes over dispatching as soon as this entry
-  // function returns.
+  // The entry function's return switches to the shard's scheduler loop,
+  // which takes over dispatching.
   if (error) {
     fail_pending(obs::FailKind::kImageError,
                  "participant raised an exception", error, false);
@@ -776,12 +795,13 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
   record(shard, TraceKind::kFinish, id);
 }
 
-void Engine::resume_fiber(Participant& target) {
-  const ExecContext saved = tls_context;
+void Engine::resume_fiber(Shard& shard, Participant& target) {
+  // Each participant saves its own context (slot updates included) when it
+  // switches away in switch_out(), so nothing needs saving here, whichever
+  // participant of the hand-off chain comes back.
   tls_context = target.context;
   target.fiber->resume();
-  target.context = tls_context;  // capture slot updates made by the fiber
-  tls_context = saved;
+  tls_context = shard.loop_context;
 }
 
 void Engine::unwind_live_fibers(Shard& shard) {
@@ -798,11 +818,11 @@ void Engine::unwind_live_fibers(Shard& shard) {
       ++shard.finished_count;
       continue;
     }
-    // The fiber is parked inside switch_out(); one resume lets it observe
-    // failed_, throw, and unwind its body. switch_out() refuses to suspend
-    // once the failure is ready, so this resume returns only when the fiber
-    // has finished.
-    resume_fiber(participant);
+    // The fiber is parked inside switch_out(), in Fiber::suspend() or
+    // Fiber::switch_to(); one resume lets it observe failed_, throw, and
+    // unwind its body. switch_out() refuses to park once the failure is
+    // ready, so this resume returns only when the fiber has finished.
+    resume_fiber(shard, participant);
     CAF2_ASSERT(participant.fiber->finished(),
                 "fiber survived failure unwinding");
   }
@@ -811,6 +831,7 @@ void Engine::unwind_live_fibers(Shard& shard) {
 void Engine::shard_loop(Shard& shard, const std::function<void(int)>& body) {
   const ShardTls saved = tls_shard;
   tls_shard = ShardTls{this, shard.index};
+  shard.loop_context = tls_context;
   for (int p = shard.first; p < shard.first + shard.count; ++p) {
     Participant& participant = *participants_[p];
     participant.context = ExecContext{this, p, {}};
@@ -818,19 +839,19 @@ void Engine::shard_loop(Shard& shard, const std::function<void(int)>& body) {
         options_.fiber_stack_bytes, [this, p, &body] { fiber_main(p, body); });
   }
 
-  // Open a window at the barrier, then dispatch this shard's events up to
-  // its end: switch onto each activated participant's fiber until it
-  // suspends or finishes, and repeat until the shard has nothing left to
+  // Open a window at the barrier, then dispatch this shard's first events
+  // and switch onto the activated participant. From there the participants
+  // dispatch and hand the token on themselves (switch_out); control comes
+  // back here when one of them finds the window exhausted, or finishes —
+  // then dispatch on from here, until the shard has nothing left to
   // dispatch this window.
   while (window_rendezvous()) {
     while (shard.finished_count < shard.count && !failed()) {
-      dispatch_chain(shard);
-      Participant* target = shard.activated;
-      shard.activated = nullptr;
+      Participant* const target = dispatch_chain(shard);
       if (target == nullptr) {
         break;  // window exhausted, shard drained, or run failed
       }
-      resume_fiber(*target);
+      resume_fiber(shard, *target);
     }
   }
   if (failed()) {
@@ -850,7 +871,7 @@ void Engine::run(const std::function<void(int)>& body) {
   // the first window.
   for (auto& shard : shards_) {
     for (int p = shard->first; p < shard->first + shard->count; ++p) {
-      shard->heap.push(Event{0.0, shard->next_seq++, p, kNoSlot});
+      enqueue(*shard, 0.0, p, kNoSlot);
     }
   }
 

@@ -6,27 +6,35 @@
 /// This is the substrate that substitutes for the paper's Cray XK6/XE6
 /// testbeds (DESIGN.md §1, §4.1). Each CAF process image runs as its own
 /// stackful fiber (sim/fiber.hpp), but the engine admits exactly **one
-/// runnable context at a time per shard**: a participant that blocks,
-/// advances its virtual clock, or finishes suspends back to its shard's
-/// scheduler loop, which hands the token to whichever pending event is
-/// earliest in *virtual time* (ties broken by insertion sequence, so runs
-/// are fully deterministic). A hand-off is a userspace register swap, which
-/// is what makes 1024-image (paper-scale) runs practical; the fiber switches
-/// are annotated for AddressSanitizer and ThreadSanitizer, so sanitizer
-/// builds run the same code (DESIGN.md §4.8).
+/// runnable context at a time per shard**: a participant that blocks or
+/// advances its virtual clock dispatches its shard's events itself, in
+/// *virtual-time* order (ties broken by insertion sequence, so runs are
+/// fully deterministic), until one activates a participant. It keeps
+/// running if that is itself, switches straight onto the other
+/// participant's fiber otherwise (one userspace register swap per token
+/// hand-off), and suspends to its shard's scheduler loop only when the
+/// window has nothing left; a participant that finishes returns to the
+/// loop. The loop itself only runs the window barrier and each window's
+/// first dispatch. The fiber switches are annotated for AddressSanitizer and
+/// ThreadSanitizer, so sanitizer builds run the same code (DESIGN.md §4.8).
 ///
-/// Three event kinds live in the heap:
+/// Three event kinds live in the queue:
 ///  - Wake(p, t): hand the token to participant p at time t (created by
 ///    advance(), yield(), and unblock());
 ///  - Call(f, t): run an engine callback at time t (network staging,
-///    delivery, timers). Callbacks run on whichever thread is dispatching
+///    delivery, timers). Callbacks run on whichever fiber is dispatching,
+///    but always under the scheduler's ExecContext (current_id() == -1),
 ///    and must not touch participant-local state or block;
 ///  - participants that block without a scheduled wake are resumed only by a
 ///    subsequent unblock() from a callback or another participant.
 ///
-/// Two hot-path properties keep dispatch cheap (DESIGN.md §4.6):
-///  - heap events are 24-byte PODs; a Call event's closure lives in a pooled
-///    small-buffer slot (InlineFn), not in a freshly allocated std::function;
+/// Hot-path properties that keep dispatch cheap (DESIGN.md §4.6):
+///  - queued events are 24-byte PODs; a Call event's closure lives in a
+///    pooled, stable-address small-buffer slot (InlineFn) and runs in place,
+///    not in a freshly allocated std::function;
+///  - events stamped at the current time with a fresh sequence number go to
+///    a FIFO instead of the binary heap (sim/event_queue.hpp), in the exact
+///    same dispatch order;
 ///  - when advance()/yield() can prove the caller's own wake would be the
 ///    very next event dispatched, it short-circuits the push/pop/handoff
 ///    entirely (the self-wake fast path). The fast path is trace-identical
@@ -37,10 +45,10 @@
 ///
 /// Every run is a conservative parallel discrete-event simulation over
 /// EngineOptions::shards (or CAF2_SIM_SHARDS=N) shards: participants are
-/// partitioned into contiguous shards, each shard owns its own event heap,
-/// call pool, sequence counter, and clock, and one scheduler loop per shard
-/// executes that shard's events — shard 0 on the thread that called run(),
-/// shards 1..N-1 on worker threads. Virtual time advances in windows: a
+/// partitioned into contiguous shards, each shard owns its own event queue,
+/// call pool, sequence counter, and clock, and each shard's events execute
+/// on one OS thread — shard 0 on the thread that called run(), shards
+/// 1..N-1 on worker threads. Virtual time advances in windows: a
 /// shard may dispatch any event strictly below one engine-wide `window_end =
 /// global_min + lookahead`, where `global_min` is the minimum pending event
 /// time across shards and the lookahead is the network's minimum link latency
@@ -50,14 +58,14 @@
 /// already executing — cross-shard events are staged into the destination's
 /// inbox and merged at the next window boundary in the deterministic order
 /// `(time, source shard, per-source counter)`, then re-sequenced into the
-/// destination heap. Any fixed shard count is deterministic across repeats.
+/// destination queue. Any fixed shard count is deterministic across repeats.
 /// Sharding requires a positive lookahead; configurations without one
 /// (zero-latency networks) automatically fall back to one shard. A shard
 /// with no peers can receive nothing, so its window is unbounded: `shards=1`
 /// is the same loop with a single window. The reliable-delivery protocol
 /// and obs span capture both run sharded (DESIGN.md §4.12).
 ///
-/// If the heap drains while unfinished participants are blocked, the
+/// If the queues drain while unfinished participants are blocked, the
 /// simulated program has provably deadlocked; the engine collects a
 /// structured obs::Postmortem (its own per-participant section plus whatever
 /// the installed postmortem collector contributes — the runtime adds wait-for
@@ -85,10 +93,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/trace.hpp"
@@ -112,7 +120,7 @@ class Engine;
 int resolve_shards(int configured);
 
 /// Everything that makes the calling context "participant N of engine E".
-/// The scheduler swaps the thread-local instance on every fiber switch, so
+/// The engine swaps the thread-local instance on every fiber switch, so
 /// code above the engine (e.g. the runtime's current-image pointer, stored
 /// in a slot) follows the participant even though many participants share
 /// one OS thread.
@@ -374,35 +382,52 @@ class Engine {
     int id = -1;
     PState state = PState::kIdle;
     bool active = false;  ///< holds (or is about to receive) the token
-    std::string block_reason;
+    const char* block_reason = nullptr;  ///< static string, while kWaiting
     std::unique_ptr<Fiber> fiber;
-    ExecContext context;  ///< saved while the fiber is suspended
+    ExecContext context;  ///< saved while the fiber is switched away
   };
 
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoSlot = QueuedEvent::kNoSlot;
 
-  /// Heap entry: a POD. Wake events carry the participant id; Call events
-  /// carry an index into the shard's call pool where the closure lives.
-  struct Event {
-    double at = 0.0;
-    std::uint64_t seq = 0;
-    std::int32_t wake_participant = -1;  ///< >= 0 for Wake events
-    std::uint32_t call_slot = kNoSlot;   ///< != kNoSlot for Call events
-  };
-
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) {
-        return a.at > b.at;  // min-heap on time
+  /// Call closures, addressed by slot. Slots live in fixed-size chunks that
+  /// never move, so a closure runs in place while it posts more closures.
+  class CallPool {
+   public:
+    std::uint32_t acquire(InlineFn fn) {
+      std::uint32_t slot = made_;
+      if (!free_.empty()) {
+        slot = free_.back();
+        free_.pop_back();
+      } else {
+        if ((made_ & (kChunk - 1)) == 0) {
+          chunks_.push_back(std::make_unique<InlineFn[]>(kChunk));
+        }
+        ++made_;
       }
-      return a.seq > b.seq;  // FIFO among equal times
+      (*this)[slot] = std::move(fn);
+      return slot;
     }
+    InlineFn& operator[](std::uint32_t slot) {
+      return chunks_[slot / kChunk][slot & (kChunk - 1)];
+    }
+    /// Destroy the slot's closure and recycle the slot.
+    void release(std::uint32_t slot) {
+      (*this)[slot].reset();
+      free_.push_back(slot);
+    }
+    std::size_t in_use() const { return made_ - free_.size(); }
+
+   private:
+    static constexpr std::uint32_t kChunk = 256;  // a power of two
+    std::vector<std::unique_ptr<InlineFn[]>> chunks_;
+    std::vector<std::uint32_t> free_;
+    std::uint32_t made_ = 0;
   };
 
   /// An event staged by one shard for another, merged at the next window
   /// boundary. Sorted by (at, source_shard, order) — `order` is a per-source
   /// monotonic counter, so the merge is deterministic for a fixed shard
-  /// count — then re-sequenced into the destination heap.
+  /// count — then re-sequenced into the destination queue.
   struct CrossEvent {
     double at = 0.0;
     std::uint64_t order = 0;
@@ -421,13 +446,16 @@ class Engine {
     int first = 0;  ///< first participant id; shard spans [first, first+count)
     int count = 0;
 
-    std::priority_queue<Event, std::vector<Event>, EventOrder> heap;
-    std::vector<InlineFn> call_pool;         ///< Call closures, slot-addressed
-    std::vector<std::uint32_t> free_slots;   ///< recycled call_pool indices
+    EventQueue queue;
+    CallPool calls;
+    /// The scheduler loop's own context (the thread's context when the loop
+    /// started), installed while anything but a participant body runs.
+    ExecContext loop_context;
 
-    // now_us and dispatched are atomics so now()/event_count() stay callable
-    // from other threads; all *writes* happen on the shard's own thread, so
-    // relaxed ordering suffices — cross-thread publication rides the
+    // now_us, dispatched and context_switches are atomics so now() and the
+    // counters stay callable from other threads; all *writes* happen on the
+    // shard's own thread (a plain load + store, no locked read-modify-write),
+    // so relaxed ordering suffices — cross-thread publication rides the
     // window-barrier handoff.
     std::atomic<double> now_us{0.0};
     std::atomic<std::uint64_t> dispatched{0};
@@ -438,7 +466,6 @@ class Engine {
     std::uint64_t event_cap = 0;
     std::uint64_t next_seq = 0;
     int token_owner = -1;  ///< participant last handed the token
-    Participant* activated = nullptr;  ///< dispatch_chain -> scheduler loop
     int finished_count = 0;
 
     std::vector<TraceEntry> trace;
@@ -461,8 +488,9 @@ class Engine {
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
   /// One shard's scheduler loop: create its participants' fibers, then
-  /// alternately open a window at the barrier and dispatch the shard's
-  /// events up to its end, until the barrier ends the run.
+  /// alternately open a window at the barrier and start the window's
+  /// dispatch (the participants carry it on through switch_out), until the
+  /// barrier ends the run.
   void shard_loop(Shard& shard, const std::function<void(int)>& body);
 
   /// Arrive at the window barrier; the last arriver merges inboxes and opens
@@ -475,7 +503,7 @@ class Engine {
   /// window end and every shard's event cap. Returns false to end the run.
   bool advance_window_locked();
 
-  /// Merge a shard's inbox into its heap (deterministic order, fresh local
+  /// Merge a shard's inbox into its queue (deterministic order, fresh local
   /// sequence numbers). Returns false — filling \p violation — when a call
   /// event arrived below the destination clock: a conservative-window
   /// violation the caller must turn into an engine failure, because the
@@ -496,27 +524,36 @@ class Engine {
   /// Participant body (entry function of the participant's fiber).
   void fiber_main(int id, const std::function<void(int)>& body);
 
-  /// Switch onto a participant's fiber, installing its ExecContext for the
-  /// duration and saving it back (with any slot changes) on return.
-  void resume_fiber(Participant& target);
+  /// Switch from the scheduler loop onto a participant's fiber, installing
+  /// its ExecContext. Returns when a participant of the hand-off chain it
+  /// starts suspends or finishes; the loop's context is reinstalled then.
+  void resume_fiber(Shard& shard, Participant& target);
 
   /// After a failure: resume every live fiber of \p shard once so its
-  /// pending engine call observes failed_ and throws, unwinding the body.
+  /// pending engine call observes failed_ and throws, unwinding the body
+  /// (whether it is parked in Fiber::suspend() or Fiber::switch_to()).
   /// Runs in rank order (deterministic); never-started fibers are retired
   /// without running the body.
   void unwind_live_fibers(Shard& shard);
 
-  /// Relinquish the token: suspend back to the shard's scheduler loop, which
-  /// dispatches. Must be called by the participant that currently has the
-  /// token. Throws obs::StallError if the run failed meanwhile.
+  /// Relinquish the token: dispatch the shard's next events under the
+  /// loop's context, then keep running (self re-activated), switch directly
+  /// onto the activated participant, or suspend to the scheduler loop when
+  /// the window has nothing left. Must be called by the participant that
+  /// currently has the token. Throws obs::StallError if the run failed
+  /// meanwhile.
   void switch_out(Participant& self);
 
   /// Pop and dispatch \p shard's events until a participant is activated,
   /// the shard drains, the window is exhausted, or the event budget is
-  /// spent. The activated participant (if any) is left in shard.activated.
-  /// A callback that throws fails the run with a tagged error instead of
-  /// propagating.
-  void dispatch_chain(Shard& shard);
+  /// spent. Returns the activated participant, or nullptr. A callback that
+  /// throws fails the run with a tagged error instead of propagating.
+  Participant* dispatch_chain(Shard& shard);
+
+  /// Queue an event under a fresh sequence number at \p when (>= the shard
+  /// clock): on the FIFO tier when it is the current time, else the heap.
+  void enqueue(Shard& shard, double when, std::int32_t wake_participant,
+               std::uint32_t call_slot);
 
   void post_call(double at, InlineFn fn);
   void post_for_call(int participant, double at, InlineFn fn);
@@ -525,8 +562,6 @@ class Engine {
   /// context (the source shard identity stamps the merge order).
   void cross_post(int dest_shard, double at, std::int32_t wake_participant,
                   InlineFn fn);
-
-  std::uint32_t acquire_slot(Shard& shard, InlineFn fn);
 
   std::uint64_t total_dispatched() const;
 
@@ -543,7 +578,7 @@ class Engine {
   [[noreturn]] void throw_failure() const;
 
   /// True when at least one participant is blocked and every unfinished one
-  /// is (i.e. only heap events can make progress). Requires a quiesced
+  /// is (i.e. only queued events can make progress). Requires a quiesced
   /// engine.
   bool all_unfinished_blocked_locked() const;
 

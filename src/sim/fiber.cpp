@@ -282,10 +282,10 @@ void* make_initial_frame(void* stack_top) {
 
 namespace {
 
-struct UctxPair {
-  ucontext_t fiber;
-  ucontext_t resumer;
-};
+// fiber_sp_ holds the fiber's own heap-allocated ucontext_t; resumer_sp_
+// points at the ucontext_t in the resuming resume() frame, so switch_to()
+// hands it over by pointer (a ucontext_t must not be copied: it may point
+// into itself).
 
 void ucontext_tramp(unsigned hi, unsigned lo) {
   const std::uintptr_t raw =
@@ -335,16 +335,16 @@ Fiber::Fiber(std::size_t stack_bytes, std::function<void()> entry)
 #if defined(CAF2_FIBER_ASM_X86_64)
   fiber_sp_ = make_initial_frame(stack_.top());
 #else
-  auto* pair = new UctxPair();
-  CAF2_ASSERT(getcontext(&pair->fiber) == 0, "getcontext failed");
-  pair->fiber.uc_stack.ss_sp = stack_.limit();
-  pair->fiber.uc_stack.ss_size = stack_.usable();
-  pair->fiber.uc_link = nullptr;
+  auto* context = new ucontext_t();
+  CAF2_ASSERT(getcontext(context) == 0, "getcontext failed");
+  context->uc_stack.ss_sp = stack_.limit();
+  context->uc_stack.ss_size = stack_.usable();
+  context->uc_link = nullptr;
   const std::uintptr_t raw = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&pair->fiber, reinterpret_cast<void (*)()>(ucontext_tramp), 2,
+  makecontext(context, reinterpret_cast<void (*)()>(ucontext_tramp), 2,
               static_cast<unsigned>(raw >> 32),
               static_cast<unsigned>(raw & 0xFFFFFFFFu));
-  fiber_sp_ = pair;
+  fiber_sp_ = context;
 #endif
 }
 
@@ -353,7 +353,7 @@ Fiber::~Fiber() {
   __tsan_destroy_fiber(tsan_fiber_);
 #endif
 #if !defined(CAF2_FIBER_ASM_X86_64)
-  delete static_cast<UctxPair*>(fiber_sp_);
+  delete static_cast<ucontext_t*>(fiber_sp_);
 #endif
   StackPool::instance().release(stack_);
 }
@@ -366,8 +366,11 @@ void Fiber::resume() {
   Fiber* previous = tl_current_fiber;
   tl_current_fiber = this;
   started_ = true;
-  CAF2_ASAN_START_SWITCH(&asan_resumer_fake_stack_, stack_.limit(),
-                         stack_.usable());
+  handed_off_ = false;
+  // The resumer's fake stack lives in this frame: the fiber that eventually
+  // switches back here may be another one this fiber handed off to.
+  [[maybe_unused]] void* resumer_fake_stack = nullptr;
+  CAF2_ASAN_START_SWITCH(&resumer_fake_stack, stack_.limit(), stack_.usable());
 #if defined(CAF2_TSAN)
   tsan_resumer_ = __tsan_get_current_fiber();
 #endif
@@ -375,11 +378,12 @@ void Fiber::resume() {
 #if defined(CAF2_FIBER_ASM_X86_64)
   caf2_ctx_swap(&resumer_sp_, fiber_sp_, this);
 #else
-  auto* pair = static_cast<UctxPair*>(fiber_sp_);
-  CAF2_ASSERT(swapcontext(&pair->resumer, &pair->fiber) == 0,
+  ucontext_t resumer;
+  resumer_sp_ = &resumer;
+  CAF2_ASSERT(swapcontext(&resumer, static_cast<ucontext_t*>(fiber_sp_)) == 0,
               "swapcontext into fiber failed");
 #endif
-  CAF2_ASAN_FINISH_SWITCH(asan_resumer_fake_stack_, nullptr, nullptr);
+  CAF2_ASAN_FINISH_SWITCH(resumer_fake_stack, nullptr, nullptr);
   tl_current_fiber = previous;
 }
 
@@ -393,14 +397,53 @@ void Fiber::suspend() {
 #if defined(CAF2_FIBER_ASM_X86_64)
   caf2_ctx_swap(&self->fiber_sp_, self->resumer_sp_, nullptr);
 #else
-  auto* pair = static_cast<UctxPair*>(self->fiber_sp_);
-  CAF2_ASSERT(swapcontext(&pair->fiber, &pair->resumer) == 0,
+  CAF2_ASSERT(swapcontext(static_cast<ucontext_t*>(self->fiber_sp_),
+                          static_cast<ucontext_t*>(self->resumer_sp_)) == 0,
               "swapcontext out of fiber failed");
 #endif
-  // Back on the fiber after a later resume().
-  CAF2_ASAN_FINISH_SWITCH(self->asan_fiber_fake_stack_,
-                          &self->asan_resumer_stack_bottom_,
-                          &self->asan_resumer_stack_size_);
+  // Back on the fiber after a later resume() or switch_to().
+  self->finish_switch_in();
+}
+
+void Fiber::switch_to(Fiber& next) {
+  Fiber* self = tl_current_fiber;
+  CAF2_ASSERT(self != nullptr, "switch_to() outside any fiber");
+  CAF2_ASSERT(self != &next && !next.finished_,
+              "switch_to() needs another, unfinished fiber");
+  next.resumer_sp_ = self->resumer_sp_;
+  next.asan_resumer_stack_bottom_ = self->asan_resumer_stack_bottom_;
+  next.asan_resumer_stack_size_ = self->asan_resumer_stack_size_;
+  next.tsan_resumer_ = self->tsan_resumer_;
+  next.handed_off_ = true;
+  next.started_ = true;
+  tl_current_fiber = &next;
+  CAF2_ASAN_START_SWITCH(&self->asan_fiber_fake_stack_, next.stack_.limit(),
+                         next.stack_.usable());
+  CAF2_TSAN_SWITCH_TO(next.tsan_fiber_);
+#if defined(CAF2_FIBER_ASM_X86_64)
+  caf2_ctx_swap(&self->fiber_sp_, next.fiber_sp_, &next);
+#else
+  CAF2_ASSERT(swapcontext(static_cast<ucontext_t*>(self->fiber_sp_),
+                          static_cast<ucontext_t*>(next.fiber_sp_)) == 0,
+              "swapcontext between fibers failed");
+#endif
+  self->finish_switch_in();
+}
+
+void Fiber::finish_switch_in() {
+#if defined(CAF2_ASAN)
+  // Entered by resume(): the stack we came from is the resumer's, record it
+  // for the switch back. Entered by switch_to(): it is the previous fiber's,
+  // and the resumer's bounds were handed over already.
+  const void* from_bottom = nullptr;
+  std::size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(asan_fiber_fake_stack_, &from_bottom,
+                                  &from_size);
+  if (!handed_off_) {
+    asan_resumer_stack_bottom_ = from_bottom;
+    asan_resumer_stack_size_ = from_size;
+  }
+#endif
 }
 
 namespace {
@@ -425,8 +468,7 @@ void fiber_entry_thunk(void* raw) {
 void Fiber::run_entry() {
   // Complete the switch that carried us here (records the resumer's stack
   // so suspend() can announce switches back to it).
-  CAF2_ASAN_FINISH_SWITCH(asan_fiber_fake_stack_, &asan_resumer_stack_bottom_,
-                          &asan_resumer_stack_size_);
+  finish_switch_in();
   try {
     entry_();
   } catch (...) {
@@ -444,8 +486,8 @@ void Fiber::run_entry() {
   void* dummy = nullptr;
   caf2_ctx_swap(&dummy, resumer_sp_, nullptr);
 #else
-  auto* pair = static_cast<UctxPair*>(fiber_sp_);
-  swapcontext(&pair->fiber, &pair->resumer);
+  swapcontext(static_cast<ucontext_t*>(fiber_sp_),
+              static_cast<ucontext_t*>(resumer_sp_));
 #endif
   fiber_fatal_abort();  // a finished fiber must never be resumed
 }

@@ -27,12 +27,18 @@
 ///    context, and a switch is a happens-before edge), so sanitizer builds
 ///    run the same fibers as release builds.
 ///
+/// Direct hand-off: switch_to() moves from the running fiber straight onto
+/// another one, which inherits the running fiber's resumer — so a chain of
+/// hand-offs A -> B -> C costs one switch each, and whichever fiber of the
+/// chain suspends (or finishes) returns to the resumer that started it.
+///
 /// Discipline: resume() may only be called from outside the fiber (the
-/// scheduler), suspend() only from inside it, and both always on the same
-/// OS thread for a given fiber. The entry function must not let exceptions
-/// escape and must return normally; a fiber destroyed while suspended
-/// mid-body releases its stack without running pending destructors (the
-/// engine only does this after unwinding every participant).
+/// scheduler), suspend() and switch_to() only from inside a fiber, and all
+/// of them always on the same OS thread for a given fiber. The entry
+/// function must not let exceptions escape and must return normally; a
+/// fiber destroyed while suspended mid-body releases its stack without
+/// running pending destructors (the engine only does this after unwinding
+/// every participant).
 
 #include <cstddef>
 #include <functional>
@@ -58,6 +64,13 @@ class Fiber {
   /// Switch from the currently running fiber back to its resumer. Must be
   /// called from inside a fiber.
   static void suspend();
+
+  /// Switch from the currently running fiber directly onto \p next (fresh
+  /// or suspended, not finished, not the caller). \p next takes over the
+  /// caller's resumer: when it suspends or finishes, control returns to
+  /// whoever resumed the caller. Returns when the caller is resumed or
+  /// switched to again. Must be called from inside a fiber.
+  static void switch_to(Fiber& next);
 
   /// The fiber currently executing on this thread (nullptr outside fibers).
   static Fiber* current();
@@ -92,18 +105,25 @@ class Fiber {
   // before __sanitizer_finish_switch_fiber and crash the sanitizer runtime.
   void run_entry();
 
+  /// Complete the sanitizer side of a switch onto this fiber; runs on this
+  /// fiber's stack right after every switch into it.
+  void finish_switch_in();
+
   std::function<void()> entry_;
   Stack stack_{};
-  void* fiber_sp_ = nullptr;  ///< suspended fiber's stack pointer
-  void* resumer_sp_ = nullptr;  ///< resumer's stack pointer while fiber runs
+  void* fiber_sp_ = nullptr;  ///< suspended fiber's saved context
+  void* resumer_sp_ = nullptr;  ///< resumer's saved context while fiber runs
   bool started_ = false;
   bool finished_ = false;
 
   // AddressSanitizer bookkeeping (unused members cost nothing elsewhere).
-  void* asan_resumer_fake_stack_ = nullptr;
+  // The resumer's stack bounds are learned when resume() switches in, or
+  // handed over by switch_to() (handed_off_), whose switch-in reports the
+  // previous fiber's stack instead.
   void* asan_fiber_fake_stack_ = nullptr;
   const void* asan_resumer_stack_bottom_ = nullptr;
   std::size_t asan_resumer_stack_size_ = 0;
+  bool handed_off_ = false;
 
   // ThreadSanitizer contexts: this fiber's own, and its resumer's.
   void* tsan_fiber_ = nullptr;

@@ -10,8 +10,8 @@
 /// Message). InlineFn stores closures up to kInlineBytes in place — sized so
 /// a whole message "flight" (payload vector + completion callbacks + timing)
 /// fits — and only falls back to the heap beyond that. Instances live in the
-/// engine's slot pool and are relocated (move + destroy) when the pool's
-/// backing vector grows or when a slot is handed to a dispatcher.
+/// engine's stable-address slot pool and run in place there; they are
+/// relocated (move + destroy) only on their way into a slot.
 
 #include <cstddef>
 #include <new>

@@ -55,6 +55,11 @@ concept HasMemberLoad = requires(T& value, ReadArchive& ar) {
 /// Append-only binary buffer.
 class WriteArchive {
  public:
+  /// Reserves a small buffer up front: most archives (spawn arguments,
+  /// notifications) are a few 8-byte fields, which would otherwise regrow
+  /// the vector several times.
+  WriteArchive() { bytes_.reserve(64); }
+
   /// Raw byte append.
   void write_bytes(const void* data, std::size_t size);
 

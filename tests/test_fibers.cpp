@@ -7,6 +7,7 @@
 
 #include <alloca.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -84,6 +85,96 @@ TEST(Fiber, DeepStacksSurviveWithinTheLimit) {
   fiber.resume();
   EXPECT_TRUE(fiber.finished());
   EXPECT_EQ(result, 0);
+}
+
+/// --- direct hand-off (switch_to) --------------------------------------------
+
+TEST(Fiber, SwitchToChainReturnsToTheOriginalResumer) {
+  // A -> B -> C -> resumer, then the resumer picks each fiber up again where
+  // it parked: C in suspend(), A and B in switch_to().
+  std::vector<std::string> order;
+  std::unique_ptr<Fiber> a;
+  std::unique_ptr<Fiber> b;
+  std::unique_ptr<Fiber> c;
+  a = std::make_unique<Fiber>(64 * 1024, [&] {
+    order.push_back("a1");
+    EXPECT_EQ(Fiber::current(), a.get());
+    Fiber::switch_to(*b);
+    order.push_back("a2");
+  });
+  b = std::make_unique<Fiber>(64 * 1024, [&] {
+    order.push_back("b1");
+    EXPECT_EQ(Fiber::current(), b.get());
+    Fiber::switch_to(*c);
+    order.push_back("b2");
+  });
+  c = std::make_unique<Fiber>(64 * 1024, [&] {
+    order.push_back("c1");
+    EXPECT_EQ(Fiber::current(), c.get());
+    Fiber::suspend();
+    order.push_back("c2");
+  });
+  a->resume();  // b and c start through switch_to, not resume
+  order.push_back("r");
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_TRUE(b->started());
+  EXPECT_TRUE(c->started());
+  EXPECT_FALSE(a->finished());
+  c->resume();
+  b->resume();
+  a->resume();
+  EXPECT_TRUE(a->finished());
+  EXPECT_TRUE(b->finished());
+  EXPECT_TRUE(c->finished());
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "b1", "c1", "r", "c2",
+                                             "b2", "a2"}));
+  EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+TEST(Fiber, FiberFinishingAfterAHandOffReturnsToTheResumer) {
+  // B is entered through switch_to and finishes: control returns to whoever
+  // resumed A, and A stays parked in switch_to until it is resumed.
+  std::vector<int> order;
+  std::unique_ptr<Fiber> b;
+  Fiber a(64 * 1024, [&] {
+    order.push_back(1);
+    Fiber::switch_to(*b);
+    order.push_back(4);
+  });
+  b = std::make_unique<Fiber>(64 * 1024, [&] { order.push_back(2); });
+  a.resume();
+  order.push_back(3);
+  EXPECT_TRUE(b->finished());
+  EXPECT_FALSE(a.finished());
+  a.resume();
+  EXPECT_TRUE(a.finished());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Fiber, SwitchToHandsBackAndForth) {
+  // Two fibers ping-pong directly many times before either returns to the
+  // resumer: each hand-off resumes the other where it parked.
+  int turns = 0;
+  std::unique_ptr<Fiber> ping;
+  std::unique_ptr<Fiber> pong;
+  ping = std::make_unique<Fiber>(64 * 1024, [&] {
+    for (int i = 0; i < 1000; ++i) {
+      ++turns;
+      Fiber::switch_to(*pong);
+    }
+  });
+  pong = std::make_unique<Fiber>(64 * 1024, [&] {
+    do {
+      ++turns;
+      Fiber::switch_to(*ping);
+    } while (!ping->finished());
+  });
+  ping->resume();  // ping finishes after its 1000th return from pong
+  EXPECT_TRUE(ping->finished());
+  EXPECT_FALSE(pong->finished());
+  EXPECT_EQ(turns, 2000);
+  pong->resume();  // pong parked in switch_to; it sees ping done and ends
+  EXPECT_TRUE(pong->finished());
 }
 
 /// --- engine behaviour on fibers ---------------------------------------------

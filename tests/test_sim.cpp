@@ -1,15 +1,22 @@
 /// Unit tests for the discrete-event simulation engine: virtual-time
-/// semantics, deterministic scheduling, deadlock detection, exception
-/// propagation, and the regression for early wake-ups during advance().
+/// semantics, deterministic scheduling, the two-tier event queue's order,
+/// direct participant-to-participant hand-offs, deadlock detection,
+/// exception propagation, and the regression for early wake-ups during
+/// advance().
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <queue>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "obs/postmortem.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/fiber.hpp"
 #include "sim/participant.hpp"
 
 namespace {
@@ -297,6 +304,230 @@ TEST(Engine, NegativeAdvanceRejected) {
   Engine engine(1);
   EXPECT_THROW(engine.run([](int) { this_engine().advance(-1.0); }),
                caf2::UsageError);
+}
+
+/// --- two-tier event queue ---------------------------------------------------
+
+TEST(EventQueue, PopOrderMatchesAReferenceHeap) {
+  // Interleave the engine's three kinds of push — current-time events with
+  // fresh sequence numbers (FIFO tier), future events, and events redeeming
+  // an earlier reserved sequence number (both heap tier) — with pops, and
+  // check every pop against one reference heap under EventOrder. Times are
+  // multiples of 0.5 so equal-time ties are frequent.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    std::mt19937_64 rng(seed);
+    EventQueue queue;
+    std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, EventOrder>
+        reference;
+    double now = 0.0;
+    std::uint64_t next_seq = 0;
+    std::int32_t next_id = 0;
+    std::vector<std::uint64_t> reserved;
+    std::uint64_t pops = 0;
+    const auto check_pop = [&] {
+      ASSERT_EQ(queue.size(), reference.size());
+      ASSERT_FALSE(queue.empty());
+      const QueuedEvent expect = reference.top();
+      reference.pop();
+      ASSERT_EQ(queue.top().wake_participant, expect.wake_participant);
+      const QueuedEvent got = queue.pop();
+      ASSERT_EQ(got.wake_participant, expect.wake_participant)
+          << "seed " << seed << " pop " << pops;
+      ASSERT_EQ(got.seq, expect.seq);
+      ASSERT_EQ(got.at, expect.at);
+      now = got.at;  // the dispatch clock
+      ++pops;
+    };
+    for (int op = 0; op < 120'000; ++op) {
+      const unsigned kind = static_cast<unsigned>(rng() % 10);
+      if (kind < 3) {
+        const QueuedEvent event{now, next_seq++, next_id++};
+        queue.push_now(event);
+        reference.push(event);
+      } else if (kind < 5) {
+        const QueuedEvent event{now + 0.5 * static_cast<double>(rng() % 4),
+                                next_seq++, next_id++};
+        queue.push(event);
+        reference.push(event);
+      } else if (kind == 5) {
+        reserved.push_back(next_seq++);
+      } else if (kind == 6 && !reserved.empty()) {
+        const std::size_t pick = rng() % reserved.size();
+        const QueuedEvent event{now + 0.5 * static_cast<double>(rng() % 3),
+                                reserved[pick], next_id++};
+        reserved[pick] = reserved.back();
+        reserved.pop_back();
+        queue.push(event);
+        reference.push(event);
+      } else if (!reference.empty()) {
+        check_pop();
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+    while (!reference.empty()) {
+      check_pop();
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_GT(pops, 40'000u);
+  }
+}
+
+/// --- direct hand-off --------------------------------------------------------
+
+void* tag_of(int id) {
+  return reinterpret_cast<void*>(static_cast<std::uintptr_t>(0x1000 + id));
+}
+
+TEST(Engine, ContextFollowsParticipantsAcrossDirectHandOffs) {
+  // A token ring: each participant takes its turn, wakes the next and
+  // blocks, so the token moves participant-to-participant without visiting
+  // the scheduler loop. Every participant must keep seeing its own id and
+  // slots.
+  constexpr int kParticipants = 6;
+  constexpr int kRounds = 20;
+  Engine engine(kParticipants);
+  int turn = 0;
+  engine.run([&](int id) {
+    Engine& e = this_engine();
+    Engine::context_slot(0) = tag_of(id);
+    Engine::context_slot(1) = tag_of(100 + id);
+    for (int round = 0; round < kRounds; ++round) {
+      while (turn % kParticipants != id) {
+        e.block("waiting for my turn");
+      }
+      ASSERT_EQ(Engine::current_id(), id);
+      ASSERT_EQ(Engine::context_slot(0), tag_of(id));
+      ASSERT_EQ(Engine::context_slot(1), tag_of(100 + id));
+      ++turn;
+      e.unblock((id + 1) % kParticipants);
+    }
+  });
+  EXPECT_EQ(turn, kParticipants * kRounds);
+  EXPECT_GE(engine.context_switch_count(),
+            static_cast<std::uint64_t>(kParticipants * kRounds));
+}
+
+TEST(Engine, CallbacksSeeNoParticipantWhenAParticipantDispatches) {
+  // Participants dispatch the events that follow their own hand-off, so
+  // callbacks mostly run on a participant's stack — but never as that
+  // participant.
+  Engine engine(2);
+  std::vector<int> ids;
+  std::vector<void*> slots;
+  int on_participant_stack = 0;
+  engine.run([&](int id) {
+    Engine& e = this_engine();
+    Engine::context_slot(0) = tag_of(id);
+    for (int i = 0; i < 5; ++i) {
+      e.post_in(0.5, [&] {
+        ids.push_back(Engine::current_id());
+        slots.push_back(Engine::context_slot(0));
+        on_participant_stack += Fiber::current() != nullptr ? 1 : 0;
+      });
+      e.advance(1.0);
+      EXPECT_EQ(Engine::current_id(), id);
+      EXPECT_EQ(Engine::context_slot(0), tag_of(id));
+    }
+  });
+  ASSERT_EQ(ids.size(), 10u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], -1) << "callback " << i;
+    EXPECT_EQ(slots[i], nullptr) << "callback " << i;
+  }
+  EXPECT_GT(on_participant_stack, 0);
+}
+
+TEST(Engine, CallbackThatBlocksIsRejectedOnAParticipantStack) {
+  // The callback is dispatched from the participant's own advance(); its
+  // block() must still be refused as outside any participant context.
+  Engine engine(1);
+  bool dispatched_on_fiber = false;
+  try {
+    engine.run([&](int) {
+      Engine& e = this_engine();
+      e.post_in(1.0, [&] {
+        dispatched_on_fiber = Fiber::current() != nullptr;
+        e.block("callbacks must not block");
+      });
+      e.advance(5.0);
+    });
+    FAIL() << "run() must fail";
+  } catch (const caf2::FatalError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("engine callback"), std::string::npos) << what;
+    EXPECT_NE(what.find("block() must be called from a participant context"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_TRUE(dispatched_on_fiber);
+}
+
+TEST(Engine, CallbackThrowingOnAParticipantStackIsTagged) {
+  EngineOptions options;
+  options.label = "stackcb";
+  Engine engine(1, options);
+  bool dispatched_on_fiber = false;
+  try {
+    engine.run([&](int) {
+      Engine& e = this_engine();
+      e.post_in(1.0, [&] {
+        dispatched_on_fiber = Fiber::current() != nullptr;
+        throw std::runtime_error("callback boom");
+      });
+      e.advance(5.0);
+    });
+    FAIL() << "run() must rethrow the callback's failure";
+  } catch (const caf2::FatalError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("stackcb"), std::string::npos) << what;
+    EXPECT_NE(what.find("engine callback (dispatched from the scheduler) "
+                        "raised: callback boom"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_TRUE(dispatched_on_fiber);
+}
+
+TEST(Engine, ThrowWhilePeersAreParkedMidHandOffUnwindsThemAll) {
+  // Participants 0-2 block one after another, each switching straight to the
+  // next, so all three are parked inside a direct hand-off when participant
+  // 3 throws. The unwind pass must resume and unwind every one of them.
+  constexpr int kParticipants = 4;
+  for (const int shards : {1, 2}) {
+    EngineOptions options;
+    options.shards = shards;
+    options.lookahead_us = 0.5;
+    Engine engine(kParticipants, options);
+    bool cleaned[kParticipants] = {false, false, false, false};
+    try {
+      engine.run([&](int id) {
+        struct Cleanup {
+          bool* flag;
+          ~Cleanup() { *flag = true; }
+        } cleanup{&cleaned[id]};
+        Engine& e = this_engine();
+        e.advance(1.0);
+        if (id == kParticipants - 1) {
+          throw std::runtime_error("last participant exploded");
+        }
+        e.block("parked until the run fails");
+      });
+      FAIL() << "run() must rethrow the body's failure";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("exploded"), std::string::npos)
+          << error.what();
+    }
+    for (int id = 0; id < kParticipants; ++id) {
+      EXPECT_TRUE(cleaned[id])
+          << "participant " << id << " never unwound (shards " << shards
+          << ")";
+    }
+  }
 }
 
 }  // namespace
