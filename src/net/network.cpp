@@ -27,7 +27,7 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
     shard_jitter_.reserve(static_cast<std::size_t>(shard_count));
     shard_fault_.reserve(static_cast<std::size_t>(shard_count));
     for (int shard = 0; shard < shard_count; ++shard) {
-      // child(0) is unused here and child(1) feeds the legacy serial fault
+      // child(0) is unused here and child(1) feeds the serial fault
       // stream; the per-shard jitter streams are children 2..shard_count+1
       // and the per-shard fault streams follow at shard_count+2 onward.
       shard_jitter_.emplace_back(
@@ -46,8 +46,6 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
   rel_shards_.resize(
       engine.sharded() ? static_cast<std::size_t>(engine.shard_count()) : 1);
   if (reliable_) {
-    links_.resize(static_cast<std::size_t>(engine.size()) *
-                  static_cast<std::size_t>(engine.size()));
     max_extra_delay_us_ = params_.faults.all.delay_max_us;
     for (const LinkFaults& link : params_.faults.links) {
       max_extra_delay_us_ = std::max(max_extra_delay_us_, link.delay_max_us);
@@ -68,6 +66,11 @@ const Mailbox& Network::mailbox(int image) const {
   return mailboxes_[static_cast<std::size_t>(image)];
 }
 
+const ImageTraffic& Network::traffic(int image) const {
+  CAF2_REQUIRE(image >= 0 && image < size(), "traffic(): image out of range");
+  return traffic_[static_cast<std::size_t>(image)];
+}
+
 void Network::reset_traffic() {
   for (ImageTraffic& t : traffic_) {
     t = ImageTraffic{};
@@ -86,11 +89,6 @@ Xoshiro256ss& Network::fault_rng() {
     return fault_rng_;
   }
   return shard_fault_[static_cast<std::size_t>(engine_.current_shard())];
-}
-
-bool Network::cross_shard(int source, int dest) const {
-  return engine_.sharded() &&
-         engine_.shard_of(source) != engine_.shard_of(dest);
 }
 
 int Network::calling_shard_index() const {
@@ -160,183 +158,35 @@ void Network::account_send(const Message& message) {
   }
 }
 
-void Network::run_deliver_phase(Flight flight) {
-  const int source = flight.message.header.source;
-  const std::size_t dest = static_cast<std::size_t>(flight.message.header.dest);
-  const std::size_t bytes = flight.message.size_bytes();
-  traffic_[dest].messages_in += 1;
-  traffic_[dest].bytes_in += bytes;
-  const std::uint64_t handler =
-      static_cast<std::uint64_t>(flight.message.header.handler);
-  mailboxes_[dest].push(std::move(flight.message));
-  engine_.unblock(static_cast<int>(dest));
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->record(static_cast<int>(dest), engine_.now(),
-                             obs::FrKind::kDeliver, source, bytes, handler);
+void Network::launch(Message message, std::function<void()> on_acked,
+                     const Timing& timing, double init_us) {
+  const int source = message.header.source;
+  const int dest = message.header.dest;
+  const std::uint64_t span =
+      observer_ != nullptr
+          ? observer_->reserve_flight_id(calling_shard_index())
+          : 0;
+  engine_.post_for(dest, timing.deliver_at,
+                   [this, init_us, span, msg = std::move(message)]() mutable {
+                     deliver(std::move(msg), init_us, span);
+                   });
+  if (!on_acked) {
+    return;
   }
-  std::uint64_t span = 0;
-  if (observer_ != nullptr) {
-    const double now = engine_.now();
-    span = observer_->flight_span(source, static_cast<int>(dest),
-                                  flight.init_us, now, bytes,
-                                  calling_shard_index());
-    observer_->note_cause(static_cast<int>(dest), span);
-    observer_->add(static_cast<int>(dest), obs::Counter::kMessagesDelivered);
-    observer_->maxed(static_cast<int>(dest), obs::Counter::kMailboxHighWater,
-                     mailboxes_[dest].size());
-    observer_->observe(static_cast<int>(dest), obs::Hist::kMessageLatency,
-                       now - flight.init_us);
+  if (observer_ == nullptr) {
+    engine_.post(timing.ack_at, std::move(on_acked));
+    return;
   }
-  if (flight.has_ack) {
-    if (flight.timing.ack_at == flight.timing.deliver_at) {
-      // Zero ack latency: completion is observable at delivery time, and the
-      // reserved ack sequence number immediately follows the delivery's, so
-      // running it inline preserves the dispatch order exactly.
-      if (observer_ != nullptr) {
-        observer_->note_cause(source, span);
-      }
-      flight.callbacks.on_acked();
-    } else if (observer_ == nullptr) {
-      engine_.post_reserved(flight.timing.ack_at, flight.ack_seq,
-                            std::move(flight.callbacks.on_acked));
-    } else {
-      // Same event, same (at, seq); the wrapper only notes the cause first.
-      engine_.post_reserved(
-          flight.timing.ack_at, flight.ack_seq,
-          [this, source, span,
-           acked = std::move(flight.callbacks.on_acked)] {
-            observer_->note_cause(source, span);
-            acked();
-          });
-    }
-  }
+  // Same event, same (at, seq) as unobserved; the wrapper only notes the
+  // cause first.
+  engine_.post(timing.ack_at,
+               [this, source, span, acked = std::move(on_acked)] {
+                 observer_->note_cause(source, span);
+                 acked();
+               });
 }
 
-void Network::schedule_deliver(Flight flight) {
-  const double at = flight.timing.deliver_at;
-  const std::uint64_t seq = flight.deliver_seq;
-  engine_.post_reserved(at, seq, [this, f = std::move(flight)]() mutable {
-    run_deliver_phase(std::move(f));
-  });
-}
-
-void Network::send(Message message, SendCallbacks callbacks) {
-  CAF2_REQUIRE(message.header.dest >= 0 && message.header.dest < size(),
-               "send(): destination image out of range");
-  if (reliable_) {
-    send_reliable(std::move(message), std::move(callbacks));
-    return;
-  }
-  if (cross_shard(message.header.source, message.header.dest)) {
-    send_cross(std::move(message), std::move(callbacks));
-    return;
-  }
-  Flight flight;
-  flight.init_us = engine_.now();
-  flight.timing = plan(flight.init_us, message.size_bytes());
-  flight.message = std::move(message);
-  flight.callbacks = std::move(callbacks);
-  account_send(flight.message);
-
-  // Reserve the chain's sequence numbers in the order the seed posted its
-  // events (stage, deliver, ack) so dispatch order is unchanged.
-  const bool has_stage = flight.callbacks.on_staged != nullptr;
-  std::uint64_t stage_seq = 0;
-  if (has_stage) {
-    stage_seq = engine_.reserve_seq();
-  }
-  flight.deliver_seq = engine_.reserve_seq();
-  flight.has_ack = flight.callbacks.on_acked != nullptr;
-  if (flight.has_ack) {
-    flight.ack_seq = engine_.reserve_seq();
-  }
-
-  if (!has_stage) {
-    schedule_deliver(std::move(flight));
-    return;
-  }
-  const bool merge_deliver =
-      flight.timing.stage_at == flight.timing.deliver_at;
-  engine_.post_reserved(
-      flight.timing.stage_at, stage_seq,
-      [this, f = std::move(flight), merge_deliver]() mutable {
-        f.callbacks.on_staged();
-        f.callbacks.on_staged = nullptr;
-        if (merge_deliver) {
-          // The delivery's reserved sequence number directly follows the
-          // stage's, so nothing can dispatch between them: run it inline.
-          run_deliver_phase(std::move(f));
-        } else {
-          schedule_deliver(std::move(f));
-        }
-      });
-}
-
-void Network::send_staged(MessageHeader header, std::size_t size_hint,
-                          std::function<std::vector<std::uint8_t>()> read,
-                          SendCallbacks callbacks) {
-  CAF2_REQUIRE(header.dest >= 0 && header.dest < size(),
-               "send_staged(): destination image out of range");
-  CAF2_REQUIRE(read != nullptr, "send_staged(): needs a staging reader");
-  if (reliable_) {
-    send_staged_reliable(header, size_hint, std::move(read),
-                         std::move(callbacks));
-    return;
-  }
-  if (cross_shard(header.source, header.dest)) {
-    send_staged_cross(header, size_hint, std::move(read),
-                      std::move(callbacks));
-    return;
-  }
-  const double init_us = engine_.now();
-  const Timing timing = plan(init_us, size_hint);
-
-  // At staging time the network reads the source buffer; only then does the
-  // message exist as an independent payload. Overwriting the source buffer
-  // before local data completion corrupts the transfer, as on real RDMA
-  // hardware.
-  const std::uint64_t stage_seq = engine_.reserve_seq();
-  engine_.post_reserved(
-      timing.stage_at, stage_seq,
-      [this, header, timing, init_us, read = std::move(read),
-       callbacks = std::move(callbacks)]() mutable {
-        Flight flight;
-        flight.message.header = header;
-        flight.message.payload = read();
-        flight.callbacks = std::move(callbacks);
-        flight.timing = timing;
-        flight.init_us = init_us;
-        if (flight.callbacks.on_staged) {
-          flight.callbacks.on_staged();
-          flight.callbacks.on_staged = nullptr;
-        }
-        // The seed allocated deliver/ack sequence numbers only here, after
-        // on_staged ran — events on_staged posted at the delivery time must
-        // dispatch before the delivery, so the delivery stays a separate
-        // event even when stage_at == deliver_at.
-        flight.deliver_seq = engine_.reserve_seq();
-        flight.has_ack = flight.callbacks.on_acked != nullptr;
-        if (flight.has_ack) {
-          flight.ack_seq = engine_.reserve_seq();
-        }
-        account_send(flight.message);
-        schedule_deliver(std::move(flight));
-      });
-}
-
-/// --- cross-shard delivery ----------------------------------------------------
-///
-/// Source and destination live on different shards of a sharded engine
-/// (DESIGN.md §4.11). The timing plan is drawn at initiation from the source
-/// shard's jitter stream; on_staged and on_acked run on the source shard at
-/// their planned times, and only the delivery itself crosses shards, staged
-/// into the destination's inbox via Engine::post_for(). Best-effort delivery
-/// cannot fail, so the ack is scheduled at plan time — and deliver_at >=
-/// now + latency_us >= now + lookahead keeps the conservative-window
-/// contract by construction (the runtime derives the lookahead from the
-/// wire latency).
-
-void Network::deliver_cross(Message message, double init_us) {
+void Network::deliver(Message message, double init_us, std::uint64_t span) {
   const int source = message.header.source;
   const std::size_t dest = static_cast<std::size_t>(message.header.dest);
   const std::size_t bytes = message.size_bytes();
@@ -351,13 +201,9 @@ void Network::deliver_cross(Message message, double init_us) {
                              obs::FrKind::kDeliver, source, bytes, handler);
   }
   if (observer_ != nullptr) {
-    // The flight span lands on the *destination* shard's net lane; the
-    // source-side ack wake keeps no parent link (the span id would have to
-    // cross shards), which only costs the blame analyzer one ack-edge.
     const double now = engine_.now();
-    const std::uint64_t span =
-        observer_->flight_span(source, static_cast<int>(dest), init_us, now,
-                               bytes, calling_shard_index());
+    observer_->flight_span(span, source, static_cast<int>(dest), init_us, now,
+                           bytes, calling_shard_index());
     observer_->note_cause(static_cast<int>(dest), span);
     observer_->add(static_cast<int>(dest), obs::Counter::kMessagesDelivered);
     observer_->maxed(static_cast<int>(dest), obs::Counter::kMailboxHighWater,
@@ -367,31 +213,40 @@ void Network::deliver_cross(Message message, double init_us) {
   }
 }
 
-void Network::send_cross(Message message, SendCallbacks callbacks) {
+void Network::send(Message message, SendCallbacks callbacks) {
+  CAF2_REQUIRE(message.header.dest >= 0 && message.header.dest < size(),
+               "send(): destination image out of range");
+  if (reliable_) {
+    send_reliable(std::move(message), std::move(callbacks));
+    return;
+  }
   const double init_us = engine_.now();
   const Timing timing = plan(init_us, message.size_bytes());
   account_send(message);
-  const int dest = message.header.dest;
   if (callbacks.on_staged) {
     engine_.post(timing.stage_at, std::move(callbacks.on_staged));
   }
-  engine_.post_for(dest, timing.deliver_at,
-                   [this, init_us, msg = std::move(message)]() mutable {
-                     deliver_cross(std::move(msg), init_us);
-                   });
-  if (callbacks.on_acked) {
-    engine_.post(timing.ack_at, std::move(callbacks.on_acked));
-  }
+  launch(std::move(message), std::move(callbacks.on_acked), timing, init_us);
 }
 
-void Network::send_staged_cross(
-    MessageHeader header, std::size_t size_hint,
-    std::function<std::vector<std::uint8_t>()> read,
-    SendCallbacks callbacks) {
+void Network::send_staged(MessageHeader header, std::size_t size_hint,
+                          std::function<std::vector<std::uint8_t>()> read,
+                          SendCallbacks callbacks) {
+  CAF2_REQUIRE(header.dest >= 0 && header.dest < size(),
+               "send_staged(): destination image out of range");
+  CAF2_REQUIRE(read != nullptr, "send_staged(): needs a staging reader");
+  if (reliable_) {
+    send_staged_reliable(header, size_hint, std::move(read),
+                         std::move(callbacks));
+    return;
+  }
   const double init_us = engine_.now();
   const Timing timing = plan(init_us, size_hint);
-  // As on the legacy path, the source buffer is read at staging time: the
-  // "overwrite before cofence()" hazard stays real across shards.
+  // At staging time the network reads the source buffer; only then does the
+  // message exist as an independent payload. Overwriting the source buffer
+  // before local data completion corrupts the transfer, as on real RDMA
+  // hardware. Delivery and ack are posted only after on_staged ran, so
+  // events on_staged posts at the delivery time dispatch before it.
   engine_.post(timing.stage_at,
                [this, header, timing, init_us, read = std::move(read),
                 callbacks = std::move(callbacks)]() mutable {
@@ -402,35 +257,23 @@ void Network::send_staged_cross(
                    callbacks.on_staged();
                  }
                  account_send(message);
-                 engine_.post_for(header.dest, timing.deliver_at,
-                                  [this, init_us,
-                                   msg = std::move(message)]() mutable {
-                                    deliver_cross(std::move(msg), init_us);
-                                  });
-                 if (callbacks.on_acked) {
-                   engine_.post(timing.ack_at, std::move(callbacks.on_acked));
-                 }
+                 launch(std::move(message), std::move(callbacks.on_acked),
+                        timing, init_us);
                });
 }
 
 /// --- reliable-delivery protocol ----------------------------------------------
 
-bool Network::LinkState::accept(std::uint64_t seq) {
-  if (seq < dedup_floor || seen.contains(seq)) {
+bool Network::DedupWindow::accept(std::uint64_t seq) {
+  if (seq < floor || seen.contains(seq)) {
     return false;
   }
   seen.insert(seq);
-  while (seen.contains(dedup_floor)) {
-    seen.erase(dedup_floor);
-    ++dedup_floor;
+  while (seen.contains(floor)) {
+    seen.erase(floor);
+    ++floor;
   }
   return true;
-}
-
-Network::LinkState& Network::link(int source, int dest) {
-  return links_[static_cast<std::size_t>(source) *
-                    static_cast<std::size_t>(size()) +
-                static_cast<std::size_t>(dest)];
 }
 
 double Network::auto_rto(double inject_us) const {
@@ -443,8 +286,9 @@ double Network::auto_rto(double inject_us) const {
 std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
                                     double inject_us) {
   account_send(message);
-  LinkState& sender = link(message.header.source, message.header.dest);
   ReliableShard& cell = rel_shard();
+  LinkSender& sender =
+      cell.senders[link_key(message.header.source, message.header.dest)];
   CAF2_ASSERT(cell.next_flight_id < (std::uint64_t{1} << 48),
               "admit_flight: per-shard flight-id counter overflow");
   const std::uint64_t id =
@@ -458,6 +302,9 @@ std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
   flight.rto_us = params_.reliability.rto_us > 0.0
                       ? params_.reliability.rto_us
                       : auto_rto(inject_us);
+  if (observer_ != nullptr) {
+    flight.obs_span = observer_->reserve_flight_id(calling_shard_index());
+  }
   flight.callbacks = std::move(callbacks);
   flight.message = std::make_shared<const Message>(std::move(message));
   cell.inflight.emplace(id, std::move(flight));
@@ -568,83 +415,48 @@ void Network::start_attempt(std::uint64_t id) {
   }
   const double deliver_at = base + params_.latency_us + faults.jitter_us +
                             faults.extra_delay_us;
+  // The deliveries go to the destination's shard carrying their metadata
+  // in the closure, and the sender simulates the acks itself. Every fault
+  // decision — including both ack losses — was just rolled above, and the
+  // receiver acks every non-dropped physical delivery unconditionally (dedup
+  // outcome included), so each delivery's ack time is already known here:
+  // the delivery time plus the ack latency. handle_ack is idempotent, so
+  // simulating both acks never lets an event cross back against the
+  // conservative window (the ack latency may be below the lookahead).
+  // deliver_at >= now + latency_us >= now + lookahead keeps the forward
+  // direction legal.
   const MessageHeader& header = flight.message->header;
-  if (!cross_shard(header.source, header.dest)) {
-    if (!faults.drop) {
-      engine_.post(deliver_at, [this, message = flight.message,
-                                seq = flight.seq, id,
-                                ack_dropped = faults.ack_drop] {
-        deliver_attempt(message, seq, id, ack_dropped);
-      });
+  const double ack_latency = params_.effective_ack_latency_us();
+  const auto land = [&](double at, bool ack_dropped) {
+    engine_.post_for(header.dest, at,
+                     [this, message = flight.message, seq = flight.seq,
+                      first_sent = flight.first_sent_us,
+                      expected = flight.expected_deliver_us,
+                      span = flight.obs_span] {
+                       deliver_attempt(message, seq, first_sent, expected,
+                                       span);
+                     });
+    if (!ack_dropped) {
+      engine_.post(at + ack_latency, [this, id] { handle_ack(id); });
+      return;
     }
-    if (faults.duplicate) {
-      engine_.post(deliver_at + faults.dup_offset_us,
-                   [this, message = flight.message, seq = flight.seq, id,
-                    ack_dropped = faults.dup_ack_drop] {
-                     deliver_attempt(message, seq, id, ack_dropped);
-                   });
+    // Charged at roll time on the sender's cell (the receiver can't touch
+    // source-shard counters); every launched delivery lands, so the totals
+    // count every lost ack. The ring entry is stamped with the delivery
+    // time, when the ack is lost; recording may not schedule events
+    // (flight_recorder.hpp), so the ring's insertion order can run locally
+    // ahead of this future stamp.
+    cell.stats.acks_dropped += 1;
+    if (flight_recorder_ != nullptr) {
+      flight_recorder_->record(header.source, at, obs::FrKind::kFaultAckLoss,
+                               header.dest, flight.seq, 0);
     }
-  } else {
-    // Cross-shard attempt (DESIGN.md §4.12): the deliveries go through the
-    // destination shard's inbox carrying their metadata in the closure, and
-    // the sender simulates the acks itself. Every fault decision — including
-    // both ack losses — was just rolled above, and the receiver acks every
-    // non-dropped physical delivery unconditionally (dedup outcome included),
-    // so each delivery's ack time is already known here: the delivery time
-    // plus the ack latency. handle_ack is idempotent, so simulating both
-    // acks is exactly the legacy protocol without any event crossing back
-    // against the conservative window (the ack latency may be below the
-    // lookahead). deliver_at >= now + latency_us >= now + lookahead keeps
-    // the forward direction legal.
-    const double ack_latency = params_.effective_ack_latency_us();
-    if (!faults.drop) {
-      engine_.post_for(header.dest, deliver_at,
-                       [this, message = flight.message, seq = flight.seq,
-                        first_sent = flight.first_sent_us,
-                        expected = flight.expected_deliver_us] {
-                         deliver_attempt_cross(message, seq, first_sent,
-                                               expected);
-                       });
-      if (faults.ack_drop) {
-        // Charged at roll time on the sender's ring (the receiver can't
-        // touch source-shard counters); totals match the legacy protocol
-        // because every launched non-dropped delivery lands. The entry is
-        // stamped `deliver_at` — the time the same-shard path records the
-        // drop from inside deliver_attempt — so time-windowed postmortem
-        // analysis sees one timeline regardless of path; recording may not
-        // schedule events (flight_recorder.hpp), so the ring's insertion
-        // order can run locally ahead of this future stamp.
-        cell.stats.acks_dropped += 1;
-        if (flight_recorder_ != nullptr) {
-          flight_recorder_->record(header.source, deliver_at,
-                                   obs::FrKind::kFaultAckLoss, header.dest,
-                                   flight.seq, 0);
-        }
-      } else {
-        engine_.post(deliver_at + ack_latency,
-                     [this, id] { handle_ack(id); });
-      }
-    }
-    if (faults.duplicate) {
-      const double dup_at = deliver_at + faults.dup_offset_us;
-      engine_.post_for(header.dest, dup_at,
-                       [this, message = flight.message, seq = flight.seq,
-                        first_sent = flight.first_sent_us,
-                        expected = flight.expected_deliver_us] {
-                         deliver_attempt_cross(message, seq, first_sent,
-                                               expected);
-                       });
-      if (faults.dup_ack_drop) {
-        cell.stats.acks_dropped += 1;
-        if (flight_recorder_ != nullptr) {
-          flight_recorder_->record(header.source, dup_at,
-                                   obs::FrKind::kFaultAckLoss, header.dest,
-                                   flight.seq, 0);
-        }
-      } else {
-        engine_.post(dup_at + ack_latency, [this, id] { handle_ack(id); });
-      }
-    }
+  };
+  if (!faults.drop) {
+    land(deliver_at, faults.ack_drop);
+  }
+  if (faults.duplicate) {
+    land(deliver_at + faults.dup_offset_us, faults.dup_ack_drop);
   }
   engine_.post(engine_.now() + flight.rto_us,
                [this, id, attempt = flight.attempts] {
@@ -653,109 +465,24 @@ void Network::start_attempt(std::uint64_t id) {
 }
 
 void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
-                              std::uint64_t seq, std::uint64_t flight_id,
-                              bool ack_dropped) {
+                              std::uint64_t seq, double first_sent_us,
+                              double expected_deliver_us, std::uint64_t span) {
   const MessageHeader& header = message->header;
-  LinkState& receiver = link(header.source, header.dest);
-  ReliableShard& cell = rel_shard_of(flight_id);  // == the calling shard's
-  if (receiver.accept(seq)) {
-    const std::size_t dest = static_cast<std::size_t>(header.dest);
-    traffic_[dest].messages_in += 1;
-    traffic_[dest].bytes_in += message->size_bytes();
-    mailboxes_[dest].push(*message);
-    engine_.unblock(header.dest);
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(header.dest, engine_.now(),
-                               obs::FrKind::kDeliver, header.source,
-                               message->size_bytes(),
-                               static_cast<std::uint64_t>(header.handler));
-    }
-    if (observer_ != nullptr) {
-      const double now = engine_.now();
-      double begin = now;
-      double expected = now;
-      const auto it = cell.inflight.find(flight_id);  // present until acked
-      if (it != cell.inflight.end()) {
-        begin = it->second.first_sent_us;
-        expected = it->second.expected_deliver_us;
-      }
-      const int lane = calling_shard_index();
-      const std::uint64_t span =
-          observer_->flight_span(header.source, header.dest, begin, now,
-                                 message->size_bytes(), lane);
-      if (it != cell.inflight.end()) {
-        it->second.obs_span = span;
-      }
-      observer_->note_cause(header.dest, span);
-      observer_->add(header.dest, obs::Counter::kMessagesDelivered);
-      observer_->maxed(header.dest, obs::Counter::kMailboxHighWater,
-                       mailboxes_[dest].size());
-      observer_->observe(header.dest, obs::Hist::kMessageLatency, now - begin);
-      if (now > expected + 1e-9) {
-        // The paper's satellite claim: time a fault added shows up as
-        // network blame, not as whatever construct happened to be waiting.
-        observer_->retransmit_span(header.dest, header.source, expected, now,
-                                   lane);
-      }
-    }
-  } else {
-    cell.stats.duplicates_suppressed += 1;
-  }
-  // Duplicates and retransmits are re-acknowledged: that is what recovers
-  // from a lost ack without redelivering the message.
-  if (ack_dropped) {
-    cell.stats.acks_dropped += 1;
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(header.source, engine_.now(),
-                               obs::FrKind::kFaultAckLoss, header.dest, seq, 0);
-    }
-    return;
-  }
-  engine_.post(engine_.now() + params_.effective_ack_latency_us(),
-               [this, flight_id] { handle_ack(flight_id); });
-}
-
-void Network::deliver_attempt_cross(
-    const std::shared_ptr<const Message>& message, std::uint64_t seq,
-    double first_sent_us, double expected_deliver_us) {
-  const MessageHeader& header = message->header;
-  // The link's dedup fields are only ever touched here, on the destination
-  // shard; its sender fields only on the source shard.
-  LinkState& receiver = link(header.source, header.dest);
-  if (!receiver.accept(seq)) {
+  // The dedup window lives in the destination shard's cell, the sender half
+  // of the link in the source shard's.
+  ReliableShard& cell = rel_shard();
+  if (!cell.receivers[link_key(header.source, header.dest)].accept(seq)) {
     // Dedup hits are the one counter charged to the destination shard.
-    rel_shard().stats.duplicates_suppressed += 1;
+    cell.stats.duplicates_suppressed += 1;
     return;
   }
-  const std::size_t dest = static_cast<std::size_t>(header.dest);
-  traffic_[dest].messages_in += 1;
-  traffic_[dest].bytes_in += message->size_bytes();
-  mailboxes_[dest].push(*message);
-  engine_.unblock(header.dest);
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->record(header.dest, engine_.now(), obs::FrKind::kDeliver,
-                             header.source, message->size_bytes(),
-                             static_cast<std::uint64_t>(header.handler));
-  }
-  if (observer_ != nullptr) {
-    const double now = engine_.now();
-    const int lane = calling_shard_index();
-    const std::uint64_t span =
-        observer_->flight_span(header.source, header.dest, first_sent_us, now,
-                               message->size_bytes(), lane);
-    // No obs_span backlink: the flight record lives on the source shard, so
-    // the eventual ack wake there carries no parent span (handle_ack skips
-    // note_cause when the span id is zero).
-    observer_->note_cause(header.dest, span);
-    observer_->add(header.dest, obs::Counter::kMessagesDelivered);
-    observer_->maxed(header.dest, obs::Counter::kMailboxHighWater,
-                     mailboxes_[dest].size());
-    observer_->observe(header.dest, obs::Hist::kMessageLatency,
-                       now - first_sent_us);
-    if (now > expected_deliver_us + 1e-9) {
-      observer_->retransmit_span(header.dest, header.source,
-                                 expected_deliver_us, now, lane);
-    }
+  deliver(*message, first_sent_us, span);
+  const double now = engine_.now();
+  if (observer_ != nullptr && now > expected_deliver_us + 1e-9) {
+    // The paper's satellite claim: time a fault added shows up as network
+    // blame, not as whatever construct happened to be waiting.
+    observer_->retransmit_span(header.dest, header.source, expected_deliver_us,
+                               now, calling_shard_index());
   }
 }
 
@@ -775,9 +502,7 @@ void Network::handle_ack(std::uint64_t id) {
     const ReliableFlight& flight = it->second;
     const MessageHeader& header = flight.message->header;
     const double now = engine_.now();
-    if (flight.obs_span != 0) {
-      observer_->note_cause(header.source, flight.obs_span);
-    }
+    observer_->note_cause(header.source, flight.obs_span);
     if (now > flight.expected_ack_us + 1e-9) {
       observer_->retransmit_span(header.source, header.dest,
                                  flight.expected_ack_us, now,

@@ -38,38 +38,38 @@
 ///    message instead of hanging.
 /// on_staged fires exactly once (at the first attempt's staging point) and
 /// on_acked exactly once (at the first acknowledgement), so finish counters
-/// and cofence hazards are oblivious to loss. When the protocol is off, the
-/// seed's bare three-event flight chain runs unchanged.
+/// and cofence hazards are oblivious to loss. When the protocol is off, each
+/// message is the bare stage / deliver / ack event triple.
 ///
-/// Sharded engines (DESIGN.md §4.11, §4.12). When the engine partitions
-/// images across worker threads, a send whose source and destination live on
-/// the same shard takes the legacy path verbatim. A cross-shard send draws
-/// its whole timing plan at initiation from the *source shard's* jitter
-/// stream (one independent stream per shard keeps multi-shard runs
-/// deterministic for a fixed shard count), runs on_staged and on_acked on
-/// the source shard at their planned times, and hands the delivery to the
-/// destination shard through Engine::post_for(), which stages it into that
-/// shard's inbox for the next window merge. deliver_at >= now + latency >=
-/// now + lookahead by construction, so the conservative-window contract
-/// holds.
+/// One send path at every shard count (DESIGN.md §4.11, §4.12). The whole
+/// timing plan is drawn at initiation (from the calling shard's jitter stream
+/// on a sharded engine, the single serial stream otherwise); on_staged and
+/// on_acked are posted as source-side events at their planned times, and the
+/// delivery goes to the destination through Engine::post_for() — a plain
+/// post when both images share a shard, otherwise a stage into the
+/// destination shard's inbox for the next window merge. deliver_at >= now +
+/// latency >= now + lookahead by construction, so the conservative-window
+/// contract holds. With an observer attached, the sender reserves the flight
+/// span's id at initiation; the receiver records the span under that id on
+/// its own lane and the ack wake names it as its cause, so the blame
+/// analyzer's ack edge survives shard boundaries.
 ///
-/// The reliable-delivery protocol runs sharded too (DESIGN.md §4.12).
+/// The reliable-delivery protocol runs on the same path (DESIGN.md §4.12).
 /// Protocol state is owned by the *source* shard: retained flights, flight
 /// ids, retransmit timers, and the fault counters live in per-shard cells
 /// (ReliableShard), and each shard rolls its attempts from its own fault
-/// stream. A link's sender fields (next_seq, initiated) are only ever
-/// touched by the source image's shard and its dedup fields (dedup_floor,
-/// seen) only by the destination's, so LinkState needs no further
-/// partitioning. Every fault decision of an attempt — including both ack
-/// losses — is rolled at the sender before anything is scheduled, and the
-/// receiver acknowledges every non-ack-dropped physical delivery regardless
-/// of its dedup outcome; the sender can therefore schedule handle_ack at the
-/// delivery's known time plus ack latency *itself*, with no cross-shard
-/// return event (an ack latency below the lookahead would otherwise violate
-/// the conservative window). Ack cancellation is then a plain source-local
-/// map erase — no tombstones cross shards. A cross-shard delivery carries
-/// its metadata (seq, first-sent, expected-delivery marks) in the event
-/// closure instead of reading the sender-owned flight record.
+/// stream. A link's sender half (next_seq, initiated) lives in the source
+/// shard's cell and its dedup half in the destination shard's, each created
+/// on first use, so no state is shared and none is sized p². Every fault
+/// decision of an attempt — including both ack losses — is rolled at the
+/// sender before anything is scheduled, and the receiver acknowledges every
+/// non-ack-dropped physical delivery regardless of its dedup outcome; the
+/// sender therefore schedules handle_ack at the delivery's known time plus
+/// ack latency *itself*, with no return event (an ack latency below the
+/// lookahead would otherwise violate the conservative window). Ack
+/// cancellation is then a plain source-local map erase. A delivery carries
+/// its metadata (seq, first-sent, expected-delivery marks, span id) in the
+/// event closure instead of reading the sender-owned flight record.
 
 #include <atomic>
 #include <cstdint>
@@ -78,6 +78,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/mailbox.hpp"
@@ -145,7 +146,7 @@ class Network {
   std::uint64_t bytes_sent() const {
     return bytes_sent_.load(std::memory_order_relaxed);
   }
-  const ImageTraffic& traffic(int image) const { return traffic_[image]; }
+  const ImageTraffic& traffic(int image) const;
 
   /// Reset the per-image traffic counters (benchmarks call this between
   /// measurement phases).
@@ -177,7 +178,7 @@ class Network {
   /// Attach an observability recorder (nullptr detaches; see obs/obs.hpp).
   /// Deliveries and acks then record flight spans on the network track, note
   /// unblock causes, and bump message counters — without ever scheduling or
-  /// reordering events, so the flight chains are unchanged.
+  /// reordering events, so the schedule is unchanged.
   void set_observer(obs::Recorder* observer) { observer_ = observer; }
 
   /// Attach the always-on flight recorder (nullptr detaches; see
@@ -197,76 +198,48 @@ class Network {
   Timing plan(double now, std::size_t bytes);
 
   /// The jitter stream timing draws come from: the per-shard stream of the
-  /// calling shard on a sharded engine, the single legacy stream otherwise.
+  /// calling shard on a sharded engine, the single serial stream otherwise.
   Xoshiro256ss& jitter_rng();
 
   /// The fault stream attempt decisions come from: the per-shard stream of
-  /// the calling shard on a sharded engine, the single legacy stream
+  /// the calling shard on a sharded engine, the single serial stream
   /// otherwise.
   Xoshiro256ss& fault_rng();
 
-  /// True when source and destination images live on different shards.
-  bool cross_shard(int source, int dest) const;
-
   /// The calling context's shard index (0 on an unsharded engine) — the
-  /// recorder net lane and ReliableShard cell every source-side operation
-  /// uses.
+  /// recorder net lane and ReliableShard cell every operation uses.
   int calling_shard_index() const;
-
-  /// One in-flight message. A flight owns the message plus its completion
-  /// callbacks and walks the stage → deliver → ack chain as a *single*
-  /// self-rescheduling engine event: later phases' sequence numbers are
-  /// reserved up front (Engine::reserve_seq) so lazy scheduling dispatches
-  /// in exactly the order the seed's eager three-event schedule produced,
-  /// and consecutive phases that fall on the same virtual time are run
-  /// inline within one event instead of bouncing through the heap.
-  struct Flight {
-    Message message;
-    SendCallbacks callbacks;
-    Timing timing{};
-    std::uint64_t deliver_seq = 0;
-    std::uint64_t ack_seq = 0;
-    bool has_ack = false;
-    double init_us = 0.0;  ///< initiation time (observability only)
-  };
 
   /// Source-side accounting charged when the message is injected.
   void account_send(const Message& message);
 
-  /// Post the delivery event at (timing.deliver_at, deliver_seq).
-  void schedule_deliver(Flight flight);
+  /// Post the delivery of \p message at timing.deliver_at on its
+  /// destination's shard and, when \p on_acked is set, the ack at
+  /// timing.ack_at on the calling (source) shard.
+  void launch(Message message, std::function<void()> on_acked,
+              const Timing& timing, double init_us);
 
-  /// Execute the delivery (and, when ack_at coincides, the ack) now.
-  void run_deliver_phase(Flight flight);
-
-  /// --- cross-shard delivery (sharded engines only) --------------------------
-
-  /// send() when source and destination live on different shards.
-  void send_cross(Message message, SendCallbacks callbacks);
-
-  /// send_staged() when source and destination live on different shards.
-  void send_staged_cross(MessageHeader header, std::size_t size_hint,
-                         std::function<std::vector<std::uint8_t>()> read,
-                         SendCallbacks callbacks);
-
-  /// Destination-shard half of a cross-shard send: runs as a staged call on
-  /// the destination shard (mailbox push, unblock, flight-recorder entry,
-  /// observer spans on the destination shard's net lane). \p init_us is the
-  /// send's initiation time, carried in the closure because the flight
-  /// record stays on the source shard.
-  void deliver_cross(Message message, double init_us);
+  /// Receiver half of a send, on the destination's shard: mailbox push,
+  /// unblock, flight-recorder entry, and the flight span (under the id the
+  /// sender reserved, 0 without an observer) on the calling shard's net
+  /// lane. \p init_us is the send's initiation time.
+  void deliver(Message message, double init_us, std::uint64_t span);
 
   /// --- reliable-delivery protocol ------------------------------------------
 
-  /// Per-(source, dest) link state. The sender side assigns sequence numbers
-  /// and initiation ordinals; the receiver side keeps the dedup window: the
-  /// set of seen sequence numbers at or above `dedup_floor`, compacted by
-  /// advancing the floor over contiguous runs (everything below the floor
-  /// has been seen).
-  struct LinkState {
+  /// Sender half of a (source, dest) link: per-link sequence numbers and
+  /// initiation ordinals. Lives in the source shard's cell.
+  struct LinkSender {
     std::uint64_t next_seq = 0;
     std::uint64_t initiated = 0;
-    std::uint64_t dedup_floor = 0;
+  };
+
+  /// Receiver half of a link: the dedup window, i.e. the set of seen
+  /// sequence numbers at or above `floor`, compacted by advancing the floor
+  /// over contiguous runs (everything below the floor has been seen). Lives
+  /// in the destination shard's cell.
+  struct DedupWindow {
+    std::uint64_t floor = 0;
     std::set<std::uint64_t> seen;
 
     /// First sighting of \p seq? (Inserts and compacts when it is.)
@@ -309,35 +282,29 @@ class Network {
                             std::function<std::vector<std::uint8_t>()> read,
                             SendCallbacks callbacks);
 
-  /// Register a new flight (assigns link seq + ordinal) in the calling
-  /// shard's cell and return its id (source shard in the top 16 bits, cell-
-  /// local counter below — serial ids are the plain counter).
+  /// Register a new flight (assigns link seq + ordinal, and reserves the
+  /// flight span id when an observer is attached) in the calling shard's
+  /// cell and return its id (source shard in the top 16 bits, cell-local
+  /// counter below — serial ids are the plain counter).
   std::uint64_t admit_flight(Message message, SendCallbacks callbacks,
                              double inject_us);
 
   /// Launch the next delivery attempt of flight \p id: roll faults, post the
-  /// delivery (and duplicate) events, and arm the retransmit timer. For a
-  /// cross-shard flight the deliveries go through Engine::post_for and the
-  /// sender schedules handle_ack itself at the known delivery time plus ack
-  /// latency (see the file comment), so no event ever crosses back against
-  /// the conservative window.
+  /// delivery (and duplicate) events through Engine::post_for, schedule
+  /// handle_ack at each delivery's known time plus ack latency (see the file
+  /// comment), and arm the retransmit timer.
   void start_attempt(std::uint64_t id);
 
   AttemptFaults roll_faults(const ReliableFlight& flight);
 
-  /// Receiver side of one physical delivery (primary or duplicate) when both
-  /// endpoints share a shard: may read the sender-owned flight record
-  /// directly and posts the ack itself.
+  /// Receiver side of one physical delivery (primary or duplicate), on the
+  /// destination's shard: the dedup check, then deliver() for a first
+  /// sighting. All metadata rides in the arguments, the sender-owned flight
+  /// record is never touched, and no ack is posted (the sender scheduled it
+  /// at attempt time).
   void deliver_attempt(const std::shared_ptr<const Message>& message,
-                       std::uint64_t seq, std::uint64_t flight_id,
-                       bool ack_dropped);
-
-  /// Receiver side of one cross-shard physical delivery: all metadata rides
-  /// in the arguments, the sender-owned flight record is never touched, and
-  /// no ack is posted (the sender simulated it at schedule time).
-  void deliver_attempt_cross(const std::shared_ptr<const Message>& message,
-                             std::uint64_t seq, double first_sent_us,
-                             double expected_deliver_us);
+                       std::uint64_t seq, double first_sent_us,
+                       double expected_deliver_us, std::uint64_t span);
 
   /// Sender side of one acknowledgement; idempotent (late/duplicate acks of
   /// an already-completed flight are ignored).
@@ -349,7 +316,12 @@ class Network {
   /// round trip, including the largest configured fault delay.
   double auto_rto(double inject_us) const;
 
-  LinkState& link(int source, int dest);
+  /// Key of the (source, dest) link in a cell's link maps.
+  std::uint64_t link_key(int source, int dest) const {
+    return static_cast<std::uint64_t>(source) *
+               static_cast<std::uint64_t>(size()) +
+           static_cast<std::uint64_t>(dest);
+  }
 
   sim::Engine& engine_;
   NetworkParams params_;
@@ -374,15 +346,19 @@ class Network {
   /// mirroring shard_jitter_: each shard's attempt decisions are a pure
   /// function of its own deterministic execution.
   std::vector<Xoshiro256ss> shard_fault_;
-  std::vector<LinkState> links_;  ///< size() * size(), row-major by source
   /// Per-shard reliable-protocol cell: the flights retained by this (source)
-  /// shard, its flight-id counter, and its fault counters. Flight ids are
-  /// (shard << 48) | local, so id >> 48 recovers the owning cell from
-  /// anywhere (serial runs use cell 0 and get the plain counter).
+  /// shard, its flight-id counter, its fault counters, and the link halves
+  /// its images own — sender halves of links they send on, dedup windows of
+  /// links they receive on, keyed by link_key() and created on first use.
+  /// Only the owning shard touches a cell's maps, so they need no locking.
+  /// Flight ids are (shard << 48) | local, so id >> 48 recovers the owning
+  /// cell from anywhere (serial runs use cell 0 and get the plain counter).
   struct ReliableShard {
     std::map<std::uint64_t, ReliableFlight> inflight;
     std::uint64_t next_flight_id = 0;
     FaultStats stats;
+    std::unordered_map<std::uint64_t, LinkSender> senders;
+    std::unordered_map<std::uint64_t, DedupWindow> receivers;
   };
   std::vector<ReliableShard> rel_shards_;  ///< engine shard count cells (>= 1)
 

@@ -29,9 +29,10 @@
 /// Sharded runs (DESIGN.md §4.12): the single network track of the serial
 /// recorder would be a cross-shard race, so the recorder keeps one network
 /// *lane* per engine shard (the net_lanes constructor argument); the network
-/// layer records each flight on the calling shard's lane. Span ids are
-/// composite — (track ordinal, per-track counter) packed into 64 bits — so
-/// id assignment is track-local and deterministic without any cross-shard
+/// layer records each flight on the delivering shard's lane, under an id the
+/// sending shard reserved from its own lane's counter at initiation. Span ids
+/// are composite — (track ordinal, per-track counter) packed into 64 bits —
+/// so id assignment is track-local and deterministic without any cross-shard
 /// coordination. take()/snapshot() merge the lanes into the capture's single
 /// network track by (begin, end, image, peer, id), a total order, so the
 /// exported capture is deterministic for a fixed shard count.
@@ -230,11 +231,18 @@ class Recorder {
 
   /// --- network hooks -------------------------------------------------------
 
-  /// Record a delivered message [initiation, delivery) on network lane
-  /// \p lane (the calling engine shard; 0 for serial runs); returns the span
-  /// id (stable even when the span itself was dropped).
-  std::uint64_t flight_span(int source, int dest, double begin, double end,
-                            std::uint64_t bytes, int lane = 0);
+  /// Reserve the span id of a message flight at its initiation, from
+  /// network lane \p lane (the sending engine shard; 0 for serial runs). The
+  /// flight's span is recorded later, possibly on another lane, under this
+  /// id, and the ack that completes the send names it as the cause of the
+  /// sender's wake — so the link needs no cross-shard coordination.
+  std::uint64_t reserve_flight_id(int lane);
+
+  /// Record a delivered message [initiation, delivery) under the id
+  /// reserve_flight_id() returned, on network lane \p lane (the delivering
+  /// engine shard; 0 for serial runs).
+  void flight_span(std::uint64_t id, int source, int dest, double begin,
+                   double end, std::uint64_t bytes, int lane);
 
   /// Record fault-induced extra wait [expected, actual) charged to \p image
   /// (the endpoint whose completion the fault delayed) on network lane
@@ -304,9 +312,14 @@ class Recorder {
   /// Append \p span (assigning its id from \p ordinal / \p next_local) under
   /// \p cap_bytes; counts drops into the track and, when \p image_metrics is
   /// set, Counter::kSpansDropped.
-  std::uint64_t push_span(Track& track, std::uint64_t ordinal,
-                          std::uint64_t& next_local, std::size_t cap_bytes,
-                          Span span, Metrics* image_metrics);
+  void push_span(Track& track, std::uint64_t ordinal,
+                 std::uint64_t& next_local, std::size_t cap_bytes, Span span,
+                 Metrics* image_metrics);
+
+  /// Append \p span (its id already set) under \p cap_bytes, counting drops
+  /// as push_span() does.
+  static void store_span(Track& track, std::size_t cap_bytes,
+                         const Span& span, Metrics* image_metrics);
 
   /// The capture's single network track: lane 0 verbatim for serial runs,
   /// else the deterministic (begin, end, image, peer, id) merge.

@@ -153,21 +153,24 @@ Recorder::NetLane& Recorder::lane_at(int lane) {
   return net_lanes_[static_cast<std::size_t>(lane)];
 }
 
-std::uint64_t Recorder::push_span(Track& track, std::uint64_t ordinal,
-                                  std::uint64_t& next_local,
-                                  std::size_t cap_bytes, Span span,
-                                  Metrics* image_metrics) {
+void Recorder::push_span(Track& track, std::uint64_t ordinal,
+                         std::uint64_t& next_local, std::size_t cap_bytes,
+                         Span span, Metrics* image_metrics) {
   span.id = compose_id(ordinal, next_local);
+  store_span(track, cap_bytes, span, image_metrics);
+}
+
+void Recorder::store_span(Track& track, std::size_t cap_bytes,
+                          const Span& span, Metrics* image_metrics) {
   if ((track.spans.size() + 1) * sizeof(Span) > cap_bytes) {
     track.dropped += 1;
     if (image_metrics != nullptr) {
       image_metrics->counters[static_cast<std::size_t>(
           Counter::kSpansDropped)] += 1;
     }
-    return span.id;
+    return;
   }
   track.spans.push_back(span);
-  return span.id;
 }
 
 void Recorder::on_compute(int image, double begin, double end) {
@@ -245,11 +248,17 @@ void Recorder::op_span(int image, SpanKind kind, double begin, double end,
             config_.max_image_track_bytes, span, &state.metrics);
 }
 
-std::uint64_t Recorder::flight_span(int source, int dest, double begin,
-                                    double end, std::uint64_t bytes,
-                                    int lane) {
-  NetLane& slot = lane_at(lane);
+std::uint64_t Recorder::reserve_flight_id(int lane) {
+  return compose_id(
+      static_cast<std::uint64_t>(images()) + static_cast<std::uint64_t>(lane),
+      lane_at(lane).next_local);
+}
+
+void Recorder::flight_span(std::uint64_t id, int source, int dest,
+                           double begin, double end, std::uint64_t bytes,
+                           int lane) {
   Span span;
+  span.id = id;
   span.begin = begin;
   span.end = end;
   span.a = bytes;
@@ -257,10 +266,7 @@ std::uint64_t Recorder::flight_span(int source, int dest, double begin,
   span.peer = dest;
   span.kind = SpanKind::kFlight;
   span.blame = Blame::kNetwork;
-  const std::uint64_t ordinal =
-      static_cast<std::uint64_t>(images()) + static_cast<std::uint64_t>(lane);
-  return push_span(slot.track, ordinal, slot.next_local,
-                   config_.max_net_track_bytes, span, nullptr);
+  store_span(lane_at(lane).track, config_.max_net_track_bytes, span, nullptr);
 }
 
 void Recorder::retransmit_span(int image, int peer, double begin, double end,

@@ -543,17 +543,6 @@ void Engine::unblock(int participant) {
           kNoSlot);
 }
 
-std::uint64_t Engine::reserve_seq() { return calling_shard().next_seq++; }
-
-void Engine::post_reserved(double at, std::uint64_t seq, InlineFn fn) {
-  CAF2_REQUIRE(static_cast<bool>(fn), "post_reserved() needs a callable");
-  Shard& shard = calling_shard();
-  const double when =
-      std::max(at, shard.now_us.load(std::memory_order_relaxed));
-  shard.queue.push(
-      QueuedEvent{when, seq, -1, shard.calls.acquire(std::move(fn))});
-}
-
 void Engine::post_call(double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post() needs a callable");
   Shard& shard = calling_shard();

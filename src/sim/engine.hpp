@@ -261,19 +261,6 @@ class Engine {
     post_for_call(participant, at, InlineFn(std::forward<F>(fn)));
   }
 
-  /// Reserve the next event sequence number without scheduling anything.
-  /// Chained event sources (the network's message flights) reserve their
-  /// later phases' sequence numbers up front so that scheduling an event
-  /// lazily — from inside an earlier phase's callback — still dispatches in
-  /// exactly the order an eager schedule would have produced. Sequence
-  /// numbers are per-shard; a reservation must be redeemed on the shard that
-  /// made it (the network only reserves for same-shard flights).
-  std::uint64_t reserve_seq();
-
-  /// Schedule a callback under a sequence number previously returned by
-  /// reserve_seq(). \p at is clamped to now() like post().
-  void post_reserved(double at, std::uint64_t seq, InlineFn fn);
-
   /// Abort the run with a diagnosable failure: a structured obs::Postmortem
   /// is collected and every blocked participant is woken with an
   /// obs::StallError carrying the postmortem's text rendering. Callable from

@@ -9,8 +9,8 @@
 /// to the clock). Such an event is never earlier than anything scheduled the
 /// same way before it — the clock never runs backwards and fresh sequence
 /// numbers only grow — so those events arrive already sorted and a FIFO
-/// holds them with no heap work. Everything else (future times, and events
-/// carrying a reserved, older sequence number) goes to a binary heap. The
+/// holds them with no heap work. Everything else — events at future times —
+/// goes to a binary heap. The
 /// queue's head is the smaller of the two heads, so the pop order is exactly
 /// the `(at, seq)` order a single heap would produce.
 

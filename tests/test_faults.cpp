@@ -3,9 +3,11 @@
 /// deliveries, retransmission after loss (including across shard
 /// boundaries), the retry-cap FatalError with its watchdog report, the
 /// quiet-period watchdog, structured deadlock reports, image-rank tagging of
-/// escaped exceptions, and the L+1 detection bound under loss.
+/// escaped exceptions, the L+1 detection bound under loss, and the memory of
+/// sparse per-link protocol state at 4096 images.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <stdexcept>
 #include <string>
@@ -601,6 +603,63 @@ TEST(FaultyRun, ShardedLossyRunsAreDeterministicAcrossRepeats) {
     EXPECT_EQ(a.shard_faults[s].acks_dropped, b.shard_faults[s].acks_dropped)
         << "shard " << s;
   }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CAF2_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CAF2_TEST_SANITIZED 1
+#endif
+#endif
+
+#if defined(CAF2_TEST_SANITIZED)
+// Sanitizer shadow memory swamps the RSS bound, so sanitized builds check
+// only the protocol (races included) on a ring small enough to leave the
+// other suites their time.
+constexpr int kRingImages = 512;
+#else
+constexpr int kRingImages = 4096;
+#endif
+
+/// Peak resident set size of this process so far, in MiB.
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
+
+TEST(FaultyRunScale, RingAt4096ImagesKeepsLinkStateSparse) {
+  // Reliable-protocol link state is created per link on first use, in the
+  // owning shard's cell, so a 4096-image ring under loss pays for the links
+  // it touches instead of a dense 4096 x 4096 table (72 B a link, 1.2 GB).
+  // ctest runs this case as its own process, so the peak-RSS growth below is
+  // this run's alone.
+  constexpr double kBudgetMib = 512.0;
+  const double before = peak_rss_mib();
+  RuntimeOptions options = faulty_options(kRingImages, 0.01);
+  options.shards = 2;
+  const RunStats stats = run_stats(options, [] {
+    Team world = team_world();
+    Coarray<long> counter(world, 1);
+    counter[0] = 0;
+    team_barrier(world);
+    finish(world, [&] {
+      spawn<bump>((this_image() + 1) % num_images(), counter.ref());
+    });
+    EXPECT_EQ(counter[0], 1);
+    team_barrier(world);
+  });
+  const double growth = peak_rss_mib() - before;
+  EXPECT_EQ(stats.shards, 2);
+  EXPECT_GT(stats.faults.deliveries_dropped, 0u);
+  EXPECT_GT(stats.faults.retransmits, 0u);
+#if defined(CAF2_TEST_SANITIZED)
+  GTEST_SKIP() << "RSS bound not checked under sanitizers (growth " << growth
+               << " MiB at " << kRingImages << " images)";
+#else
+  EXPECT_LT(growth, kBudgetMib) << "peak RSS grew " << growth << " MiB";
+#endif
 }
 
 TEST(FaultyRun, FaultFreeReliableRunMatchesResultsOfBareNetwork) {

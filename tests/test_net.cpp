@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "net/network.hpp"
@@ -24,8 +25,39 @@ NetworkParams test_params() {
   return params;
 }
 
-TEST(Network, LifecycleTiming) {
-  sim::Engine engine(2);
+/// Every send takes one path, whether its destination shares the source's
+/// shard or not. Each case runs four images on a one- or two-shard engine
+/// (two shards put images 0-1 on shard 0 and images 2-3 on shard 1) and
+/// sends from image 0 to `dest`; every case must see the same stage,
+/// deliver and ack times.
+struct PathCase {
+  int shards;
+  int dest;
+};
+
+class NetworkPath : public ::testing::TestWithParam<PathCase> {
+ protected:
+  /// An engine of the case's shape. The lookahead is the wire latency, as
+  /// the runtime derives it.
+  static sim::EngineOptions engine_options() {
+    sim::EngineOptions options;
+    options.shards = GetParam().shards;
+    options.lookahead_us = test_params().latency_us;
+    return options;
+  }
+
+  /// Check the engine really has the case's shape.
+  static void expect_shape(const sim::Engine& engine) {
+    ASSERT_EQ(engine.shard_count(), GetParam().shards);
+    const bool cross = engine.shard_of(0) != engine.shard_of(GetParam().dest);
+    EXPECT_EQ(cross, GetParam().shards > 1 && GetParam().dest >= 2);
+  }
+};
+
+TEST_P(NetworkPath, LifecycleTiming) {
+  const int dest = GetParam().dest;
+  sim::Engine engine(4, engine_options());
+  expect_shape(engine);
   Network network(engine, test_params(), 1);
   double staged_at = -1;
   double acked_at = -1;
@@ -36,7 +68,7 @@ TEST(Network, LifecycleTiming) {
     if (id == 0) {
       Message message;
       message.header.source = 0;
-      message.header.dest = 1;
+      message.header.dest = dest;
       message.header.handler = 99;
       message.payload.assign(200, 7);  // 2 us injection
       SendCallbacks callbacks;
@@ -44,10 +76,10 @@ TEST(Network, LifecycleTiming) {
       callbacks.on_acked = [&] { acked_at = e.now(); };
       network.send(std::move(message), std::move(callbacks));
       e.advance(100.0);
-    } else {
+    } else if (id == dest) {
       e.block();
       delivered_at = e.now();
-      auto got = network.mailbox(1).try_pop();
+      auto got = network.mailbox(dest).try_pop();
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(got->header.handler, 99u);
       EXPECT_EQ(got->payload.size(), 200u);
@@ -58,13 +90,18 @@ TEST(Network, LifecycleTiming) {
   EXPECT_DOUBLE_EQ(acked_at, 22.0);        // + ack latency
 }
 
-TEST(Network, StagedReadHappensAtStageTimeNotCallTime) {
+TEST_P(NetworkPath, StagedReadHappensAtStageTimeNotCallTime) {
   // The source buffer is read when the transfer is injected; mutating it
   // after initiation but before staging corrupts the payload — the hazard
   // cofence exists to prevent.
-  sim::Engine engine(2);
+  const int dest = GetParam().dest;
+  sim::Engine engine(4, engine_options());
+  expect_shape(engine);
   Network network(engine, test_params(), 1);
   std::vector<std::uint8_t> received;
+  double staged_at = -1;
+  double acked_at = -1;
+  double delivered_at = -1;
 
   engine.run([&](int id) {
     sim::Engine& e = sim::this_engine();
@@ -72,22 +109,41 @@ TEST(Network, StagedReadHappensAtStageTimeNotCallTime) {
       std::vector<std::uint8_t> buffer(100, 1);
       MessageHeader header;
       header.source = 0;
-      header.dest = 1;
-      network.send_staged(header, buffer.size(), [&buffer] {
-        return buffer;  // read at staging time
-      });
-      buffer.assign(100, 2);  // overwrite *before* staging (0.5 us later)
+      header.dest = dest;
+      SendCallbacks callbacks;
+      callbacks.on_staged = [&] { staged_at = e.now(); };
+      callbacks.on_acked = [&] { acked_at = e.now(); };
+      network.send_staged(
+          header, buffer.size(),
+          [&buffer] {
+            return buffer;  // read at staging time
+          },
+          std::move(callbacks));
+      buffer.assign(100, 2);  // overwrite *before* staging (1 us later)
       e.advance(50.0);
-    } else {
+    } else if (id == dest) {
       e.block();
-      auto got = network.mailbox(1).try_pop();
+      delivered_at = e.now();
+      auto got = network.mailbox(dest).try_pop();
       ASSERT_TRUE(got.has_value());
       received = got->payload;
     }
   });
   ASSERT_EQ(received.size(), 100u);
   EXPECT_EQ(received[0], 2) << "staged read must see the overwritten buffer";
+  EXPECT_DOUBLE_EQ(staged_at, 1.0);
+  EXPECT_DOUBLE_EQ(delivered_at, 11.0);
+  EXPECT_DOUBLE_EQ(acked_at, 21.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    OneAndTwoShards, NetworkPath,
+    ::testing::Values(PathCase{1, 1}, PathCase{1, 3}, PathCase{2, 1},
+                      PathCase{2, 3}),
+    [](const ::testing::TestParamInfo<PathCase>& info) {
+      return "shards" + std::to_string(info.param.shards) + "_dest" +
+             std::to_string(info.param.dest);
+    });
 
 TEST(Network, JitterCanReorderDeliveries) {
   // With jitter comparable to the inter-send gap, two messages to the same
@@ -205,6 +261,14 @@ TEST(Network, OutOfRangeDestinationRejected) {
       EXPECT_THROW(network.send(std::move(message)), UsageError);
     }
   });
+}
+
+TEST(Network, OutOfRangeTrafficImageRejected) {
+  sim::Engine engine(2);
+  Network network(engine, test_params(), 1);
+  EXPECT_THROW(network.traffic(-1), UsageError);
+  EXPECT_THROW(network.traffic(network.size()), UsageError);
+  EXPECT_EQ(network.traffic(1).messages_in, 0u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/caf2.hpp"
+#include "net/network.hpp"
 #include "obs/blame.hpp"
 #include "obs/export.hpp"
 #include "sim/engine.hpp"
@@ -232,6 +233,86 @@ TEST(Obs, RetransmitDelayBlamedOnNetworkNotFinishWait) {
     retransmits += m.counter(obs::Counter::kMessagesRetransmitted);
   }
   EXPECT_EQ(retransmits, 1u);
+}
+
+TEST(Obs, CrossShardAckLinksTheSendersWaitToTheFlight) {
+  // Image 0 (shard 0) waits un-scoped on the ack of a send to image 1
+  // (shard 1). The flight span lands on shard 1's net lane, yet the blocked
+  // span the ack closes must name it as parent — the edge that moves the
+  // wait from `other` to `network` in blame — with and without the
+  // reliable-delivery protocol.
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "bare");
+    NetworkParams params = reliable_wire();
+    if (!reliable) {
+      params.reliability.mode = ReliabilityParams::Mode::kOff;
+    }
+    sim::EngineOptions engine_options;
+    engine_options.shards = 2;
+    engine_options.lookahead_us = params.latency_us;
+    sim::Engine engine(2, engine_options);
+    ASSERT_EQ(engine.shard_count(), 2);
+    ASSERT_NE(engine.shard_of(0), engine.shard_of(1));
+    net::Network network(engine, params, 1);
+    ObsConfig config;
+    config.enabled = true;
+    obs::Recorder recorder(2, config, engine.shard_count());
+    engine.set_observer(&recorder);
+    network.set_observer(&recorder);
+
+    double acked_at = -1.0;
+    engine.run([&](int id) {
+      sim::Engine& e = sim::this_engine();
+      if (id != 0) {
+        // Stay alive until the delivery: a shard whose images have all
+        // finished never dispatches its pending events.
+        while (network.mailbox(1).empty()) {
+          e.block("mail");
+        }
+        return;
+      }
+      bool acked = false;
+      net::Message message;
+      message.header.source = 0;
+      message.header.dest = 1;
+      message.payload.assign(64, 1);
+      net::SendCallbacks callbacks;
+      callbacks.on_acked = [&] {
+        acked = true;
+        acked_at = e.now();
+        e.unblock(0);
+      };
+      network.send(std::move(message), std::move(callbacks));
+      while (!acked) {
+        e.block("ack");
+      }
+    });
+    ASSERT_GT(acked_at, 0.0);
+    const obs::Capture capture = recorder.take(engine.now());
+
+    std::uint64_t flight = 0;
+    for (const obs::Span& span : capture.net_track().spans) {
+      if (span.kind == obs::SpanKind::kFlight && span.image == 0 &&
+          span.peer == 1) {
+        flight = span.id;
+      }
+    }
+    ASSERT_NE(flight, 0u) << "no 0 -> 1 flight on the merged net track";
+
+    const obs::Span* wait = nullptr;
+    for (const obs::Span& span : capture.image_track(0).spans) {
+      if (span.kind == obs::SpanKind::kBlocked && span.end == acked_at) {
+        wait = &span;
+      }
+    }
+    ASSERT_NE(wait, nullptr) << "no blocked span closes at the ack";
+    EXPECT_EQ(wait->blame, obs::Blame::kOther);
+    EXPECT_EQ(wait->parent, flight);
+
+    const obs::BlameReport report = obs::analyze_blame(capture);
+    EXPECT_DOUBLE_EQ(report.per_image[0][obs::Blame::kOther], 0.0);
+    EXPECT_GT(report.per_image[0][obs::Blame::kNetwork], 0.0);
+  }
 }
 
 TEST(Obs, FaultyCapturesRepeatByteIdentically) {

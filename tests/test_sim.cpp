@@ -309,11 +309,11 @@ TEST(Engine, NegativeAdvanceRejected) {
 /// --- two-tier event queue ---------------------------------------------------
 
 TEST(EventQueue, PopOrderMatchesAReferenceHeap) {
-  // Interleave the engine's three kinds of push — current-time events with
-  // fresh sequence numbers (FIFO tier), future events, and events redeeming
-  // an earlier reserved sequence number (both heap tier) — with pops, and
-  // check every pop against one reference heap under EventOrder. Times are
-  // multiples of 0.5 so equal-time ties are frequent.
+  // Interleave current-time events with fresh sequence numbers (FIFO tier),
+  // future events, and events carrying an older sequence number (both heap
+  // tier: push() accepts any, though the engine only pushes future events)
+  // with pops, and check every pop against one reference heap under
+  // EventOrder. Times are multiples of 0.5 so equal-time ties are frequent.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     std::mt19937_64 rng(seed);
     EventQueue queue;
