@@ -68,9 +68,11 @@ struct RunStats {
   /// VmHWM of the whole process, not just the scheduler thread).
   std::uint64_t peak_rss_bytes = 0;
   /// --- sharded execution (DESIGN.md §4.11) ----------------------------------
-  /// shards, windows, window_stalls, and shard_events are deterministic for a
-  /// fixed shard count; shards=1 reports windows = window_stalls = 0 and a
-  /// single shard_events entry equal to `events`.
+  /// events, virtual_us and faults are the same at every shard count;
+  /// context_switches, windows, window_stalls, shard_events and shard_faults
+  /// describe the partition and are deterministic for a fixed shard count.
+  /// shards=1 reports windows = window_stalls = 0 and a single shard_events
+  /// entry equal to `events`.
   int shards = 1;                     ///< engine shards the run executed on
   std::uint64_t windows = 0;          ///< conservative window advances
   std::uint64_t window_stalls = 0;    ///< per-shard window entries with no

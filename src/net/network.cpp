@@ -12,29 +12,20 @@ namespace caf2::net {
 Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
     : engine_(engine),
       params_(std::move(params)),
-      jitter_rng_(seed),
       mailboxes_(static_cast<std::size_t>(engine.size())),
-      traffic_(static_cast<std::size_t>(engine.size())),
-      // The fault stream is independent of the jitter stream so that
-      // enabling a FaultPlan leaves a run's jitter draws untouched.
-      fault_rng_(SplitMix64(seed).child(1)) {
+      traffic_(static_cast<std::size_t>(engine.size())) {
   params_.validate();
   reliable_ = params_.reliable_delivery();
   faults_active_ = params_.faults.active();
-  if (engine.sharded()) {
-    SplitMix64 seeder(seed);
-    const int shard_count = engine.shard_count();
-    shard_jitter_.reserve(static_cast<std::size_t>(shard_count));
-    shard_fault_.reserve(static_cast<std::size_t>(shard_count));
-    for (int shard = 0; shard < shard_count; ++shard) {
-      // child(0) is unused here and child(1) feeds the serial fault
-      // stream; the per-shard jitter streams are children 2..shard_count+1
-      // and the per-shard fault streams follow at shard_count+2 onward.
-      shard_jitter_.emplace_back(
-          seeder.child(static_cast<std::uint64_t>(shard) + 2));
-      shard_fault_.emplace_back(seeder.child(
-          static_cast<std::uint64_t>(shard_count) +
-          static_cast<std::uint64_t>(shard) + 2));
+  // Image i's jitter stream is child 2i of the seed and its fault stream
+  // child 2i + 1: independent, so enabling a FaultPlan leaves a run's jitter
+  // draws untouched.
+  const SplitMix64 seeder(seed);
+  jitter_.reserve(mailboxes_.size());
+  for (std::uint64_t image = 0; image < mailboxes_.size(); ++image) {
+    jitter_.emplace_back(seeder.child(2 * image));
+    if (faults_active_) {
+      fault_.emplace_back(seeder.child(2 * image + 1));
     }
   }
   // One protocol cell per shard (one total for serial engines); flight ids
@@ -77,20 +68,6 @@ void Network::reset_traffic() {
   }
 }
 
-Xoshiro256ss& Network::jitter_rng() {
-  if (shard_jitter_.empty()) {
-    return jitter_rng_;
-  }
-  return shard_jitter_[static_cast<std::size_t>(engine_.current_shard())];
-}
-
-Xoshiro256ss& Network::fault_rng() {
-  if (shard_fault_.empty()) {
-    return fault_rng_;
-  }
-  return shard_fault_[static_cast<std::size_t>(engine_.current_shard())];
-}
-
 int Network::calling_shard_index() const {
   return engine_.sharded() ? engine_.current_shard() : 0;
 }
@@ -126,7 +103,7 @@ std::size_t Network::inflight_reliable() const {
   return total;
 }
 
-Network::Timing Network::plan(double now, std::size_t bytes) {
+Network::Timing Network::plan(int source, double now, std::size_t bytes) {
   Timing timing{};
   // bandwidth is validated > 0 (infinity => instantaneous staging).
   const double inject =
@@ -134,7 +111,8 @@ Network::Timing Network::plan(double now, std::size_t bytes) {
   timing.stage_at = now + inject;
   double jitter = 0.0;
   if (params_.jitter_us > 0.0) {
-    jitter = jitter_rng().next_double() * params_.jitter_us;
+    jitter = jitter_[static_cast<std::size_t>(source)].next_double() *
+             params_.jitter_us;
   }
   timing.deliver_at = timing.stage_at + params_.latency_us + jitter;
   timing.ack_at = timing.deliver_at + params_.effective_ack_latency_us();
@@ -221,7 +199,8 @@ void Network::send(Message message, SendCallbacks callbacks) {
     return;
   }
   const double init_us = engine_.now();
-  const Timing timing = plan(init_us, message.size_bytes());
+  const Timing timing =
+      plan(message.header.source, init_us, message.size_bytes());
   account_send(message);
   if (callbacks.on_staged) {
     engine_.post(timing.stage_at, std::move(callbacks.on_staged));
@@ -241,7 +220,7 @@ void Network::send_staged(MessageHeader header, std::size_t size_hint,
     return;
   }
   const double init_us = engine_.now();
-  const Timing timing = plan(init_us, size_hint);
+  const Timing timing = plan(header.source, init_us, size_hint);
   // At staging time the network reads the source buffer; only then does the
   // message exist as an independent payload. Overwriting the source buffer
   // before local data completion corrupts the transfer, as on real RDMA
@@ -313,17 +292,17 @@ std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
 
 Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   AttemptFaults faults;
+  const MessageHeader& header = flight.message->header;
+  const auto source = static_cast<std::size_t>(header.source);
   if (params_.jitter_us > 0.0) {
-    faults.jitter_us = jitter_rng().next_double() * params_.jitter_us;
+    faults.jitter_us = jitter_[source].next_double() * params_.jitter_us;
   }
   if (!faults_active_) {
     return faults;
   }
-  const MessageHeader& header = flight.message->header;
   // A fixed number of fault-stream draws per attempt keeps the stream
-  // aligned no matter which faults actually fire. On a sharded engine the
-  // draws come from the calling (source) shard's stream.
-  Xoshiro256ss& rng = fault_rng();
+  // aligned no matter which faults actually fire.
+  Xoshiro256ss& rng = fault_[source];
   const double u_drop = rng.next_double();
   const double u_dup = rng.next_double();
   const double u_ack = rng.next_double();

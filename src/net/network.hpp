@@ -41,13 +41,17 @@
 /// and cofence hazards are oblivious to loss. When the protocol is off, each
 /// message is the bare stage / deliver / ack event triple.
 ///
+/// Randomness is drawn per source image: every image owns one jitter stream
+/// and one fault stream, both children of the network seed, and only the
+/// sender draws from them. Draws then follow the image's own execution, so a
+/// run draws the same values at every shard count.
+///
 /// One send path at every shard count (DESIGN.md §4.11, §4.12). The whole
-/// timing plan is drawn at initiation (from the calling shard's jitter stream
-/// on a sharded engine, the single serial stream otherwise); on_staged and
-/// on_acked are posted as source-side events at their planned times, and the
-/// delivery goes to the destination through Engine::post_for() — a plain
-/// post when both images share a shard, otherwise a stage into the
-/// destination shard's inbox for the next window merge. deliver_at >= now +
+/// timing plan is drawn at initiation; on_staged and on_acked are posted as
+/// source-side events at their planned times, and the delivery goes to the
+/// destination through Engine::post_for() — a plain post when both images
+/// share a shard, otherwise a stage into the destination shard's inbox for
+/// the next window merge. deliver_at >= now +
 /// latency >= now + lookahead by construction, so the conservative-window
 /// contract holds. With an observer attached, the sender reserves the flight
 /// span's id at initiation; the receiver records the span under that id on
@@ -57,12 +61,11 @@
 /// The reliable-delivery protocol runs on the same path (DESIGN.md §4.12).
 /// Protocol state is owned by the *source* shard: retained flights, flight
 /// ids, retransmit timers, and the fault counters live in per-shard cells
-/// (ReliableShard), and each shard rolls its attempts from its own fault
-/// stream. A link's sender half (next_seq, initiated) lives in the source
-/// shard's cell and its dedup half in the destination shard's, each created
-/// on first use, so no state is shared and none is sized p². Every fault
-/// decision of an attempt — including both ack losses — is rolled at the
-/// sender before anything is scheduled, and the receiver acknowledges every
+/// (ReliableShard). A link's sender half (next_seq, initiated) lives in the
+/// source shard's cell and its dedup half in the destination shard's, each
+/// created on first use, so no state is shared and none is sized p². Every
+/// fault decision of an attempt — including both ack losses — is rolled at
+/// the sender before anything is scheduled, and the receiver acknowledges every
 /// non-ack-dropped physical delivery regardless of its dedup outcome; the
 /// sender therefore schedules handle_ack at the delivery's known time plus
 /// ack latency *itself*, with no return event (an ack latency below the
@@ -195,16 +198,8 @@ class Network {
     double deliver_at;
     double ack_at;
   };
-  Timing plan(double now, std::size_t bytes);
-
-  /// The jitter stream timing draws come from: the per-shard stream of the
-  /// calling shard on a sharded engine, the single serial stream otherwise.
-  Xoshiro256ss& jitter_rng();
-
-  /// The fault stream attempt decisions come from: the per-shard stream of
-  /// the calling shard on a sharded engine, the single serial stream
-  /// otherwise.
-  Xoshiro256ss& fault_rng();
+  /// Plan a send of \p bytes by \p source initiated at \p now.
+  Timing plan(int source, double now, std::size_t bytes);
 
   /// The calling context's shard index (0 on an unsharded engine) — the
   /// recorder net lane and ReliableShard cell every operation uses.
@@ -325,11 +320,10 @@ class Network {
 
   sim::Engine& engine_;
   NetworkParams params_;
-  Xoshiro256ss jitter_rng_;
-  /// One jitter stream per shard on a sharded engine (empty otherwise):
-  /// each shard's timing draws are then a pure function of that shard's
-  /// deterministic execution, independent of cross-shard interleaving.
-  std::vector<Xoshiro256ss> shard_jitter_;
+  /// Per source image: the jitter streams, and the fault streams when a
+  /// FaultPlan is active. Only the image's own shard draws from them.
+  std::vector<Xoshiro256ss> jitter_;
+  std::vector<Xoshiro256ss> fault_;
   std::vector<Mailbox> mailboxes_;
   /// traffic_[x] is only ever written by image x's shard (out-fields at the
   /// source, in-fields at the destination), so plain counters stay safe.
@@ -341,11 +335,6 @@ class Network {
   // reliable-delivery state (empty when reliable_ is false)
   bool reliable_ = false;
   bool faults_active_ = false;
-  Xoshiro256ss fault_rng_;
-  /// One fault stream per shard on a sharded engine (empty otherwise),
-  /// mirroring shard_jitter_: each shard's attempt decisions are a pure
-  /// function of its own deterministic execution.
-  std::vector<Xoshiro256ss> shard_fault_;
   /// Per-shard reliable-protocol cell: the flights retained by this (source)
   /// shard, its flight-id counter, its fault counters, and the link halves
   /// its images own — sender halves of links they send on, dedup windows of

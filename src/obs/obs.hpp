@@ -173,7 +173,10 @@ struct Track {
 /// Immutable snapshot of everything recorded during one run. Deterministic:
 /// for a given options + body (and shard count) it is bit-identical across
 /// repeats and with the scheduler fast path on or off (export::to_text
-/// serializes it byte-stably for exactly that comparison).
+/// serializes it byte-stably for exactly that comparison). Across shard
+/// counts only the network span ids (per-lane composites), the parent links
+/// naming them, and the order of network spans that tie on (begin, end,
+/// image, peer) differ.
 struct Capture {
   ObsConfig config{};
   int images = 0;

@@ -39,15 +39,15 @@ void set_current(Image* image, Runtime* runtime) {
 /// arrivals another shard made "in the future" of its own virtual clock,
 /// making the final wake times — and thus traces and context-switch counts —
 /// differ between identically-seeded runs. The gate is therefore
-/// event-driven: arrivals funnel to image 0's shard as engine events (one
-/// conservative-lookahead hop; zero on a single shard), and the completed
-/// count releases each image through a per-image flag written only by that
-/// image's own shard, so every predicate read is a deterministic function of
+/// event-driven: arrivals funnel to image 0 as engine events one wire
+/// latency later, at every shard count, and the completed count releases
+/// each image through a per-image flag that only a call running at that
+/// image touches, so every predicate read is a deterministic function of
 /// virtual time.
 struct ExitGate {
   int expected = 0;
-  int collected = 0;  ///< arrivals seen on image 0's shard
-  std::unique_ptr<std::atomic<bool>[]> released;  ///< per image
+  int collected = 0;  ///< arrivals seen at image 0
+  std::unique_ptr<bool[]> released;  ///< per image
 };
 }  // namespace
 
@@ -143,7 +143,7 @@ void Runtime::run(const std::function<void()>& body) {
   auto gate = std::make_shared<ExitGate>();
   gate->expected = num_images();
   gate->released =
-      std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(num_images()));
+      std::make_unique<bool[]>(static_cast<std::size_t>(num_images()));
 
   engine_->run([this, &body, gate](int id) {
     Image* image = images_[static_cast<std::size_t>(id)].get();
@@ -152,28 +152,28 @@ void Runtime::run(const std::function<void()>& body) {
       body();
       // Collective exit: wait until every image finished its body so that
       // in-flight messages (e.g. steals landing on an already-done image)
-      // still find a live progress engine. The arrival funnels to image 0's
-      // shard one lookahead hop ahead (the cross-shard minimum); the
+      // still find a live progress engine. The arrival funnels to image 0
+      // one wire latency ahead (at least the cross-shard lookahead); the
       // completing arrival fans the release out, again one hop ahead,
-      // through per-image flags that only the target image's own shard ever
+      // through per-image flags that only a call at the target image ever
       // writes. Every predicate read below is then a function of virtual
       // time alone.
       sim::Engine* eng = engine_.get();
-      const double hop = eng->lookahead_us();
+      const double hop = options_.net.latency_us;
       const int n = num_images();
       eng->post_for(0, eng->now() + hop, [gate, eng, hop, n] {
         gate->collected += 1;
         if (gate->collected == gate->expected) {
           for (int rank = 0; rank < n; ++rank) {
             eng->post_for(rank, eng->now() + hop, [gate, eng, rank] {
-              gate->released[rank].store(true, std::memory_order_release);
+              gate->released[rank] = true;
               eng->unblock(rank);
             });
           }
         }
       });
       image->wait_for(
-          [&] { return gate->released[id].load(std::memory_order_acquire); },
+          [&] { return gate->released[id]; },
           "exit rendezvous",
           obs::ResourceId{obs::ResourceKind::kExitGate, -1, 0, 0});
       set_current(nullptr, nullptr);
@@ -368,34 +368,6 @@ void Runtime::fill_postmortem(obs::Postmortem& pm) {
 
 obs::Postmortem Runtime::dump_postmortem() {
   return engine_->snapshot_postmortem("on-demand postmortem");
-}
-
-SplitOp& Runtime::split_op(int team_id, std::uint32_t seq, int expected) {
-  // Caller holds split_mutex() (see runtime.hpp). References stay valid
-  // across unlocks: std::map nodes are stable until gc_split_op erases them.
-  SplitOp& op = splits_[{team_id, seq}];
-  if (op.expected == 0) {
-    op.expected = expected;
-  }
-  CAF2_ASSERT(op.expected == expected, "team_split rendezvous mismatch");
-  return op;
-}
-
-void Runtime::gc_split_op(int team_id, std::uint32_t seq) {
-  int& done = split_done_count_[{team_id, seq}];
-  done += 1;
-  auto it = splits_.find({team_id, seq});
-  CAF2_ASSERT(it != splits_.end(), "gc of unknown split op");
-  if (done == it->second.expected) {
-    splits_.erase(it);
-    split_done_count_.erase({team_id, seq});
-  }
-}
-
-int Runtime::allocate_team_ids(int count) {
-  const int base = next_team_id_;
-  next_team_id_ += count;
-  return base;
 }
 
 }  // namespace caf2::rt

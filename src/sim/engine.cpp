@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -46,6 +47,12 @@ void bump(std::atomic<std::uint64_t>& counter) {
   counter.store(counter.load(std::memory_order_relaxed) + 1,
                 std::memory_order_relaxed);
 }
+
+/// An event key is `poster << kPosterShift | poster's post counter`.
+constexpr int kPosterShift = 40;
+constexpr std::uint64_t kMaxPosts = std::uint64_t{1} << kPosterShift;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 Engine* Engine::current_engine() { return tls_context.engine; }
@@ -61,6 +68,8 @@ void*& Engine::context_slot(int index) {
 Engine::Engine(int participants, EngineOptions options)
     : options_(std::move(options)) {
   CAF2_REQUIRE(participants > 0, "Engine needs at least one participant");
+  CAF2_REQUIRE(participants <= (1 << (64 - kPosterShift - 1)),
+               "Engine: participant count exceeds the event-key image field");
   fastpath_ = options_.enable_fastpath;
   if (const char* env = std::getenv("CAF2_SIM_NO_FASTPATH");
       env != nullptr && *env != '\0' && *env != '0') {
@@ -340,9 +349,26 @@ obs::Postmortem Engine::snapshot_postmortem(const std::string& headline) {
   return pm;
 }
 
-void Engine::enqueue(Shard& shard, double when, std::int32_t wake_participant,
-                     std::uint32_t call_slot) {
-  const QueuedEvent event{when, shard.next_seq++, wake_participant, call_slot};
+Engine::Participant& Engine::poster() {
+  if (tls_shard.engine != this) {
+    return *participants_[0];  // outside any context, before run()
+  }
+  if (tls_context.engine == this && tls_context.id >= 0) {
+    return *participants_[tls_context.id];
+  }
+  return *participants_[shards_[static_cast<std::size_t>(tls_shard.index)]
+                            ->run_home];
+}
+
+std::uint64_t Engine::next_seq(Participant& poster) {
+  CAF2_ASSERT(poster.posts < kMaxPosts, "event key: post counter overflow");
+  return (static_cast<std::uint64_t>(poster.id) << kPosterShift) |
+         poster.posts++;
+}
+
+void Engine::enqueue(Shard& shard, double when, Participant& poster,
+                     std::int32_t participant, std::uint32_t call_slot) {
+  const QueuedEvent event{when, next_seq(poster), participant, call_slot};
   if (when == shard.now_us.load(std::memory_order_relaxed)) {
     shard.queue.push_now(event);
   } else {
@@ -355,8 +381,8 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
     // An exhausted shard is not a deadlock: other shards may still feed
     // this one at the next window merge. The barrier performs the global
     // deadlock / budget / watchdog checks with every shard quiesced.
-    if (failed() || shard.finished_count == shard.count ||
-        shard.queue.empty() || shard.queue.top().at >= window_end_ ||
+    if (failed() || shard.queue.empty() ||
+        shard.queue.top().at >= shard.horizon ||
         shard.dispatched.load(std::memory_order_relaxed) >= shard.event_cap) {
       return nullptr;
     }
@@ -368,7 +394,8 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
         std::memory_order_relaxed);
 
     if (event.call_slot != kNoSlot) {
-      record(shard, TraceKind::kCall, -1);
+      shard.run_home = event.participant;
+      record(shard, TraceKind::kCall, event.participant);
       // Callbacks (network staging, deliveries, timers) run under the
       // scheduler loop's context, on the loop or on the stack of the
       // participant that is handing the token on. No participant of this
@@ -397,7 +424,7 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
       continue;
     }
 
-    Participant& target = *participants_[event.wake_participant];
+    Participant& target = *participants_[event.participant];
     if (target.state == PState::kFinished || target.active) {
       continue;  // stale wake
     }
@@ -457,25 +484,26 @@ void Engine::advance(double dt) {
 
   // Self-wake fast path: the caller holds the token, so every shard field
   // below is owned by this context until it suspends. If the wake we are
-  // about to schedule — (target, next_seq) — would be the very next event
-  // dispatched, and the event budget permits dispatching it, skip the queue
-  // round-trip and the switch_out() handoff entirely. Ties at `target` go to
-  // the queue (existing events hold smaller sequence numbers), so the strict
-  // `>` comparison is exact, and the recorded trace (kAdvance then kWake) is
-  // bit-identical to the slow path's. The jump must also stay strictly
-  // inside the conservative window — the shard clock may never reach
-  // window_end_, or later cross-shard merges could land in its past.
+  // about to schedule at `target` would be the very next event dispatched,
+  // and the event budget permits dispatching it, skip the queue round-trip
+  // and the switch_out() handoff entirely. Ties at `target` go to the queue
+  // (a FIFO wake follows every event pending at its time, and a heap tie
+  // breaks by key), so the strict `>` comparison is exact, and the recorded
+  // trace (kAdvance then kWake) is bit-identical to the slow path's. The
+  // jump must also stay strictly inside the shard's horizon — the clock may
+  // never reach the window end, or later cross-shard merges could land in
+  // its past.
   const double now = shard.now_us.load(std::memory_order_relaxed);
   const double target = now + dt;
   if (fastpath_ && !failed() &&
       (shard.queue.empty() || shard.queue.top().at > target) &&
-      target < window_end_ &&
+      target < shard.horizon &&
       shard.dispatched.load(std::memory_order_relaxed) < shard.event_cap) {
     record(shard, TraceKind::kAdvance, self.id);
     if (observer_ != nullptr && dt > 0.0) {
       observer_->on_compute(self.id, now, target);
     }
-    ++shard.next_seq;  // the number the slow path's wake would consume
+    ++self.posts;  // the key the slow path's wake would consume
     bump(shard.dispatched);
     shard.now_us.store(target, std::memory_order_relaxed);
     record(shard, TraceKind::kWake, self.id);
@@ -486,7 +514,7 @@ void Engine::advance(double dt) {
   if (observer_ != nullptr && dt > 0.0) {
     observer_->on_compute(self.id, now, target);
   }
-  enqueue(shard, target, self.id, kNoSlot);
+  enqueue(shard, target, self, self.id, kNoSlot);
   // Stray wakes (e.g. an unblock() from a completion callback) can activate
   // this participant before its scheduled resume time; modeled computation
   // must not finish early, so re-relinquish until the clock reaches the
@@ -522,33 +550,23 @@ void Engine::unblock(int participant) {
   CAF2_REQUIRE(participant >= 0 && participant < size(),
                "unblock(): participant id out of range");
   const int dest = shard_of(participant);
-  if (sharded() && (tls_shard.engine != this || tls_shard.index != dest)) {
-    CAF2_REQUIRE(tls_shard.engine == this,
-                 "cross-shard unblock() outside an engine context");
-    // Cross-shard wake: stage into the owner's inbox without peeking at the
-    // target's state (that would race); stale wakes are filtered at
-    // dispatch, exactly like same-shard ones. The timestamp is clamped to
-    // the destination clock at merge time.
-    Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
-    cross_post(dest, src.now_us.load(std::memory_order_relaxed), participant,
-               InlineFn());
-    return;
-  }
+  CAF2_REQUIRE(!sharded() || current_shard() == dest,
+               "unblock(): the participant lives on another shard");
   Shard& shard = *shards_[static_cast<std::size_t>(dest)];
   Participant& target = *participants_[participant];
   if (target.state == PState::kFinished || target.active) {
     return;
   }
-  enqueue(shard, shard.now_us.load(std::memory_order_relaxed), participant,
-          kNoSlot);
+  enqueue(shard, shard.now_us.load(std::memory_order_relaxed), poster(),
+          participant, kNoSlot);
 }
 
 void Engine::post_call(double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post() needs a callable");
+  Participant& from = poster();
   Shard& shard = calling_shard();
-  const double when =
-      std::max(at, shard.now_us.load(std::memory_order_relaxed));
-  enqueue(shard, when, -1, shard.calls.acquire(std::move(fn)));
+  enqueue(shard, std::max(at, shard.now_us.load(std::memory_order_relaxed)),
+          from, from.id, shard.calls.acquire(std::move(fn)));
 }
 
 void Engine::post_for_call(int participant, double at, InlineFn fn) {
@@ -556,31 +574,20 @@ void Engine::post_for_call(int participant, double at, InlineFn fn) {
   CAF2_REQUIRE(participant >= 0 && participant < size(),
                "post_for(): participant id out of range");
   const int dest = shard_of(participant);
-  if (sharded() && (tls_shard.engine != this || tls_shard.index != dest)) {
-    CAF2_REQUIRE(tls_shard.engine == this,
-                 "cross-shard post_for() outside an engine context");
-    Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
-    CAF2_ASSERT(
-        at >= src.now_us.load(std::memory_order_relaxed) + lookahead_ - 1e-9,
-        "cross-shard event violates the conservative lookahead window");
-    cross_post(dest, at, -1, std::move(fn));
+  Participant& from = poster();
+  Shard& shard = calling_shard();
+  const double now = shard.now_us.load(std::memory_order_relaxed);
+  if (shard.index == dest) {
+    enqueue(shard, std::max(at, now), from, participant,
+            shard.calls.acquire(std::move(fn)));
     return;
   }
-  post_call(at, std::move(fn));
-}
-
-void Engine::cross_post(int dest_shard, double at,
-                        std::int32_t wake_participant, InlineFn fn) {
-  Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
-  Shard& dst = *shards_[static_cast<std::size_t>(dest_shard)];
-  CrossEvent ev;
-  ev.at = at;
-  // Only the source shard's token holder (or its scheduler loop) stages
-  // cross events, so the per-source counter needs no synchronization.
-  ev.order = src.cross_order++;
-  ev.source_shard = src.index;
-  ev.wake_participant = wake_participant;
-  ev.fn = std::move(fn);
+  CAF2_REQUIRE(tls_shard.engine == this,
+               "cross-shard post_for() outside an engine context");
+  CAF2_ASSERT(at >= now + lookahead_ - 1e-9,
+              "cross-shard event violates the conservative lookahead window");
+  CrossEvent ev{at, next_seq(from), participant, std::move(fn)};
+  Shard& dst = *shards_[static_cast<std::size_t>(dest)];
   std::lock_guard<std::mutex> guard(dst.inbox_mutex);
   dst.inbox.push_back(std::move(ev));
 }
@@ -591,50 +598,26 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
     std::lock_guard<std::mutex> guard(shard.inbox_mutex);
     batch.swap(shard.inbox);
   }
-  if (batch.empty()) {
-    return true;
-  }
-  // (time, source shard, per-source counter) is a total order — the counter
-  // is unique within a source — so the merged sequence is identical for any
-  // arrival interleaving: multi-shard runs are deterministic for a fixed
-  // shard count.
-  std::sort(batch.begin(), batch.end(),
-            [](const CrossEvent& a, const CrossEvent& b) {
-              if (a.at != b.at) {
-                return a.at < b.at;
-              }
-              if (a.source_shard != b.source_shard) {
-                return a.source_shard < b.source_shard;
-              }
-              return a.order < b.order;
-            });
+  // Calls are provably in the destination's future — a sender's clock is
+  // at least global_min and a call rides at least one lookahead, so it
+  // lands at or past the window end every clock stayed below. Verify that
+  // instead of running a straggler late, which would corrupt latency
+  // metrics undetectably.
   const double local_now = shard.now_us.load(std::memory_order_relaxed);
-  bool ok = true;
   for (auto& ev : batch) {
-    // Clamping wakes to the destination clock keeps every queued event at or
-    // above the clock, which is what makes the global minimum — and with it
-    // the window end — monotone (DESIGN.md §4.11). Calls are provably
-    // already in the destination's future — a sender's clock is at least
-    // global_min and a call rides at least one lookahead, so it lands at or
-    // past the window end every clock stayed below — so the clamp is a
-    // no-op for them; verify that instead of silently time-shifting a
-    // straggler, which would corrupt latency metrics undetectably.
-    if (ev.wake_participant < 0 && ev.at < local_now - 1e-9 && ok) {
+    if (ev.at < local_now) {
       std::ostringstream os;
-      os << "conservative window violation: cross-shard call from shard "
-         << ev.source_shard << " at t=" << ev.at << " us merged into shard "
-         << shard.index << "'s past (clock " << local_now << " us)";
+      os << "conservative window violation: cross-shard call from image "
+         << (ev.seq >> kPosterShift) << " at t=" << ev.at
+         << " us merged into shard " << shard.index << "'s past (clock "
+         << local_now << " us)";
       violation = os.str();
-      ok = false;
+      return false;
     }
-    const double when = std::max(ev.at, local_now);
-    if (ev.wake_participant >= 0) {
-      enqueue(shard, when, ev.wake_participant, kNoSlot);
-    } else {
-      enqueue(shard, when, -1, shard.calls.acquire(std::move(ev.fn)));
-    }
+    shard.queue.push(QueuedEvent{ev.at, ev.seq, ev.run_home,
+                                 shard.calls.acquire(std::move(ev.fn))});
   }
-  return ok;
+  return true;
 }
 
 bool Engine::window_rendezvous() {
@@ -668,12 +651,8 @@ bool Engine::advance_window_locked() {
     finish_failure_locked();
     return false;
   }
-  int finished = 0;
-  for (const auto& shard : shards_) {
-    finished += shard->finished_count;
-  }
-  if (finished == size()) {
-    return false;
+  if (draining_) {
+    return false;  // the drain window after the last finish has run
   }
 
   std::string violation;
@@ -685,14 +664,33 @@ bool Engine::advance_window_locked() {
     }
   }
 
-  // The earliest pending event across shards after the inbox merge (+inf
-  // when every queue is empty).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The earliest pending event across shards after the inbox merge, and
+  // across the shards that still run images (+inf when there is none).
   double global_min = kInf;
+  double running_min = kInf;
+  double latest = 0.0;  ///< the latest shard clock
+  int finished = 0;
   for (const auto& shard : shards_) {
+    finished += shard->finished_count;
+    latest = std::max(latest, shard->now_us.load(std::memory_order_relaxed));
     if (!shard->queue.empty()) {
       global_min = std::min(global_min, shard->queue.top().at);
+      if (shard->finished_count < shard->count) {
+        running_min = std::min(running_min, shard->queue.top().at);
+      }
     }
+  }
+  if (finished == size()) {
+    // Every image has finished: drain every shard's events at or before the
+    // last finish — cross-shard events land at least one lookahead later —
+    // in one last window, then end the run. The last finishing shard
+    // stopped at its finish, so the latest clock is the finish time.
+    draining_ = true;
+    for (auto& shard : shards_) {
+      shard->horizon = std::nextafter(latest, kInf);
+      shard->event_cap = std::numeric_limits<std::uint64_t>::max();
+    }
+    return true;
   }
   if (global_min == kInf) {
     fail_pending(obs::FailKind::kDeadlock,
@@ -711,10 +709,6 @@ bool Engine::advance_window_locked() {
   }
   const double quiet = options_.watchdog_quiet_us;
   if (quiet > 0.0) {
-    double latest = 0.0;
-    for (const auto& shard : shards_) {
-      latest = std::max(latest, shard->now_us.load(std::memory_order_relaxed));
-    }
     if (global_min > latest + quiet && all_unfinished_blocked_locked()) {
       std::ostringstream os;
       os << "watchdog: every image is blocked and no event is due within "
@@ -727,10 +721,11 @@ bool Engine::advance_window_locked() {
 
   ++windows_;
   // One shard has no peers and can receive nothing, so its window is
-  // unbounded. Otherwise every shard gets the same end. The merge clamp makes
-  // global_min non-decreasing across windows, so the max() is provably a
-  // no-op — kept as a defensive invariant: a window end must never move
-  // backwards once shard clocks have entered a window.
+  // unbounded. Otherwise every shard gets the same end. Every queued event
+  // lies at or above global_min, so global_min never decreases across
+  // windows and the max() is provably a no-op — kept as a defensive
+  // invariant: a window end must never move backwards once shard clocks
+  // have entered a window.
   double end = sharded() ? std::max(window_end_, global_min + lookahead_)
                          : kInf;
   if (quiet > 0.0) {
@@ -744,7 +739,9 @@ bool Engine::advance_window_locked() {
 
   // Split the remaining event budget, ceil(remaining / shards) each, so a
   // shard's cap depends only on barrier state, never on another shard's
-  // progress mid-window.
+  // progress mid-window. A shard whose images have all finished stays below
+  // the running shards' earliest event: the last image finishes no earlier,
+  // so it never runs an event a one-shard run would not.
   const std::uint64_t shards = shards_.size();
   const std::uint64_t share =
       (options_.max_events - dispatched + shards - 1) / shards;
@@ -753,7 +750,10 @@ bool Engine::advance_window_locked() {
         options_.max_events == 0
             ? std::numeric_limits<std::uint64_t>::max()
             : shard->dispatched.load(std::memory_order_relaxed) + share;
-    if (shard->queue.empty() || shard->queue.top().at >= end) {
+    shard->horizon = shard->finished_count < shard->count
+                         ? end
+                         : std::min(end, running_min);
+    if (shard->queue.empty() || shard->queue.top().at >= shard->horizon) {
       ++window_stalls_;
     }
   }
@@ -780,7 +780,9 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
   Shard& shard = home_shard(id);
   self.state = PState::kFinished;
   self.active = false;
-  ++shard.finished_count;
+  if (++shard.finished_count == shard.count) {
+    shard.horizon = -kInf;  // wait for the barrier (see the file comment)
+  }
   record(shard, TraceKind::kFinish, id);
 }
 
@@ -835,11 +837,7 @@ void Engine::shard_loop(Shard& shard, const std::function<void(int)>& body) {
   // then dispatch on from here, until the shard has nothing left to
   // dispatch this window.
   while (window_rendezvous()) {
-    while (shard.finished_count < shard.count && !failed()) {
-      Participant* const target = dispatch_chain(shard);
-      if (target == nullptr) {
-        break;  // window exhausted, shard drained, or run failed
-      }
+    while (Participant* const target = dispatch_chain(shard)) {
       resume_fiber(shard, *target);
     }
   }
@@ -860,7 +858,7 @@ void Engine::run(const std::function<void(int)>& body) {
   // the first window.
   for (auto& shard : shards_) {
     for (int p = shard->first; p < shard->first + shard->count; ++p) {
-      enqueue(*shard, 0.0, p, kNoSlot);
+      enqueue(*shard, 0.0, *participants_[0], p, kNoSlot);
     }
   }
 

@@ -8,7 +8,7 @@
 /// stackful fiber (sim/fiber.hpp), but the engine admits exactly **one
 /// runnable context at a time per shard**: a participant that blocks or
 /// advances its virtual clock dispatches its shard's events itself, in
-/// *virtual-time* order (ties broken by insertion sequence, so runs are
+/// *virtual-time* order (ties broken by who posted the event, so runs are
 /// fully deterministic), until one activates a participant. It keeps
 /// running if that is itself, switches straight onto the other
 /// participant's fiber otherwise (one userspace register swap per token
@@ -28,13 +28,18 @@
 ///  - participants that block without a scheduled wake are resumed only by a
 ///    subsequent unblock() from a callback or another participant.
 ///
+/// A Call runs at its *run home*: post_for(p, …) at p, post() at the
+/// poster's own home. The *poster* is the calling participant or the
+/// running call's run home (image 0 before run()). Events are keyed
+/// `(at, poster, poster's post counter)`, a function of the program alone
+/// (DESIGN.md §4.6).
+///
 /// Hot-path properties that keep dispatch cheap (DESIGN.md §4.6):
 ///  - queued events are 24-byte PODs; a Call event's closure lives in a
 ///    pooled, stable-address small-buffer slot (InlineFn) and runs in place,
 ///    not in a freshly allocated std::function;
-///  - events stamped at the current time with a fresh sequence number go to
-///    a FIFO instead of the binary heap (sim/event_queue.hpp), in the exact
-///    same dispatch order;
+///  - events stamped at the current time go to a FIFO in insertion order
+///    instead of the binary heap (sim/event_queue.hpp);
 ///  - when advance()/yield() can prove the caller's own wake would be the
 ///    very next event dispatched, it short-circuits the push/pop/handoff
 ///    entirely (the self-wake fast path). The fast path is trace-identical
@@ -46,9 +51,8 @@
 /// Every run is a conservative parallel discrete-event simulation over
 /// EngineOptions::shards (or CAF2_SIM_SHARDS=N) shards: participants are
 /// partitioned into contiguous shards, each shard owns its own event queue,
-/// call pool, sequence counter, and clock, and each shard's events execute
-/// on one OS thread — shard 0 on the thread that called run(), shards
-/// 1..N-1 on worker threads. Virtual time advances in windows: a
+/// call pool, and clock, and each shard's events execute on one OS thread —
+/// shard 0 on the thread that called run(), shards 1..N-1 on worker threads. Virtual time advances in windows: a
 /// shard may dispatch any event strictly below one engine-wide `window_end =
 /// global_min + lookahead`, where `global_min` is the minimum pending event
 /// time across shards and the lookahead is the network's minimum link latency
@@ -56,14 +60,20 @@
 /// (a message delivery) carries a timestamp at least `lookahead` in the
 /// future, so it can never land inside the window a destination shard is
 /// already executing — cross-shard events are staged into the destination's
-/// inbox and merged at the next window boundary in the deterministic order
-/// `(time, source shard, per-source counter)`, then re-sequenced into the
-/// destination queue. Any fixed shard count is deterministic across repeats.
+/// inbox and merged at the next window boundary, keeping their keys. Within
+/// one virtual instant only an image's own contexts post events that run at
+/// that image, so every shard count runs the same schedule (DESIGN.md
+/// §4.11); waking a participant on another shard is a usage error.
 /// Sharding requires a positive lookahead; configurations without one
 /// (zero-latency networks) automatically fall back to one shard. A shard
 /// with no peers can receive nothing, so its window is unbounded: `shards=1`
 /// is the same loop with a single window. The reliable-delivery protocol
 /// and obs span capture both run sharded (DESIGN.md §4.12).
+///
+/// A shard whose images have all finished keeps dispatching, but only below
+/// the earliest pending event of the shards still running images; once the
+/// last image finishes, every shard drains its events at or before that
+/// time and the run ends — on one shard too.
 ///
 /// If the queues drain while unfinished participants are blocked, the
 /// simulated program has provably deadlocked; the engine collects a
@@ -229,17 +239,16 @@ class Engine {
   /// --- calls valid on a participant context or inside a Call callback -----
 
   /// Make a blocked participant runnable at the current virtual time.
-  /// Harmless if the participant is already runnable or finished. When the
-  /// target lives on another shard the wake is staged into that shard's
-  /// inbox and merged at the next window boundary (wakes are hints — the
-  /// woken participant re-evaluates its predicate — so the window-granular
-  /// delay is semantically safe).
+  /// Harmless if the participant is already runnable or finished. The
+  /// target must live on the calling context's shard (a usage error
+  /// otherwise).
   void unblock(int participant);
 
   /// Schedule a callback at absolute virtual time \p at (>= now()).
   /// Accepts any move-constructible void() callable; closures up to
   /// InlineFn::kInlineBytes are stored without heap allocation. The callback
-  /// runs on the calling context's shard.
+  /// runs at the poster's home: the calling participant, or the running
+  /// callback's run home.
   template <class F>
   void post(double at, F&& fn) {
     post_call(at, InlineFn(std::forward<F>(fn)));
@@ -251,11 +260,11 @@ class Engine {
     post_call(now() + delay, InlineFn(std::forward<F>(fn)));
   }
 
-  /// Schedule a callback on the shard that owns \p participant. Same-shard
-  /// (and single-shard) calls are exactly post(); cross-shard calls stage the
-  /// event into the owning shard's inbox for the next window merge and
-  /// require `at >= now() + lookahead_us` (the conservative-window
-  /// contract; the network's wire latency provides it).
+  /// Schedule a callback that runs at \p participant. Same-shard (and
+  /// single-shard) calls queue directly; cross-shard calls stage the event
+  /// into the owning shard's inbox for the next window merge and require
+  /// `at >= now() + lookahead_us` (the conservative-window contract; the
+  /// network's wire latency provides it).
   template <class F>
   void post_for(int participant, double at, F&& fn) {
     post_for_call(participant, at, InlineFn(std::forward<F>(fn)));
@@ -309,13 +318,14 @@ class Engine {
   /// Token handoffs between *different* participants dispatched so far,
   /// summed over shards. Within a shard this is a pure function of the
   /// dispatch order, so bit-identical across repeats and with the fast path
-  /// on or off — the determinism suite compares it.
+  /// on or off — the determinism suite compares it. It depends on the
+  /// partition: participants on different shards never hand off.
   std::uint64_t context_switch_count() const;
 
   /// Recorded trace (empty unless EngineOptions::record_trace). Populated
   /// when run() returns; in a sharded run it is the concatenation of the
-  /// per-shard traces in shard order (deterministic for a fixed shard
-  /// count).
+  /// per-shard traces in shard order. Each participant's own subsequence
+  /// (kCall entries carry their run home) is the same at every shard count.
   const std::vector<TraceEntry>& trace() const { return trace_; }
 
   /// Trace entries discarded by EngineOptions::max_trace_entries.
@@ -336,9 +346,6 @@ class Engine {
 
   /// The calling context's shard, or -1 outside any engine context.
   int current_shard() const;
-
-  /// Conservative lookahead window (0 for a single shard).
-  double lookahead_us() const { return lookahead_; }
 
   /// Window barriers between shards so far (1 for the initial window;
   /// always 0 for a single shard, whose barriers synchronize nothing).
@@ -368,6 +375,9 @@ class Engine {
   struct Participant {
     int id = -1;
     PState state = PState::kIdle;
+    /// Events this participant's contexts posted: the low bits of their
+    /// keys. Touched only on its home shard.
+    std::uint64_t posts = 0;
     bool active = false;  ///< holds (or is about to receive) the token
     const char* block_reason = nullptr;  ///< static string, while kWaiting
     std::unique_ptr<Fiber> fiber;
@@ -411,15 +421,12 @@ class Engine {
     std::uint32_t made_ = 0;
   };
 
-  /// An event staged by one shard for another, merged at the next window
-  /// boundary. Sorted by (at, source_shard, order) — `order` is a per-source
-  /// monotonic counter, so the merge is deterministic for a fixed shard
-  /// count — then re-sequenced into the destination queue.
+  /// A call staged by one shard for another, merged at the next window
+  /// boundary under the key its poster gave it.
   struct CrossEvent {
     double at = 0.0;
-    std::uint64_t order = 0;
-    std::int32_t source_shard = 0;
-    std::int32_t wake_participant = -1;  ///< >= 0: wake; else call
+    std::uint64_t seq = 0;
+    std::int32_t run_home = -1;
     InlineFn fn;
   };
 
@@ -451,8 +458,11 @@ class Engine {
     // reaches this value (see the file comment). Written by the barrier,
     // read on the shard's hot paths.
     std::uint64_t event_cap = 0;
-    std::uint64_t next_seq = 0;
+    // Events strictly below this time may dispatch (see the file comment).
+    // Written by the barrier; -inf once the shard's last image finishes.
+    double horizon = 0.0;
     int token_owner = -1;  ///< participant last handed the token
+    int run_home = 0;      ///< run home of the call being dispatched
     int finished_count = 0;
 
     std::vector<TraceEntry> trace;
@@ -461,7 +471,6 @@ class Engine {
     // Cross-shard staging (multi-shard runs only).
     std::mutex inbox_mutex;
     std::vector<CrossEvent> inbox;
-    std::uint64_t cross_order = 0;  ///< next CrossEvent stamp (source side)
   };
 
   Shard& home_shard(int participant) {
@@ -490,12 +499,10 @@ class Engine {
   /// window end and every shard's event cap. Returns false to end the run.
   bool advance_window_locked();
 
-  /// Merge a shard's inbox into its queue (deterministic order, fresh local
-  /// sequence numbers). Returns false — filling \p violation — when a call
-  /// event arrived below the destination clock: a conservative-window
-  /// violation the caller must turn into an engine failure, because the
-  /// wake clamp would otherwise silently time-shift the delivery and
-  /// corrupt every latency-derived metric downstream.
+  /// Merge a shard's inbox into its queue; events keep their keys, so the
+  /// arrival order does not matter. Returns false — filling \p violation —
+  /// when a call arrived below the destination clock: a conservative-window
+  /// violation the caller must turn into an engine failure.
   bool drain_inbox_locked(Shard& shard, std::string& violation);
 
   /// Build the failure postmortem on a quiesced engine and release every
@@ -537,18 +544,19 @@ class Engine {
   /// throws fails the run with a tagged error instead of propagating.
   Participant* dispatch_chain(Shard& shard);
 
-  /// Queue an event under a fresh sequence number at \p when (>= the shard
+  /// The participant whose context is posting (see the file comment).
+  Participant& poster();
+
+  /// The next event key of \p poster.
+  static std::uint64_t next_seq(Participant& poster);
+
+  /// Queue an event under \p poster's next key at \p when (>= the shard
   /// clock): on the FIFO tier when it is the current time, else the heap.
-  void enqueue(Shard& shard, double when, std::int32_t wake_participant,
-               std::uint32_t call_slot);
+  void enqueue(Shard& shard, double when, Participant& poster,
+               std::int32_t participant, std::uint32_t call_slot);
 
   void post_call(double at, InlineFn fn);
   void post_for_call(int participant, double at, InlineFn fn);
-
-  /// Stage an event into another shard's inbox. Must run on an engine
-  /// context (the source shard identity stamps the merge order).
-  void cross_post(int dest_shard, double at, std::int32_t wake_participant,
-                  InlineFn fn);
 
   std::uint64_t total_dispatched() const;
 
@@ -595,10 +603,11 @@ class Engine {
   bool sync_done_ = false;
   std::uint64_t windows_ = 0;
   std::uint64_t window_stalls_ = 0;
-  // Every shard's conservative window end: events strictly below it may
-  // dispatch this window. Only the barrier completer writes it, while every
-  // other shard waits; the generation release/acquire publishes it.
+  // The horizon of shards that still run images. Only the barrier completer
+  // writes it (and every horizon), while every other shard waits; the
+  // generation release/acquire publishes them.
   double window_end_ = 0.0;
+  bool draining_ = false;  ///< the last window, after every image finished
 
   // Failure staging: the postmortem is built later, at the barrier, so the
   // failing context only records what happened here.

@@ -3,17 +3,16 @@
 /// \file event_queue.hpp
 /// The engine's per-shard pending-event queue (DESIGN.md §4.6).
 ///
-/// Events dispatch in `(at, seq)` order. Between a third and a half of all
-/// events are scheduled *at the current time* with a fresh sequence number
-/// (unblock() wakes, posts at now, zero-length advances, inbox wakes clamped
-/// to the clock). Such an event is never earlier than anything scheduled the
-/// same way before it — the clock never runs backwards and fresh sequence
-/// numbers only grow — so those events arrive already sorted and a FIFO
-/// holds them with no heap work. Everything else — events at future times —
-/// goes to a binary heap. The
-/// queue's head is the smaller of the two heads, so the pop order is exactly
-/// the `(at, seq)` order a single heap would produce.
-
+/// Every event carries an intrinsic key: its time `at` and a `seq` that
+/// packs the posting image and that image's own post counter (see
+/// QueuedEvent). Between a third and a half of all events are scheduled *at
+/// the current time* (unblock() wakes, posts at now, zero-length advances).
+/// Those go to a FIFO in insertion order with no heap work; everything else
+/// — events at future times — goes to a binary heap ordered by `(at, seq)`.
+/// The queue's head is the earlier of the two heads, and on a tie in `at`
+/// the heap's: a heap event at the current time was posted before the clock
+/// reached it, so it precedes everything posted at that time.
+///
 #include <cstddef>
 #include <cstdint>
 #include <queue>
@@ -23,18 +22,22 @@
 
 namespace caf2::sim {
 
-/// A pending engine event: a POD. Wake events carry the participant id; Call
-/// events carry an index into the shard's call pool where the closure lives.
+/// A pending engine event: a POD. Wake events carry the participant to wake;
+/// Call events carry an index into the shard's call pool where the closure
+/// lives, and the participant the call runs at (its *run home*).
 struct QueuedEvent {
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   double at = 0.0;
+  /// `poster image << 40 | poster's post counter`: unique per event and a
+  /// function of the program alone, so equal-time heap ties break the same
+  /// way at every shard count.
   std::uint64_t seq = 0;
-  std::int32_t wake_participant = -1;  ///< >= 0 for Wake events
-  std::uint32_t call_slot = kNoSlot;   ///< != kNoSlot for Call events
+  std::int32_t participant = -1;      ///< woken participant or run home
+  std::uint32_t call_slot = kNoSlot;  ///< != kNoSlot for Call events
 };
 
-/// "a dispatches after b": the comparator of a min-heap on (at, seq).
+/// "a dispatches after b": the comparator of the min-heap on (at, seq).
 struct EventOrder {
   bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
     if (a.at != b.at) {
@@ -71,18 +74,17 @@ class EventQueue {
   /// Queue an event at any time with any sequence number.
   void push(const QueuedEvent& event) { heap_.push(event); }
 
-  /// Queue an event that dispatches after every event previously queued
-  /// through push_now() — true of one stamped at the current clock with a
-  /// fresh sequence number. O(1).
+  /// Queue an event at the current clock: it dispatches after every event
+  /// previously queued through push_now(), and after heap events at its
+  /// time. O(1).
   void push_now(const QueuedEvent& event) {
     if (fifo_count_ == fifo_.size()) {
       grow();
     }
     const std::size_t mask = fifo_.size() - 1;
     CAF2_ASSERT(fifo_count_ == 0 ||
-                    EventOrder{}(event,
-                                 fifo_[(fifo_head_ + fifo_count_ - 1) & mask]),
-                "push_now() event sorts before the FIFO's tail");
+                    event.at >= fifo_[(fifo_head_ + fifo_count_ - 1) & mask].at,
+                "push_now() event is earlier than the FIFO's tail");
     fifo_[(fifo_head_ + fifo_count_) & mask] = event;
     ++fifo_count_;
   }
@@ -90,7 +92,7 @@ class EventQueue {
  private:
   bool fifo_first() const {
     return fifo_count_ != 0 &&
-           (heap_.empty() || EventOrder{}(heap_.top(), fifo_[fifo_head_]));
+           (heap_.empty() || fifo_[fifo_head_].at < heap_.top().at);
   }
 
   /// Double the ring (a power of two, so wrapping is a mask) and unwrap it.

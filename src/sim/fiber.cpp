@@ -35,6 +35,7 @@
 #endif
 
 #if defined(CAF2_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(CAF2_TSAN)
@@ -141,6 +142,12 @@ class StackPool {
   void release(Fiber::Stack stack) {
     // Drop the resident pages but keep the mapping cached.
     madvise(stack.limit(), stack.usable(), MADV_DONTNEED);
+#if defined(CAF2_ASAN)
+    // A finished fiber never returns from its entry frames, so their
+    // redzones stay poisoned; the next fiber on this memory (recycled, or
+    // remapped after an unmap) must not inherit that stale shadow.
+    __asan_unpoison_memory_region(stack.limit(), stack.usable());
+#endif
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (free_.size() < kMaxCached) {

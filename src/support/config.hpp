@@ -263,8 +263,9 @@ struct RuntimeOptions {
   /// the rest on worker threads). <= 0 means "resolve from the
   /// environment": CAF2_SIM_SHARDS when set, one shard otherwise; an
   /// explicit value >= 1 always wins over the environment. shards=1 is the
-  /// same loop with a single unbounded window, and any fixed shard count is
-  /// deterministic run to run. The runtime derives the conservative
+  /// same loop with a single unbounded window, and every shard count runs
+  /// the same schedule: the setting changes host time and the partition
+  /// counters (RunStats), not results. The runtime derives the conservative
   /// lookahead from the network's wire latency; reliable delivery, fault
   /// plans, and obs span capture all run sharded (per-shard protocol cells
   /// and recorder net lanes, DESIGN.md §4.12). Only a zero-latency network

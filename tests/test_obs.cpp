@@ -264,8 +264,7 @@ TEST(Obs, CrossShardAckLinksTheSendersWaitToTheFlight) {
     engine.run([&](int id) {
       sim::Engine& e = sim::this_engine();
       if (id != 0) {
-        // Stay alive until the delivery: a shard whose images have all
-        // finished never dispatches its pending events.
+        // Wait for the delivery.
         while (network.mailbox(1).empty()) {
           e.block("mail");
         }

@@ -1,14 +1,17 @@
 /// Sharded parallel-DES engine (DESIGN.md §4.11, §4.12) through the full
-/// runtime: shards=1 repeat identity and stats shape, fixed-shard-count
-/// determinism across repeats, cross-shard asynchronous constructs at paper
-/// scale, cross-shard deadlock postmortems, fault plans and obs span capture
-/// under sharding, the static conservative window (determinism, reaction
-/// chains, no shard turn-taking), and the remaining zero-lookahead fallback
-/// to one shard.
+/// runtime: shards=1 repeat identity and stats shape, bit-identical repeats
+/// and one schedule at every shard count, cross-shard asynchronous
+/// constructs at paper scale, cross-shard deadlock postmortems, fault plans
+/// and obs span capture under sharding, the static conservative window
+/// (reaction chains, no shard turn-taking), team split through engine
+/// events, finished shards that keep dispatching, and the remaining
+/// zero-lookahead fallback to one shard.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,11 +19,13 @@
 #include "core/caf2.hpp"
 #include "core/detectors.hpp"
 #include "obs/export.hpp"
+#include "net/network.hpp"
 #include "obs/postmortem.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
+#include "sim/participant.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -128,10 +133,16 @@ TEST(Shards, ExplicitRequestBeatsEnvironment) {
   }
 }
 
-/// --- fixed shard count: deterministic across repeats ------------------------
+/// --- every shard count: one schedule, bit-identical repeats ---------------
 
-TEST(Shards, FixedCountIsDeterministicAcrossRepeats) {
-  for (const int shards : {2, 4}) {
+TEST(Shards, RepeatsAreBitIdenticalAndShardCountsAgree) {
+  // A fixed shard count repeats bit-identically, partition counters
+  // included; across shard counts the schedule itself (events, end time,
+  // image 0's finish) is one. ShardInvariance in test_determinism compares
+  // whole per-participant traces and obs captures across shard counts.
+  const Fingerprint serial = fingerprint_run(shard_options(8, 1, 21),
+                                             mixed_workload);
+  for (const int shards : {1, 2, 4}) {
     const Fingerprint a =
         fingerprint_run(shard_options(8, shards, 21), mixed_workload);
     const Fingerprint b =
@@ -143,19 +154,14 @@ TEST(Shards, FixedCountIsDeterministicAcrossRepeats) {
     EXPECT_EQ(a.shards, shards);
     ASSERT_EQ(a.shard_events.size(), static_cast<std::size_t>(shards));
     EXPECT_EQ(a.shard_events, b.shard_events) << "shards=" << shards;
-    EXPECT_GT(a.windows, 0u) << "shards=" << shards;
+    EXPECT_EQ(a.windows, b.windows) << "shards=" << shards;
+    if (shards > 1) {
+      EXPECT_GT(a.windows, 0u) << "shards=" << shards;
+    }
+    EXPECT_EQ(a.events, serial.events) << "shards=" << shards;
+    EXPECT_EQ(a.end_us, serial.end_us) << "shards=" << shards;
+    EXPECT_EQ(a.image0_us, serial.image0_us) << "shards=" << shards;
   }
-}
-
-TEST(Shards, ShardedRunsRepeatBitIdentically) {
-  const RuntimeOptions options = shard_options(8, 4, 33);
-  const Fingerprint a = fingerprint_run(options, mixed_workload);
-  const Fingerprint b = fingerprint_run(options, mixed_workload);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.end_us, b.end_us);
-  EXPECT_EQ(a.image0_us, b.image0_us);
-  EXPECT_EQ(a.shard_events, b.shard_events);
 }
 
 /// --- cross-shard constructs at paper scale ----------------------------------
@@ -377,18 +383,6 @@ TEST(Shards, ObsChromeTracesRepeatByteIdenticallyAtEveryShardCount) {
 
 /// --- the static conservative window (DESIGN.md §4.12) ----------------------
 
-TEST(Shards, StaticWindowsAreDeterministic) {
-  const RuntimeOptions options = shard_options(8, 4, 47);
-  const Fingerprint a = fingerprint_run(options, mixed_workload);
-  const Fingerprint b = fingerprint_run(options, mixed_workload);
-  EXPECT_EQ(a.shards, 4);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.end_us, b.end_us);
-  EXPECT_EQ(a.shard_events, b.shard_events);
-  EXPECT_EQ(a.windows, b.windows);
-}
-
 /// Ping-pong reaction chain rooted in a window-interior send. Images 0,1
 /// land on shard 0 and images 2,3 on shard 1 (contiguous partition). Image
 /// 3's long compute parks shard 1's earliest materialized event at t=2000,
@@ -477,6 +471,105 @@ TEST(Shards, DenseExchangeKeepsBothShardsBusy) {
   EXPECT_LT(stats.window_stalls * 10, stats.windows * 2)
       << stats.window_stalls << " of " << stats.windows * 2
       << " shard-windows stalled";
+}
+
+/// --- team split through engine events --------------------------------------
+
+/// Nested split of eight images with staggered contributions: world splits
+/// by parity, then each half splits in two. Returns every image's team ids,
+/// ranks and return times, plus the run's event count and end time.
+std::string nested_split_outcome(int shards) {
+  RuntimeOptions options = shard_options(8, shards, 71);
+  options.record_trace = false;
+  std::vector<std::string> lines(8);
+  std::vector<double> contributed(8);
+  std::vector<double> returned(8);
+  const RunStats stats = run_stats(options, [&] {
+    Team world = team_world();
+    const int me = world.rank();
+    compute(0.5 * ((me * 5) % 8));
+    contributed[static_cast<std::size_t>(me)] = now_us();
+    Team half = world.split(me % 2, -me);
+    returned[static_cast<std::size_t>(me)] = now_us();
+    compute(0.25 * ((me * 3) % 8));
+    Team quarter = half.split(half.rank() / 2, half.rank());
+    std::ostringstream os;
+    os << "image " << me << ": half " << half.id() << "/" << half.rank()
+       << "/" << half.size() << " at " << returned[static_cast<std::size_t>(me)]
+       << ", quarter " << quarter.id() << "/" << quarter.rank() << "/"
+       << quarter.size() << " at " << now_us();
+    lines[static_cast<std::size_t>(me)] = os.str();
+  });
+  // Every member returns the split cost after the last contribution: two
+  // traversals of a 3-level tree at (latency + handler cost) each.
+  const double last = *std::max_element(contributed.begin(), contributed.end());
+  for (const double t : returned) {
+    EXPECT_DOUBLE_EQ(t, last + 6.0 * (4.0 + 0.1)) << "shards=" << shards;
+  }
+  std::ostringstream os;
+  for (const std::string& line : lines) {
+    os << line << "\n";
+  }
+  os << "events " << stats.events << " end " << stats.virtual_us << "\n";
+  return os.str();
+}
+
+TEST(Shards, NestedSplitHasOneOutcomeAtEveryShardCount) {
+  const std::string reference = nested_split_outcome(1);
+  for (const int shards : {1, 2, 4}) {
+    for (int repeat = 0; repeat < 50; ++repeat) {
+      ASSERT_EQ(nested_split_outcome(shards), reference)
+          << "shards=" << shards << " repeat " << repeat;
+    }
+  }
+}
+
+/// --- the end of a run -------------------------------------------------------
+
+TEST(ShardsFinished, FinishedShardKeepsDispatching) {
+  // Image 1 returns at once, so its shard has no image left to run when
+  // image 0's message lands there. That shard must still deliver it, or the
+  // ack image 0 blocks on never comes and the window can never pass the
+  // undelivered message (a livelock with no event dispatched). Registered
+  // as its own ctest entry with a short TIMEOUT.
+  NetworkParams params;
+  params.latency_us = 2.0;
+  params.ack_latency_us = 2.0;
+  params.bandwidth_bytes_per_us = 2000.0;  // 8 bytes inject in 0.004 us
+  params.handler_cost_us = 0.0;
+  params.jitter_us = 0.0;
+  for (const int shards : {1, 2}) {
+    sim::EngineOptions options;
+    options.shards = shards;
+    options.lookahead_us = params.latency_us;
+    sim::Engine engine(2, options);
+    ASSERT_EQ(engine.shard_count(), shards);
+    net::Network network(engine, params, 1);
+    bool acked = false;
+    engine.run([&](int id) {
+      if (id != 0) {
+        return;
+      }
+      sim::Engine& e = sim::this_engine();
+      net::Message message;
+      message.header.source = 0;
+      message.header.dest = 1;
+      message.payload.assign(8, 1);
+      net::SendCallbacks callbacks;
+      callbacks.on_acked = [&] {
+        acked = true;
+        e.unblock(0);
+      };
+      network.send(std::move(message), std::move(callbacks));
+      while (!acked) {
+        e.block("waiting for the ack");
+      }
+    });
+    // Two start wakes, the delivery, the ack and image 0's wake.
+    EXPECT_EQ(engine.event_count(), 5u) << "shards=" << shards;
+    EXPECT_DOUBLE_EQ(engine.now(), 4.004) << "shards=" << shards;
+    EXPECT_EQ(network.mailbox(1).size(), 1u) << "shards=" << shards;
+  }
 }
 
 /// --- the remaining fallback to the serial engine ----------------------------

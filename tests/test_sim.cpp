@@ -309,29 +309,44 @@ TEST(Engine, NegativeAdvanceRejected) {
 /// --- two-tier event queue ---------------------------------------------------
 
 TEST(EventQueue, PopOrderMatchesAReferenceHeap) {
-  // Interleave current-time events with fresh sequence numbers (FIFO tier),
-  // future events, and events carrying an older sequence number (both heap
-  // tier: push() accepts any, though the engine only pushes future events)
-  // with pops, and check every pop against one reference heap under
-  // EventOrder. Times are multiples of 0.5 so equal-time ties are frequent.
+  // Interleave current-time events (FIFO tier, increasing keys, so
+  // insertion order is key order), events at any time with arbitrary keys
+  // (heap tier, as events from other posters carry), and pops, and check
+  // every pop against one reference heap under the queue's head rule: `at`,
+  // then heap before FIFO, then `seq`. Times are multiples of 0.5 so
+  // equal-time ties are frequent, and heap events may land at the current
+  // time to exercise the heap-first tie.
+  struct Ref {
+    QueuedEvent event;
+    bool fifo = false;
+  };
+  struct RefOrder {  // "a pops after b"
+    bool operator()(const Ref& a, const Ref& b) const {
+      if (a.event.at != b.event.at) {
+        return a.event.at > b.event.at;
+      }
+      if (a.fifo != b.fifo) {
+        return a.fifo;
+      }
+      return a.event.seq > b.event.seq;
+    }
+  };
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     std::mt19937_64 rng(seed);
     EventQueue queue;
-    std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, EventOrder>
-        reference;
+    std::priority_queue<Ref, std::vector<Ref>, RefOrder> reference;
     double now = 0.0;
     std::uint64_t next_seq = 0;
     std::int32_t next_id = 0;
-    std::vector<std::uint64_t> reserved;
     std::uint64_t pops = 0;
     const auto check_pop = [&] {
       ASSERT_EQ(queue.size(), reference.size());
       ASSERT_FALSE(queue.empty());
-      const QueuedEvent expect = reference.top();
+      const QueuedEvent expect = reference.top().event;
       reference.pop();
-      ASSERT_EQ(queue.top().wake_participant, expect.wake_participant);
+      ASSERT_EQ(queue.top().participant, expect.participant);
       const QueuedEvent got = queue.pop();
-      ASSERT_EQ(got.wake_participant, expect.wake_participant)
+      ASSERT_EQ(got.participant, expect.participant)
           << "seed " << seed << " pop " << pops;
       ASSERT_EQ(got.seq, expect.seq);
       ASSERT_EQ(got.at, expect.at);
@@ -343,22 +358,12 @@ TEST(EventQueue, PopOrderMatchesAReferenceHeap) {
       if (kind < 3) {
         const QueuedEvent event{now, next_seq++, next_id++};
         queue.push_now(event);
-        reference.push(event);
-      } else if (kind < 5) {
+        reference.push(Ref{event, true});
+      } else if (kind < 6) {
         const QueuedEvent event{now + 0.5 * static_cast<double>(rng() % 4),
-                                next_seq++, next_id++};
+                                rng(), next_id++};
         queue.push(event);
-        reference.push(event);
-      } else if (kind == 5) {
-        reserved.push_back(next_seq++);
-      } else if (kind == 6 && !reserved.empty()) {
-        const std::size_t pick = rng() % reserved.size();
-        const QueuedEvent event{now + 0.5 * static_cast<double>(rng() % 3),
-                                reserved[pick], next_id++};
-        reserved[pick] = reserved.back();
-        reserved.pop_back();
-        queue.push(event);
-        reference.push(event);
+        reference.push(Ref{event, false});
       } else if (!reference.empty()) {
         check_pop();
         if (HasFatalFailure()) {
