@@ -4,7 +4,7 @@
 /// here is *events per wall second*, not virtual time.
 ///
 /// Three layers are measured:
-///  - engine/*: the raw discrete-event loop (self-wake fast path, token
+///  - engine/*: the raw discrete-event loop (queued self-wakes, token
 ///    handoffs between participant fibers, Call-event dispatch);
 ///  - allreduce/*, randomaccess/*: full runtime stacks over the simulated
 ///    Gemini-class interconnect, swept over image counts and bunch sizes;
@@ -12,8 +12,7 @@
 ///
 /// Independent sweep points run concurrently (--jobs); results land in
 /// BENCH_substrate.json so the simulator's perf trajectory is tracked
-/// across commits. Use CAF2_SIM_NO_FASTPATH=1 to compare against the
-/// slow-path scheduler.
+/// across commits.
 ///
 /// The sharded/* and staggered/* sections measure the parallel-DES engine
 /// (DESIGN.md §4.11): a paper-scale ring workload plus a stagger-phased
@@ -76,6 +75,8 @@ std::vector<SweepPoint> build_sweep(const BenchArgs& args) {
   const int scale = args.quick ? 1 : 10;
 
   // --- engine layer --------------------------------------------------------
+  // A lone participant advancing: every step queues its own wake and pops
+  // it straight back, without a fiber switch.
   sweep.push_back({"engine/selfwake", [scale] {
                      const int steps = 200'000 * scale;
                      return measure_engine(1, [steps](int) {

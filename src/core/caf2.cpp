@@ -37,7 +37,6 @@ RunStats run_stats(const RuntimeOptions& options,
   stats.events = runtime.engine().event_count();
   stats.virtual_us = runtime.engine().now();
   stats.context_switches = runtime.engine().context_switch_count();
-  stats.fastpath = runtime.engine().fastpath_enabled();
   stats.peak_rss_bytes = peak_rss_bytes();
   stats.shards = runtime.engine().shard_count();
   stats.windows = runtime.engine().window_count();

@@ -55,15 +55,13 @@ void run(const RuntimeOptions& options, const std::function<void()>& body);
 ///
 /// events, virtual_us, context_switches, and faults are deterministic: for a
 /// given options + body (and shard count) they are bit-identical across
-/// repeats and with the scheduler fast path on or off. fastpath describes the
-/// configuration that ran; peak_rss_bytes is a *measured* property of the
-/// host process (monotone high-water mark, not deterministic) — determinism
-/// comparisons must exclude those.
+/// repeats. peak_rss_bytes is a *measured* property of the host process
+/// (monotone high-water mark, not deterministic) — determinism comparisons
+/// must exclude it.
 struct RunStats {
   std::uint64_t events = 0;  ///< engine events dispatched
   double virtual_us = 0.0;   ///< final virtual time
   std::uint64_t context_switches = 0;  ///< token handoffs between images
-  bool fastpath = true;      ///< self-wake fast path was active
   /// Process peak RSS after the run, summed over every worker thread (Linux:
   /// VmHWM of the whole process, not just the scheduler thread).
   std::uint64_t peak_rss_bytes = 0;

@@ -8,8 +8,8 @@
 ///    which loads directly in Perfetto (https://ui.perfetto.dev) or
 ///    chrome://tracing — one track per image plus a network track;
 ///  - a compact deterministic text form used by tests to assert that two
-///    runs (e.g. repeats, or fast path on vs off) recorded byte-identical
-///    captures with plain string equality.
+///    runs (e.g. two repeats) recorded byte-identical captures with plain
+///    string equality.
 
 #include <string>
 

@@ -74,6 +74,9 @@ struct FrEvent {
   const char* label = nullptr;  ///< optional literal (e.g. wait reason)
 };
 
+/// Ring capacity per image of the runtime's always-on flight recorder.
+inline constexpr std::size_t kFlightRecorderEntries = 256;
+
 /// Per-image fixed-capacity rings of FrEvents.
 class FlightRecorder {
  public:

@@ -35,7 +35,10 @@
 /// so id assignment is track-local and deterministic without any cross-shard
 /// coordination. take()/snapshot() merge the lanes into the capture's single
 /// network track by (begin, end, image, peer, id), a total order, so the
-/// exported capture is deterministic for a fixed shard count.
+/// exported capture is deterministic for a fixed shard count. Each of the n
+/// lanes holds ObsConfig::max_net_track_bytes / n, so the cap bounds the
+/// whole track; once it binds, which flights are kept depends on the
+/// partition.
 
 #include <array>
 #include <cstdint>
@@ -172,11 +175,11 @@ struct Track {
 
 /// Immutable snapshot of everything recorded during one run. Deterministic:
 /// for a given options + body (and shard count) it is bit-identical across
-/// repeats and with the scheduler fast path on or off (export::to_text
-/// serializes it byte-stably for exactly that comparison). Across shard
-/// counts only the network span ids (per-lane composites), the parent links
-/// naming them, and the order of network spans that tie on (begin, end,
-/// image, peer) differ.
+/// repeats (export::to_text serializes it byte-stably for exactly that
+/// comparison). Across shard counts the network span ids (per-lane
+/// composites), the parent links naming them, and the order of network spans
+/// that tie on (begin, end, image, peer) differ; so do the kept network
+/// spans once the network-track cap binds (kept + dropped does not).
 struct Capture {
   ObsConfig config{};
   int images = 0;
@@ -196,7 +199,8 @@ struct Capture {
 class Recorder {
  public:
   /// \p net_lanes is the number of independent network-track lanes (one per
-  /// engine shard; 1 for serial runs). Lanes are merged into the capture's
+  /// engine shard; 1 for serial runs), each capped at an equal share of
+  /// ObsConfig::max_net_track_bytes. Lanes are merged into the capture's
   /// single network track at take()/snapshot().
   Recorder(int images, ObsConfig config, int net_lanes = 1);
 
@@ -331,6 +335,7 @@ class Recorder {
   ObsConfig config_;
   std::vector<PerImage> images_;
   std::vector<NetLane> net_lanes_;
+  std::size_t lane_cap_bytes_ = 0;  ///< each lane's share of the net-track cap
 };
 
 /// RAII blame-context scope. Pass a null recorder to make it a no-op (the

@@ -112,6 +112,10 @@ struct PmFinishScope {
                 odd_completed = 0;
 };
 
+/// How many of each image's most recent flight-recorder events a runtime
+/// postmortem includes.
+inline constexpr std::size_t kPostmortemRecentEvents = 16;
+
 /// Snapshot of one image.
 struct PmImage {
   int rank = -1;

@@ -129,7 +129,9 @@ void Histogram::add(double us) {
 Recorder::Recorder(int images, ObsConfig config, int net_lanes)
     : config_(config),
       images_(static_cast<std::size_t>(images > 0 ? images : 0)),
-      net_lanes_(static_cast<std::size_t>(net_lanes > 0 ? net_lanes : 0)) {
+      net_lanes_(static_cast<std::size_t>(net_lanes > 0 ? net_lanes : 0)),
+      lane_cap_bytes_(config_.max_net_track_bytes /
+                      static_cast<std::size_t>(net_lanes > 0 ? net_lanes : 1)) {
   CAF2_REQUIRE(images > 0, "obs::Recorder needs at least one image");
   CAF2_REQUIRE(net_lanes > 0, "obs::Recorder needs at least one net lane");
 }
@@ -266,7 +268,7 @@ void Recorder::flight_span(std::uint64_t id, int source, int dest,
   span.peer = dest;
   span.kind = SpanKind::kFlight;
   span.blame = Blame::kNetwork;
-  store_span(lane_at(lane).track, config_.max_net_track_bytes, span, nullptr);
+  store_span(lane_at(lane).track, lane_cap_bytes_, span, nullptr);
 }
 
 void Recorder::retransmit_span(int image, int peer, double begin, double end,
@@ -281,8 +283,8 @@ void Recorder::retransmit_span(int image, int peer, double begin, double end,
   span.blame = Blame::kNetwork;
   const std::uint64_t ordinal =
       static_cast<std::uint64_t>(images()) + static_cast<std::uint64_t>(lane);
-  push_span(slot.track, ordinal, slot.next_local, config_.max_net_track_bytes,
-            span, nullptr);
+  push_span(slot.track, ordinal, slot.next_local, lane_cap_bytes_, span,
+            nullptr);
 }
 
 void Recorder::note_cause(int image, std::uint64_t span_id) {

@@ -73,7 +73,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   engine_options.record_trace = options_.record_trace;
   engine_options.max_events = options_.max_events;
   engine_options.label = options_.label;
-  engine_options.enable_fastpath = options_.sim_fastpath;
   engine_options.watchdog_quiet_us = options_.watchdog_quiet_us;
   engine_options.shards = options_.shards;
   // The conservative lookahead for sharded execution is the network's wire
@@ -98,7 +97,7 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   }
   if (options_.obs.flight_recorder) {
     flight_recorder_ = std::make_unique<obs::FlightRecorder>(
-        options_.num_images, options_.obs.flight_recorder_entries);
+        options_.num_images, obs::kFlightRecorderEntries);
     network_->set_flight_recorder(flight_recorder_.get());
   }
   engine_->set_postmortem_collector(
@@ -246,7 +245,6 @@ std::vector<int> raw_satisfiers(const obs::ResourceId& resource,
 }  // namespace
 
 void Runtime::fill_postmortem(obs::Postmortem& pm) {
-  const std::size_t recent_cap = options_.obs.postmortem_recent_events;
   for (int rank = 0; rank < num_images(); ++rank) {
     Image& img = *images_[static_cast<std::size_t>(rank)];
     if (static_cast<std::size_t>(rank) >= pm.per_image.size()) {
@@ -288,7 +286,7 @@ void Runtime::fill_postmortem(obs::Postmortem& pm) {
       out.finish.push_back(scope);
     }
     if (flight_recorder_ != nullptr) {
-      out.recent = flight_recorder_->recent(rank, recent_cap);
+      out.recent = flight_recorder_->recent(rank, obs::kPostmortemRecentEvents);
       out.recorded_total = flight_recorder_->total(rank);
     }
   }

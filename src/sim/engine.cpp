@@ -1,10 +1,12 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -16,14 +18,19 @@ int resolve_shards(int configured) {
   if (configured >= 1) {
     return configured;  // an explicit request always wins over the env
   }
-  if (const char* env = std::getenv("CAF2_SIM_SHARDS");
-      env != nullptr && *env != '\0') {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) {
-      return parsed;
-    }
+  const char* env = std::getenv("CAF2_SIM_SHARDS");
+  if (env == nullptr || *env == '\0') {
+    return 1;  // unset (CI sets it empty on non-shard jobs)
   }
-  return 1;
+  const std::string_view text(env);
+  int parsed = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  CAF2_REQUIRE(error == std::errc() && end == text.data() + text.size() &&
+                   parsed >= 1,
+               "CAF2_SIM_SHARDS must be a positive integer, got \"" +
+                   std::string(text) + "\"");
+  return parsed;
 }
 
 namespace {
@@ -70,11 +77,6 @@ Engine::Engine(int participants, EngineOptions options)
   CAF2_REQUIRE(participants > 0, "Engine needs at least one participant");
   CAF2_REQUIRE(participants <= (1 << (64 - kPosterShift - 1)),
                "Engine: participant count exceeds the event-key image field");
-  fastpath_ = options_.enable_fastpath;
-  if (const char* env = std::getenv("CAF2_SIM_NO_FASTPATH");
-      env != nullptr && *env != '\0' && *env != '0') {
-    fastpath_ = false;
-  }
 
   int shard_count = resolve_shards(options_.shards);
   lookahead_ = options_.lookahead_us;
@@ -251,45 +253,36 @@ std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
   return pm;
 }
 
-void Engine::fail_pending(obs::FailKind kind, const std::string& headline,
+void Engine::fail_pending(Shard& shard, obs::FailKind kind,
+                          const std::string& headline,
                           std::exception_ptr participant_error,
                           bool callback_error) {
-  std::lock_guard<std::mutex> guard(fail_mutex_);
-  if (!failed()) {
-    pending_fail_kind_ = kind;
-    pending_fail_headline_ = headline;
-    pending_fail_is_callback_ = callback_error;
-    if (participant_error && !first_error_) {
-      first_error_ = participant_error;
-    }
-    failed_.store(true, std::memory_order_release);
-  } else if (participant_error && !first_error_) {
-    first_error_ = participant_error;
+  if (!shard.failure) {
+    shard.failure =
+        Failure{shard.now_us.load(std::memory_order_relaxed), kind, headline,
+                std::move(participant_error), callback_error};
   }
 }
 
-void Engine::finish_failure_locked() {
-  if (!last_postmortem_) {
-    last_postmortem_ =
-        build_postmortem_locked(pending_fail_kind_, pending_fail_headline_);
-    failure_reason_ = options_.label + ": " + obs::to_text(*last_postmortem_);
+void Engine::finish_failure_locked(obs::FailKind kind,
+                                   const std::string& headline,
+                                   std::exception_ptr participant_error,
+                                   bool callback_error) {
+  if (failed_) {
+    return;
   }
-  {
-    std::lock_guard<std::mutex> guard(fail_mutex_);
-    if (!first_error_) {
-      // Synthesize the error every participant will surface so the exception
-      // run() rethrows is deterministic (with live workers, "first
-      // participant to unwind" would be a race). Callback failures carry
-      // label + headline; everything else carries the full postmortem
-      // rendering.
-      const std::string what = pending_fail_is_callback_
-                                   ? options_.label + ": " + pending_fail_headline_
-                                   : failure_reason_;
-      first_error_ =
-          std::make_exception_ptr(obs::StallError(what, last_postmortem_));
-    }
-  }
-  shutdown_ready_.store(true, std::memory_order_release);
+  last_postmortem_ = build_postmortem_locked(kind, headline);
+  failure_reason_ = options_.label + ": " + obs::to_text(*last_postmortem_);
+  // A participant's exception is rethrown as raised. Otherwise run()
+  // rethrows a StallError: callback failures carry label + headline,
+  // everything else the full postmortem rendering.
+  first_error_ = participant_error
+                     ? std::move(participant_error)
+                     : std::make_exception_ptr(obs::StallError(
+                           callback_error ? options_.label + ": " + headline
+                                          : failure_reason_,
+                           last_postmortem_));
+  failed_ = true;
 }
 
 void Engine::throw_failure() const {
@@ -318,10 +311,12 @@ void Engine::fail(const std::string& why) {
 }
 
 void Engine::fail(const std::string& why, obs::FailKind kind) {
-  fail_pending(kind, why, nullptr, false);
   if (quiesced_.load(std::memory_order_acquire)) {
-    finish_failure_locked();  // no run in progress: nothing to wait for
+    // No run in progress: nothing to wait for.
+    finish_failure_locked(kind, why);
+    return;
   }
+  fail_pending(calling_shard(), kind, why);
 }
 
 void Engine::set_postmortem_collector(PostmortemCollector fn) {
@@ -381,7 +376,7 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
     // An exhausted shard is not a deadlock: other shards may still feed
     // this one at the next window merge. The barrier performs the global
     // deadlock / budget / watchdog checks with every shard quiesced.
-    if (failed() || shard.queue.empty() ||
+    if (shard.failure || shard.queue.empty() ||
         shard.queue.top().at >= shard.horizon ||
         shard.dispatched.load(std::memory_order_relaxed) >= shard.event_cap) {
       return nullptr;
@@ -416,7 +411,7 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
       }
       shard.calls.release(event.call_slot);
       if (!error.empty()) {
-        fail_pending(obs::FailKind::kCallbackError,
+        fail_pending(shard, obs::FailKind::kCallbackError,
                      "engine callback (dispatched from the scheduler)" + error,
                      nullptr, /*callback_error=*/true);
         return nullptr;
@@ -434,8 +429,7 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
     if (target.id != shard.token_owner) {
       // Counted only when the token moves between participants, so the
       // value is a pure function of the dispatch order: identical across
-      // repeats and with the fast path on or off (a fast-pathed self-wake
-      // is exactly a dispatch that keeps the token in place).
+      // repeats.
       shard.token_owner = target.id;
       bump(shard.context_switches);
     }
@@ -445,12 +439,12 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
 
 void Engine::switch_out(Participant& self) {
   self.active = false;
-  // Once the failure postmortem is ready, parking would leave this fiber
+  // Once the failure postmortem is built, parking would leave this fiber
   // parked forever (the unwind pass resumes each live fiber exactly once) —
-  // throw immediately instead. Before that, a failed run still parks
+  // throw immediately instead. Before that, a failed shard still parks
   // normally: the barrier builds the postmortem, and the unwind pass that
   // follows it picks this fiber up.
-  if (!shutdown_ready_.load(std::memory_order_acquire)) {
+  if (!failed_) {
     // Dispatch the next events right here, under the loop's context so that
     // callbacks see no participant (current_id() == -1).
     Shard& shard = home_shard(self.id);
@@ -467,7 +461,7 @@ void Engine::switch_out(Participant& self) {
     }
     // Whoever switches back to this fiber installs its context first.
   }
-  if (failed()) {
+  if (failed_) {
     throw_failure();
   }
   self.state = PState::kRunnable;
@@ -482,34 +476,8 @@ void Engine::advance(double dt) {
   CAF2_ASSERT(self.active, "advance() caller does not hold the token");
   Shard& shard = home_shard(self.id);
 
-  // Self-wake fast path: the caller holds the token, so every shard field
-  // below is owned by this context until it suspends. If the wake we are
-  // about to schedule at `target` would be the very next event dispatched,
-  // and the event budget permits dispatching it, skip the queue round-trip
-  // and the switch_out() handoff entirely. Ties at `target` go to the queue
-  // (a FIFO wake follows every event pending at its time, and a heap tie
-  // breaks by key), so the strict `>` comparison is exact, and the recorded
-  // trace (kAdvance then kWake) is bit-identical to the slow path's. The
-  // jump must also stay strictly inside the shard's horizon — the clock may
-  // never reach the window end, or later cross-shard merges could land in
-  // its past.
   const double now = shard.now_us.load(std::memory_order_relaxed);
   const double target = now + dt;
-  if (fastpath_ && !failed() &&
-      (shard.queue.empty() || shard.queue.top().at > target) &&
-      target < shard.horizon &&
-      shard.dispatched.load(std::memory_order_relaxed) < shard.event_cap) {
-    record(shard, TraceKind::kAdvance, self.id);
-    if (observer_ != nullptr && dt > 0.0) {
-      observer_->on_compute(self.id, now, target);
-    }
-    ++self.posts;  // the key the slow path's wake would consume
-    bump(shard.dispatched);
-    shard.now_us.store(target, std::memory_order_relaxed);
-    record(shard, TraceKind::kWake, self.id);
-    return;
-  }
-
   record(shard, TraceKind::kAdvance, self.id);
   if (observer_ != nullptr && dt > 0.0) {
     observer_->on_compute(self.id, now, target);
@@ -647,8 +615,21 @@ bool Engine::advance_window_locked() {
   // parked in its shard (a loop only arrives once its shard is quiescent),
   // so all shard state is safe to read and mutate here; the barrier handoff
   // publishes whatever this thread writes.
-  if (failed()) {
-    finish_failure_locked();
+  if (failed_) {
+    return false;  // fail() before the run: the postmortem is built
+  }
+  // Every shard ran its window up to its end or its own first failure, so
+  // the window's earliest failure by (time, shard index) is one outcome.
+  const Failure* earliest = nullptr;
+  for (const auto& shard : shards_) {
+    if (shard->failure &&
+        (earliest == nullptr || shard->failure->at < earliest->at)) {
+      earliest = &*shard->failure;
+    }
+  }
+  if (earliest != nullptr) {
+    finish_failure_locked(earliest->kind, earliest->headline,
+                          earliest->error, earliest->callback_error);
     return false;
   }
   if (draining_) {
@@ -658,8 +639,7 @@ bool Engine::advance_window_locked() {
   std::string violation;
   for (auto& shard : shards_) {
     if (!drain_inbox_locked(*shard, violation)) {
-      fail_pending(obs::FailKind::kExplicitFail, violation, nullptr, false);
-      finish_failure_locked();
+      finish_failure_locked(obs::FailKind::kExplicitFail, violation);
       return false;
     }
   }
@@ -693,18 +673,15 @@ bool Engine::advance_window_locked() {
     return true;
   }
   if (global_min == kInf) {
-    fail_pending(obs::FailKind::kDeadlock,
-                 "deadlock: no pending events and every "
-                 "unfinished participant is blocked",
-                 nullptr, false);
-    finish_failure_locked();
+    finish_failure_locked(obs::FailKind::kDeadlock,
+                          "deadlock: no pending events and every "
+                          "unfinished participant is blocked");
     return false;
   }
   const std::uint64_t dispatched = total_dispatched();
   if (options_.max_events != 0 && dispatched >= options_.max_events) {
-    fail_pending(obs::FailKind::kEventBudget,
-                 "simulation event budget exceeded", nullptr, false);
-    finish_failure_locked();
+    finish_failure_locked(obs::FailKind::kEventBudget,
+                          "simulation event budget exceeded");
     return false;
   }
   const double quiet = options_.watchdog_quiet_us;
@@ -713,8 +690,7 @@ bool Engine::advance_window_locked() {
       std::ostringstream os;
       os << "watchdog: every image is blocked and no event is due within "
          << quiet << " us (next event at t=" << global_min << " us)";
-      fail_pending(obs::FailKind::kQuietWatchdog, os.str(), nullptr, false);
-      finish_failure_locked();
+      finish_failure_locked(obs::FailKind::kQuietWatchdog, os.str());
       return false;
     }
   }
@@ -773,11 +749,11 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
 
   // The entry function's return switches to the shard's scheduler loop,
   // which takes over dispatching.
-  if (error) {
-    fail_pending(obs::FailKind::kImageError,
-                 "participant raised an exception", error, false);
-  }
   Shard& shard = home_shard(id);
+  if (error) {
+    fail_pending(shard, obs::FailKind::kImageError,
+                 "participant raised an exception", error);
+  }
   self.state = PState::kFinished;
   self.active = false;
   if (++shard.finished_count == shard.count) {
@@ -841,7 +817,7 @@ void Engine::shard_loop(Shard& shard, const std::function<void(int)>& body) {
       resume_fiber(shard, *target);
     }
   }
-  if (failed()) {
+  if (failed_) {
     unwind_live_fibers(shard);
   }
   for (int p = shard.first; p < shard.first + shard.count; ++p) {
@@ -893,11 +869,8 @@ void Engine::run(const std::function<void(int)>& body) {
     }
   }
 
-  if (first_error_) {
+  if (failed_) {
     std::rethrow_exception(first_error_);
-  }
-  if (failed()) {
-    throw_failure();
   }
 }
 

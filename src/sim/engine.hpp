@@ -39,12 +39,7 @@
 ///    pooled, stable-address small-buffer slot (InlineFn) and runs in place,
 ///    not in a freshly allocated std::function;
 ///  - events stamped at the current time go to a FIFO in insertion order
-///    instead of the binary heap (sim/event_queue.hpp);
-///  - when advance()/yield() can prove the caller's own wake would be the
-///    very next event dispatched, it short-circuits the push/pop/handoff
-///    entirely (the self-wake fast path). The fast path is trace-identical
-///    to the slow path; set CAF2_SIM_NO_FASTPATH=1 (or
-///    EngineOptions::enable_fastpath = false) to force the slow path.
+///    instead of the binary heap (sim/event_queue.hpp).
 ///
 /// --- sharded parallel execution (DESIGN.md §4.11) ---------------------------
 ///
@@ -87,9 +82,14 @@
 /// and the next pending event is suspiciously far in the virtual future
 /// (e.g. a runaway retransmission backoff chain). The deadlock / budget /
 /// watchdog checks run at window boundaries, where every shard is quiesced
-/// and the global state is consistent. With the watchdog on, every window
-/// end is capped at `global_min + watchdog_quiet_us`, so a quiet gap always
-/// ends a window and the barrier sees it before the clock jumps across it.
+/// and the global state is consistent. A failure raised inside a window
+/// (fail(), a throwing callback or participant) stops only its own shard;
+/// every other shard finishes the window, whose end is fixed, and the
+/// barrier keeps the window's earliest failure by (virtual time, shard
+/// index), so a failing run's error and postmortem repeat exactly at a fixed
+/// shard count. With the watchdog on, every window end is capped at
+/// `global_min + watchdog_quiet_us`, so a quiet gap always ends a window and
+/// the barrier sees it before the clock jumps across it.
 /// The event budget (EngineOptions::max_events) is split at each barrier:
 /// every shard may dispatch up to ⌈remaining / shards⌉ more events before it
 /// parks, so the hot paths compare only the shard's own counter, a run stops
@@ -103,6 +103,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,8 @@ class Engine;
 /// The shard count a given configuration requests before the Engine clamps
 /// it against the participant count and the lookahead: an explicit
 /// `configured >= 1` wins; `configured <= 0` reads CAF2_SIM_SHARDS and
-/// defaults to 1. Exposed for bench metadata stamps.
+/// defaults to 1 when it is unset or empty. Anything but a positive integer
+/// there is a usage error. Exposed for bench metadata stamps.
 int resolve_shards(int configured);
 
 /// Everything that makes the calling context "participant N of engine E".
@@ -153,12 +155,6 @@ struct EngineOptions {
   /// discarded, so record_trace on a long 1024-image run cannot grow without
   /// bound. The default bounds the trace at ~128 MiB per shard.
   std::uint64_t max_trace_entries = std::uint64_t{1} << 22;
-
-  /// Enable the self-wake fast path (see file comment). The environment
-  /// variable CAF2_SIM_NO_FASTPATH=1 overrides this to false; results are
-  /// bit-identical either way, so the switch exists only for regression
-  /// testing and micro-benchmark comparisons.
-  bool enable_fastpath = true;
 
   /// Quiet-period watchdog (virtual microseconds; 0 = disabled). When every
   /// unfinished participant is blocked and the earliest pending event lies
@@ -200,8 +196,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Execute \p body SPMD on every participant. Blocks until every
-  /// participant's body returned. Rethrows the first participant exception
-  /// (after unwinding all other participants).
+  /// participant's body returned. On failure, unwinds every participant and
+  /// rethrows the failure the barrier kept: the participant's own exception
+  /// when a body threw, else an obs::StallError.
   void run(const std::function<void(int)>& body);
 
   /// Number of participants.
@@ -276,9 +273,9 @@ class Engine {
   /// a participant context or an engine callback; the reliability layer uses
   /// the two-argument form when a message exhausts its retransmission
   /// budget. The one-argument form tags the postmortem
-  /// obs::FailKind::kExplicitFail. During a run the failure is recorded
-  /// immediately but the postmortem is collected at the next window
-  /// boundary, where every shard is quiesced.
+  /// obs::FailKind::kExplicitFail. During a run the failure stops the
+  /// calling shard at once; the postmortem is collected at the next window
+  /// boundary, where every shard is quiesced (see the file comment).
   void fail(const std::string& why);
   void fail(const std::string& why, obs::FailKind kind);
 
@@ -312,14 +309,11 @@ class Engine {
   /// Total events dispatched so far (summed over shards).
   std::uint64_t event_count() const;
 
-  /// True when the self-wake fast path is active (options + environment).
-  bool fastpath_enabled() const { return fastpath_; }
-
   /// Token handoffs between *different* participants dispatched so far,
   /// summed over shards. Within a shard this is a pure function of the
-  /// dispatch order, so bit-identical across repeats and with the fast path
-  /// on or off — the determinism suite compares it. It depends on the
-  /// partition: participants on different shards never hand off.
+  /// dispatch order, so bit-identical across repeats — the determinism
+  /// suite compares it. It depends on the partition: participants on
+  /// different shards never hand off.
   std::uint64_t context_switch_count() const;
 
   /// Recorded trace (empty unless EngineOptions::record_trace). Populated
@@ -385,6 +379,15 @@ class Engine {
   };
 
   static constexpr std::uint32_t kNoSlot = QueuedEvent::kNoSlot;
+
+  /// A failure as raised, before the barrier turns it into the postmortem.
+  struct Failure {
+    double at = 0.0;  ///< the raising shard's clock
+    obs::FailKind kind{};
+    std::string headline;
+    std::exception_ptr error;  ///< the participant's exception, if any
+    bool callback_error = false;  ///< raised by a throwing engine callback
+  };
 
   /// Call closures, addressed by slot. Slots live in fixed-size chunks that
   /// never move, so a closure runs in place while it posts more closures.
@@ -464,6 +467,9 @@ class Engine {
     int token_owner = -1;  ///< participant last handed the token
     int run_home = 0;      ///< run home of the call being dispatched
     int finished_count = 0;
+    // The shard's first failure this window; once set, the shard dispatches
+    // nothing more until the barrier ends the run.
+    std::optional<Failure> failure;
 
     std::vector<TraceEntry> trace;
     std::uint64_t trace_dropped = 0;
@@ -481,8 +487,6 @@ class Engine {
   /// context (before or after the run).
   Shard& calling_shard();
 
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
-
   /// One shard's scheduler loop: create its participants' fibers, then
   /// alternately open a window at the barrier and start the window's
   /// dispatch (the participants carry it on through switch_out), until the
@@ -495,8 +499,9 @@ class Engine {
   bool window_rendezvous();
 
   /// Last-arriver body: every shard is quiesced, the sync mutex serializes
-  /// access. Runs the deadlock / budget / watchdog checks, sets the next
-  /// window end and every shard's event cap. Returns false to end the run.
+  /// access. Ends the run on the window's earliest failure, runs the
+  /// deadlock / budget / watchdog checks, sets the next window end and every
+  /// shard's event cap. Returns false to end the run.
   bool advance_window_locked();
 
   /// Merge a shard's inbox into its queue; events keep their keys, so the
@@ -506,14 +511,17 @@ class Engine {
   bool drain_inbox_locked(Shard& shard, std::string& violation);
 
   /// Build the failure postmortem on a quiesced engine and release every
-  /// participant to unwind (shutdown_ready_).
-  void finish_failure_locked();
+  /// participant to unwind (failed_). The first call wins.
+  void finish_failure_locked(obs::FailKind kind, const std::string& headline,
+                             std::exception_ptr participant_error = nullptr,
+                             bool callback_error = false);
 
-  /// Record a failure without collecting the postmortem (the collection
-  /// happens at the window barrier where every shard is quiesced). First
-  /// failure wins.
-  void fail_pending(obs::FailKind kind, const std::string& headline,
-                    std::exception_ptr participant_error, bool callback_error);
+  /// Record a failure on \p shard, which stops dispatching; the barrier
+  /// collects the postmortem. The shard's first failure wins.
+  void fail_pending(Shard& shard, obs::FailKind kind,
+                    const std::string& headline,
+                    std::exception_ptr participant_error = nullptr,
+                    bool callback_error = false);
 
   /// Participant body (entry function of the participant's fiber).
   void fiber_main(int id, const std::function<void(int)>& body);
@@ -534,14 +542,15 @@ class Engine {
   /// loop's context, then keep running (self re-activated), switch directly
   /// onto the activated participant, or suspend to the scheduler loop when
   /// the window has nothing left. Must be called by the participant that
-  /// currently has the token. Throws obs::StallError if the run failed
-  /// meanwhile.
+  /// currently has the token. Throws obs::StallError once the run has failed
+  /// and its postmortem is built.
   void switch_out(Participant& self);
 
   /// Pop and dispatch \p shard's events until a participant is activated,
-  /// the shard drains, the window is exhausted, or the event budget is
-  /// spent. Returns the activated participant, or nullptr. A callback that
-  /// throws fails the run with a tagged error instead of propagating.
+  /// the shard drains, the window is exhausted, the event budget is spent,
+  /// or the shard has failed. Returns the activated participant, or nullptr.
+  /// A callback that throws fails the run with a tagged error instead of
+  /// propagating.
   Participant* dispatch_chain(Shard& shard);
 
   /// The participant whose context is posting (see the file comment).
@@ -583,14 +592,16 @@ class Engine {
   std::vector<std::int32_t> shard_index_;  ///< participant id -> shard
   std::vector<std::unique_ptr<Participant>> participants_;
   EngineOptions options_;
-  bool fastpath_ = true;
   double lookahead_ = 0.0;
   PostmortemCollector collector_;
   std::shared_ptr<const obs::Postmortem> last_postmortem_;
 
-  std::atomic<bool> failed_{false};
+  // Set once the failure postmortem is built: by the barrier completer (the
+  // generation release publishes it), or by fail() outside a run. From then
+  // on every live fiber unwinds.
+  bool failed_ = false;
   std::string failure_reason_;
-  std::exception_ptr first_error_;
+  std::exception_ptr first_error_;  ///< what run() rethrows
   bool running_ = false;
   std::atomic<bool> quiesced_{true};  ///< false while shard loops run
 
@@ -608,14 +619,6 @@ class Engine {
   // generation release/acquire publishes them.
   double window_end_ = 0.0;
   bool draining_ = false;  ///< the last window, after every image finished
-
-  // Failure staging: the postmortem is built later, at the barrier, so the
-  // failing context only records what happened here.
-  std::mutex fail_mutex_;
-  obs::FailKind pending_fail_kind_{};
-  std::string pending_fail_headline_;
-  bool pending_fail_is_callback_ = false;
-  std::atomic<bool> shutdown_ready_{false};
 
   std::vector<TraceEntry> trace_;  ///< merged after run()
   obs::Recorder* observer_ = nullptr;

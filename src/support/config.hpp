@@ -30,11 +30,10 @@ enum class ExecBackend : std::uint8_t {
 ///
 /// The fault model perturbs the interconnect deterministically: every fault
 /// decision is drawn from a dedicated RNG stream (independent of the jitter
-/// stream), so a run with a given seed + FaultPlan is bit-reproducible —
-/// including with the scheduler fast path on or off. Faults only ever apply
-/// when the reliable-delivery protocol is active (see ReliabilityParams);
-/// injecting loss into the bare best-effort network would simply lose the
-/// message.
+/// stream), so a run with a given seed + FaultPlan is bit-reproducible.
+/// Faults only ever apply when the reliable-delivery protocol is active (see
+/// ReliabilityParams); injecting loss into the bare best-effort network would
+/// simply lose the message.
 
 /// What a scripted one-shot fault does to its target delivery attempt.
 enum class FaultKind : std::uint8_t {
@@ -218,20 +217,17 @@ struct ObsConfig {
 
   /// Hard memory cap of the network-track span buffer (bytes). The network
   /// track sees one span per delivered message, so it gets a larger default.
+  /// The cap holds for the whole track: a sharded run splits it evenly
+  /// across its per-shard lanes.
   std::size_t max_net_track_bytes = std::size_t{8} << 20;
 
   /// Always-on flight recorder (obs/flight_recorder.hpp): per-image rings of
   /// POD events feeding postmortems. Independent of `enabled` (the span
   /// recorder); recording never allocates past construction and never
   /// schedules engine events, so schedules stay bit-identical.
+  /// Its capacity (obs::kFlightRecorderEntries per image) and the tail a
+  /// postmortem renders (obs::kPostmortemRecentEvents) are fixed.
   bool flight_recorder = true;
-
-  /// Ring capacity per image, rounded up to a power of two (minimum 8).
-  std::size_t flight_recorder_entries = 256;
-
-  /// How many of each image's most recent flight-recorder events a rendered
-  /// postmortem includes.
-  std::size_t postmortem_recent_events = 16;
 };
 
 /// Complete configuration of a simulated SPMD run.
@@ -252,11 +248,6 @@ struct RuntimeOptions {
   /// Upper bound on executed simulation events; guards against accidental
   /// infinite message loops in tests. Zero means unlimited.
   std::uint64_t max_events = 0;
-
-  /// Enable the simulator's self-wake fast path (sim/engine.hpp). Results
-  /// are bit-identical with it on or off; the switch exists for regression
-  /// tests and perf comparisons. CAF2_SIM_NO_FASTPATH=1 also disables it.
-  bool sim_fastpath = true;
 
   /// Number of engine shards: scheduler loops executing the conservative
   /// parallel-DES scheme of DESIGN.md §4.11 (shard 0 on the calling thread,

@@ -1,22 +1,16 @@
-/// Determinism regression tests for the scheduler fast path (DESIGN.md §4.6)
-/// and repeated runs.
+/// Determinism regression tests for repeated runs (DESIGN.md §4.6).
 ///
-/// The self-wake fast path and the pooled Call-event storage are pure
-/// performance transformations: the engine must produce *bit-identical*
-/// results with them enabled, disabled via EngineOptions, or disabled via
-/// the CAF2_SIM_NO_FASTPATH environment variable, and every run must repeat
-/// exactly. These tests pin that down at both layers:
-///  - engine level: recorded traces (every scheduler decision) and context
-///    switch counts must match entry for entry between fast path on and
-///    off, and between repeats;
+/// Every run must repeat exactly. These tests pin that down at both layers:
+///  - engine level: recorded traces (every scheduler decision), event counts
+///    and context switch counts must match entry for entry between repeats;
 ///  - runtime level: a seeded RandomAccess workload over the jittered
 ///    Gemini-class network must dispatch the same number of events, end at
 ///    the same virtual time, and compute the same kernel timings on every
-///    repeat x fastpath combination — with and without injected faults.
+///    repeat — with and without injected faults.
 ///
 /// Deterministic RunStats fields (events, virtual_us, context_switches,
-/// faults) are compared bit-for-bit; fastpath/peak_rss_bytes describe the
-/// configuration or the host and are deliberately excluded.
+/// faults) are compared bit-for-bit; peak_rss_bytes describes the host and
+/// is deliberately excluded.
 ///
 /// The shard-invariance suite at the end runs scaled-down analogues of the
 /// perfbench workloads, a fault plan and a team split at shards 1, 2 and 4,
@@ -50,9 +44,9 @@ namespace {
 
 using namespace caf2::sim;
 
-/// A workload that exercises every fast-path decision point: self-wakes
-/// (advance with an empty/later heap), contested wakes (equal-time events
-/// from other participants), Call callbacks, blocking, and stray unblocks.
+/// A workload that exercises every scheduling decision: self-wakes (advance
+/// with an empty/later queue), contested wakes (equal-time events from other
+/// participants), Call callbacks, blocking, and stray unblocks.
 void mixed_body(int id) {
   Engine& e = this_engine();
   for (int i = 0; i < 25; ++i) {
@@ -75,58 +69,23 @@ struct EngineResult {
   std::uint64_t events = 0;
 };
 
-EngineResult traced_engine_run(bool enable_fastpath) {
+EngineResult traced_engine_run() {
   EngineOptions options;
   options.record_trace = true;
-  options.enable_fastpath = enable_fastpath;
   Engine engine(4, options);
   engine.run(mixed_body);
-  EXPECT_EQ(engine.fastpath_enabled(), enable_fastpath);
   EXPECT_GT(engine.trace().size(), 100u);
   return {render_trace(engine.trace()), engine.context_switch_count(),
           engine.event_count()};
 }
 
-std::string traced_run(bool enable_fastpath) {
-  return traced_engine_run(enable_fastpath).trace;
-}
-
 TEST(Determinism, EngineTraceIdenticalAcrossRepeats) {
-  for (const bool fastpath : {true, false}) {
-    const EngineResult first = traced_engine_run(fastpath);
-    const EngineResult second = traced_engine_run(fastpath);
-    EXPECT_EQ(first.trace, second.trace) << "fastpath=" << fastpath;
-    EXPECT_EQ(first.events, second.events) << "fastpath=" << fastpath;
-    EXPECT_EQ(first.context_switches, second.context_switches)
-        << "fastpath=" << fastpath;
-  }
-}
-
-TEST(Determinism, EngineTraceIdenticalFastPathOnAndOff) {
-  EXPECT_EQ(traced_run(true), traced_run(false));
-}
-
-TEST(Determinism, EnvVarForcesSlowPathWithIdenticalTrace) {
-  const std::string baseline = traced_run(true);
-  ASSERT_EQ(setenv("CAF2_SIM_NO_FASTPATH", "1", 1), 0);
-  EngineOptions options;
-  options.record_trace = true;
-  options.enable_fastpath = true;  // env var must win
-  Engine engine(4, options);
-  engine.run(mixed_body);
-  unsetenv("CAF2_SIM_NO_FASTPATH");
-  EXPECT_FALSE(engine.fastpath_enabled());
-  EXPECT_EQ(render_trace(engine.trace()), baseline);
-}
-
-TEST(Determinism, ContextSwitchCountInvariantUnderFastPath) {
-  // context_switches counts token handoffs (dispatches that move the token
-  // to a different participant), which is a pure function of the dispatch
-  // order — so it must not change when the fast path elides heap traffic.
-  const EngineResult fast = traced_engine_run(true);
-  const EngineResult slow = traced_engine_run(false);
-  EXPECT_GT(fast.context_switches, 0u);
-  EXPECT_EQ(fast.context_switches, slow.context_switches);
+  const EngineResult first = traced_engine_run();
+  const EngineResult second = traced_engine_run();
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.events, second.events);
+  EXPECT_GT(first.context_switches, 0u);
+  EXPECT_EQ(first.context_switches, second.context_switches);
 }
 
 /// One full-stack seeded run: RandomAccess with function shipping on the
@@ -135,20 +94,13 @@ TEST(Determinism, ContextSwitchCountInvariantUnderFastPath) {
 struct StackResult {
   caf2::RunStats stats;
   double elapsed_us = 0.0;
-
-  bool operator==(const StackResult& other) const {
-    return stats.events == other.stats.events &&
-           stats.virtual_us == other.stats.virtual_us &&
-           elapsed_us == other.elapsed_us;
-  }
 };
 
-StackResult stack_run(bool fastpath) {
+StackResult stack_run() {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
   options.seed = 20130520;
-  options.sim_fastpath = fastpath;
   StackResult result;
   result.stats = caf2::run_stats(options, [&] {
     caf2::kernels::RaConfig config;
@@ -161,39 +113,25 @@ StackResult stack_run(bool fastpath) {
       result.elapsed_us = stats.elapsed_us;
     }
   });
-  EXPECT_EQ(result.stats.fastpath, fastpath);
   EXPECT_GT(result.stats.events, 1000u);
   return result;
 }
 
 TEST(Determinism, RuntimeWorkloadIdenticalAcrossRepeats) {
-  for (const bool fastpath : {true, false}) {
-    const StackResult first = stack_run(fastpath);
-    const StackResult second = stack_run(fastpath);
-    // Deterministic RunStats fields must be bit-identical across repeats.
-    EXPECT_EQ(first.stats.events, second.stats.events)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.context_switches, second.stats.context_switches)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.elapsed_us, second.elapsed_us) << "fastpath=" << fastpath;
-  }
-}
-
-TEST(Determinism, RuntimeWorkloadIdenticalFastPathOnAndOff) {
-  const StackResult fast = stack_run(true);
-  const StackResult slow = stack_run(false);
-  EXPECT_EQ(fast.stats.events, slow.stats.events);
-  EXPECT_EQ(fast.stats.virtual_us, slow.stats.virtual_us);
-  EXPECT_EQ(fast.elapsed_us, slow.elapsed_us);
+  const StackResult first = stack_run();
+  const StackResult second = stack_run();
+  // Deterministic RunStats fields must be bit-identical across repeats.
+  EXPECT_EQ(first.stats.events, second.stats.events);
+  EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us);
+  EXPECT_EQ(first.stats.context_switches, second.stats.context_switches);
+  EXPECT_EQ(first.elapsed_us, second.elapsed_us);
 }
 
 /// --- determinism under injected faults (DESIGN.md §4.7) ---------------------
 ///
-/// Fault decisions come from a dedicated RNG stream, so a seeded run with an
-/// active FaultPlan must be bit-reproducible — including the full scheduler
-/// trace with the fast path on vs off.
+/// Fault decisions come from dedicated RNG streams, so a seeded run with an
+/// active FaultPlan must be bit-reproducible, down to the full scheduler
+/// trace.
 
 void fault_bump(caf2::Coref<long> counter) { counter.local()[0] += 1; }
 
@@ -202,7 +140,7 @@ struct FaultyResult {
   std::string trace;
 };
 
-FaultyResult faulty_traced_run(bool fastpath) {
+FaultyResult faulty_traced_run() {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
@@ -213,7 +151,6 @@ FaultyResult faulty_traced_run(bool fastpath) {
   options.net.faults.all.delay_probability = 0.10;
   options.net.faults.all.delay_max_us = 5.0;
   options.seed = 424242;
-  options.sim_fastpath = fastpath;
   options.record_trace = true;
 
   caf2::rt::Runtime runtime(options);
@@ -240,7 +177,6 @@ FaultyResult faulty_traced_run(bool fastpath) {
   result.stats.events = runtime.engine().event_count();
   result.stats.virtual_us = runtime.engine().now();
   result.stats.context_switches = runtime.engine().context_switch_count();
-  result.stats.fastpath = runtime.engine().fastpath_enabled();
   result.stats.faults = runtime.network().fault_stats();
   result.trace = render_trace(runtime.engine().trace());
   EXPECT_GT(result.stats.faults.deliveries_dropped +
@@ -251,46 +187,19 @@ FaultyResult faulty_traced_run(bool fastpath) {
   return result;
 }
 
-
-TEST(Determinism, FaultyRunTraceIdenticalFastPathOnAndOff) {
-  const FaultyResult fast = faulty_traced_run(true);
-  const FaultyResult slow = faulty_traced_run(false);
-  EXPECT_EQ(fast.stats.fastpath, true);
-  EXPECT_EQ(slow.stats.fastpath, false);
-  EXPECT_EQ(fast.trace, slow.trace);
-  EXPECT_EQ(fast.stats.events, slow.stats.events);
-  EXPECT_EQ(fast.stats.virtual_us, slow.stats.virtual_us);
-  EXPECT_EQ(fast.stats.faults.deliveries_dropped,
-            slow.stats.faults.deliveries_dropped);
-  EXPECT_EQ(fast.stats.faults.retransmits, slow.stats.faults.retransmits);
-  EXPECT_EQ(fast.stats.faults.duplicates_suppressed,
-            slow.stats.faults.duplicates_suppressed);
-}
-
 TEST(Determinism, FaultyRunTraceIdenticalAcrossRepeats) {
-  for (const bool fastpath : {true, false}) {
-    const FaultyResult first = faulty_traced_run(fastpath);
-    const FaultyResult second = faulty_traced_run(fastpath);
-    EXPECT_EQ(first.trace, second.trace) << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.events, second.stats.events)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.context_switches, second.stats.context_switches)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.faults.deliveries_dropped,
-              second.stats.faults.deliveries_dropped)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.faults.deliveries_duplicated,
-              second.stats.faults.deliveries_duplicated)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.faults.acks_dropped,
-              second.stats.faults.acks_dropped)
-        << "fastpath=" << fastpath;
-    EXPECT_EQ(first.stats.faults.retransmits,
-              second.stats.faults.retransmits)
-        << "fastpath=" << fastpath;
-  }
+  const FaultyResult first = faulty_traced_run();
+  const FaultyResult second = faulty_traced_run();
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.stats.events, second.stats.events);
+  EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us);
+  EXPECT_EQ(first.stats.context_switches, second.stats.context_switches);
+  EXPECT_EQ(first.stats.faults.deliveries_dropped,
+            second.stats.faults.deliveries_dropped);
+  EXPECT_EQ(first.stats.faults.deliveries_duplicated,
+            second.stats.faults.deliveries_duplicated);
+  EXPECT_EQ(first.stats.faults.acks_dropped, second.stats.faults.acks_dropped);
+  EXPECT_EQ(first.stats.faults.retransmits, second.stats.faults.retransmits);
 }
 
 /// --- one schedule at every shard count (DESIGN.md §4.11) -------------------

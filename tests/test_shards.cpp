@@ -1,8 +1,9 @@
 /// Sharded parallel-DES engine (DESIGN.md §4.11, §4.12) through the full
 /// runtime: shards=1 repeat identity and stats shape, bit-identical repeats
 /// and one schedule at every shard count, cross-shard asynchronous
-/// constructs at paper scale, cross-shard deadlock postmortems, fault plans
-/// and obs span capture under sharding, the static conservative window
+/// constructs at paper scale, cross-shard deadlock postmortems, mid-window
+/// failures that repeat exactly, fault plans and obs span capture under
+/// sharding (the network-track cap included), the static conservative window
 /// (reaction chains, no shard turn-taking), team split through engine
 /// events, finished shards that keep dispatching, and the remaining
 /// zero-lookahead fallback to one shard.
@@ -126,6 +127,24 @@ TEST(Shards, ExplicitRequestBeatsEnvironment) {
   EXPECT_EQ(pinned.shards, 1);
   const RunStats from_env = run_stats(shard_options(4, 0, 11), mixed_workload);
   EXPECT_EQ(from_env.shards, 3);
+  // Only a whole positive integer is a shard count; a malformed value is a
+  // usage error naming the variable, unless an explicit request ignores it.
+  for (const char* malformed : {"four", "4x", "0", "-2", " 4"}) {
+    ::setenv("CAF2_SIM_SHARDS", malformed, 1);
+    try {
+      run_stats(shard_options(4, 0, 11), mixed_workload);
+      ADD_FAILURE() << "CAF2_SIM_SHARDS=" << malformed << " was accepted";
+    } catch (const UsageError& error) {
+      EXPECT_NE(std::string(error.what()).find("CAF2_SIM_SHARDS"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(run_stats(shard_options(4, 2, 11), mixed_workload).shards, 2)
+        << malformed;
+  }
+  // Empty means unset: one shard.
+  ::setenv("CAF2_SIM_SHARDS", "", 1);
+  EXPECT_EQ(run_stats(shard_options(4, 0, 11), mixed_workload).shards, 1);
   if (prior != nullptr) {
     ::setenv("CAF2_SIM_SHARDS", saved.c_str(), 1);
   } else {
@@ -268,6 +287,114 @@ TEST(Shards, CrossShardDeadlockProducesDeterministicPostmortem) {
   }
 }
 
+/// A retry cap that fires mid-window: half of all delivery attempts drop and
+/// a message gets two, so some message (one of the barrier's, with this
+/// seed) exhausts its budget while other shards are still inside the same
+/// window.
+std::string retry_cap_failure_text(int shards) {
+  RuntimeOptions options;
+  options.num_images = 8;
+  options.shards = shards;
+  options.net.latency_us = 3.0;
+  options.net.bandwidth_bytes_per_us = 500.0;
+  options.net.handler_cost_us = 0.1;
+  options.net.jitter_us = 1.0;
+  options.net.faults.all.drop_probability = 0.5;
+  options.net.reliability.max_attempts = 2;
+  try {
+    run(options, [] {
+      Team world = team_world();
+      Coarray<long> data(world, 8);
+      team_barrier(world);
+      const std::vector<long> payload(8, 1);
+      finish(world, [&] {
+        for (int round = 0; round < 6; ++round) {
+          for (int step = 1; step < world.size(); ++step) {
+            const int target = (world.rank() + step) % world.size();
+            copy_async(data(target).subslice(0, 8),
+                       std::span<const long>(payload));
+          }
+          cofence();
+        }
+      });
+    });
+  } catch (const std::exception& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected the retry cap to fail the run";
+  return {};
+}
+
+TEST(Shards, MidWindowFailuresRepeatExactly) {
+  // The failing shard stops at its failure, every other shard finishes the
+  // window, and the barrier keeps the earliest failure: the error and its
+  // postmortem are the same on every repeat at a fixed shard count.
+  for (const int shards : {2, 4}) {
+    const std::string first = retry_cap_failure_text(shards);
+    EXPECT_NE(first.find("reliable delivery failed"), std::string::npos)
+        << first;
+    for (int repeat = 1; repeat < 10; ++repeat) {
+      ASSERT_EQ(retry_cap_failure_text(shards), first)
+          << "shards=" << shards << " repeat=" << repeat;
+    }
+  }
+}
+
+/// Image 0 fails or throws at \p fail_at while every other image spins
+/// through tiny compute steps, so the other shards are busy inside the same
+/// window when the failure lands. Image 3 (the last shard's) throws at
+/// \p throw_at unless that is negative. Returns what run() threw.
+std::string busy_window_failure_text(int shards, bool image0_throws,
+                                     double fail_at, double throw_at) {
+  sim::EngineOptions options;
+  options.shards = shards;
+  options.lookahead_us = 3.0;
+  sim::Engine engine(4, options);
+  try {
+    engine.run([&](int id) {
+      sim::Engine& e = sim::this_engine();
+      if (id == 0) {
+        e.advance(fail_at);
+        if (image0_throws) {
+          throw std::runtime_error("image 0 threw");
+        }
+        e.fail("image 0 gave up");
+      }
+      while (e.now() < 100.0) {
+        if (id == 3 && throw_at >= 0.0 && e.now() >= throw_at) {
+          throw std::runtime_error("image 3 threw");
+        }
+        e.advance(0.001);
+      }
+    });
+  } catch (const std::exception& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected the run to fail";
+  return {};
+}
+
+TEST(Shards, FailureStopsOnlyItsShardAndTheEarliestWins) {
+  for (const int shards : {2, 4}) {
+    // An explicit failure mid-window: the other shards run the window to
+    // its end, so the postmortem (event count, clocks) repeats exactly.
+    const std::string first = busy_window_failure_text(shards, false, 50.0, -1);
+    EXPECT_NE(first.find("image 0 gave up"), std::string::npos) << first;
+    for (int repeat = 1; repeat < 10; ++repeat) {
+      ASSERT_EQ(busy_window_failure_text(shards, false, 50.0, -1), first)
+          << "shards=" << shards << " repeat=" << repeat;
+    }
+    // Two participants throw in one window: image 3's exception is the
+    // earlier in virtual time, although image 0's shard gets there first in
+    // host time, and run() rethrows it on every repeat.
+    for (int repeat = 0; repeat < 10; ++repeat) {
+      EXPECT_EQ(busy_window_failure_text(shards, true, 50.6, 50.3),
+                "image 3 threw")
+          << "shards=" << shards << " repeat=" << repeat;
+    }
+  }
+}
+
 /// --- fault plans under sharding (DESIGN.md §4.12) ---------------------------
 
 RuntimeOptions faulty_shard_options(int images, int shards,
@@ -378,6 +505,39 @@ TEST(Shards, ObsChromeTracesRepeatByteIdenticallyAtEveryShardCount) {
     EXPECT_EQ(a.shards, shards);
     EXPECT_EQ(obs::to_chrome_trace(*a.obs), obs::to_chrome_trace(*b.obs))
         << "shards=" << shards;
+  }
+}
+
+TEST(Shards, NetTrackCapHoldsForTheWholeTrack) {
+  // Each shard records flights on its own lane; the lanes share the cap, so
+  // a sharded run keeps no more network spans than a serial one, and every
+  // flight is either kept or counted as dropped.
+  constexpr std::size_t kCapSpans = 100;
+  std::uint64_t serial_total = 0;
+  for (const int shards : {1, 2, 4}) {
+    RuntimeOptions options = obs_shard_options(8, shards, 43);
+    options.obs.max_net_track_bytes = kCapSpans * sizeof(obs::Span);
+    const RunStats stats = run_stats(options, [] {
+      Team world = team_world();
+      Coarray<long> ring(world, 1);
+      const std::vector<long> payload{world.rank()};
+      for (int round = 0; round < 20; ++round) {
+        finish(world, [&] {
+          copy_async(ring((world.rank() + 1) % world.size()),
+                     std::span<const long>(payload));
+        });
+      }
+    });
+    ASSERT_NE(stats.obs, nullptr);
+    EXPECT_EQ(stats.shards, shards);
+    const obs::Track& net = stats.obs->net_track();
+    EXPECT_LE(net.spans.size(), kCapSpans) << "shards=" << shards;
+    EXPECT_GT(net.dropped, 0u) << "shards=" << shards;
+    const std::uint64_t total = net.spans.size() + net.dropped;
+    if (shards == 1) {
+      serial_total = total;
+    }
+    EXPECT_EQ(total, serial_total) << "shards=" << shards;
   }
 }
 
