@@ -8,6 +8,7 @@
 /// open until f2 really completed.
 
 #include <cstdio>
+#include <exception>
 
 #include "core/caf2.hpp"
 #include "runtime/image.hpp"
@@ -91,6 +92,11 @@ int main() {
   // the barrier's empty tokens.
   options.net.latency_us = 2.0;
   options.net.bandwidth_bytes_per_us = 100.0;
-  caf2::run(options, spmd_main);
+  try {
+    caf2::run(options, spmd_main);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -104,8 +105,8 @@ bool run_auto_follows_table() {
   bool saw_ring = false;
   for (int image = 0; image < stats.obs->images; ++image) {
     for (const obs::Span& span : stats.obs->image_track(image).spans) {
-      if (span.kind == obs::SpanKind::kCollective && span.label != nullptr &&
-          std::strcmp(span.label, "allreduce/ring") == 0) {
+      if (span.kind == obs::SpanKind::kCollective && span.label() != nullptr &&
+          std::strcmp(span.label(), "allreduce/ring") == 0) {
         saw_ring = true;
       }
     }
@@ -119,8 +120,15 @@ bool run_auto_follows_table() {
 }  // namespace
 
 int main() {
-  const bool schedules_ok = run_schedules();
-  const bool auto_ok = run_auto_follows_table();
+  bool schedules_ok = false;
+  bool auto_ok = false;
+  try {
+    schedules_ok = run_schedules();
+    auto_ok = run_auto_follows_table();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   if (!schedules_ok || !auto_ok) {
     std::fprintf(stderr, "FAIL\n");
     return 1;

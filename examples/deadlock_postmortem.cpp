@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "core/caf2.hpp"
@@ -77,6 +78,9 @@ int main(int argc, char** argv) {
     pm = e.postmortem();
     std::printf("run failed as intended: %s\n",
                 std::string(e.what()).substr(0, 120).c_str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   if (pm == nullptr) {
     std::fprintf(stderr, "StallError carried no postmortem\n");

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "core/caf2.hpp"
 
@@ -60,6 +61,11 @@ int main() {
   caf2::RuntimeOptions options;
   options.num_images = 6;
   options.net = caf2::NetworkParams::gemini_like();
-  caf2::run(options, spmd_main);
+  try {
+    caf2::run(options, spmd_main);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <exception>
 
 #include "core/caf2.hpp"
 
@@ -108,6 +109,11 @@ int main() {
   caf2::RuntimeOptions options;
   options.num_images = 8;
   options.net = caf2::NetworkParams::gemini_like();
-  caf2::run(options, spmd_main);
+  try {
+    caf2::run(options, spmd_main);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

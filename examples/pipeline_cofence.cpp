@@ -9,6 +9,7 @@
 /// reads, exactly the relaxation of Fig. 8's second cofence.
 
 #include <cstdio>
+#include <exception>
 
 #include "core/caf2.hpp"
 
@@ -72,6 +73,11 @@ int main() {
   caf2::RuntimeOptions options;
   options.num_images = 6;
   options.net = caf2::NetworkParams::gemini_like();
-  caf2::run(options, spmd_main);
+  try {
+    caf2::run(options, spmd_main);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

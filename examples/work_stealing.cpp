@@ -12,6 +12,7 @@
 /// reproducing the 5-round-trip vs 2-round-trip structure.
 
 #include <cstdio>
+#include <exception>
 
 #include "core/caf2.hpp"
 #include "runtime/image.hpp"
@@ -158,6 +159,11 @@ int main() {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
-  caf2::run(options, spmd_main);
+  try {
+    caf2::run(options, spmd_main);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
 
 namespace caf2::obs {
 
@@ -56,22 +59,178 @@ double overlap_us(const std::vector<Interval>& intervals, double begin,
   return sum;
 }
 
-/// One node of the critical-path DP: a timeline span (kCompute/kBlocked) or
-/// a message flight, processed in global end-time order.
-struct Node {
-  double begin = 0.0;
-  double end = 0.0;
-  std::uint64_t parent = 0;  ///< flight span id (timeline spans only)
-  std::uint64_t flight_id = 0;  ///< span id (flight nodes only)
-  std::int32_t image = -1;      ///< owning image (flights: source image)
-  bool is_flight = false;
-};
-
-/// Chain value reaching the end of a node.
+/// Chain value reaching the end of a node (a timeline span or a flight).
 struct Chain {
   double us = 0.0;
-  std::uint64_t hops = 0;
+  std::uint64_t hops = 0;  ///< 0 only for the empty chain
 };
+
+bool is_timeline(const Span& span) {
+  return span.kind == SpanKind::kCompute || span.kind == SpanKind::kBlocked;
+}
+
+/// Index of the first timeline span of \p spans at or after \p from.
+std::size_t next_timeline(const std::vector<Span>& spans, std::size_t from) {
+  while (from < spans.size() && !is_timeline(spans[from])) {
+    from += 1;
+  }
+  return from;
+}
+
+/// Longest dependency chain through \p capture's span DAG, as (chain, image
+/// it ends on).
+///
+/// One sweep visits every timeline span (kCompute/kBlocked) and every flight
+/// in end-time order: flights first on ties (a delivery at t unblocks a wait
+/// ending at t), then timeline spans by image and track order. A timeline
+/// span chains from the previous one on its image and from its parent
+/// flight; a flight chains from the best chain over its source image's spans
+/// ending at or before its initiation, read off a per-image running maximum
+/// when the sweep passes the initiation (a flight initiated at its own
+/// delivery time reads it at its delivery). Timeline spans tile each image,
+/// so every image track already arrives end-ordered and a k-way merge over
+/// the images orders them in place; only the flights get index arrays, so
+/// the extra memory is O(flights + images).
+std::pair<Chain, int> critical_path(const Capture& capture) {
+  const std::size_t images = static_cast<std::size_t>(capture.images);
+  const std::vector<Span>& net = capture.net_track().spans;
+  CAF2_ASSERT(net.size() < std::numeric_limits<std::uint32_t>::max(),
+              "analyze_blame: network track exceeds 2^32 spans");
+
+  // Flights by end (stable: net-track order on ties), i.e. sweep order; a
+  // flight's rank in it indexes `chains` and the id table.
+  std::vector<std::uint32_t> by_end;
+  by_end.reserve(net.size());
+  for (std::uint32_t i = 0; i < net.size(); ++i) {
+    if (net[i].kind == SpanKind::kFlight) {
+      by_end.push_back(i);
+    }
+  }
+  std::stable_sort(by_end.begin(), by_end.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return net[x].end < net[y].end;
+                   });
+  const auto flight = [&](std::size_t rank) -> const Span& {
+    return net[by_end[rank]];
+  };
+  // Ranks of the flights initiated strictly before their delivery, by
+  // initiation (equal initiations read the same running maximum).
+  using IdRank = std::pair<std::uint64_t, std::uint32_t>;
+  std::vector<std::uint32_t> by_begin;
+  std::vector<IdRank> ids;
+  by_begin.reserve(by_end.size());
+  ids.reserve(by_end.size());
+  for (std::uint32_t rank = 0; rank < by_end.size(); ++rank) {
+    if (flight(rank).begin < flight(rank).end) {
+      by_begin.push_back(rank);
+    }
+    ids.emplace_back(flight(rank).id, rank);
+  }
+  std::sort(by_begin.begin(), by_begin.end(),
+            [&](std::uint32_t x, std::uint32_t y) {
+              return flight(x).begin < flight(y).begin;
+            });
+  std::sort(ids.begin(), ids.end());
+  // Before a flight's delivery: the source chain read at its initiation.
+  // After: the chain reaching its delivery.
+  std::vector<Chain> chains(by_end.size());
+
+  // The chain of the latest-swept flight named \p id, if one has been swept
+  // by the time the sweep reaches \p at (ranks ascend in sweep order).
+  const auto swept_flight = [&](std::uint64_t id, double at) -> const Chain* {
+    auto it = std::upper_bound(
+        ids.begin(), ids.end(),
+        IdRank{id, std::numeric_limits<std::uint32_t>::max()});
+    for (; it != ids.begin() && std::prev(it)->first == id; --it) {
+      const std::uint32_t rank = std::prev(it)->second;
+      if (flight(rank).end <= at) {
+        return &chains[rank];
+      }
+    }
+    return nullptr;
+  };
+
+  std::vector<Chain> last(images);     // chain of each image's latest span
+  std::vector<Chain> running(images);  // best chain so far on each image
+  const auto source_chain = [&](const Span& span) {
+    return span.image >= 0 && static_cast<std::size_t>(span.image) < images
+               ? running[static_cast<std::size_t>(span.image)]
+               : Chain{};
+  };
+
+  // Per-image track cursors, merged by (end, image).
+  std::vector<std::size_t> cursor(images);
+  using Head = std::pair<double, int>;
+  std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
+  for (std::size_t image = 0; image < images; ++image) {
+    const std::vector<Span>& spans = capture.tracks[image].spans;
+    cursor[image] = next_timeline(spans, 0);
+    if (cursor[image] < spans.size()) {
+      heads.emplace(spans[cursor[image]].end, static_cast<int>(image));
+    }
+  }
+
+  Chain best;
+  int best_image = -1;
+  std::size_t next_flight = 0;
+  std::size_t next_begin = 0;
+  while (next_flight < by_end.size() || !heads.empty()) {
+    const bool is_flight =
+        next_flight < by_end.size() &&
+        (heads.empty() || flight(next_flight).end <= heads.top().first);
+    const double end =
+        is_flight ? flight(next_flight).end : heads.top().first;
+    for (; next_begin < by_begin.size() &&
+           flight(by_begin[next_begin]).begin < end;
+         ++next_begin) {
+      chains[by_begin[next_begin]] = source_chain(flight(by_begin[next_begin]));
+    }
+
+    if (is_flight) {
+      const Span& span = flight(next_flight);
+      const Chain pred = span.begin < span.end ? chains[next_flight]
+                                               : source_chain(span);
+      Chain chain{span.end - span.begin, 1};
+      if (pred.hops != 0) {
+        chain.us += pred.us;
+        chain.hops += pred.hops;
+      }
+      chains[next_flight] = chain;
+      next_flight += 1;
+      continue;
+    }
+
+    const auto image = static_cast<std::size_t>(heads.top().second);
+    heads.pop();
+    const std::vector<Span>& spans = capture.tracks[image].spans;
+    const Span& span = spans[cursor[image]];
+    Chain pred = last[image];
+    if (span.parent() != 0) {
+      const Chain* cause = swept_flight(span.parent(), span.end);
+      if (cause != nullptr && cause->us > pred.us) {
+        pred = *cause;
+      }
+    }
+    const Chain chain{pred.us + (span.end - span.begin), pred.hops + 1};
+    last[image] = chain;
+    if (running[image].hops == 0 || chain.us > running[image].us) {
+      running[image] = chain;
+    }
+    if (chain.us > best.us) {
+      best = chain;
+      best_image = static_cast<int>(image);
+    }
+    cursor[image] = next_timeline(spans, cursor[image] + 1);
+    if (cursor[image] < spans.size()) {
+      const double next_end = spans[cursor[image]].end;
+      CAF2_ASSERT(next_end >= span.end,
+                  "analyze_blame: an image's timeline spans are not in end "
+                  "order");
+      heads.emplace(next_end, static_cast<int>(image));
+    }
+  }
+  return {best, best_image};
+}
 
 }  // namespace
 
@@ -108,7 +267,7 @@ BlameReport analyze_blame(const Capture& capture) {
           // Causes are only ever flight span ids, so an un-scoped wait that
           // a message delivery released was waiting on the wire.
           Blame bucket = span.blame;
-          if (bucket == Blame::kOther && span.parent != 0) {
+          if (bucket == Blame::kOther && span.parent() != 0) {
             bucket = Blame::kNetwork;
           }
           double charged = dur;
@@ -125,7 +284,7 @@ BlameReport analyze_blame(const Capture& capture) {
         }
         case SpanKind::kFinishDetect:
           report.finish_rounds_max =
-              std::max(report.finish_rounds_max, span.a);
+              std::max(report.finish_rounds_max, span.a());
           break;
         default:
           break;  // op annotations overlay the timeline; don't double-count
@@ -139,81 +298,10 @@ BlameReport analyze_blame(const Capture& capture) {
   }
 
   // --- critical path --------------------------------------------------------
-  // Nodes: every timeline span plus every flight, processed in end-time
-  // order (flights first on ties: a delivery at t unblocks a wait ending at
-  // the same t). Timeline spans chain from the previous span on their image
-  // and from their parent flight; flights chain from the latest source-image
-  // span ending at or before their initiation.
-  std::vector<Node> nodes;
-  for (int image = 0; image < capture.images; ++image) {
-    for (const Span& span : capture.image_track(image).spans) {
-      if (span.kind == SpanKind::kCompute || span.kind == SpanKind::kBlocked) {
-        nodes.push_back({span.begin, span.end, span.parent, 0, image, false});
-      }
-    }
-  }
-  for (const Span& span : capture.net_track().spans) {
-    if (span.kind == SpanKind::kFlight) {
-      nodes.push_back({span.begin, span.end, 0, span.id, span.image, true});
-    }
-  }
-  std::stable_sort(nodes.begin(), nodes.end(),
-                   [](const Node& a, const Node& b) {
-                     if (a.end != b.end) {
-                       return a.end < b.end;
-                     }
-                     return a.is_flight && !b.is_flight;
-                   });
-
-  // Per-image prefix-max chains over processed timeline spans, for the
-  // flight -> source-image link (binary search by end time).
-  std::vector<std::vector<std::pair<double, Chain>>> prefix(
-      static_cast<std::size_t>(capture.images));
-  std::vector<Chain> last(static_cast<std::size_t>(capture.images));
-  std::unordered_map<std::uint64_t, Chain> flight_chain;
-  Chain best;
-  int best_image = -1;
-
-  for (const Node& node : nodes) {
-    const double dur = node.end - node.begin;
-    if (node.is_flight) {
-      Chain chain{dur, 1};
-      if (node.image >= 0 && node.image < capture.images) {
-        const auto& pm = prefix[static_cast<std::size_t>(node.image)];
-        // Latest source-image span ending at or before the initiation.
-        auto it = std::upper_bound(
-            pm.begin(), pm.end(), node.begin,
-            [](double t, const auto& entry) { return t < entry.first; });
-        if (it != pm.begin()) {
-          const Chain& pred = std::prev(it)->second;
-          chain.us += pred.us;
-          chain.hops += pred.hops;
-        }
-      }
-      flight_chain[node.flight_id] = chain;
-      continue;
-    }
-    Chain pred = last[static_cast<std::size_t>(node.image)];
-    if (node.parent != 0) {
-      const auto it = flight_chain.find(node.parent);
-      if (it != flight_chain.end() && it->second.us > pred.us) {
-        pred = it->second;
-      }
-    }
-    const Chain chain{pred.us + dur, pred.hops + 1};
-    last[static_cast<std::size_t>(node.image)] = chain;
-    auto& pm = prefix[static_cast<std::size_t>(node.image)];
-    const Chain running =
-        pm.empty() || chain.us > pm.back().second.us ? chain : pm.back().second;
-    pm.emplace_back(node.end, running);
-    if (chain.us > best.us) {
-      best = chain;
-      best_image = node.image;
-    }
-  }
-  report.critical_path_us = best.us;
-  report.critical_path_hops = best.hops;
-  report.critical_path_image = best_image;
+  const auto [path, path_image] = critical_path(capture);
+  report.critical_path_us = path.us;
+  report.critical_path_hops = path.hops;
+  report.critical_path_image = path_image;
   return report;
 }
 

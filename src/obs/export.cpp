@@ -27,9 +27,9 @@ void appendf(std::string& out, const char* fmt, ...) {
 /// Display name of one trace-event span.
 std::string span_name(const Span& span) {
   std::string name = to_string(span.kind);
-  if (span.label != nullptr) {
+  if (const char* label = span.label(); label != nullptr) {
     name += ":";
-    name += span.label;
+    name += label;
   }
   return name;
 }
@@ -44,15 +44,15 @@ void append_trace_span(std::string& out, const Span& span, int pid, int tid,
           json_escape(span_name(span)).c_str(), pid, tid);
   appendf(out, "\"ts\": %.6f, \"dur\": %.6f, \"args\": {\"id\": %" PRIu64
                ", \"parent\": %" PRIu64,
-          span.begin, span.end - span.begin, span.id, span.parent);
+          span.begin, span.end - span.begin, span.id, span.parent());
   if (span.kind == SpanKind::kBlocked) {
     appendf(out, ", \"blame\": \"%s\"", to_string(span.blame));
   }
-  if (span.a != 0) {
-    appendf(out, ", \"a\": %" PRIu64, span.a);
+  if (span.a() != 0) {
+    appendf(out, ", \"a\": %" PRIu64, span.a());
   }
   if (span.b != 0) {
-    appendf(out, ", \"b\": %" PRIu64, span.b);
+    appendf(out, ", \"b\": %" PRIu32, span.b);
   }
   if (span.peer >= 0) {
     appendf(out, ", \"peer\": %d", span.peer);
@@ -124,20 +124,20 @@ std::string to_text(const Capture& capture) {
       if (span.kind == SpanKind::kBlocked) {
         appendf(out, " blame=%s", to_string(span.blame));
       }
-      if (span.parent != 0) {
-        appendf(out, " parent=%" PRIu64, span.parent);
+      if (span.parent() != 0) {
+        appendf(out, " parent=%" PRIu64, span.parent());
       }
-      if (span.a != 0) {
-        appendf(out, " a=%" PRIu64, span.a);
+      if (span.a() != 0) {
+        appendf(out, " a=%" PRIu64, span.a());
       }
       if (span.b != 0) {
-        appendf(out, " b=%" PRIu64, span.b);
+        appendf(out, " b=%" PRIu32, span.b);
       }
       if (span.peer >= 0) {
         appendf(out, " peer=%d", span.peer);
       }
-      if (span.label != nullptr) {
-        appendf(out, " label=%s", span.label);
+      if (const char* label = span.label(); label != nullptr) {
+        appendf(out, " label=%s", label);
       }
       out += "\n";
     }

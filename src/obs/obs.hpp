@@ -42,6 +42,8 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "support/config.hpp"
@@ -91,20 +93,62 @@ enum class Blame : std::uint8_t {
 
 const char* to_string(Blame blame);
 
-/// One recorded span. POD, fixed-size; [begin, end) on the virtual clock.
+/// Intern \p text into a process-global label pool and return a pointer with
+/// static lifetime; repeated calls with equal text return the same pointer.
+/// Operations whose label is composed at runtime (e.g. a collective's
+/// "kind/algorithm" identity) intern it once here. The pool is never freed
+/// and insertion is mutex-guarded.
+const char* intern_label(const std::string& text);
+
+/// Id of \p text in the label pool (interning it on first use); 0 for null.
+/// Ids are dense from 1 and stable for the process lifetime, so a span
+/// stores a label in two bytes. More than 65,535 distinct labels is a usage
+/// error.
+std::uint16_t intern_label_id(const char* text);
+
+/// Text of label \p id (static lifetime), or nullptr for id 0.
+const char* label_text(std::uint16_t id);
+
+/// One recorded span. Trivially copyable, fixed-size (48 B); [begin, end)
+/// on the virtual clock. The kind-specific payload `a` and the parent link
+/// share one slot: only kBlocked spans have a parent, and they carry no
+/// payload.
 struct Span {
   double begin = 0.0;
   double end = 0.0;
   std::uint64_t id = 0;      ///< recorder-global id (deterministic)
-  std::uint64_t parent = 0;  ///< span that unblocked this one (0 = none)
-  std::uint64_t a = 0;       ///< kind-specific payload (bytes, rounds, ...)
-  std::uint64_t b = 0;       ///< second kind-specific payload
+  std::uint32_t b = 0;       ///< second payload (team size, finish seq)
   std::int32_t image = -1;   ///< owning image (-1 = network track)
   std::int32_t peer = -1;    ///< other endpoint, where meaningful
+  std::uint16_t label_id = 0;        ///< label_text() id (block reason, ...)
   SpanKind kind = SpanKind::kCompute;
   Blame blame = Blame::kOther;       ///< meaningful for kBlocked
-  const char* label = nullptr;       ///< static string (block reason, ...)
+
+  /// Span that unblocked this one (0 = none); kBlocked spans only.
+  std::uint64_t parent() const {
+    return kind == SpanKind::kBlocked ? slot_ : 0;
+  }
+  /// Kind-specific payload (bytes, rounds, ...); 0 on kBlocked spans.
+  std::uint64_t a() const { return kind == SpanKind::kBlocked ? 0 : slot_; }
+  const char* label() const { return label_text(label_id); }
+
+  /// Set the parent link; the span's kind must already be kBlocked.
+  void set_parent(std::uint64_t span_id) {
+    CAF2_ASSERT(kind == SpanKind::kBlocked,
+                "Span: parent link on a non-blocked span");
+    slot_ = span_id;
+  }
+  /// Set the payload; the span's kind must already be set and not kBlocked.
+  void set_a(std::uint64_t value) {
+    CAF2_ASSERT(kind != SpanKind::kBlocked, "Span: payload on a blocked span");
+    slot_ = value;
+  }
+
+ private:
+  std::uint64_t slot_ = 0;  ///< parent() on kBlocked, a() otherwise
 };
+
+static_assert(sizeof(Span) <= 48, "obs::Span grew past 48 bytes");
 
 /// Typed per-image counters.
 enum class Counter : std::uint8_t {
@@ -144,14 +188,6 @@ enum class Hist : std::uint8_t {
 };
 
 const char* to_string(Hist hist);
-
-/// Intern \p text into a process-global pool and return a pointer with
-/// static lifetime. Span::label is a raw `const char*` that must outlive
-/// every capture; operations whose label is composed at runtime (e.g. a
-/// collective's "kind/algorithm" identity) intern it once here. The pool is
-/// never freed and insertion is mutex-guarded; repeated calls with equal
-/// text return the same pointer.
-const char* intern_label(const std::string& text);
 
 /// Counters + histograms of one image.
 struct Metrics {
@@ -215,7 +251,7 @@ class Recorder {
   void on_compute(int image, double begin, double end);
 
   /// \p image parked in Engine::block at \p at; \p reason is the static
-  /// block-reason string.
+  /// block-reason string (the span's label).
   void on_block_begin(int image, double at, const char* reason);
 
   /// \p image resumed at \p at: closes the blocked span, classifies it from
@@ -231,7 +267,9 @@ class Recorder {
 
   /// --- op spans (runtime / ops / kernels layers) ---------------------------
 
-  /// Record a finished operation span on \p image's track.
+  /// Record a finished operation span on \p image's track. \p b must fit
+  /// in 32 bits; \p label must have static lifetime (the recorder caches
+  /// its label id by address).
   void op_span(int image, SpanKind kind, double begin, double end,
                std::uint64_t a = 0, std::uint64_t b = 0, int peer = -1,
                const char* label = nullptr);
@@ -288,6 +326,9 @@ class Recorder {
     bool blocked = false;
     std::uint64_t cause = 0;  ///< pending parent for the next blocked span
     std::uint64_t next_local = 0;  ///< per-track span id counter
+    /// Label ids this image has used, by label address (a handful; a miss
+    /// interns the text in the process-global pool).
+    std::vector<std::pair<const char*, std::uint16_t>> label_ids;
   };
 
   /// One shard's slice of the network track (serial runs have exactly one).
@@ -299,6 +340,9 @@ class Recorder {
   PerImage& at(int image);
   const PerImage& at(int image) const;
   NetLane& lane_at(int lane);
+
+  /// Label id of \p label (0 for null) through \p state's address cache.
+  static std::uint16_t label_of(PerImage& state, const char* label);
 
   /// Composite span id of the next span on track \p ordinal (image rank for
   /// image tracks, images + lane for network lanes): nonzero, unique across

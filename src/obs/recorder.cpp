@@ -2,20 +2,60 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 namespace caf2::obs {
 
+namespace {
+
+/// The process-global label pool, never freed. unordered_map nodes never
+/// move, so each key's c_str() is that label's stable address.
+struct LabelPool {
+  std::mutex mutex;
+  std::unordered_map<std::string, std::uint16_t> ids;  ///< guarded by mutex
+  std::vector<const char*> texts{nullptr};  ///< by id; guarded by mutex
+};
+
+LabelPool& label_pool() {
+  static auto* pool = new LabelPool();
+  return *pool;
+}
+
+/// Intern \p text; returns its stable address and id.
+std::pair<const char*, std::uint16_t> intern(const std::string& text) {
+  LabelPool& pool = label_pool();
+  const std::lock_guard<std::mutex> lock(pool.mutex);
+  auto it = pool.ids.find(text);
+  if (it == pool.ids.end()) {
+    CAF2_REQUIRE(
+        pool.texts.size() <= std::numeric_limits<std::uint16_t>::max(),
+        "obs: more than 65,535 distinct span labels");
+    it = pool.ids
+             .emplace(text, static_cast<std::uint16_t>(pool.texts.size()))
+             .first;
+    pool.texts.push_back(it->first.c_str());
+  }
+  return {it->first.c_str(), it->second};
+}
+
+}  // namespace
+
 const char* intern_label(const std::string& text) {
-  // std::set is node-based, so element addresses are stable across later
-  // insertions; the pool is process-global and intentionally never freed.
-  static std::mutex mutex;
-  static std::set<std::string>* pool = new std::set<std::string>();
-  const std::lock_guard<std::mutex> lock(mutex);
-  return pool->insert(text).first->c_str();
+  return intern(text).first;
+}
+
+std::uint16_t intern_label_id(const char* text) {
+  return text == nullptr ? 0 : intern(text).second;
+}
+
+const char* label_text(std::uint16_t id) {
+  LabelPool& pool = label_pool();
+  const std::lock_guard<std::mutex> lock(pool.mutex);
+  return id < pool.texts.size() ? pool.texts[id] : nullptr;
 }
 
 const char* to_string(SpanKind kind) {
@@ -155,6 +195,20 @@ Recorder::NetLane& Recorder::lane_at(int lane) {
   return net_lanes_[static_cast<std::size_t>(lane)];
 }
 
+std::uint16_t Recorder::label_of(PerImage& state, const char* label) {
+  if (label == nullptr) {
+    return 0;
+  }
+  for (const auto& [address, id] : state.label_ids) {
+    if (address == label) {
+      return id;
+    }
+  }
+  const std::uint16_t id = intern_label_id(label);
+  state.label_ids.emplace_back(label, id);
+  return id;
+}
+
 void Recorder::push_span(Track& track, std::uint64_t ordinal,
                          std::uint64_t& next_local, std::size_t cap_bytes,
                          Span span, Metrics* image_metrics) {
@@ -204,12 +258,12 @@ void Recorder::on_block_end(int image, double at_us) {
   Span span;
   span.begin = state.block_begin;
   span.end = at_us;
-  span.parent = state.cause;
   span.image = image;
   span.kind = SpanKind::kBlocked;
+  span.set_parent(state.cause);
   span.blame = state.blame_stack.empty() ? Blame::kOther
                                          : state.blame_stack.back();
-  span.label = state.block_reason;
+  span.label_id = label_of(state, state.block_reason);
   state.cause = 0;
   push_span(state.track, static_cast<std::uint64_t>(image), state.next_local,
             config_.max_image_track_bytes, span, &state.metrics);
@@ -235,17 +289,19 @@ bool Recorder::blame_empty(int image) const {
 void Recorder::op_span(int image, SpanKind kind, double begin, double end,
                        std::uint64_t a, std::uint64_t b, int peer,
                        const char* label) {
+  CAF2_ASSERT(b <= std::numeric_limits<std::uint32_t>::max(),
+              "obs::Recorder::op_span: payload b exceeds 32 bits");
   PerImage& state = at(image);
   Span span;
   span.begin = begin;
   span.end = end;
-  span.a = a;
-  span.b = b;
+  span.kind = kind;
+  span.set_a(a);
+  span.b = static_cast<std::uint32_t>(b);
   span.image = image;
   span.peer = peer;
-  span.kind = kind;
   span.blame = Blame::kCompute;
-  span.label = label;
+  span.label_id = label_of(state, label);
   push_span(state.track, static_cast<std::uint64_t>(image), state.next_local,
             config_.max_image_track_bytes, span, &state.metrics);
 }
@@ -263,10 +319,10 @@ void Recorder::flight_span(std::uint64_t id, int source, int dest,
   span.id = id;
   span.begin = begin;
   span.end = end;
-  span.a = bytes;
+  span.kind = SpanKind::kFlight;
+  span.set_a(bytes);
   span.image = source;
   span.peer = dest;
-  span.kind = SpanKind::kFlight;
   span.blame = Blame::kNetwork;
   store_span(lane_at(lane).track, lane_cap_bytes_, span, nullptr);
 }

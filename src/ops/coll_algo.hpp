@@ -97,7 +97,7 @@ CollAlgorithm resolve_algorithm(CollKind kind, CollAlgorithm requested,
                                 int team_size, std::size_t bytes);
 
 /// Interned "kind/algorithm" label (e.g. "allreduce/ring") with static
-/// lifetime, suitable for obs::Span::label.
+/// lifetime, suitable as an obs span label.
 const char* coll_span_label(CollKind kind, CollAlgorithm algorithm);
 
 }  // namespace caf2::ops

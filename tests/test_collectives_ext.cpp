@@ -618,8 +618,8 @@ TEST(CollSelection, AutoFollowsTheLoadedTable) {
     for (int image = 0; image < stats.obs->images; ++image) {
       for (const obs::Span& span : stats.obs->image_track(image).spans) {
         if (span.kind == obs::SpanKind::kCollective &&
-            span.label != nullptr) {
-          labels.emplace_back(span.label);
+            span.label() != nullptr) {
+          labels.emplace_back(span.label());
         }
       }
     }
@@ -678,8 +678,8 @@ TEST(CollSelection, RdAllgatherClampsToRingOnNonPow2Teams) {
   ASSERT_NE(stats.obs, nullptr);
   bool saw_ring = false;
   for (const obs::Span& span : stats.obs->image_track(0).spans) {
-    if (span.kind == obs::SpanKind::kCollective && span.label != nullptr &&
-        std::string(span.label) == "allgather/ring") {
+    if (span.kind == obs::SpanKind::kCollective && span.label() != nullptr &&
+        std::string(span.label()) == "allgather/ring") {
       saw_ring = true;
     }
   }

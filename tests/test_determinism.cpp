@@ -234,12 +234,12 @@ std::string span_content(const caf2::obs::Span& span) {
   std::ostringstream os;
   os << caf2::obs::to_string(span.kind) << " image " << span.image << " peer "
      << span.peer << " [" << exact(span.begin) << "," << exact(span.end)
-     << ") a " << span.a << " b " << span.b;
+     << ") a " << span.a() << " b " << span.b;
   if (span.kind == caf2::obs::SpanKind::kBlocked) {
     os << " blame " << caf2::obs::to_string(span.blame);
   }
-  if (span.label != nullptr) {
-    os << " label " << span.label;
+  if (span.label() != nullptr) {
+    os << " label " << span.label();
   }
   return os.str();
 }
@@ -256,8 +256,8 @@ std::string canonical_capture(const caf2::obs::Capture& capture) {
   }
   const auto render = [&](const caf2::obs::Span& span) {
     std::string line = span_content(span);
-    if (span.parent != 0) {
-      const auto it = by_id.find(span.parent);
+    if (span.parent() != 0) {
+      const auto it = by_id.find(span.parent());
       line += " parent (" +
               (it == by_id.end() ? std::string("missing")
                                  : span_content(*it->second)) +

@@ -14,7 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
+#include <fstream>
+#include <random>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -126,9 +131,9 @@ TEST(Obs, CaptureTilesTimelinesAndLinksFlights) {
   bool linked = false;
   for (int image = 0; image < capture.images && !linked; ++image) {
     for (const obs::Span& span : capture.image_track(image).spans) {
-      if (span.kind == obs::SpanKind::kBlocked && span.parent != 0) {
+      if (span.kind == obs::SpanKind::kBlocked && span.parent() != 0) {
         linked = std::find(flight_ids.begin(), flight_ids.end(),
-                           span.parent) != flight_ids.end();
+                           span.parent()) != flight_ids.end();
         if (linked) {
           break;
         }
@@ -306,7 +311,7 @@ TEST(Obs, CrossShardAckLinksTheSendersWaitToTheFlight) {
     }
     ASSERT_NE(wait, nullptr) << "no blocked span closes at the ack";
     EXPECT_EQ(wait->blame, obs::Blame::kOther);
-    EXPECT_EQ(wait->parent, flight);
+    EXPECT_EQ(wait->parent(), flight);
 
     const obs::BlameReport report = obs::analyze_blame(capture);
     EXPECT_DOUBLE_EQ(report.per_image[0][obs::Blame::kOther], 0.0);
@@ -430,6 +435,467 @@ TEST(Obs, ChromeTraceAndTextExportsAreWellFormed) {
   const RunStats again = run_stats(obs_options(4), mixed_workload);
   EXPECT_EQ(text, obs::to_text(*again.obs));
   EXPECT_EQ(json, obs::to_chrome_trace(*again.obs));
+}
+
+/// --- span layout and label pool ----------------------------------------------
+
+TEST(ObsSpan, ParentAndPayloadShareOneSlot) {
+  obs::Span blocked;
+  blocked.kind = obs::SpanKind::kBlocked;
+  blocked.set_parent(7);
+  EXPECT_EQ(blocked.parent(), 7u);
+  EXPECT_EQ(blocked.a(), 0u);
+  EXPECT_THROW(blocked.set_a(1), FatalError);
+
+  obs::Span put;
+  put.kind = obs::SpanKind::kPut;
+  put.set_a(512);
+  EXPECT_EQ(put.a(), 512u);
+  EXPECT_EQ(put.parent(), 0u);
+  EXPECT_THROW(put.set_parent(1), FatalError);
+
+  // The second payload is 32 bits wide; the recorder refuses wider values.
+  obs::Recorder recorder(1, ObsConfig{});
+  EXPECT_THROW(recorder.op_span(0, obs::SpanKind::kCollective, 0.0, 1.0, 0,
+                                std::uint64_t{1} << 32),
+               FatalError);
+}
+
+TEST(ObsSpan, LabelIdsRoundTripByText) {
+  const std::string text = "label-pool-round-trip";
+  const std::uint16_t id = obs::intern_label_id(text.c_str());
+  EXPECT_NE(id, 0);
+  const std::string copy = text;  // another address, the same label
+  EXPECT_EQ(obs::intern_label_id(copy.c_str()), id);
+  EXPECT_STREQ(obs::label_text(id), text.c_str());
+  EXPECT_EQ(obs::label_text(id), obs::intern_label(text));
+  EXPECT_EQ(obs::intern_label_id(nullptr), 0);
+  EXPECT_EQ(obs::label_text(0), nullptr);
+}
+
+TEST(ObsSpanDeathTest, MoreThan65535LabelsIsAUsageError) {
+  // Filling the process-global pool would starve later tests, so the child
+  // of a death test does it.
+  EXPECT_EXIT(
+      {
+        try {
+          for (int i = 0; i < 70000; ++i) {
+            obs::intern_label("overflow-" + std::to_string(i));
+          }
+        } catch (const UsageError&) {
+          std::_Exit(3);
+        }
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(3), "");
+}
+
+/// --- blame oracle ------------------------------------------------------------
+
+/// Brute-force restatement of analyze_blame's definition, O(N^2): every
+/// timeline span (kCompute/kBlocked) and flight becomes a node, visited in
+/// (end, flights first, then image and track order / net-track order); a
+/// flight chains from the first-best earlier-visited source-image span
+/// ending at or before its initiation, a timeline span from the previous
+/// span on its image and, if longer, from the latest visited flight its
+/// parent names.
+obs::BlameReport oracle_blame(const obs::Capture& capture) {
+  obs::BlameReport report;
+  report.per_image.resize(static_cast<std::size_t>(capture.images));
+  for (int image = 0; image < capture.images; ++image) {
+    std::vector<std::pair<double, double>> delays;
+    for (const obs::Span& span : capture.net_track().spans) {
+      if (span.kind == obs::SpanKind::kRetransmitDelay &&
+          span.image == image && span.end > span.begin) {
+        delays.emplace_back(span.begin, span.end);
+      }
+    }
+    std::sort(delays.begin(), delays.end());
+    std::vector<std::pair<double, double>> merged;
+    for (const auto& d : delays) {
+      if (!merged.empty() && d.first <= merged.back().second) {
+        merged.back().second = std::max(merged.back().second, d.second);
+      } else {
+        merged.push_back(d);
+      }
+    }
+    obs::BlameBreakdown& row = report.per_image[static_cast<std::size_t>(image)];
+    for (const obs::Span& span : capture.image_track(image).spans) {
+      const double dur = span.end - span.begin;
+      if (span.kind == obs::SpanKind::kCompute) {
+        row[obs::Blame::kCompute] += dur;
+      } else if (span.kind == obs::SpanKind::kBlocked) {
+        obs::Blame bucket = span.blame;
+        if (bucket == obs::Blame::kOther && span.parent() != 0) {
+          bucket = obs::Blame::kNetwork;
+        }
+        double delayed = 0.0;
+        for (const auto& d : merged) {
+          if (d.first >= span.end) {
+            break;
+          }
+          delayed += std::max(0.0, std::min(span.end, d.second) -
+                                       std::max(span.begin, d.first));
+        }
+        double charged = dur;
+        if (delayed > 0.0 && bucket != obs::Blame::kNetwork) {
+          row[obs::Blame::kNetwork] += delayed;
+          report.retransmit_us += delayed;
+          charged -= delayed;
+        }
+        row[bucket] += charged;
+      } else if (span.kind == obs::SpanKind::kFinishDetect) {
+        report.finish_rounds_max = std::max(report.finish_rounds_max, span.a());
+      }
+    }
+  }
+  for (const obs::BlameBreakdown& row : report.per_image) {
+    for (std::size_t b = 0; b < obs::kBlameBuckets; ++b) {
+      report.total.us[b] += row.us[b];
+    }
+  }
+
+  struct Node {
+    const obs::Span* span;
+    int image;        // owning image (timeline) or -1 (flight)
+    std::size_t pos;  // track position
+  };
+  std::vector<Node> nodes;
+  for (int image = 0; image < capture.images; ++image) {
+    const auto& spans = capture.image_track(image).spans;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].kind == obs::SpanKind::kCompute ||
+          spans[i].kind == obs::SpanKind::kBlocked) {
+        nodes.push_back({&spans[i], image, i});
+      }
+    }
+  }
+  const auto& net = capture.net_track().spans;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    if (net[i].kind == obs::SpanKind::kFlight) {
+      nodes.push_back({&net[i], -1, i});
+    }
+  }
+  std::sort(nodes.begin(), nodes.end(), [](const Node& x, const Node& y) {
+    if (x.span->end != y.span->end) {
+      return x.span->end < y.span->end;
+    }
+    if ((x.image < 0) != (y.image < 0)) {
+      return x.image < 0;
+    }
+    return std::pair(x.image, x.pos) < std::pair(y.image, y.pos);
+  });
+
+  struct Chain {
+    double us = 0.0;
+    std::uint64_t hops = 0;
+  };
+  std::vector<Chain> chain(nodes.size());
+  Chain best;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const obs::Span& span = *nodes[i].span;
+    const double dur = span.end - span.begin;
+    if (nodes[i].image < 0) {
+      const Chain* pred = nullptr;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (nodes[j].image == span.image && nodes[j].span->end <= span.begin &&
+            (pred == nullptr || chain[j].us > pred->us)) {
+          pred = &chain[j];
+        }
+      }
+      chain[i] = {dur, 1};
+      if (pred != nullptr) {
+        chain[i].us += pred->us;
+        chain[i].hops += pred->hops;
+      }
+      continue;
+    }
+    Chain pred;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (nodes[j].image == nodes[i].image) {
+        pred = chain[j];
+      }
+    }
+    if (span.parent() != 0) {
+      const Chain* cause = nullptr;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (nodes[j].image < 0 && nodes[j].span->id == span.parent()) {
+          cause = &chain[j];
+        }
+      }
+      if (cause != nullptr && cause->us > pred.us) {
+        pred = *cause;
+      }
+    }
+    chain[i] = {pred.us + dur, pred.hops + 1};
+    if (chain[i].us > best.us) {
+      best = chain[i];
+      report.critical_path_image = nodes[i].image;
+    }
+  }
+  report.critical_path_us = best.us;
+  report.critical_path_hops = best.hops;
+  return report;
+}
+
+void expect_bits(double actual, double expected, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(expected))
+      << what << ": " << actual << " vs oracle " << expected;
+}
+
+void expect_same_report(const obs::BlameReport& actual,
+                        const obs::BlameReport& oracle) {
+  ASSERT_EQ(actual.per_image.size(), oracle.per_image.size());
+  for (std::size_t b = 0; b < obs::kBlameBuckets; ++b) {
+    for (std::size_t i = 0; i < actual.per_image.size(); ++i) {
+      expect_bits(actual.per_image[i].us[b], oracle.per_image[i].us[b],
+                  "image " + std::to_string(i) + " bucket " +
+                      std::to_string(b));
+    }
+    expect_bits(actual.total.us[b], oracle.total.us[b],
+                "total bucket " + std::to_string(b));
+  }
+  expect_bits(actual.critical_path_us, oracle.critical_path_us,
+              "critical_path_us");
+  EXPECT_EQ(actual.critical_path_hops, oracle.critical_path_hops);
+  EXPECT_EQ(actual.critical_path_image, oracle.critical_path_image);
+  EXPECT_EQ(actual.finish_rounds_max, oracle.finish_rounds_max);
+  expect_bits(actual.retransmit_us, oracle.retransmit_us, "retransmit_us");
+}
+
+/// Hand-built capture: images + 1 tracks, spans appended by the helpers.
+struct CaptureBuilder {
+  obs::Capture capture;
+
+  explicit CaptureBuilder(int images) {
+    capture.images = images;
+    capture.tracks.resize(static_cast<std::size_t>(images) + 1);
+    capture.metrics.resize(static_cast<std::size_t>(images));
+  }
+
+  obs::Span& add(int track, obs::SpanKind kind, int image, double begin,
+                 double end) {
+    auto& spans = capture.tracks[static_cast<std::size_t>(track)].spans;
+    obs::Span& span = spans.emplace_back();
+    span.id = (static_cast<std::uint64_t>(track) + 1) << 40 | spans.size();
+    span.kind = kind;
+    span.image = image;
+    span.begin = begin;
+    span.end = end;
+    return span;
+  }
+  void compute(int image, double begin, double end) {
+    add(image, obs::SpanKind::kCompute, image, begin, end).blame =
+        obs::Blame::kCompute;
+  }
+  void blocked(int image, double begin, double end, std::uint64_t parent,
+               obs::Blame blame = obs::Blame::kOther) {
+    obs::Span& span = add(image, obs::SpanKind::kBlocked, image, begin, end);
+    span.blame = blame;
+    span.set_parent(parent);
+  }
+  void op(int image, obs::SpanKind kind, double begin, double end,
+          std::uint64_t a = 0) {
+    add(image, kind, image, begin, end).set_a(a);
+  }
+  void flight(std::uint64_t id, int source, int dest, double begin,
+              double end) {
+    obs::Span& span =
+        add(capture.images, obs::SpanKind::kFlight, source, begin, end);
+    span.id = id;
+    span.peer = dest;
+    span.set_a(8);
+  }
+  void retransmit(int image, double begin, double end) {
+    add(capture.images, obs::SpanKind::kRetransmitDelay, image, begin, end);
+  }
+};
+
+TEST(BlameOracle, HandBuiltTiesAndEdgesMatchTheOracle) {
+  CaptureBuilder b(3);
+  // Image 0 computes to 2, sends flight 100 at 2 (delivered at 4), computes
+  // to 4, then sends flight 101 with initiation == delivery == 4: the span
+  // ending at 4 is visited after the flight, so it is not a predecessor.
+  b.compute(0, 0.0, 2.0);
+  b.op(0, obs::SpanKind::kPut, 2.0, 6.0, 8);
+  b.compute(0, 2.0, 4.0);
+  b.flight(100, 0, 1, 2.0, 4.0);
+  b.flight(101, 0, 2, 4.0, 4.0);
+  // Image 1's wait ends exactly when flight 100 lands (a tie the flight
+  // wins); image 2's wait names flight 101.
+  b.blocked(1, 0.0, 4.0, 100, obs::Blame::kEventWait);
+  b.blocked(2, 0.0, 4.0, 101);
+  // Equal ends across images.
+  b.compute(1, 4.0, 6.5);
+  b.compute(2, 4.0, 6.5);
+  // A parent naming a dropped flight, and one naming a flight that lands
+  // after the wait closes: neither links.
+  b.blocked(0, 4.0, 5.0, 999);
+  b.flight(102, 1, 0, 5.5, 7.0);
+  b.blocked(0, 5.0, 6.0, 102, obs::Blame::kFinishWait);
+  b.op(0, obs::SpanKind::kFinishDetect, 4.0, 6.0, 3);
+  // Retransmit delays overlapping two waits, merged where they overlap.
+  b.retransmit(0, 4.5, 5.5);
+  b.retransmit(0, 5.25, 5.75);
+  b.blocked(0, 6.0, 7.0, 102, obs::Blame::kCofenceWait);
+  b.retransmit(1, 1.0, 1.5);
+
+  const obs::BlameReport report = obs::analyze_blame(b.capture);
+  expect_same_report(report, oracle_blame(b.capture));
+  // Spot-check the definition by hand: image 0's [0,2) -> flight 100 [2,4)
+  // -> image 1's wait [0,4) -> compute [4,6.5) is 10.5 us over 4 spans.
+  // Image 0's last wait takes flight 102 (from image 1 at 5.5, after the
+  // chain's 8 us) at 7.0 and ties that 10.5, so the earlier end keeps it.
+  EXPECT_EQ(report.critical_path_us, 10.5);
+  EXPECT_EQ(report.critical_path_hops, 4u);
+  EXPECT_EQ(report.critical_path_image, 1);
+  EXPECT_EQ(report.finish_rounds_max, 3u);
+  EXPECT_EQ(report.retransmit_us, 0.75 + 0.5);
+
+  // Equal ends and equal chains on every image: the lowest image wins.
+  CaptureBuilder tie(3);
+  for (int image = 2; image >= 0; --image) {
+    tie.compute(image, 0.0, 1.0);
+  }
+  const obs::BlameReport tied = obs::analyze_blame(tie.capture);
+  expect_same_report(tied, oracle_blame(tie.capture));
+  EXPECT_EQ(tied.critical_path_image, 0);
+}
+
+TEST(BlameOracle, RandomTiedCapturesMatchTheOracle) {
+  std::mt19937 rng(20240517);
+  const auto pick = [&](int n) {
+    return static_cast<int>(rng() % static_cast<unsigned>(n));
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int images = 1 + pick(4);
+    CaptureBuilder b(images);
+    // Flights on a coarse half-microsecond grid so ends tie often; some
+    // deliver at their initiation. Net-track order is shuffled.
+    const int flights = pick(12);
+    std::vector<std::uint64_t> ids;
+    for (int f = 0; f < flights; ++f) {
+      const double begin = 0.5 * pick(16);
+      const std::uint64_t id = 1000 + static_cast<std::uint64_t>(f);
+      b.flight(id, pick(images + 1) - (f % 5 == 0 ? 1 : 0), pick(images),
+               begin, begin + 0.5 * pick(4));
+      ids.push_back(id);
+      if (pick(3) == 0) {
+        b.retransmit(pick(images), begin, begin + 0.5 * pick(3));
+      }
+    }
+    auto& net = b.capture.tracks.back().spans;
+    std::shuffle(net.begin(), net.end(), rng);
+    // Timelines tile each image with zero and nonzero durations; blocked
+    // spans name a random flight, an unknown id, or nothing.
+    for (int image = 0; image < images; ++image) {
+      double t = 0.0;
+      const int spans = pick(10);
+      for (int s = 0; s < spans; ++s) {
+        const double end = t + 0.5 * pick(4);
+        if (pick(2) == 0) {
+          b.compute(image, t, end);
+        } else {
+          std::uint64_t parent = 0;
+          const int choice = pick(4);
+          if (choice == 1 && !ids.empty()) {
+            parent = ids[static_cast<std::size_t>(pick(flights))];
+          } else if (choice == 2) {
+            parent = 77;
+          }
+          b.blocked(image, t, end, parent,
+                    static_cast<obs::Blame>(2 + pick(5)));
+        }
+        if (pick(4) == 0) {
+          b.op(image, obs::SpanKind::kFinishDetect, t, end,
+               static_cast<std::uint64_t>(pick(5)));
+        }
+        t = end;
+      }
+    }
+    expect_same_report(obs::analyze_blame(b.capture), oracle_blame(b.capture));
+    if (HasFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(BlameOracle, OutOfOrderTimelineIsRejected) {
+  CaptureBuilder b(1);
+  b.compute(0, 0.0, 2.0);
+  b.compute(0, 0.0, 1.0);
+  EXPECT_THROW(obs::analyze_blame(b.capture), FatalError);
+}
+
+/// --- golden exports ----------------------------------------------------------
+
+/// tests/golden/obs_mixed.s<N>.{txt,trace.json,blame.txt} hold to_text,
+/// to_chrome_trace and to_text(analyze_blame) of mixed_workload at N shards,
+/// byte for byte. A change to the span layout, the exporters or the blame
+/// analyzer must leave them untouched; a change that means to move them
+/// regenerates them with
+///   CAF2_REGEN_GOLDEN=1 build/tests/test_obs --gtest_filter='ObsGolden.*'
+/// and shows the move as a diff of the committed files.
+std::string golden_path(int shards, const char* suffix) {
+  return std::string(CAF2_GOLDEN_DIR) + "/obs_mixed.s" +
+         std::to_string(shards) + "." + suffix;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Byte-for-byte comparison that names the first differing line instead of
+/// dumping two whole exports.
+void expect_golden(const std::string& path, const std::string& actual) {
+  if (std::getenv("CAF2_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(obs::write_file(path, actual)) << path;
+    return;
+  }
+  const std::string expected = read_file(path);
+  ASSERT_FALSE(expected.empty()) << "missing golden " << path;
+  if (expected == actual) {
+    return;
+  }
+  std::istringstream want(expected);
+  std::istringstream got(actual);
+  std::string want_line;
+  std::string got_line;
+  for (int line = 1;; ++line) {
+    const bool more_want = static_cast<bool>(std::getline(want, want_line));
+    const bool more_got = static_cast<bool>(std::getline(got, got_line));
+    if (!more_want && !more_got) {
+      break;
+    }
+    if (!more_want || !more_got || want_line != got_line) {
+      ADD_FAILURE() << path << ":" << line << " differs\n  golden: "
+                    << (more_want ? want_line : "<end of file>")
+                    << "\n  actual: " << (more_got ? got_line : "<end of file>");
+      return;
+    }
+  }
+  ADD_FAILURE() << path << " differs (line endings or trailing bytes)";
+}
+
+TEST(ObsGolden, MixedWorkloadExportsMatchAtShards1And2) {
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeOptions options = obs_options(4);
+    options.shards = shards;
+    const RunStats stats = run_stats(options, mixed_workload);
+    ASSERT_NE(stats.obs, nullptr);
+    ASSERT_EQ(stats.shards, shards);
+    expect_golden(golden_path(shards, "txt"), obs::to_text(*stats.obs));
+    expect_golden(golden_path(shards, "trace.json"),
+                  obs::to_chrome_trace(*stats.obs));
+    expect_golden(golden_path(shards, "blame.txt"),
+                  obs::to_text(obs::analyze_blame(*stats.obs)));
+  }
 }
 
 /// --- memory caps -------------------------------------------------------------
