@@ -15,8 +15,8 @@
 ///   retransmits etc.    protocol activity counters
 ///
 /// Results land in BENCH_faults.json. The zero-fault row doubles as the
-/// regression guard: reliability is off there (Mode::kAuto), so its
-/// events/sec is the bare network's.
+/// regression guard: its fault plan is inactive, so the reliable protocol is
+/// off and its events/sec is the bare network's.
 
 #include <algorithm>
 #include <cmath>

@@ -53,9 +53,10 @@ struct VariantResult {
   std::shared_ptr<const obs::Capture> capture;
 };
 
-VariantResult run_variant(Variant variant, int images, int iterations) {
+VariantResult run_variant(Variant variant, int images, int iterations,
+                          int shards) {
   double elapsed_us = 0.0;
-  RuntimeOptions options = bench::bench_obs_options(images);
+  RuntimeOptions options = bench::bench_obs_options(images, shards);
   const RunStats stats = run_stats(options, [&] {
     Team world = team_world();
     Coarray<std::uint8_t> inbuf(world, kPayloadBytes);
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
                                 Variant::kCofence};
     trace.clear();
     for (int v = 0; v < 3; ++v) {
-      results[v] = run_variant(variants[v], images, iterations);
+      results[v] = run_variant(variants[v], images, iterations, args.shards);
       const caf2::obs::BlameReport report =
           caf2::obs::analyze_blame(*results[v].capture);
       producer_wait[v] = report.per_image[0][variant_blame(variants[v])];

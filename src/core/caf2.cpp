@@ -16,15 +16,14 @@ void run(const RuntimeOptions& options, const std::function<void()>& body) {
 
 RunStats run_stats(const RuntimeOptions& options,
                    const std::function<void()>& body) {
-  // Collective selection table (DESIGN.md §4.13): the environment variable
-  // overrides the option, matching the other CAF2_* knobs. Loading happens
+  // Collective selection table (DESIGN.md §4.13): tools name a measured
+  // table through the environment; code installs one with
+  // ops::set_selection_table / load_selection_table_file. Loading happens
   // before any image starts, so resolution inside the run sees one
   // immutable table.
   if (const char* env = std::getenv("CAF2_COLL_TABLE");
       env != nullptr && *env != '\0') {
     ops::load_selection_table_file(env);
-  } else if (!options.coll_selection_table.empty()) {
-    ops::load_selection_table_file(options.coll_selection_table);
   }
   rt::Runtime runtime(options);
   rt::install_event_handlers(runtime);
@@ -43,7 +42,6 @@ RunStats run_stats(const RuntimeOptions& options,
   stats.window_stalls = runtime.engine().window_stall_count();
   stats.shard_events = runtime.engine().shard_event_counts();
   stats.faults = runtime.network().fault_stats();
-  stats.shard_faults = runtime.network().shard_fault_stats();
   stats.obs = runtime.take_capture();
   return stats;
 }

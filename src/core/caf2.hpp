@@ -66,9 +66,10 @@ struct RunStats {
   /// VmHWM of the whole process, not just the scheduler thread).
   std::uint64_t peak_rss_bytes = 0;
   /// --- sharded execution (DESIGN.md §4.11) ----------------------------------
-  /// events, virtual_us and faults are the same at every shard count;
-  /// context_switches, windows, window_stalls, shard_events and shard_faults
-  /// describe the partition and are deterministic for a fixed shard count.
+  /// events, virtual_us, faults and obs are the same at every shard count
+  /// (obs up to which network spans a binding max_net_track_bytes keeps);
+  /// context_switches, windows, window_stalls and shard_events describe the
+  /// partition and are deterministic for a fixed shard count.
   /// shards=1 reports windows = window_stalls = 0 and a single shard_events
   /// entry equal to `events`.
   int shards = 1;                     ///< engine shards the run executed on
@@ -78,11 +79,6 @@ struct RunStats {
                                       ///< diagnostic, summed over shards)
   std::vector<std::uint64_t> shard_events;  ///< events dispatched per shard
   FaultStats faults{};       ///< injected-fault / retransmission counters
-  /// Per-shard fault/protocol counters (one entry per shard; summed they
-  /// equal `faults`). Deliveries dropped/duplicated/delayed, ack losses, and
-  /// retransmits are charged to the flight's source shard,
-  /// duplicates_suppressed to its destination shard.
-  std::vector<FaultStats> shard_faults;
   /// Observability capture (spans + metrics); non-null only when
   /// RuntimeOptions::obs.enabled was set. Feed to obs::to_chrome_trace(),
   /// obs::to_text(), or obs::analyze_blame().

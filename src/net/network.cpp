@@ -16,7 +16,6 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
       traffic_(static_cast<std::size_t>(engine.size())) {
   params_.validate();
   reliable_ = params_.reliable_delivery();
-  faults_active_ = params_.faults.active();
   // Image i's jitter stream is child 2i of the seed and its fault stream
   // child 2i + 1: independent, so enabling a FaultPlan leaves a run's jitter
   // draws untouched.
@@ -24,19 +23,12 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
   jitter_.reserve(mailboxes_.size());
   for (std::uint64_t image = 0; image < mailboxes_.size(); ++image) {
     jitter_.emplace_back(seeder.child(2 * image));
-    if (faults_active_) {
+    if (reliable_) {
       fault_.emplace_back(seeder.child(2 * image + 1));
     }
   }
-  // One protocol cell per shard (one total for serial engines); flight ids
-  // carry the owning cell in their top 16 bits, so a shard count past 2^16
-  // would make rel_shard_of() route acks and retransmit timers to the wrong
-  // cell.
-  CAF2_REQUIRE(engine.shard_count() <= (1 << 16),
-               "Network: shard count exceeds the flight-id shard field");
-  rel_shards_.resize(
-      engine.sharded() ? static_cast<std::size_t>(engine.shard_count()) : 1);
   if (reliable_) {
+    rel_.resize(mailboxes_.size());
     max_extra_delay_us_ = params_.faults.all.delay_max_us;
     for (const LinkFaults& link : params_.faults.links) {
       max_extra_delay_us_ = std::max(max_extra_delay_us_, link.delay_max_us);
@@ -68,13 +60,9 @@ void Network::reset_traffic() {
   }
 }
 
-int Network::calling_shard_index() const {
-  return engine_.sharded() ? engine_.current_shard() : 0;
-}
-
 FaultStats Network::fault_stats() const {
   FaultStats total;
-  for (const ReliableShard& cell : rel_shards_) {
+  for (const ReliableImage& cell : rel_) {
     total.deliveries_dropped += cell.stats.deliveries_dropped;
     total.deliveries_duplicated += cell.stats.deliveries_duplicated;
     total.deliveries_delayed += cell.stats.deliveries_delayed;
@@ -86,18 +74,9 @@ FaultStats Network::fault_stats() const {
   return total;
 }
 
-std::vector<FaultStats> Network::shard_fault_stats() const {
-  std::vector<FaultStats> per_shard;
-  per_shard.reserve(rel_shards_.size());
-  for (const ReliableShard& cell : rel_shards_) {
-    per_shard.push_back(cell.stats);
-  }
-  return per_shard;
-}
-
 std::size_t Network::inflight_reliable() const {
   std::size_t total = 0;
-  for (const ReliableShard& cell : rel_shards_) {
+  for (const ReliableImage& cell : rel_) {
     total += cell.inflight.size();
   }
   return total;
@@ -141,9 +120,7 @@ void Network::launch(Message message, std::function<void()> on_acked,
   const int source = message.header.source;
   const int dest = message.header.dest;
   const std::uint64_t span =
-      observer_ != nullptr
-          ? observer_->reserve_flight_id(calling_shard_index())
-          : 0;
+      observer_ != nullptr ? observer_->reserve_flight_id(source) : 0;
   engine_.post_for(dest, timing.deliver_at,
                    [this, init_us, span, msg = std::move(message)]() mutable {
                      deliver(std::move(msg), init_us, span);
@@ -181,7 +158,7 @@ void Network::deliver(Message message, double init_us, std::uint64_t span) {
   if (observer_ != nullptr) {
     const double now = engine_.now();
     observer_->flight_span(span, source, static_cast<int>(dest), init_us, now,
-                           bytes, calling_shard_index());
+                           bytes);
     observer_->note_cause(static_cast<int>(dest), span);
     observer_->add(static_cast<int>(dest), obs::Counter::kMessagesDelivered);
     observer_->maxed(static_cast<int>(dest), obs::Counter::kMailboxHighWater,
@@ -265,14 +242,13 @@ double Network::auto_rto(double inject_us) const {
 std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
                                     double inject_us) {
   account_send(message);
-  ReliableShard& cell = rel_shard();
-  LinkSender& sender =
-      cell.senders[link_key(message.header.source, message.header.dest)];
-  CAF2_ASSERT(cell.next_flight_id < (std::uint64_t{1} << 48),
-              "admit_flight: per-shard flight-id counter overflow");
+  const int source = message.header.source;
+  ReliableImage& cell = rel_[static_cast<std::size_t>(source)];
+  LinkSender& sender = cell.senders[message.header.dest];
+  CAF2_ASSERT(cell.next_flight < (std::uint64_t{1} << 32),
+              "admit_flight: per-image flight-id counter overflow");
   const std::uint64_t id =
-      (static_cast<std::uint64_t>(calling_shard_index()) << 48) |
-      cell.next_flight_id++;
+      (static_cast<std::uint64_t>(source) << 32) | cell.next_flight++;
   ReliableFlight flight;
   flight.seq = sender.next_seq++;
   flight.ordinal = ++sender.initiated;
@@ -282,7 +258,7 @@ std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
                       ? params_.reliability.rto_us
                       : auto_rto(inject_us);
   if (observer_ != nullptr) {
-    flight.obs_span = observer_->reserve_flight_id(calling_shard_index());
+    flight.obs_span = observer_->reserve_flight_id(source);
   }
   flight.callbacks = std::move(callbacks);
   flight.message = std::make_shared<const Message>(std::move(message));
@@ -296,9 +272,6 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   const auto source = static_cast<std::size_t>(header.source);
   if (params_.jitter_us > 0.0) {
     faults.jitter_us = jitter_[source].next_double() * params_.jitter_us;
-  }
-  if (!faults_active_) {
-    return faults;
   }
   // A fixed number of fault-stream draws per attempt keeps the stream
   // aligned no matter which faults actually fire.
@@ -328,7 +301,7 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
         (scripted.attempt != 0 && scripted.attempt != flight.attempts)) {
       continue;
     }
-    rel_shard().stats.scripted_applied += 1;
+    rel_[source].stats.scripted_applied += 1;
     switch (scripted.kind) {
       case FaultKind::kDrop:
         faults.drop = true;
@@ -345,7 +318,7 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
 }
 
 void Network::start_attempt(std::uint64_t id) {
-  ReliableShard& cell = rel_shard_of(id);
+  ReliableImage& cell = rel_of(id);
   auto it = cell.inflight.find(id);
   CAF2_ASSERT(it != cell.inflight.end(), "start_attempt: unknown flight");
   ReliableFlight& flight = it->second;
@@ -420,7 +393,7 @@ void Network::start_attempt(std::uint64_t id) {
       return;
     }
     // Charged at roll time on the sender's cell (the receiver can't touch
-    // source-shard counters); every launched delivery lands, so the totals
+    // source-image counters); every launched delivery lands, so the totals
     // count every lost ack. The ring entry is stamped with the delivery
     // time, when the ack is lost; recording may not schedule events
     // (flight_recorder.hpp), so the ring's insertion order can run locally
@@ -447,11 +420,11 @@ void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
                               std::uint64_t seq, double first_sent_us,
                               double expected_deliver_us, std::uint64_t span) {
   const MessageHeader& header = message->header;
-  // The dedup window lives in the destination shard's cell, the sender half
-  // of the link in the source shard's.
-  ReliableShard& cell = rel_shard();
-  if (!cell.receivers[link_key(header.source, header.dest)].accept(seq)) {
-    // Dedup hits are the one counter charged to the destination shard.
+  // The dedup window lives in the destination image's cell, the sender half
+  // of the link in the source image's.
+  ReliableImage& cell = rel_[static_cast<std::size_t>(header.dest)];
+  if (!cell.receivers[header.source].accept(seq)) {
+    // Dedup hits are the one counter charged to the destination image.
     cell.stats.duplicates_suppressed += 1;
     return;
   }
@@ -461,12 +434,12 @@ void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
     // The paper's satellite claim: time a fault added shows up as network
     // blame, not as whatever construct happened to be waiting.
     observer_->retransmit_span(header.dest, header.source, expected_deliver_us,
-                               now, calling_shard_index());
+                               now);
   }
 }
 
 void Network::handle_ack(std::uint64_t id) {
-  ReliableShard& cell = rel_shard_of(id);
+  ReliableImage& cell = rel_of(id);
   auto it = cell.inflight.find(id);
   if (it == cell.inflight.end()) {
     return;  // duplicate or late ack of a completed flight
@@ -484,8 +457,7 @@ void Network::handle_ack(std::uint64_t id) {
     observer_->note_cause(header.source, flight.obs_span);
     if (now > flight.expected_ack_us + 1e-9) {
       observer_->retransmit_span(header.source, header.dest,
-                                 flight.expected_ack_us, now,
-                                 calling_shard_index());
+                                 flight.expected_ack_us, now);
     }
   }
   SendCallbacks callbacks = std::move(it->second.callbacks);
@@ -496,7 +468,7 @@ void Network::handle_ack(std::uint64_t id) {
 }
 
 void Network::on_retransmit_timer(std::uint64_t id, int attempt) {
-  ReliableShard& cell = rel_shard_of(id);
+  ReliableImage& cell = rel_of(id);
   auto it = cell.inflight.find(id);
   if (it == cell.inflight.end()) {
     return;  // acknowledged; the timer is stale
@@ -541,7 +513,7 @@ void Network::send_reliable(Message message, SendCallbacks callbacks) {
   const std::uint64_t id =
       admit_flight(std::move(message), std::move(callbacks), inject);
   engine_.post(stage_at, [this, id] {
-    ReliableShard& cell = rel_shard_of(id);
+    ReliableImage& cell = rel_of(id);
     auto it = cell.inflight.find(id);
     CAF2_ASSERT(it != cell.inflight.end(), "reliable stage: unknown flight");
     if (it->second.callbacks.on_staged) {
@@ -581,9 +553,9 @@ void Network::fill_postmortem(obs::PmNetwork& net) const {
   net.faults = fault_stats();
   net.inflight_total = inflight_reliable();
   net.inflight.clear();
-  // Cells in shard order, flights by id within a cell: a deterministic
-  // listing for a fixed shard count.
-  for (const ReliableShard& cell : rel_shards_) {
+  // Cells in image order, flights by id within a cell: the same listing at
+  // every shard count.
+  for (const ReliableImage& cell : rel_) {
     for (const auto& [id, flight] : cell.inflight) {
       if (net.inflight.size() == obs::kMaxListedFlights) {
         return;

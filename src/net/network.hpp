@@ -23,9 +23,8 @@
 /// what makes "overwrite the source before cofence()" a real data hazard in
 /// the simulation, exactly as on hardware with a zero-copy NIC.
 ///
-/// Reliable delivery (DESIGN.md §4.7). With an active FaultPlan (or
-/// ReliabilityParams::Mode::kOn) the network layers a retransmission
-/// protocol over the lossy wire:
+/// Reliable delivery (DESIGN.md §4.7). With an active FaultPlan the network
+/// layers a retransmission protocol over the lossy wire:
 ///  - every message carries a per-(source, dest) sequence number and is
 ///    retained at the sender until acknowledged;
 ///  - the receiver keeps a per-link dedup window (a compacted set of seen
@@ -54,22 +53,24 @@
 /// the next window merge. deliver_at >= now +
 /// latency >= now + lookahead by construction, so the conservative-window
 /// contract holds. With an observer attached, the sender reserves the flight
-/// span's id at initiation; the receiver records the span under that id on
-/// its own lane and the ack wake names it as its cause, so the blame
-/// analyzer's ack edge survives shard boundaries.
+/// span's id from its own image's counter at initiation; the receiver
+/// records the span under that id and the ack wake names it as its cause, so
+/// the blame analyzer's ack edge survives shard boundaries.
 ///
 /// The reliable-delivery protocol runs on the same path (DESIGN.md §4.12).
-/// Protocol state is owned by the *source* shard: retained flights, flight
-/// ids, retransmit timers, and the fault counters live in per-shard cells
-/// (ReliableShard). A link's sender half (next_seq, initiated) lives in the
-/// source shard's cell and its dedup half in the destination shard's, each
-/// created on first use, so no state is shared and none is sized p². Every
-/// fault decision of an attempt — including both ack losses — is rolled at
-/// the sender before anything is scheduled, and the receiver acknowledges every
-/// non-ack-dropped physical delivery regardless of its dedup outcome; the
-/// sender therefore schedules handle_ack at the delivery's known time plus
-/// ack latency *itself*, with no return event (an ack latency below the
-/// lookahead would otherwise violate the conservative window). Ack
+/// Its state lives in per-image cells (ReliableImage), touched only by the
+/// image's own shard: as a source, an image's cell holds its retained
+/// flights, retransmit bookkeeping, fault counters and the sender halves of
+/// its links (next_seq, initiated) keyed by destination; as a destination,
+/// its dedup windows keyed by source. Link halves are created on first use,
+/// so no state is shared and none is sized p². A flight id names its source
+/// image, so acks and retransmit timers find their cell without knowing the
+/// partition. Every fault decision of an attempt — including both ack losses
+/// — is rolled at the sender before anything is scheduled, and the receiver
+/// acknowledges every non-ack-dropped physical delivery regardless of its
+/// dedup outcome; the sender therefore schedules handle_ack at the delivery's
+/// known time plus ack latency *itself*, with no return event (an ack latency
+/// below the lookahead would otherwise violate the conservative window). Ack
 /// cancellation is then a plain source-local map erase. A delivery carries
 /// its metadata (seq, first-sent, expected-delivery marks, span id) in the
 /// event closure instead of reading the sender-owned flight record.
@@ -160,18 +161,11 @@ class Network {
   /// True when the reliable-delivery protocol is layered in for this run.
   bool reliable() const { return reliable_; }
 
-  /// Injected-fault and protocol counters, aggregated over shards (all zero
-  /// when reliable() is off).
+  /// Injected-fault and protocol counters, summed over images (all zero when
+  /// reliable() is off).
   FaultStats fault_stats() const;
 
-  /// Per-shard fault/protocol counters (one entry per engine shard; a single
-  /// entry for serial runs). Deliveries dropped/duplicated/delayed, ack
-  /// losses, and retransmits are charged to the *source* shard;
-  /// duplicates_suppressed to the destination shard.
-  std::vector<FaultStats> shard_fault_stats() const;
-
-  /// Number of reliable messages currently unacknowledged (summed over
-  /// shards).
+  /// Number of reliable messages currently unacknowledged.
   std::size_t inflight_reliable() const;
 
   /// Snapshot the network's postmortem section: reliability mode, in-flight
@@ -201,29 +195,25 @@ class Network {
   /// Plan a send of \p bytes by \p source initiated at \p now.
   Timing plan(int source, double now, std::size_t bytes);
 
-  /// The calling context's shard index (0 on an unsharded engine) — the
-  /// recorder net lane and ReliableShard cell every operation uses.
-  int calling_shard_index() const;
-
   /// Source-side accounting charged when the message is injected.
   void account_send(const Message& message);
 
-  /// Post the delivery of \p message at timing.deliver_at on its
-  /// destination's shard and, when \p on_acked is set, the ack at
-  /// timing.ack_at on the calling (source) shard.
+  /// Post the delivery of \p message at timing.deliver_at to its
+  /// destination and, when \p on_acked is set, the ack at timing.ack_at to
+  /// the calling (source) context.
   void launch(Message message, std::function<void()> on_acked,
               const Timing& timing, double init_us);
 
   /// Receiver half of a send, on the destination's shard: mailbox push,
   /// unblock, flight-recorder entry, and the flight span (under the id the
-  /// sender reserved, 0 without an observer) on the calling shard's net
-  /// lane. \p init_us is the send's initiation time.
+  /// sender reserved, 0 without an observer). \p init_us is the send's
+  /// initiation time.
   void deliver(Message message, double init_us, std::uint64_t span);
 
   /// --- reliable-delivery protocol ------------------------------------------
 
   /// Sender half of a (source, dest) link: per-link sequence numbers and
-  /// initiation ordinals. Lives in the source shard's cell.
+  /// initiation ordinals. Lives in the source image's cell.
   struct LinkSender {
     std::uint64_t next_seq = 0;
     std::uint64_t initiated = 0;
@@ -232,7 +222,7 @@ class Network {
   /// Receiver half of a link: the dedup window, i.e. the set of seen
   /// sequence numbers at or above `floor`, compacted by advancing the floor
   /// over contiguous runs (everything below the floor has been seen). Lives
-  /// in the destination shard's cell.
+  /// in the destination image's cell.
   struct DedupWindow {
     std::uint64_t floor = 0;
     std::set<std::uint64_t> seen;
@@ -278,9 +268,9 @@ class Network {
                             SendCallbacks callbacks);
 
   /// Register a new flight (assigns link seq + ordinal, and reserves the
-  /// flight span id when an observer is attached) in the calling shard's
-  /// cell and return its id (source shard in the top 16 bits, cell-local
-  /// counter below — serial ids are the plain counter).
+  /// flight span id when an observer is attached) in its source image's
+  /// cell and return its id (source image in the top 32 bits, the cell's
+  /// counter below).
   std::uint64_t admit_flight(Message message, SendCallbacks callbacks,
                              double inject_us);
 
@@ -311,13 +301,6 @@ class Network {
   /// round trip, including the largest configured fault delay.
   double auto_rto(double inject_us) const;
 
-  /// Key of the (source, dest) link in a cell's link maps.
-  std::uint64_t link_key(int source, int dest) const {
-    return static_cast<std::uint64_t>(source) *
-               static_cast<std::uint64_t>(size()) +
-           static_cast<std::uint64_t>(dest);
-  }
-
   sim::Engine& engine_;
   NetworkParams params_;
   /// Per source image: the jitter streams, and the fault streams when a
@@ -334,30 +317,22 @@ class Network {
 
   // reliable-delivery state (empty when reliable_ is false)
   bool reliable_ = false;
-  bool faults_active_ = false;
-  /// Per-shard reliable-protocol cell: the flights retained by this (source)
-  /// shard, its flight-id counter, its fault counters, and the link halves
-  /// its images own — sender halves of links they send on, dedup windows of
-  /// links they receive on, keyed by link_key() and created on first use.
-  /// Only the owning shard touches a cell's maps, so they need no locking.
-  /// Flight ids are (shard << 48) | local, so id >> 48 recovers the owning
-  /// cell from anywhere (serial runs use cell 0 and get the plain counter).
-  struct ReliableShard {
-    std::map<std::uint64_t, ReliableFlight> inflight;
-    std::uint64_t next_flight_id = 0;
+  /// Per-image reliable-protocol cell. Only the image's own shard touches
+  /// it, so its maps need no locking: as a source it adds flights, rolls
+  /// faults, handles acks and fires retransmit timers; as a destination it
+  /// checks dedup windows (and counts duplicates_suppressed).
+  struct ReliableImage {
+    std::map<std::uint64_t, ReliableFlight> inflight;  ///< by flight id
+    std::uint64_t next_flight = 0;
     FaultStats stats;
-    std::unordered_map<std::uint64_t, LinkSender> senders;
-    std::unordered_map<std::uint64_t, DedupWindow> receivers;
+    std::unordered_map<int, LinkSender> senders;     ///< by destination
+    std::unordered_map<int, DedupWindow> receivers;  ///< by source
   };
-  std::vector<ReliableShard> rel_shards_;  ///< engine shard count cells (>= 1)
+  std::vector<ReliableImage> rel_;  ///< one cell per image
 
-  /// The calling shard's protocol cell.
-  ReliableShard& rel_shard() {
-    return rel_shards_[static_cast<std::size_t>(calling_shard_index())];
-  }
-  /// The cell owning flight \p id (its source shard's).
-  ReliableShard& rel_shard_of(std::uint64_t id) {
-    return rel_shards_[static_cast<std::size_t>(id >> 48)];
+  /// The cell of flight \p id's source image.
+  ReliableImage& rel_of(std::uint64_t id) {
+    return rel_[static_cast<std::size_t>(id >> 32)];
   }
 
   double max_extra_delay_us_ = 0.0;

@@ -26,18 +26,20 @@
 ///    home shard, so per-image recorder state needs no locking — exactly the
 ///    argument that covers Image state (runtime/image.hpp).
 ///
-/// Sharded runs (DESIGN.md §4.12): the single network track of the serial
-/// recorder would be a cross-shard race, so the recorder keeps one network
-/// *lane* per engine shard (the net_lanes constructor argument); the network
-/// layer records each flight on the delivering shard's lane, under an id the
-/// sending shard reserved from its own lane's counter at initiation. Span ids
-/// are composite — (track ordinal, per-track counter) packed into 64 bits —
-/// so id assignment is track-local and deterministic without any cross-shard
-/// coordination. take()/snapshot() merge the lanes into the capture's single
-/// network track by (begin, end, image, peer, id), a total order, so the
-/// exported capture is deterministic for a fixed shard count. Each of the n
-/// lanes holds ObsConfig::max_net_track_bytes / n, so the cap bounds the
-/// whole track; once it binds, which flights are kept depends on the
+/// Span ids (DESIGN.md §4.12) are composite — (ordinal, per-ordinal counter)
+/// packed into 64 bits — and every counter belongs to one image: ordinal i
+/// numbers image i's track, ordinal images + i the network spans image i
+/// records (flights it sends, reserved at initiation; retransmit delays
+/// charged to it). Id assignment therefore follows each image's own
+/// execution and is the same at every shard count. Network spans of images
+/// on different shards would race on one buffer, so the recorder appends
+/// them to per-shard *lanes* (the lane_of_image partition given at
+/// construction, keyed by the recording image); take()/snapshot() concatenate
+/// the lanes into the capture's single network track and sort it by (begin,
+/// end, image, peer, id), a total order. The capture is thus byte-identical
+/// at every shard count, with one exception: each of the n lanes holds
+/// ObsConfig::max_net_track_bytes / n, so the cap bounds the whole track,
+/// but once it binds, which network spans are kept depends on the
 /// partition.
 
 #include <array>
@@ -210,12 +212,10 @@ struct Track {
 };
 
 /// Immutable snapshot of everything recorded during one run. Deterministic:
-/// for a given options + body (and shard count) it is bit-identical across
-/// repeats (export::to_text serializes it byte-stably for exactly that
-/// comparison). Across shard counts the network span ids (per-lane
-/// composites), the parent links naming them, and the order of network spans
-/// that tie on (begin, end, image, peer) differ; so do the kept network
-/// spans once the network-track cap binds (kept + dropped does not).
+/// for a given options + body it is bit-identical across repeats and shard
+/// counts (export::to_text serializes it byte-stably for exactly that
+/// comparison). The one exception is which network spans are kept once the
+/// network-track cap binds (kept + dropped does not change).
 struct Capture {
   ObsConfig config{};
   int images = 0;
@@ -234,11 +234,12 @@ struct Capture {
 /// disabled (callers test the pointer, so a disabled run pays one branch).
 class Recorder {
  public:
-  /// \p net_lanes is the number of independent network-track lanes (one per
-  /// engine shard; 1 for serial runs), each capped at an equal share of
-  /// ObsConfig::max_net_track_bytes. Lanes are merged into the capture's
-  /// single network track at take()/snapshot().
-  Recorder(int images, ObsConfig config, int net_lanes = 1);
+  /// \p lane_of_image[i] is the network-track lane image i's shard appends
+  /// to (its engine shard); empty puts every image on one lane. Each lane is
+  /// capped at an equal share of ObsConfig::max_net_track_bytes, and the
+  /// lanes become the capture's single network track at take()/snapshot().
+  explicit Recorder(int images, ObsConfig config,
+                    const std::vector<int>& lane_of_image = {});
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
@@ -276,24 +277,22 @@ class Recorder {
 
   /// --- network hooks -------------------------------------------------------
 
-  /// Reserve the span id of a message flight at its initiation, from
-  /// network lane \p lane (the sending engine shard; 0 for serial runs). The
-  /// flight's span is recorded later, possibly on another lane, under this
-  /// id, and the ack that completes the send names it as the cause of the
-  /// sender's wake — so the link needs no cross-shard coordination.
-  std::uint64_t reserve_flight_id(int lane);
+  /// Reserve the span id of a flight \p source initiates, from \p source's
+  /// network counter. The flight's span is recorded later by its destination
+  /// under this id, and the ack that completes the send names it as the
+  /// cause of the sender's wake — so the link needs no cross-shard
+  /// coordination.
+  std::uint64_t reserve_flight_id(int source);
 
   /// Record a delivered message [initiation, delivery) under the id
-  /// reserve_flight_id() returned, on network lane \p lane (the delivering
-  /// engine shard; 0 for serial runs).
+  /// reserve_flight_id() returned; called from \p dest's shard.
   void flight_span(std::uint64_t id, int source, int dest, double begin,
-                   double end, std::uint64_t bytes, int lane);
+                   double end, std::uint64_t bytes);
 
   /// Record fault-induced extra wait [expected, actual) charged to \p image
-  /// (the endpoint whose completion the fault delayed) on network lane
-  /// \p lane.
-  void retransmit_span(int image, int peer, double begin, double end,
-                       int lane = 0);
+  /// (the endpoint whose completion the fault delayed), with an id from
+  /// \p image's network counter; called from \p image's shard.
+  void retransmit_span(int image, int peer, double begin, double end);
 
   /// Note that \p span_id is about to unblock \p image (delivery into its
   /// mailbox, or an ack completing its operation). The next blocked span
@@ -325,32 +324,26 @@ class Recorder {
     const char* block_reason = nullptr;
     bool blocked = false;
     std::uint64_t cause = 0;  ///< pending parent for the next blocked span
-    std::uint64_t next_local = 0;  ///< per-track span id counter
+    std::uint64_t next_local = 0;  ///< image-track span id counter
+    std::uint64_t next_net = 0;    ///< network span id counter
+    std::size_t lane = 0;          ///< network lane this image appends to
     /// Label ids this image has used, by label address (a handful; a miss
     /// interns the text in the process-global pool).
     std::vector<std::pair<const char*, std::uint16_t>> label_ids;
   };
 
-  /// One shard's slice of the network track (serial runs have exactly one).
-  struct NetLane {
-    Track track;
-    std::uint64_t next_local = 0;  ///< per-lane span id counter
-  };
-
   PerImage& at(int image);
   const PerImage& at(int image) const;
-  NetLane& lane_at(int lane);
 
   /// Label id of \p label (0 for null) through \p state's address cache.
   static std::uint16_t label_of(PerImage& state, const char* label);
 
-  /// Composite span id of the next span on track \p ordinal (image rank for
-  /// image tracks, images + lane for network lanes): nonzero, unique across
-  /// tracks, and assigned without cross-shard coordination. Uniqueness is
-  /// what the deterministic (begin, end, image, peer, id) lane merge and
-  /// note_cause links rely on, so guard both packed fields: a local counter
-  /// spilling past 2^40 (or a track ordinal past 2^24) would silently bleed
-  /// into the neighboring bits.
+  /// Composite span id of the next span of \p ordinal (image rank for image
+  /// tracks, images + rank for an image's network spans): nonzero, unique,
+  /// and assigned without cross-shard coordination. Uniqueness is what the
+  /// (begin, end, image, peer, id) net-track order and note_cause links rely
+  /// on, so guard both packed fields: a local counter spilling past 2^40 (or
+  /// an ordinal past 2^24) would silently bleed into the neighboring bits.
   static std::uint64_t compose_id(std::uint64_t ordinal,
                                   std::uint64_t& next_local) {
     CAF2_ASSERT(ordinal + 1 < (std::uint64_t{1} << 24),
@@ -372,13 +365,14 @@ class Recorder {
   static void store_span(Track& track, std::size_t cap_bytes,
                          const Span& span, Metrics* image_metrics);
 
-  /// The capture's single network track: lane 0 verbatim for serial runs,
-  /// else the deterministic (begin, end, image, peer, id) merge.
-  Track merged_net_track() const;
+  /// Append every lane to \p net and sort it into the network track's one
+  /// order, (begin, end, image, peer, id).
+  void collect_net_track(Track& net) const;
 
   ObsConfig config_;
   std::vector<PerImage> images_;
-  std::vector<NetLane> net_lanes_;
+  /// Per-shard append buffers of the network track; they share the cap.
+  std::vector<Track> net_lanes_;
   std::size_t lane_cap_bytes_ = 0;  ///< each lane's share of the net-track cap
 };
 

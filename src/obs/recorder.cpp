@@ -166,14 +166,22 @@ void Histogram::add(double us) {
   buckets[static_cast<std::size_t>(bucket)] += 1;
 }
 
-Recorder::Recorder(int images, ObsConfig config, int net_lanes)
+Recorder::Recorder(int images, ObsConfig config,
+                   const std::vector<int>& lane_of_image)
     : config_(config),
-      images_(static_cast<std::size_t>(images > 0 ? images : 0)),
-      net_lanes_(static_cast<std::size_t>(net_lanes > 0 ? net_lanes : 0)),
-      lane_cap_bytes_(config_.max_net_track_bytes /
-                      static_cast<std::size_t>(net_lanes > 0 ? net_lanes : 1)) {
+      images_(static_cast<std::size_t>(images > 0 ? images : 0)) {
   CAF2_REQUIRE(images > 0, "obs::Recorder needs at least one image");
-  CAF2_REQUIRE(net_lanes > 0, "obs::Recorder needs at least one net lane");
+  CAF2_REQUIRE(lane_of_image.empty() || lane_of_image.size() == images_.size(),
+               "obs::Recorder: lane_of_image needs one entry per image");
+  std::size_t lanes = 1;
+  for (std::size_t image = 0; image < lane_of_image.size(); ++image) {
+    CAF2_REQUIRE(lane_of_image[image] >= 0,
+                 "obs::Recorder: net lane must be >= 0");
+    images_[image].lane = static_cast<std::size_t>(lane_of_image[image]);
+    lanes = std::max(lanes, images_[image].lane + 1);
+  }
+  net_lanes_.resize(lanes);
+  lane_cap_bytes_ = config_.max_net_track_bytes / lanes;
 }
 
 Recorder::PerImage& Recorder::at(int image) {
@@ -186,13 +194,6 @@ const Recorder::PerImage& Recorder::at(int image) const {
   CAF2_REQUIRE(image >= 0 && image < images(),
                "obs::Recorder: image rank out of range");
   return images_[static_cast<std::size_t>(image)];
-}
-
-Recorder::NetLane& Recorder::lane_at(int lane) {
-  CAF2_REQUIRE(lane >= 0 &&
-                   static_cast<std::size_t>(lane) < net_lanes_.size(),
-               "obs::Recorder: net lane out of range");
-  return net_lanes_[static_cast<std::size_t>(lane)];
 }
 
 std::uint16_t Recorder::label_of(PerImage& state, const char* label) {
@@ -306,15 +307,13 @@ void Recorder::op_span(int image, SpanKind kind, double begin, double end,
             config_.max_image_track_bytes, span, &state.metrics);
 }
 
-std::uint64_t Recorder::reserve_flight_id(int lane) {
-  return compose_id(
-      static_cast<std::uint64_t>(images()) + static_cast<std::uint64_t>(lane),
-      lane_at(lane).next_local);
+std::uint64_t Recorder::reserve_flight_id(int source) {
+  return compose_id(static_cast<std::uint64_t>(images() + source),
+                    at(source).next_net);
 }
 
 void Recorder::flight_span(std::uint64_t id, int source, int dest,
-                           double begin, double end, std::uint64_t bytes,
-                           int lane) {
+                           double begin, double end, std::uint64_t bytes) {
   Span span;
   span.id = id;
   span.begin = begin;
@@ -324,12 +323,12 @@ void Recorder::flight_span(std::uint64_t id, int source, int dest,
   span.image = source;
   span.peer = dest;
   span.blame = Blame::kNetwork;
-  store_span(lane_at(lane).track, lane_cap_bytes_, span, nullptr);
+  store_span(net_lanes_[at(dest).lane], lane_cap_bytes_, span, nullptr);
 }
 
-void Recorder::retransmit_span(int image, int peer, double begin, double end,
-                               int lane) {
-  NetLane& slot = lane_at(lane);
+void Recorder::retransmit_span(int image, int peer, double begin,
+                               double end) {
+  PerImage& state = at(image);
   Span span;
   span.begin = begin;
   span.end = end;
@@ -337,10 +336,9 @@ void Recorder::retransmit_span(int image, int peer, double begin, double end,
   span.peer = peer;
   span.kind = SpanKind::kRetransmitDelay;
   span.blame = Blame::kNetwork;
-  const std::uint64_t ordinal =
-      static_cast<std::uint64_t>(images()) + static_cast<std::uint64_t>(lane);
-  push_span(slot.track, ordinal, slot.next_local, lane_cap_bytes_, span,
-            nullptr);
+  push_span(net_lanes_[state.lane],
+            static_cast<std::uint64_t>(images() + image), state.next_net,
+            lane_cap_bytes_, span, nullptr);
 }
 
 void Recorder::note_cause(int image, std::uint64_t span_id) {
@@ -363,25 +361,19 @@ void Recorder::observe(int image, Hist h, double us) {
   at(image).metrics.hists[static_cast<std::size_t>(h)].add(us);
 }
 
-Track Recorder::merged_net_track() const {
-  if (net_lanes_.size() == 1) {
-    return net_lanes_[0].track;
+void Recorder::collect_net_track(Track& net) const {
+  std::size_t total = net.spans.size();
+  for (const Track& lane : net_lanes_) {
+    total += lane.spans.size();
   }
-  Track merged;
-  std::size_t total = 0;
-  for (const NetLane& lane : net_lanes_) {
-    total += lane.track.spans.size();
-    merged.dropped += lane.track.dropped;
+  net.spans.reserve(total);
+  for (const Track& lane : net_lanes_) {
+    net.spans.insert(net.spans.end(), lane.spans.begin(), lane.spans.end());
+    net.dropped += lane.dropped;
   }
-  merged.spans.reserve(total);
-  for (const NetLane& lane : net_lanes_) {
-    merged.spans.insert(merged.spans.end(), lane.track.spans.begin(),
-                        lane.track.spans.end());
-  }
-  // (begin, end, image, peer, id) is a total order — ids are unique across
-  // lanes — so the merged track is identical for any lane fill order: the
-  // capture stays deterministic for a fixed shard count.
-  std::sort(merged.spans.begin(), merged.spans.end(),
+  // (begin, end, image, peer, id) is a total order — ids are unique — so the
+  // track is identical for any lane fill order and any shard count.
+  std::sort(net.spans.begin(), net.spans.end(),
             [](const Span& a, const Span& b) {
               if (a.begin != b.begin) {
                 return a.begin < b.begin;
@@ -397,7 +389,6 @@ Track Recorder::merged_net_track() const {
               }
               return a.id < b.id;
             });
-  return merged;
 }
 
 Capture Recorder::snapshot(double end_us) const {
@@ -411,7 +402,9 @@ Capture Recorder::snapshot(double end_us) const {
     capture.tracks.push_back(state.track);
     capture.metrics.push_back(state.metrics);
   }
-  capture.tracks.push_back(merged_net_track());
+  Track net;
+  collect_net_track(net);
+  capture.tracks.push_back(std::move(net));
   return capture;
 }
 
@@ -428,14 +421,15 @@ Capture Recorder::take(double end_us) {
     state.track = Track{};
     state.metrics = Metrics{};
   }
-  if (net_lanes_.size() == 1) {
-    capture.tracks.push_back(std::move(net_lanes_[0].track));
-  } else {
-    capture.tracks.push_back(merged_net_track());
+  // The first lane becomes the network track and is sorted in place, so a
+  // one-shard run's capture needs no second copy of it.
+  Track net = std::move(net_lanes_.front());
+  net_lanes_.front() = Track{};
+  collect_net_track(net);
+  for (Track& lane : net_lanes_) {
+    lane = Track{};
   }
-  for (NetLane& lane : net_lanes_) {
-    lane.track = Track{};
-  }
+  capture.tracks.push_back(std::move(net));
   return capture;
 }
 

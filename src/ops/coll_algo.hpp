@@ -8,10 +8,9 @@
 /// table* keyed by (collective kind, log2 team size, log2 payload bytes).
 /// Tables come from two places: the built-in per-kind defaults (the first
 /// entry of supported_algorithms), or a table measured under the simulator
-/// by `bench_collectives --tune` and loaded back here
-/// (load_selection_table_file / set_selection_table, or
-/// RuntimeOptions::coll_selection_table / the CAF2_COLL_TABLE environment
-/// variable at caf2::run entry).
+/// by `bench_collectives --tune` and loaded back here (from code with
+/// load_selection_table_file / set_selection_table; from tools with the
+/// CAF2_COLL_TABLE environment variable, read at caf2::run entry).
 ///
 /// Determinism: resolution depends only on team-uniform inputs — every
 /// member of a team observes the same kind, team size, and contribution

@@ -20,7 +20,7 @@
 /// CollOptions::algorithm picks one; the default CollAlgorithm::kAuto
 /// consults a selection table (built-in defaults, or a table measured by
 /// `bench_collectives --tune` and loaded with
-/// ops::load_selection_table_file / RuntimeOptions::coll_selection_table)
+/// ops::load_selection_table_file or the CAF2_COLL_TABLE environment variable)
 /// so the winner can depend on payload size and team size.
 
 #include <algorithm>

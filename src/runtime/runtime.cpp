@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string_view>
+#include <vector>
 
 #include "obs/blame.hpp"
 #include "sim/participant.hpp"
@@ -78,7 +79,7 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   // The conservative lookahead for sharded execution is the network's wire
   // latency: a cross-shard delivery can never land earlier than one latency
   // after its send (net/network.hpp). Reliable delivery and obs span capture
-  // both run sharded too (per-shard protocol cells and recorder net lanes,
+  // both run sharded too (per-image protocol cells and span-id counters,
   // DESIGN.md §4.12); only a zero-latency "instant" network still forces the
   // engine back to one shard, because it leaves no positive lookahead.
   engine_options.lookahead_us = options_.net.latency_us;
@@ -87,11 +88,17 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   network_ = std::make_unique<net::Network>(*engine_, options_.net,
                                             SplitMix64(options_.seed).child(0));
   if (options_.obs.enabled) {
-    // One net lane per engine shard: each shard appends flight spans to its
-    // own lane and the lanes merge deterministically at capture time.
+    // The recorder appends an image's network spans to its engine shard's
+    // lane, so shards never share a buffer; span ids and the capture's
+    // net-track order do not depend on this partition.
+    std::vector<int> lane_of_image(
+        static_cast<std::size_t>(options_.num_images));
+    for (int image = 0; image < options_.num_images; ++image) {
+      lane_of_image[static_cast<std::size_t>(image)] =
+          engine_->shard_of(image);
+    }
     observer_ = std::make_unique<obs::Recorder>(options_.num_images,
-                                                options_.obs,
-                                                engine_->shard_count());
+                                                options_.obs, lane_of_image);
     engine_->set_observer(observer_.get());
     network_->set_observer(observer_.get());
   }

@@ -357,10 +357,10 @@ class Engine {
   /// Hooks fire from advance() and block(); a null observer costs one branch.
   /// Recording never schedules events, so an observed run's event schedule,
   /// trace, and stats are bit-identical to an unobserved one. Sharded
-  /// engines are supported when the recorder was built with one net lane per
-  /// shard (obs::Recorder's net_lanes constructor argument): the per-image
-  /// hooks only ever fire on the image's home shard, and network spans go to
-  /// the calling shard's lane (DESIGN.md §4.12).
+  /// engines are supported when the recorder was given this engine's
+  /// partition (obs::Recorder's lane_of_image constructor argument): every
+  /// per-image hook fires on the image's home shard, and network spans go
+  /// to the recording image's shard lane (DESIGN.md §4.12).
   void set_observer(obs::Recorder* observer) { observer_ = observer; }
 
  private:

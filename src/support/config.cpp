@@ -86,10 +86,6 @@ void NetworkParams::validate() const {
   CAF2_REQUIRE(reliability.rto_us != 0.0 && !std::isnan(reliability.rto_us),
                "NetworkParams: reliability rto_us must be > 0 "
                "(or negative to derive it from the network parameters)");
-  CAF2_REQUIRE(!faults.active() ||
-                   reliability.mode != ReliabilityParams::Mode::kOff,
-               "NetworkParams: an active FaultPlan requires the reliable-"
-               "delivery layer (reliability.mode must not be kOff)");
 }
 
 NetworkParams NetworkParams::instant() {

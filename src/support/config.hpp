@@ -92,16 +92,9 @@ struct FaultPlan {
 };
 
 /// Reliable-delivery protocol knobs (per-link sequence numbers, receiver
-/// dedup, virtual-time retransmission with exponential backoff).
+/// dedup, virtual-time retransmission with exponential backoff). The
+/// protocol runs exactly when the FaultPlan is active.
 struct ReliabilityParams {
-  enum class Mode : std::uint8_t {
-    kAuto,  ///< enabled iff the FaultPlan is active
-    kOn,    ///< always layered in (costs ~2 extra events per message)
-    kOff,   ///< never (rejected at validation if the FaultPlan is active:
-            ///< injecting loss into a best-effort network just hangs)
-  };
-  Mode mode = Mode::kAuto;
-
   /// Initial retransmit timeout. Negative = derive from the network
   /// parameters (a little over twice the worst-case round trip).
   double rto_us = -1.0;
@@ -160,9 +153,9 @@ struct NetworkParams {
   /// Deterministic fault schedule (drops, duplicates, extra delays).
   FaultPlan faults{};
 
-  /// Reliable-delivery protocol configuration. With Mode::kAuto the protocol
-  /// is layered in exactly when the fault plan is active, so fault-free runs
-  /// keep the bare network's event schedule (and performance) bit-for-bit.
+  /// Reliable-delivery protocol configuration. The protocol is layered in
+  /// exactly when the fault plan is active, so fault-free runs keep the bare
+  /// network's event schedule (and performance) bit-for-bit.
   ReliabilityParams reliability{};
 
   double effective_ack_latency_us() const {
@@ -170,17 +163,7 @@ struct NetworkParams {
   }
 
   /// True when the reliable-delivery protocol is layered into the network.
-  bool reliable_delivery() const {
-    switch (reliability.mode) {
-      case ReliabilityParams::Mode::kOn:
-        return true;
-      case ReliabilityParams::Mode::kOff:
-        return false;
-      case ReliabilityParams::Mode::kAuto:
-        return faults.active();
-    }
-    return false;
-  }
+  bool reliable_delivery() const { return faults.active(); }
 
   /// Validate every field; throws caf2::UsageError (via CAF2_REQUIRE) on
   /// nonsense such as non-positive bandwidth, negative latency or jitter, or
@@ -271,15 +254,6 @@ struct RuntimeOptions {
   /// through, e.g., a runaway retransmission backoff chain. 0 disables the
   /// quiet-period check; proven deadlocks always produce the full report.
   double watchdog_quiet_us = 0.0;
-
-  /// Path to a collective selection-table JSON artifact (produced by
-  /// `bench_collectives --tune`, parsed by ops::load_selection_table_file).
-  /// When non-empty, caf2::run loads it before the run starts so
-  /// CollAlgorithm::kAuto picks the measured winner per (collective, team
-  /// size, payload) instead of the built-in defaults. The environment
-  /// variable CAF2_COLL_TABLE overrides this. Empty = built-in defaults
-  /// (or whatever ops::set_selection_table installed programmatically).
-  std::string coll_selection_table;
 
   /// Human-readable label used in error messages and traces.
   std::string label = "caf2";

@@ -15,19 +15,17 @@
 /// The shard-invariance suite at the end runs scaled-down analogues of the
 /// perfbench workloads, a fault plan and a team split at shards 1, 2 and 4,
 /// and requires one schedule: the same event count, end time, fault totals,
-/// per-participant trace, obs capture (compared by content, since span ids
-/// are per-shard composites) and blame.
+/// per-participant trace, and byte-identical obs text and Chrome-trace
+/// exports and blame.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <span>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/caf2.hpp"
@@ -35,6 +33,7 @@
 #include "kernels/randomaccess.hpp"
 #include "kernels/uts_scheduler.hpp"
 #include "obs/blame.hpp"
+#include "obs/export.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/engine.hpp"
@@ -229,73 +228,6 @@ std::string canonical_trace(const std::vector<TraceEntry>& trace) {
   return out;
 }
 
-/// One span without its id.
-std::string span_content(const caf2::obs::Span& span) {
-  std::ostringstream os;
-  os << caf2::obs::to_string(span.kind) << " image " << span.image << " peer "
-     << span.peer << " [" << exact(span.begin) << "," << exact(span.end)
-     << ") a " << span.a() << " b " << span.b;
-  if (span.kind == caf2::obs::SpanKind::kBlocked) {
-    os << " blame " << caf2::obs::to_string(span.blame);
-  }
-  if (span.label() != nullptr) {
-    os << " label " << span.label();
-  }
-  return os.str();
-}
-
-/// An obs capture with every span id replaced by the content of the span it
-/// names. Image tracks keep their order (each is recorded by its image's
-/// own contexts); the network track is sorted by content.
-std::string canonical_capture(const caf2::obs::Capture& capture) {
-  std::unordered_map<std::uint64_t, const caf2::obs::Span*> by_id;
-  for (const caf2::obs::Track& track : capture.tracks) {
-    for (const caf2::obs::Span& span : track.spans) {
-      by_id[span.id] = &span;
-    }
-  }
-  const auto render = [&](const caf2::obs::Span& span) {
-    std::string line = span_content(span);
-    if (span.parent() != 0) {
-      const auto it = by_id.find(span.parent());
-      line += " parent (" +
-              (it == by_id.end() ? std::string("missing")
-                                 : span_content(*it->second)) +
-              ")";
-    }
-    return line;
-  };
-  std::ostringstream os;
-  os << "end " << exact(capture.end_us) << "\n";
-  for (int image = 0; image < capture.images; ++image) {
-    const caf2::obs::Track& track = capture.image_track(image);
-    os << "track " << image << " dropped " << track.dropped << "\n";
-    for (const caf2::obs::Span& span : track.spans) {
-      os << "  " << render(span) << "\n";
-    }
-    const caf2::obs::Metrics& metrics =
-        capture.metrics[static_cast<std::size_t>(image)];
-    os << "  counters";
-    for (const std::uint64_t counter : metrics.counters) {
-      os << " " << counter;
-    }
-    for (const caf2::obs::Histogram& hist : metrics.hists) {
-      os << " | " << hist.count << " " << exact(hist.sum_us);
-    }
-    os << "\n";
-  }
-  std::vector<std::string> net;
-  for (const caf2::obs::Span& span : capture.net_track().spans) {
-    net.push_back(render(span));
-  }
-  std::sort(net.begin(), net.end());
-  os << "net dropped " << capture.net_track().dropped << "\n";
-  for (const std::string& line : net) {
-    os << "  " << line << "\n";
-  }
-  return os.str();
-}
-
 /// Everything about a run that must not depend on the shard count.
 std::string invariant_outcome(const caf2::RuntimeOptions& options,
                               const std::function<void()>& body) {
@@ -317,7 +249,8 @@ std::string invariant_outcome(const caf2::RuntimeOptions& options,
      << faults.scripted_applied << "\n";
   os << canonical_trace(runtime.engine().trace());
   if (const auto capture = runtime.take_capture()) {
-    os << canonical_capture(*capture);
+    os << caf2::obs::to_text(*capture);
+    os << caf2::obs::to_chrome_trace(*capture);
     os << caf2::obs::to_text(caf2::obs::analyze_blame(*capture));
   }
   return os.str();
@@ -440,6 +373,8 @@ TEST(ShardInvariance, FaultPlan) {
   options.net.faults.all.ack_drop_probability = 0.05;
   options.net.faults.all.delay_probability = 0.10;
   options.net.faults.all.delay_max_us = 5.0;
+  // Obs on: reliable flight ids and retransmit-delay spans are compared too.
+  options.obs.enabled = true;
   expect_one_schedule(options, [] {
     caf2::Team world = caf2::team_world();
     caf2::Coarray<long> counter(world, 1);

@@ -33,6 +33,12 @@ NetworkParams wire_params() {
   return params;
 }
 
+/// A scripted fault on a message no test sends: it switches the reliable
+/// protocol on without injecting anything.
+ScriptedFault never_fires() {
+  return {.source = 0, .dest = 0, .nth = ~std::uint64_t{0}};
+}
+
 /// --- NetworkParams validation ------------------------------------------------
 
 TEST(FaultConfig, InvalidParamsRejectedAtConstruction) {
@@ -68,16 +74,7 @@ TEST(FaultConfig, InvalidParamsRejectedAtConstruction) {
     EXPECT_THROW(Network(engine, p, 1), UsageError);
   }
   {
-    // An active fault plan without the reliable protocol would simply lose
-    // messages: rejected.
     NetworkParams p = wire_params();
-    p.faults.all.drop_probability = 0.1;
-    p.reliability.mode = ReliabilityParams::Mode::kOff;
-    EXPECT_THROW(Network(engine, p, 1), UsageError);
-  }
-  {
-    NetworkParams p = wire_params();
-    p.reliability.mode = ReliabilityParams::Mode::kOn;
     p.reliability.max_attempts = 0;
     EXPECT_THROW(Network(engine, p, 1), UsageError);
   }
@@ -93,12 +90,12 @@ TEST(FaultConfig, InvalidParamsRejectedAtConstruction) {
   }
 }
 
-TEST(FaultConfig, ReliabilityModeResolution) {
+TEST(FaultConfig, ProtocolRunsExactlyWhenThePlanIsActive) {
   NetworkParams p = wire_params();
-  EXPECT_FALSE(p.reliable_delivery());  // kAuto + inactive plan
-  p.reliability.mode = ReliabilityParams::Mode::kOn;
+  EXPECT_FALSE(p.reliable_delivery());
+  p.faults.scripted.push_back(never_fires());
   EXPECT_TRUE(p.reliable_delivery());
-  p.reliability.mode = ReliabilityParams::Mode::kAuto;
+  p.faults.scripted.clear();
   p.faults.all.drop_probability = 0.05;
   EXPECT_TRUE(p.reliable_delivery());
 }
@@ -568,7 +565,7 @@ TEST(FaultyRun, CrossShardScriptedDropRetransmitsAndCancelsTimer) {
 
 TEST(FaultyRun, ShardedLossyRunsAreDeterministicAcrossRepeats) {
   // The full fault surface (drop, dup, ack loss, delay) under four shards:
-  // identical stats — including the per-shard fault cells — on every repeat.
+  // identical stats on every repeat.
   RuntimeOptions options = faulty_options(8, 0.10);
   options.shards = 4;
   auto body = [] {
@@ -590,19 +587,10 @@ TEST(FaultyRun, ShardedLossyRunsAreDeterministicAcrossRepeats) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.virtual_us, b.virtual_us);
   EXPECT_EQ(a.context_switches, b.context_switches);
-  ASSERT_EQ(a.shard_faults.size(), b.shard_faults.size());
-  for (std::size_t s = 0; s < a.shard_faults.size(); ++s) {
-    EXPECT_EQ(a.shard_faults[s].deliveries_dropped,
-              b.shard_faults[s].deliveries_dropped)
-        << "shard " << s;
-    EXPECT_EQ(a.shard_faults[s].retransmits, b.shard_faults[s].retransmits)
-        << "shard " << s;
-    EXPECT_EQ(a.shard_faults[s].duplicates_suppressed,
-              b.shard_faults[s].duplicates_suppressed)
-        << "shard " << s;
-    EXPECT_EQ(a.shard_faults[s].acks_dropped, b.shard_faults[s].acks_dropped)
-        << "shard " << s;
-  }
+  EXPECT_EQ(a.faults.deliveries_dropped, b.faults.deliveries_dropped);
+  EXPECT_EQ(a.faults.retransmits, b.faults.retransmits);
+  EXPECT_EQ(a.faults.duplicates_suppressed, b.faults.duplicates_suppressed);
+  EXPECT_EQ(a.faults.acks_dropped, b.faults.acks_dropped);
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -631,7 +619,7 @@ double peak_rss_mib() {
 
 TEST(FaultyRunScale, RingAt4096ImagesKeepsLinkStateSparse) {
   // Reliable-protocol link state is created per link on first use, in the
-  // owning shard's cell, so a 4096-image ring under loss pays for the links
+  // owning image's cell, so a 4096-image ring under loss pays for the links
   // it touches instead of a dense 4096 x 4096 table (72 B a link, 1.2 GB).
   // ctest runs this case as its own process, so the peak-RSS growth below is
   // this run's alone.
@@ -663,8 +651,8 @@ TEST(FaultyRunScale, RingAt4096ImagesKeepsLinkStateSparse) {
 }
 
 TEST(FaultyRun, FaultFreeReliableRunMatchesResultsOfBareNetwork) {
-  // Mode::kOn without faults must still compute identical virtual-time
-  // results (the protocol adds events but not semantics).
+  // The protocol without faults must still compute identical virtual-time
+  // results (it adds events but not semantics).
   auto body = [] {
     Team world = team_world();
     Coarray<long> counter(world, 1);
@@ -680,7 +668,7 @@ TEST(FaultyRun, FaultFreeReliableRunMatchesResultsOfBareNetwork) {
   };
   RuntimeOptions bare = faulty_options(4, 0.0);
   RuntimeOptions reliable = faulty_options(4, 0.0);
-  reliable.net.reliability.mode = ReliabilityParams::Mode::kOn;
+  reliable.net.faults.scripted.push_back(never_fires());
   const RunStats bare_stats = run_stats(bare, body);
   const RunStats reliable_stats = run_stats(reliable, body);
   EXPECT_EQ(bare_stats.faults.retransmits, 0u);

@@ -175,7 +175,9 @@ TEST(Obs, RepeatedRunsRecordByteIdenticalCaptures) {
 
 /// --- fault attribution -------------------------------------------------------
 
-/// Wire parameters with a deterministic (jitter-free) reliable protocol.
+/// Wire parameters with a deterministic (jitter-free) reliable protocol: the
+/// scripted fault names a message no test sends, so it switches the
+/// protocol on without injecting anything.
 NetworkParams reliable_wire() {
   NetworkParams params;
   params.latency_us = 10.0;
@@ -183,7 +185,8 @@ NetworkParams reliable_wire() {
   params.handler_cost_us = 0.0;
   params.ack_latency_us = 10.0;
   params.jitter_us = 0.0;
-  params.reliability.mode = ReliabilityParams::Mode::kOn;
+  params.faults.scripted.push_back(
+      {.source = 0, .dest = 0, .nth = ~std::uint64_t{0}});
   return params;
 }
 
@@ -242,15 +245,15 @@ TEST(Obs, RetransmitDelayBlamedOnNetworkNotFinishWait) {
 
 TEST(Obs, CrossShardAckLinksTheSendersWaitToTheFlight) {
   // Image 0 (shard 0) waits un-scoped on the ack of a send to image 1
-  // (shard 1). The flight span lands on shard 1's net lane, yet the blocked
-  // span the ack closes must name it as parent — the edge that moves the
-  // wait from `other` to `network` in blame — with and without the
+  // (shard 1). Image 1 records the flight span on its shard's lane, yet the
+  // blocked span the ack closes must name it as parent — the edge that moves
+  // the wait from `other` to `network` in blame — with and without the
   // reliable-delivery protocol.
   for (const bool reliable : {false, true}) {
     SCOPED_TRACE(reliable ? "reliable" : "bare");
     NetworkParams params = reliable_wire();
     if (!reliable) {
-      params.reliability.mode = ReliabilityParams::Mode::kOff;
+      params.faults.scripted.clear();
     }
     sim::EngineOptions engine_options;
     engine_options.shards = 2;
@@ -261,7 +264,7 @@ TEST(Obs, CrossShardAckLinksTheSendersWaitToTheFlight) {
     net::Network network(engine, params, 1);
     ObsConfig config;
     config.enabled = true;
-    obs::Recorder recorder(2, config, engine.shard_count());
+    obs::Recorder recorder(2, config, {engine.shard_of(0), engine.shard_of(1)});
     engine.set_observer(&recorder);
     network.set_observer(&recorder);
 
@@ -831,16 +834,15 @@ TEST(BlameOracle, OutOfOrderTimelineIsRejected) {
 
 /// --- golden exports ----------------------------------------------------------
 
-/// tests/golden/obs_mixed.s<N>.{txt,trace.json,blame.txt} hold to_text,
-/// to_chrome_trace and to_text(analyze_blame) of mixed_workload at N shards,
-/// byte for byte. A change to the span layout, the exporters or the blame
-/// analyzer must leave them untouched; a change that means to move them
-/// regenerates them with
+/// tests/golden/obs_mixed.{txt,trace.json,blame.txt} hold to_text,
+/// to_chrome_trace and to_text(analyze_blame) of mixed_workload, byte for
+/// byte, and every shard count must reproduce them. A change to the span
+/// layout, the exporters or the blame analyzer must leave them untouched; a
+/// change that means to move them regenerates them with
 ///   CAF2_REGEN_GOLDEN=1 build/tests/test_obs --gtest_filter='ObsGolden.*'
 /// and shows the move as a diff of the committed files.
-std::string golden_path(int shards, const char* suffix) {
-  return std::string(CAF2_GOLDEN_DIR) + "/obs_mixed.s" +
-         std::to_string(shards) + "." + suffix;
+std::string golden_path(const char* suffix) {
+  return std::string(CAF2_GOLDEN_DIR) + "/obs_mixed." + suffix;
 }
 
 std::string read_file(const std::string& path) {
@@ -851,11 +853,12 @@ std::string read_file(const std::string& path) {
 }
 
 /// Byte-for-byte comparison that names the first differing line instead of
-/// dumping two whole exports.
-void expect_golden(const std::string& path, const std::string& actual) {
-  if (std::getenv("CAF2_REGEN_GOLDEN") != nullptr) {
+/// dumping two whole exports. Under CAF2_REGEN_GOLDEN, a \p writer call
+/// rewrites the golden before comparing.
+void expect_golden(const std::string& path, const std::string& actual,
+                   bool writer) {
+  if (writer && std::getenv("CAF2_REGEN_GOLDEN") != nullptr) {
     ASSERT_TRUE(obs::write_file(path, actual)) << path;
-    return;
   }
   const std::string expected = read_file(path);
   ASSERT_FALSE(expected.empty()) << "missing golden " << path;
@@ -882,19 +885,21 @@ void expect_golden(const std::string& path, const std::string& actual) {
   ADD_FAILURE() << path << " differs (line endings or trailing bytes)";
 }
 
-TEST(ObsGolden, MixedWorkloadExportsMatchAtShards1And2) {
-  for (const int shards : {1, 2}) {
+TEST(ObsGolden, MixedWorkloadExportsMatchAtEveryShardCount) {
+  // Regeneration writes shards=1's exports; the other counts then compare
+  // against them.
+  for (const int shards : {1, 2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     RuntimeOptions options = obs_options(4);
     options.shards = shards;
     const RunStats stats = run_stats(options, mixed_workload);
     ASSERT_NE(stats.obs, nullptr);
     ASSERT_EQ(stats.shards, shards);
-    expect_golden(golden_path(shards, "txt"), obs::to_text(*stats.obs));
-    expect_golden(golden_path(shards, "trace.json"),
-                  obs::to_chrome_trace(*stats.obs));
-    expect_golden(golden_path(shards, "blame.txt"),
-                  obs::to_text(obs::analyze_blame(*stats.obs)));
+    expect_golden(golden_path("txt"), obs::to_text(*stats.obs), shards == 1);
+    expect_golden(golden_path("trace.json"), obs::to_chrome_trace(*stats.obs),
+                  shards == 1);
+    expect_golden(golden_path("blame.txt"),
+                  obs::to_text(obs::analyze_blame(*stats.obs)), shards == 1);
   }
 }
 

@@ -410,7 +410,7 @@ RuntimeOptions faulty_shard_options(int images, int shards,
 
 TEST(Shards, FaultPlansRunShardedAndDeterministically) {
   // Reliable delivery (retransmission, dedup, ack loss) runs under the
-  // sharded engine with per-shard protocol cells: the run must keep
+  // sharded engine with per-image protocol cells: the run must keep
   // RunStats.shards > 1 and stay bit-identical across repeats.
   const RuntimeOptions options = faulty_shard_options(8, 4, 29);
   const Fingerprint a = fingerprint_run(options, mixed_workload);
@@ -426,22 +426,6 @@ TEST(Shards, FaultPlansRunShardedAndDeterministically) {
   // The plan fired across the whole fault surface.
   EXPECT_GT(stats.faults.deliveries_dropped, 0u);
   EXPECT_GT(stats.faults.retransmits, 0u);
-  // Per-shard counters partition the totals.
-  ASSERT_EQ(stats.shard_faults.size(), 4u);
-  FaultStats summed;
-  for (const FaultStats& cell : stats.shard_faults) {
-    summed.deliveries_dropped += cell.deliveries_dropped;
-    summed.deliveries_duplicated += cell.deliveries_duplicated;
-    summed.deliveries_delayed += cell.deliveries_delayed;
-    summed.acks_dropped += cell.acks_dropped;
-    summed.retransmits += cell.retransmits;
-    summed.duplicates_suppressed += cell.duplicates_suppressed;
-    summed.scripted_applied += cell.scripted_applied;
-  }
-  EXPECT_EQ(summed.deliveries_dropped, stats.faults.deliveries_dropped);
-  EXPECT_EQ(summed.retransmits, stats.faults.retransmits);
-  EXPECT_EQ(summed.duplicates_suppressed, stats.faults.duplicates_suppressed);
-  EXPECT_EQ(summed.acks_dropped, stats.faults.acks_dropped);
 }
 
 TEST(Shards, FaultyRunsRepeatBitIdenticallyAtEveryShardCount) {
@@ -469,7 +453,7 @@ RuntimeOptions obs_shard_options(int images, int shards, std::uint64_t seed) {
 TEST(Shards, ObsCaptureRunsShardedAndIsByteIdentical) {
   // Span capture no longer forces the engine serial: each shard records into
   // its own recorder lane and the merged capture must be byte-identical
-  // across repeats (composite span ids + the deterministic merge order).
+  // across repeats (per-image span ids + the one net-track order).
   const RuntimeOptions options = obs_shard_options(8, 4, 37);
   const RunStats a = run_stats(options, mixed_workload);
   const RunStats b = run_stats(options, mixed_workload);
