@@ -70,7 +70,7 @@ bool is_timeline(const Span& span) {
 }
 
 /// Index of the first timeline span of \p spans at or after \p from.
-std::size_t next_timeline(const std::vector<Span>& spans, std::size_t from) {
+std::size_t next_timeline(const SpanLog& spans, std::size_t from) {
   while (from < spans.size() && !is_timeline(spans[from])) {
     from += 1;
   }
@@ -93,7 +93,7 @@ std::size_t next_timeline(const std::vector<Span>& spans, std::size_t from) {
 /// the extra memory is O(flights + images).
 std::pair<Chain, int> critical_path(const Capture& capture) {
   const std::size_t images = static_cast<std::size_t>(capture.images);
-  const std::vector<Span>& net = capture.net_track().spans;
+  const SpanLog& net = capture.net_track().spans;
   CAF2_ASSERT(net.size() < std::numeric_limits<std::uint32_t>::max(),
               "analyze_blame: network track exceeds 2^32 spans");
 
@@ -110,9 +110,7 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
                    [&](std::uint32_t x, std::uint32_t y) {
                      return net[x].end < net[y].end;
                    });
-  const auto flight = [&](std::size_t rank) -> const Span& {
-    return net[by_end[rank]];
-  };
+  const auto flight = [&](std::size_t rank) { return net[by_end[rank]]; };
   // Ranks of the flights initiated strictly before their delivery, by
   // initiation (equal initiations read the same running maximum).
   using IdRank = std::pair<std::uint64_t, std::uint32_t>;
@@ -131,6 +129,15 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
               return flight(x).begin < flight(y).begin;
             });
   std::sort(ids.begin(), ids.end());
+  // Flight ids are compose_id(images + source, counter) composites, so the
+  // sorted ids group by their ordinal field (id >> 40): ids[first[f] ..
+  // first[f + 1]) holds field f's flights, and a parent lookup searches only
+  // its source's block instead of the whole array.
+  std::vector<std::uint32_t> first;
+  for (std::uint32_t i = 0; i < ids.size(); ++i) {
+    first.resize(std::max(first.size(), (ids[i].first >> 40) + 1), i);
+  }
+  first.push_back(static_cast<std::uint32_t>(ids.size()));
   // Before a flight's delivery: the source chain read at its initiation.
   // After: the chain reaching its delivery.
   std::vector<Chain> chains(by_end.size());
@@ -138,10 +145,15 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
   // The chain of the latest-swept flight named \p id, if one has been swept
   // by the time the sweep reaches \p at (ranks ascend in sweep order).
   const auto swept_flight = [&](std::uint64_t id, double at) -> const Chain* {
+    const std::uint64_t field = id >> 40;
+    if (field + 1 >= first.size()) {
+      return nullptr;
+    }
+    const auto lo = ids.begin() + first[field];
     auto it = std::upper_bound(
-        ids.begin(), ids.end(),
+        lo, ids.begin() + first[field + 1],
         IdRank{id, std::numeric_limits<std::uint32_t>::max()});
-    for (; it != ids.begin() && std::prev(it)->first == id; --it) {
+    for (; it != lo && std::prev(it)->first == id; --it) {
       const std::uint32_t rank = std::prev(it)->second;
       if (flight(rank).end <= at) {
         return &chains[rank];
@@ -163,7 +175,7 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
   using Head = std::pair<double, int>;
   std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
   for (std::size_t image = 0; image < images; ++image) {
-    const std::vector<Span>& spans = capture.tracks[image].spans;
+    const SpanLog& spans = capture.tracks[image].spans;
     cursor[image] = next_timeline(spans, 0);
     if (cursor[image] < spans.size()) {
       heads.emplace(spans[cursor[image]].end, static_cast<int>(image));
@@ -187,7 +199,7 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
     }
 
     if (is_flight) {
-      const Span& span = flight(next_flight);
+      const Span span = flight(next_flight);
       const Chain pred = span.begin < span.end ? chains[next_flight]
                                                : source_chain(span);
       Chain chain{span.end - span.begin, 1};
@@ -202,8 +214,8 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
 
     const auto image = static_cast<std::size_t>(heads.top().second);
     heads.pop();
-    const std::vector<Span>& spans = capture.tracks[image].spans;
-    const Span& span = spans[cursor[image]];
+    const SpanLog& spans = capture.tracks[image].spans;
+    const Span span = spans[cursor[image]];
     Chain pred = last[image];
     if (span.parent() != 0) {
       const Chain* cause = swept_flight(span.parent(), span.end);

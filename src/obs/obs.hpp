@@ -26,15 +26,17 @@
 ///    home shard, so per-image recorder state needs no locking — exactly the
 ///    argument that covers Image state (runtime/image.hpp).
 ///
-/// Span ids (DESIGN.md §4.12) are composite — (ordinal, per-ordinal counter)
+/// Span ids (DESIGN.md §4.12) are composite — compose_id(ordinal, counter)
 /// packed into 64 bits — and every counter belongs to one image: ordinal i
 /// numbers image i's track, ordinal images + i the network spans image i
 /// records (flights it sends, reserved at initiation; retransmit delays
 /// charged to it). Id assignment therefore follows each image's own
-/// execution and is the same at every shard count. Network spans of images
-/// on different shards would race on one buffer, so the recorder appends
-/// them to per-shard *lanes* (the lane_of_image partition given at
-/// construction, keyed by the recording image); take()/snapshot() concatenate
+/// execution and is the same at every shard count. An image-track span's id
+/// is implicit: the k-th span kept on image i's track is compose_id(i, k),
+/// so its record stores neither id nor image (DESIGN.md §4.9). Network spans
+/// of images on different shards would race on one buffer, so the recorder
+/// appends them to per-shard *lanes* (the lane_of_image partition given at
+/// construction, keyed by the recording image); take()/snapshot() compact
 /// the lanes into the capture's single network track and sort it by (begin,
 /// end, image, peer, id), a total order. The capture is thus byte-identical
 /// at every shard count, with one exception: each of the n lanes holds
@@ -43,7 +45,10 @@
 /// partition.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,13 +74,45 @@ enum class SpanKind : std::uint8_t {
   kFinishBody,       ///< finish block: enter..body-returned
   kFinishDetect,     ///< finish block: detection (payload a = rounds)
   kCollective,       ///< blocking collective wrapper (team_barrier, ...)
-  kStealIdle,        ///< work-stealing scheduler waiting on a steal response
   kFlight,           ///< network track: message initiation..delivery
   kRetransmitDelay,  ///< network track: fault-induced extra wait (image =
                      ///< the image whose completion the fault delayed)
 };
 
 const char* to_string(SpanKind kind);
+
+/// Whether \p kind's spans carry `peer` (the other endpoint) rather than the
+/// second payload `b`. No kind uses both, so a span log record stores one
+/// 32-bit word for whichever its kind carries.
+constexpr bool carries_peer(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kHandler:
+    case SpanKind::kPut:
+    case SpanKind::kGet:
+    case SpanKind::kSpawn:
+    case SpanKind::kEventNotify:
+    case SpanKind::kFlight:
+    case SpanKind::kRetransmitDelay:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Composite span id of the \p counter-th span (from 1) of track ordinal
+/// \p ordinal (image rank for image tracks, images + rank for an image's
+/// network spans): nonzero, unique, and assigned without cross-shard
+/// coordination. Uniqueness is what the (begin, end, image, peer, id)
+/// net-track order and note_cause links rely on, so guard both packed fields:
+/// a counter past 2^40 (or an ordinal past 2^24) would silently bleed into
+/// the neighboring bits.
+inline std::uint64_t compose_id(std::uint64_t ordinal, std::uint64_t counter) {
+  CAF2_ASSERT(ordinal + 1 < (std::uint64_t{1} << 24),
+              "compose_id: track ordinal exceeds the 24-bit field");
+  CAF2_ASSERT(counter < (std::uint64_t{1} << 40),
+              "compose_id: per-track span counter overflow");
+  return ((ordinal + 1) << 40) | counter;
+}
 
 /// Blame category of one blocked interval — the synchronization construct
 /// (or resource) an image was waiting on. Assigned from a per-image *blame
@@ -111,17 +148,17 @@ std::uint16_t intern_label_id(const char* text);
 /// Text of label \p id (static lifetime), or nullptr for id 0.
 const char* label_text(std::uint16_t id);
 
-/// One recorded span. Trivially copyable, fixed-size (48 B); [begin, end)
-/// on the virtual clock. The kind-specific payload `a` and the parent link
-/// share one slot: only kBlocked spans have a parent, and they carry no
-/// payload.
+/// One recorded span, as tracks yield it (they store it more compactly; see
+/// SpanLog). Trivially copyable, fixed-size (48 B); [begin, end) on the
+/// virtual clock. The kind-specific payload `a` and the parent link share one
+/// slot: only kBlocked spans have a parent, and they carry no payload.
 struct Span {
   double begin = 0.0;
   double end = 0.0;
   std::uint64_t id = 0;      ///< recorder-global id (deterministic)
   std::uint32_t b = 0;       ///< second payload (team size, finish seq)
   std::int32_t image = -1;   ///< owning image (-1 = network track)
-  std::int32_t peer = -1;    ///< other endpoint, where meaningful
+  std::int32_t peer = -1;    ///< other endpoint (carries_peer() kinds)
   std::uint16_t label_id = 0;        ///< label_text() id (block reason, ...)
   SpanKind kind = SpanKind::kCompute;
   Blame blame = Blame::kOther;       ///< meaningful for kBlocked
@@ -147,10 +184,201 @@ struct Span {
   }
 
  private:
+  friend class SpanLog;
   std::uint64_t slot_ = 0;  ///< parent() on kBlocked, a() otherwise
 };
 
 static_assert(sizeof(Span) <= 48, "obs::Span grew past 48 bytes");
+
+/// Append-only span storage of one track (DESIGN.md §4.9). Spans live in
+/// blocks of kBlockSpans records, so an append never reallocates or moves a
+/// stored span, and a growing log's slack is at most one partly filled
+/// block. Each span is a 32-byte record: begin, end, the parent/payload
+/// slot, one word holding `peer` or `b` (carries_peer() decides), label id,
+/// kind and blame. An image track's log (owner >= 0) derives the rest from
+/// its owner and the record's index: image = owner, id =
+/// compose_id(owner, index + 1) — caps drop only a track's tail, so kept ids
+/// stay dense. Any other log (owner -1: the network track, its lanes) adds
+/// a 12-byte (id, image) column, 44 B per span. A *compacted* log holds its
+/// spans in one exact-size block (the capture's network track).
+///
+/// Reading is by value: indexing and iteration yield Span, so
+/// `for (const Span& s : track.spans)` binds each span to a temporary.
+class SpanLog {
+  static constexpr std::size_t kBlockShift = 8;
+
+ public:
+  static constexpr std::size_t kBlockSpans = std::size_t{1} << kBlockShift;
+
+  /// Empty log of image \p owner's track, or (-1) of a network track.
+  explicit SpanLog(int owner = -1) : owner_(owner) {}
+  SpanLog(const SpanLog& other);
+  SpanLog& operator=(const SpanLog& other);
+  /// A moved-from log is empty, with its owner kept.
+  SpanLog(SpanLog&& other) noexcept { *this = std::move(other); }
+  SpanLog& operator=(SpanLog&& other) noexcept {
+    if (this != &other) {
+      owner_ = other.owner_;
+      size_ = std::exchange(other.size_, 0);
+      capacity_ = std::exchange(other.capacity_, 0);
+      shift_ = std::exchange(other.shift_, kBlockShift);
+      records_ = std::exchange(other.records_, {});
+      origins_ = std::exchange(other.origins_, {});
+    }
+    return *this;
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Bytes of span storage allocated: records plus the (id, image) column.
+  std::size_t storage_bytes() const {
+    return capacity_ * (sizeof(Record) + (owner_ < 0 ? sizeof(Origin) : 0));
+  }
+
+  /// Append \p span. Its kind must not carry both `b` and `peer` (see
+  /// carries_peer()); on an image track its image and id must be the ones
+  /// its index implies. A compacted log takes no appends.
+  void push_back(const Span& span) {
+    CAF2_ASSERT(carries_peer(span.kind) ? span.b == 0 : span.peer < 0,
+                "SpanLog: a span carries `b` or `peer` (by kind), not both");
+    CAF2_ASSERT(owner_ < 0 || (span.image == owner_ &&
+                               span.id == compose_id(
+                                              static_cast<std::uint64_t>(owner_),
+                                              size_ + 1)),
+                "SpanLog: an image-track span's image and id are implied by "
+                "its track and index");
+    CAF2_ASSERT(shift_ == kBlockShift, "SpanLog: append to a compacted log");
+    const std::size_t slot = size_ & (kBlockSpans - 1);
+    if (slot == 0) {
+      add_block();
+    }
+    records_.back()[slot] =
+        Record{span.begin,
+               span.end,
+               span.slot_,
+               carries_peer(span.kind) ? static_cast<std::uint32_t>(span.peer)
+                                       : span.b,
+               span.label_id,
+               span.kind,
+               span.blame};
+    if (owner_ < 0) {
+      origins_.back()[slot] = Origin{static_cast<std::uint32_t>(span.id),
+                                     static_cast<std::uint32_t>(span.id >> 32),
+                                     span.image};
+    }
+    size_ += 1;
+  }
+
+  /// Span \p i, decoded.
+  Span operator[](std::size_t i) const {
+    const std::size_t block = i >> shift_;
+    const std::size_t slot = i & ((std::size_t{1} << shift_) - 1);
+    const Record& record = records_[block][slot];
+    Span span;
+    span.begin = record.begin;
+    span.end = record.end;
+    span.slot_ = record.slot;
+    span.label_id = record.label_id;
+    span.kind = record.kind;
+    span.blame = record.blame;
+    if (carries_peer(record.kind)) {
+      span.peer = static_cast<std::int32_t>(record.word);
+    } else {
+      span.b = record.word;
+    }
+    if (owner_ >= 0) {
+      // compose_id(owner, i + 1); push_back checked both fields.
+      span.image = owner_;
+      span.id = ((static_cast<std::uint64_t>(owner_) + 1) << 40) | (i + 1);
+    } else {
+      const Origin& origin = origins_[block][slot];
+      span.image = origin.image;
+      span.id = (static_cast<std::uint64_t>(origin.id_high) << 32) |
+                origin.id_low;
+    }
+    return span;
+  }
+
+  /// Input iterator yielding spans by value.
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Span;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Span;
+
+    const_iterator() = default;
+    const_iterator(const SpanLog* log, std::size_t index)
+        : log_(log), index_(index) {}
+    Span operator*() const { return (*log_)[index_]; }
+    const_iterator& operator++() {
+      index_ += 1;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      index_ += 1;
+      return before;
+    }
+    bool operator==(const const_iterator& other) const {
+      return index_ == other.index_;
+    }
+
+   private:
+    const SpanLog* log_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
+
+  /// Every span of \p parts (owner -1 logs), in order, in one compacted
+  /// log. The first form copies; the second frees each of a part's blocks
+  /// as soon as it is copied, so the peak holds one block beyond the result.
+  static SpanLog concat(const std::vector<const SpanLog*>& parts);
+  static SpanLog concat(const std::vector<SpanLog*>& parts);
+
+  /// Sort a compacted (or single-block) log in place by (begin, end, image,
+  /// peer, id) — a total order where ids are unique, as on the network
+  /// track.
+  void sort_by_time();
+
+ private:
+  struct Record {
+    double begin;
+    double end;
+    std::uint64_t slot;   ///< Span::slot_
+    std::uint32_t word;   ///< peer if carries_peer(kind), else b
+    std::uint16_t label_id;
+    SpanKind kind;
+    Blame blame;
+  };
+  struct Origin {  ///< (id, image) column of owner -1 logs
+    std::uint32_t id_low;
+    std::uint32_t id_high;
+    std::int32_t image;
+  };
+  static_assert(sizeof(Record) == 32, "SpanLog record must stay 32 bytes");
+  static_assert(sizeof(Origin) == 12, "SpanLog origin must stay 12 bytes");
+
+  /// Allocate the next fixed-size block.
+  void add_block();
+  /// Reorder a one-block log so span k becomes former span order[k].
+  void permute(std::vector<std::uint32_t>& order);
+  template <class Part>
+  static SpanLog concat_parts(const std::vector<Part*>& parts);
+
+  int owner_ = -1;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;  ///< spans allocated
+  /// log2 of the spans per block: kBlockShift, or 32 once compacted (one
+  /// exact-size block).
+  std::size_t shift_ = kBlockShift;
+  std::vector<std::unique_ptr<Record[]>> records_;
+  std::vector<std::unique_ptr<Origin[]>> origins_;  ///< owner -1 only
+};
 
 /// Typed per-image counters.
 enum class Counter : std::uint8_t {
@@ -205,9 +433,13 @@ struct Metrics {
   }
 };
 
-/// One span buffer (an image's timeline, or the network's).
+/// One span track: an image's timeline (owner = the image, implicit ids) or
+/// the network's (owner -1, ids and source images stored). Spans are read
+/// by value through `spans` (SpanLog).
 struct Track {
-  std::vector<Span> spans;
+  explicit Track(int owner = -1) : spans(owner) {}
+
+  SpanLog spans;
   std::uint64_t dropped = 0;  ///< spans discarded by the memory cap
 };
 
@@ -215,7 +447,11 @@ struct Track {
 /// for a given options + body it is bit-identical across repeats and shard
 /// counts (export::to_text serializes it byte-stably for exactly that
 /// comparison). The one exception is which network spans are kept once the
-/// network-track cap binds (kept + dropped does not change).
+/// network-track cap binds (kept + dropped does not change). Image tracks
+/// keep the recorder's fixed-size blocks; the network track is one
+/// exact-size compacted block. Caps charge sizeof(Span) per kept span
+/// whatever the storage costs, so a cap keeps the same spans as with
+/// 48-byte storage.
 struct Capture {
   ObsConfig config{};
   int images = 0;
@@ -269,8 +505,9 @@ class Recorder {
   /// --- op spans (runtime / ops / kernels layers) ---------------------------
 
   /// Record a finished operation span on \p image's track. \p b must fit
-  /// in 32 bits; \p label must have static lifetime (the recorder caches
-  /// its label id by address).
+  /// in 32 bits, and a span carries either `b` or `peer`, as its kind says
+  /// (carries_peer()); \p label must have static lifetime (the recorder
+  /// caches its label id by address).
   void op_span(int image, SpanKind kind, double begin, double end,
                std::uint64_t a = 0, std::uint64_t b = 0, int peer = -1,
                const char* label = nullptr);
@@ -324,7 +561,6 @@ class Recorder {
     const char* block_reason = nullptr;
     bool blocked = false;
     std::uint64_t cause = 0;  ///< pending parent for the next blocked span
-    std::uint64_t next_local = 0;  ///< image-track span id counter
     std::uint64_t next_net = 0;    ///< network span id counter
     std::size_t lane = 0;          ///< network lane this image appends to
     /// Label ids this image has used, by label address (a handful; a miss
@@ -338,36 +574,15 @@ class Recorder {
   /// Label id of \p label (0 for null) through \p state's address cache.
   static std::uint16_t label_of(PerImage& state, const char* label);
 
-  /// Composite span id of the next span of \p ordinal (image rank for image
-  /// tracks, images + rank for an image's network spans): nonzero, unique,
-  /// and assigned without cross-shard coordination. Uniqueness is what the
-  /// (begin, end, image, peer, id) net-track order and note_cause links rely
-  /// on, so guard both packed fields: a local counter spilling past 2^40 (or
-  /// an ordinal past 2^24) would silently bleed into the neighboring bits.
-  static std::uint64_t compose_id(std::uint64_t ordinal,
-                                  std::uint64_t& next_local) {
-    CAF2_ASSERT(ordinal + 1 < (std::uint64_t{1} << 24),
-                "compose_id: track ordinal exceeds the 24-bit field");
-    CAF2_ASSERT(next_local < (std::uint64_t{1} << 40) - 1,
-                "compose_id: per-track span counter overflow");
-    return ((ordinal + 1) << 40) | ++next_local;
-  }
+  /// Append \p span to \p image's track under the image-track cap (its id
+  /// follows from its index).
+  void push_image_span(int image, PerImage& state, Span span);
 
-  /// Append \p span (assigning its id from \p ordinal / \p next_local) under
-  /// \p cap_bytes; counts drops into the track and, when \p image_metrics is
-  /// set, Counter::kSpansDropped.
-  void push_span(Track& track, std::uint64_t ordinal,
-                 std::uint64_t& next_local, std::size_t cap_bytes, Span span,
-                 Metrics* image_metrics);
-
-  /// Append \p span (its id already set) under \p cap_bytes, counting drops
-  /// as push_span() does.
+  /// Append \p span (its id already set) under \p cap_bytes; counts drops
+  /// into the track and, when \p image_metrics is set,
+  /// Counter::kSpansDropped.
   static void store_span(Track& track, std::size_t cap_bytes,
                          const Span& span, Metrics* image_metrics);
-
-  /// Append every lane to \p net and sort it into the network track's one
-  /// order, (begin, end, image, peer, id).
-  void collect_net_track(Track& net) const;
 
   ObsConfig config_;
   std::vector<PerImage> images_;

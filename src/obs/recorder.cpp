@@ -5,12 +5,33 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
 namespace caf2::obs {
 
 namespace {
+
+/// The capture's network track: every lane of \p lanes compacted into one
+/// exact-size block (non-const lanes have their blocks freed as they are
+/// copied), sorted into the track's one order, (begin, end, image, peer,
+/// id). Ids are unique, so the order is total: the track is identical for
+/// any lane fill order and any shard count.
+template <class Lanes>
+Track net_track_of(Lanes& lanes) {
+  using Log = std::conditional_t<std::is_const_v<Lanes>, const SpanLog,
+                                 SpanLog>;
+  std::vector<Log*> logs;
+  Track net;
+  for (auto& lane : lanes) {
+    logs.push_back(&lane.spans);
+    net.dropped += lane.dropped;
+  }
+  net.spans = SpanLog::concat(logs);
+  net.spans.sort_by_time();
+  return net;
+}
 
 /// The process-global label pool, never freed. unordered_map nodes never
 /// move, so each key's c_str() is that label's stable address.
@@ -84,8 +105,6 @@ const char* to_string(SpanKind kind) {
       return "finish_detect";
     case SpanKind::kCollective:
       return "collective";
-    case SpanKind::kStealIdle:
-      return "steal_idle";
     case SpanKind::kFlight:
       return "flight";
     case SpanKind::kRetransmitDelay:
@@ -180,6 +199,9 @@ Recorder::Recorder(int images, ObsConfig config,
     images_[image].lane = static_cast<std::size_t>(lane_of_image[image]);
     lanes = std::max(lanes, images_[image].lane + 1);
   }
+  for (std::size_t image = 0; image < images_.size(); ++image) {
+    images_[image].track = Track(static_cast<int>(image));
+  }
   net_lanes_.resize(lanes);
   lane_cap_bytes_ = config_.max_net_track_bytes / lanes;
 }
@@ -210,11 +232,12 @@ std::uint16_t Recorder::label_of(PerImage& state, const char* label) {
   return id;
 }
 
-void Recorder::push_span(Track& track, std::uint64_t ordinal,
-                         std::uint64_t& next_local, std::size_t cap_bytes,
-                         Span span, Metrics* image_metrics) {
-  span.id = compose_id(ordinal, next_local);
-  store_span(track, cap_bytes, span, image_metrics);
+void Recorder::push_image_span(int image, PerImage& state, Span span) {
+  span.image = image;
+  span.id = compose_id(static_cast<std::uint64_t>(image),
+                       state.track.spans.size() + 1);
+  store_span(state.track, config_.max_image_track_bytes, span,
+             &state.metrics);
 }
 
 void Recorder::store_span(Track& track, std::size_t cap_bytes,
@@ -235,11 +258,9 @@ void Recorder::on_compute(int image, double begin, double end) {
   Span span;
   span.begin = begin;
   span.end = end;
-  span.image = image;
   span.kind = SpanKind::kCompute;
   span.blame = Blame::kCompute;
-  push_span(state.track, static_cast<std::uint64_t>(image), state.next_local,
-            config_.max_image_track_bytes, span, &state.metrics);
+  push_image_span(image, state, span);
 }
 
 void Recorder::on_block_begin(int image, double at_us, const char* reason) {
@@ -259,15 +280,13 @@ void Recorder::on_block_end(int image, double at_us) {
   Span span;
   span.begin = state.block_begin;
   span.end = at_us;
-  span.image = image;
   span.kind = SpanKind::kBlocked;
   span.set_parent(state.cause);
   span.blame = state.blame_stack.empty() ? Blame::kOther
                                          : state.blame_stack.back();
   span.label_id = label_of(state, state.block_reason);
   state.cause = 0;
-  push_span(state.track, static_cast<std::uint64_t>(image), state.next_local,
-            config_.max_image_track_bytes, span, &state.metrics);
+  push_image_span(image, state, span);
   state.metrics.hists[static_cast<std::size_t>(Hist::kBlockedTime)].add(
       at_us - span.begin);
 }
@@ -292,6 +311,9 @@ void Recorder::op_span(int image, SpanKind kind, double begin, double end,
                        const char* label) {
   CAF2_ASSERT(b <= std::numeric_limits<std::uint32_t>::max(),
               "obs::Recorder::op_span: payload b exceeds 32 bits");
+  CAF2_ASSERT(carries_peer(kind) ? b == 0 : peer < 0,
+              "obs::Recorder::op_span: a span carries `b` or `peer` (by "
+              "kind), not both");
   PerImage& state = at(image);
   Span span;
   span.begin = begin;
@@ -299,17 +321,15 @@ void Recorder::op_span(int image, SpanKind kind, double begin, double end,
   span.kind = kind;
   span.set_a(a);
   span.b = static_cast<std::uint32_t>(b);
-  span.image = image;
   span.peer = peer;
   span.blame = Blame::kCompute;
   span.label_id = label_of(state, label);
-  push_span(state.track, static_cast<std::uint64_t>(image), state.next_local,
-            config_.max_image_track_bytes, span, &state.metrics);
+  push_image_span(image, state, span);
 }
 
 std::uint64_t Recorder::reserve_flight_id(int source) {
   return compose_id(static_cast<std::uint64_t>(images() + source),
-                    at(source).next_net);
+                    ++at(source).next_net);
 }
 
 void Recorder::flight_span(std::uint64_t id, int source, int dest,
@@ -330,15 +350,15 @@ void Recorder::retransmit_span(int image, int peer, double begin,
                                double end) {
   PerImage& state = at(image);
   Span span;
+  span.id = compose_id(static_cast<std::uint64_t>(images() + image),
+                       ++state.next_net);
   span.begin = begin;
   span.end = end;
   span.image = image;
   span.peer = peer;
   span.kind = SpanKind::kRetransmitDelay;
   span.blame = Blame::kNetwork;
-  push_span(net_lanes_[state.lane],
-            static_cast<std::uint64_t>(images() + image), state.next_net,
-            lane_cap_bytes_, span, nullptr);
+  store_span(net_lanes_[state.lane], lane_cap_bytes_, span, nullptr);
 }
 
 void Recorder::note_cause(int image, std::uint64_t span_id) {
@@ -361,36 +381,6 @@ void Recorder::observe(int image, Hist h, double us) {
   at(image).metrics.hists[static_cast<std::size_t>(h)].add(us);
 }
 
-void Recorder::collect_net_track(Track& net) const {
-  std::size_t total = net.spans.size();
-  for (const Track& lane : net_lanes_) {
-    total += lane.spans.size();
-  }
-  net.spans.reserve(total);
-  for (const Track& lane : net_lanes_) {
-    net.spans.insert(net.spans.end(), lane.spans.begin(), lane.spans.end());
-    net.dropped += lane.dropped;
-  }
-  // (begin, end, image, peer, id) is a total order — ids are unique — so the
-  // track is identical for any lane fill order and any shard count.
-  std::sort(net.spans.begin(), net.spans.end(),
-            [](const Span& a, const Span& b) {
-              if (a.begin != b.begin) {
-                return a.begin < b.begin;
-              }
-              if (a.end != b.end) {
-                return a.end < b.end;
-              }
-              if (a.image != b.image) {
-                return a.image < b.image;
-              }
-              if (a.peer != b.peer) {
-                return a.peer < b.peer;
-              }
-              return a.id < b.id;
-            });
-}
-
 Capture Recorder::snapshot(double end_us) const {
   Capture capture;
   capture.config = config_;
@@ -402,9 +392,7 @@ Capture Recorder::snapshot(double end_us) const {
     capture.tracks.push_back(state.track);
     capture.metrics.push_back(state.metrics);
   }
-  Track net;
-  collect_net_track(net);
-  capture.tracks.push_back(std::move(net));
+  capture.tracks.push_back(net_track_of(net_lanes_));
   return capture;
 }
 
@@ -415,21 +403,17 @@ Capture Recorder::take(double end_us) {
   capture.end_us = end_us;
   capture.tracks.reserve(images_.size() + 1);
   capture.metrics.reserve(images_.size());
-  for (PerImage& state : images_) {
+  for (std::size_t image = 0; image < images_.size(); ++image) {
+    PerImage& state = images_[image];
     capture.tracks.push_back(std::move(state.track));
     capture.metrics.push_back(state.metrics);
-    state.track = Track{};
+    state.track = Track(static_cast<int>(image));
     state.metrics = Metrics{};
   }
-  // The first lane becomes the network track and is sorted in place, so a
-  // one-shard run's capture needs no second copy of it.
-  Track net = std::move(net_lanes_.front());
-  net_lanes_.front() = Track{};
-  collect_net_track(net);
+  capture.tracks.push_back(net_track_of(net_lanes_));
   for (Track& lane : net_lanes_) {
     lane = Track{};
   }
-  capture.tracks.push_back(std::move(net));
   return capture;
 }
 

@@ -193,9 +193,11 @@ struct ObsConfig {
   /// Master switch. When false nothing is recorded and RunStats::obs is null.
   bool enabled = false;
 
-  /// Hard memory cap per image-track span buffer (bytes). Spans past the cap
-  /// are counted (Capture::Track::dropped, Counter::kSpansDropped) and
-  /// discarded, so 1024-image sweeps stay tractable.
+  /// Hard memory cap per image-track span buffer (bytes), charged at
+  /// sizeof(obs::Span) per kept span (the stored record is smaller). Spans
+  /// past the cap are counted (Capture::Track::dropped,
+  /// Counter::kSpansDropped) and discarded, so 1024-image sweeps stay
+  /// tractable.
   std::size_t max_image_track_bytes = std::size_t{1} << 20;
 
   /// Hard memory cap of the network-track span buffer (bytes). The network

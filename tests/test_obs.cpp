@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <span>
 #include <sstream>
@@ -306,13 +307,13 @@ TEST(Obs, CrossShardAckLinksTheSendersWaitToTheFlight) {
     }
     ASSERT_NE(flight, 0u) << "no 0 -> 1 flight on the merged net track";
 
-    const obs::Span* wait = nullptr;
+    std::optional<obs::Span> wait;
     for (const obs::Span& span : capture.image_track(0).spans) {
       if (span.kind == obs::SpanKind::kBlocked && span.end == acked_at) {
-        wait = &span;
+        wait = span;
       }
     }
-    ASSERT_NE(wait, nullptr) << "no blocked span closes at the ack";
+    ASSERT_TRUE(wait.has_value()) << "no blocked span closes at the ack";
     EXPECT_EQ(wait->blame, obs::Blame::kOther);
     EXPECT_EQ(wait->parent(), flight);
 
@@ -462,6 +463,52 @@ TEST(ObsSpan, ParentAndPayloadShareOneSlot) {
   EXPECT_THROW(recorder.op_span(0, obs::SpanKind::kCollective, 0.0, 1.0, 0,
                                 std::uint64_t{1} << 32),
                FatalError);
+  // A stored span keeps one word for `b` or `peer`, chosen by its kind, so
+  // a span carrying both is refused whichever its kind.
+  EXPECT_THROW(recorder.op_span(0, obs::SpanKind::kPut, 0.0, 1.0, 8, 1, 0),
+               FatalError);
+  EXPECT_THROW(
+      recorder.op_span(0, obs::SpanKind::kCollective, 0.0, 1.0, 0, 4, 0),
+      FatalError);
+  recorder.op_span(0, obs::SpanKind::kPut, 0.0, 1.0, 8, 0, 0);
+  recorder.op_span(0, obs::SpanKind::kCollective, 0.0, 1.0, 0, 4);
+  const obs::Capture capture = recorder.take(1.0);
+  ASSERT_EQ(capture.image_track(0).spans.size(), 2u);
+  EXPECT_EQ(capture.image_track(0).spans[0].peer, 0);
+  EXPECT_EQ(capture.image_track(0).spans[0].b, 0u);
+  EXPECT_EQ(capture.image_track(0).spans[1].peer, -1);
+  EXPECT_EQ(capture.image_track(0).spans[1].b, 4u);
+}
+
+TEST(ObsSpan, SnapshotThenTakeExportTheSameCapture) {
+  // Three images on two network lanes; image 0 records more than one block
+  // of spans, and the lanes hold flights and retransmit delays out of order.
+  obs::Recorder recorder(3, ObsConfig{}, {0, 1, 1});
+  const char* reason = "snapshot-test";
+  for (int i = 0; i < 600; ++i) {
+    const double t = 2.0 * i;
+    recorder.on_compute(0, t, t + 1.0);
+    recorder.on_block_begin(0, t + 1.0, reason);
+    recorder.note_cause(0, recorder.reserve_flight_id(1));
+    recorder.on_block_end(0, t + 2.0);
+  }
+  for (int i = 0; i < 40; ++i) {
+    const int source = 1 + i % 2;
+    const std::uint64_t id = recorder.reserve_flight_id(source);
+    recorder.flight_span(id, source, i % 3, 100.0 - i, 120.0, 64);
+    recorder.retransmit_span(i % 3, source, 50.0 - i, 60.0);
+    recorder.op_span(source, obs::SpanKind::kSpawn, 100.0 - i, 130.0, 64, 0,
+                     0);
+  }
+  const obs::Capture snapshot = recorder.snapshot(1200.0);
+  const obs::Capture taken = recorder.take(1200.0);
+  EXPECT_EQ(snapshot.image_track(0).spans.size(), 1200u);
+  EXPECT_EQ(taken.net_track().spans.size(), 80u);
+  EXPECT_EQ(obs::to_text(snapshot), obs::to_text(taken));
+  // take() moved everything out: a second take is empty.
+  const obs::Capture empty = recorder.take(1200.0);
+  EXPECT_TRUE(empty.image_track(0).spans.empty());
+  EXPECT_TRUE(empty.net_track().spans.empty());
 }
 
 TEST(ObsSpan, LabelIdsRoundTripByText) {
@@ -559,7 +606,7 @@ obs::BlameReport oracle_blame(const obs::Capture& capture) {
   }
 
   struct Node {
-    const obs::Span* span;
+    obs::Span span;
     int image;        // owning image (timeline) or -1 (flight)
     std::size_t pos;  // track position
   };
@@ -569,19 +616,19 @@ obs::BlameReport oracle_blame(const obs::Capture& capture) {
     for (std::size_t i = 0; i < spans.size(); ++i) {
       if (spans[i].kind == obs::SpanKind::kCompute ||
           spans[i].kind == obs::SpanKind::kBlocked) {
-        nodes.push_back({&spans[i], image, i});
+        nodes.push_back({spans[i], image, i});
       }
     }
   }
   const auto& net = capture.net_track().spans;
   for (std::size_t i = 0; i < net.size(); ++i) {
     if (net[i].kind == obs::SpanKind::kFlight) {
-      nodes.push_back({&net[i], -1, i});
+      nodes.push_back({net[i], -1, i});
     }
   }
   std::sort(nodes.begin(), nodes.end(), [](const Node& x, const Node& y) {
-    if (x.span->end != y.span->end) {
-      return x.span->end < y.span->end;
+    if (x.span.end != y.span.end) {
+      return x.span.end < y.span.end;
     }
     if ((x.image < 0) != (y.image < 0)) {
       return x.image < 0;
@@ -596,12 +643,12 @@ obs::BlameReport oracle_blame(const obs::Capture& capture) {
   std::vector<Chain> chain(nodes.size());
   Chain best;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const obs::Span& span = *nodes[i].span;
+    const obs::Span& span = nodes[i].span;
     const double dur = span.end - span.begin;
     if (nodes[i].image < 0) {
       const Chain* pred = nullptr;
       for (std::size_t j = 0; j < i; ++j) {
-        if (nodes[j].image == span.image && nodes[j].span->end <= span.begin &&
+        if (nodes[j].image == span.image && nodes[j].span.end <= span.begin &&
             (pred == nullptr || chain[j].us > pred->us)) {
           pred = &chain[j];
         }
@@ -622,7 +669,7 @@ obs::BlameReport oracle_blame(const obs::Capture& capture) {
     if (span.parent() != 0) {
       const Chain* cause = nullptr;
       for (std::size_t j = 0; j < i; ++j) {
-        if (nodes[j].image < 0 && nodes[j].span->id == span.parent()) {
+        if (nodes[j].image < 0 && nodes[j].span.id == span.parent()) {
           cause = &chain[j];
         }
       }
@@ -667,51 +714,77 @@ void expect_same_report(const obs::BlameReport& actual,
   expect_bits(actual.retransmit_us, oracle.retransmit_us, "retransmit_us");
 }
 
-/// Hand-built capture: images + 1 tracks, spans appended by the helpers.
+/// Hand-built capture: images + 1 tracks, spans built as values by the
+/// helpers and pushed. Image tracks are owned (ids implied by position);
+/// network spans stay in `net` until finish() pushes them, so a test can
+/// reorder them first.
 struct CaptureBuilder {
   obs::Capture capture;
+  std::vector<obs::Span> net;
 
   explicit CaptureBuilder(int images) {
     capture.images = images;
-    capture.tracks.resize(static_cast<std::size_t>(images) + 1);
+    for (int image = 0; image < images; ++image) {
+      capture.tracks.emplace_back(image);
+    }
+    capture.tracks.emplace_back();
     capture.metrics.resize(static_cast<std::size_t>(images));
   }
 
-  obs::Span& add(int track, obs::SpanKind kind, int image, double begin,
-                 double end) {
-    auto& spans = capture.tracks[static_cast<std::size_t>(track)].spans;
-    obs::Span& span = spans.emplace_back();
-    span.id = (static_cast<std::uint64_t>(track) + 1) << 40 | spans.size();
+  static obs::Span make(obs::SpanKind kind, int image, double begin,
+                        double end) {
+    obs::Span span;
     span.kind = kind;
     span.image = image;
     span.begin = begin;
     span.end = end;
     return span;
   }
+  void push(int image, obs::Span span) {
+    auto& spans = capture.tracks[static_cast<std::size_t>(image)].spans;
+    span.id = (static_cast<std::uint64_t>(image) + 1) << 40 |
+              (spans.size() + 1);
+    spans.push_back(span);
+  }
   void compute(int image, double begin, double end) {
-    add(image, obs::SpanKind::kCompute, image, begin, end).blame =
-        obs::Blame::kCompute;
+    obs::Span span = make(obs::SpanKind::kCompute, image, begin, end);
+    span.blame = obs::Blame::kCompute;
+    push(image, span);
   }
   void blocked(int image, double begin, double end, std::uint64_t parent,
                obs::Blame blame = obs::Blame::kOther) {
-    obs::Span& span = add(image, obs::SpanKind::kBlocked, image, begin, end);
+    obs::Span span = make(obs::SpanKind::kBlocked, image, begin, end);
     span.blame = blame;
     span.set_parent(parent);
+    push(image, span);
   }
   void op(int image, obs::SpanKind kind, double begin, double end,
           std::uint64_t a = 0) {
-    add(image, kind, image, begin, end).set_a(a);
+    obs::Span span = make(kind, image, begin, end);
+    span.set_a(a);
+    push(image, span);
   }
   void flight(std::uint64_t id, int source, int dest, double begin,
               double end) {
-    obs::Span& span =
-        add(capture.images, obs::SpanKind::kFlight, source, begin, end);
+    obs::Span span = make(obs::SpanKind::kFlight, source, begin, end);
     span.id = id;
     span.peer = dest;
     span.set_a(8);
+    net.push_back(span);
   }
   void retransmit(int image, double begin, double end) {
-    add(capture.images, obs::SpanKind::kRetransmitDelay, image, begin, end);
+    obs::Span span = make(obs::SpanKind::kRetransmitDelay, image, begin, end);
+    span.id = (static_cast<std::uint64_t>(capture.images) + 1) << 40 |
+              (net.size() + 1);
+    net.push_back(span);
+  }
+  /// Push the network spans into the network track; returns the capture.
+  const obs::Capture& finish() {
+    for (const obs::Span& span : net) {
+      capture.tracks.back().spans.push_back(span);
+    }
+    net.clear();
+    return capture;
   }
 };
 
@@ -744,8 +817,9 @@ TEST(BlameOracle, HandBuiltTiesAndEdgesMatchTheOracle) {
   b.blocked(0, 6.0, 7.0, 102, obs::Blame::kCofenceWait);
   b.retransmit(1, 1.0, 1.5);
 
-  const obs::BlameReport report = obs::analyze_blame(b.capture);
-  expect_same_report(report, oracle_blame(b.capture));
+  const obs::Capture& capture = b.finish();
+  const obs::BlameReport report = obs::analyze_blame(capture);
+  expect_same_report(report, oracle_blame(capture));
   // Spot-check the definition by hand: image 0's [0,2) -> flight 100 [2,4)
   // -> image 1's wait [0,4) -> compute [4,6.5) is 10.5 us over 4 spans.
   // Image 0's last wait takes flight 102 (from image 1 at 5.5, after the
@@ -761,7 +835,7 @@ TEST(BlameOracle, HandBuiltTiesAndEdgesMatchTheOracle) {
   for (int image = 2; image >= 0; --image) {
     tie.compute(image, 0.0, 1.0);
   }
-  const obs::BlameReport tied = obs::analyze_blame(tie.capture);
+  const obs::BlameReport tied = obs::analyze_blame(tie.finish());
   expect_same_report(tied, oracle_blame(tie.capture));
   EXPECT_EQ(tied.critical_path_image, 0);
 }
@@ -789,8 +863,7 @@ TEST(BlameOracle, RandomTiedCapturesMatchTheOracle) {
         b.retransmit(pick(images), begin, begin + 0.5 * pick(3));
       }
     }
-    auto& net = b.capture.tracks.back().spans;
-    std::shuffle(net.begin(), net.end(), rng);
+    std::shuffle(b.net.begin(), b.net.end(), rng);
     // Timelines tile each image with zero and nonzero durations; blocked
     // spans name a random flight, an unknown id, or nothing.
     for (int image = 0; image < images; ++image) {
@@ -818,7 +891,8 @@ TEST(BlameOracle, RandomTiedCapturesMatchTheOracle) {
         t = end;
       }
     }
-    expect_same_report(obs::analyze_blame(b.capture), oracle_blame(b.capture));
+    const obs::Capture& capture = b.finish();
+    expect_same_report(obs::analyze_blame(capture), oracle_blame(capture));
     if (HasFailure()) {
       return;
     }
@@ -829,7 +903,25 @@ TEST(BlameOracle, OutOfOrderTimelineIsRejected) {
   CaptureBuilder b(1);
   b.compute(0, 0.0, 2.0);
   b.compute(0, 0.0, 1.0);
-  EXPECT_THROW(obs::analyze_blame(b.capture), FatalError);
+  EXPECT_THROW(obs::analyze_blame(b.finish()), FatalError);
+}
+
+TEST(BlameOracle, RecordedCapturesMatchTheOracle) {
+  // Recorded flight ids are per-source composites, so parent lookups search
+  // per-source blocks of the id table; a duplicated delivery records two
+  // flights under one id.
+  const RunStats mixed = run_stats(obs_options(8), mixed_workload);
+  ASSERT_NE(mixed.obs, nullptr);
+  expect_same_report(obs::analyze_blame(*mixed.obs), oracle_blame(*mixed.obs));
+
+  RuntimeOptions options = obs_options(4);
+  options.net = reliable_wire();
+  options.net.faults.scripted.push_back(
+      {.source = 0, .dest = 1, .nth = 1, .kind = FaultKind::kDuplicate});
+  const RunStats faulty = run_stats(options, mixed_workload);
+  ASSERT_NE(faulty.obs, nullptr);
+  expect_same_report(obs::analyze_blame(*faulty.obs),
+                     oracle_blame(*faulty.obs));
 }
 
 /// --- golden exports ----------------------------------------------------------
@@ -922,6 +1014,63 @@ TEST(Obs, SpanCapDropsAndCounts) {
   }
   EXPECT_GT(dropped_total, 0u);
   EXPECT_NE(obs::to_text(*stats.obs).find("dropped="), std::string::npos);
+}
+
+/// --- span storage ------------------------------------------------------------
+
+/// Every track's storage is at most 32 B per image-track span or 44 B per
+/// network span, plus one block of slack, and image-track ids are the dense
+/// compose_id(image, i + 1) the records leave implicit.
+void expect_compact_tracks(const obs::Capture& capture) {
+  for (int image = 0; image < capture.images; ++image) {
+    SCOPED_TRACE("image " + std::to_string(image));
+    const obs::SpanLog& spans = capture.image_track(image).spans;
+    EXPECT_LE(spans.storage_bytes(),
+              32 * (spans.size() + obs::SpanLog::kBlockSpans));
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      const obs::Span span = spans[i];
+      ASSERT_EQ(span.id,
+                obs::compose_id(static_cast<std::uint64_t>(image), i + 1));
+      ASSERT_EQ(span.image, image);
+    }
+  }
+  const obs::SpanLog& net = capture.net_track().spans;
+  EXPECT_LE(net.storage_bytes(), 44 * (net.size() + obs::SpanLog::kBlockSpans));
+}
+
+TEST(ObsMemory, TracksStoreCompactRecordsWithDenseImplicitIds) {
+  constexpr int kImages = 64;
+  constexpr std::size_t kCapSpans = 5;
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeOptions options = obs_options(kImages);
+    options.shards = shards;
+    const RunStats full = run_stats(options, mixed_workload);
+    ASSERT_NE(full.obs, nullptr);
+    ASSERT_FALSE(full.obs->net_track().spans.empty());
+    expect_compact_tracks(*full.obs);
+
+    // A binding image-track cap (charged at sizeof(Span) per span) keeps a
+    // prefix of each track, so kept ids stay dense.
+    options.obs.max_image_track_bytes = kCapSpans * sizeof(obs::Span);
+    const RunStats capped = run_stats(options, mixed_workload);
+    ASSERT_NE(capped.obs, nullptr);
+    expect_compact_tracks(*capped.obs);
+    std::uint64_t dropped = 0;
+    for (int image = 0; image < kImages; ++image) {
+      const obs::Track& kept = capped.obs->image_track(image);
+      const obs::Track& all = full.obs->image_track(image);
+      EXPECT_EQ(kept.spans.size(), std::min(kCapSpans, all.spans.size()));
+      EXPECT_EQ(kept.spans.size() + kept.dropped, all.spans.size());
+      dropped += kept.dropped;
+      for (std::size_t i = 0; i < kept.spans.size(); ++i) {
+        EXPECT_EQ(kept.spans[i].id, all.spans[i].id);
+        EXPECT_EQ(kept.spans[i].kind, all.spans[i].kind);
+        EXPECT_EQ(kept.spans[i].end, all.spans[i].end);
+      }
+    }
+    EXPECT_GT(dropped, 0u);
+  }
 }
 
 TEST(Obs, EngineTraceCapBoundsTheDeterminismTrace) {
