@@ -3,17 +3,15 @@
 /// selectable schedule (binomial/k-nomial tree, ring, recursive doubling,
 /// dissemination, direct) across an image-count × payload grid on the
 /// Gemini-class interconnect model and reports the *virtual* per-operation
-/// latency — the quantity the CollAlgorithm::kAuto selection table ranks.
+/// latency.
 ///
-/// With --tune[=path] the driver additionally writes the measured winner
-/// table as a caf2.coll_selection JSON artifact (default
-/// BENCH_coll_selection.json), reloads it through
-/// ops::load_selection_table_file to prove the artifact round-trips, and
-/// prints the winner grid. The run fails (nonzero exit) if no collective
-/// shows a latency/bandwidth crossover — a winner that differs between the
-/// smallest and largest payload class — since that crossover is the entire
-/// point of payload-keyed selection: tree schedules win the latency-bound
-/// regime, ring schedules the bandwidth-bound one.
+/// With --tune[=path] the driver additionally prints the measured winner
+/// per (collective, images, payload) and writes it as a JSON report
+/// (default BENCH_coll_selection.json). The run fails (nonzero exit) if no
+/// collective shows a latency/bandwidth crossover — a winner that differs
+/// between the smallest and largest payload class: tree schedules win the
+/// latency-bound regime, ring schedules the bandwidth-bound one. Callers
+/// act on the report per call through CollOptions::algorithm.
 ///
 /// Per-op timing: each sweep point runs `reps` iterations of
 /// (collective, team barrier) under one simulation and divides the virtual
@@ -44,9 +42,8 @@ struct Point {
   CollKind kind{};
   CollAlgorithm algorithm{};
   int images = 0;
-  std::size_t payload = 0;  ///< resolution-key bytes (0 for barrier)
+  std::size_t payload = 0;  ///< payload bytes (0 for barrier)
   double per_op_us = 0.0;   ///< barrier-baseline-subtracted virtual latency
-  std::size_t key_bytes = 0;  ///< actual bytes the selection table keys on
   BenchRecord record;
 };
 
@@ -114,23 +111,6 @@ void run_collective(CollKind kind, CollAlgorithm algo, const Team& world,
       break;
   }
   done.wait();
-}
-
-/// Bytes the Auto resolver will key on for this point (the team-uniform
-/// contribution size; see start_collective). Must mirror run_collective's
-/// buffer shapes.
-std::size_t resolution_bytes(CollKind kind, int images, std::size_t payload) {
-  const std::size_t n = elems_for(payload);
-  switch (kind) {
-    case CollKind::kBarrier:
-      return 0;
-    case CollKind::kReduceScatter: {
-      const auto p = static_cast<std::size_t>(images);
-      return (n + p - 1) / p * p * sizeof(long);
-    }
-    default:
-      return n * sizeof(long);
-  }
 }
 
 /// Simulate one sweep point: reps × (collective + barrier) in one run.
@@ -244,7 +224,6 @@ int main(int argc, char** argv) {
           point.algorithm = algo;
           point.images = images;
           point.payload = payload;
-          point.key_bytes = resolution_bytes(kind, images, payload);
           points.push_back(point);
         }
       }
@@ -309,13 +288,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  ops::CollSelectionTable selection;
   Table winners("Autotuned winners (-> " + tune_path + ")");
   winners.columns({"collective", "images", "bytes", "winner", "per-op us"});
   winners.precision(3);
   for (const auto& [key, point] : winner) {
-    selection.set(point->kind, point->images, point->key_bytes,
-                  point->algorithm);
     winners.add_row({std::string(to_string(point->kind)),
                      static_cast<long long>(point->images),
                      static_cast<long long>(point->payload),
@@ -350,33 +326,29 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream out(tune_path, std::ios::binary | std::ios::trunc);
-    out << selection.to_json();
+    out << "{\n  \"schema\": \"caf2.coll_winners\",\n"
+        << "  \"schema_version\": 1,\n  \"winners\": [";
+    bool first = true;
+    for (const auto& [key, point] : winner) {
+      out << (first ? "\n" : ",\n") << "    {\"collective\": \""
+          << to_string(point->kind) << "\", \"images\": " << point->images
+          << ", \"payload_bytes\": " << point->payload
+          << ", \"algorithm\": \"" << to_string(point->algorithm)
+          << "\", \"per_op_us\": " << point->per_op_us << "}";
+      first = false;
+    }
+    out << (first ? "]\n}\n" : "\n  ]\n}\n");
     if (!out.good()) {
       std::fprintf(stderr, "FAIL: could not write %s\n", tune_path.c_str());
       return 1;
     }
   }
-  std::printf("wrote %s (%zu entries)\n", tune_path.c_str(),
-              selection.size());
-
-  // Prove the artifact loads back: the process-global table an Auto run
-  // would consult must contain exactly what we measured.
-  ops::load_selection_table_file(tune_path);
-  const bool reload_ok =
-      ops::selection_table().to_json() == selection.to_json();
-  ops::clear_selection_table();
-  if (!reload_ok) {
-    std::fprintf(stderr, "FAIL: %s did not round-trip through "
-                         "load_selection_table_file\n",
-                 tune_path.c_str());
-    return 1;
-  }
+  std::printf("wrote %s (%zu entries)\n", tune_path.c_str(), winner.size());
 
   if (!crossover) {
     std::fprintf(stderr,
                  "FAIL: no collective changed winners between %zuB and %zuB "
-                 "payloads — payload-keyed selection found nothing to key "
-                 "on\n",
+                 "payloads\n",
                  payloads.front(), payloads.back());
     return 1;
   }

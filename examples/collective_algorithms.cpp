@@ -1,24 +1,18 @@
-/// Collective schedules and the autotuned selection table (DESIGN.md §4.13).
+/// Collective schedules (DESIGN.md §4.13).
 ///
 /// Eight images run the same allreduce under every selectable schedule —
 /// binomial tree, ring (reduce-scatter + allgather), recursive doubling —
-/// and under an allgather's ring/direct choices, verifying every schedule
-/// produces identical integer results. Then a small selection table is
-/// installed (the same caf2.coll_selection JSON shape that
-/// `bench_collectives --tune` measures and CAF2_COLL_TABLE loads) and an
-/// observed run proves CollAlgorithm::kAuto follows it: the recorded
-/// collective span is labeled with the table's winner, not the built-in
-/// default.
+/// and under an allgather's ring/recursive-doubling/direct choices,
+/// verifying every schedule produces identical integer results. Each call
+/// names its schedule through CollOptions::algorithm; the default,
+/// CollAlgorithm::kAuto, runs the kind's first-listed schedule.
 ///
-/// Exits 0 only when all schedules agree and Auto demonstrably follows the
-/// table.
+/// Exits 0 only when all schedules agree.
 ///
 /// Build & run:   ./build/examples/collective_algorithms
 
 #include <cstdio>
-#include <cstring>
 #include <exception>
-#include <string>
 #include <vector>
 
 #include "core/caf2.hpp"
@@ -82,57 +76,20 @@ bool run_schedules() {
   return ok;
 }
 
-/// Install a measured-winner table mapping 8-image scalar allreduces to the
-/// ring schedule, run with CollAlgorithm::kAuto under the span recorder, and
-/// check the collective span is labeled "allreduce/ring".
-bool run_auto_follows_table() {
-  ops::CollSelectionTable table;
-  table.set(ops::CollKind::kAllreduce, kImages, sizeof(long),
-            CollAlgorithm::kRing);
-  ops::set_selection_table(table);
-
-  RuntimeOptions options;
-  options.num_images = kImages;
-  options.obs.enabled = true;
-  const RunStats stats = run_stats(options, [] {
-    Team world = team_world();
-    long value = world.rank();
-    (void)allreduce<long>(world, value, RedOp::kSum);
-    team_barrier(world);  // keep images alive until op completions land
-  });
-  ops::clear_selection_table();
-
-  bool saw_ring = false;
-  for (int image = 0; image < stats.obs->images; ++image) {
-    for (const obs::Span& span : stats.obs->image_track(image).spans) {
-      if (span.kind == obs::SpanKind::kCollective && span.label() != nullptr &&
-          std::strcmp(span.label(), "allreduce/ring") == 0) {
-        saw_ring = true;
-      }
-    }
-  }
-  std::printf("auto-follows-table: collective span labeled allreduce/ring: "
-              "%s\n",
-              saw_ring ? "yes" : "NO");
-  return saw_ring;
-}
-
 }  // namespace
 
 int main() {
-  bool schedules_ok = false;
-  bool auto_ok = false;
+  bool ok = false;
   try {
-    schedules_ok = run_schedules();
-    auto_ok = run_auto_follows_table();
+    ok = run_schedules();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  if (!schedules_ok || !auto_ok) {
+  if (!ok) {
     std::fprintf(stderr, "FAIL\n");
     return 1;
   }
-  std::printf("all schedules agree; kAuto follows the loaded table\n");
+  std::printf("all schedules agree\n");
   return 0;
 }

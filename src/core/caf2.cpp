@@ -1,9 +1,6 @@
 #include "core/caf2.hpp"
 
-#include <cstdlib>
-
 #include "core/detectors.hpp"
-#include "ops/coll_algo.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/runtime.hpp"
 #include "support/sysinfo.hpp"
@@ -16,15 +13,6 @@ void run(const RuntimeOptions& options, const std::function<void()>& body) {
 
 RunStats run_stats(const RuntimeOptions& options,
                    const std::function<void()>& body) {
-  // Collective selection table (DESIGN.md §4.13): tools name a measured
-  // table through the environment; code installs one with
-  // ops::set_selection_table / load_selection_table_file. Loading happens
-  // before any image starts, so resolution inside the run sees one
-  // immutable table.
-  if (const char* env = std::getenv("CAF2_COLL_TABLE");
-      env != nullptr && *env != '\0') {
-    ops::load_selection_table_file(env);
-  }
   rt::Runtime runtime(options);
   rt::install_event_handlers(runtime);
   ops::install_copy_handlers(runtime);

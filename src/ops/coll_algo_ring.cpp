@@ -9,8 +9,8 @@
 /// Ring-family schedules (DESIGN.md §4.13). The ring allreduce /
 /// reduce-scatter / allgather move ~2·bytes·(p-1)/p per image regardless of
 /// team size — bandwidth-optimal — against the binomial tree's
-/// log2(p)·bytes per hop, at the cost of p-1 latency steps; the selection
-/// table exploits exactly this crossover. Channels are non-FIFO (delivery
+/// log2(p)·bytes per hop, at the cost of p-1 latency steps
+/// (`bench_collectives --tune` measures the crossover). Channels are non-FIFO (delivery
 /// jitter can reorder same-link messages), so every impl buffers incoming
 /// payloads by stage number and pumps strictly in stage order.
 

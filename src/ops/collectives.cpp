@@ -204,18 +204,11 @@ void start_collective(CollDesc desc) {
   CAF2_REQUIRE(desc.team.world_rank(desc.team.rank()) == image.rank(),
                "collective caller is not a member of the team");
 
-  // Resolve kAuto to a concrete schedule. Every resolution input must be
-  // team-uniform so all members independently pick the same schedule and
-  // the stage machinery stays in lockstep: kind and team size trivially
-  // are; for the payload we use the per-member chunk (bytes2) for scatter
-  // kinds — desc.bytes is root-only there — and the contribution size
-  // (bytes) everywhere else.
-  const std::size_t uniform_bytes =
-      (desc.kind == CollKind::kScatter || desc.kind == CollKind::kScatterv)
-          ? desc.bytes2
-          : desc.bytes;
-  desc.algorithm = resolve_algorithm(desc.kind, desc.algorithm,
-                                     desc.team.size(), uniform_bytes);
+  // Resolve kAuto to a concrete schedule. Kind and team size are
+  // team-uniform, so all members independently pick the same schedule and
+  // the stage machinery stays in lockstep.
+  desc.algorithm =
+      resolve_algorithm(desc.kind, desc.algorithm, desc.team.size());
 
   const bool implicit =
       !desc.src_done.valid() && !desc.local_done.valid();

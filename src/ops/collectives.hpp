@@ -17,11 +17,8 @@
 /// selectable *schedules* — binomial / radix-4 k-nomial tree (one tree,
 /// two radices), ring, recursive doubling, dissemination, direct pairwise —
 /// implemented over a shared stage-message state machine.
-/// CollOptions::algorithm picks one; the default CollAlgorithm::kAuto
-/// consults a selection table (built-in defaults, or a table measured by
-/// `bench_collectives --tune` and loaded with
-/// ops::load_selection_table_file or the CAF2_COLL_TABLE environment variable)
-/// so the winner can depend on payload size and team size.
+/// CollOptions::algorithm picks one per call; the default
+/// CollAlgorithm::kAuto runs the kind's default schedule.
 
 #include <algorithm>
 #include <cstring>
@@ -39,9 +36,9 @@ namespace caf2 {
 /// Selectable collective schedule (DESIGN.md §4.13). Not every algorithm
 /// applies to every collective kind; ops::supported_algorithms() lists the
 /// valid combinations and an explicitly requested unsupported pairing is a
-/// UsageError. kAuto resolves through the selection table at initiation.
+/// UsageError. kAuto resolves to the kind's default at initiation.
 enum class CollAlgorithm : std::uint8_t {
-  kAuto,               ///< resolve via the selection table
+  kAuto,               ///< the kind's default schedule
   kBinomialTree,       ///< classic binomial tree (the paper's schedule)
   kKnomialTree,        ///< radix-4 k-nomial tree (shallower, fatter nodes)
   kRing,               ///< ring / pipeline (bandwidth-optimal at scale)
@@ -55,7 +52,7 @@ const char* to_string(CollAlgorithm algorithm);
 struct CollOptions {
   RemoteEvent src_done{};    ///< local data completion
   RemoteEvent local_done{};  ///< local operation completion
-  /// Which schedule to run; kAuto picks from the selection table.
+  /// Which schedule to run; kAuto runs the kind's default.
   CollAlgorithm algorithm = CollAlgorithm::kAuto;
 };
 

@@ -30,8 +30,9 @@ int Team::rank_of_world(int world) const {
 
 bool Team::contains_team(const Team& other) const {
   const std::vector<int>& mine = members();
-  if (&mine == &other.members()) {
-    return true;  // the same team: its members share one list
+  if (&mine == &other.members() ||
+      static_cast<int>(mine.size()) == rt::Image::current().num_images()) {
+    return true;  // the same team, or the world team, which holds every image
   }
   for (int member : other.members()) {
     if (std::find(mine.begin(), mine.end(), member) == mine.end()) {

@@ -59,7 +59,8 @@ class Team {
 
   /// True when every member of \p other is also a member of this team
   /// (used to validate collectives inside finish blocks, paper §III-A1).
-  /// O(1) when \p other is this team; a scan of both lists otherwise.
+  /// O(1) when \p other is this team or this team is the world team; a
+  /// scan of both lists otherwise. Called from an image.
   bool contains_team(const Team& other) const;
 
   /// Collectively split this team. Members calling with the same \p color

@@ -1,13 +1,14 @@
 /// Tests for the extended collectives of the paper's vision (§II-C3):
 /// gather, scatter, alltoall, scan, the distributed sample sort, and the
 /// algorithm suite of DESIGN.md §4.13 — the new allgather / reduce-scatter
-/// / v-collectives, per-algorithm correctness oracles, the selection table
-/// (JSON round-trip, Auto resolution), rooted-entry validation, and the
-/// algorithm × shards × repeats determinism matrix.
+/// / v-collectives, per-algorithm correctness oracles, Auto resolution,
+/// rooted-entry validation, and the algorithm × shards × repeats
+/// determinism matrix.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -574,87 +575,76 @@ TEST(ExtCollectives, ExplicitlyUnsupportedAlgorithmIsAUsageError) {
   });
 }
 
-/// --- selection table --------------------------------------------------------
+/// --- schedule resolution ----------------------------------------------------
 
-TEST(CollSelection, JsonRoundTripAndNearestBucketLookup) {
-  ops::CollSelectionTable table;
-  table.set(ops::CollKind::kAllreduce, 16, 64, CollAlgorithm::kBinomialTree);
-  table.set(ops::CollKind::kAllreduce, 16, 1 << 16, CollAlgorithm::kRing);
-  table.set(ops::CollKind::kAllgather, 8, 4096, CollAlgorithm::kRing);
-  const std::string json = table.to_json();
-  const ops::CollSelectionTable parsed =
-      ops::CollSelectionTable::from_json(json);
-  EXPECT_EQ(parsed.size(), 3u);
-  EXPECT_EQ(parsed.to_json(), json);  // byte-stable round trip
-  // Exact buckets.
-  EXPECT_EQ(parsed.lookup(ops::CollKind::kAllreduce, 16, 64),
-            CollAlgorithm::kBinomialTree);
-  EXPECT_EQ(parsed.lookup(ops::CollKind::kAllreduce, 16, 1 << 16),
-            CollAlgorithm::kRing);
-  // Nearest bucket: payload snaps to the closer measured class; unmeasured
-  // team sizes snap to the nearest measured one.
-  EXPECT_EQ(parsed.lookup(ops::CollKind::kAllreduce, 16, 128),
-            CollAlgorithm::kBinomialTree);
-  EXPECT_EQ(parsed.lookup(ops::CollKind::kAllreduce, 16, 1 << 20),
-            CollAlgorithm::kRing);
-  EXPECT_EQ(parsed.lookup(ops::CollKind::kAllreduce, 64, 1 << 16),
-            CollAlgorithm::kRing);
-  EXPECT_EQ(parsed.lookup(ops::CollKind::kAllgather, 5, 100),
-            CollAlgorithm::kRing);
-  // Unknown kind -> kAuto (caller falls back to the default).
-  EXPECT_EQ(parsed.lookup(ops::CollKind::kBroadcast, 8, 64),
-            CollAlgorithm::kAuto);
-  EXPECT_THROW(ops::CollSelectionTable::from_json("{\"entries\": [{}]}"),
-               UsageError);
-  EXPECT_THROW(ops::CollSelectionTable::from_json("not json"), UsageError);
-}
-
-/// Auto demonstrably follows the loaded table: with a table mapping small
-/// allreduces to the ring schedule, the recorded collective span is labeled
-/// "allreduce/ring"; without a table it stays "allreduce/binomial".
-TEST(CollSelection, AutoFollowsTheLoadedTable) {
-  const auto span_labels = [](const RunStats& stats) {
-    std::vector<std::string> labels;
-    for (int image = 0; image < stats.obs->images; ++image) {
-      for (const obs::Span& span : stats.obs->image_track(image).spans) {
-        if (span.kind == obs::SpanKind::kCollective &&
-            span.label() != nullptr) {
-          labels.emplace_back(span.label());
+/// kAuto runs the kind's default schedule at every team size and payload:
+/// each recorded collective span is labeled "<kind>/<default>", with the
+/// documented structural clamp (recursive-doubling allgather runs as ring on
+/// teams whose size is not a power of two) applied on top.
+TEST(CollSelection, AutoRunsTheKindDefault) {
+  constexpr std::size_t kSmall = sizeof(long);
+  constexpr std::size_t kLarge = 256 * 1024;
+  const std::vector<ops::CollKind> kinds = {
+      ops::CollKind::kAllreduce, ops::CollKind::kBroadcast,
+      ops::CollKind::kAllgather, ops::CollKind::kBarrier};
+  for (const int images : {3, 4, 13}) {
+    SCOPED_TRACE("images=" + std::to_string(images));
+    RuntimeOptions options = ext_options(images);
+    options.obs.enabled = true;
+    const RunStats stats = run_stats(options, [] {
+      Team world = team_world();
+      const auto p = static_cast<std::size_t>(world.size());
+      for (const std::size_t bytes : {kSmall, kLarge}) {
+        const std::size_t n = bytes / sizeof(long);
+        std::vector<long> a(n, world.rank());
+        std::vector<long> b(n * p, 0);
+        Event done;
+        allreduce_async<long>(world, a, RedOp::kSum,
+                              {.local_done = done.handle()});
+        done.wait();
+        broadcast_async<long>(world, a, 0, {.local_done = done.handle()});
+        done.wait();
+        allgather_async<long>(world, a, b, {.local_done = done.handle()});
+        done.wait();
+        barrier_async(world, {.local_done = done.handle()});
+        done.wait();
+      }
+      // Keep every image alive until the last op completion (and with it
+      // the span) lands.
+      team_barrier(world);
+    });
+    ASSERT_NE(stats.obs, nullptr);
+    for (const ops::CollKind kind : kinds) {
+      CollAlgorithm expect = ops::default_algorithm(kind);
+      if (kind == ops::CollKind::kAllgather &&
+          expect == CollAlgorithm::kRecursiveDoubling &&
+          (images & (images - 1)) != 0) {
+        expect = CollAlgorithm::kRing;
+      }
+      const std::string want =
+          std::string(ops::to_string(kind)) + "/" + to_string(expect);
+      const std::string prefix = std::string(ops::to_string(kind)) + "/";
+      std::map<std::uint64_t, int> seen;  // recorded payload -> spans
+      for (int image = 0; image < images; ++image) {
+        for (const obs::Span& span : stats.obs->image_track(image).spans) {
+          if (span.kind == obs::SpanKind::kCollective &&
+              span.label() != nullptr &&
+              std::string(span.label()).rfind(prefix, 0) == 0) {
+            EXPECT_EQ(span.label(), want) << "payload " << span.a() << " B";
+            ++seen[span.a()];
+          }
         }
       }
+      // Every image records one span per call. Barrier carries no payload;
+      // the closing team_barrier adds a third.
+      const std::map<std::uint64_t, int> expect_seen =
+          kind == ops::CollKind::kBarrier
+              ? std::map<std::uint64_t, int>{{0, 3 * images}}
+              : std::map<std::uint64_t, int>{{kSmall, images},
+                                             {kLarge, images}};
+      EXPECT_EQ(seen, expect_seen) << want;
     }
-    return labels;
-  };
-  // The trailing barrier keeps every image alive until the allreduce's op
-  // completion (and with it the span) lands: spans are recorded at local op
-  // completion, and events still in flight when the last image body returns
-  // are dropped with the run.
-  const auto workload = [] {
-    Team world = team_world();
-    long value = world.rank();
-    (void)allreduce<long>(world, value, RedOp::kSum);
-    team_barrier(world);
-  };
-  RuntimeOptions options = ext_options(4);
-  options.obs.enabled = true;
-
-  ops::clear_selection_table();
-  const RunStats untuned = run_stats(options, workload);
-  ASSERT_NE(untuned.obs, nullptr);
-  const auto before = span_labels(untuned);
-  EXPECT_NE(std::find(before.begin(), before.end(), "allreduce/binomial"),
-            before.end());
-
-  ops::CollSelectionTable table;
-  table.set(ops::CollKind::kAllreduce, 4, sizeof(long), CollAlgorithm::kRing);
-  ops::set_selection_table(table);
-  const RunStats tuned = run_stats(options, workload);
-  const auto after = span_labels(tuned);
-  EXPECT_NE(std::find(after.begin(), after.end(), "allreduce/ring"),
-            after.end());
-  EXPECT_EQ(std::find(after.begin(), after.end(), "allreduce/binomial"),
-            after.end());
-  ops::clear_selection_table();
+  }
 }
 
 /// Recursive-doubling allgather needs a power-of-two team; on others the
