@@ -90,9 +90,11 @@ int main(int argc, char** argv) {
 
   const std::size_t stride = 1 + bunches.size();
   for (std::size_t i = 0; i < sweep_images.size(); ++i) {
-    std::vector<caf2::Cell> row{static_cast<long long>(sweep_images[i])};
+    std::vector<caf2::Cell> row;
+    row.reserve(1 + stride);
+    row.emplace_back(static_cast<long long>(sweep_images[i]));
     for (std::size_t v = 0; v < stride; ++v) {
-      row.push_back(results[i * stride + v].metrics.back().second);
+      row.emplace_back(results[i * stride + v].metrics.back().second);
     }
     table.add_row(std::move(row));
   }

@@ -70,12 +70,14 @@ int main(int argc, char** argv) {
 
   for (std::size_t b = 0; b < bunches.size(); ++b) {
     const int bunch = bunches[b];
-    std::vector<Cell> row{static_cast<long long>(bunch)};
+    std::vector<Cell> row;
+    row.reserve(image_counts.size() + 2);
+    row.emplace_back(static_cast<long long>(bunch));
     for (std::size_t i = 0; i < image_counts.size(); ++i) {
       const BenchRecord& record = results[b * image_counts.size() + i];
-      row.push_back(record.metrics.back().second);  // virtual_ms
+      row.emplace_back(record.metrics.back().second);  // virtual_ms
     }
-    row.push_back(static_cast<long long>(
+    row.emplace_back(static_cast<long long>(
         (config.updates_per_image + static_cast<unsigned>(bunch) - 1) /
         static_cast<unsigned>(bunch)));
     table.add_row(std::move(row));

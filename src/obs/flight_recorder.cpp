@@ -34,31 +34,32 @@ const char* to_string(FrKind kind) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(int num_images,
-                               std::size_t entries_per_image) {
-  std::size_t capacity = 8;
-  while (capacity < entries_per_image) {
-    capacity <<= 1;
+FlightRecorder::FlightRecorder(int num_images, std::size_t entries_per_image)
+    : rings_(static_cast<std::size_t>(num_images < 0 ? 0 : num_images)) {
+  shift_ = 3;
+  while ((std::size_t{1} << shift_) < entries_per_image) {
+    ++shift_;
   }
-  mask_ = capacity - 1;
-  rings_.resize(static_cast<std::size_t>(num_images < 0 ? 0 : num_images));
-  for (Ring& ring : rings_) {
-    ring.events.resize(capacity);
-  }
+  mask_ = (std::uint64_t{1} << shift_) - 1;
+  // Raw storage: FrEvent is an implicit-lifetime aggregate, so the
+  // allocation provides its objects without a store to any of them.
+  slab_.reset(static_cast<FrEvent*>(
+      ::operator new((rings_.size() << shift_) * sizeof(FrEvent))));
 }
 
 std::vector<FrEvent> FlightRecorder::recent(int image,
                                             std::size_t max_n) const {
-  const Ring& ring = rings_[static_cast<std::size_t>(image)];
-  const std::uint64_t capacity = mask_ + 1;
-  std::uint64_t count = ring.total < capacity ? ring.total : capacity;
+  const std::size_t index = static_cast<std::size_t>(image);
+  const std::uint64_t total = rings_[index].total;
+  std::uint64_t count = total < capacity() ? total : capacity();
   if (count > max_n) {
     count = max_n;
   }
+  const FrEvent* const ring = slab_.get() + (index << shift_);
   std::vector<FrEvent> out;
   out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = ring.total - count; i != ring.total; ++i) {
-    out.push_back(ring.events[i & mask_]);
+  for (std::uint64_t i = total - count; i != total; ++i) {
+    out.push_back(ring[i & mask_]);
   }
   return out;
 }

@@ -10,10 +10,14 @@
 /// what a postmortem needs.
 ///
 /// Invariants the rest of the runtime relies on:
-///   - record() never allocates: rings are sized once at construction and
-///     overwrite oldest-first. Instrumented schedules stay bit-identical
-///     because recording never touches the engine (no events scheduled, no
-///     blocking, no RNG draws).
+///   - record() never allocates: every image's ring is a fixed window of one
+///     slab allocated once at construction, and overwrites oldest-first.
+///     Instrumented schedules stay bit-identical because recording never
+///     touches the engine (no events scheduled, no blocking, no RNG draws).
+///   - The slab is left uninitialised, so construction costs one allocation
+///     however many images there are. Only slots that record() wrote are
+///     ever read: recent() copies the last min(total, capacity) entries of
+///     a ring, and nothing else reads the slab.
 ///   - No locking: an image's ring is written only on its home shard, where
 ///     exactly one simulated context runs at a time (the engine's token
 ///     discipline), and postmortem collection happens on a quiesced engine
@@ -24,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace caf2::obs {
@@ -77,7 +82,8 @@ struct FrEvent {
 /// Ring capacity per image of the runtime's always-on flight recorder.
 inline constexpr std::size_t kFlightRecorderEntries = 256;
 
-/// Per-image fixed-capacity rings of FrEvents.
+/// Per-image fixed-capacity rings of FrEvents, carved out of one slab:
+/// image i's ring is the capacity() slots starting at i << log2(capacity()).
 class FlightRecorder {
  public:
   /// \p entries_per_image is rounded up to a power of two (minimum 8) so the
@@ -92,8 +98,10 @@ class FlightRecorder {
   void record(int image, double t, FrKind kind, int peer = -1,
               std::uint64_t a = 0, std::uint64_t b = 0,
               const char* label = nullptr) {
-    Ring& ring = rings_[static_cast<std::size_t>(image)];
-    ring.events[ring.total & mask_] = FrEvent{t, a, b, peer, kind, label};
+    const std::size_t index = static_cast<std::size_t>(image);
+    Ring& ring = rings_[index];
+    slab_[(index << shift_) + (ring.total & mask_)] =
+        FrEvent{t, a, b, peer, kind, label};
     ++ring.total;
   }
 
@@ -110,11 +118,18 @@ class FlightRecorder {
 
  private:
   struct Ring {
-    std::vector<FrEvent> events;  ///< sized to capacity() at construction
-    std::uint64_t total = 0;      ///< monotone; ring holds the tail
+    std::uint64_t total = 0;  ///< monotone; the ring holds the tail
+  };
+
+  /// Frees the slab's raw storage (FrEvent is trivially destructible).
+  struct SlabDelete {
+    void operator()(FrEvent* slab) const { ::operator delete(slab); }
   };
 
   std::vector<Ring> rings_;
+  /// num_images() * capacity() slots, uninitialised until recorded.
+  std::unique_ptr<FrEvent[], SlabDelete> slab_;
+  unsigned shift_ = 0;  ///< log2(capacity())
   std::uint64_t mask_ = 0;
 };
 

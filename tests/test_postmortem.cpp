@@ -70,6 +70,48 @@ TEST(FlightRecorder, RingKeepsTheTail) {
   EXPECT_EQ(all.front().a, 12u);
 }
 
+// The rings share one uninitialised slab, so a read of a never-written slot
+// would surface here as an MSan report or as garbage `a` values; the images
+// are interleaved so a ring that strays into its neighbour's slots shows.
+TEST(FlightRecorder, SlabRingsReadOnlyWhatWasWritten) {
+  obs::FlightRecorder recorder(3, 8);
+  ASSERT_EQ(recorder.num_images(), 3);
+  ASSERT_EQ(recorder.capacity(), 8u);
+  for (std::uint64_t i = 0; i < 11; ++i) {
+    if (i < 5) {
+      recorder.record(1, static_cast<double>(i), obs::FrKind::kDeliver, 0,
+                      100 + i);
+    }
+    recorder.record(2, static_cast<double>(i), obs::FrKind::kSend, 1, 200 + i);
+  }
+  const auto payloads = [&](int image) {
+    std::vector<std::uint64_t> out;
+    for (const obs::FrEvent& event : recorder.recent(image, 100)) {
+      out.push_back(event.a);
+    }
+    return out;
+  };
+
+  EXPECT_EQ(recorder.total(0), 0u);
+  EXPECT_TRUE(recorder.recent(0, 100).empty()) << "never-written image";
+
+  EXPECT_EQ(recorder.total(1), 5u);
+  EXPECT_EQ(payloads(1), (std::vector<std::uint64_t>{100, 101, 102, 103, 104}))
+      << "a partly filled ring returns only its written events, oldest first";
+  EXPECT_EQ(recorder.recent(1, 2).front().a, 103u);
+
+  EXPECT_EQ(recorder.total(2), 11u);
+  EXPECT_EQ(payloads(2), (std::vector<std::uint64_t>{203, 204, 205, 206, 207,
+                                                      208, 209, 210}))
+      << "a wrapped ring returns its last capacity() events, oldest first";
+  const std::vector<obs::FrEvent> last = recorder.recent(2, 1);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].a, 210u);
+  EXPECT_EQ(last[0].t, 10.0);
+  EXPECT_EQ(last[0].kind, obs::FrKind::kSend);
+  EXPECT_EQ(last[0].peer, 1);
+}
+
 TEST(FlightRecorder, RecordsDeliveriesDuringARun) {
   RuntimeOptions options = base_options(2);
   obs::Postmortem pm;
