@@ -16,7 +16,12 @@ UtsNode UtsTree::root() const {
   return node;
 }
 
-int UtsTree::child_count(const UtsNode& node) const {
+double UtsTree::log_fail() const {
+  const double q = 1.0 / (b0 + 1.0);  // success probability
+  return std::log(1.0 - q);
+}
+
+int UtsTree::child_count(const UtsNode& node, double log_fail) const {
   if (node.depth >= max_depth) {
     return 0;
   }
@@ -32,9 +37,7 @@ int UtsTree::child_count(const UtsNode& node) const {
                             static_cast<std::uint32_t>(node.digest[3]);
   const double u =
       (static_cast<double>(raw) + 0.5) / 4294967296.0;  // (0,1)
-  const double q = 1.0 / (b0 + 1.0);  // success probability
-  const int m = static_cast<int>(std::floor(std::log(1.0 - u) /
-                                            std::log(1.0 - q)));
+  const int m = static_cast<int>(std::floor(std::log(1.0 - u) / log_fail));
   return m < 0 ? 0 : m;
 }
 
@@ -55,12 +58,13 @@ UtsNode UtsTree::child(const UtsNode& node, int index) {
 std::uint64_t UtsTree::count_subtree(const UtsNode& root_node) const {
   // Explicit stack: the tree can be deep and very unbalanced.
   std::vector<UtsNode> stack{root_node};
+  const double divisor = log_fail();
   std::uint64_t count = 0;
   while (!stack.empty()) {
     const UtsNode node = stack.back();
     stack.pop_back();
     ++count;
-    const int kids = child_count(node);
+    const int kids = child_count(node, divisor);
     for (int i = 0; i < kids; ++i) {
       stack.push_back(child(node, i));
     }

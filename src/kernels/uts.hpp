@@ -37,8 +37,13 @@ struct UtsTree {
   /// Descriptor of the root node.
   UtsNode root() const;
 
-  /// Number of children of \p node under the geometric law.
-  int child_count(const UtsNode& node) const;
+  /// log(1 - q) for the geometric law's success probability q = 1/(b0 + 1):
+  /// the divisor of every child_count(), so callers compute it once per tree.
+  double log_fail() const;
+
+  /// Number of children of \p node under the geometric law; \p log_fail is
+  /// this tree's log_fail().
+  int child_count(const UtsNode& node, double log_fail) const;
 
   /// Descriptor of child \p index of \p node.
   static UtsNode child(const UtsNode& node, int index);

@@ -15,6 +15,7 @@ namespace {
 /// exactly as the paper's runtime does with image-local globals.
 struct UtsState {
   UtsConfig config{};
+  double log_fail = 0.0;  ///< config.tree.log_fail(), computed once
   Team team;
   std::deque<UtsNode> queue;
   std::vector<int> lifelines;  ///< team ranks waiting for work from us
@@ -158,7 +159,7 @@ void drain() {
       s.queue.pop_back();
       s.stats.nodes += 1;
       ++processed;
-      const int kids = s.config.tree.child_count(node);
+      const int kids = s.config.tree.child_count(node, s.log_fail);
       for (int i = 0; i < kids; ++i) {
         s.queue.push_back(UtsTree::child(node, i));
       }
@@ -181,7 +182,7 @@ void distribute_initial(UtsState& s) {
     frontier.pop_front();
     s.stats.nodes += 1;
     compute(s.config.node_cost_us);
-    const int kids = s.config.tree.child_count(node);
+    const int kids = s.config.tree.child_count(node, s.log_fail);
     if (kids == 0 && frontier.empty()) {
       return;  // the whole tree was tiny and rank 0 consumed it
     }
@@ -210,6 +211,7 @@ UtsStats uts_run(const Team& team, const UtsConfig& config) {
   CAF2_REQUIRE(team.valid(), "uts_run needs a valid team");
   UtsState state;
   state.config = config;
+  state.log_fail = config.tree.log_fail();
   state.team = team;
   rt::Image::current().scratch(&kUtsTag) =
       std::shared_ptr<void>(&state, [](void*) {});

@@ -20,7 +20,9 @@
 ///    low end, so runaway recursion faults deterministically instead of
 ///    silently corrupting a neighbouring allocation, and they are recycled
 ///    through a process-wide pool because benchmark sweeps construct
-///    thousands of engines back to back;
+///    thousands of engines back to back; a released stack keeps only its
+///    top page resident, so a fiber on a recycled stack writes its initial
+///    frame without a page fault;
 ///  - the sanitizers are kept informed of every stack switch: AddressSanitizer
 ///    via __sanitizer_{start,finish}_switch_fiber, ThreadSanitizer via
 ///    __tsan_{create,switch_to,destroy}_fiber (each fiber has its own TSan

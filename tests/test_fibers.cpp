@@ -1,13 +1,19 @@
 /// Tests for the stackful-fiber primitive and the engine's fiber execution
 /// (DESIGN.md §4.8): per-participant context slots across fiber switches,
-/// paper-scale participant counts, guard-page protection against stack
-/// overflow, and the failure path for exceptions thrown by engine callbacks.
+/// paper-scale participant counts, the stack pool's warm recycled stacks,
+/// guard-page protection against stack overflow, and the failure path for
+/// exceptions thrown by engine callbacks.
 
 #include <gtest/gtest.h>
 
 #include <alloca.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +23,24 @@
 #include "sim/fiber.hpp"
 #include "sim/participant.hpp"
 #include "support/error.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CAF2_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CAF2_TEST_ASAN 1
+#endif
+#endif
+#if defined(CAF2_TEST_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define CAF2_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CAF2_TEST_TSAN 1
+#endif
+#endif
 
 namespace {
 
@@ -64,6 +88,91 @@ TEST(Fiber, ManySequentialFibersRecycleStacks) {
     ASSERT_TRUE(fiber.finished());
   }
   EXPECT_EQ(total, 255L * 256L / 2L);
+  Fiber::trim_stack_pool();
+}
+
+/// --- recycled stacks --------------------------------------------------------
+
+long thread_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
+/// A released stack keeps its top page resident, so a fiber built on a
+/// recycled stack writes its initial frame without a page fault (paper-scale
+/// engines build thousands of fibers per run).
+TEST(Fiber, RecycledStackStartsWithoutAPageFault) {
+#if defined(CAF2_TEST_TSAN)
+  GTEST_SKIP() << "every fiber's TSan context is a fresh allocation that "
+                  "faults in pages of its own";
+#endif
+#if defined(CAF2_TEST_ASAN)
+  if (__asan_get_current_fake_stack() != nullptr) {
+    GTEST_SKIP() << "ASan's fake stacks (detect_stack_use_after_return) "
+                    "fault in pages of their own";
+  }
+#endif
+  constexpr int kFibers = 256;
+  constexpr std::size_t kStackBytes = 96 * 1024;  // no other test uses it
+  // Preallocated slots: the measured round allocates nothing on the heap.
+  std::vector<std::optional<Fiber>> fibers(kFibers);
+  const auto build_all = [&] {
+    for (std::optional<Fiber>& fiber : fibers) {
+      fiber.emplace(kStackBytes, [] {});
+    }
+  };
+  const auto release_all = [&] {
+    for (std::optional<Fiber>& fiber : fibers) {
+      fiber.reset();
+    }
+  };
+  build_all();  // warm-up: maps the stacks the measured round recycles
+  release_all();
+  const long before = thread_minor_faults();
+  build_all();
+  const long faults = thread_minor_faults() - before;
+  release_all();
+  EXPECT_LE(faults, kFibers / 16)
+      << "building " << kFibers << " fibers on recycled stacks took "
+      << faults << " minor page faults";
+  Fiber::trim_stack_pool();
+}
+
+/// Released stacks are cached, but only their warm top page stays resident:
+/// the pages a fiber touched below it are dropped, which bounds what the
+/// pool holds to one page per cached stack.
+TEST(Fiber, ReleasedStackKeepsOnlyItsWarmTop) {
+  constexpr std::size_t kTouched = 256 * 1024;
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  std::uintptr_t high = 0;  // the entry function's frame, in the top page
+  std::uintptr_t low = 0;   // the lowest byte the fiber wrote
+  {
+    Fiber fiber(512 * 1024, [&] {
+      high = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+      volatile char* bytes = static_cast<char*>(alloca(kTouched));
+      for (std::size_t i = 0; i < kTouched; i += 64) {
+        bytes[i] = 1;
+      }
+      low = reinterpret_cast<std::uintptr_t>(bytes);
+    });
+    fiber.resume();
+    ASSERT_TRUE(fiber.finished());
+  }
+  // The mapping is still cached in the pool, so mincore() can inspect it.
+  const std::uintptr_t first = low & ~(page - 1);
+  const std::uintptr_t top_page = high & ~(page - 1);
+  ASSERT_GE(top_page - first, kTouched - page);
+  const std::size_t pages = (top_page - first) / page + 1;
+  std::vector<unsigned char> resident(pages);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(first), pages * page,
+                    resident.data()),
+            0);
+  for (std::size_t i = 0; i + 1 < pages; ++i) {
+    EXPECT_EQ(resident[i] & 1, 0)
+        << "page " << (pages - 1 - i) << " below the top stayed resident";
+  }
+  EXPECT_EQ(resident.back() & 1, 1) << "the warm top page was dropped";
   Fiber::trim_stack_pool();
 }
 
@@ -322,14 +431,6 @@ TEST(FiberBackend, RunStatsReportSwitches) {
 /// Runaway recursion on a fiber stack must hit the PROT_NONE guard page and
 /// die deterministically instead of corrupting adjacent memory. Death tests
 /// fork; keep this last so the parent's engine state stays simple.
-#if defined(__SANITIZE_ADDRESS__)
-#define CAF2_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define CAF2_TEST_ASAN 1
-#endif
-#endif
-
 TEST(FiberBackendDeathTest, StackOverflowHitsTheGuardPage) {
 #if defined(CAF2_TEST_ASAN)
   GTEST_SKIP() << "ASan reports the poisoned guard page differently";
