@@ -150,10 +150,12 @@ void send_verdict(Image& image, const Team& team, const net::FinishKey& key,
 void send_vector(Image& image, const Team& team, const net::FinishKey& key,
                  std::int64_t round) {
   rt::FinishState& state = image.finish_state(key);
+  // X10's wire format: scatter the sparse counts into a dense p-vector.
   std::vector<std::int64_t> sent_to(
       static_cast<std::size_t>(image.num_images()), 0);
-  const auto& raw = state.sent_to();
-  std::copy(raw.begin(), raw.end(), sent_to.begin());
+  for (const auto& [dest, count] : state.sent_to()) {
+    sent_to[static_cast<std::size_t>(dest)] = count;
+  }
   const auto completed =
       static_cast<std::int64_t>(state.completed_total());
 

@@ -70,6 +70,18 @@ net::MessageHeader header_for(Image& image, int dest, net::HandlerId handler,
   return h;
 }
 
+/// Charge a tracked local operation to \p finish as a self-message (one
+/// state lookup); returns the parity it carries, false when untracked.
+bool charge_self_message(Image& image, const net::FinishKey& finish) {
+  if (!finish.valid()) {
+    return false;
+  }
+  rt::FinishState& state = image.finish_state(finish);
+  const bool odd = state.present_odd();
+  state.count_sent(odd, image.rank());
+  return odd;
+}
+
 void post_done(Image& image, const RemoteEvent& event) {
   if (event.valid()) {
     rt::post_event_raw(image.runtime(), image.rank(), event);
@@ -81,12 +93,7 @@ void post_done(Image& image, const RemoteEvent& event) {
 /// scope cannot terminate before the copy completes.
 void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                       const net::FinishKey& finish) {
-  const bool odd =
-      finish.valid() ? image.finish_state(finish).present_odd() : false;
-  if (finish.valid()) {
-    image.finish_state(finish).count_sent(odd);
-    image.finish_state(finish).count_sent_dest(image.rank());
-  }
+  const bool odd = charge_self_message(image, finish);
   const double inject =
       image.runtime().options().net.bandwidth_bytes_per_us > 0.0
           ? static_cast<double>(d.bytes) /
@@ -278,12 +285,7 @@ void copy_async_bytes(CopyDesc desc) {
   // copy is charged to the finish immediately (a self-message that completes
   // when the predicate fires), so the scope cannot terminate while the copy
   // is still waiting on its predicate.
-  const bool odd =
-      finish.valid() ? image.finish_state(finish).present_odd() : false;
-  if (finish.valid()) {
-    image.finish_state(finish).count_sent(odd);
-    image.finish_state(finish).count_sent_dest(image.rank());
-  }
+  const bool odd = charge_self_message(image, finish);
   Image* img = &image;
   CopyDesc inner = desc;
   inner.pre = RemoteEvent{};

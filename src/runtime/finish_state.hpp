@@ -17,9 +17,14 @@
 /// exits the allreduce, at which point the odd counters fold into the even
 /// ones. Counter updates for a message always use the *message's* parity so
 /// a reduction wave sums a consistent cut.
+///
+/// Everything here is O(1) in the number of images except the
+/// per-destination send counts, which grow with the number of *distinct*
+/// destinations this image sent to in the scope (at most p; a few for the
+/// usual fan-out).
 
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 #include "net/message.hpp"
 
@@ -43,7 +48,12 @@ struct EpochCounters {
 class FinishState {
  public:
   /// --- counter updates (parity = the message's epoch) ----------------------
-  void count_sent(bool odd) { epoch(odd).sent += 1; }
+
+  /// A tracked message to world rank \p dest left this image.
+  void count_sent(bool odd, int dest) {
+    epoch(odd).sent += 1;
+    sent_to_[dest] += 1;
+  }
   void count_delivered(bool odd) { epoch(odd).delivered += 1; }
   void count_received(bool odd) { epoch(odd).received += 1; }
   void count_completed(bool odd) { epoch(odd).completed += 1; }
@@ -118,22 +128,20 @@ class FinishState {
            received_total() == completed_total();
   }
 
-  /// Per-destination send counts (world ranks), maintained for the X10-style
-  /// centralized vector-counting detector.
-  void count_sent_dest(int dest) {
-    if (sent_to_.size() <= static_cast<std::size_t>(dest)) {
-      sent_to_.resize(static_cast<std::size_t>(dest) + 1, 0);
-    }
-    sent_to_[static_cast<std::size_t>(dest)] += 1;
+  /// Per-destination send counts, world rank -> messages sent there, for the
+  /// X10-style centralized vector-counting detector. Sparse: one entry per
+  /// distinct destination, so only that detector's wire carries X10's dense
+  /// p-vector (it scatters this map into one when it reports).
+  const std::unordered_map<int, std::int64_t>& sent_to() const {
+    return sent_to_;
   }
-  const std::vector<std::int64_t>& sent_to() const { return sent_to_; }
 
  private:
   EpochCounters& epoch(bool odd) { return odd ? odd_ : even_; }
 
   EpochCounters even_{};
   EpochCounters odd_{};
-  std::vector<std::int64_t> sent_to_;
+  std::unordered_map<int, std::int64_t> sent_to_;
   bool present_odd_ = false;
   bool entered_ = false;
   bool terminated_ = false;

@@ -86,8 +86,7 @@ net::MessageHeader Image::make_header(int dest_world, net::HandlerId handler,
 void Image::send_message(net::Message message, net::SendCallbacks callbacks) {
   const net::MessageHeader& header = message.header;
   if (header.tracked) {
-    finish_state(header.finish).count_sent(header.from_odd_epoch);
-    finish_state(header.finish).count_sent_dest(header.dest);
+    finish_state(header.finish).count_sent(header.from_odd_epoch, header.dest);
     // Count `delivered` when the ack returns; chain any caller callback.
     Image* self = this;
     const net::FinishKey key = header.finish;
@@ -109,8 +108,7 @@ void Image::send_staged_message(
     std::function<std::vector<std::uint8_t>()> read,
     net::SendCallbacks callbacks) {
   if (header.tracked) {
-    finish_state(header.finish).count_sent(header.from_odd_epoch);
-    finish_state(header.finish).count_sent_dest(header.dest);
+    finish_state(header.finish).count_sent(header.from_odd_epoch, header.dest);
     Image* self = this;
     const net::FinishKey key = header.finish;
     const bool odd = header.from_odd_epoch;

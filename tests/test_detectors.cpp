@@ -165,6 +165,29 @@ TEST(Detectors, CentralizedConcentratesTrafficAtOwner) {
   EXPECT_GT(owner_msgs_central, owner_msgs_epoch);
 }
 
+TEST(Detectors, CentralizedCountsTrafficToHighestRank) {
+  // Members keep sparse per-destination counts and scatter them into the
+  // dense p-vector the owner sums; traffic aimed only at the last rank must
+  // land in that vector's last slot, or the owner never sees it complete.
+  run(det_options(64), [] {
+    Team world = team_world();
+    Coarray<long> counter(world, 1);
+    counter[0] = 0;
+    team_barrier(world);
+    const int last = world.size() - 1;
+    finish(
+        world, [&] { spawn<bump>(last, counter.ref()); },
+        FinishOptions{DetectorKind::kCentralized});
+    EXPECT_EQ(last_finish_report().rounds, 1);
+    const long total = allreduce<long>(world, counter[0], RedOp::kSum);
+    EXPECT_EQ(total, world.size());
+    if (this_image() == last) {
+      EXPECT_EQ(counter[0], world.size());
+    }
+    team_barrier(world);
+  });
+}
+
 TEST(Detectors, RoundsReportedConsistentlyAcrossImages) {
   run(det_options(6), [] {
     Team world = team_world();

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/caf2.hpp"
+#include "runtime/image.hpp"
 
 namespace {
 
@@ -300,6 +301,34 @@ TEST(Finish, ReportsDetectionTime) {
     const FinishReport report = last_finish_report();
     EXPECT_GE(report.detect_us, 10.0);  // at least one allreduce of hops
     EXPECT_EQ(report.rounds, 1);
+  });
+}
+
+TEST(Finish, PerDestinationCountsAreSparse) {
+  // A scope keeps one send count per distinct destination, not a vector up
+  // to the highest rank sent to (which would hold 64 entries here).
+  run(finish_options(64), [] {
+    Team world = team_world();
+    Coarray<long> counter(world, 1);
+    counter[0] = 0;
+    team_barrier(world);
+    const int p = world.size();
+    finish(world, [&] {
+      spawn<bump>(p - 1, counter.ref());
+      spawn<bump>((this_image() + 1) % p, counter.ref());
+      rt::Image& image = rt::Image::current();
+      const auto& sent_to =
+          image.finish_state(image.current_finish()).sent_to();
+      EXPECT_LE(sent_to.size(), 2u);
+      std::int64_t sent = 0;
+      for (const auto& [dest, count] : sent_to) {
+        sent += count;
+      }
+      EXPECT_EQ(sent, 2);
+    });
+    const long total = allreduce<long>(world, counter[0], RedOp::kSum);
+    EXPECT_EQ(total, 2L * p);
+    team_barrier(world);
   });
 }
 
