@@ -153,9 +153,9 @@ void send_vector(Image& image, const Team& team, const net::FinishKey& key,
   // X10's wire format: scatter the sparse counts into a dense p-vector.
   std::vector<std::int64_t> sent_to(
       static_cast<std::size_t>(image.num_images()), 0);
-  for (const auto& [dest, count] : state.sent_to()) {
+  state.sent_to().for_each([&sent_to](int dest, std::int64_t count) {
     sent_to[static_cast<std::size_t>(dest)] = count;
-  }
+  });
   const auto completed =
       static_cast<std::int64_t>(state.completed_total());
 

@@ -6,8 +6,10 @@
 /// A FlightRecorder keeps one fixed-size ring of POD events per image. It is
 /// the "black box" counterpart to the span Recorder (obs.hpp): where spans
 /// are opt-in and sized for whole-run profiling, the flight recorder is on by
-/// default and sized for the *last few moments before a failure* — exactly
-/// what a postmortem needs.
+/// default and sized for the *last few moments before a failure*. The
+/// runtime sizes each ring to exactly the tail a postmortem embeds
+/// (kPostmortemRecentEvents, postmortem.hpp), since the postmortem is its
+/// only reader; tests may build rings of any capacity.
 ///
 /// Invariants the rest of the runtime relies on:
 ///   - record() never allocates: every image's ring is a fixed window of one
@@ -15,9 +17,10 @@
 ///     Instrumented schedules stay bit-identical because recording never
 ///     touches the engine (no events scheduled, no blocking, no RNG draws).
 ///   - The slab is left uninitialised, so construction costs one allocation
-///     however many images there are. Only slots that record() wrote are
-///     ever read: recent() copies the last min(total, capacity) entries of
-///     a ring, and nothing else reads the slab.
+///     however many images there are (640 B per image at the runtime's 16
+///     entries of 40 B). Only slots that record() wrote are ever read:
+///     recent() copies the last min(total, capacity) entries of a ring, and
+///     nothing else reads the slab.
 ///   - No locking: an image's ring is written only on its home shard, where
 ///     exactly one simulated context runs at a time (the engine's token
 ///     discipline), and postmortem collection happens on a quiesced engine
@@ -78,9 +81,6 @@ struct FrEvent {
   FrKind kind = FrKind::kSend;
   const char* label = nullptr;  ///< optional literal (e.g. wait reason)
 };
-
-/// Ring capacity per image of the runtime's always-on flight recorder.
-inline constexpr std::size_t kFlightRecorderEntries = 256;
 
 /// Per-image fixed-capacity rings of FrEvents, carved out of one slab:
 /// image i's ring is the capacity() slots starting at i << log2(capacity()).

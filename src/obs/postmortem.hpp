@@ -113,7 +113,9 @@ struct PmFinishScope {
 };
 
 /// How many of each image's most recent flight-recorder events a runtime
-/// postmortem includes.
+/// postmortem includes. It is also the runtime's ring capacity per image:
+/// the postmortem is the ring's only reader, so a larger ring would hold
+/// events that nothing ever reads.
 inline constexpr std::size_t kPostmortemRecentEvents = 16;
 
 /// Snapshot of one image.

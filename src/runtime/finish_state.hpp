@@ -23,12 +23,84 @@
 /// destinations this image sent to in the scope (at most p; a few for the
 /// usual fan-out).
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "net/message.hpp"
 
 namespace caf2::rt {
+
+/// Per-destination send counts of one finish scope: an open-addressing hash
+/// table keyed by world rank, with linear probing in one flat array kept at
+/// most half full. No node per entry: memory is O(distinct destinations)
+/// and an add costs O(1) amortised.
+class SendCounts {
+ public:
+  /// One more message to world rank \p dest (>= 0).
+  void add(int dest) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      grow();
+    }
+    slot(dest).count += 1;
+  }
+
+  /// Distinct destinations counted so far.
+  std::size_t size() const { return size_; }
+
+  /// Call \p fn(dest, count) once per destination, in no particular order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Entry& entry : slots_) {
+      if (entry.dest >= 0) {
+        fn(static_cast<int>(entry.dest), entry.count);
+      }
+    }
+  }
+
+ private:
+  struct Entry {
+    std::int32_t dest = -1;  ///< -1 = empty slot
+    std::int64_t count = 0;
+  };
+
+  /// \p dest's entry, claimed from the first empty slot on its probe path
+  /// if absent. The table must have an empty slot.
+  Entry& slot(int dest) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of the product spread strided ranks.
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(dest) * 0x9E3779B97F4A7C15ULL) >> shift_);
+    for (;; i = (i + 1) & mask) {
+      Entry& entry = slots_[i];
+      if (entry.dest == dest) {
+        return entry;
+      }
+      if (entry.dest < 0) {
+        entry.dest = dest;
+        ++size_;
+        return entry;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<Entry> old = std::move(slots_);
+    slots_.assign(old.empty() ? 4 : 2 * old.size(), Entry{});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    size_ = 0;
+    for (const Entry& entry : old) {
+      if (entry.dest >= 0) {
+        slot(entry.dest).count = entry.count;
+      }
+    }
+  }
+
+  std::vector<Entry> slots_;  ///< power-of-two size, or empty
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;  ///< 64 - log2(slots_.size())
+};
 
 struct EpochCounters {
   std::uint64_t sent = 0;
@@ -52,7 +124,7 @@ class FinishState {
   /// A tracked message to world rank \p dest left this image.
   void count_sent(bool odd, int dest) {
     epoch(odd).sent += 1;
-    sent_to_[dest] += 1;
+    sent_to_.add(dest);
   }
   void count_delivered(bool odd) { epoch(odd).delivered += 1; }
   void count_received(bool odd) { epoch(odd).received += 1; }
@@ -131,17 +203,15 @@ class FinishState {
   /// Per-destination send counts, world rank -> messages sent there, for the
   /// X10-style centralized vector-counting detector. Sparse: one entry per
   /// distinct destination, so only that detector's wire carries X10's dense
-  /// p-vector (it scatters this map into one when it reports).
-  const std::unordered_map<int, std::int64_t>& sent_to() const {
-    return sent_to_;
-  }
+  /// p-vector (it scatters these counts into one when it reports).
+  const SendCounts& sent_to() const { return sent_to_; }
 
  private:
   EpochCounters& epoch(bool odd) { return odd ? odd_ : even_; }
 
   EpochCounters even_{};
   EpochCounters odd_{};
-  std::unordered_map<int, std::int64_t> sent_to_;
+  SendCounts sent_to_;
   bool present_odd_ = false;
   bool entered_ = false;
   bool terminated_ = false;

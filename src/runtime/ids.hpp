@@ -13,6 +13,7 @@ namespace caf2::rt {
 
 /// Handler table slots. The ops/core layers install the implementations at
 /// runtime startup (Runtime::set_handler), keeping the layering acyclic.
+/// Ids index the table directly, so they stay dense below kHandlerCount.
 enum Handler : net::HandlerId {
   kHandlerEventNotify = 1,   ///< remote event_notify
   kHandlerSpawn = 2,         ///< function shipping
@@ -25,7 +26,7 @@ enum Handler : net::HandlerId {
   kHandlerCollective = 9,    ///< asynchronous collective stage
   kHandlerFinishReduce = 10, ///< finish termination-detection reduction
   kHandlerDetector = 11,     ///< baseline termination detectors
-  kHandlerUser = 64,         ///< first id available to applications/tests
+  kHandlerCount = 12,        ///< size of the runtime's handler table
 };
 
 /// Identifies one collective operation instance on a team. Every image

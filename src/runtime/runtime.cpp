@@ -103,8 +103,10 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
     network_->set_observer(observer_.get());
   }
   if (options_.obs.flight_recorder) {
+    // Each ring holds exactly the tail a postmortem embeds: fill_postmortem
+    // is its only reader.
     flight_recorder_ = std::make_unique<obs::FlightRecorder>(
-        options_.num_images, obs::kFlightRecorderEntries);
+        options_.num_images, obs::kPostmortemRecentEvents);
     network_->set_flight_recorder(flight_recorder_.get());
   }
   engine_->set_postmortem_collector(
@@ -132,14 +134,15 @@ std::shared_ptr<const obs::Capture> Runtime::take_capture() {
 }
 
 void Runtime::set_handler(net::HandlerId id, HandlerFn fn) {
+  CAF2_REQUIRE(id < handlers_.size(),
+               "handler id " + std::to_string(id) + " is outside the table");
   handlers_[id] = std::move(fn);
 }
 
 const HandlerFn& Runtime::handler(net::HandlerId id) const {
-  auto it = handlers_.find(id);
-  CAF2_ASSERT(it != handlers_.end(),
+  CAF2_ASSERT(id < handlers_.size() && handlers_[id],
               "no handler installed for id " + std::to_string(id));
-  return it->second;
+  return handlers_[id];
 }
 
 void Runtime::run(const std::function<void()>& body) {

@@ -8,8 +8,8 @@
 /// caf2::run(options, body) (core/caf2.hpp), which installs the standard
 /// handlers and executes `body` SPMD on every image.
 
+#include <array>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
+#include "runtime/ids.hpp"
 #include "runtime/image.hpp"
 #include "sim/engine.hpp"
 #include "support/config.hpp"
@@ -77,7 +78,8 @@ class Runtime {
   /// after run(), by caf2::run_stats().
   std::shared_ptr<const obs::Capture> take_capture();
 
-  /// Install or replace an active-message handler.
+  /// Install or replace an active-message handler; \p id must be below
+  /// kHandlerCount (ids.hpp).
   void set_handler(net::HandlerId id, HandlerFn fn);
   const HandlerFn& handler(net::HandlerId id) const;
 
@@ -88,7 +90,7 @@ class Runtime {
   std::unique_ptr<obs::Recorder> observer_;
   std::unique_ptr<obs::FlightRecorder> flight_recorder_;
   std::vector<std::unique_ptr<Image>> images_;
-  std::map<net::HandlerId, HandlerFn> handlers_;
+  std::array<HandlerFn, kHandlerCount> handlers_;
   bool ran_ = false;
 };
 

@@ -210,8 +210,9 @@ struct ObsConfig {
   /// POD events feeding postmortems. Independent of `enabled` (the span
   /// recorder); recording never allocates past construction and never
   /// schedules engine events, so schedules stay bit-identical.
-  /// Its capacity (obs::kFlightRecorderEntries per image) and the tail a
-  /// postmortem renders (obs::kPostmortemRecentEvents) are fixed.
+  /// One constant, obs::kPostmortemRecentEvents, fixes both the ring
+  /// capacity per image and the tail a postmortem renders: the ring holds
+  /// exactly that tail.
   bool flight_recorder = true;
 };
 

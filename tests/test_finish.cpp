@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "core/caf2.hpp"
@@ -321,15 +322,34 @@ TEST(Finish, PerDestinationCountsAreSparse) {
           image.finish_state(image.current_finish()).sent_to();
       EXPECT_LE(sent_to.size(), 2u);
       std::int64_t sent = 0;
-      for (const auto& [dest, count] : sent_to) {
-        sent += count;
-      }
+      sent_to.for_each([&sent](int, std::int64_t count) { sent += count; });
       EXPECT_EQ(sent, 2);
     });
     const long total = allreduce<long>(world, counter[0], RedOp::kSum);
     EXPECT_EQ(total, 2L * p);
     team_barrier(world);
   });
+}
+
+TEST(Finish, SendCountsKeepEveryDestinationApart) {
+  // Ranks a multiple of 64 apart share their low bits; each must keep its own
+  // count through every growth of the table.
+  rt::SendCounts counts;
+  std::map<int, std::int64_t> expected;
+  for (int dest = 0; dest < 4096; dest += 64) {
+    for (int n = 0; n <= dest / 64; ++n) {
+      counts.add(dest);
+      counts.add(1);
+      expected[dest] += 1;
+      expected[1] += 1;
+    }
+  }
+  EXPECT_EQ(counts.size(), expected.size());
+  std::map<int, std::int64_t> got;
+  counts.for_each([&got](int dest, std::int64_t count) {
+    EXPECT_TRUE(got.emplace(dest, count).second) << "dest " << dest;
+  });
+  EXPECT_EQ(got, expected);
 }
 
 TEST(Finish, NonMemberRejected) {

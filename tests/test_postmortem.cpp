@@ -136,6 +136,121 @@ TEST(FlightRecorder, RecordsDeliveriesDuringARun) {
   EXPECT_TRUE(saw_network_event);
 }
 
+/// The fields a postmortem renders, for comparing FrEvents.
+bool same_event(const obs::FrEvent& x, const obs::FrEvent& y) {
+  return x.t == y.t && x.a == y.a && x.b == y.b && x.peer == y.peer &&
+         x.kind == y.kind && x.label == y.label;
+}
+
+TEST(FlightRecorder, RuntimeRingHoldsExactlyThePostmortemTail) {
+  rt::Runtime runtime(base_options(2));
+  ASSERT_NE(runtime.flight_recorder(), nullptr);
+  EXPECT_EQ(runtime.flight_recorder()->capacity(),
+            obs::kPostmortemRecentEvents);
+}
+
+TEST(FlightRecorder, SmallAndLargeRingsReturnTheSameTail) {
+  // A ring of kPostmortemRecentEvents must hand a postmortem the same tail
+  // as a 256-entry ring fed the same interleaved stream: the deeper ring
+  // holds nothing more that a postmortem reads. Compare the tails while the
+  // rings are partly filled, once the small one has wrapped, and once both
+  // have wrapped.
+  constexpr std::size_t kTail = obs::kPostmortemRecentEvents;
+  obs::FlightRecorder small(2, kTail);
+  obs::FlightRecorder large(2, 256);
+  ASSERT_EQ(small.capacity(), kTail);
+  ASSERT_EQ(large.capacity(), 256u);
+  const char* const labels[] = {nullptr, "event_wait", "finish"};
+  const auto compare = [&](std::uint64_t fed) {
+    for (int image = 0; image < 2; ++image) {
+      ASSERT_EQ(small.total(image), large.total(image)) << "after " << fed;
+      const std::vector<obs::FrEvent> x = small.recent(image, kTail);
+      const std::vector<obs::FrEvent> y = large.recent(image, kTail);
+      ASSERT_EQ(x.size(), y.size()) << "after " << fed;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_TRUE(same_event(x[i], y[i]))
+            << "image " << image << " entry " << i << " after " << fed;
+      }
+    }
+  };
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const int image = i % 3 == 0 ? 0 : 1;
+    const auto kind = static_cast<obs::FrKind>(i % 13);
+    const auto peer = static_cast<int>(i % 7) - 1;
+    const char* label = labels[i % 3];
+    small.record(image, 0.5 * static_cast<double>(i), kind, peer, i * i,
+                 i >> 2, label);
+    large.record(image, 0.5 * static_cast<double>(i), kind, peer, i * i,
+                 i >> 2, label);
+    if (i == 4 || i == 3 * kTail || i == 999) {
+      compare(i + 1);
+    }
+  }
+}
+
+/// Image 0's postmortem section after \p barriers world barriers and then a
+/// deadlock on an event nobody notifies.
+obs::PmImage deadlock_after_barriers(int barriers) {
+  const obs::StallError error = expect_stall(base_options(2), [barriers] {
+    Team world = team_world();
+    for (int i = 0; i < barriers; ++i) {
+      team_barrier(world);
+    }
+    Event never;
+    never.wait();
+  });
+  if (error.postmortem() == nullptr ||
+      error.postmortem()->per_image.empty()) {
+    ADD_FAILURE() << "the stall carries no postmortem";
+    return {};
+  }
+  return error.postmortem()->per_image[0];
+}
+
+TEST(Postmortem, LongHistoryKeepsTheLastRecordsAndCountsEveryOne) {
+  // Every barrier records the same run of events on image 0, and the
+  // deadlock's wait comes last. Runs after 0 and 1 barriers give those two
+  // patterns; after 200 barriers image 0 has recorded far more than a
+  // 256-entry ring holds, and its tail must be exactly the last
+  // kPostmortemRecentEvents records of the repeated pattern.
+  constexpr std::uint64_t kBarriers = 200;
+  const obs::PmImage none = deadlock_after_barriers(0);
+  const obs::PmImage one = deadlock_after_barriers(1);
+  const obs::PmImage many = deadlock_after_barriers(kBarriers);
+  const std::uint64_t tail_records = none.recorded_total;
+  ASSERT_GT(one.recorded_total, tail_records);
+  const std::uint64_t per_barrier = one.recorded_total - tail_records;
+  ASSERT_EQ(one.recent.size(), one.recorded_total);
+  ASSERT_EQ(none.recent.size(), tail_records);
+
+  EXPECT_EQ(many.recorded_total, kBarriers * per_barrier + tail_records)
+      << "recorded_total counts every record, not just the retained tail";
+  ASSERT_GT(many.recorded_total, 256u);
+  ASSERT_EQ(many.recent.size(), obs::kPostmortemRecentEvents);
+
+  // Record g of the run repeats one barrier's record g % per_barrier until
+  // the barriers end, then the deadlock's records. Waits name their own
+  // event (payload a) and each barrier runs later, so compare the rest.
+  const std::uint64_t first = many.recorded_total - many.recent.size();
+  for (std::size_t i = 0; i < many.recent.size(); ++i) {
+    const std::uint64_t g = first + i;
+    const obs::FrEvent& expected =
+        g < kBarriers * per_barrier
+            ? one.recent[static_cast<std::size_t>(g % per_barrier)]
+            : none.recent[static_cast<std::size_t>(g -
+                                                   kBarriers * per_barrier)];
+    const obs::FrEvent& got = many.recent[i];
+    EXPECT_EQ(got.kind, expected.kind) << "entry " << i;
+    EXPECT_EQ(got.peer, expected.peer) << "entry " << i;
+    EXPECT_EQ(got.b, expected.b) << "entry " << i;
+    EXPECT_EQ(got.label, expected.label) << "entry " << i;
+    if (i > 0) {
+      EXPECT_LE(many.recent[i - 1].t, got.t) << "entry " << i;
+    }
+  }
+  EXPECT_EQ(many.recent.back().kind, obs::FrKind::kWaitBegin);
+}
+
 /// --- forced deadlocks: cycle detection ---------------------------------------
 
 TEST(Postmortem, TwoImageEventCycleNamesImagesAndResources) {

@@ -1,6 +1,6 @@
 /// Unit tests for the runtime core: teams (split semantics), events
 /// (counting, acquire/release, remote notification, triggers), coarrays
-/// (allocation, slicing, by-reference handles).
+/// (allocation, slicing, by-reference handles), and the handler table.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/caf2.hpp"
+#include "runtime/runtime.hpp"
 
 namespace {
 
@@ -327,6 +328,18 @@ TEST(Coarray, TriviallyCopyableStructsSupported) {
     EXPECT_EQ(swarm[1].x, 9.0);
     team_barrier(world);
   });
+}
+
+/// --- handler table -------------------------------------------------------------
+
+TEST(Runtime, HandlerIdsIndexAFixedTable) {
+  rt::Runtime runtime(options_with(2));
+  const rt::HandlerFn noop = [](rt::Image&, net::Message&&) {};
+  EXPECT_THROW(runtime.set_handler(rt::kHandlerCount, noop), UsageError);
+  EXPECT_THROW(runtime.handler(rt::kHandlerSpawn), FatalError)
+      << "an id with no handler installed";
+  runtime.set_handler(rt::kHandlerCount - 1, noop);
+  EXPECT_TRUE(static_cast<bool>(runtime.handler(rt::kHandlerCount - 1)));
 }
 
 }  // namespace
