@@ -144,6 +144,7 @@ double measure_point(CollKind kind, CollAlgorithm algo, int images,
     }
   });
   record.wall_seconds = timer.seconds();
+  record.schedule_digest = bench::digest_hex(stats.schedule_digest);
   record.events = stats.events;
   record.virtual_us = stats.virtual_us;
   record.events_per_sec =

@@ -213,14 +213,26 @@ inline std::vector<BenchRecord> run_sweep(std::vector<SweepPoint> points,
   return results;
 }
 
+/// A schedule digest as 16 lower-case hex digits, the form every sweep
+/// record carries (BenchRecord::schedule_digest): equal digests at two
+/// commits or shard counts mean the same schedule.
+inline std::string digest_hex(std::uint64_t digest) {
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return text;
+}
+
 /// Run one simulation under wall-clock measurement and fill the simulator-
-/// side fields of a BenchRecord (wall seconds, events, events/sec).
+/// side fields of a BenchRecord (wall seconds, events, events/sec, schedule
+/// digest).
 inline BenchRecord measure_run(const RuntimeOptions& options,
                                const std::function<void()>& body) {
   WallTimer timer;
   const RunStats stats = run_stats(options, body);
   BenchRecord record;
   record.wall_seconds = timer.seconds();
+  record.schedule_digest = digest_hex(stats.schedule_digest);
   record.events = stats.events;
   record.virtual_us = stats.virtual_us;
   record.events_per_sec =

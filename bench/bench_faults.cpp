@@ -79,6 +79,7 @@ BenchRecord measure_point(const PointConfig& config) {
 
   BenchRecord record;
   record.wall_seconds = timer.seconds();
+  record.schedule_digest = bench::digest_hex(stats.schedule_digest);
   record.events = stats.events;
   record.virtual_us = stats.virtual_us;
   record.events_per_sec =

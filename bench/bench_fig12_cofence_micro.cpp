@@ -51,6 +51,7 @@ constexpr double kProduceCostUs = 2.0;  // produce_work_next_rnd() model
 struct VariantResult {
   double elapsed_us = 0.0;
   std::shared_ptr<const obs::Capture> capture;
+  std::uint64_t schedule_digest = 0;
 };
 
 VariantResult run_variant(Variant variant, int images, int iterations,
@@ -120,7 +121,7 @@ VariantResult run_variant(Variant variant, int images, int iterations,
     elapsed_us = now_us() - t0;
     team_barrier(world);
   });
-  return {elapsed_us, stats.obs};
+  return {elapsed_us, stats.obs, stats.schedule_digest};
 }
 
 }  // namespace
@@ -165,6 +166,8 @@ int main(int argc, char** argv) {
       record.name = std::string(variant_name(variants[v])) +
                     "/images=" + std::to_string(images);
       record.virtual_us = results[v].elapsed_us;
+      record.schedule_digest =
+          caf2::bench::digest_hex(results[v].schedule_digest);
       record.metrics.emplace_back("images", images);
       record.metrics.emplace_back("virtual_ms",
                                   results[v].elapsed_us / 1000.0);

@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
 
     BenchRecord record;
     record.name = "uts/images=" + std::to_string(images);
+    record.schedule_digest = bench::digest_hex(run_result.schedule_digest);
     record.virtual_us = run_result.virtual_us;
     record.events = run_result.events;
     record.metrics.emplace_back("images", images);

@@ -15,6 +15,7 @@ namespace {
 struct RoundsResult {
   int rounds = 0;  ///< reduce_max over every image's last finish report
   std::shared_ptr<const caf2::obs::Capture> capture;
+  std::uint64_t schedule_digest = 0;
 };
 
 RoundsResult rounds_for(caf2::DetectorKind detector, int images, int shards,
@@ -32,6 +33,7 @@ RoundsResult rounds_for(caf2::DetectorKind detector, int images, int shards,
         team_world(), static_cast<double>(uts.finish_rounds)));
   });
   result.capture = stats.obs;
+  result.schedule_digest = stats.schedule_digest;
   return result;
 }
 
@@ -97,6 +99,7 @@ int main(int argc, char** argv) {
       record.metrics.emplace_back("rounds",
                                   static_cast<double>(entry.result->rounds));
       record.metrics.emplace_back("ceil_log2_images", ceil_log2_images);
+      record.schedule_digest = bench::digest_hex(entry.result->schedule_digest);
       if (entry.result->capture) {
         const obs::BlameReport report =
             obs::analyze_blame(*entry.result->capture);

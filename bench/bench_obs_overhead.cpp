@@ -6,7 +6,8 @@
 ///    as alternating off/on pairs, so scheduler noise and host-speed drift
 ///    do not masquerade as recorder cost), and
 ///  - whether the virtual schedule stayed bit-identical (events, virtual
-///    time, context switches) — recording must never schedule events.
+///    time, context switches, schedule digest) — recording must never
+///    schedule events.
 ///
 /// In --quick mode (run from ctest as bench_obs_overhead_smoke) the driver
 /// exits nonzero if the schedule differs at all or the wall overhead
@@ -75,12 +76,14 @@ void measure(Sample& off, Sample& on, int images, int iters, int trials) {
 
 bool schedule_identical(const RunStats& a, const RunStats& b) {
   return a.events == b.events && a.virtual_us == b.virtual_us &&
-         a.context_switches == b.context_switches;
+         a.context_switches == b.context_switches &&
+         a.schedule_digest == b.schedule_digest;
 }
 
 BenchRecord to_record(const Sample& sample) {
   BenchRecord record;
   record.wall_seconds = sample.best_wall;
+  record.schedule_digest = bench::digest_hex(sample.stats.schedule_digest);
   record.events = sample.stats.events;
   record.virtual_us = sample.stats.virtual_us;
   record.events_per_sec =

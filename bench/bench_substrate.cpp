@@ -47,6 +47,7 @@ BenchRecord measure_engine(int participants,
   engine.run(body);
   BenchRecord record;
   record.wall_seconds = timer.seconds();
+  record.schedule_digest = bench::digest_hex(engine.schedule_digest());
   record.events = engine.event_count();
   record.virtual_us = engine.now();
   record.events_per_sec =

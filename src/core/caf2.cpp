@@ -24,6 +24,7 @@ RunStats run_stats(const RuntimeOptions& options,
   stats.events = runtime.engine().event_count();
   stats.virtual_us = runtime.engine().now();
   stats.context_switches = runtime.engine().context_switch_count();
+  stats.schedule_digest = runtime.engine().schedule_digest();
   stats.peak_rss_bytes = peak_rss_bytes();
   stats.shards = runtime.engine().shard_count();
   stats.windows = runtime.engine().window_count();

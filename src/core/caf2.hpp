@@ -53,21 +53,25 @@ void run(const RuntimeOptions& options, const std::function<void()>& body);
 /// Simulator-side statistics of one completed run (real cost of the
 /// simulation, as opposed to the virtual-time results the run computed).
 ///
-/// events, virtual_us, context_switches, and faults are deterministic: for a
-/// given options + body (and shard count) they are bit-identical across
-/// repeats. peak_rss_bytes is a *measured* property of the host process
-/// (monotone high-water mark, not deterministic) — determinism comparisons
-/// must exclude it.
+/// events, virtual_us, context_switches, schedule_digest, and faults are
+/// deterministic: for a given options + body (and shard count) they are
+/// bit-identical across repeats. peak_rss_bytes is a *measured* property of
+/// the host process (monotone high-water mark, not deterministic) —
+/// determinism comparisons must exclude it.
 struct RunStats {
   std::uint64_t events = 0;  ///< engine events dispatched
   double virtual_us = 0.0;   ///< final virtual time
   std::uint64_t context_switches = 0;  ///< token handoffs between images
+  /// sim::Engine::schedule_digest(): one 64-bit digest of every scheduling
+  /// decision, equal across repeats and at every shard count.
+  std::uint64_t schedule_digest = 0;
   /// Process peak RSS after the run, summed over every worker thread (Linux:
   /// VmHWM of the whole process, not just the scheduler thread).
   std::uint64_t peak_rss_bytes = 0;
   /// --- sharded execution (DESIGN.md §4.11) ----------------------------------
-  /// events, virtual_us, faults and obs are the same at every shard count
-  /// (obs up to which network spans a binding max_net_track_bytes keeps);
+  /// events, virtual_us, schedule_digest, faults and obs are the same at
+  /// every shard count (obs up to which network spans a binding
+  /// max_net_track_bytes keeps);
   /// context_switches, windows, window_stalls and shard_events describe the
   /// partition and are deterministic for a fixed shard count.
   /// shards=1 reports windows = window_stalls = 0 and a single shard_events

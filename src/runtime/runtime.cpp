@@ -38,13 +38,13 @@ void set_current(Image* image, Runtime* runtime) {
 /// A bare shared counter would be read at real-time-racy moments on a
 /// multi-shard engine: an image polled awake on one shard could observe
 /// arrivals another shard made "in the future" of its own virtual clock,
-/// making the final wake times — and thus traces and context-switch counts —
-/// differ between identically-seeded runs. The gate is therefore
-/// event-driven: arrivals funnel to image 0 as engine events one wire
-/// latency later, at every shard count, and the completed count releases
-/// each image through a per-image flag that only a call running at that
-/// image touches, so every predicate read is a deterministic function of
-/// virtual time.
+/// making the final wake times — and thus schedule digests and
+/// context-switch counts — differ between identically-seeded runs. The gate
+/// is therefore event-driven: arrivals funnel to image 0 as engine events
+/// one wire latency later, at every shard count, and the completed count
+/// releases each image through a per-image flag that only a call running at
+/// that image touches, so every predicate read is a deterministic function
+/// of virtual time.
 struct ExitGate {
   int expected = 0;
   int collected = 0;  ///< arrivals seen at image 0
@@ -71,7 +71,6 @@ Runtime& Runtime::current() {
 Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   CAF2_REQUIRE(options_.num_images > 0, "need at least one image");
   sim::EngineOptions engine_options;
-  engine_options.record_trace = options_.record_trace;
   engine_options.max_events = options_.max_events;
   engine_options.label = options_.label;
   engine_options.watchdog_quiet_us = options_.watchdog_quiet_us;

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -60,6 +61,19 @@ constexpr int kPosterShift = 40;
 constexpr std::uint64_t kMaxPosts = std::uint64_t{1} << kPosterShift;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Odd multipliers (2^64 / golden ratio, and SplitMix64's first), so
+/// multiplying by either is a bijection on 64-bit words.
+constexpr std::uint64_t kDigestMul = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kKindMul = 0xbf58476d1ce4e5b9ULL;
+
+/// Fold one word into a running digest. For a fixed word the step is a
+/// bijection of the digest, so two sequences that differ in one word always
+/// end in different digests, and the rotate and multiply do not commute
+/// with the xor, so the order of the words counts too.
+constexpr std::uint64_t fold_word(std::uint64_t digest, std::uint64_t word) {
+  return (std::rotl(digest, 23) ^ word) * kDigestMul;
+}
 }  // namespace
 
 Engine* Engine::current_engine() { return tls_context.engine; }
@@ -160,12 +174,22 @@ std::uint64_t Engine::context_switch_count() const {
   return total;
 }
 
-std::uint64_t Engine::trace_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->trace_dropped;
+std::uint64_t Engine::schedule_digest() const {
+  std::uint64_t digest = 0;
+  for (const auto& participant : participants_) {
+    digest = fold_word(fold_word(digest, participant->schedule.digest),
+                       participant->schedule.decisions);
   }
-  return total;
+  return digest;
+}
+
+std::vector<ParticipantDigest> Engine::participant_digests() const {
+  std::vector<ParticipantDigest> digests;
+  digests.reserve(participants_.size());
+  for (const auto& participant : participants_) {
+    digests.push_back(participant->schedule);
+  }
+  return digests;
 }
 
 std::uint64_t Engine::window_count() const {
@@ -183,18 +207,18 @@ std::vector<std::uint64_t> Engine::shard_event_counts() const {
   return counts;
 }
 
-void Engine::record(Shard& shard, TraceKind kind, int participant) {
-  if (!options_.record_trace) {
-    return;
-  }
-  if (options_.max_trace_entries != 0 &&
-      shard.trace.size() >= options_.max_trace_entries) {
-    ++shard.trace_dropped;
-    return;
-  }
-  shard.trace.push_back(TraceEntry{shard.trace.size(),
-                                   shard.now_us.load(std::memory_order_relaxed),
-                                   kind, participant});
+void Engine::fold(Participant& subject, Decision kind, double at,
+                  std::uint64_t key) {
+  // One word per decision keeps the hot path to two multiplies. The key and
+  // the kind are spread over all 64 bits by different multipliers before
+  // the time's bits are xored in: a change in any one of time, kind or key
+  // changes the word, and two changes cancel only by coincidence.
+  const std::uint64_t tag =
+      key * kDigestMul + static_cast<std::uint64_t>(kind) * kKindMul;
+  ParticipantDigest& schedule = subject.schedule;
+  schedule.digest =
+      fold_word(schedule.digest, std::bit_cast<std::uint64_t>(at) ^ tag);
+  ++schedule.decisions;
 }
 
 std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
@@ -384,13 +408,13 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
 
     const QueuedEvent event = shard.queue.pop();
     bump(shard.dispatched);
-    shard.now_us.store(
-        std::max(shard.now_us.load(std::memory_order_relaxed), event.at),
-        std::memory_order_relaxed);
+    const double now =
+        std::max(shard.now_us.load(std::memory_order_relaxed), event.at);
+    shard.now_us.store(now, std::memory_order_relaxed);
 
     if (event.call_slot != kNoSlot) {
       shard.run_home = event.participant;
-      record(shard, TraceKind::kCall, event.participant);
+      fold(*participants_[event.participant], Decision::kCall, now, event.seq);
       // Callbacks (network staging, deliveries, timers) run under the
       // scheduler loop's context, on the loop or on the stack of the
       // participant that is handing the token on. No participant of this
@@ -423,7 +447,7 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
     if (target.state == PState::kFinished || target.active) {
       continue;  // stale wake
     }
-    record(shard, TraceKind::kWake, target.id);
+    fold(target, Decision::kWake, now, event.seq);
     target.active = true;
     target.state = PState::kRunnable;
     if (target.id != shard.token_owner) {
@@ -478,7 +502,7 @@ void Engine::advance(double dt) {
 
   const double now = shard.now_us.load(std::memory_order_relaxed);
   const double target = now + dt;
-  record(shard, TraceKind::kAdvance, self.id);
+  fold(self, Decision::kAdvance, now);
   if (observer_ != nullptr && dt > 0.0) {
     observer_->on_compute(self.id, now, target);
   }
@@ -498,10 +522,10 @@ void Engine::block(const char* reason) {
   Participant& self = *participants_[tls_context.id];
   Shard& shard = home_shard(self.id);
   CAF2_ASSERT(self.active, "block() caller does not hold the token");
-  record(shard, TraceKind::kBlock, self.id);
+  const double now = shard.now_us.load(std::memory_order_relaxed);
+  fold(self, Decision::kBlock, now);
   if (observer_ != nullptr) {
-    observer_->on_block_begin(
-        self.id, shard.now_us.load(std::memory_order_relaxed), reason);
+    observer_->on_block_begin(self.id, now, reason);
   }
   self.state = PState::kWaiting;
   self.block_reason = reason;
@@ -759,7 +783,7 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
   if (++shard.finished_count == shard.count) {
     shard.horizon = -kInf;  // wait for the barrier (see the file comment)
   }
-  record(shard, TraceKind::kFinish, id);
+  fold(self, Decision::kFinish, shard.now_us.load(std::memory_order_relaxed));
 }
 
 void Engine::resume_fiber(Shard& shard, Participant& target) {
@@ -779,7 +803,7 @@ void Engine::unwind_live_fibers(Shard& shard) {
     }
     if (!participant.fiber->started()) {
       // Never received the token: retire it without running the body (and
-      // without a kFinish record).
+      // without a kFinish decision).
       participant.state = PState::kFinished;
       participant.active = false;
       ++shard.finished_count;
@@ -850,24 +874,6 @@ void Engine::run(const std::function<void(int)>& body) {
     worker.join();
   }
   quiesced_.store(true, std::memory_order_release);
-
-  if (options_.record_trace) {
-    if (shards_.size() == 1) {
-      trace_ = std::move(shards_[0]->trace);
-      shards_[0]->trace.clear();
-    } else {
-      std::size_t total = 0;
-      for (const auto& shard : shards_) {
-        total += shard->trace.size();
-      }
-      trace_.reserve(total);
-      for (auto& shard : shards_) {
-        trace_.insert(trace_.end(), shard->trace.begin(), shard->trace.end());
-        shard->trace.clear();
-        shard->trace.shrink_to_fit();
-      }
-    }
-  }
 
   if (failed_) {
     std::rethrow_exception(first_error_);

@@ -32,7 +32,10 @@
 /// poster's own home. The *poster* is the calling participant or the
 /// running call's run home (image 0 before run()). Events are keyed
 /// `(at, poster, poster's post counter)`, a function of the program alone
-/// (DESIGN.md §4.6).
+/// (DESIGN.md §4.6). Every participant folds the decisions made at it, keys
+/// included, into a running schedule digest (ParticipantDigest): the one
+/// oracle for "same schedule" across repeats, shard counts and commits
+/// (DESIGN.md §4.8).
 ///
 /// Hot-path properties that keep dispatch cheap (DESIGN.md §4.6):
 ///  - queued events are 24-byte PODs; a Call event's closure lives in a
@@ -110,7 +113,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 #include "sim/inline_fn.hpp"
-#include "sim/trace.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
 
@@ -146,15 +148,8 @@ struct ExecContext {
 
 /// Engine knobs (a subset of caf2::RuntimeOptions relevant to scheduling).
 struct EngineOptions {
-  bool record_trace = false;
   std::uint64_t max_events = 0;  ///< 0 = unlimited
   std::string label = "sim";
-
-  /// Upper bound on recorded TraceEntry records per shard (0 = unlimited).
-  /// Entries past the cap are counted (Engine::trace_dropped()) and
-  /// discarded, so record_trace on a long 1024-image run cannot grow without
-  /// bound. The default bounds the trace at ~128 MiB per shard.
-  std::uint64_t max_trace_entries = std::uint64_t{1} << 22;
 
   /// Quiet-period watchdog (virtual microseconds; 0 = disabled). When every
   /// unfinished participant is blocked and the earliest pending event lies
@@ -185,6 +180,19 @@ struct EngineOptions {
   /// another. The runtime derives it from the network's minimum link
   /// latency. <= 0 disables sharding (automatic fallback to shards = 1).
   double lookahead_us = 0.0;
+};
+
+/// The scheduling decisions made at one participant, folded in order: every
+/// wake it received, every call that ran at it (its run home), and every
+/// block, advance and finish of its body. Each decision folds its virtual
+/// time and kind, and a dispatched event also its key (`poster << 40 |
+/// poster's post counter`), so two same-time events that swap places change
+/// the digest even when every count stays equal.
+struct ParticipantDigest {
+  std::uint64_t digest = 0;
+  std::uint64_t decisions = 0;
+
+  bool operator==(const ParticipantDigest&) const = default;
 };
 
 class Engine {
@@ -316,14 +324,15 @@ class Engine {
   /// different shards never hand off.
   std::uint64_t context_switch_count() const;
 
-  /// Recorded trace (empty unless EngineOptions::record_trace). Populated
-  /// when run() returns; in a sharded run it is the concatenation of the
-  /// per-shard traces in shard order. Each participant's own subsequence
-  /// (kCall entries carry their run home) is the same at every shard count.
-  const std::vector<TraceEntry>& trace() const { return trace_; }
+  /// One 64-bit digest of the whole schedule: the participants' digests
+  /// (participant_digests()) combined in participant order. Equal across
+  /// repeats and at every shard count; any change to which event ran when
+  /// at any participant changes it. Read it between runs.
+  std::uint64_t schedule_digest() const;
 
-  /// Trace entries discarded by EngineOptions::max_trace_entries.
-  std::uint64_t trace_dropped() const;
+  /// Every participant's share of the schedule, indexed by participant id,
+  /// so a mismatch can name the first participant whose schedule differs.
+  std::vector<ParticipantDigest> participant_digests() const;
 
   /// --- sharding ------------------------------------------------------------
 
@@ -356,7 +365,7 @@ class Engine {
   /// Attach an observability recorder (nullptr detaches; see obs/obs.hpp).
   /// Hooks fire from advance() and block(); a null observer costs one branch.
   /// Recording never schedules events, so an observed run's event schedule,
-  /// trace, and stats are bit-identical to an unobserved one. Sharded
+  /// digest, and stats are bit-identical to an unobserved one. Sharded
   /// engines are supported when the recorder was given this engine's
   /// partition (obs::Recorder's lane_of_image constructor argument): every
   /// per-image hook fires on the image's home shard, and network spans go
@@ -366,12 +375,24 @@ class Engine {
  private:
   enum class PState : std::uint8_t { kIdle, kRunnable, kWaiting, kFinished };
 
+  /// The scheduling decisions a participant's digest folds.
+  enum class Decision : std::uint8_t {
+    kWake,
+    kCall,
+    kBlock,
+    kAdvance,
+    kFinish
+  };
+
   struct Participant {
     int id = -1;
     PState state = PState::kIdle;
     /// Events this participant's contexts posted: the low bits of their
     /// keys. Touched only on its home shard.
     std::uint64_t posts = 0;
+    /// Decisions made at this participant (see ParticipantDigest). Touched
+    /// only on its home shard.
+    ParticipantDigest schedule;
     bool active = false;  ///< holds (or is about to receive) the token
     const char* block_reason = nullptr;  ///< static string, while kWaiting
     std::unique_ptr<Fiber> fiber;
@@ -470,9 +491,6 @@ class Engine {
     // The shard's first failure this window; once set, the shard dispatches
     // nothing more until the barrier ends the run.
     std::optional<Failure> failure;
-
-    std::vector<TraceEntry> trace;
-    std::uint64_t trace_dropped = 0;
 
     // Cross-shard staging (multi-shard runs only).
     std::mutex inbox_mutex;
@@ -586,7 +604,10 @@ class Engine {
   /// engine.
   bool all_unfinished_blocked_locked() const;
 
-  void record(Shard& shard, TraceKind kind, int participant);
+  /// Fold one decision made at \p subject into its digest; \p key is the
+  /// dispatched event's key (0 for the body's own block/advance/finish).
+  static void fold(Participant& subject, Decision kind, double at,
+                   std::uint64_t key = 0);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::int32_t> shard_index_;  ///< participant id -> shard
@@ -620,7 +641,6 @@ class Engine {
   double window_end_ = 0.0;
   bool draining_ = false;  ///< the last window, after every image finished
 
-  std::vector<TraceEntry> trace_;  ///< merged after run()
   obs::Recorder* observer_ = nullptr;
 };
 

@@ -78,6 +78,10 @@ bool write_bench_json(
     print_number(f, r.events_per_sec);
     std::fputs(", \"virtual_us\": ", f);
     print_number(f, r.virtual_us);
+    if (!r.schedule_digest.empty()) {
+      std::fprintf(f, ", \"schedule_digest\": \"%s\"",
+                   json_escape(r.schedule_digest).c_str());
+    }
     for (const auto& [key, value] : r.metrics) {
       std::fprintf(f, ", \"%s\": ", json_escape(key).c_str());
       print_number(f, value);

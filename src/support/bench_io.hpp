@@ -45,6 +45,9 @@ struct BenchRecord {
   std::uint64_t events = 0;      ///< simulator events dispatched
   double events_per_sec = 0.0;   ///< events / wall_seconds
   double virtual_us = 0.0;       ///< final virtual time of the run
+  /// The run's RunStats::schedule_digest as 16 hex digits; written to the
+  /// JSON only when set.
+  std::string schedule_digest;
   /// Driver-specific extras (e.g. "images", "bunch", "virtual_ms").
   std::vector<std::pair<std::string, double>> metrics;
 };

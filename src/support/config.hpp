@@ -187,8 +187,8 @@ struct NetworkParams {
 /// engine, network, and runtime is a single null-pointer test, no span or
 /// metric storage is allocated, and the event schedule is untouched. Enabled,
 /// the recorder only ever appends to per-image buffers — it never schedules
-/// events — so traces, event counts, and RunStats of an instrumented run are
-/// bit-identical to an uninstrumented one.
+/// events — so schedule digests, event counts, and RunStats of an
+/// instrumented run are bit-identical to an uninstrumented one.
 struct ObsConfig {
   /// Master switch. When false nothing is recorded and RunStats::obs is null.
   bool enabled = false;
@@ -226,10 +226,6 @@ struct RuntimeOptions {
 
   /// Master seed; expanded per image / subsystem via SplitMix64.
   std::uint64_t seed = 0x9E3779B97F4A7C15ULL;
-
-  /// When true the engine records an event trace (sequence of (time, image,
-  /// kind) triples) that tests use to assert determinism.
-  bool record_trace = false;
 
   /// Upper bound on executed simulation events; guards against accidental
   /// infinite message loops in tests. Zero means unlimited.

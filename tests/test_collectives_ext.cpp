@@ -19,7 +19,7 @@
 #include "runtime/internal.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/fiber.hpp"
-#include "sim/trace.hpp"
+#include "schedule_check.hpp"
 
 namespace {
 
@@ -676,10 +676,10 @@ TEST(CollSelection, RdAllgatherClampsToRingOnNonPow2Teams) {
   EXPECT_TRUE(saw_ring);
 }
 
-/// --- determinism matrix: algorithm × {shards 1,4} × {threads,fibers} --------
+/// --- determinism matrix: algorithm × {shards 1,2,4} × repeats ---------------
 
 struct CollFingerprint {
-  std::string trace;
+  std::vector<sim::ParticipantDigest> digests;
   std::uint64_t events = 0;
   double end_us = 0.0;
   std::vector<long> result;  // image 0's buffers after the workload
@@ -694,7 +694,6 @@ RuntimeOptions matrix_options(int shards) {
   options.net.handler_cost_us = 0.1;
   options.net.jitter_us = 0.9;  // non-FIFO deliveries
   options.max_events = 50'000'000;
-  options.record_trace = true;
   return options;
 }
 
@@ -765,7 +764,7 @@ CollFingerprint coll_fingerprint(const RuntimeOptions& options,
       fp.result = sink;
     }
   });
-  fp.trace = sim::render_trace(runtime.engine().trace());
+  fp.digests = runtime.engine().participant_digests();
   fp.events = runtime.engine().event_count();
   fp.end_us = runtime.engine().now();
   return fp;
@@ -773,27 +772,23 @@ CollFingerprint coll_fingerprint(const RuntimeOptions& options,
 
 class CollMatrix : public ::testing::TestWithParam<CollAlgorithm> {};
 
-TEST_P(CollMatrix, BitIdenticalTracesAndResultsAcrossShardsAndRepeats) {
+TEST_P(CollMatrix, BitIdenticalSchedulesAndResultsAcrossShardsAndRepeats) {
   const CollAlgorithm algo = GetParam();
-  std::vector<CollFingerprint> fps;
-  std::vector<long> expect_result;
-  bool have_expect = false;
-  for (const int shards : {1, 4}) {
+  const CollFingerprint serial = coll_fingerprint(matrix_options(1), algo);
+  for (const int shards : {1, 2, 4}) {
     // Repeats at a fixed shard count must be bit-identical.
     const CollFingerprint a = coll_fingerprint(matrix_options(shards), algo);
     const CollFingerprint b = coll_fingerprint(matrix_options(shards), algo);
-    EXPECT_EQ(a.trace, b.trace) << "shards " << shards;
+    EXPECT_TRUE(test::same_schedule(a.digests, b.digests))
+        << "shards " << shards;
     EXPECT_EQ(a.events, b.events) << "shards " << shards;
     EXPECT_EQ(a.end_us, b.end_us) << "shards " << shards;
     EXPECT_EQ(a.result, b.result) << "shards " << shards;
-    // Result buffers are schedule-independent and shard-count-independent.
-    if (!have_expect) {
-      expect_result = a.result;
-      have_expect = true;
-    } else {
-      EXPECT_EQ(a.result, expect_result) << "shards " << shards;
-    }
-    fps.push_back(a);
+    // Every shard count runs the serial schedule, so the result buffers
+    // agree too.
+    EXPECT_TRUE(test::same_schedule(a.digests, serial.digests))
+        << "shards " << shards;
+    EXPECT_EQ(a.result, serial.result) << "shards " << shards;
   }
 }
 

@@ -1,8 +1,9 @@
 /// Determinism regression tests for repeated runs (DESIGN.md §4.6).
 ///
 /// Every run must repeat exactly. These tests pin that down at both layers:
-///  - engine level: recorded traces (every scheduler decision), event counts
-///    and context switch counts must match entry for entry between repeats;
+///  - engine level: schedule digests (every scheduler decision at every
+///    participant), event counts and context switch counts must match
+///    between repeats;
 ///  - runtime level: a seeded RandomAccess workload over the jittered
 ///    Gemini-class network must dispatch the same number of events, end at
 ///    the same virtual time, and compute the same kernel timings on every
@@ -15,14 +16,13 @@
 /// The shard-invariance suite at the end runs scaled-down analogues of the
 /// perfbench workloads, a fault plan and a team split at shards 1, 2 and 4,
 /// and requires one schedule: the same event count, end time, fault totals,
-/// per-participant trace, and byte-identical obs text and Chrome-trace
-/// exports and blame.
+/// per-participant schedule digests, and byte-identical obs text and
+/// Chrome-trace exports and blame.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <span>
 #include <sstream>
 #include <string>
@@ -38,6 +38,7 @@
 #include "runtime/runtime.hpp"
 #include "sim/engine.hpp"
 #include "sim/participant.hpp"
+#include "schedule_check.hpp"
 
 namespace {
 
@@ -63,25 +64,28 @@ void mixed_body(int id) {
 }
 
 struct EngineResult {
-  std::string trace;
+  std::vector<ParticipantDigest> digests;
   std::uint64_t context_switches = 0;
   std::uint64_t events = 0;
 };
 
-EngineResult traced_engine_run() {
-  EngineOptions options;
-  options.record_trace = true;
-  Engine engine(4, options);
+EngineResult engine_run() {
+  Engine engine(4);
   engine.run(mixed_body);
-  EXPECT_GT(engine.trace().size(), 100u);
-  return {render_trace(engine.trace()), engine.context_switch_count(),
-          engine.event_count()};
+  EngineResult result{engine.participant_digests(),
+                      engine.context_switch_count(), engine.event_count()};
+  std::uint64_t decisions = 0;
+  for (const ParticipantDigest& participant : result.digests) {
+    decisions += participant.decisions;
+  }
+  EXPECT_GT(decisions, 100u);
+  return result;
 }
 
-TEST(Determinism, EngineTraceIdenticalAcrossRepeats) {
-  const EngineResult first = traced_engine_run();
-  const EngineResult second = traced_engine_run();
-  EXPECT_EQ(first.trace, second.trace);
+TEST(Determinism, EngineScheduleIdenticalAcrossRepeats) {
+  const EngineResult first = engine_run();
+  const EngineResult second = engine_run();
+  EXPECT_TRUE(caf2::test::same_schedule(first.digests, second.digests));
   EXPECT_EQ(first.events, second.events);
   EXPECT_GT(first.context_switches, 0u);
   EXPECT_EQ(first.context_switches, second.context_switches);
@@ -123,23 +127,24 @@ TEST(Determinism, RuntimeWorkloadIdenticalAcrossRepeats) {
   EXPECT_EQ(first.stats.events, second.stats.events);
   EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us);
   EXPECT_EQ(first.stats.context_switches, second.stats.context_switches);
+  EXPECT_EQ(first.stats.schedule_digest, second.stats.schedule_digest);
   EXPECT_EQ(first.elapsed_us, second.elapsed_us);
 }
 
 /// --- determinism under injected faults (DESIGN.md §4.7) ---------------------
 ///
 /// Fault decisions come from dedicated RNG streams, so a seeded run with an
-/// active FaultPlan must be bit-reproducible, down to the full scheduler
-/// trace.
+/// active FaultPlan must be bit-reproducible, down to every participant's
+/// schedule digest.
 
 void fault_bump(caf2::Coref<long> counter) { counter.local()[0] += 1; }
 
 struct FaultyResult {
   caf2::RunStats stats;
-  std::string trace;
+  std::vector<ParticipantDigest> digests;
 };
 
-FaultyResult faulty_traced_run() {
+FaultyResult faulty_run() {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
@@ -150,7 +155,6 @@ FaultyResult faulty_traced_run() {
   options.net.faults.all.delay_probability = 0.10;
   options.net.faults.all.delay_max_us = 5.0;
   options.seed = 424242;
-  options.record_trace = true;
 
   caf2::rt::Runtime runtime(options);
   caf2::rt::install_event_handlers(runtime);
@@ -177,7 +181,7 @@ FaultyResult faulty_traced_run() {
   result.stats.virtual_us = runtime.engine().now();
   result.stats.context_switches = runtime.engine().context_switch_count();
   result.stats.faults = runtime.network().fault_stats();
-  result.trace = render_trace(runtime.engine().trace());
+  result.digests = runtime.engine().participant_digests();
   EXPECT_GT(result.stats.faults.deliveries_dropped +
                 result.stats.faults.deliveries_duplicated +
                 result.stats.faults.acks_dropped,
@@ -186,10 +190,10 @@ FaultyResult faulty_traced_run() {
   return result;
 }
 
-TEST(Determinism, FaultyRunTraceIdenticalAcrossRepeats) {
-  const FaultyResult first = faulty_traced_run();
-  const FaultyResult second = faulty_traced_run();
-  EXPECT_EQ(first.trace, second.trace);
+TEST(Determinism, FaultyRunScheduleIdenticalAcrossRepeats) {
+  const FaultyResult first = faulty_run();
+  const FaultyResult second = faulty_run();
+  EXPECT_TRUE(caf2::test::same_schedule(first.digests, second.digests));
   EXPECT_EQ(first.stats.events, second.stats.events);
   EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us);
   EXPECT_EQ(first.stats.context_switches, second.stats.context_switches);
@@ -210,27 +214,15 @@ std::string exact(double value) {
   return buffer;
 }
 
-/// Each participant's (time, kind) subsequence of the engine trace; a kCall
-/// entry counts toward the participant it ran at.
-std::string canonical_trace(const std::vector<TraceEntry>& trace) {
-  std::map<int, std::string> per_participant;
-  for (const TraceEntry& entry : trace) {
-    std::string& line = per_participant[entry.participant];
-    line += exact(entry.time);
-    line += ' ';
-    line += to_string(entry.kind);
-    line += ';';
-  }
-  std::string out;
-  for (const auto& [participant, line] : per_participant) {
-    out += std::to_string(participant) + ": " + line + "\n";
-  }
-  return out;
-}
+/// Everything about a run that must not depend on the shard count: the
+/// per-participant schedule digests, and the counts and obs exports as text.
+struct Outcome {
+  std::vector<ParticipantDigest> digests;
+  std::string text;
+};
 
-/// Everything about a run that must not depend on the shard count.
-std::string invariant_outcome(const caf2::RuntimeOptions& options,
-                              const std::function<void()>& body) {
+Outcome invariant_outcome(const caf2::RuntimeOptions& options,
+                          const std::function<void()>& body) {
   caf2::rt::Runtime runtime(options);
   caf2::rt::install_event_handlers(runtime);
   caf2::ops::install_copy_handlers(runtime);
@@ -247,13 +239,12 @@ std::string invariant_outcome(const caf2::RuntimeOptions& options,
      << " " << faults.deliveries_delayed << " " << faults.acks_dropped << " "
      << faults.retransmits << " " << faults.duplicates_suppressed << " "
      << faults.scripted_applied << "\n";
-  os << canonical_trace(runtime.engine().trace());
   if (const auto capture = runtime.take_capture()) {
     os << caf2::obs::to_text(*capture);
     os << caf2::obs::to_chrome_trace(*capture);
     os << caf2::obs::to_text(caf2::obs::analyze_blame(*capture));
   }
-  return os.str();
+  return {runtime.engine().participant_digests(), os.str()};
 }
 
 caf2::RuntimeOptions invariance_options(int images, std::uint64_t seed) {
@@ -262,21 +253,29 @@ caf2::RuntimeOptions invariance_options(int images, std::uint64_t seed) {
   options.net = caf2::NetworkParams::gemini_like();
   options.net.jitter_us = 0.5;
   options.seed = seed;
-  options.record_trace = true;
   options.max_events = 50'000'000;
   return options;
 }
 
-/// Run \p body at shards 1, 2 and 4 and require one outcome.
+/// Run \p body three times each at shards 1, 2 and 4 and require one
+/// outcome.
 void expect_one_schedule(caf2::RuntimeOptions options,
                          const std::function<void()>& body) {
   options.shards = 1;
-  const std::string reference = invariant_outcome(options, body);
-  EXPECT_GT(reference.size(), 100u);
-  for (const int shards : {2, 4}) {
+  const Outcome reference = invariant_outcome(options, body);
+  ASSERT_EQ(reference.digests.size(),
+            static_cast<std::size_t>(options.num_images));
+  EXPECT_GT(reference.digests[0].decisions, 0u);
+  for (const int shards : {1, 2, 4}) {
     options.shards = shards;
-    EXPECT_EQ(invariant_outcome(options, body), reference)
-        << "shards=" << shards;
+    for (int repeat = shards == 1 ? 1 : 0; repeat < 3; ++repeat) {
+      const Outcome outcome = invariant_outcome(options, body);
+      EXPECT_TRUE(
+          caf2::test::same_schedule(outcome.digests, reference.digests))
+          << "shards=" << shards << " repeat " << repeat;
+      EXPECT_EQ(outcome.text, reference.text)
+          << "shards=" << shards << " repeat " << repeat;
+    }
   }
 }
 

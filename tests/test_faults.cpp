@@ -587,6 +587,7 @@ TEST(FaultyRun, ShardedLossyRunsAreDeterministicAcrossRepeats) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.virtual_us, b.virtual_us);
   EXPECT_EQ(a.context_switches, b.context_switches);
+  EXPECT_EQ(a.schedule_digest, b.schedule_digest);
   EXPECT_EQ(a.faults.deliveries_dropped, b.faults.deliveries_dropped);
   EXPECT_EQ(a.faults.retransmits, b.faults.retransmits);
   EXPECT_EQ(a.faults.duplicates_suppressed, b.faults.duplicates_suppressed);

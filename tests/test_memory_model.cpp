@@ -141,13 +141,12 @@ TEST(MemoryModel, EventWaitDoesNotOrderPriorOps) {
 
 TEST(Determinism, IdenticalSeedsGiveIdenticalExecutions) {
   // Full-runtime determinism: two complete executions with the same seed
-  // produce identical virtual end times and identical event counts.
+  // produce identical virtual end times and identical schedules.
   auto one_run = [](std::uint64_t seed, double* end_time,
-                    std::uint64_t* events) {
+                    std::uint64_t* digest) {
     RuntimeOptions options = mm_options(3, seed);
-    options.record_trace = true;
     double t = 0;
-    run(options, [&] {
+    *digest = run_stats(options, [&] {
       Team world = team_world();
       Coarray<long> counter(world, 1);
       counter[0] = 0;
@@ -170,21 +169,25 @@ TEST(Determinism, IdenticalSeedsGiveIdenticalExecutions) {
         t = now_us();
       }
       team_barrier(world);
-    });
+    }).schedule_digest;
     *end_time = t;
-    *events = 0;  // engine is gone; end time is the fingerprint
   };
   double t1 = 0;
   double t2 = 0;
   double t3 = 0;
-  std::uint64_t e = 0;
-  one_run(7, &t1, &e);
-  one_run(7, &t2, &e);
-  one_run(8, &t3, &e);
+  std::uint64_t d1 = 0;
+  std::uint64_t d2 = 0;
+  std::uint64_t d3 = 0;
+  one_run(7, &t1, &d1);
+  one_run(7, &t2, &d2);
+  one_run(8, &t3, &d3);
   EXPECT_EQ(t1, t2);
+  EXPECT_EQ(d1, d2);
   // A different seed perturbs jitter draws; times should differ (not a hard
-  // guarantee, but overwhelmingly likely with 2 us jitter).
+  // guarantee, but overwhelmingly likely with 2 us jitter), and with them
+  // the schedule.
   EXPECT_NE(t1, t3);
+  EXPECT_NE(d1, d3);
 }
 
 TEST(Determinism, UtsTotalsIndependentOfJitterSeed) {

@@ -443,6 +443,7 @@ TEST(FlightRecorder, OnOrOffLeavesTheScheduleBitIdentical) {
   EXPECT_EQ(with_fr.events, without_fr.events);
   EXPECT_EQ(with_fr.virtual_us, without_fr.virtual_us);
   EXPECT_EQ(with_fr.context_switches, without_fr.context_switches);
+  EXPECT_EQ(with_fr.schedule_digest, without_fr.schedule_digest);
 }
 
 /// --- collector exceptions must not deadlock the failing run ------------------

@@ -30,7 +30,6 @@ RuntimeOptions options_for(const PropertyCase& param) {
   options.net.handler_cost_us = 0.1;
   options.net.jitter_us = param.jitter;
   options.seed = param.seed;
-  options.record_trace = true;
   options.max_events = 10'000'000;
   return options;
 }
@@ -137,9 +136,18 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{4, 3.0, 5}, PropertyCase{7, 1.5, 6},
                       PropertyCase{8, 0.5, 7}));
 
+/// What a whole-runtime execution must repeat exactly.
+struct Execution {
+  double end_us = 0.0;
+  std::uint64_t messages = 0;
+  std::uint64_t schedule_digest = 0;
+
+  bool operator==(const Execution&) const = default;
+};
+
 TEST(Properties, WholeRuntimeExecutionIsDeterministic) {
   // Two complete runtime executions of the mixed workload with the same
-  // seed produce identical virtual end times and message totals.
+  // seed produce identical schedules, virtual end times and message totals.
   auto fingerprint = [](std::uint64_t seed) {
     RuntimeOptions options;
     options.num_images = 4;
@@ -149,20 +157,20 @@ TEST(Properties, WholeRuntimeExecutionIsDeterministic) {
     options.net.jitter_us = 1.0;
     options.seed = seed;
     options.max_events = 10'000'000;
-    std::pair<double, std::uint64_t> print{0.0, 0};
-    run(options, [&] {
+    Execution print;
+    print.schedule_digest = run_stats(options, [&] {
       workload();
       if (this_image() == 0) {
-        print.first = now_us();
+        print.end_us = now_us();
         // On a sharded engine the global send counter is updated by other
         // shards in real time; advancing virtual time past every possible
         // flight settles it deterministically (same pattern as
         // EveryMessageSentIsDelivered above).
         compute(1000.0);
-        print.second = rt::Runtime::current().network().messages_sent();
+        print.messages = rt::Runtime::current().network().messages_sent();
       }
       team_barrier(team_world());
-    });
+    }).schedule_digest;
     return print;
   };
   const auto a = fingerprint(99);

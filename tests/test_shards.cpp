@@ -27,7 +27,7 @@
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "sim/participant.hpp"
-#include "sim/trace.hpp"
+#include "schedule_check.hpp"
 
 namespace {
 
@@ -43,7 +43,6 @@ RuntimeOptions shard_options(int images, int shards, std::uint64_t seed) {
   options.net.jitter_us = 2.0;
   options.seed = seed;
   options.max_events = 50'000'000;
-  options.record_trace = true;
   return options;
 }
 
@@ -67,7 +66,7 @@ void mixed_workload() {
 }
 
 struct Fingerprint {
-  std::string trace;
+  std::vector<sim::ParticipantDigest> digests;
   std::uint64_t events = 0;
   double end_us = 0.0;
   double image0_us = 0.0;
@@ -76,8 +75,8 @@ struct Fingerprint {
   std::vector<std::uint64_t> shard_events;
 };
 
-/// Run \p workload on a full runtime and capture the engine trace plus the
-/// stats the determinism assertions compare.
+/// Run \p workload on a full runtime and capture the schedule digests plus
+/// the stats the determinism assertions compare.
 Fingerprint fingerprint_run(const RuntimeOptions& options,
                             const std::function<void()>& workload) {
   rt::Runtime runtime(options);
@@ -93,7 +92,7 @@ Fingerprint fingerprint_run(const RuntimeOptions& options,
       fp.image0_us = now_us();
     }
   });
-  fp.trace = sim::render_trace(runtime.engine().trace());
+  fp.digests = runtime.engine().participant_digests();
   fp.events = runtime.engine().event_count();
   fp.end_us = runtime.engine().now();
   fp.shards = runtime.engine().shard_count();
@@ -107,7 +106,7 @@ Fingerprint fingerprint_run(const RuntimeOptions& options,
 TEST(Shards, SerialEngineIsBitIdenticalAcrossRepeats) {
   const Fingerprint a = fingerprint_run(shard_options(3, 1, 7), mixed_workload);
   const Fingerprint b = fingerprint_run(shard_options(3, 1, 7), mixed_workload);
-  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_TRUE(test::same_schedule(a.digests, b.digests));
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
   EXPECT_EQ(a.image0_us, b.image0_us);
@@ -156,9 +155,9 @@ TEST(Shards, ExplicitRequestBeatsEnvironment) {
 
 TEST(Shards, RepeatsAreBitIdenticalAndShardCountsAgree) {
   // A fixed shard count repeats bit-identically, partition counters
-  // included; across shard counts the schedule itself (events, end time,
-  // image 0's finish) is one. ShardInvariance in test_determinism compares
-  // whole per-participant traces and obs captures across shard counts.
+  // included; across shard counts the schedule itself (every participant's
+  // digest, events, end time, image 0's finish) is one. ShardInvariance in
+  // test_determinism also compares obs captures across shard counts.
   const Fingerprint serial = fingerprint_run(shard_options(8, 1, 21),
                                              mixed_workload);
   for (const int shards : {1, 2, 4}) {
@@ -166,7 +165,8 @@ TEST(Shards, RepeatsAreBitIdenticalAndShardCountsAgree) {
         fingerprint_run(shard_options(8, shards, 21), mixed_workload);
     const Fingerprint b =
         fingerprint_run(shard_options(8, shards, 21), mixed_workload);
-    EXPECT_EQ(a.trace, b.trace) << "shards=" << shards;
+    EXPECT_TRUE(test::same_schedule(a.digests, b.digests))
+        << "shards=" << shards;
     EXPECT_EQ(a.events, b.events) << "shards=" << shards;
     EXPECT_EQ(a.end_us, b.end_us) << "shards=" << shards;
     EXPECT_EQ(a.image0_us, b.image0_us) << "shards=" << shards;
@@ -177,6 +177,8 @@ TEST(Shards, RepeatsAreBitIdenticalAndShardCountsAgree) {
     if (shards > 1) {
       EXPECT_GT(a.windows, 0u) << "shards=" << shards;
     }
+    EXPECT_TRUE(test::same_schedule(a.digests, serial.digests))
+        << "shards=" << shards;
     EXPECT_EQ(a.events, serial.events) << "shards=" << shards;
     EXPECT_EQ(a.end_us, serial.end_us) << "shards=" << shards;
     EXPECT_EQ(a.image0_us, serial.image0_us) << "shards=" << shards;
@@ -188,7 +190,6 @@ TEST(Shards, RepeatsAreBitIdenticalAndShardCountsAgree) {
 TEST(Shards, CrossShardConstructsAtPaperScale) {
   const int kImages = 4096;
   RuntimeOptions options = shard_options(kImages, 4, 5);
-  options.record_trace = false;  // 4K images: keep memory flat
   const RunStats stats = run_stats(options, [] {
     Team world = team_world();
     Coarray<long> ring(world, 4);
@@ -233,7 +234,6 @@ TEST(Shards, FinishDetectionBoundHoldsAtPaperScaleSharded) {
   // reduction waves cross shard boundaries, not merely terminate.
   const int depth = 6;
   RuntimeOptions options = shard_options(4096, 4, 53);
-  options.record_trace = false;  // 4K images: keep memory flat
   const RunStats stats = run_stats(options, [depth] {
     Team world = team_world();
     Coarray<long> counter(world, 1);
@@ -416,7 +416,7 @@ TEST(Shards, FaultPlansRunShardedAndDeterministically) {
   const Fingerprint a = fingerprint_run(options, mixed_workload);
   const Fingerprint b = fingerprint_run(options, mixed_workload);
   EXPECT_EQ(a.shards, 4);
-  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_TRUE(test::same_schedule(a.digests, b.digests));
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
   EXPECT_EQ(a.shard_events, b.shard_events);
@@ -434,7 +434,8 @@ TEST(Shards, FaultyRunsRepeatBitIdenticallyAtEveryShardCount) {
     const Fingerprint a = fingerprint_run(options, mixed_workload);
     const Fingerprint b = fingerprint_run(options, mixed_workload);
     EXPECT_EQ(a.shards, shards);
-    EXPECT_EQ(a.trace, b.trace) << "shards=" << shards;
+    EXPECT_TRUE(test::same_schedule(a.digests, b.digests))
+        << "shards=" << shards;
     EXPECT_EQ(a.events, b.events) << "shards=" << shards;
     EXPECT_EQ(a.end_us, b.end_us) << "shards=" << shards;
     EXPECT_EQ(a.shard_events, b.shard_events) << "shards=" << shards;
@@ -445,7 +446,6 @@ TEST(Shards, FaultyRunsRepeatBitIdenticallyAtEveryShardCount) {
 
 RuntimeOptions obs_shard_options(int images, int shards, std::uint64_t seed) {
   RuntimeOptions options = shard_options(images, shards, seed);
-  options.record_trace = false;  // the capture text is the fingerprint here
   options.obs.enabled = true;
   return options;
 }
@@ -474,7 +474,7 @@ TEST(Shards, ObsCaptureDoesNotPerturbShardedSchedules) {
   const Fingerprint a = fingerprint_run(off, mixed_workload);
   const Fingerprint b = fingerprint_run(on, mixed_workload);
   EXPECT_EQ(a.shards, 4);
-  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_TRUE(test::same_schedule(a.digests, b.digests));
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
 }
@@ -566,7 +566,7 @@ TEST(Shards, WindowsStayConservativeForReactionChains) {
   const Fingerprint b = fingerprint_run(options, reaction_chain_workload);
   EXPECT_EQ(a.shards, 2);
   EXPECT_GT(a.windows, 0u);
-  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_TRUE(test::same_schedule(a.digests, b.digests));
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
 
@@ -608,7 +608,6 @@ TEST(Shards, DenseExchangeKeepsBothShardsBusy) {
   // counts are deterministic for a fixed shard count.
   RuntimeOptions options = shard_options(256, 2, 67);
   options.net = NetworkParams::gemini_like();
-  options.record_trace = false;
   const RunStats stats = run_stats(options, dense_ring_workload);
   ASSERT_EQ(stats.shards, 2);
   ASSERT_GT(stats.windows, 0u);
@@ -624,7 +623,6 @@ TEST(Shards, DenseExchangeKeepsBothShardsBusy) {
 /// ranks and return times, plus the run's event count and end time.
 std::string nested_split_outcome(int shards) {
   RuntimeOptions options = shard_options(8, shards, 71);
-  options.record_trace = false;
   std::vector<std::string> lines(8);
   std::vector<double> contributed(8);
   std::vector<double> returned(8);

@@ -1,5 +1,6 @@
 /// Unit tests for the discrete-event simulation engine: virtual-time
-/// semantics, deterministic scheduling, the two-tier event queue's order,
+/// semantics, deterministic scheduling and its schedule digest, the two-tier
+/// event queue's order,
 /// direct participant-to-participant hand-offs, deadlock detection,
 /// exception propagation, and the regression for early wake-ups during
 /// advance().
@@ -18,6 +19,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 #include "sim/participant.hpp"
+#include "schedule_check.hpp"
 
 namespace {
 
@@ -127,7 +129,7 @@ TEST(Engine, AdvanceIgnoresStrayWakes) {
   EXPECT_EQ(resumed_at, 100.5);
 }
 
-TEST(Engine, DeterministicTraces) {
+TEST(Engine, DeterministicSchedules) {
   auto body = [](int id) {
     Engine& e = this_engine();
     for (int i = 0; i < 20; ++i) {
@@ -137,14 +139,73 @@ TEST(Engine, DeterministicTraces) {
       }
     }
   };
-  EngineOptions options;
-  options.record_trace = true;
-  Engine a(4, options);
-  Engine b(4, options);
+  Engine a(4);
+  Engine b(4);
   a.run(body);
   b.run(body);
-  EXPECT_EQ(render_trace(a.trace()), render_trace(b.trace()));
-  EXPECT_GT(a.trace().size(), 80u);
+  EXPECT_TRUE(caf2::test::same_schedule(a.participant_digests(),
+                                        b.participant_digests()));
+  EXPECT_EQ(a.schedule_digest(), b.schedule_digest());
+  std::uint64_t decisions = 0;
+  for (const ParticipantDigest& participant : a.participant_digests()) {
+    decisions += participant.decisions;
+  }
+  EXPECT_GT(decisions, 80u);
+}
+
+/// Each of four participants posts one call at t=10 that runs at
+/// participant `id ^ shift` (itself for shift 0, its pair partner for shift
+/// 1), then computes to t=20. Every participant makes the same (time, kind)
+/// decisions for either shift — wake, advance, call, wake, finish — but the
+/// call that runs at it was posted by a different participant.
+struct DigestRun {
+  std::uint64_t events = 0;
+  std::uint64_t digest = 0;
+  std::vector<ParticipantDigest> participants;
+};
+
+DigestRun call_poster_run(int shift, int shards) {
+  EngineOptions options;
+  options.shards = shards;
+  options.lookahead_us = 1.0;
+  Engine engine(4, options);
+  engine.run([shift](int id) {
+    Engine& e = this_engine();
+    e.post_for(id ^ shift, 10.0, [] {});
+    e.advance(20.0);
+  });
+  EXPECT_EQ(engine.shard_count(), shards);
+  return {engine.event_count(), engine.schedule_digest(),
+          engine.participant_digests()};
+}
+
+TEST(Engine, ScheduleDigestSeesWhichEventRan) {
+  const DigestRun own = call_poster_run(0, 1);
+  const DigestRun peer = call_poster_run(1, 1);
+  // Same counts and the same per-participant (time, kind) decisions...
+  EXPECT_EQ(own.events, peer.events);
+  ASSERT_EQ(own.participants.size(), peer.participants.size());
+  for (std::size_t p = 0; p < own.participants.size(); ++p) {
+    EXPECT_EQ(own.participants[p].decisions, 5u) << "participant " << p;
+    EXPECT_EQ(peer.participants[p].decisions, 5u) << "participant " << p;
+    // ...but each call was posted by someone else.
+    EXPECT_NE(own.participants[p].digest, peer.participants[p].digest)
+        << "participant " << p;
+  }
+  EXPECT_NE(own.digest, peer.digest);
+  // Each program's digest repeats and is the same at every shard count.
+  for (const DigestRun* reference : {&own, &peer}) {
+    const int shift = reference == &own ? 0 : 1;
+    for (const int shards : {1, 2, 4}) {
+      const DigestRun again = call_poster_run(shift, shards);
+      EXPECT_TRUE(caf2::test::same_schedule(again.participants,
+                                            reference->participants))
+          << "shift " << shift << ", shards " << shards;
+      EXPECT_EQ(again.digest, reference->digest)
+          << "shift " << shift << ", shards " << shards;
+      EXPECT_EQ(again.events, reference->events);
+    }
+  }
 }
 
 TEST(Engine, DeadlockDetectedWithDiagnostic) {
