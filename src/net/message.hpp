@@ -44,10 +44,6 @@ struct MessageHeader {
   FinishKey finish{};
   bool tracked = false;
   bool from_odd_epoch = false;      ///< sender's epoch parity at initiation
-
-  /// Initiator-side operation id used to route delivery acknowledgements
-  /// back to the originating implicit-operation record (0 = none).
-  std::uint64_t op_id = 0;
 };
 
 struct Message {

@@ -13,7 +13,8 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
     : engine_(engine),
       params_(std::move(params)),
       mailboxes_(static_cast<std::size_t>(engine.size())),
-      traffic_(static_cast<std::size_t>(engine.size())) {
+      traffic_(static_cast<std::size_t>(engine.size())),
+      records_(static_cast<std::size_t>(engine.shard_count())) {
   params_.validate();
   reliable_ = params_.reliable_delivery();
   // Image i's jitter stream is child 2i of the seed and its fault stream
@@ -115,30 +116,69 @@ void Network::account_send(const Message& message) {
   }
 }
 
-void Network::launch(Message message, std::function<void()> on_acked,
+std::size_t Network::send_records_in_use() const {
+  std::size_t total = 0;
+  for (const auto& slab : records_) {
+    total += slab.in_use();
+  }
+  return total;
+}
+
+std::size_t Network::send_records_high_water() const {
+  std::size_t total = 0;
+  for (const auto& slab : records_) {
+    total += slab.high_water();
+  }
+  return total;
+}
+
+Network::RecordRef Network::new_record(int source) {
+  const auto shard = static_cast<std::uint32_t>(engine_.shard_of(source));
+  return RecordRef{shard, records_[shard].acquire()};
+}
+
+void Network::report_ack(const MessageHeader& header,
+                         SendCallbacks& callbacks) {
+  if (header.tracked && tracked_ack_) {
+    tracked_ack_(header);
+  }
+  if (callbacks.wants(kAcked)) {
+    callbacks(kAcked);
+  }
+}
+
+void Network::launch(Message message, std::optional<RecordRef> acked,
                      const Timing& timing, double init_us) {
-  const int source = message.header.source;
   const int dest = message.header.dest;
-  const std::uint64_t span =
-      observer_ != nullptr ? observer_->reserve_flight_id(source) : 0;
-  engine_.post_for(dest, timing.deliver_at,
-                   [this, init_us, span, msg = std::move(message)]() mutable {
-                     deliver(std::move(msg), init_us, span);
-                   });
-  if (!on_acked) {
+  std::unique_ptr<ObservedFlight> observed;
+  if (observer_ != nullptr) {
+    observed = std::make_unique<ObservedFlight>(
+        init_us, observer_->reserve_flight_id(message.header.source));
+  }
+  const std::uint64_t span = observed ? observed->span : 0;
+  auto delivery = [this, msg = std::move(message),
+                   observed = std::move(observed)]() mutable {
+    deliver(std::move(msg), observed ? observed->init_us : 0.0,
+            observed ? observed->span : 0);
+  };
+  static_assert(sim::InlineFn::stores_inline<decltype(delivery)>);
+  engine_.post_for(dest, timing.deliver_at, std::move(delivery));
+  if (!acked) {
     return;
   }
-  if (observer_ == nullptr) {
-    engine_.post(timing.ack_at, std::move(on_acked));
-    return;
+  record(*acked).span = span;
+  auto on_ack = [this, ref = *acked] { ack(ref); };
+  static_assert(sim::InlineFn::stores_inline<decltype(on_ack)>);
+  engine_.post(timing.ack_at, on_ack);
+}
+
+void Network::ack(RecordRef ref) {
+  SendRecord& rec = record(ref);
+  if (observer_ != nullptr) {
+    observer_->note_cause(rec.header.source, rec.span);
   }
-  // Same event, same (at, seq) as unobserved; the wrapper only notes the
-  // cause first.
-  engine_.post(timing.ack_at,
-               [this, source, span, acked = std::move(on_acked)] {
-                 observer_->note_cause(source, span);
-                 acked();
-               });
+  report_ack(rec.header, rec.callbacks);
+  release(ref);
 }
 
 void Network::deliver(Message message, double init_us, std::uint64_t span) {
@@ -169,6 +209,8 @@ void Network::deliver(Message message, double init_us, std::uint64_t span) {
 }
 
 void Network::send(Message message, SendCallbacks callbacks) {
+  CAF2_REQUIRE(message.header.source >= 0 && message.header.source < size(),
+               "send(): source image out of range");
   CAF2_REQUIRE(message.header.dest >= 0 && message.header.dest < size(),
                "send(): destination image out of range");
   if (reliable_) {
@@ -179,43 +221,81 @@ void Network::send(Message message, SendCallbacks callbacks) {
   const Timing timing =
       plan(message.header.source, init_us, message.size_bytes());
   account_send(message);
-  if (callbacks.on_staged) {
-    engine_.post(timing.stage_at, std::move(callbacks.on_staged));
+  const bool staged = callbacks.wants(kStaged);
+  const bool acked = wants_ack(message.header, callbacks);
+  if (!staged && !acked) {
+    launch(std::move(message), std::nullopt, timing, init_us);
+    return;
   }
-  launch(std::move(message), std::move(callbacks.on_acked), timing, init_us);
+  const RecordRef ref = new_record(message.header.source);
+  SendRecord& rec = record(ref);
+  rec.header = message.header;
+  rec.callbacks = std::move(callbacks);
+  if (staged) {
+    // The stage event runs before the ack (posted after it, at a time no
+    // earlier), so it releases the record only when no ack will.
+    auto on_stage = [this, ref, acked] {
+      record(ref).callbacks(kStaged);
+      if (!acked) {
+        release(ref);
+      }
+    };
+    static_assert(sim::InlineFn::stores_inline<decltype(on_stage)>);
+    engine_.post(timing.stage_at, on_stage);
+  }
+  launch(std::move(message), acked ? std::optional(ref) : std::nullopt,
+         timing, init_us);
 }
 
 void Network::send_staged(MessageHeader header, std::size_t size_hint,
-                          std::function<std::vector<std::uint8_t>()> read,
-                          SendCallbacks callbacks) {
+                          StageReader read, SendCallbacks callbacks) {
+  CAF2_REQUIRE(header.source >= 0 && header.source < size(),
+               "send_staged(): source image out of range");
   CAF2_REQUIRE(header.dest >= 0 && header.dest < size(),
                "send_staged(): destination image out of range");
-  CAF2_REQUIRE(read != nullptr, "send_staged(): needs a staging reader");
+  CAF2_REQUIRE(static_cast<bool>(read),
+               "send_staged(): needs a staging reader");
   if (reliable_) {
     send_staged_reliable(header, size_hint, std::move(read),
                          std::move(callbacks));
     return;
   }
   const double init_us = engine_.now();
-  const Timing timing = plan(header.source, init_us, size_hint);
+  const RecordRef ref = new_record(header.source);
+  SendRecord& rec = record(ref);
+  rec.header = header;
+  rec.timing = plan(header.source, init_us, size_hint);
+  rec.init_us = init_us;
+  rec.read = std::move(read);
+  rec.callbacks = std::move(callbacks);
+  auto on_stage = [this, ref] { stage(ref); };
+  static_assert(sim::InlineFn::stores_inline<decltype(on_stage)>);
+  engine_.post(rec.timing.stage_at, on_stage);
+}
+
+void Network::stage(RecordRef ref) {
   // At staging time the network reads the source buffer; only then does the
   // message exist as an independent payload. Overwriting the source buffer
   // before local data completion corrupts the transfer, as on real RDMA
-  // hardware. Delivery and ack are posted only after on_staged ran, so
-  // events on_staged posts at the delivery time dispatch before it.
-  engine_.post(timing.stage_at,
-               [this, header, timing, init_us, read = std::move(read),
-                callbacks = std::move(callbacks)]() mutable {
-                 Message message;
-                 message.header = header;
-                 message.payload = read();
-                 if (callbacks.on_staged) {
-                   callbacks.on_staged();
-                 }
-                 account_send(message);
-                 launch(std::move(message), std::move(callbacks.on_acked),
-                        timing, init_us);
-               });
+  // hardware. Delivery and ack are posted only after kStaged was reported,
+  // so events the callback posts at the delivery time dispatch before it.
+  // The slab's chunks never move, so `rec` stays valid while the callback
+  // sends more messages.
+  SendRecord& rec = record(ref);
+  Message message;
+  message.header = rec.header;
+  message.payload = rec.read();
+  rec.read.reset();
+  if (rec.callbacks.wants(kStaged)) {
+    rec.callbacks(kStaged);
+  }
+  account_send(message);
+  const bool acked = wants_ack(rec.header, rec.callbacks);
+  launch(std::move(message), acked ? std::optional(ref) : std::nullopt,
+         rec.timing, rec.init_us);
+  if (!acked) {
+    release(ref);
+  }
 }
 
 /// --- reliable-delivery protocol ----------------------------------------------
@@ -380,16 +460,18 @@ void Network::start_attempt(std::uint64_t id) {
   const MessageHeader& header = flight.message->header;
   const double ack_latency = params_.effective_ack_latency_us();
   const auto land = [&](double at, bool ack_dropped) {
-    engine_.post_for(header.dest, at,
-                     [this, message = flight.message, seq = flight.seq,
-                      first_sent = flight.first_sent_us,
-                      expected = flight.expected_deliver_us,
-                      span = flight.obs_span] {
-                       deliver_attempt(message, seq, first_sent, expected,
-                                       span);
-                     });
+    auto delivery = [this, message = flight.message, seq = flight.seq,
+                     first_sent = flight.first_sent_us,
+                     expected = flight.expected_deliver_us,
+                     span = flight.obs_span] {
+      deliver_attempt(message, seq, first_sent, expected, span);
+    };
+    static_assert(sim::InlineFn::stores_inline<decltype(delivery)>);
+    engine_.post_for(header.dest, at, std::move(delivery));
     if (!ack_dropped) {
-      engine_.post(at + ack_latency, [this, id] { handle_ack(id); });
+      auto on_ack = [this, id] { handle_ack(id); };
+      static_assert(sim::InlineFn::stores_inline<decltype(on_ack)>);
+      engine_.post(at + ack_latency, on_ack);
       return;
     }
     // Charged at roll time on the sender's cell (the receiver can't touch
@@ -410,10 +492,11 @@ void Network::start_attempt(std::uint64_t id) {
   if (faults.duplicate) {
     land(deliver_at + faults.dup_offset_us, faults.dup_ack_drop);
   }
-  engine_.post(engine_.now() + flight.rto_us,
-               [this, id, attempt = flight.attempts] {
-                 on_retransmit_timer(id, attempt);
-               });
+  auto on_timer = [this, id, attempt = flight.attempts] {
+    on_retransmit_timer(id, attempt);
+  };
+  static_assert(sim::InlineFn::stores_inline<decltype(on_timer)>);
+  engine_.post(engine_.now() + flight.rto_us, on_timer);
 }
 
 void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
@@ -461,10 +544,9 @@ void Network::handle_ack(std::uint64_t id) {
     }
   }
   SendCallbacks callbacks = std::move(it->second.callbacks);
+  const MessageHeader header = it->second.message->header;
   cell.inflight.erase(it);
-  if (callbacks.on_acked) {
-    callbacks.on_acked();
-  }
+  report_ack(header, callbacks);
 }
 
 void Network::on_retransmit_timer(std::uint64_t id, int attempt) {
@@ -512,39 +594,48 @@ void Network::send_reliable(Message message, SendCallbacks callbacks) {
   const double stage_at = engine_.now() + inject;
   const std::uint64_t id =
       admit_flight(std::move(message), std::move(callbacks), inject);
-  engine_.post(stage_at, [this, id] {
+  auto on_stage = [this, id] {
     ReliableImage& cell = rel_of(id);
     auto it = cell.inflight.find(id);
     CAF2_ASSERT(it != cell.inflight.end(), "reliable stage: unknown flight");
-    if (it->second.callbacks.on_staged) {
-      auto staged = std::move(it->second.callbacks.on_staged);
-      it->second.callbacks.on_staged = nullptr;
-      staged();
+    // Flights are map nodes, which stay put while the callback admits more.
+    if (it->second.callbacks.wants(kStaged)) {
+      it->second.callbacks(kStaged);
     }
     start_attempt(id);
-  });
+  };
+  static_assert(sim::InlineFn::stores_inline<decltype(on_stage)>);
+  engine_.post(stage_at, on_stage);
 }
 
-void Network::send_staged_reliable(
-    MessageHeader header, std::size_t size_hint,
-    std::function<std::vector<std::uint8_t>()> read,
-    SendCallbacks callbacks) {
+void Network::send_staged_reliable(MessageHeader header, std::size_t size_hint,
+                                   StageReader read,
+                                   SendCallbacks callbacks) {
   const double inject =
       static_cast<double>(size_hint) / params_.bandwidth_bytes_per_us;
-  const double stage_at = engine_.now() + inject;
-  engine_.post(stage_at, [this, header, inject, read = std::move(read),
-                          callbacks = std::move(callbacks)]() mutable {
-    Message message;
-    message.header = header;
-    message.payload = read();
-    if (callbacks.on_staged) {
-      callbacks.on_staged();
-      callbacks.on_staged = nullptr;
-    }
-    const std::uint64_t id =
-        admit_flight(std::move(message), std::move(callbacks), inject);
-    start_attempt(id);
-  });
+  const RecordRef ref = new_record(header.source);
+  SendRecord& rec = record(ref);
+  rec.header = header;
+  rec.inject_us = inject;
+  rec.read = std::move(read);
+  rec.callbacks = std::move(callbacks);
+  auto on_stage = [this, ref] { stage_reliable(ref); };
+  static_assert(sim::InlineFn::stores_inline<decltype(on_stage)>);
+  engine_.post(engine_.now() + inject, on_stage);
+}
+
+void Network::stage_reliable(RecordRef ref) {
+  SendRecord& rec = record(ref);
+  Message message;
+  message.header = rec.header;
+  message.payload = rec.read();
+  if (rec.callbacks.wants(kStaged)) {
+    rec.callbacks(kStaged);
+  }
+  const std::uint64_t id =
+      admit_flight(std::move(message), std::move(rec.callbacks), rec.inject_us);
+  release(ref);
+  start_attempt(id);
 }
 
 void Network::fill_postmortem(obs::PmNetwork& net) const {

@@ -8,12 +8,12 @@
 ///
 ///   initiation  t                       send()/send_staged() returns
 ///   staging     t + size/bandwidth      source buffer read ("injected");
-///                                       on_staged fires -> local data
+///                                       kStaged reported -> local data
 ///                                       completion of the operation
 ///   delivery    staging + latency + U[0, jitter]
 ///                                       message lands in the destination
 ///                                       mailbox; destination is unblocked
-///   ack         delivery + ack_latency  on_acked fires at the initiator ->
+///   ack         delivery + ack_latency  kAcked reported at the initiator ->
 ///                                       local operation completion
 ///
 /// Jitter makes channels non-FIFO, which the paper's termination-detection
@@ -35,8 +35,8 @@
 ///    unacknowledged messages; after ReliabilityParams::max_attempts the
 ///    engine fails the run with a watchdog report naming the undeliverable
 ///    message instead of hanging.
-/// on_staged fires exactly once (at the first attempt's staging point) and
-/// on_acked exactly once (at the first acknowledgement), so finish counters
+/// kStaged is reported exactly once (at the first attempt's staging point)
+/// and kAcked exactly once (at the first acknowledgement), so finish counters
 /// and cofence hazards are oblivious to loss. When the protocol is off, each
 /// message is the bare stage / deliver / ack event triple.
 ///
@@ -46,16 +46,29 @@
 /// run draws the same values at every shard count.
 ///
 /// One send path at every shard count (DESIGN.md §4.11, §4.12). The whole
-/// timing plan is drawn at initiation; on_staged and on_acked are posted as
-/// source-side events at their planned times, and the delivery goes to the
-/// destination through Engine::post_for() — a plain post when both images
-/// share a shard, otherwise a stage into the destination shard's inbox for
-/// the next window merge. deliver_at >= now +
-/// latency >= now + lookahead by construction, so the conservative-window
-/// contract holds. With an observer attached, the sender reserves the flight
+/// timing plan is drawn at initiation; the kStaged and kAcked reports are
+/// posted as source-side events at their planned times, and the delivery
+/// goes to the destination through Engine::post_for() — a plain post when
+/// both images share a shard, otherwise a stage into the destination
+/// shard's inbox for the next window merge. deliver_at >= now + latency >=
+/// now + lookahead by construction, so the conservative-window contract
+/// holds. With an observer attached, the sender reserves the flight
 /// span's id from its own image's counter at initiation; the receiver
 /// records the span under that id and the ack wake names it as its cause, so
 /// the blame analyzer's ack edge survives shard boundaries.
+///
+/// Send records (DESIGN.md §4.6). What a send needs after initiation on the
+/// source side — a staged send's header, timing and StageReader, and the
+/// SendCallbacks of any send that reports kStaged or kAcked — lives in a
+/// SendRecord in the slab of the source image's shard (sim::SlotPool),
+/// recycled through a free list. The stage and ack closures carry only the record's
+/// address, so every posted closure fits an engine slot (sim::InlineFn,
+/// checked by a static_assert at each post site). A record is touched only
+/// by events that run at its poster's home, on the shard that made it, and
+/// the last of them releases it; the delivery, which may cross shards,
+/// carries its message in its own closure. Records change no event: a send
+/// posts the same stage, delivery and ack events at the same times either
+/// way.
 ///
 /// The reliable-delivery protocol runs on the same path (DESIGN.md §4.12).
 /// Its state lives in per-image cells (ReliableImage), touched only by the
@@ -80,14 +93,18 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/mailbox.hpp"
 #include "net/message.hpp"
 #include "sim/engine.hpp"
+#include "sim/inline_fn.hpp"
+#include "sim/slot_pool.hpp"
 #include "support/config.hpp"
 #include "support/rng.hpp"
 
@@ -99,15 +116,63 @@ struct PmNetwork;
 
 namespace caf2::net {
 
-/// Completion callbacks of one send. Both run as engine callbacks (no
-/// participant token): they may post messages and unblock images but must
-/// not block.
-struct SendCallbacks {
+/// The completion points a send reports (paper Fig. 1), as mask bits.
+enum SendPoint : std::uint8_t {
   /// Source buffer has been read; local data completion on the source image.
-  std::function<void()> on_staged;
+  kStaged = 1,
   /// Delivery acknowledged at the initiator; local operation completion.
-  std::function<void()> on_acked;
+  kAcked = 2,
 };
+
+/// Completion callbacks of one send: a single move-only callable, invoked
+/// as fn(point) once for each point in the mask it was given — kStaged
+/// before kAcked — and destroyed after the last. Callbacks run as engine
+/// callbacks (no participant token): they may post messages and unblock
+/// images but must not block. The callable is stored in place, so a send's
+/// callbacks allocate nothing; one that does not fit fails to compile.
+class SendCallbacks {
+ public:
+  using Fn = sim::InlineFunction<void(SendPoint), 72>;
+
+  SendCallbacks() = default;
+
+  /// \p points is a mask of SendPoint bits.
+  template <class F>
+  SendCallbacks(unsigned points, F&& fn)
+      : fn_(std::forward<F>(fn)), points_(static_cast<std::uint8_t>(points)) {
+    static_assert(Fn::stores_inline<std::remove_cvref_t<F>>,
+                  "send callbacks outgrow SendCallbacks::Fn");
+  }
+
+  SendCallbacks(SendCallbacks&& other) noexcept
+      : fn_(std::move(other.fn_)), points_(std::exchange(other.points_, 0)) {}
+  SendCallbacks& operator=(SendCallbacks&& other) noexcept {
+    fn_ = std::move(other.fn_);
+    points_ = std::exchange(other.points_, 0);
+    return *this;
+  }
+
+  bool wants(SendPoint point) const { return (points_ & point) != 0; }
+
+  void reset() {
+    fn_.reset();
+    points_ = 0;
+  }
+
+  /// Report \p point (which must be wanted) and drop it from the mask.
+  void operator()(SendPoint point) {
+    points_ = static_cast<std::uint8_t>(points_ & ~point);
+    fn_(point);
+  }
+
+ private:
+  Fn fn_;
+  std::uint8_t points_ = 0;
+};
+
+/// Produces a staged send's payload at staging time (Network::send_staged).
+/// Post sites check StageReader::stores_inline<> for their reader.
+using StageReader = sim::InlineFunction<std::vector<std::uint8_t>(), 48>;
 
 /// Per-image traffic counters (used by the detector-ablation benchmark to
 /// expose the X10-style centralized hotspot).
@@ -135,8 +200,16 @@ class Network {
   /// transfer is injected, not when the call returns). \p size_hint must be
   /// the number of bytes \p read will produce.
   void send_staged(MessageHeader header, std::size_t size_hint,
-                   std::function<std::vector<std::uint8_t>()> read,
-                   SendCallbacks callbacks = {});
+                   StageReader read, SendCallbacks callbacks = {});
+
+  /// Install the hook run at the initiator when the delivery of a
+  /// finish-tracked message (MessageHeader::tracked) is acknowledged, before
+  /// the send's own kAcked callback. The runtime counts the finish scope's
+  /// `delivered` there. A tracked send gets an ack event whenever the hook
+  /// is installed, whether or not its callbacks want kAcked.
+  void set_tracked_ack(std::function<void(const MessageHeader&)> hook) {
+    tracked_ack_ = std::move(hook);
+  }
 
   Mailbox& mailbox(int image);
   const Mailbox& mailbox(int image) const;
@@ -168,6 +241,11 @@ class Network {
   /// Number of reliable messages currently unacknowledged.
   std::size_t inflight_reliable() const;
 
+  /// Send records (see the file comment) in use now, and the most ever in
+  /// use, each summed over shards.
+  std::size_t send_records_in_use() const;
+  std::size_t send_records_high_water() const;
+
   /// Snapshot the network's postmortem section: reliability mode, in-flight
   /// reliable messages (first obs::kMaxListedFlights of them), fault stats.
   void fill_postmortem(obs::PmNetwork& net) const;
@@ -198,11 +276,75 @@ class Network {
   /// Source-side accounting charged when the message is injected.
   void account_send(const Message& message);
 
+  /// A send's source-side state between initiation and its last
+  /// source-side event, kept in a per-shard slab (sim::SlotPool) so the
+  /// staging and ack closures carry only its address. A staged send keeps
+  /// its header, timing and reader here until staging; any send whose
+  /// callbacks (or finish tracking) want an ack keeps the record until the
+  /// ack, which releases it.
+  struct SendRecord {
+    MessageHeader header;
+    Timing timing{};
+    double init_us = 0.0;
+    double inject_us = 0.0;  ///< reliable staged sends: injection cost
+    std::uint64_t span = 0;  ///< flight span id (0 without an observer)
+    StageReader read;
+    SendCallbacks callbacks;
+
+    /// Drop the reader and callbacks (sim::SlotPool::release); the plain
+    /// fields are rewritten by the next send that takes the slot.
+    void reset() {
+      read.reset();
+      callbacks.reset();
+    }
+  };
+
+  /// A send record's address: its shard's slab and its slot there.
+  struct RecordRef {
+    std::uint32_t shard = 0;
+    std::uint32_t slot = 0;
+  };
+
+  /// A fresh record in the slab of \p source's shard. A send runs on its
+  /// source image's shard, like every per-source state here, and so do the
+  /// stage and ack events it posts at its own home.
+  RecordRef new_record(int source);
+  SendRecord& record(RecordRef ref) {
+    return records_[ref.shard][ref.slot];
+  }
+  void release(RecordRef ref) { records_[ref.shard].release(ref.slot); }
+
+  /// True when the ack of a send with \p header and \p callbacks must be
+  /// simulated: its callbacks want kAcked, or it is finish-tracked and a
+  /// tracked-ack hook is installed.
+  bool wants_ack(const MessageHeader& header,
+                 const SendCallbacks& callbacks) const {
+    return callbacks.wants(kAcked) || (header.tracked && tracked_ack_);
+  }
+
+  /// Initiator side of an acknowledgement: the tracked-ack hook, then the
+  /// send's kAcked callback.
+  void report_ack(const MessageHeader& header, SendCallbacks& callbacks);
+
   /// Post the delivery of \p message at timing.deliver_at to its
-  /// destination and, when \p on_acked is set, the ack at timing.ack_at to
-  /// the calling (source) context.
-  void launch(Message message, std::function<void()> on_acked,
+  /// destination and, when \p acked is set, the ack at timing.ack_at to the
+  /// calling (source) context; the ack reports and releases that record.
+  void launch(Message message, std::optional<RecordRef> acked,
               const Timing& timing, double init_us);
+
+  /// Staging event of an unreliable staged send: read the payload, report
+  /// kStaged, and launch.
+  void stage(RecordRef ref);
+
+  /// Ack event of an unreliable send.
+  void ack(RecordRef ref);
+
+  /// What an observed delivery carries besides the message. Boxed, so the
+  /// delivery closure fits an InlineFn slot: only observed runs allocate it.
+  struct ObservedFlight {
+    double init_us = 0.0;
+    std::uint64_t span = 0;
+  };
 
   /// Receiver half of a send, on the destination's shard: mailbox push,
   /// unblock, flight-recorder entry, and the flight span (under the id the
@@ -264,8 +406,11 @@ class Network {
 
   void send_reliable(Message message, SendCallbacks callbacks);
   void send_staged_reliable(MessageHeader header, std::size_t size_hint,
-                            std::function<std::vector<std::uint8_t>()> read,
-                            SendCallbacks callbacks);
+                            StageReader read, SendCallbacks callbacks);
+
+  /// Staging event of a reliable staged send: read the payload, report
+  /// kStaged, admit the flight and start its first attempt.
+  void stage_reliable(RecordRef ref);
 
   /// Register a new flight (assigns link seq + ordinal, and reserves the
   /// flight span id when an observer is attached) in its source image's
@@ -334,6 +479,10 @@ class Network {
   ReliableImage& rel_of(std::uint64_t id) {
     return rel_[static_cast<std::size_t>(id >> 32)];
   }
+
+  /// Send records, one slab per engine shard.
+  std::vector<sim::SlotPool<SendRecord>> records_;
+  std::function<void(const MessageHeader&)> tracked_ack_;
 
   double max_extra_delay_us_ = 0.0;
   obs::Recorder* observer_ = nullptr;

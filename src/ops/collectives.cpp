@@ -59,15 +59,12 @@ void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
   ++pending_stage_;
   ++pending_ack_;
   Image* img = &image;
-  net::SendCallbacks callbacks;
-  callbacks.on_staged = [this, img] {
-    --pending_stage_;
-    on_send_progress(*img);
-  };
-  callbacks.on_acked = [this, img] {
-    --pending_ack_;
-    on_send_progress(*img);
-  };
+  net::SendCallbacks callbacks(net::kStaged | net::kAcked,
+                               [this, img](net::SendPoint point) {
+                                 --(point == net::kStaged ? pending_stage_
+                                                          : pending_ack_);
+                                 on_send_progress(*img);
+                               });
   image.send_message(std::move(message), std::move(callbacks));
 }
 

@@ -100,22 +100,45 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                 image.runtime().options().net.bandwidth_bytes_per_us
           : 0.0;
   Image* img = &image;
-  image.runtime().engine().post_in(inject, [img, d, op, finish, odd] {
-    std::memcpy(d.dst_local, d.src_local, d.bytes);
-    if (op) {
-      op->data_complete = true;
-      op->op_complete = true;
-    }
-    if (finish.valid()) {
-      rt::FinishState& state = img->finish_state(finish);
-      state.count_delivered(odd);
-      state.count_received(odd);
-      state.count_completed(odd);
-    }
-    post_done(*img, d.src_done);
-    post_done(*img, d.dst_done);
+  void* const dst = d.dst_local;
+  const void* const src = d.src_local;
+  const std::uint64_t bytes = d.bytes;
+  sim::Engine& engine = image.runtime().engine();
+  // An implicit copy completes its op and finish charge (a forwarded one may
+  // carry only the charge); an explicit copy posts its completion events
+  // instead. No copy does both, so capturing one side keeps each closure
+  // within an engine slot.
+  const bool posts_events = d.src_done.valid() || d.dst_done.valid();
+  if (!posts_events) {
+    auto copy = [img, dst, src, bytes, op, finish, odd] {
+      std::memcpy(dst, src, bytes);
+      if (op) {
+        op->data_complete = true;
+        op->op_complete = true;
+      }
+      if (finish.valid()) {
+        rt::FinishState& state = img->finish_state(finish);
+        state.count_delivered(odd);
+        state.count_received(odd);
+        state.count_completed(odd);
+      }
+      img->runtime().engine().unblock(img->rank());
+    };
+    static_assert(sim::InlineFn::stores_inline<decltype(copy)>);
+    engine.post_in(inject, std::move(copy));
+    return;
+  }
+  CAF2_ASSERT(!op && !finish.valid(),
+              "a copy with completion events is neither implicit nor tracked");
+  auto copy = [img, dst, src, bytes, src_done = d.src_done,
+               dst_done = d.dst_done] {
+    std::memcpy(dst, src, bytes);
+    post_done(*img, src_done);
+    post_done(*img, dst_done);
     img->runtime().engine().unblock(img->rank());
-  });
+  };
+  static_assert(sim::InlineFn::stores_inline<decltype(copy)>);
+  engine.post_in(inject, std::move(copy));
 }
 
 /// Source buffer is local to \p image, destination is a remote coarray
@@ -134,6 +157,7 @@ void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
     archive.write_bytes(src, bytes);
     return archive.take();
   };
+  static_assert(net::StageReader::stores_inline<decltype(read)>);
 
   Image* img = &image;
   const RemoteEvent src_done = d.src_done;
@@ -141,24 +165,25 @@ void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
   const int dst_image = d.dst_image;
-  net::SendCallbacks callbacks;
-  callbacks.on_staged = [img, op, src_done] {
-    if (op) {
-      op->data_complete = true;
-    }
-    post_done(*img, src_done);
-    img->runtime().engine().unblock(img->rank());
-  };
-  callbacks.on_acked = [img, op, rec, obs_begin, bytes, dst_image] {
-    if (op) {
-      op->op_complete = true;
-    }
-    if (rec != nullptr) {
-      rec->op_span(img->rank(), obs::SpanKind::kPut, obs_begin,
-                   img->runtime().engine().now(), bytes, 0, dst_image);
-    }
-    img->runtime().engine().unblock(img->rank());
-  };
+  net::SendCallbacks callbacks(
+      net::kStaged | net::kAcked, [img, op, src_done, rec, obs_begin, bytes,
+                                   dst_image](net::SendPoint point) {
+        if (point == net::kStaged) {
+          if (op) {
+            op->data_complete = true;
+          }
+          post_done(*img, src_done);
+        } else {
+          if (op) {
+            op->op_complete = true;
+          }
+          if (rec != nullptr) {
+            rec->op_span(img->rank(), obs::SpanKind::kPut, obs_begin,
+                         img->runtime().engine().now(), bytes, 0, dst_image);
+          }
+        }
+        img->runtime().engine().unblock(img->rank());
+      });
   image.send_staged_message(header, sizeof(PutWire) + bytes, std::move(read),
                             std::move(callbacks));
 }
@@ -219,14 +244,13 @@ void start_forward(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
   message.payload = archive.take();
 
   Image* img = &image;
-  net::SendCallbacks callbacks;
-  callbacks.on_acked = [img, op] {
+  net::SendCallbacks callbacks(net::kAcked, [img, op](net::SendPoint) {
     if (op) {
       op->op_complete = true;  // pair-wise communication involving the
                                // initiator (the control message) is done
     }
     img->runtime().engine().unblock(img->rank());
-  };
+  });
   image.send_message(std::move(message), std::move(callbacks));
 }
 
@@ -359,14 +383,15 @@ void install_copy_handlers(rt::Runtime& runtime) {
           out.write_bytes(src, bytes);
           return out.take();
         };
+        static_assert(net::StageReader::stores_inline<decltype(read)>);
         Image* img = &image;
         const RemoteEvent src_done = wire.src_done;
-        net::SendCallbacks callbacks;
-        callbacks.on_staged = [img, src_done] {
-          if (src_done.valid()) {
-            rt::post_event_raw(img->runtime(), img->rank(), src_done);
-          }
-        };
+        net::SendCallbacks callbacks(
+            net::kStaged, [img, src_done](net::SendPoint) {
+              if (src_done.valid()) {
+                rt::post_event_raw(img->runtime(), img->rank(), src_done);
+              }
+            });
         image.send_staged_message(resp, sizeof(GetRespWire) + bytes,
                                   std::move(read), std::move(callbacks));
       });

@@ -57,23 +57,25 @@ void spawn_bytes(int target, TrampolineFn fn,
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
   const std::uint64_t payload_bytes = message.payload.size();
-  net::SendCallbacks callbacks;
-  callbacks.on_staged = [img, op] {
-    if (op) {
-      op->data_complete = true;
-    }
-    img->runtime().engine().unblock(img->rank());
-  };
-  callbacks.on_acked = [img, op, rec, obs_begin, payload_bytes, target] {
-    if (op) {
-      op->op_complete = true;
-    }
-    if (rec != nullptr) {
-      rec->op_span(img->rank(), obs::SpanKind::kSpawn, obs_begin,
-                   img->runtime().engine().now(), payload_bytes, 0, target);
-    }
-    img->runtime().engine().unblock(img->rank());
-  };
+  net::SendCallbacks callbacks(
+      net::kStaged | net::kAcked,
+      [img, op, rec, obs_begin, payload_bytes, target](net::SendPoint point) {
+        if (point == net::kStaged) {
+          if (op) {
+            op->data_complete = true;
+          }
+        } else {
+          if (op) {
+            op->op_complete = true;
+          }
+          if (rec != nullptr) {
+            rec->op_span(img->rank(), obs::SpanKind::kSpawn, obs_begin,
+                         img->runtime().engine().now(), payload_bytes, 0,
+                         target);
+          }
+        }
+        img->runtime().engine().unblock(img->rank());
+      });
   image.send_message(std::move(message), std::move(callbacks));
 }
 

@@ -84,45 +84,28 @@ net::MessageHeader Image::make_header(int dest_world, net::HandlerId handler,
 }
 
 void Image::send_message(net::Message message, net::SendCallbacks callbacks) {
-  const net::MessageHeader& header = message.header;
-  if (header.tracked) {
-    finish_state(header.finish).count_sent(header.from_odd_epoch, header.dest);
-    // Count `delivered` when the ack returns; chain any caller callback.
-    Image* self = this;
-    const net::FinishKey key = header.finish;
-    const bool odd = header.from_odd_epoch;
-    auto chained = std::move(callbacks.on_acked);
-    callbacks.on_acked = [self, key, odd, chained = std::move(chained)] {
-      self->finish_state(key).count_delivered(odd);
-      self->runtime_.engine().unblock(self->rank_);
-      if (chained) {
-        chained();
-      }
-    };
-  }
+  count_tracked_send(message.header);
   runtime_.network().send(std::move(message), std::move(callbacks));
 }
 
-void Image::send_staged_message(
-    net::MessageHeader header, std::size_t size_hint,
-    std::function<std::vector<std::uint8_t>()> read,
-    net::SendCallbacks callbacks) {
-  if (header.tracked) {
-    finish_state(header.finish).count_sent(header.from_odd_epoch, header.dest);
-    Image* self = this;
-    const net::FinishKey key = header.finish;
-    const bool odd = header.from_odd_epoch;
-    auto chained = std::move(callbacks.on_acked);
-    callbacks.on_acked = [self, key, odd, chained = std::move(chained)] {
-      self->finish_state(key).count_delivered(odd);
-      self->runtime_.engine().unblock(self->rank_);
-      if (chained) {
-        chained();
-      }
-    };
-  }
+void Image::send_staged_message(net::MessageHeader header,
+                                std::size_t size_hint, net::StageReader read,
+                                net::SendCallbacks callbacks) {
+  count_tracked_send(header);
   runtime_.network().send_staged(header, size_hint, std::move(read),
                                  std::move(callbacks));
+}
+
+void Image::count_tracked_send(const net::MessageHeader& header) {
+  CAF2_ASSERT(header.source == rank_, "send from another image's header");
+  if (header.tracked) {
+    finish_state(header.finish).count_sent(header.from_odd_epoch, header.dest);
+  }
+}
+
+void Image::finish_ack(const net::MessageHeader& header) {
+  finish_state(header.finish).count_delivered(header.from_odd_epoch);
+  runtime_.engine().unblock(rank_);
 }
 
 /// --- cofence ------------------------------------------------------------------

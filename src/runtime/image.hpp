@@ -166,14 +166,19 @@ class Image {
                                  Tracking tracking);
 
   /// Send with finish accounting: counts `sent` now and `delivered` when the
-  /// delivery acknowledgement returns, then invokes \p callbacks.
+  /// delivery acknowledgement returns (finish_ack), then invokes
+  /// \p callbacks.
   void send_message(net::Message message, net::SendCallbacks callbacks = {});
 
   /// Staged variant (source buffer read at injection time); see
   /// net::Network::send_staged.
   void send_staged_message(net::MessageHeader header, std::size_t size_hint,
-                           std::function<std::vector<std::uint8_t>()> read,
+                           net::StageReader read,
                            net::SendCallbacks callbacks = {});
+
+  /// The network's tracked-ack hook for a message this image sent: count
+  /// `delivered` in its finish scope and wake the image.
+  void finish_ack(const net::MessageHeader& header);
 
   /// --- cofence -------------------------------------------------------------
 
@@ -233,6 +238,9 @@ class Image {
   friend class Runtime;
 
   void execute(net::Message&& message);
+
+  /// Count a finish-tracked message this image is sending as `sent`.
+  void count_tracked_send(const net::MessageHeader& header);
 
   Runtime& runtime_;
   int rank_;

@@ -120,6 +120,9 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
         *this, rank, seeder.child(static_cast<std::uint64_t>(rank) + 1),
         world_members));
   }
+  network_->set_tracked_ack([this](const net::MessageHeader& header) {
+    image(header.source).finish_ack(header);
+  });
 }
 
 Runtime::~Runtime() = default;
@@ -169,17 +172,21 @@ void Runtime::run(const std::function<void()>& body) {
       sim::Engine* eng = engine_.get();
       const double hop = options_.net.latency_us;
       const int n = num_images();
-      eng->post_for(0, eng->now() + hop, [gate, eng, hop, n] {
+      auto arrive = [gate, eng, hop, n] {
         gate->collected += 1;
         if (gate->collected == gate->expected) {
           for (int rank = 0; rank < n; ++rank) {
-            eng->post_for(rank, eng->now() + hop, [gate, eng, rank] {
+            auto release = [gate, eng, rank] {
               gate->released[rank] = true;
               eng->unblock(rank);
-            });
+            };
+            static_assert(sim::InlineFn::stores_inline<decltype(release)>);
+            eng->post_for(rank, eng->now() + hop, std::move(release));
           }
         }
-      });
+      };
+      static_assert(sim::InlineFn::stores_inline<decltype(arrive)>);
+      eng->post_for(0, eng->now() + hop, std::move(arrive));
       image->wait_for(
           [&] { return gate->released[id]; },
           "exit rendezvous",

@@ -133,12 +133,13 @@ void complete_split(rt::Runtime& runtime, int root, SplitGather& gather,
   for (std::size_t rank = 0; rank < gather.entries.size(); ++rank) {
     const int world = parent_members[rank];
     gather.entries[rank].result->t_last = gather.t_last;
-    engine.post_for(world, at,
-                    [&engine, world,
-                     result = std::move(gather.entries[rank].result)] {
-                      result->ready = true;
-                      engine.unblock(world);
-                    });
+    auto release = [&engine, world,
+                    result = std::move(gather.entries[rank].result)] {
+      result->ready = true;
+      engine.unblock(world);
+    };
+    static_assert(sim::InlineFn::stores_inline<decltype(release)>);
+    engine.post_for(world, at, std::move(release));
   }
 }
 }  // namespace
@@ -157,11 +158,13 @@ Team Team::split(int color, int key) const {
   // images involved, so the outcome is a function of the program alone.
   const int root = parent.members->front();
   auto result = std::make_shared<SplitResult>();
-  engine.post_for(
-      root, engine.now() + runtime.options().net.latency_us,
-      [&runtime, root, color, key, result, seq, team_id = parent.id,
-       rank = parent.my_rank, sent = engine.now(),
-       members = parent.members]() mutable {
+  // `members` is the parent's member list, shared by every member's
+  // TeamData. The root waits in this split until every contribution has
+  // run, so its own parent team keeps the list alive for them.
+  auto contribute =
+      [&runtime, result, members = parent.members.get(), sent = engine.now(),
+       root, color, key, seq, team_id = parent.id,
+       rank = parent.my_rank]() mutable {
         SplitRoot& state = split_root(runtime.image(root));
         SplitGather& gather = state.gathers[{team_id, seq}];
         if (gather.entries.empty()) {
@@ -174,7 +177,10 @@ Team Team::split(int color, int key) const {
           complete_split(runtime, root, gather, *members);
           state.gathers.erase({team_id, seq});
         }
-      });
+      };
+  static_assert(sim::InlineFn::stores_inline<decltype(contribute)>);
+  engine.post_for(root, engine.now() + runtime.options().net.latency_us,
+                  std::move(contribute));
   image.wait_for([&result] { return result->ready; }, "team_split",
                  obs::ResourceId{obs::ResourceKind::kSplit, -1,
                                  static_cast<std::uint64_t>(parent.id), seq});

@@ -553,12 +553,18 @@ void Engine::unblock(int participant) {
           participant, kNoSlot);
 }
 
+std::uint32_t Engine::acquire_call(Shard& shard, InlineFn fn) {
+  const std::uint32_t slot = shard.calls.acquire();
+  shard.calls[slot] = std::move(fn);
+  return slot;
+}
+
 void Engine::post_call(double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post() needs a callable");
   Participant& from = poster();
   Shard& shard = calling_shard();
   enqueue(shard, std::max(at, shard.now_us.load(std::memory_order_relaxed)),
-          from, from.id, shard.calls.acquire(std::move(fn)));
+          from, from.id, acquire_call(shard, std::move(fn)));
 }
 
 void Engine::post_for_call(int participant, double at, InlineFn fn) {
@@ -571,7 +577,7 @@ void Engine::post_for_call(int participant, double at, InlineFn fn) {
   const double now = shard.now_us.load(std::memory_order_relaxed);
   if (shard.index == dest) {
     enqueue(shard, std::max(at, now), from, participant,
-            shard.calls.acquire(std::move(fn)));
+            acquire_call(shard, std::move(fn)));
     return;
   }
   CAF2_REQUIRE(tls_shard.engine == this,
@@ -607,7 +613,7 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
       return false;
     }
     shard.queue.push(QueuedEvent{ev.at, ev.seq, ev.run_home,
-                                 shard.calls.acquire(std::move(ev.fn))});
+                                 acquire_call(shard, std::move(ev.fn))});
   }
   return true;
 }

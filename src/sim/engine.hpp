@@ -113,6 +113,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 #include "sim/inline_fn.hpp"
+#include "sim/slot_pool.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
 
@@ -410,40 +411,9 @@ class Engine {
     bool callback_error = false;  ///< raised by a throwing engine callback
   };
 
-  /// Call closures, addressed by slot. Slots live in fixed-size chunks that
-  /// never move, so a closure runs in place while it posts more closures.
-  class CallPool {
-   public:
-    std::uint32_t acquire(InlineFn fn) {
-      std::uint32_t slot = made_;
-      if (!free_.empty()) {
-        slot = free_.back();
-        free_.pop_back();
-      } else {
-        if ((made_ & (kChunk - 1)) == 0) {
-          chunks_.push_back(std::make_unique<InlineFn[]>(kChunk));
-        }
-        ++made_;
-      }
-      (*this)[slot] = std::move(fn);
-      return slot;
-    }
-    InlineFn& operator[](std::uint32_t slot) {
-      return chunks_[slot / kChunk][slot & (kChunk - 1)];
-    }
-    /// Destroy the slot's closure and recycle the slot.
-    void release(std::uint32_t slot) {
-      (*this)[slot].reset();
-      free_.push_back(slot);
-    }
-    std::size_t in_use() const { return made_ - free_.size(); }
-
-   private:
-    static constexpr std::uint32_t kChunk = 256;  // a power of two
-    std::vector<std::unique_ptr<InlineFn[]>> chunks_;
-    std::vector<std::uint32_t> free_;
-    std::uint32_t made_ = 0;
-  };
+  /// Call closures, addressed by slot (sim/slot_pool.hpp): a closure runs
+  /// in place while it posts more closures.
+  using CallPool = SlotPool<InlineFn>;
 
   /// A call staged by one shard for another, merged at the next window
   /// boundary under the key its poster gave it.
@@ -581,6 +551,9 @@ class Engine {
   /// clock): on the FIFO tier when it is the current time, else the heap.
   void enqueue(Shard& shard, double when, Participant& poster,
                std::int32_t participant, std::uint32_t call_slot);
+
+  /// Move \p fn into a free slot of \p shard's call pool.
+  static std::uint32_t acquire_call(Shard& shard, InlineFn fn);
 
   void post_call(double at, InlineFn fn);
   void post_for_call(int participant, double at, InlineFn fn);

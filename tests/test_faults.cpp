@@ -126,9 +126,9 @@ WireResult wire_run(NetworkParams params, int count, int expect_delivered,
         message.header.dest = 1;
         message.header.handler = 7;
         message.payload.assign(4, static_cast<std::uint8_t>(k));
-        SendCallbacks callbacks;
-        callbacks.on_staged = [&] { result.staged += 1; };
-        callbacks.on_acked = [&] { result.acked += 1; };
+        SendCallbacks callbacks(kStaged | kAcked, [&](SendPoint point) {
+          (point == kStaged ? result.staged : result.acked) += 1;
+        });
         network.send(std::move(message), std::move(callbacks));
       }
       // Stay alive well past any retransmission/backoff chain so every ack
@@ -173,7 +173,7 @@ TEST(ReliableDelivery, ScriptedDuplicateIsSuppressedAtReceiver) {
       {.source = 0, .dest = 1, .nth = 1, .kind = FaultKind::kDuplicate});
   const WireResult r = wire_run(params, 1, 1);
   EXPECT_EQ(r.delivered, 1);
-  EXPECT_EQ(r.acked, 1) << "on_acked must fire exactly once";
+  EXPECT_EQ(r.acked, 1) << "kAcked must be reported exactly once";
   EXPECT_EQ(r.stats.deliveries_duplicated, 1u);
   EXPECT_EQ(r.stats.duplicates_suppressed, 1u);
 }
@@ -202,8 +202,8 @@ TEST(ReliableDelivery, RandomLossStormDeliversEverythingExactlyOnce) {
   const int count = 60;
   const WireResult r = wire_run(params, count, count, /*seed=*/42);
   EXPECT_EQ(r.delivered, count);
-  EXPECT_EQ(r.staged, count) << "on_staged fires once per message";
-  EXPECT_EQ(r.acked, count) << "on_acked fires once per message";
+  EXPECT_EQ(r.staged, count) << "kStaged is reported once per message";
+  EXPECT_EQ(r.acked, count) << "kAcked is reported once per message";
   EXPECT_GT(r.stats.deliveries_dropped + r.stats.acks_dropped, 0u);
   EXPECT_GT(r.stats.retransmits, 0u);
   EXPECT_GT(r.stats.duplicates_suppressed, 0u);
@@ -279,8 +279,7 @@ TEST(ReliableDelivery, StagedSendsSurviveLossToo) {
       MessageHeader header;
       header.source = 0;
       header.dest = 1;
-      SendCallbacks callbacks;
-      callbacks.on_acked = [&] { acked += 1; };
+      SendCallbacks callbacks(kAcked, [&](SendPoint) { acked += 1; });
       network.send_staged(
           header, buffer.size(), [&buffer] { return buffer; },
           std::move(callbacks));

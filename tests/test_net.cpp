@@ -1,6 +1,6 @@
 /// Unit tests for the network model: the four-point message lifecycle
-/// (initiation / staging / delivery / ack), staged source reads, jitter
-/// reordering (non-FIFO channels), and traffic accounting.
+/// (initiation / staging / delivery / ack), staged source reads, send-record
+/// recycling, jitter reordering (non-FIFO channels), and traffic accounting.
 
 #include <gtest/gtest.h>
 
@@ -71,9 +71,9 @@ TEST_P(NetworkPath, LifecycleTiming) {
       message.header.dest = dest;
       message.header.handler = 99;
       message.payload.assign(200, 7);  // 2 us injection
-      SendCallbacks callbacks;
-      callbacks.on_staged = [&] { staged_at = e.now(); };
-      callbacks.on_acked = [&] { acked_at = e.now(); };
+      SendCallbacks callbacks(kStaged | kAcked, [&](SendPoint point) {
+        (point == kStaged ? staged_at : acked_at) = e.now();
+      });
       network.send(std::move(message), std::move(callbacks));
       e.advance(100.0);
     } else if (id == dest) {
@@ -110,9 +110,9 @@ TEST_P(NetworkPath, StagedReadHappensAtStageTimeNotCallTime) {
       MessageHeader header;
       header.source = 0;
       header.dest = dest;
-      SendCallbacks callbacks;
-      callbacks.on_staged = [&] { staged_at = e.now(); };
-      callbacks.on_acked = [&] { acked_at = e.now(); };
+      SendCallbacks callbacks(kStaged | kAcked, [&](SendPoint point) {
+        (point == kStaged ? staged_at : acked_at) = e.now();
+      });
       network.send_staged(
           header, buffer.size(),
           [&buffer] {
@@ -143,6 +143,87 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PathCase>& info) {
       return "shards" + std::to_string(info.param.shards) + "_dest" +
              std::to_string(info.param.dest);
+    });
+
+/// Staged sends keep their state in per-shard send-record slabs. Each case
+/// runs eight images on one or four shards, without or with the
+/// reliable-delivery protocol (a lossy, duplicating FaultPlan turns it on).
+struct RecordCase {
+  int shards;
+  bool reliable;
+};
+
+class SendRecords : public ::testing::TestWithParam<RecordCase> {};
+
+TEST_P(SendRecords, ReturnToTheFreeListAndPeakAtTheSendsInFlight) {
+  constexpr int kImages = 8;
+  constexpr int kSends = 12;
+  NetworkParams params = test_params();
+  if (GetParam().reliable) {
+    params.faults.all.drop_probability = 0.2;
+    params.faults.all.dup_probability = 0.2;
+  }
+  sim::EngineOptions options;
+  options.shards = GetParam().shards;
+  options.lookahead_us = params.latency_us;
+  sim::Engine engine(kImages, options);
+  ASSERT_EQ(engine.shard_count(), GetParam().shards);
+  Network network(engine, params, 3);
+  ASSERT_EQ(network.reliable(), GetParam().reliable);
+  int staged = 0;
+  int acked = 0;
+
+  engine.run([&](int id) {
+    if (id != 0) {
+      return;
+    }
+    sim::Engine& e = sim::this_engine();
+    const auto send = [&](int k) {
+      MessageHeader header;
+      header.source = 0;
+      header.dest = 1 + k % (kImages - 1);
+      network.send_staged(
+          header, 100,
+          [k] { return std::vector<std::uint8_t>(100, std::uint8_t(k)); },
+          SendCallbacks(kStaged | kAcked, [&](SendPoint point) {
+            if (point == kStaged) {
+              staged += 1;
+            } else {
+              acked += 1;
+              e.unblock(0);
+            }
+          }));
+    };
+    // Every send of the first round is in flight at once (none stages
+    // before 1 us) ...
+    for (int k = 0; k < kSends; ++k) {
+      send(k);
+    }
+    while (acked < kSends) {
+      e.block("first round");
+    }
+    // ... and the second round's one at a time, reusing freed records.
+    for (int k = 0; k < kSends; ++k) {
+      send(k);
+      while (acked < kSends + k + 1) {
+        e.block("second round");
+      }
+    }
+  });
+  EXPECT_EQ(staged, 2 * kSends);
+  EXPECT_EQ(acked, 2 * kSends);
+  EXPECT_EQ(network.send_records_in_use(), 0u);
+  EXPECT_EQ(network.send_records_high_water(),
+            static_cast<std::size_t>(kSends));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OneAndFourShards, SendRecords,
+    ::testing::Values(RecordCase{1, false}, RecordCase{4, false},
+                      RecordCase{1, true}, RecordCase{4, true}),
+    [](const ::testing::TestParamInfo<RecordCase>& info) {
+      return "shards" + std::to_string(info.param.shards) +
+             (info.param.reliable ? "_reliable" : "_unreliable");
     });
 
 TEST(Network, JitterCanReorderDeliveries) {
@@ -259,6 +340,26 @@ TEST(Network, OutOfRangeDestinationRejected) {
       message.header.source = 0;
       message.header.dest = 9;
       EXPECT_THROW(network.send(std::move(message)), UsageError);
+    }
+  });
+}
+
+TEST(Network, OutOfRangeSourceRejected) {
+  // A send's record lives in its source image's shard slab, so the source
+  // is checked like the destination.
+  sim::Engine engine(2);
+  Network network(engine, test_params(), 1);
+  engine.run([&](int id) {
+    if (id == 0) {
+      Message message;
+      message.header.dest = 1;  // source left at -1
+      EXPECT_THROW(network.send(std::move(message)), UsageError);
+      MessageHeader header;
+      header.source = 2;
+      header.dest = 1;
+      EXPECT_THROW(network.send_staged(
+                       header, 1, [] { return std::vector<std::uint8_t>(1); }),
+                   UsageError);
     }
   });
 }

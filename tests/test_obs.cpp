@@ -285,12 +285,11 @@ TEST(Obs, CrossShardAckLinksTheSendersWaitToTheFlight) {
       message.header.source = 0;
       message.header.dest = 1;
       message.payload.assign(64, 1);
-      net::SendCallbacks callbacks;
-      callbacks.on_acked = [&] {
+      net::SendCallbacks callbacks(net::kAcked, [&](net::SendPoint) {
         acked = true;
         acked_at = e.now();
         e.unblock(0);
-      };
+      });
       network.send(std::move(message), std::move(callbacks));
       while (!acked) {
         e.block("ack");

@@ -697,11 +697,10 @@ TEST(ShardsFinished, FinishedShardKeepsDispatching) {
       message.header.source = 0;
       message.header.dest = 1;
       message.payload.assign(8, 1);
-      net::SendCallbacks callbacks;
-      callbacks.on_acked = [&] {
+      net::SendCallbacks callbacks(net::kAcked, [&](net::SendPoint) {
         acked = true;
         e.unblock(0);
-      };
+      });
       network.send(std::move(message), std::move(callbacks));
       while (!acked) {
         e.block("waiting for the ack");

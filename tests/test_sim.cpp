@@ -1,6 +1,6 @@
 /// Unit tests for the discrete-event simulation engine: virtual-time
 /// semantics, deterministic scheduling and its schedule digest, the two-tier
-/// event queue's order,
+/// event queue's order, the InlineFn call-slot closures,
 /// direct participant-to-participant hand-offs, deadlock detection,
 /// exception propagation, and the regression for early wake-ups during
 /// advance().
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <queue>
 #include <random>
@@ -18,6 +19,7 @@
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/participant.hpp"
 #include "schedule_check.hpp"
 
@@ -368,6 +370,124 @@ TEST(Engine, NegativeAdvanceRejected) {
 }
 
 /// --- two-tier event queue ---------------------------------------------------
+
+/// --- InlineFn ---------------------------------------------------------------
+
+/// Lifetime events of Probe instances, and heap allocations of Probe itself
+/// (class-specific operator new / delete, so nothing else is counted).
+struct Tally {
+  int moves = 0;
+  int destroys = 0;
+  int calls = 0;
+  int news = 0;
+  int deletes = 0;
+};
+Tally tally;
+
+/// A callable of exactly Size bytes that reports into `tally`.
+template <std::size_t Size>
+struct Probe {
+  Probe() = default;
+  Probe(Probe&&) noexcept { ++tally.moves; }
+  ~Probe() { ++tally.destroys; }
+  void operator()() { ++tally.calls; }
+  static void* operator new(std::size_t bytes) {
+    ++tally.news;
+    return ::operator new(bytes);
+  }
+  static void operator delete(void* p) {
+    ++tally.deletes;
+    ::operator delete(p);
+  }
+  std::byte pad[Size];
+};
+
+using Fits = Probe<InlineFn::kInlineBytes>;
+using Spills = Probe<InlineFn::kInlineBytes + 1>;
+static_assert(sizeof(Fits) == InlineFn::kInlineBytes);
+static_assert(InlineFn::stores_inline<Fits>);
+static_assert(!InlineFn::stores_inline<Spills>);
+
+TEST(InlineFn, ClosureOfExactlyTheInlineBytesIsStoredInPlace) {
+  tally = {};
+  {
+    InlineFn fn{Fits{}};
+    fn();
+  }
+  EXPECT_EQ(tally.calls, 1);
+  EXPECT_EQ(tally.news, 0);
+  EXPECT_EQ(tally.deletes, 0);
+}
+
+TEST(InlineFn, OneByteMoreFallsBackToTheHeap) {
+  tally = {};
+  {
+    InlineFn fn{Spills{}};
+    fn();
+  }
+  EXPECT_EQ(tally.calls, 1);
+  EXPECT_EQ(tally.news, 1);
+  EXPECT_EQ(tally.deletes, 1);
+}
+
+TEST(InlineFn, RelocationRunsOneMoveAndOneDestroy) {
+  InlineFn a{Fits{}};
+  tally = {};
+  InlineFn b(std::move(a));
+  EXPECT_EQ(tally.moves, 1);
+  EXPECT_EQ(tally.destroys, 1);
+  EXPECT_FALSE(a);
+  ASSERT_TRUE(b);
+
+  tally = {};
+  InlineFn c;
+  c = std::move(b);
+  EXPECT_EQ(tally.moves, 1);
+  EXPECT_EQ(tally.destroys, 1);
+  c();
+  EXPECT_EQ(tally.calls, 1);
+}
+
+TEST(InlineFn, ResetAndDestructionRunTheDestructorOnce) {
+  {
+    InlineFn fn{Fits{}};
+    tally = {};
+    fn.reset();
+    EXPECT_EQ(tally.destroys, 1);
+    EXPECT_FALSE(fn);
+    fn.reset();
+  }
+  EXPECT_EQ(tally.destroys, 1) << "an empty InlineFn destroys nothing";
+
+  {
+    InlineFn fn{Fits{}};
+    tally = {};
+  }
+  EXPECT_EQ(tally.destroys, 1);
+}
+
+TEST(InlineFn, HeapFallbackIsDeletedExactlyOnce) {
+  tally = {};
+  {
+    InlineFn a{Spills{}};
+    InlineFn b(std::move(a));  // relocation moves the pointer only
+    InlineFn c;
+    c = std::move(b);
+    c();
+    a.reset();
+    b.reset();
+  }
+  EXPECT_EQ(tally.news, 1);
+  EXPECT_EQ(tally.deletes, 1);
+  EXPECT_EQ(tally.moves, 1) << "only the move onto the heap";
+  EXPECT_EQ(tally.destroys, 2) << "the temporary and the heap copy";
+  EXPECT_EQ(tally.calls, 1);
+}
+
+TEST(InlineFn, ForwardsArgumentsAndResults) {
+  InlineFunction<int(int), 16> add = [k = 3](int x) { return x + k; };
+  EXPECT_EQ(add(4), 7);
+}
 
 TEST(EventQueue, PopOrderMatchesAReferenceHeap) {
   // Interleave current-time events (FIFO tier, increasing keys, so
