@@ -10,19 +10,20 @@
 ///    Gemini-class interconnect, swept over image counts and bunch sizes;
 ///  - detector/*: the UTS termination-detection workload per detector kind.
 ///
-/// Independent sweep points run concurrently (--jobs); results land in
+/// Independent runtime-stack points run concurrently (--jobs); the engine/*
+/// points then run one at a time, so each owns the machine. Results land in
 /// BENCH_substrate.json so the simulator's perf trajectory is tracked
 /// across commits.
 ///
 /// The sharded/* and staggered/* sections measure the parallel-DES engine
 /// (DESIGN.md §4.11): a paper-scale ring workload plus a stagger-phased
 /// variant, swept over shard counts 1..hardware threads (staggered from 2).
-/// Those points own all cores, so they run serially *after* the pooled
-/// sweep; events/sec across the shard axis is the engine's strong-scaling
-/// curve (expect monotone growth while shards <= physical cores). The dense
-/// ring keeps every shard busy in every window; the staggered points guard
-/// the sparse-traffic regime, where most windows of a shard hold no event
-/// (watch window_stalls and windows there).
+/// Those points own all cores, so they run serially *after* the pooled sweep
+/// (and the engine/* points); events/sec across the shard axis is the engine's
+/// strong-scaling curve (expect monotone growth while shards <= physical
+/// cores). The dense ring keeps every shard busy in every window; the staggered
+/// points guard the sparse-traffic regime, where most windows of a shard hold
+/// no event (watch window_stalls and windows there).
 
 #include <algorithm>
 #include <span>
@@ -71,11 +72,11 @@ std::function<void(int)> handoff_body(int steps) {
   };
 }
 
-std::vector<SweepPoint> build_sweep(const BenchArgs& args) {
+/// The engine/* points: short and sensitive to a few ns per event, so they
+/// run serially, each owning the machine.
+std::vector<SweepPoint> build_engine_sweep(const BenchArgs& args) {
   std::vector<SweepPoint> sweep;
   const int scale = args.quick ? 1 : 10;
-
-  // --- engine layer --------------------------------------------------------
   // A lone participant advancing: every step queues its own wake and pops
   // it straight back, without a fiber switch.
   sweep.push_back({"engine/selfwake", [scale] {
@@ -108,6 +109,13 @@ std::vector<SweepPoint> build_sweep(const BenchArgs& args) {
                        }
                      });
                    }});
+  return sweep;
+}
+
+/// The runtime-stack points, run concurrently (--jobs).
+std::vector<SweepPoint> build_sweep(const BenchArgs& args) {
+  std::vector<SweepPoint> sweep;
+  const int scale = args.quick ? 1 : 10;
 
   // --- runtime stack: allreduce over the image-count sweep ------------------
   std::vector<int> image_counts =
@@ -273,12 +281,18 @@ int main(int argc, char** argv) {
   const WallTimer total;
   std::vector<BenchRecord> results =
       bench::run_sweep(std::move(sweep), args.jobs);
-  // The shard-scaling points saturate the machine by design: run them one
-  // at a time so the curve measures the engine, not pool contention.
-  std::vector<BenchRecord> sharded =
-      bench::run_sweep(build_sharded_sweep(args), 1);
-  results.insert(results.end(), std::make_move_iterator(sharded.begin()),
-                 std::make_move_iterator(sharded.end()));
+  // The engine micro-points would read pool contention, and the
+  // shard-scaling points saturate the machine by design: run both one at a
+  // time, after the pooled points, so they measure the engine.
+  std::vector<SweepPoint> serial = build_engine_sweep(args);
+  for (SweepPoint& point : build_sharded_sweep(args)) {
+    serial.push_back(std::move(point));
+  }
+  std::vector<BenchRecord> serial_results =
+      bench::run_sweep(std::move(serial), 1);
+  results.insert(results.end(),
+                 std::make_move_iterator(serial_results.begin()),
+                 std::make_move_iterator(serial_results.end()));
   const double elapsed = total.seconds();
 
   Table table("Simulator substrate throughput (real time, not virtual)");

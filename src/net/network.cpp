@@ -149,6 +149,10 @@ void Network::report_ack(const MessageHeader& header,
 
 void Network::launch(Message message, std::optional<RecordRef> acked,
                      const Timing& timing, double init_us) {
+  if (reliable_) {
+    start_attempt(admit_flight(std::move(message), acked, init_us), timing);
+    return;
+  }
   const int dest = message.header.dest;
   std::unique_ptr<ObservedFlight> observed;
   if (observer_ != nullptr) {
@@ -213,10 +217,6 @@ void Network::send(Message message, SendCallbacks callbacks) {
                "send(): source image out of range");
   CAF2_REQUIRE(message.header.dest >= 0 && message.header.dest < size(),
                "send(): destination image out of range");
-  if (reliable_) {
-    send_reliable(std::move(message), std::move(callbacks));
-    return;
-  }
   const double init_us = engine_.now();
   const Timing timing =
       plan(message.header.source, init_us, message.size_bytes());
@@ -255,11 +255,6 @@ void Network::send_staged(MessageHeader header, std::size_t size_hint,
                "send_staged(): destination image out of range");
   CAF2_REQUIRE(static_cast<bool>(read),
                "send_staged(): needs a staging reader");
-  if (reliable_) {
-    send_staged_reliable(header, size_hint, std::move(read),
-                         std::move(callbacks));
-    return;
-  }
   const double init_us = engine_.now();
   const RecordRef ref = new_record(header.source);
   SendRecord& rec = record(ref);
@@ -312,16 +307,17 @@ bool Network::DedupWindow::accept(std::uint64_t seq) {
   return true;
 }
 
-double Network::auto_rto(double inject_us) const {
-  const double round_trip = inject_us + params_.latency_us +
-                            params_.jitter_us +
-                            params_.effective_ack_latency_us();
+double Network::auto_rto(std::size_t bytes) const {
+  const double round_trip =
+      static_cast<double>(bytes) / params_.bandwidth_bytes_per_us +
+      params_.latency_us + params_.jitter_us +
+      params_.effective_ack_latency_us();
   return 2.0 * round_trip + max_extra_delay_us_ + 1.0;
 }
 
-std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
-                                    double inject_us) {
-  account_send(message);
+std::uint64_t Network::admit_flight(Message message,
+                                    std::optional<RecordRef> acked,
+                                    double init_us) {
   const int source = message.header.source;
   ReliableImage& cell = rel_[static_cast<std::size_t>(source)];
   LinkSender& sender = cell.senders[message.header.dest];
@@ -330,17 +326,16 @@ std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
   const std::uint64_t id =
       (static_cast<std::uint64_t>(source) << 32) | cell.next_flight++;
   ReliableFlight flight;
+  flight.acked = acked;
   flight.seq = sender.next_seq++;
   flight.ordinal = ++sender.initiated;
-  flight.inject_us = inject_us;
-  flight.first_sent_us = engine_.now();
+  flight.first_sent_us = init_us;
   flight.rto_us = params_.reliability.rto_us > 0.0
                       ? params_.reliability.rto_us
-                      : auto_rto(inject_us);
+                      : auto_rto(message.size_bytes());
   if (observer_ != nullptr) {
     flight.obs_span = observer_->reserve_flight_id(source);
   }
-  flight.callbacks = std::move(callbacks);
   flight.message = std::make_shared<const Message>(std::move(message));
   cell.inflight.emplace(id, std::move(flight));
   return id;
@@ -350,9 +345,6 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   AttemptFaults faults;
   const MessageHeader& header = flight.message->header;
   const auto source = static_cast<std::size_t>(header.source);
-  if (params_.jitter_us > 0.0) {
-    faults.jitter_us = jitter_[source].next_double() * params_.jitter_us;
-  }
   // A fixed number of fault-stream draws per attempt keeps the stream
   // aligned no matter which faults actually fire.
   Xoshiro256ss& rng = fault_[source];
@@ -397,7 +389,7 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   return faults;
 }
 
-void Network::start_attempt(std::uint64_t id) {
+void Network::start_attempt(std::uint64_t id, const Timing& timing) {
   ReliableImage& cell = rel_of(id);
   auto it = cell.inflight.find(id);
   CAF2_ASSERT(it != cell.inflight.end(), "start_attempt: unknown flight");
@@ -434,19 +426,15 @@ void Network::start_attempt(std::uint64_t id) {
     }
   }
 
-  // The first attempt is launched at staging time (injection already
-  // elapsed); retransmissions re-inject the payload from scratch.
-  const double base =
-      engine_.now() + (flight.attempts == 1 ? 0.0 : flight.inject_us);
   if (flight.attempts == 1) {
     // Fault-free expectations, jitter at its configured maximum: actual
     // times beyond these are provably fault-induced.
-    flight.expected_deliver_us = base + params_.latency_us + params_.jitter_us;
+    flight.expected_deliver_us =
+        timing.stage_at + params_.latency_us + params_.jitter_us;
     flight.expected_ack_us =
         flight.expected_deliver_us + params_.effective_ack_latency_us();
   }
-  const double deliver_at = base + params_.latency_us + faults.jitter_us +
-                            faults.extra_delay_us;
+  const double deliver_at = timing.deliver_at + faults.extra_delay_us;
   // The deliveries go to the destination's shard carrying their metadata
   // in the closure, and the sender simulates the acks itself. Every fault
   // decision — including both ack losses — was just rolled above, and the
@@ -496,7 +484,8 @@ void Network::start_attempt(std::uint64_t id) {
     on_retransmit_timer(id, attempt);
   };
   static_assert(sim::InlineFn::stores_inline<decltype(on_timer)>);
-  engine_.post(engine_.now() + flight.rto_us, on_timer);
+  // The timeout runs from the attempt's staging point.
+  engine_.post(timing.stage_at + flight.rto_us, on_timer);
 }
 
 void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
@@ -543,10 +532,14 @@ void Network::handle_ack(std::uint64_t id) {
                                  flight.expected_ack_us, now);
     }
   }
-  SendCallbacks callbacks = std::move(it->second.callbacks);
-  const MessageHeader header = it->second.message->header;
+  // Like ack(): report through the send's record, then release it.
+  const std::optional<RecordRef> acked = it->second.acked;
   cell.inflight.erase(it);
-  report_ack(header, callbacks);
+  if (acked) {
+    SendRecord& rec = record(*acked);
+    report_ack(rec.header, rec.callbacks);
+    release(*acked);
+  }
 }
 
 void Network::on_retransmit_timer(std::uint64_t id, int attempt) {
@@ -584,58 +577,9 @@ void Network::on_retransmit_timer(std::uint64_t id, int attempt) {
                              static_cast<std::uint64_t>(flight.attempts));
   }
   flight.rto_us *= params_.reliability.backoff;
-  start_attempt(id);
-}
-
-void Network::send_reliable(Message message, SendCallbacks callbacks) {
-  const double inject =
-      static_cast<double>(message.size_bytes()) /
-      params_.bandwidth_bytes_per_us;
-  const double stage_at = engine_.now() + inject;
-  const std::uint64_t id =
-      admit_flight(std::move(message), std::move(callbacks), inject);
-  auto on_stage = [this, id] {
-    ReliableImage& cell = rel_of(id);
-    auto it = cell.inflight.find(id);
-    CAF2_ASSERT(it != cell.inflight.end(), "reliable stage: unknown flight");
-    // Flights are map nodes, which stay put while the callback admits more.
-    if (it->second.callbacks.wants(kStaged)) {
-      it->second.callbacks(kStaged);
-    }
-    start_attempt(id);
-  };
-  static_assert(sim::InlineFn::stores_inline<decltype(on_stage)>);
-  engine_.post(stage_at, on_stage);
-}
-
-void Network::send_staged_reliable(MessageHeader header, std::size_t size_hint,
-                                   StageReader read,
-                                   SendCallbacks callbacks) {
-  const double inject =
-      static_cast<double>(size_hint) / params_.bandwidth_bytes_per_us;
-  const RecordRef ref = new_record(header.source);
-  SendRecord& rec = record(ref);
-  rec.header = header;
-  rec.inject_us = inject;
-  rec.read = std::move(read);
-  rec.callbacks = std::move(callbacks);
-  auto on_stage = [this, ref] { stage_reliable(ref); };
-  static_assert(sim::InlineFn::stores_inline<decltype(on_stage)>);
-  engine_.post(engine_.now() + inject, on_stage);
-}
-
-void Network::stage_reliable(RecordRef ref) {
-  SendRecord& rec = record(ref);
-  Message message;
-  message.header = rec.header;
-  message.payload = rec.read();
-  if (rec.callbacks.wants(kStaged)) {
-    rec.callbacks(kStaged);
-  }
-  const std::uint64_t id =
-      admit_flight(std::move(message), std::move(rec.callbacks), rec.inject_us);
-  release(ref);
-  start_attempt(id);
+  // A retransmission re-injects the whole payload, with fresh jitter.
+  start_attempt(id, plan(flight.message->header.source, engine_.now(),
+                         flight.message->size_bytes()));
 }
 
 void Network::fill_postmortem(obs::PmNetwork& net) const {

@@ -23,70 +23,79 @@
 /// what makes "overwrite the source before cofence()" a real data hazard in
 /// the simulation, exactly as on hardware with a zero-copy NIC.
 ///
-/// Reliable delivery (DESIGN.md §4.7). With an active FaultPlan the network
-/// layers a retransmission protocol over the lossy wire:
-///  - every message carries a per-(source, dest) sequence number and is
-///    retained at the sender until acknowledged;
-///  - the receiver keeps a per-link dedup window (a compacted set of seen
-///    sequence numbers), so duplicated or retransmitted deliveries land in
-///    the mailbox exactly once — and acks are re-sent for duplicates, which
-///    recovers from lost acks;
-///  - a virtual-time retransmit timer with exponential backoff resends
-///    unacknowledged messages; after ReliabilityParams::max_attempts the
-///    engine fails the run with a watchdog report naming the undeliverable
-///    message instead of hanging.
-/// kStaged is reported exactly once (at the first attempt's staging point)
-/// and kAcked exactly once (at the first acknowledgement), so finish counters
-/// and cofence hazards are oblivious to loss. When the protocol is off, each
-/// message is the bare stage / deliver / ack event triple.
+/// One pipeline in both delivery modes (DESIGN.md §4.7, §4.11, §4.12). Every
+/// send is initiated, planned, staged and accounted the same way whether or not
+/// the reliable-delivery protocol is on: plan() draws the whole timing at
+/// initiation (the only jitter draw of a first attempt), kStaged is reported by
+/// a source-side stage event at the planned staging time, account_send()
+/// charges the message once its payload exists, and the send's callbacks wait
+/// in its send record (below) until its last source-side event: the stage event
+/// or the first acknowledgement. The modes part only in launch(), which puts
+/// the message on the wire: bare mode posts the delivery and the ack, reliable
+/// mode admits a flight and starts its first attempt at the same planned stage
+/// and delivery times. A delivery goes to the destination through
+/// Engine::post_for() — a plain post when both images share a shard, otherwise
+/// a stage into the destination shard's inbox for the next window merge.
+/// deliver_at >= now + latency >= now + lookahead by construction, so the
+/// conservative-window contract holds. With an observer attached, the sender
+/// reserves the flight span's id from its own image's counter at launch; the
+/// receiver records the span under that id and the ack wake names it as its
+/// cause, so the blame analyzer's ack edge survives shard boundaries.
 ///
 /// Randomness is drawn per source image: every image owns one jitter stream
 /// and one fault stream, both children of the network seed, and only the
 /// sender draws from them. Draws then follow the image's own execution, so a
-/// run draws the same values at every shard count.
-///
-/// One send path at every shard count (DESIGN.md §4.11, §4.12). The whole
-/// timing plan is drawn at initiation; the kStaged and kAcked reports are
-/// posted as source-side events at their planned times, and the delivery
-/// goes to the destination through Engine::post_for() — a plain post when
-/// both images share a shard, otherwise a stage into the destination
-/// shard's inbox for the next window merge. deliver_at >= now + latency >=
-/// now + lookahead by construction, so the conservative-window contract
-/// holds. With an observer attached, the sender reserves the flight
-/// span's id from its own image's counter at initiation; the receiver
-/// records the span under that id and the ack wake names it as its cause, so
-/// the blame analyzer's ack edge survives shard boundaries.
+/// run draws the same values at every shard count, and a fault plan that
+/// never fires leaves every delivery and ack time of the bare run in place.
 ///
 /// Send records (DESIGN.md §4.6). What a send needs after initiation on the
 /// source side — a staged send's header, timing and StageReader, and the
 /// SendCallbacks of any send that reports kStaged or kAcked — lives in a
 /// SendRecord in the slab of the source image's shard (sim::SlotPool),
-/// recycled through a free list. The stage and ack closures carry only the record's
-/// address, so every posted closure fits an engine slot (sim::InlineFn,
-/// checked by a static_assert at each post site). A record is touched only
-/// by events that run at its poster's home, on the shard that made it, and
-/// the last of them releases it; the delivery, which may cross shards,
-/// carries its message in its own closure. Records change no event: a send
-/// posts the same stage, delivery and ack events at the same times either
-/// way.
+/// recycled through a free list. The stage and ack closures carry only the
+/// record's address, so every posted closure fits an engine slot
+/// (sim::InlineFn, checked by a static_assert at each post site). A record
+/// is touched only by events that run at its poster's home, on the shard
+/// that made it, and the last of them releases it: the stage event, or the
+/// first acknowledgement (a bare ack event or a reliable flight's first
+/// handle_ack). The delivery, which may cross shards, carries its message in
+/// its own closure. Records change no event: a send posts the same stage,
+/// delivery and ack events at the same times either way.
 ///
-/// The reliable-delivery protocol runs on the same path (DESIGN.md §4.12).
-/// Its state lives in per-image cells (ReliableImage), touched only by the
-/// image's own shard: as a source, an image's cell holds its retained
-/// flights, retransmit bookkeeping, fault counters and the sender halves of
-/// its links (next_seq, initiated) keyed by destination; as a destination,
-/// its dedup windows keyed by source. Link halves are created on first use,
-/// so no state is shared and none is sized p². A flight id names its source
-/// image, so acks and retransmit timers find their cell without knowing the
-/// partition. Every fault decision of an attempt — including both ack losses
-/// — is rolled at the sender before anything is scheduled, and the receiver
-/// acknowledges every non-ack-dropped physical delivery regardless of its
-/// dedup outcome; the sender therefore schedules handle_ack at the delivery's
-/// known time plus ack latency *itself*, with no return event (an ack latency
-/// below the lookahead would otherwise violate the conservative window). Ack
-/// cancellation is then a plain source-local map erase. A delivery carries
-/// its metadata (seq, first-sent, expected-delivery marks, span id) in the
-/// event closure instead of reading the sender-owned flight record.
+/// Reliable delivery (DESIGN.md §4.7). With an active FaultPlan the network
+/// layers a retransmission protocol over the lossy wire:
+///  - every message carries a per-(source, dest) sequence number and is
+///    retained at the sender (a ReliableFlight) until acknowledged;
+///  - the receiver keeps a per-link dedup window (a compacted set of seen
+///    sequence numbers), so duplicated or retransmitted deliveries land in
+///    the mailbox exactly once — and acks are re-sent for duplicates, which
+///    recovers from lost acks;
+///  - a virtual-time retransmit timer with exponential backoff, running from
+///    each attempt's staging point, resends unacknowledged messages with
+///    fresh jitter; after ReliabilityParams::max_attempts the engine fails
+///    the run with a watchdog report naming the undeliverable message
+///    instead of hanging.
+/// kStaged is reported exactly once (by the shared stage event) and kAcked
+/// exactly once (at the first acknowledgement), so finish counters and
+/// cofence hazards are oblivious to loss.
+///
+/// The protocol's state lives in per-image cells (ReliableImage), touched
+/// only by the image's own shard: as a source, an image's cell holds its
+/// retained flights, retransmit bookkeeping, fault counters and the sender
+/// halves of its links (next_seq, initiated) keyed by destination; as a
+/// destination, its dedup windows keyed by source. Link halves are created
+/// on first use, so no state is shared and none is sized p². A flight id
+/// names its source image, so acks and retransmit timers find their cell
+/// without knowing the partition. Every fault decision of an attempt —
+/// including both ack losses — is rolled at the sender before anything is
+/// scheduled, and the receiver acknowledges every non-ack-dropped physical
+/// delivery regardless of its dedup outcome; the sender therefore schedules
+/// handle_ack at the delivery's known time plus ack latency *itself*, with
+/// no return event (an ack latency below the lookahead would otherwise
+/// violate the conservative window). Ack cancellation is then a plain
+/// source-local map erase. A delivery carries its metadata (seq,
+/// initiation time, expected-delivery mark, span id) in the event closure
+/// instead of reading the sender-owned flight record.
 
 #include <atomic>
 #include <cstdint>
@@ -270,7 +279,8 @@ class Network {
     double deliver_at;
     double ack_at;
   };
-  /// Plan a send of \p bytes by \p source initiated at \p now.
+  /// Plan a send (or a retransmission) of \p bytes by \p source initiated
+  /// at \p now; the network's one jitter draw.
   Timing plan(int source, double now, std::size_t bytes);
 
   /// Source-side accounting charged when the message is injected.
@@ -286,7 +296,6 @@ class Network {
     MessageHeader header;
     Timing timing{};
     double init_us = 0.0;
-    double inject_us = 0.0;  ///< reliable staged sends: injection cost
     std::uint64_t span = 0;  ///< flight span id (0 without an observer)
     StageReader read;
     SendCallbacks callbacks;
@@ -326,17 +335,20 @@ class Network {
   /// send's kAcked callback.
   void report_ack(const MessageHeader& header, SendCallbacks& callbacks);
 
-  /// Post the delivery of \p message at timing.deliver_at to its
-  /// destination and, when \p acked is set, the ack at timing.ack_at to the
-  /// calling (source) context; the ack reports and releases that record.
+  /// Put \p message on the wire, the one place the two delivery modes part.
+  /// Bare: post the delivery at timing.deliver_at to its destination and,
+  /// when \p acked is set, the ack at timing.ack_at to the calling (source)
+  /// context. Reliable: admit the flight and start its first attempt at
+  /// \p timing. Either way the first acknowledgement reports through the
+  /// \p acked record and releases it.
   void launch(Message message, std::optional<RecordRef> acked,
               const Timing& timing, double init_us);
 
-  /// Staging event of an unreliable staged send: read the payload, report
-  /// kStaged, and launch.
+  /// Staging event of a staged send: read the payload, report kStaged, and
+  /// launch.
   void stage(RecordRef ref);
 
-  /// Ack event of an unreliable send.
+  /// Ack event of a bare send.
   void ack(RecordRef ref);
 
   /// What an observed delivery carries besides the message. Boxed, so the
@@ -382,19 +394,19 @@ class Network {
     bool ack_drop = false;      ///< ack of the primary delivery is lost
     bool dup_ack_drop = false;  ///< ack of the duplicate delivery is lost
     double extra_delay_us = 0.0;
-    double jitter_us = 0.0;
     double dup_offset_us = 0.0;  ///< duplicate lands this much later
   };
 
   /// One unacknowledged reliable message, retained for retransmission.
   struct ReliableFlight {
     std::shared_ptr<const Message> message;
-    SendCallbacks callbacks;
+    /// The send record its first acknowledgement reports through and
+    /// releases, when the send wants an ack (see launch()).
+    std::optional<RecordRef> acked;
     std::uint64_t seq = 0;      ///< per-link sequence number
     std::uint64_t ordinal = 0;  ///< per-link initiation ordinal (1-based)
     int attempts = 0;           ///< delivery attempts made so far
-    double first_sent_us = 0.0;
-    double inject_us = 0.0;     ///< injection cost charged per attempt
+    double first_sent_us = 0.0;  ///< initiation time
     double rto_us = 0.0;        ///< current retransmit timeout
     // Observability only. "Expected" marks include the *maximum* jitter, so
     // a fault-free reliable run records no retransmit-delay spans and blame
@@ -404,26 +416,20 @@ class Network {
     std::uint64_t obs_span = 0;  ///< flight span id (parent of the ack wake)
   };
 
-  void send_reliable(Message message, SendCallbacks callbacks);
-  void send_staged_reliable(MessageHeader header, std::size_t size_hint,
-                            StageReader read, SendCallbacks callbacks);
+  /// Register a new flight initiated at \p init_us (assigns link seq +
+  /// ordinal, and reserves the flight span id when an observer is attached)
+  /// in its source image's cell and return its id (source image in the top
+  /// 32 bits, the cell's counter below).
+  std::uint64_t admit_flight(Message message, std::optional<RecordRef> acked,
+                             double init_us);
 
-  /// Staging event of a reliable staged send: read the payload, report
-  /// kStaged, admit the flight and start its first attempt.
-  void stage_reliable(RecordRef ref);
-
-  /// Register a new flight (assigns link seq + ordinal, and reserves the
-  /// flight span id when an observer is attached) in its source image's
-  /// cell and return its id (source image in the top 32 bits, the cell's
-  /// counter below).
-  std::uint64_t admit_flight(Message message, SendCallbacks callbacks,
-                             double inject_us);
-
-  /// Launch the next delivery attempt of flight \p id: roll faults, post the
-  /// delivery (and duplicate) events through Engine::post_for, schedule
-  /// handle_ack at each delivery's known time plus ack latency (see the file
-  /// comment), and arm the retransmit timer.
-  void start_attempt(std::uint64_t id);
+  /// Launch the next delivery attempt of flight \p id, planned by \p timing
+  /// (the send's own plan for the first attempt, a fresh one for each
+  /// retransmission): roll faults, post the delivery (and duplicate) events
+  /// through Engine::post_for, schedule handle_ack at each delivery's known
+  /// time plus ack latency (see the file comment), and arm the retransmit
+  /// timer at timing.stage_at plus the flight's timeout.
+  void start_attempt(std::uint64_t id, const Timing& timing);
 
   AttemptFaults roll_faults(const ReliableFlight& flight);
 
@@ -437,14 +443,17 @@ class Network {
                        double expected_deliver_us, std::uint64_t span);
 
   /// Sender side of one acknowledgement; idempotent (late/duplicate acks of
-  /// an already-completed flight are ignored).
+  /// an already-completed flight are ignored). The first one erases the
+  /// flight, then reports through its send record and releases it, as ack()
+  /// does.
   void handle_ack(std::uint64_t id);
 
   void on_retransmit_timer(std::uint64_t id, int attempt);
 
-  /// Default initial retransmit timeout: a little over twice the worst-case
-  /// round trip, including the largest configured fault delay.
-  double auto_rto(double inject_us) const;
+  /// Default initial retransmit timeout of a \p bytes message: a little over
+  /// twice the worst-case round trip, including the largest configured fault
+  /// delay.
+  double auto_rto(std::size_t bytes) const;
 
   sim::Engine& engine_;
   NetworkParams params_;

@@ -94,11 +94,9 @@ void post_done(Image& image, const RemoteEvent& event) {
 void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                       const net::FinishKey& finish) {
   const bool odd = charge_self_message(image, finish);
-  const double inject =
-      image.runtime().options().net.bandwidth_bytes_per_us > 0.0
-          ? static_cast<double>(d.bytes) /
-                image.runtime().options().net.bandwidth_bytes_per_us
-          : 0.0;
+  // The network validated the bandwidth > 0 (infinity => no injection time).
+  const double inject = static_cast<double>(d.bytes) /
+                        image.runtime().options().net.bandwidth_bytes_per_us;
   Image* img = &image;
   void* const dst = d.dst_local;
   const void* const src = d.src_local;

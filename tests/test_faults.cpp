@@ -652,27 +652,48 @@ TEST(FaultyRunScale, RingAt4096ImagesKeepsLinkStateSparse) {
 
 TEST(FaultyRun, FaultFreeReliableRunMatchesResultsOfBareNetwork) {
   // The protocol without faults must still compute identical virtual-time
-  // results (it adds events but not semantics).
-  auto body = [] {
-    Team world = team_world();
-    Coarray<long> counter(world, 1);
-    counter[0] = 0;
-    team_barrier(world);
-    finish(world, [&] {
-      for (int target = 0; target < world.size(); ++target) {
-        spawn<bump>(target, counter.ref());
-      }
-    });
-    EXPECT_EQ(counter[0], world.size());
-    team_barrier(world);
+  // results (it adds events but not semantics): every image leaves the
+  // finish block at the same virtual time and sees the same counter.
+  constexpr int kImages = 4;
+  struct Results {
+    std::vector<double> finish_exit_us = std::vector<double>(kImages, -1.0);
+    std::vector<long> counter = std::vector<long>(kImages, -1);
   };
-  RuntimeOptions bare = faulty_options(4, 0.0);
-  RuntimeOptions reliable = faulty_options(4, 0.0);
+  const auto measure = [](const RuntimeOptions& options, Results& results) {
+    return run_stats(options, [&results] {
+      Team world = team_world();
+      Coarray<long> counter(world, 1);
+      counter[0] = 0;
+      team_barrier(world);
+      finish(world, [&] {
+        for (int target = 0; target < world.size(); ++target) {
+          spawn<bump>(target, counter.ref());
+        }
+      });
+      const auto me = static_cast<std::size_t>(this_image());
+      results.finish_exit_us[me] = sim::this_engine().now();
+      results.counter[me] = counter[0];
+      team_barrier(world);
+    });
+  };
+  RuntimeOptions bare = faulty_options(kImages, 0.0);
+  RuntimeOptions reliable = faulty_options(kImages, 0.0);
   reliable.net.faults.scripted.push_back(never_fires());
-  const RunStats bare_stats = run_stats(bare, body);
-  const RunStats reliable_stats = run_stats(reliable, body);
+  Results bare_results;
+  Results reliable_results;
+  const RunStats bare_stats = measure(bare, bare_results);
+  const RunStats reliable_stats = measure(reliable, reliable_results);
   EXPECT_EQ(bare_stats.faults.retransmits, 0u);
   EXPECT_EQ(reliable_stats.faults.retransmits, 0u);
+  EXPECT_EQ(bare_results.counter, std::vector<long>(kImages, kImages));
+  EXPECT_EQ(reliable_results.counter, bare_results.counter);
+  for (int image = 0; image < kImages; ++image) {
+    const auto i = static_cast<std::size_t>(image);
+    EXPECT_GT(bare_results.finish_exit_us[i], 0.0) << "image " << image;
+    EXPECT_EQ(reliable_results.finish_exit_us[i],
+              bare_results.finish_exit_us[i])
+        << "image " << image << " leaves the finish block at another time";
+  }
   EXPECT_GT(reliable_stats.events, bare_stats.events)
       << "the protocol's ack events should be visible in the event count";
 }

@@ -25,14 +25,22 @@ NetworkParams test_params() {
   return params;
 }
 
+/// A scripted fault on a message no test sends: it switches the
+/// reliable-delivery protocol on without injecting anything.
+ScriptedFault never_fires() {
+  return {.source = 0, .dest = 0, .nth = ~std::uint64_t{0}};
+}
+
 /// Every send takes one path, whether its destination shares the source's
-/// shard or not. Each case runs four images on a one- or two-shard engine
-/// (two shards put images 0-1 on shard 0 and images 2-3 on shard 1) and
-/// sends from image 0 to `dest`; every case must see the same stage,
-/// deliver and ack times.
+/// shard or not, and whether or not the reliable-delivery protocol is on.
+/// Each case runs four images on a one- or two-shard engine (two shards put
+/// images 0-1 on shard 0 and images 2-3 on shard 1) and sends from image 0
+/// to `dest`, `reliable` cases with a fault plan that never fires; every
+/// case must see the same stage, deliver and ack times.
 struct PathCase {
   int shards;
   int dest;
+  bool reliable;
 };
 
 class NetworkPath : public ::testing::TestWithParam<PathCase> {
@@ -46,19 +54,30 @@ class NetworkPath : public ::testing::TestWithParam<PathCase> {
     return options;
   }
 
-  /// Check the engine really has the case's shape.
-  static void expect_shape(const sim::Engine& engine) {
+  /// The wire of the case: test_params(), plus the never-firing fault
+  /// when the case is reliable.
+  static NetworkParams network_params() {
+    NetworkParams params = test_params();
+    if (GetParam().reliable) {
+      params.faults.scripted.push_back(never_fires());
+    }
+    return params;
+  }
+
+  /// Check the engine and network really have the case's shape.
+  static void expect_shape(const sim::Engine& engine, const Network& network) {
     ASSERT_EQ(engine.shard_count(), GetParam().shards);
     const bool cross = engine.shard_of(0) != engine.shard_of(GetParam().dest);
     EXPECT_EQ(cross, GetParam().shards > 1 && GetParam().dest >= 2);
+    EXPECT_EQ(network.reliable(), GetParam().reliable);
   }
 };
 
 TEST_P(NetworkPath, LifecycleTiming) {
   const int dest = GetParam().dest;
   sim::Engine engine(4, engine_options());
-  expect_shape(engine);
-  Network network(engine, test_params(), 1);
+  Network network(engine, network_params(), 1);
+  expect_shape(engine, network);
   double staged_at = -1;
   double acked_at = -1;
   double delivered_at = -1;
@@ -88,6 +107,8 @@ TEST_P(NetworkPath, LifecycleTiming) {
   EXPECT_DOUBLE_EQ(staged_at, 2.0);        // bytes / bandwidth
   EXPECT_DOUBLE_EQ(delivered_at, 12.0);    // + latency
   EXPECT_DOUBLE_EQ(acked_at, 22.0);        // + ack latency
+  EXPECT_EQ(network.send_records_in_use(), 0u);
+  EXPECT_EQ(network.inflight_reliable(), 0u);
 }
 
 TEST_P(NetworkPath, StagedReadHappensAtStageTimeNotCallTime) {
@@ -96,8 +117,8 @@ TEST_P(NetworkPath, StagedReadHappensAtStageTimeNotCallTime) {
   // cofence exists to prevent.
   const int dest = GetParam().dest;
   sim::Engine engine(4, engine_options());
-  expect_shape(engine);
-  Network network(engine, test_params(), 1);
+  Network network(engine, network_params(), 1);
+  expect_shape(engine, network);
   std::vector<std::uint8_t> received;
   double staged_at = -1;
   double acked_at = -1;
@@ -134,20 +155,27 @@ TEST_P(NetworkPath, StagedReadHappensAtStageTimeNotCallTime) {
   EXPECT_DOUBLE_EQ(staged_at, 1.0);
   EXPECT_DOUBLE_EQ(delivered_at, 11.0);
   EXPECT_DOUBLE_EQ(acked_at, 21.0);
+  EXPECT_EQ(network.send_records_in_use(), 0u);
+  EXPECT_EQ(network.inflight_reliable(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     OneAndTwoShards, NetworkPath,
-    ::testing::Values(PathCase{1, 1}, PathCase{1, 3}, PathCase{2, 1},
-                      PathCase{2, 3}),
+    ::testing::Values(PathCase{1, 1, false}, PathCase{1, 3, false},
+                      PathCase{2, 1, false}, PathCase{2, 3, false},
+                      PathCase{1, 1, true}, PathCase{1, 3, true},
+                      PathCase{2, 1, true}, PathCase{2, 3, true}),
     [](const ::testing::TestParamInfo<PathCase>& info) {
       return "shards" + std::to_string(info.param.shards) + "_dest" +
-             std::to_string(info.param.dest);
+             std::to_string(info.param.dest) +
+             (info.param.reliable ? "_reliable" : "");
     });
 
-/// Staged sends keep their state in per-shard send-record slabs. Each case
-/// runs eight images on one or four shards, without or with the
-/// reliable-delivery protocol (a lossy, duplicating FaultPlan turns it on).
+/// Sends that report kStaged or kAcked keep their state in per-shard
+/// send-record slabs until their last source-side event, in both delivery
+/// modes. Each case runs eight images on one or four shards, without or
+/// with the reliable-delivery protocol (a lossy, duplicating FaultPlan turns
+/// it on), and makes both staged and plain sends.
 struct RecordCase {
   int shards;
   bool reliable;
@@ -157,7 +185,7 @@ class SendRecords : public ::testing::TestWithParam<RecordCase> {};
 
 TEST_P(SendRecords, ReturnToTheFreeListAndPeakAtTheSendsInFlight) {
   constexpr int kImages = 8;
-  constexpr int kSends = 12;
+  constexpr int kSends = 12;  // of each kind, per round
   NetworkParams params = test_params();
   if (GetParam().reliable) {
     params.faults.all.drop_probability = 0.2;
@@ -178,6 +206,17 @@ TEST_P(SendRecords, ReturnToTheFreeListAndPeakAtTheSendsInFlight) {
       return;
     }
     sim::Engine& e = sim::this_engine();
+    const auto callbacks = [&] {
+      return SendCallbacks(kStaged | kAcked, [&](SendPoint point) {
+        if (point == kStaged) {
+          staged += 1;
+        } else {
+          acked += 1;
+          e.unblock(0);
+        }
+      });
+    };
+    // One staged and one plain send to the same destination.
     const auto send = [&](int k) {
       MessageHeader header;
       header.source = 0;
@@ -185,36 +224,34 @@ TEST_P(SendRecords, ReturnToTheFreeListAndPeakAtTheSendsInFlight) {
       network.send_staged(
           header, 100,
           [k] { return std::vector<std::uint8_t>(100, std::uint8_t(k)); },
-          SendCallbacks(kStaged | kAcked, [&](SendPoint point) {
-            if (point == kStaged) {
-              staged += 1;
-            } else {
-              acked += 1;
-              e.unblock(0);
-            }
-          }));
+          callbacks());
+      Message message;
+      message.header = header;
+      message.payload.assign(100, std::uint8_t(k));
+      network.send(std::move(message), callbacks());
     };
     // Every send of the first round is in flight at once (none stages
     // before 1 us) ...
     for (int k = 0; k < kSends; ++k) {
       send(k);
     }
-    while (acked < kSends) {
+    while (acked < 2 * kSends) {
       e.block("first round");
     }
-    // ... and the second round's one at a time, reusing freed records.
+    // ... and the second round's one pair at a time, reusing freed records.
     for (int k = 0; k < kSends; ++k) {
       send(k);
-      while (acked < kSends + k + 1) {
+      while (acked < 2 * (kSends + k + 1)) {
         e.block("second round");
       }
     }
   });
-  EXPECT_EQ(staged, 2 * kSends);
-  EXPECT_EQ(acked, 2 * kSends);
+  EXPECT_EQ(staged, 4 * kSends);
+  EXPECT_EQ(acked, 4 * kSends);
   EXPECT_EQ(network.send_records_in_use(), 0u);
   EXPECT_EQ(network.send_records_high_water(),
-            static_cast<std::size_t>(kSends));
+            static_cast<std::size_t>(2 * kSends));
+  EXPECT_EQ(network.inflight_reliable(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
