@@ -134,12 +134,7 @@ void send_verdict(Image& image, const Team& team, const net::FinishKey& key,
   archive.write(round);
   archive.write(static_cast<std::uint8_t>(done ? 1 : 0));
   for (int member = 1; member < team.size(); ++member) {
-    net::Message message;
-    message.header.source = image.rank();
-    message.header.dest = team.world_rank(member);
-    message.header.handler = rt::kHandlerDetector;
-    message.payload = archive.bytes();
-    image.runtime().network().send(std::move(message));
+    image.send(team.world_rank(member), rt::kHandlerDetector, archive.bytes());
   }
   // Owner applies its own verdict directly.
   CentralScope& scope = central_map(image)[key];
@@ -163,10 +158,6 @@ void send_vector(Image& image, const Team& team, const net::FinishKey& key,
     owner_absorb(image, team, key, round, 0, sent_to, completed);
     return;
   }
-  net::Message message;
-  message.header.source = image.rank();
-  message.header.dest = team.world_rank(0);
-  message.header.handler = rt::kHandlerDetector;
   WriteArchive archive;
   archive.write(static_cast<std::uint8_t>(DetectorMsg::kVector));
   archive.write(key);
@@ -174,8 +165,7 @@ void send_vector(Image& image, const Team& team, const net::FinishKey& key,
   archive.write(static_cast<std::int32_t>(team.rank()));
   archive.write(completed);
   archive.write(sent_to);
-  message.payload = archive.take();
-  image.runtime().network().send(std::move(message));
+  image.send(team.world_rank(0), rt::kHandlerDetector, archive.take());
 }
 
 void owner_absorb(Image& image, const Team& team, const net::FinishKey& key,

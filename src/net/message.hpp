@@ -38,9 +38,10 @@ struct MessageHeader {
   int dest = -1;                    ///< world rank of the destination image
   HandlerId handler = 0;
 
-  /// Finish accounting envelope. `tracked` messages update the four epoch
-  /// counters on both end points; the detection allreduce itself and event
-  /// notifications are untracked.
+  /// Finish accounting envelope, stamped only by rt::Image::send and
+  /// send_staged: `tracked` holds exactly when `finish` is valid. Tracked
+  /// messages update the four epoch counters on both end points; the
+  /// detection allreduce itself and event notifications are untracked.
   FinishKey finish{};
   bool tracked = false;
   bool from_odd_epoch = false;      ///< sender's epoch parity at initiation

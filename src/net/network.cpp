@@ -31,9 +31,6 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
   if (reliable_) {
     rel_.resize(mailboxes_.size());
     max_extra_delay_us_ = params_.faults.all.delay_max_us;
-    for (const LinkFaults& link : params_.faults.links) {
-      max_extra_delay_us_ = std::max(max_extra_delay_us_, link.delay_max_us);
-    }
     for (const ScriptedFault& fault : params_.faults.scripted) {
       max_extra_delay_us_ = std::max(max_extra_delay_us_, fault.delay_us);
     }
@@ -356,8 +353,7 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   const double u_delay_amount = rng.next_double();
   const double u_dup_offset = rng.next_double();
 
-  const LinkFaults& lf =
-      params_.faults.resolve(header.source, header.dest);
+  const LinkFaults& lf = params_.faults.all;
   faults.drop = u_drop < lf.drop_probability;
   faults.duplicate = u_dup < lf.dup_probability;
   faults.ack_drop = u_ack < lf.ack_drop_probability;

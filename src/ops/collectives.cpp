@@ -37,16 +37,6 @@ void CollImplBase::start(Image& image, const net::FinishKey& finish,
 
 void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
                               const void* data, std::size_t bytes) {
-  net::Message message;
-  message.header.source = image.rank();
-  message.header.dest = desc_.team.world_rank(to_team_rank);
-  message.header.handler = rt::kHandlerCollective;
-  if (finish_.valid()) {
-    message.header.finish = finish_;
-    message.header.tracked = true;
-    message.header.from_odd_epoch =
-        image.finish_state(finish_).present_odd();
-  }
   WriteArchive archive;
   archive.write(key_);
   archive.write(static_cast<std::int32_t>(stage));
@@ -54,7 +44,6 @@ void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
   if (bytes > 0) {
     archive.write_bytes(data, bytes);
   }
-  message.payload = archive.take();
 
   ++pending_stage_;
   ++pending_ack_;
@@ -65,7 +54,8 @@ void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
                                                           : pending_ack_);
                                  on_send_progress(*img);
                                });
-  image.send_message(std::move(message), std::move(callbacks));
+  image.send(desc_.team.world_rank(to_team_rank), rt::kHandlerCollective,
+             archive.take(), finish_, std::move(callbacks));
 }
 
 void CollImplBase::on_send_progress(Image& image) {

@@ -11,7 +11,6 @@ namespace caf2::ops {
 namespace {
 
 using rt::Image;
-using rt::Tracking;
 
 /// Wire formats. All are trivially copyable and travel at the front of the
 /// message payload (followed by raw data where applicable).
@@ -54,34 +53,6 @@ struct FireWire {
   std::uint64_t plan_id;
 };
 
-/// Build a header attributed to \p finish (captured at initiation time, so
-/// deferred plans still charge the right scope).
-net::MessageHeader header_for(Image& image, int dest, net::HandlerId handler,
-                              const net::FinishKey& finish) {
-  net::MessageHeader h;
-  h.source = image.rank();
-  h.dest = dest;
-  h.handler = handler;
-  if (finish.valid()) {
-    h.finish = finish;
-    h.tracked = true;
-    h.from_odd_epoch = image.finish_state(finish).present_odd();
-  }
-  return h;
-}
-
-/// Charge a tracked local operation to \p finish as a self-message (one
-/// state lookup); returns the parity it carries, false when untracked.
-bool charge_self_message(Image& image, const net::FinishKey& finish) {
-  if (!finish.valid()) {
-    return false;
-  }
-  rt::FinishState& state = image.finish_state(finish);
-  const bool odd = state.present_odd();
-  state.count_sent(odd, image.rank());
-  return odd;
-}
-
 void post_done(Image& image, const RemoteEvent& event) {
   if (event.valid()) {
     rt::post_event_raw(image.runtime(), image.rank(), event);
@@ -93,7 +64,7 @@ void post_done(Image& image, const RemoteEvent& event) {
 /// scope cannot terminate before the copy completes.
 void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                       const net::FinishKey& finish) {
-  const bool odd = charge_self_message(image, finish);
+  const bool odd = image.charge_local(finish);
   // The network validated the bandwidth > 0 (infinity => no injection time).
   const double inject = static_cast<double>(d.bytes) /
                         image.runtime().options().net.bandwidth_bytes_per_us;
@@ -114,12 +85,7 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
         op->data_complete = true;
         op->op_complete = true;
       }
-      if (finish.valid()) {
-        rt::FinishState& state = img->finish_state(finish);
-        state.count_delivered(odd);
-        state.count_received(odd);
-        state.count_completed(odd);
-      }
+      img->complete_local(finish, odd);
       img->runtime().engine().unblock(img->rank());
     };
     static_assert(sim::InlineFn::stores_inline<decltype(copy)>);
@@ -143,9 +109,6 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
 /// block: a one-sided put. The source buffer is read at staging time.
 void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                const net::FinishKey& finish) {
-  net::MessageHeader header =
-      header_for(image, d.dst_image, rt::kHandlerCopyPut, finish);
-
   PutWire wire{d.dst_coarray, d.dst_offset_bytes, d.dst_done};
   const void* src = d.src_local;
   const std::uint64_t bytes = d.bytes;
@@ -182,8 +145,8 @@ void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
         }
         img->runtime().engine().unblock(img->rank());
       });
-  image.send_staged_message(header, sizeof(PutWire) + bytes, std::move(read),
-                            std::move(callbacks));
+  image.send_staged(d.dst_image, rt::kHandlerCopyPut, sizeof(PutWire) + bytes,
+                    std::move(read), finish, std::move(callbacks));
 }
 
 /// Destination buffer is local to \p image, source is a remote coarray
@@ -215,14 +178,10 @@ void start_get(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
         img->runtime().engine().unblock(img->rank());
       });
 
-  net::Message message;
-  message.header =
-      header_for(image, d.src_image, rt::kHandlerCopyGetReq, finish);
   WriteArchive archive;
   archive.write(GetReqWire{d.src_coarray, d.src_offset_bytes, d.bytes,
                            sink_id, d.src_done});
-  message.payload = archive.take();
-  image.send_message(std::move(message));
+  image.send(d.src_image, rt::kHandlerCopyGetReq, archive.take(), finish);
 }
 
 /// Neither end point is local: forward control to the source image, which
@@ -232,14 +191,10 @@ void start_forward(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
   if (op) {
     op->data_complete = true;  // no initiator-local buffers are involved
   }
-  net::Message message;
-  message.header =
-      header_for(image, d.src_image, rt::kHandlerCopyForward, finish);
   WriteArchive archive;
   archive.write(ForwardWire{d.dst_coarray, d.dst_offset_bytes,
                             d.dst_image, d.src_coarray, d.src_offset_bytes,
                             d.bytes, d.src_done, d.dst_done});
-  message.payload = archive.take();
 
   Image* img = &image;
   net::SendCallbacks callbacks(net::kAcked, [img, op](net::SendPoint) {
@@ -249,7 +204,8 @@ void start_forward(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
     }
     img->runtime().engine().unblock(img->rank());
   });
-  image.send_message(std::move(message), std::move(callbacks));
+  image.send(d.src_image, rt::kHandlerCopyForward, archive.take(), finish,
+             std::move(callbacks));
 }
 
 void execute_plan(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
@@ -307,16 +263,13 @@ void copy_async_bytes(CopyDesc desc) {
   // copy is charged to the finish immediately (a self-message that completes
   // when the predicate fires), so the scope cannot terminate while the copy
   // is still waiting on its predicate.
-  const bool odd = charge_self_message(image, finish);
+  const bool odd = image.charge_local(finish);
   Image* img = &image;
   CopyDesc inner = desc;
   inner.pre = RemoteEvent{};
   auto plan = [img, inner, op, finish, odd] {
     if (finish.valid()) {
-      rt::FinishState& state = img->finish_state(finish);
-      state.count_delivered(odd);
-      state.count_received(odd);
-      state.count_completed(odd);
+      img->complete_local(finish, odd);
       img->runtime().engine().unblock(img->rank());
     }
     execute_plan(*img, inner, op, finish);
@@ -332,13 +285,9 @@ void copy_async_bytes(CopyDesc desc) {
   // Remote predicate: stash the plan here, arm a trigger on the predicate's
   // owner, which fires a control message back when the event posts.
   const std::uint64_t plan_id = image.stash_plan(std::move(plan));
-  net::Message arm;
-  arm.header = header_for(image, desc.pre.image, rt::kHandlerCopyArmPre,
-                          net::FinishKey{});
   WriteArchive archive;
   archive.write(ArmWire{desc.pre.event_id, plan_id, image.rank()});
-  arm.payload = archive.take();
-  image.send_message(std::move(arm));
+  image.send(desc.pre.image, rt::kHandlerCopyArmPre, archive.take());
 }
 
 void install_copy_handlers(rt::Runtime& runtime) {
@@ -369,10 +318,6 @@ void install_copy_handlers(rt::Runtime& runtime) {
             static_cast<const std::uint8_t*>(block.data) +
             wire.src_offset_bytes;
 
-        net::MessageHeader resp = header_for(
-            image, message.header.source, rt::kHandlerCopyGetResp,
-            message.header.tracked ? message.header.finish
-                                   : net::FinishKey{});
         const std::uint64_t bytes = wire.bytes;
         const std::uint64_t sink = wire.sink_id;
         auto read = [src, bytes, sink] {
@@ -390,8 +335,9 @@ void install_copy_handlers(rt::Runtime& runtime) {
                 rt::post_event_raw(img->runtime(), img->rank(), src_done);
               }
             });
-        image.send_staged_message(resp, sizeof(GetRespWire) + bytes,
-                                  std::move(read), std::move(callbacks));
+        image.send_staged(message.header.source, rt::kHandlerCopyGetResp,
+                          sizeof(GetRespWire) + bytes, std::move(read),
+                          message.header.finish, std::move(callbacks));
       });
 
   runtime.set_handler(
@@ -423,9 +369,6 @@ void install_copy_handlers(rt::Runtime& runtime) {
         d.bytes = wire.bytes;
         d.src_done = wire.src_done;
         d.dst_done = wire.dst_done;
-        const net::FinishKey finish = message.header.tracked
-                                          ? message.header.finish
-                                          : net::FinishKey{};
         if (wire.dst_image == image.rank()) {
           const rt::BlockInfo dst_block =
               image.lookup_block(wire.dst_coarray);
@@ -434,9 +377,9 @@ void install_copy_handlers(rt::Runtime& runtime) {
               "forwarded copy out of range at destination");
           d.dst_local = static_cast<std::uint8_t*>(dst_block.data) +
                         wire.dst_offset_bytes;
-          start_local_copy(image, d, nullptr, finish);
+          start_local_copy(image, d, nullptr, message.header.finish);
         } else {
-          start_put(image, d, nullptr, finish);
+          start_put(image, d, nullptr, message.header.finish);
         }
       });
 
@@ -447,17 +390,11 @@ void install_copy_handlers(rt::Runtime& runtime) {
         Event* event = image.find_event(wire.event_id);
         CAF2_REQUIRE(event != nullptr,
                      "copy_async: unknown remote predicate event");
-        rt::Runtime* runtime = &image.runtime();
-        const int me = image.rank();
-        event->when_posted([runtime, me, wire] {
-          net::Message fire;
-          fire.header.source = me;
-          fire.header.dest = wire.initiator;
-          fire.header.handler = rt::kHandlerCopyFire;
+        Image* img = &image;
+        event->when_posted([img, wire] {
           WriteArchive out;
           out.write(FireWire{wire.plan_id});
-          fire.payload = out.take();
-          runtime->network().send(std::move(fire));
+          img->send(wire.initiator, rt::kHandlerCopyFire, out.take());
         });
       });
 

@@ -35,14 +35,6 @@ void spawn_bytes(int target, TrampolineFn fn,
           std::to_string(archive.size()) + " > " + std::to_string(limit) +
           " bytes)");
 
-  // Spawns are always charged to the enclosing finish scope (even when the
-  // caller supplied a completion event): a shipped function can transitively
-  // spawn implicit work, and the scope must not terminate under it.
-  net::Message message;
-  message.header =
-      image.make_header(target, rt::kHandlerSpawn, rt::Tracking::kTracked);
-  message.payload = archive.take();
-
   // Cofence tracking only applies to implicitly-synchronized spawns. Local
   // data completion = the argument payload has been injected; local
   // operation completion = delivery acknowledged (see DESIGN.md §4.2 for the
@@ -56,7 +48,7 @@ void spawn_bytes(int target, TrampolineFn fn,
   obs::Recorder* const rec = image.runtime().observer();
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
-  const std::uint64_t payload_bytes = message.payload.size();
+  const std::uint64_t payload_bytes = archive.size();
   net::SendCallbacks callbacks(
       net::kStaged | net::kAcked,
       [img, op, rec, obs_begin, payload_bytes, target](net::SendPoint point) {
@@ -76,7 +68,11 @@ void spawn_bytes(int target, TrampolineFn fn,
         }
         img->runtime().engine().unblock(img->rank());
       });
-  image.send_message(std::move(message), std::move(callbacks));
+  // Spawns are always charged to the enclosing finish scope (even when the
+  // caller supplied a completion event): a shipped function can transitively
+  // spawn implicit work, and the scope must not terminate under it.
+  image.send(target, rt::kHandlerSpawn, archive.take(), image.current_finish(),
+             std::move(callbacks));
 }
 
 void install_spawn_handlers(rt::Runtime& runtime) {

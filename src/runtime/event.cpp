@@ -108,14 +108,10 @@ void post_event_raw(Runtime& runtime, int from_rank, const RemoteEvent& event) {
     local->post();
     return;
   }
-  net::Message message;
-  message.header.source = from_rank;
-  message.header.dest = event.image;
-  message.header.handler = kHandlerEventNotify;
   WriteArchive archive;
   archive.write(event.event_id);
-  message.payload = archive.take();
-  runtime.network().send(std::move(message));
+  runtime.image(from_rank).send(event.image, kHandlerEventNotify,
+                                archive.take());
 }
 
 void install_event_handlers(Runtime& runtime) {

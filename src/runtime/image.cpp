@@ -43,10 +43,6 @@ FinishState& Image::finish_state(const net::FinishKey& key) {
   return finish_states_[key];
 }
 
-bool Image::has_finish_state(const net::FinishKey& key) const {
-  return finish_states_.contains(key);
-}
-
 void Image::erase_finish_state(const net::FinishKey& key) {
   finish_states_.erase(key);
 }
@@ -64,43 +60,58 @@ bool Image::finish_scope_passed(const net::FinishKey& key) const {
   return seq != finish_seqs_.end() && seq->second > key.seq;
 }
 
-/// --- message send helpers ----------------------------------------------------
+/// --- sends and finish charges ---------------------------------------------------
 
-net::MessageHeader Image::make_header(int dest_world, net::HandlerId handler,
-                                      Tracking tracking) {
+net::MessageHeader Image::stamp(int dest, net::HandlerId handler,
+                                const net::FinishKey& finish) {
   net::MessageHeader header;
   header.source = rank_;
-  header.dest = dest_world;
+  header.dest = dest;
   header.handler = handler;
-  if (tracking == Tracking::kTracked) {
-    const net::FinishKey key = current_finish();
-    if (key.valid()) {
-      header.finish = key;
-      header.tracked = true;
-      header.from_odd_epoch = finish_state(key).present_odd();
-    }
+  if (finish.valid()) {
+    FinishState& state = finish_state(finish);
+    header.finish = finish;
+    header.tracked = true;
+    header.from_odd_epoch = state.present_odd();
+    state.count_sent(header.from_odd_epoch, dest);
   }
   return header;
 }
 
-void Image::send_message(net::Message message, net::SendCallbacks callbacks) {
-  count_tracked_send(message.header);
-  runtime_.network().send(std::move(message), std::move(callbacks));
+void Image::send(int dest, net::HandlerId handler,
+                 std::vector<std::uint8_t> payload,
+                 const net::FinishKey& finish, net::SendCallbacks callbacks) {
+  runtime_.network().send(
+      net::Message{stamp(dest, handler, finish), std::move(payload)},
+      std::move(callbacks));
 }
 
-void Image::send_staged_message(net::MessageHeader header,
-                                std::size_t size_hint, net::StageReader read,
-                                net::SendCallbacks callbacks) {
-  count_tracked_send(header);
-  runtime_.network().send_staged(header, size_hint, std::move(read),
-                                 std::move(callbacks));
+void Image::send_staged(int dest, net::HandlerId handler,
+                        std::size_t size_hint, net::StageReader read,
+                        const net::FinishKey& finish,
+                        net::SendCallbacks callbacks) {
+  runtime_.network().send_staged(stamp(dest, handler, finish), size_hint,
+                                 std::move(read), std::move(callbacks));
 }
 
-void Image::count_tracked_send(const net::MessageHeader& header) {
-  CAF2_ASSERT(header.source == rank_, "send from another image's header");
-  if (header.tracked) {
-    finish_state(header.finish).count_sent(header.from_odd_epoch, header.dest);
+bool Image::charge_local(const net::FinishKey& finish) {
+  if (!finish.valid()) {
+    return false;
   }
+  FinishState& state = finish_state(finish);
+  const bool odd = state.present_odd();
+  state.count_sent(odd, rank_);
+  return odd;
+}
+
+void Image::complete_local(const net::FinishKey& finish, bool odd) {
+  if (!finish.valid()) {
+    return;
+  }
+  FinishState& state = finish_state(finish);
+  state.count_delivered(odd);
+  state.count_received(odd);
+  state.count_completed(odd);
 }
 
 void Image::finish_ack(const net::MessageHeader& header) {

@@ -9,6 +9,11 @@
 /// messages. Exactly one Image exists per simulation participant; the
 /// executing image is reachable via Image::current() on participant threads.
 ///
+/// An Image is also the one door from the layers above the network to the
+/// wire (DESIGN.md §4.3): outside net/, only its send() and send_staged()
+/// build a message header, and only an Image stamps a message's finish
+/// envelope or moves a finish scope's counters.
+///
 /// Threading discipline: the simulation engine runs at most one context at a
 /// time (a participant *or* an engine callback), so Image state needs no
 /// locking. Engine callbacks may mutate any image's state through explicit
@@ -36,9 +41,6 @@
 namespace caf2::rt {
 
 class Runtime;
-
-/// Marker for whether a message participates in finish accounting.
-enum class Tracking : std::uint8_t { kUntracked, kTracked };
 
 /// A buffered or dispatched collective stage message.
 struct CollStageMsg {
@@ -80,7 +82,6 @@ class Image {
 
   /// The image executing on the calling participant thread.
   static Image& current();
-  static bool has_current();
 
   int rank() const { return rank_; }
   int num_images() const;
@@ -141,7 +142,6 @@ class Image {
   const std::unordered_map<net::FinishKey, FinishState>& finish_states() const {
     return finish_states_;
   }
-  bool has_finish_state(const net::FinishKey& key) const;
   void erase_finish_state(const net::FinishKey& key);
 
   /// --- per-image extension state -------------------------------------------
@@ -156,25 +156,38 @@ class Image {
   /// the image.
   std::shared_ptr<void>& scratch(const void* tag) { return scratch_[tag]; }
 
-  /// --- message send helpers ------------------------------------------------
+  /// --- sends and finish charges (the message side of paper Fig. 7) --------
+  ///
+  /// Every message an image sends goes through send() or send_staged(). A
+  /// valid \p finish makes the message tracked: the header carries the key and
+  /// this image's present epoch parity in that scope, `sent` is counted at
+  /// once and `delivered` when the delivery acknowledgement returns
+  /// (finish_ack). An invalid key sends the message untracked and touches no
+  /// FinishState. The receiver counts `received` and `completed` around the
+  /// handler (execute()). \p callbacks are reported as net::Network::send
+  /// describes.
 
-  /// Build a header for a message from this image. When \p tracking is
-  /// kTracked and a finish scope is active, the header carries the scope key
-  /// and this image's present epoch parity; otherwise the message is
-  /// untracked.
-  net::MessageHeader make_header(int dest_world, net::HandlerId handler,
-                                 Tracking tracking);
+  /// Send \p payload to \p handler on world rank \p dest.
+  void send(int dest, net::HandlerId handler,
+            std::vector<std::uint8_t> payload,
+            const net::FinishKey& finish = {},
+            net::SendCallbacks callbacks = {});
 
-  /// Send with finish accounting: counts `sent` now and `delivered` when the
-  /// delivery acknowledgement returns (finish_ack), then invokes
-  /// \p callbacks.
-  void send_message(net::Message message, net::SendCallbacks callbacks = {});
+  /// Staged twin of send(): \p read produces the payload at staging time
+  /// (net::Network::send_staged).
+  void send_staged(int dest, net::HandlerId handler, std::size_t size_hint,
+                   net::StageReader read, const net::FinishKey& finish = {},
+                   net::SendCallbacks callbacks = {});
 
-  /// Staged variant (source buffer read at injection time); see
-  /// net::Network::send_staged.
-  void send_staged_message(net::MessageHeader header, std::size_t size_hint,
-                           net::StageReader read,
-                           net::SendCallbacks callbacks = {});
+  /// Charge a local operation to \p finish as a message to this image:
+  /// counts `sent` now and returns the parity it carries, which the matching
+  /// complete_local() takes. An invalid key charges nothing (returns false).
+  bool charge_local(const net::FinishKey& finish);
+
+  /// Complete a charge_local() of parity \p odd: counts `delivered`,
+  /// `received` and `completed`. No-op for an invalid key; waking the image
+  /// is left to the caller.
+  void complete_local(const net::FinishKey& finish, bool odd);
 
   /// The network's tracked-ack hook for a message this image sent: count
   /// `delivered` in its finish scope and wake the image.
@@ -239,8 +252,10 @@ class Image {
 
   void execute(net::Message&& message);
 
-  /// Count a finish-tracked message this image is sending as `sent`.
-  void count_tracked_send(const net::MessageHeader& header);
+  /// The header of a message from this image; stamps and charges \p finish
+  /// when it is valid (see send()).
+  net::MessageHeader stamp(int dest, net::HandlerId handler,
+                           const net::FinishKey& finish);
 
   Runtime& runtime_;
   int rank_;

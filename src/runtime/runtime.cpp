@@ -59,8 +59,6 @@ Image& Image::current() {
   return *image;
 }
 
-bool Image::has_current() { return current_image_slot() != nullptr; }
-
 Runtime& Runtime::current() {
   Runtime* runtime = current_runtime_slot();
   CAF2_REQUIRE(runtime != nullptr,

@@ -307,12 +307,6 @@ class Engine {
   /// produces the full report.
   obs::Postmortem snapshot_postmortem(const std::string& headline);
 
-  /// The postmortem collected by the first failure, or null if the run has
-  /// not failed. Also carried by the obs::StallError run() throws.
-  std::shared_ptr<const obs::Postmortem> last_postmortem() const {
-    return last_postmortem_;
-  }
-
   /// --- introspection -------------------------------------------------------
 
   /// Total events dispatched so far (summed over shards).
@@ -616,10 +610,5 @@ class Engine {
 
   obs::Recorder* observer_ = nullptr;
 };
-
-/// RAII helper used in tests to run a closure body on every participant of a
-/// fresh engine with the given options.
-void run_spmd(int participants, const std::function<void(int)>& body,
-              EngineOptions options = {});
 
 }  // namespace caf2::sim

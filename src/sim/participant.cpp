@@ -18,14 +18,4 @@ int this_participant() {
 
 bool on_participant_thread() { return Engine::current_engine() != nullptr; }
 
-double virtual_now() { return this_engine().now(); }
-
-void virtual_compute(double us) { this_engine().advance(us); }
-
-void run_spmd(int participants, const std::function<void(int)>& body,
-              EngineOptions options) {
-  Engine engine(participants, std::move(options));
-  engine.run(body);
-}
-
 }  // namespace caf2::sim

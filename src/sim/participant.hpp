@@ -18,10 +18,4 @@ int this_participant();
 /// True when called on a simulated participant thread.
 bool on_participant_thread();
 
-/// Current virtual time (microseconds) of the calling participant's engine.
-double virtual_now();
-
-/// Model \p us microseconds of local computation.
-void virtual_compute(double us);
-
 }  // namespace caf2::sim

@@ -7,26 +7,7 @@
 
 namespace caf2 {
 
-bool FaultPlan::active() const {
-  if (!scripted.empty() || all.any()) {
-    return true;
-  }
-  for (const LinkFaults& link : links) {
-    if (link.any()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-const LinkFaults& FaultPlan::resolve(int source, int dest) const {
-  for (const LinkFaults& link : links) {
-    if (link.matches(source, dest)) {
-      return link;
-    }
-  }
-  return all;
-}
+bool FaultPlan::active() const { return !scripted.empty() || all.any(); }
 
 namespace {
 
@@ -64,9 +45,6 @@ void NetworkParams::validate() const {
                "NetworkParams: max_medium_payload must be > 0");
 
   validate_link(faults.all);
-  for (const LinkFaults& link : faults.links) {
-    validate_link(link);
-  }
   for (const ScriptedFault& fault : faults.scripted) {
     CAF2_REQUIRE(fault.source >= 0 && fault.dest >= 0,
                  "NetworkParams: scripted fault endpoints must be >= 0");

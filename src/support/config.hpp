@@ -7,7 +7,10 @@
 /// (DESIGN.md §1). NetworkParams models the interconnect of such a machine:
 /// a per-message wire latency, an injection bandwidth, a per-byte handler
 /// cost at the receiver, and a jitter term that perturbs (and can reorder)
-/// deliveries. RuntimeOptions bundles the complete configuration of one run.
+/// deliveries. A FaultPlan perturbs that wire for the reliable-delivery
+/// protocol: one set of per-attempt probabilities that applies to every link,
+/// plus one-shot faults scripted against single messages. RuntimeOptions
+/// bundles the complete configuration of one run.
 
 #include <cstdint>
 #include <string>
@@ -56,11 +59,8 @@ struct ScriptedFault {
   double delay_us = 0.0;     ///< extra delay for kDelay
 };
 
-/// Random per-delivery fault probabilities for one link (or, with wildcard
-/// endpoints, a set of links).
+/// Random per-delivery fault probabilities, applied to every link.
 struct LinkFaults {
-  int source = -1;  ///< world rank, -1 = any sender
-  int dest = -1;    ///< world rank, -1 = any receiver
   double drop_probability = 0.0;      ///< delivery attempt is lost
   double dup_probability = 0.0;       ///< delivery attempt lands twice
   double ack_drop_probability = 0.0;  ///< delivery lands but its ack is lost
@@ -70,25 +70,17 @@ struct LinkFaults {
     return drop_probability > 0.0 || dup_probability > 0.0 ||
            ack_drop_probability > 0.0 || delay_probability > 0.0;
   }
-  bool matches(int src, int dst) const {
-    return (source < 0 || source == src) && (dest < 0 || dest == dst);
-  }
 };
 
 /// Deterministic, seeded fault schedule for a whole run.
 struct FaultPlan {
-  /// Probabilities applied to every link without a more specific entry.
+  /// Probabilities applied to every delivery attempt on every link.
   LinkFaults all{};
-  /// Per-link overrides; the first entry matching (source, dest) replaces
-  /// `all` entirely for that delivery.
-  std::vector<LinkFaults> links;
   /// One-shot faults pinned to specific messages.
   std::vector<ScriptedFault> scripted;
 
   /// True when the plan can inject at least one fault.
   bool active() const;
-  /// The LinkFaults record governing a delivery on (source, dest).
-  const LinkFaults& resolve(int source, int dest) const;
 };
 
 /// Reliable-delivery protocol knobs (per-link sequence numbers, receiver

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -47,6 +48,15 @@ void fanout(std::int32_t depth, Coref<long> counter) {
       }
     }
   }
+}
+
+void land(Coref<long> data) { data.local()[0] += 1; }
+
+/// Runs on image 1 while it already sits in its first detection wave: lands
+/// a spawn on image 2 and puts image 1's whole block to \p far.
+void relay(Coref<long> data, RemoteSlice<long> far, RemoteEvent landed) {
+  spawn<land>(landed, 2, data);
+  copy_async(far, std::span<const long>(data.local()));
 }
 
 TEST(Finish, EmptyFinishUsesOneRound) {
@@ -115,6 +125,41 @@ TEST(Finish, TransitiveFanoutFullyCounted) {
     // Execution tree: 1 + 2 + 2*2 = 7 executions for depth 2 with p=3.
     const long total = allreduce<long>(world, counter[0], RedOp::kSum);
     EXPECT_EQ(total, 7);
+    team_barrier(world);
+  });
+}
+
+TEST(Finish, SendsFromAWaveCarryOddParity) {
+  // Paper Fig. 7: a message sent by an image inside a detection wave carries
+  // odd parity, so its receiver counts it outside that wave's even sums.
+  // Image 1's body is empty, so it enters the first wave at once; image 0's
+  // spawn reaches it there. Image 2 completes the relayed spawn before it
+  // joins the wave, and the relayed put to image 3 is still being staged
+  // when the wave sums. Were the relayed messages counted as even, image 2's
+  // completion would cancel image 0's send and the first wave would sum to
+  // zero with the put in flight.
+  constexpr std::size_t kWords = 16384;  // 128 KiB: ~262 us of staging
+  run(finish_options(4, /*latency=*/3.0, /*jitter=*/0.0), [] {
+    Team world = team_world();
+    Coarray<long> data(world, kWords);
+    std::fill(data.local().begin(), data.local().end(), world.rank());
+    CoEvent landed(world);
+    team_barrier(world);
+    finish(world, [&] {
+      if (world.rank() == 0) {
+        spawn<relay>(1, data.ref(), data(3), landed(2));
+      } else if (world.rank() == 2) {
+        landed.local().wait();
+      }
+    });
+    EXPECT_GE(last_finish_report().rounds, 2);
+    if (world.rank() == 2) {
+      EXPECT_EQ(data[0], 3);
+    }
+    if (world.rank() == 3) {
+      EXPECT_EQ(data[0], 1) << "finish ended before the relayed put landed";
+      EXPECT_EQ(data[kWords - 1], 1);
+    }
     team_barrier(world);
   });
 }

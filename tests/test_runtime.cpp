@@ -342,4 +342,114 @@ TEST(Runtime, HandlerIdsIndexAFixedTable) {
   EXPECT_TRUE(static_cast<bool>(runtime.handler(rt::kHandlerCount - 1)));
 }
 
+/// --- sends and finish charges ----------------------------------------------------
+
+/// Image::send stamps a tracked message with its scope and the sender's
+/// present parity and counts `sent` at once and `delivered` at the ack; an
+/// untracked send touches no FinishState; charge_local/complete_local charge
+/// a local operation as a message to the image itself.
+TEST(Runtime, SendStampsAndChargesTheFinishScope) {
+  constexpr double kLatency = 1.0;
+  rt::Runtime runtime(options_with(2, kLatency));
+  std::vector<net::MessageHeader> seen;  // written by image 1 only
+  runtime.set_handler(rt::kHandlerSpawn,
+                      [&seen](rt::Image&, net::Message&& message) {
+                        seen.push_back(message.header);
+                      });
+  // Image 1's counters once it has handled every message.
+  rt::EpochCounters even1;
+  rt::EpochCounters odd1;
+  std::size_t states1 = 0;
+  bool present_odd1 = false;
+  const net::FinishKey key{0, 0};
+  runtime.run([&] {
+    rt::Image& me = rt::Image::current();
+    sim::Engine& engine = runtime.engine();
+    if (me.rank() == 1) {
+      me.wait_for([&] { return seen.size() == 3; }, "test: three messages");
+      const rt::FinishState& state = me.finish_state(key);
+      even1 = state.even();
+      odd1 = state.odd();
+      present_odd1 = state.present_odd();
+      states1 = me.finish_states().size();
+      return;
+    }
+    ASSERT_EQ(me.next_finish_seq(0), key.seq);
+    me.push_finish(key);
+    rt::FinishState& state = me.finish_state(key);
+
+    // Tracked, even epoch: `sent` moves at once, `delivered` at the ack.
+    const double t0 = engine.now();
+    me.send(1, rt::kHandlerSpawn, {1}, me.current_finish());
+    EXPECT_EQ(state.even().sent, 1u);
+    EXPECT_EQ(state.even().delivered, 0u);
+    EXPECT_EQ(state.sent_to().size(), 1u);
+    me.wait_for([&] { return state.even().delivered == 1; }, "test: ack");
+    EXPECT_GE(engine.now(), t0 + 2 * kLatency)
+        << "delivered counted before the ack could return";
+
+    // Untracked: no FinishState moves, none is created.
+    const rt::EpochCounters even_before = state.even();
+    bool acked = false;
+    me.send(1, rt::kHandlerSpawn, {2}, {},
+            net::SendCallbacks(net::kAcked, [&acked, &engine](net::SendPoint) {
+              acked = true;
+              engine.unblock(0);
+            }));
+    me.wait_for([&] { return acked; }, "test: untracked ack");
+    EXPECT_EQ(me.finish_states().size(), 1u);
+    EXPECT_EQ(state.even().sent, even_before.sent);
+    EXPECT_EQ(state.even().delivered, even_before.delivered);
+    EXPECT_EQ(state.odd().sent, 0u);
+
+    // Tracked from the odd epoch: the message carries odd parity.
+    state.enter_allreduce();
+    me.send(1, rt::kHandlerSpawn, {3}, key);
+    EXPECT_EQ(state.odd().sent, 1u);
+    EXPECT_EQ(state.even().sent, 1u);
+    me.wait_for([&] { return state.odd().delivered == 1; }, "test: odd ack");
+    me.pop_finish();
+
+    // A local charge balances all four counters once completed.
+    EXPECT_FALSE(me.charge_local({}));
+    const net::FinishKey local{0, me.next_finish_seq(0)};
+    const bool odd = me.charge_local(local);
+    EXPECT_FALSE(odd) << "a fresh scope starts in its even epoch";
+    rt::FinishState& charged = me.finish_state(local);
+    EXPECT_EQ(charged.even().sent, 1u);
+    EXPECT_EQ(charged.even().delivered, 0u);
+    EXPECT_FALSE(charged.even_quiesced());
+    me.complete_local(local, odd);
+    EXPECT_EQ(charged.even().delivered, 1u);
+    EXPECT_EQ(charged.even().received, 1u);
+    EXPECT_EQ(charged.even().completed, 1u);
+    EXPECT_TRUE(charged.even_quiesced());
+    EXPECT_EQ(charged.even_deficit(), 0);
+  });
+
+  ASSERT_EQ(seen.size(), 3u);
+  for (const net::MessageHeader& header : seen) {
+    EXPECT_EQ(header.source, 0);
+    EXPECT_EQ(header.dest, 1);
+    EXPECT_EQ(header.handler, rt::kHandlerSpawn);
+  }
+  EXPECT_TRUE(seen[0].tracked);
+  EXPECT_EQ(seen[0].finish, key);
+  EXPECT_FALSE(seen[0].from_odd_epoch);
+  EXPECT_FALSE(seen[1].tracked);
+  EXPECT_FALSE(seen[1].finish.valid());
+  EXPECT_TRUE(seen[2].tracked);
+  EXPECT_EQ(seen[2].finish, key);
+  EXPECT_TRUE(seen[2].from_odd_epoch);
+  // The receiver counted the two tracked messages, each in its own parity,
+  // and the odd one moved it into its odd epoch.
+  EXPECT_EQ(states1, 1u);
+  EXPECT_EQ(even1.received, 1u);
+  EXPECT_EQ(even1.completed, 1u);
+  EXPECT_EQ(odd1.received, 1u);
+  EXPECT_EQ(odd1.completed, 1u);
+  EXPECT_EQ(even1.sent + odd1.sent, 0u);
+  EXPECT_TRUE(present_odd1);
+}
+
 }  // namespace
