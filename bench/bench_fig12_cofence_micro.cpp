@@ -11,6 +11,8 @@
 /// finish grows with core count). The same ordering must hold here, with
 /// the finish curve growing like log p.
 
+#include <optional>
+
 #include "bench_common.hpp"
 
 namespace {
@@ -148,14 +150,23 @@ int main(int argc, char** argv) {
 
   std::vector<caf2::BenchRecord> blame_records;
   bool ordering_ok = true;
-  std::string trace;  // merged Chrome trace of the largest sweep point
+  const std::string trace_path =
+      caf2::bench::sidecar_path(args, "fig12", "trace");
+  bool trace_ok = false;
 
-  for (int images : sweep) {
+  for (std::size_t point = 0; point < sweep.size(); ++point) {
+    const int images = sweep[point];
     std::array<VariantResult, 3> results;
     std::array<double, 3> producer_wait{};  // producer's own-mechanism wait
     const Variant variants[] = {Variant::kFinish, Variant::kEvents,
                                 Variant::kCofence};
-    trace.clear();
+    // The last point's variants, as distinct pids of one Chrome trace,
+    // stream into the file as each run finishes.
+    std::optional<caf2::obs::ChromeTraceWriter> trace;
+    if (point + 1 == sweep.size()) {
+      trace.emplace(trace_path);
+      trace->raw("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
+    }
     for (int v = 0; v < 3; ++v) {
       results[v] = run_variant(variants[v], images, iterations, args.shards);
       const caf2::obs::BlameReport report =
@@ -175,11 +186,17 @@ int main(int argc, char** argv) {
       caf2::bench::append_blame_metrics(record, report);
       blame_records.push_back(std::move(record));
 
-      if (!trace.empty()) {
-        trace += ",";
+      if (trace) {
+        if (v > 0) {
+          trace->raw(",");
+        }
+        trace->events(*results[v].capture, v, variant_name(variants[v]));
       }
-      trace += caf2::obs::chrome_trace_events(*results[v].capture, v,
-                                              variant_name(variants[v]));
+      results[v].capture.reset();
+    }
+    if (trace) {
+      trace->raw("]}");
+      trace_ok = trace->close();
     }
     // The paper's ordering, measured at the producer's wait itself:
     // cofence (data completion) < events (operation completion) < finish
@@ -203,11 +220,7 @@ int main(int argc, char** argv) {
   caf2::bench::emit_blame_json(
       args, "fig12", blame_records,
       {{"producer_wait_ordering", ordering_ok ? "ok" : "violated"}});
-  const std::string trace_path =
-      caf2::bench::sidecar_path(args, "fig12", "trace");
-  if (caf2::obs::write_file(trace_path,
-                            "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [" +
-                                trace + "]}")) {
+  if (trace_ok) {
     std::printf("wrote %s (load in https://ui.perfetto.dev)\n",
                 trace_path.c_str());
   }

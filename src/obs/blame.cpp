@@ -65,6 +65,9 @@ struct Chain {
   std::uint64_t hops = 0;  ///< 0 only for the empty chain
 };
 
+/// The per-track counter field of a compose_id() span id.
+constexpr std::uint64_t kCounterMask = (std::uint64_t{1} << 40) - 1;
+
 bool is_timeline(const Span& span) {
   return span.kind == SpanKind::kCompute || span.kind == SpanKind::kBlocked;
 }
@@ -89,8 +92,9 @@ std::size_t next_timeline(const SpanLog& spans, std::size_t from) {
 /// when the sweep passes the initiation (a flight initiated at its own
 /// delivery time reads it at its delivery). Timeline spans tile each image,
 /// so every image track already arrives end-ordered and a k-way merge over
-/// the images orders them in place; only the flights get index arrays, so
-/// the extra memory is O(flights + images).
+/// the images orders them in place; only the flights get index arrays and a
+/// 4-byte parent-lookup slot per network span id, so the extra memory is
+/// O(flights + images) when, as recorded, each source's ids are dense.
 std::pair<Chain, int> critical_path(const Capture& capture) {
   const std::size_t images = static_cast<std::size_t>(capture.images);
   const SpanLog& net = capture.net_track().spans;
@@ -98,7 +102,7 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
               "analyze_blame: network track exceeds 2^32 spans");
 
   // Flights by end (stable: net-track order on ties), i.e. sweep order; a
-  // flight's rank in it indexes `chains` and the id table.
+  // flight's rank in it indexes `chains`.
   std::vector<std::uint32_t> by_end;
   by_end.reserve(net.size());
   for (std::uint32_t i = 0; i < net.size(); ++i) {
@@ -113,53 +117,48 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
   const auto flight = [&](std::size_t rank) { return net[by_end[rank]]; };
   // Ranks of the flights initiated strictly before their delivery, by
   // initiation (equal initiations read the same running maximum).
-  using IdRank = std::pair<std::uint64_t, std::uint32_t>;
   std::vector<std::uint32_t> by_begin;
-  std::vector<IdRank> ids;
   by_begin.reserve(by_end.size());
-  ids.reserve(by_end.size());
+  // Flight ids are compose_id(images + source, counter) composites with
+  // dense per-source counters, so a parent lookup indexes a per-field table
+  // by the id's 40-bit counter: swept[field][counter] is 1 + the rank of
+  // the latest-swept flight of that id (0: none yet), 4 B per id.
+  std::vector<std::uint64_t> counters;  // per field: largest counter + 1
   for (std::uint32_t rank = 0; rank < by_end.size(); ++rank) {
-    if (flight(rank).begin < flight(rank).end) {
+    const Span span = flight(rank);
+    if (span.begin < span.end) {
       by_begin.push_back(rank);
     }
-    ids.emplace_back(flight(rank).id, rank);
+    const std::uint64_t field = span.id >> 40;
+    if (counters.size() <= field) {
+      counters.resize(field + 1);
+    }
+    counters[field] =
+        std::max(counters[field], (span.id & kCounterMask) + 1);
+  }
+  std::vector<std::vector<std::uint32_t>> swept(counters.size());
+  for (std::size_t field = 0; field < counters.size(); ++field) {
+    swept[field].resize(counters[field]);
   }
   std::sort(by_begin.begin(), by_begin.end(),
             [&](std::uint32_t x, std::uint32_t y) {
               return flight(x).begin < flight(y).begin;
             });
-  std::sort(ids.begin(), ids.end());
-  // Flight ids are compose_id(images + source, counter) composites, so the
-  // sorted ids group by their ordinal field (id >> 40): ids[first[f] ..
-  // first[f + 1]) holds field f's flights, and a parent lookup searches only
-  // its source's block instead of the whole array.
-  std::vector<std::uint32_t> first;
-  for (std::uint32_t i = 0; i < ids.size(); ++i) {
-    first.resize(std::max(first.size(), (ids[i].first >> 40) + 1), i);
-  }
-  first.push_back(static_cast<std::uint32_t>(ids.size()));
   // Before a flight's delivery: the source chain read at its initiation.
   // After: the chain reaching its delivery.
   std::vector<Chain> chains(by_end.size());
 
-  // The chain of the latest-swept flight named \p id, if one has been swept
-  // by the time the sweep reaches \p at (ranks ascend in sweep order).
-  const auto swept_flight = [&](std::uint64_t id, double at) -> const Chain* {
+  // The chain of the latest-swept flight named \p id. The sweep passes
+  // flights in end order and, on ties, before timeline spans, so at a span's
+  // end that is the latest delivery of \p id ending by then.
+  const auto swept_flight = [&](std::uint64_t id) -> const Chain* {
     const std::uint64_t field = id >> 40;
-    if (field + 1 >= first.size()) {
+    const std::uint64_t counter = id & kCounterMask;
+    if (field >= swept.size() || counter >= swept[field].size() ||
+        swept[field][counter] == 0) {
       return nullptr;
     }
-    const auto lo = ids.begin() + first[field];
-    auto it = std::upper_bound(
-        lo, ids.begin() + first[field + 1],
-        IdRank{id, std::numeric_limits<std::uint32_t>::max()});
-    for (; it != lo && std::prev(it)->first == id; --it) {
-      const std::uint32_t rank = std::prev(it)->second;
-      if (flight(rank).end <= at) {
-        return &chains[rank];
-      }
-    }
-    return nullptr;
+    return &chains[swept[field][counter] - 1];
   };
 
   std::vector<Chain> last(images);     // chain of each image's latest span
@@ -209,6 +208,8 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
       }
       chains[next_flight] = chain;
       next_flight += 1;
+      swept[span.id >> 40][span.id & kCounterMask] =
+          static_cast<std::uint32_t>(next_flight);
       continue;
     }
 
@@ -218,7 +219,7 @@ std::pair<Chain, int> critical_path(const Capture& capture) {
     const Span span = spans[cursor[image]];
     Chain pred = last[image];
     if (span.parent() != 0) {
-      const Chain* cause = swept_flight(span.parent(), span.end);
+      const Chain* cause = swept_flight(span.parent());
       if (cause != nullptr && cause->us > pred.us) {
         pred = *cause;
       }

@@ -10,6 +10,8 @@ namespace caf2::obs {
 
 namespace {
 
+/// Append printf-style text; one call renders at most 255 bytes, so text
+/// of unbounded length (labels, names) is appended directly.
 void appendf(std::string& out, const char* fmt, ...) {
   char buf[256];
   va_list args;
@@ -24,24 +26,78 @@ void appendf(std::string& out, const char* fmt, ...) {
   }
 }
 
-/// Display name of one trace-event span.
-std::string span_name(const Span& span) {
-  std::string name = to_string(span.kind);
-  if (const char* label = span.label(); label != nullptr) {
-    name += ":";
-    name += label;
+constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+
+}  // namespace
+
+ChromeTraceWriter::ChromeTraceWriter(const std::string& path)
+    : path_(path), file_(std::fopen(path.c_str(), "w")), out_(&buffer_) {
+  if (file_ == nullptr) {
+    std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+    ok_ = false;
   }
-  return name;
+  buffer_.reserve(kChunkBytes + 1024);
 }
 
-void append_trace_span(std::string& out, const Span& span, int pid, int tid,
-                       bool& first) {
-  if (!first) {
-    out += ",\n";
+ChromeTraceWriter::ChromeTraceWriter(std::string& out) : out_(&out) {}
+
+void ChromeTraceWriter::raw(std::string_view text) {
+  out_->append(text);
+  spill();
+}
+
+void ChromeTraceWriter::events(const Capture& capture, int pid,
+                               const std::string& process_name) {
+  first_ = true;
+  metadata(pid, -1, "process_name", process_name);
+  for (int image = 0; image < capture.images; ++image) {
+    char label[64];
+    std::snprintf(label, sizeof label, "image %d", image);
+    metadata(pid, image, "thread_name", label);
   }
-  first = false;
-  appendf(out, "{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %d, \"tid\": %d, ",
-          json_escape(span_name(span)).c_str(), pid, tid);
+  metadata(pid, capture.images, "thread_name", "network");
+  for (int image = 0; image < capture.images; ++image) {
+    for (const Span& s : capture.image_track(image).spans) {
+      span(s, pid, image);
+    }
+  }
+  for (const Span& s : capture.net_track().spans) {
+    span(s, pid, capture.images);
+  }
+}
+
+bool ChromeTraceWriter::close() {
+  if (file_ == nullptr) {
+    return ok_;
+  }
+  flush_buffer();
+  if (std::fclose(file_) != 0) {
+    ok_ = false;
+  }
+  file_ = nullptr;
+  if (!ok_) {
+    std::fprintf(stderr, "obs: error writing %s\n", path_.c_str());
+  }
+  return ok_;
+}
+
+void ChromeTraceWriter::separator() {
+  if (!first_) {
+    out_->append(",\n");
+  }
+  first_ = false;
+}
+
+void ChromeTraceWriter::span(const Span& span, int pid, int tid) {
+  separator();
+  std::string& out = *out_;
+  out += "{\"name\": \"";
+  out += to_string(span.kind);
+  if (const char* label = span.label(); label != nullptr) {
+    out += ':';
+    json_escape_append(out, label);
+  }
+  appendf(out, "\", \"ph\": \"X\", \"pid\": %d, \"tid\": %d, ", pid, tid);
   appendf(out, "\"ts\": %.6f, \"dur\": %.6f, \"args\": {\"id\": %" PRIu64
                ", \"parent\": %" PRIu64,
           span.begin, span.end - span.begin, span.id, span.parent());
@@ -58,50 +114,45 @@ void append_trace_span(std::string& out, const Span& span, int pid, int tid,
     appendf(out, ", \"peer\": %d", span.peer);
   }
   out += "}}";
+  spill();
 }
 
-void append_metadata(std::string& out, int pid, int tid, const char* what,
-                     const std::string& name, bool& first) {
-  if (!first) {
-    out += ",\n";
-  }
-  first = false;
-  appendf(out, "{\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d, ", what, pid);
+void ChromeTraceWriter::metadata(int pid, int tid, const char* what,
+                                 std::string_view name) {
+  separator();
+  std::string& out = *out_;
+  appendf(out, "{\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d, ", what,
+          pid);
   if (tid >= 0) {
     appendf(out, "\"tid\": %d, ", tid);
   }
-  appendf(out, "\"args\": {\"name\": \"%s\"}}", json_escape(name).c_str());
+  out += "\"args\": {\"name\": \"";
+  json_escape_append(out, name);
+  out += "\"}}";
+  spill();
 }
 
-}  // namespace
+void ChromeTraceWriter::spill() {
+  if (out_ == &buffer_ && buffer_.size() >= kChunkBytes) {
+    flush_buffer();
+  }
+}
 
-std::string chrome_trace_events(const Capture& capture, int pid,
-                                const std::string& process_name) {
-  std::string out;
-  bool first = true;
-  append_metadata(out, pid, -1, "process_name", process_name, first);
-  for (int image = 0; image < capture.images; ++image) {
-    char label[64];
-    std::snprintf(label, sizeof label, "image %d", image);
-    append_metadata(out, pid, image, "thread_name", label, first);
+void ChromeTraceWriter::flush_buffer() {
+  if (file_ != nullptr && !buffer_.empty() &&
+      std::fwrite(buffer_.data(), 1, buffer_.size(), file_) != buffer_.size()) {
+    ok_ = false;
   }
-  append_metadata(out, pid, capture.images, "thread_name", "network", first);
-  for (int image = 0; image < capture.images; ++image) {
-    for (const Span& span : capture.image_track(image).spans) {
-      append_trace_span(out, span, pid, image, first);
-    }
-  }
-  for (const Span& span : capture.net_track().spans) {
-    append_trace_span(out, span, pid, capture.images, first);
-  }
-  return out;
+  buffer_.clear();
 }
 
 std::string to_chrome_trace(const Capture& capture, int pid,
                             const std::string& process_name) {
-  std::string out = "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n";
-  out += chrome_trace_events(capture, pid, process_name);
-  out += "\n]}\n";
+  std::string out;
+  ChromeTraceWriter writer(out);
+  writer.raw("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
+  writer.events(capture, pid, process_name);
+  writer.raw("\n]}\n");
   return out;
 }
 
@@ -137,7 +188,8 @@ std::string to_text(const Capture& capture) {
         appendf(out, " peer=%d", span.peer);
       }
       if (const char* label = span.label(); label != nullptr) {
-        appendf(out, " label=%s", label);
+        out += " label=";
+        out += label;
       }
       out += "\n";
     }
@@ -170,8 +222,9 @@ bool write_file(const std::string& path, const std::string& content) {
     std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
     return false;
   }
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = written == content.size() && std::fclose(f) == 0;
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  const bool ok = std::fclose(f) == 0 && written;
   if (!ok) {
     std::fprintf(stderr, "obs: error writing %s\n", path.c_str());
   }

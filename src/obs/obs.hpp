@@ -36,13 +36,13 @@
 /// so its record stores neither id nor image (DESIGN.md §4.9). Network spans
 /// of images on different shards would race on one buffer, so the recorder
 /// appends them to per-shard *lanes* (the lane_of_image partition given at
-/// construction, keyed by the recording image); take()/snapshot() compact
-/// the lanes into the capture's single network track and sort it by (begin,
-/// end, image, peer, id), a total order. The capture is thus byte-identical
-/// at every shard count, with one exception: each of the n lanes holds
-/// ObsConfig::max_net_track_bytes / n, so the cap bounds the whole track,
-/// but once it binds, which network spans are kept depends on the
-/// partition.
+/// construction, keyed by the recording image); take()/snapshot() gather
+/// the lanes' blocks into the capture's single network track and sort it in
+/// place by (begin, end, image, peer, id), a total order. The capture is
+/// thus byte-identical at every shard count, with one exception: each of
+/// the n lanes holds ObsConfig::max_net_track_bytes / n, so the cap bounds
+/// the whole track, but once it binds, which network spans are kept depends
+/// on the partition.
 
 #include <array>
 #include <cstddef>
@@ -136,7 +136,7 @@ const char* to_string(Blame blame);
 /// static lifetime; repeated calls with equal text return the same pointer.
 /// Operations whose label is composed at runtime (e.g. a collective's
 /// "kind/algorithm" identity) intern it once here. The pool is never freed
-/// and insertion is mutex-guarded.
+/// and insertion is mutex-guarded; reading a label by id takes no lock.
 const char* intern_label(const std::string& text);
 
 /// Id of \p text in the label pool (interning it on first use); 0 for null.
@@ -145,7 +145,8 @@ const char* intern_label(const std::string& text);
 /// error.
 std::uint16_t intern_label_id(const char* text);
 
-/// Text of label \p id (static lifetime), or nullptr for id 0.
+/// Text of label \p id (static lifetime), or nullptr for id 0. Lock-free:
+/// exporters call it once per span.
 const char* label_text(std::uint16_t id);
 
 /// One recorded span, as tracks yield it (they store it more compactly; see
@@ -199,8 +200,10 @@ static_assert(sizeof(Span) <= 48, "obs::Span grew past 48 bytes");
 /// its owner and the record's index: image = owner, id =
 /// compose_id(owner, index + 1) — caps drop only a track's tail, so kept ids
 /// stay dense. Any other log (owner -1: the network track, its lanes) adds
-/// a 12-byte (id, image) column, 44 B per span. A *compacted* log holds its
-/// spans in one exact-size block (the capture's network track).
+/// a 12-byte (id, image) column, 44 B per span. Every log, from recording
+/// through capture to export, keeps this one blocked layout: the capture's
+/// network track is the lanes' blocks moved over by gather(), then sorted
+/// in place.
 ///
 /// Reading is by value: indexing and iteration yield Span, so
 /// `for (const Span& s : track.spans)` binds each span to a temporary.
@@ -221,7 +224,6 @@ class SpanLog {
       owner_ = other.owner_;
       size_ = std::exchange(other.size_, 0);
       capacity_ = std::exchange(other.capacity_, 0);
-      shift_ = std::exchange(other.shift_, kBlockShift);
       records_ = std::exchange(other.records_, {});
       origins_ = std::exchange(other.origins_, {});
     }
@@ -238,7 +240,7 @@ class SpanLog {
 
   /// Append \p span. Its kind must not carry both `b` and `peer` (see
   /// carries_peer()); on an image track its image and id must be the ones
-  /// its index implies. A compacted log takes no appends.
+  /// its index implies.
   void push_back(const Span& span) {
     CAF2_ASSERT(carries_peer(span.kind) ? span.b == 0 : span.peer < 0,
                 "SpanLog: a span carries `b` or `peer` (by kind), not both");
@@ -248,33 +250,22 @@ class SpanLog {
                                               size_ + 1)),
                 "SpanLog: an image-track span's image and id are implied by "
                 "its track and index");
-    CAF2_ASSERT(shift_ == kBlockShift, "SpanLog: append to a compacted log");
-    const std::size_t slot = size_ & (kBlockSpans - 1);
-    if (slot == 0) {
-      add_block();
-    }
-    records_.back()[slot] =
-        Record{span.begin,
-               span.end,
-               span.slot_,
-               carries_peer(span.kind) ? static_cast<std::uint32_t>(span.peer)
-                                       : span.b,
-               span.label_id,
-               span.kind,
-               span.blame};
-    if (owner_ < 0) {
-      origins_.back()[slot] = Origin{static_cast<std::uint32_t>(span.id),
-                                     static_cast<std::uint32_t>(span.id >> 32),
-                                     span.image};
-    }
-    size_ += 1;
+    append(Record{span.begin,
+                  span.end,
+                  span.slot_,
+                  carries_peer(span.kind)
+                      ? static_cast<std::uint32_t>(span.peer)
+                      : span.b,
+                  span.label_id,
+                  span.kind,
+                  span.blame},
+           Origin{static_cast<std::uint32_t>(span.id),
+                  static_cast<std::uint32_t>(span.id >> 32), span.image});
   }
 
   /// Span \p i, decoded.
   Span operator[](std::size_t i) const {
-    const std::size_t block = i >> shift_;
-    const std::size_t slot = i & ((std::size_t{1} << shift_) - 1);
-    const Record& record = records_[block][slot];
+    const Record& record = record_at(i);
     Span span;
     span.begin = record.begin;
     span.end = record.end;
@@ -292,7 +283,7 @@ class SpanLog {
       span.image = owner_;
       span.id = ((static_cast<std::uint64_t>(owner_) + 1) << 40) | (i + 1);
     } else {
-      const Origin& origin = origins_[block][slot];
+      const Origin& origin = origin_at(i);
       span.image = origin.image;
       span.id = (static_cast<std::uint64_t>(origin.id_high) << 32) |
                 origin.id_low;
@@ -334,15 +325,15 @@ class SpanLog {
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size_}; }
 
-  /// Every span of \p parts (owner -1 logs), in order, in one compacted
-  /// log. The first form copies; the second frees each of a part's blocks
-  /// as soon as it is copied, so the peak holds one block beyond the result.
-  static SpanLog concat(const std::vector<const SpanLog*>& parts);
-  static SpanLog concat(const std::vector<SpanLog*>& parts);
+  /// Every span of \p parts (owner -1 logs) in one log, leaving the parts
+  /// empty. Each part's full blocks move over whole and only its partly
+  /// filled last block is copied, so the spans are never held twice; their
+  /// order is the parts' full blocks, then the parts' tails.
+  static SpanLog gather(const std::vector<SpanLog*>& parts);
 
-  /// Sort a compacted (or single-block) log in place by (begin, end, image,
-  /// peer, id) — a total order where ids are unique, as on the network
-  /// track.
+  /// Sort the log in place by (begin, end, image, peer, id) — a total order
+  /// where ids are unique, as on the network track. The only scratch space
+  /// is a 4-byte-per-span order.
   void sort_by_time();
 
  private:
@@ -363,19 +354,39 @@ class SpanLog {
   static_assert(sizeof(Record) == 32, "SpanLog record must stay 32 bytes");
   static_assert(sizeof(Origin) == 12, "SpanLog origin must stay 12 bytes");
 
+  Record& record_at(std::size_t i) {
+    return records_[i >> kBlockShift][i & (kBlockSpans - 1)];
+  }
+  const Record& record_at(std::size_t i) const {
+    return records_[i >> kBlockShift][i & (kBlockSpans - 1)];
+  }
+  Origin& origin_at(std::size_t i) {
+    return origins_[i >> kBlockShift][i & (kBlockSpans - 1)];
+  }
+  const Origin& origin_at(std::size_t i) const {
+    return origins_[i >> kBlockShift][i & (kBlockSpans - 1)];
+  }
+
+  /// Append one stored span; \p origin is kept on owner -1 logs only.
+  void append(const Record& record, const Origin& origin) {
+    const std::size_t slot = size_ & (kBlockSpans - 1);
+    if (slot == 0) {
+      add_block();
+    }
+    records_.back()[slot] = record;
+    if (owner_ < 0) {
+      origins_.back()[slot] = origin;
+    }
+    size_ += 1;
+  }
   /// Allocate the next fixed-size block.
   void add_block();
-  /// Reorder a one-block log so span k becomes former span order[k].
+  /// Reorder the log so span k becomes former span order[k].
   void permute(std::vector<std::uint32_t>& order);
-  template <class Part>
-  static SpanLog concat_parts(const std::vector<Part*>& parts);
 
   int owner_ = -1;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;  ///< spans allocated
-  /// log2 of the spans per block: kBlockShift, or 32 once compacted (one
-  /// exact-size block).
-  std::size_t shift_ = kBlockShift;
   std::vector<std::unique_ptr<Record[]>> records_;
   std::vector<std::unique_ptr<Origin[]>> origins_;  ///< owner -1 only
 };
@@ -407,6 +418,8 @@ struct Histogram {
   double sum_us = 0.0;
 
   void add(double us);
+  /// Bucket of \p us, in O(1); NaN lands in bucket 0, +inf in the last.
+  static int bucket_of(double us);
 };
 
 /// Per-image histograms.
@@ -447,9 +460,9 @@ struct Track {
 /// for a given options + body it is bit-identical across repeats and shard
 /// counts (export::to_text serializes it byte-stably for exactly that
 /// comparison). The one exception is which network spans are kept once the
-/// network-track cap binds (kept + dropped does not change). Image tracks
-/// keep the recorder's fixed-size blocks; the network track is one
-/// exact-size compacted block. Caps charge sizeof(Span) per kept span
+/// network-track cap binds (kept + dropped does not change). Every track
+/// keeps the recorder's fixed-size blocks; the network track holds the
+/// lanes' blocks, sorted in place. Caps charge sizeof(Span) per kept span
 /// whatever the storage costs, so a cap keeps the same spans as with
 /// 48-byte storage.
 struct Capture {

@@ -1,11 +1,12 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <mutex>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -13,22 +14,19 @@ namespace caf2::obs {
 
 namespace {
 
-/// The capture's network track: every lane of \p lanes compacted into one
-/// exact-size block (non-const lanes have their blocks freed as they are
-/// copied), sorted into the track's one order, (begin, end, image, peer,
+/// The capture's network track: every span of \p lanes (left empty)
+/// gathered into one log, its lanes' blocks moved rather than copied, and
+/// sorted in place into the track's one order, (begin, end, image, peer,
 /// id). Ids are unique, so the order is total: the track is identical for
 /// any lane fill order and any shard count.
-template <class Lanes>
-Track net_track_of(Lanes& lanes) {
-  using Log = std::conditional_t<std::is_const_v<Lanes>, const SpanLog,
-                                 SpanLog>;
-  std::vector<Log*> logs;
+Track net_track_of(std::vector<Track>& lanes) {
+  std::vector<SpanLog*> logs;
   Track net;
-  for (auto& lane : lanes) {
+  for (Track& lane : lanes) {
     logs.push_back(&lane.spans);
-    net.dropped += lane.dropped;
+    net.dropped += std::exchange(lane.dropped, 0);
   }
-  net.spans = SpanLog::concat(logs);
+  net.spans = SpanLog::gather(logs);
   net.spans.sort_by_time();
   return net;
 }
@@ -38,7 +36,6 @@ Track net_track_of(Lanes& lanes) {
 struct LabelPool {
   std::mutex mutex;
   std::unordered_map<std::string, std::uint16_t> ids;  ///< guarded by mutex
-  std::vector<const char*> texts{nullptr};  ///< by id; guarded by mutex
 };
 
 LabelPool& label_pool() {
@@ -46,19 +43,24 @@ LabelPool& label_pool() {
   return *pool;
 }
 
+/// Text of each label id, by id. An id's entry is stored once (release)
+/// before the id is handed out, so label_text() reads it without the pool's
+/// lock (acquire); 0 and unassigned ids read null.
+std::array<std::atomic<const char*>,
+           std::size_t{std::numeric_limits<std::uint16_t>::max()} + 1>
+    label_texts;
+
 /// Intern \p text; returns its stable address and id.
 std::pair<const char*, std::uint16_t> intern(const std::string& text) {
   LabelPool& pool = label_pool();
   const std::lock_guard<std::mutex> lock(pool.mutex);
   auto it = pool.ids.find(text);
   if (it == pool.ids.end()) {
-    CAF2_REQUIRE(
-        pool.texts.size() <= std::numeric_limits<std::uint16_t>::max(),
-        "obs: more than 65,535 distinct span labels");
-    it = pool.ids
-             .emplace(text, static_cast<std::uint16_t>(pool.texts.size()))
-             .first;
-    pool.texts.push_back(it->first.c_str());
+    CAF2_REQUIRE(pool.ids.size() < std::numeric_limits<std::uint16_t>::max(),
+                 "obs: more than 65,535 distinct span labels");
+    const auto id = static_cast<std::uint16_t>(pool.ids.size() + 1);
+    it = pool.ids.emplace(text, id).first;
+    label_texts[id].store(it->first.c_str(), std::memory_order_release);
   }
   return {it->first.c_str(), it->second};
 }
@@ -74,9 +76,7 @@ std::uint16_t intern_label_id(const char* text) {
 }
 
 const char* label_text(std::uint16_t id) {
-  LabelPool& pool = label_pool();
-  const std::lock_guard<std::mutex> lock(pool.mutex);
-  return id < pool.texts.size() ? pool.texts[id] : nullptr;
+  return label_texts[id].load(std::memory_order_acquire);
 }
 
 const char* to_string(SpanKind kind) {
@@ -173,16 +173,50 @@ const char* to_string(Hist hist) {
   return "?";
 }
 
+namespace {
+
+/// kBaseUs = kBaseMantissa * 2^kBaseExp with kBaseMantissa in [0.5, 1), as
+/// std::frexp splits it (scaling by 2 is exact).
+constexpr std::pair<double, int> split_base() {
+  double mantissa = Histogram::kBaseUs;
+  int exp = 0;
+  for (; mantissa < 0.5; mantissa *= 2.0) {
+    exp -= 1;
+  }
+  for (; mantissa >= 1.0; mantissa /= 2.0) {
+    exp += 1;
+  }
+  return {mantissa, exp};
+}
+constexpr double kBaseMantissa = split_base().first;
+constexpr int kBaseExp = split_base().second;
+/// Upper edge of the second-to-last bucket, kBaseUs * 2^(kBuckets - 2).
+constexpr double kLastEdgeUs =
+    Histogram::kBaseUs *
+    static_cast<double>(std::uint64_t{1} << (Histogram::kBuckets - 2));
+
+}  // namespace
+
+int Histogram::bucket_of(double us) {
+  if (!(us > kBaseUs)) {
+    return 0;  // also NaN
+  }
+  if (us > kLastEdgeUs) {
+    return kBuckets - 1;  // also +inf
+  }
+  // Edge i is kBaseMantissa * 2^(kBaseExp + i). us = m * 2^e with m in
+  // [0.5, 1) lies above edge e - kBaseExp - 1 and at or below edge
+  // e - kBaseExp + 1; its mantissa against kBaseMantissa picks between the
+  // two buckets those edges bound.
+  int exp = 0;
+  const double mantissa = std::frexp(us, &exp);
+  return exp - kBaseExp + (mantissa > kBaseMantissa ? 1 : 0);
+}
+
 void Histogram::add(double us) {
   count += 1;
   sum_us += us;
-  int bucket = 0;
-  double edge = kBaseUs;
-  while (bucket < kBuckets - 1 && us > edge) {
-    edge *= 2.0;
-    bucket += 1;
-  }
-  buckets[static_cast<std::size_t>(bucket)] += 1;
+  buckets[static_cast<std::size_t>(bucket_of(us))] += 1;
 }
 
 Recorder::Recorder(int images, ObsConfig config,
@@ -392,7 +426,8 @@ Capture Recorder::snapshot(double end_us) const {
     capture.tracks.push_back(state.track);
     capture.metrics.push_back(state.metrics);
   }
-  capture.tracks.push_back(net_track_of(net_lanes_));
+  std::vector<Track> lanes = net_lanes_;
+  capture.tracks.push_back(net_track_of(lanes));
   return capture;
 }
 
@@ -411,9 +446,6 @@ Capture Recorder::take(double end_us) {
     state.metrics = Metrics{};
   }
   capture.tracks.push_back(net_track_of(net_lanes_));
-  for (Track& lane : net_lanes_) {
-    lane = Track{};
-  }
   return capture;
 }
 

@@ -1,5 +1,6 @@
 #include "ops/coll_algo.hpp"
 
+#include <array>
 #include <bit>
 #include <string>
 
@@ -153,8 +154,27 @@ CollAlgorithm resolve_algorithm(CollKind kind, CollAlgorithm requested,
 }
 
 const char* coll_span_label(CollKind kind, CollAlgorithm algorithm) {
-  return obs::intern_label(std::string(to_string(kind)) + "/" +
-                           to_string(algorithm));
+  constexpr std::size_t kKinds =
+      static_cast<std::size_t>(CollKind::kAlltoallv) + 1;
+  constexpr std::size_t kAlgorithms =
+      static_cast<std::size_t>(CollAlgorithm::kDirect) + 1;
+  // Every (kind, algorithm) label is interned once, on first use.
+  static const auto labels = [] {
+    std::array<std::array<const char*, kAlgorithms>, kKinds> table{};
+    for (std::size_t k = 0; k < kKinds; ++k) {
+      for (std::size_t a = 0; a < kAlgorithms; ++a) {
+        table[k][a] = obs::intern_label(
+            std::string(to_string(static_cast<CollKind>(k))) + "/" +
+            to_string(static_cast<CollAlgorithm>(a)));
+      }
+    }
+    return table;
+  }();
+  CAF2_ASSERT(static_cast<std::size_t>(kind) < kKinds &&
+                  static_cast<std::size_t>(algorithm) < kAlgorithms,
+              "coll_span_label: kind or algorithm past the label table");
+  return labels[static_cast<std::size_t>(kind)]
+               [static_cast<std::size_t>(algorithm)];
 }
 
 }  // namespace ops

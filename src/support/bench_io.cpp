@@ -6,9 +6,7 @@
 
 namespace caf2 {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+void json_escape_append(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"':
@@ -33,6 +31,12 @@ std::string json_escape(const std::string& text) {
         }
     }
   }
+}
+
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  json_escape_append(out, text);
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -62,5 +63,8 @@ bool write_bench_json(
 
 /// Escape a string for embedding in a JSON document (quotes not included).
 std::string json_escape(const std::string& text);
+
+/// Append \p text to \p out, escaped as json_escape() does.
+void json_escape_append(std::string& out, std::string_view text);
 
 }  // namespace caf2

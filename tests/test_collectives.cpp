@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/caf2.hpp"
+#include "obs/obs.hpp"
+#include "ops/coll_algo.hpp"
 
 namespace {
 
@@ -232,6 +235,25 @@ TEST(Collectives, FinishTeamMustContainCollectiveTeam) {
       EXPECT_TRUE(threw);
     }
   });
+}
+
+TEST(Collectives, SpanLabelsNameKindAndAlgorithm) {
+  // Every (kind, algorithm) pair has one interned "kind/algorithm" label.
+  for (int k = 0; k <= static_cast<int>(ops::CollKind::kAlltoallv); ++k) {
+    for (int a = 0; a <= static_cast<int>(CollAlgorithm::kDirect); ++a) {
+      const auto kind = static_cast<ops::CollKind>(k);
+      const auto algorithm = static_cast<CollAlgorithm>(a);
+      const std::string text =
+          std::string(ops::to_string(kind)) + "/" + to_string(algorithm);
+      const char* label = ops::coll_span_label(kind, algorithm);
+      EXPECT_STREQ(label, text.c_str());
+      EXPECT_EQ(label, obs::intern_label(text));
+      EXPECT_EQ(label, ops::coll_span_label(kind, algorithm));
+    }
+  }
+  EXPECT_STREQ(ops::coll_span_label(ops::CollKind::kAllreduce,
+                                    CollAlgorithm::kRing),
+               "allreduce/ring");
 }
 
 }  // namespace

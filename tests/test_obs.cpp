@@ -14,14 +14,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <random>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/caf2.hpp"
@@ -511,6 +519,263 @@ TEST(ObsSpan, SnapshotThenTakeExportTheSameCapture) {
   EXPECT_TRUE(empty.net_track().spans.empty());
 }
 
+/// Flights and retransmit delays recorded on 4 images whose network spans
+/// go to \p lanes lanes (images dealt round-robin). Begins and ends sit on
+/// a coarse grid so they tie often. Every lane holds more than one block;
+/// most end in a partly filled block, and at 2 lanes one ends exactly on a
+/// block boundary. The spans go in in the same order at every lane count;
+/// \p recorded gets each one as recorded.
+std::unique_ptr<obs::Recorder> record_lanes(int lanes,
+                                            std::vector<obs::Span>* recorded) {
+  constexpr int kImages = 4;
+  std::vector<int> lane_of_image;
+  for (int image = 0; image < kImages; ++image) {
+    lane_of_image.push_back(image % lanes);
+  }
+  auto recorder =
+      std::make_unique<obs::Recorder>(kImages, ObsConfig{}, lane_of_image);
+  std::mt19937 rng(7);
+  const auto pick = [&](int n) {
+    return static_cast<int>(rng() % static_cast<unsigned>(n));
+  };
+  for (int i = 0; i < 2011; ++i) {
+    const int source = pick(kImages);
+    const int dest = pick(kImages);
+    const double begin = 0.25 * pick(40);
+    const double end = begin + 0.25 * pick(4);
+    obs::Span span;
+    span.begin = begin;
+    span.end = end;
+    span.peer = dest;
+    span.blame = obs::Blame::kNetwork;
+    if (pick(5) == 0) {
+      // Charged to the image whose completion the fault delayed.
+      span.kind = obs::SpanKind::kRetransmitDelay;
+      span.image = dest;
+      span.peer = source;
+      recorder->retransmit_span(dest, source, begin, end);
+      span.id = 0;  // filled in below from the recorded track
+    } else {
+      span.kind = obs::SpanKind::kFlight;
+      span.image = source;
+      span.id = recorder->reserve_flight_id(source);
+      span.set_a(8 + static_cast<std::uint64_t>(pick(3)));
+      recorder->flight_span(span.id, source, dest, begin, end, span.a());
+    }
+    recorded->push_back(span);
+    if (i % 97 == 0) {
+      recorder->on_compute(source, begin, end);
+    }
+  }
+  return recorder;
+}
+
+TEST(ObsSpan, LanesGatherIntoOneSortedNetworkTrack) {
+  std::string text;
+  std::string trace;
+  int partial_tails = 0;  // lanes that end in a partly filled block
+  int full_tails = 0;     // lanes that end exactly on a block boundary
+  for (const int lanes : {1, 2, 4}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    std::vector<obs::Span> recorded;
+    const auto recorder = record_lanes(lanes, &recorded);
+    const obs::Capture snapshot = recorder->snapshot(20.0);
+    const obs::Capture again = recorder->snapshot(20.0);
+    const obs::Capture taken = recorder->take(20.0);
+    const obs::SpanLog& net = taken.net_track().spans;
+    ASSERT_EQ(net.size(), recorded.size());
+    // A flight goes to its destination's lane, a delay to its image's.
+    std::vector<std::size_t> per_lane(static_cast<std::size_t>(lanes));
+    for (const obs::Span& span : recorded) {
+      const int owner =
+          span.kind == obs::SpanKind::kFlight ? span.peer : span.image;
+      per_lane[static_cast<std::size_t>(owner % lanes)] += 1;
+    }
+    for (const std::size_t spans : per_lane) {
+      EXPECT_GT(spans, obs::SpanLog::kBlockSpans);
+      (spans % obs::SpanLog::kBlockSpans == 0 ? full_tails : partial_tails) +=
+          1;
+    }
+    // The gathered track wastes at most one block, whatever the lanes.
+    EXPECT_LE(net.storage_bytes(),
+              44 * (net.size() + obs::SpanLog::kBlockSpans));
+
+    // Retransmit ids come from the images' network counters, which flights
+    // share; take them from the track, then check the whole order against a
+    // sort of the decoded spans.
+    std::vector<std::uint64_t> retransmit_ids;
+    for (const obs::Span& span : net) {
+      if (span.kind == obs::SpanKind::kRetransmitDelay) {
+        retransmit_ids.push_back(span.id);
+      }
+    }
+    std::sort(retransmit_ids.begin(), retransmit_ids.end());
+    std::vector<std::uint64_t> next(4);
+    for (obs::Span& span : recorded) {
+      const auto source = static_cast<std::size_t>(span.image);
+      if (span.kind == obs::SpanKind::kFlight) {
+        next[source] = span.id & ((std::uint64_t{1} << 40) - 1);
+      } else {
+        span.id = obs::compose_id(4 + source, ++next[source]);
+        EXPECT_TRUE(std::binary_search(retransmit_ids.begin(),
+                                       retransmit_ids.end(), span.id));
+      }
+    }
+    std::sort(recorded.begin(), recorded.end(),
+              [](const obs::Span& x, const obs::Span& y) {
+                return std::tie(x.begin, x.end, x.image, x.peer, x.id) <
+                       std::tie(y.begin, y.end, y.image, y.peer, y.id);
+              });
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+      const obs::Span got = net[i];
+      ASSERT_EQ(got.id, recorded[i].id) << "span " << i;
+      ASSERT_EQ(got.kind, recorded[i].kind) << "span " << i;
+      ASSERT_EQ(got.begin, recorded[i].begin) << "span " << i;
+      ASSERT_EQ(got.end, recorded[i].end) << "span " << i;
+      ASSERT_EQ(got.image, recorded[i].image) << "span " << i;
+      ASSERT_EQ(got.peer, recorded[i].peer) << "span " << i;
+      ASSERT_EQ(got.a(), recorded[i].a()) << "span " << i;
+    }
+
+    // snapshot() leaves the recorder as it was; take() exports the same.
+    EXPECT_EQ(obs::to_text(snapshot), obs::to_text(again));
+    EXPECT_EQ(obs::to_text(snapshot), obs::to_text(taken));
+    EXPECT_TRUE(recorder->take(20.0).net_track().spans.empty());
+    // Every lane count exports the same bytes.
+    if (lanes == 1) {
+      text = obs::to_text(taken);
+      trace = obs::to_chrome_trace(taken);
+    }
+    EXPECT_EQ(obs::to_text(taken), text);
+    EXPECT_EQ(obs::to_chrome_trace(taken), trace);
+  }
+  // Gather copies only a lane's partly filled last block; a lane that ends
+  // on a block boundary has none.
+  EXPECT_GT(partial_tails, 0);
+  EXPECT_GT(full_tails, 0);
+}
+
+TEST(ObsExport, FileWriterWritesTheChromeTraceBytes) {
+  const RunStats stats = run_stats(obs_options(4), mixed_workload);
+  ASSERT_NE(stats.obs, nullptr);
+  const std::string expected = obs::to_chrome_trace(*stats.obs, 3, "w\"x");
+  const std::string path = ::testing::TempDir() + "obs_writer.trace.json";
+  {
+    obs::ChromeTraceWriter writer(path);
+    writer.raw("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
+    writer.events(*stats.obs, 3, "w\"x");
+    writer.raw("\n]}\n");
+    EXPECT_TRUE(writer.close());
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, expected);
+  std::remove(path.c_str());
+
+  // Several captures merged into one document, as bench drivers do, span
+  // more than one 64 KiB chunk.
+  const RunStats big = run_stats(obs_options(32), mixed_workload);
+  std::string merged = "[";
+  merged += obs::to_chrome_trace(*big.obs, 0, "a");
+  merged += ",";
+  merged += obs::to_chrome_trace(*stats.obs, 1, "b");
+  merged += "]";
+  ASSERT_GT(merged.size(), std::size_t{64} << 10);
+  {
+    obs::ChromeTraceWriter writer(path);
+    writer.raw("[");
+    writer.raw("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
+    writer.events(*big.obs, 0, "a");
+    writer.raw("\n]}\n,");
+    writer.raw("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
+    writer.events(*stats.obs, 1, "b");
+    writer.raw("\n]}\n]");
+  }  // the destructor closes
+  std::ifstream merged_in(path, std::ios::binary);
+  const std::string merged_written(
+      (std::istreambuf_iterator<char>(merged_in)),
+      std::istreambuf_iterator<char>());
+  EXPECT_EQ(merged_written, merged);
+  std::remove(path.c_str());
+
+  // An unwritable path fails at close, not before.
+  obs::ChromeTraceWriter bad(::testing::TempDir() + "no/such/dir/x.json");
+  bad.events(*stats.obs, 0, "c");
+  EXPECT_FALSE(bad.close());
+  // So does a file that opens but takes no bytes (Linux's /dev/full), for
+  // the writer and for write_file(), whose content outgrows stdio's buffer.
+  if (std::FILE* full = std::fopen("/dev/full", "w")) {
+    std::fclose(full);
+    obs::ChromeTraceWriter refused("/dev/full");
+    refused.events(*big.obs, 0, "d");
+    EXPECT_FALSE(refused.close());
+    EXPECT_FALSE(obs::write_file("/dev/full", merged));
+  }
+}
+
+TEST(ObsExport, LongLabelsComeOutWhole) {
+  static const std::string long_label(300, 'l');
+  obs::Recorder recorder(1, ObsConfig{});
+  recorder.op_span(0, obs::SpanKind::kCollective, 0.0, 1.0, 0, 4, -1,
+                   long_label.c_str());
+  const obs::Capture labeled = recorder.take(1.0);
+  EXPECT_NE(obs::to_text(labeled).find(" label=" + long_label + "\n"),
+            std::string::npos);
+  EXPECT_NE(obs::to_chrome_trace(labeled).find(
+                "\"name\": \"collective:" + long_label + "\", \"ph\": \"X\""),
+            std::string::npos);
+}
+
+/// The bucket rule Histogram::add used to walk: double the edge until the
+/// value fits, at most kBuckets - 1 times.
+int histogram_bucket_by_doubling(double us) {
+  int bucket = 0;
+  double edge = obs::Histogram::kBaseUs;
+  while (bucket < obs::Histogram::kBuckets - 1 && us > edge) {
+    edge *= 2.0;
+    bucket += 1;
+  }
+  return bucket;
+}
+
+TEST(ObsMetrics, HistogramBucketsMatchTheDoublingRule) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                -1.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min() / 2,
+                                std::numeric_limits<double>::min(),
+                                1e300,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  // Every bucket edge kBaseUs * 2^i (exact: doubling is exact) and both of
+  // its neighbours, through edges past the last bucket.
+  double edge = obs::Histogram::kBaseUs;
+  for (int i = 0; i <= obs::Histogram::kBuckets + 2; ++i) {
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, 0.0));
+    values.push_back(std::nextafter(edge, 2 * edge));
+    values.push_back(1.5 * edge);
+    edge *= 2.0;
+  }
+  for (const double us : values) {
+    EXPECT_EQ(obs::Histogram::bucket_of(us), histogram_bucket_by_doubling(us))
+        << "us=" << us;
+  }
+  obs::Histogram hist;
+  for (const double us : values) {
+    hist.add(us);
+  }
+  std::array<std::uint64_t, obs::Histogram::kBuckets> counts{};
+  for (const double us : values) {
+    counts[static_cast<std::size_t>(histogram_bucket_by_doubling(us))] += 1;
+  }
+  EXPECT_EQ(hist.buckets, counts);
+  EXPECT_EQ(hist.count, values.size());
+}
+
 TEST(ObsSpan, LabelIdsRoundTripByText) {
   const std::string text = "label-pool-round-trip";
   const std::uint16_t id = obs::intern_label_id(text.c_str());
@@ -521,6 +786,37 @@ TEST(ObsSpan, LabelIdsRoundTripByText) {
   EXPECT_EQ(obs::label_text(id), obs::intern_label(text));
   EXPECT_EQ(obs::intern_label_id(nullptr), 0);
   EXPECT_EQ(obs::label_text(0), nullptr);
+}
+
+TEST(ObsSpan, LabelReadsNeedNoLockWhileLabelsAreInterned) {
+  // label_text() reads without the pool's lock, so a reader racing with
+  // interning on another thread sees either no label or its whole text.
+  constexpr int kLabels = 2000;
+  const std::uint16_t base = obs::intern_label_id("label-race-base");
+  std::thread writer([] {
+    for (int i = 0; i < kLabels; ++i) {
+      obs::intern_label("label-race-" + std::to_string(i));
+    }
+  });
+  int seen = 0;
+  std::size_t bytes = 0;
+  while (seen < kLabels) {
+    seen = 0;
+    for (int i = 1; i <= kLabels; ++i) {
+      if (const char* text =
+              obs::label_text(static_cast<std::uint16_t>(base + i))) {
+        bytes += std::string(text).size();
+        seen += 1;
+      }
+    }
+  }
+  writer.join();
+  EXPECT_GT(bytes, 0u);
+  for (int i = 0; i < kLabels; ++i) {
+    const std::string text = "label-race-" + std::to_string(i);
+    EXPECT_STREQ(obs::label_text(static_cast<std::uint16_t>(base + 1 + i)),
+                 text.c_str());
+  }
 }
 
 TEST(ObsSpanDeathTest, MoreThan65535LabelsIsAUsageError) {
@@ -907,9 +1203,9 @@ TEST(BlameOracle, OutOfOrderTimelineIsRejected) {
 }
 
 TEST(BlameOracle, RecordedCapturesMatchTheOracle) {
-  // Recorded flight ids are per-source composites, so parent lookups search
-  // per-source blocks of the id table; a duplicated delivery records two
-  // flights under one id.
+  // Recorded flight ids are per-source composites, so parent lookups index
+  // a per-source table by counter. A duplicated delivery attempt is
+  // suppressed by the receiver, so it records no second flight.
   const RunStats mixed = run_stats(obs_options(8), mixed_workload);
   ASSERT_NE(mixed.obs, nullptr);
   expect_same_report(obs::analyze_blame(*mixed.obs), oracle_blame(*mixed.obs));
@@ -992,6 +1288,68 @@ TEST(ObsGolden, MixedWorkloadExportsMatchAtEveryShardCount) {
                   shards == 1);
     expect_golden(golden_path("blame.txt"),
                   obs::to_text(obs::analyze_blame(*stats.obs)), shards == 1);
+  }
+}
+
+/// Blame over flights delivered more than once: a hand-built capture whose
+/// flight ids repeat with different deliveries, then mixed_workload on a
+/// wire that duplicates, delays and drops deliveries. A parent lookup takes
+/// the latest delivery of its id that the sweep has passed, so every
+/// report here is pinned in tests/golden/obs_dup.blame.txt.
+TEST(ObsGolden, DuplicatedFlightsBlameMatchesAtEveryShardCount) {
+  const std::string path = std::string(CAF2_GOLDEN_DIR) + "/obs_dup.blame.txt";
+  CaptureBuilder b(3);
+  const std::uint64_t first = obs::compose_id(3 + 0, 1);
+  const std::uint64_t second = obs::compose_id(3 + 2, 4);
+  // `first` lands on image 1 at 3 and again at 5 (after a long chain on
+  // image 0); `second` lands at 2, at 2 again, and at 6.
+  b.compute(0, 0.0, 1.0);
+  b.flight(first, 0, 1, 1.0, 3.0);
+  b.compute(0, 1.0, 4.5);
+  b.flight(first, 0, 1, 4.5, 5.0);
+  b.compute(2, 0.0, 0.5);
+  b.flight(second, 2, 1, 0.5, 2.0);
+  b.flight(second, 2, 1, 0.5, 2.0);
+  b.compute(2, 0.5, 5.5);
+  b.flight(second, 2, 0, 5.5, 6.0);
+  // Image 1's waits name each id before, between and after its deliveries.
+  b.blocked(1, 0.0, 1.5, first, obs::Blame::kEventWait);
+  b.blocked(1, 1.5, 2.0, second, obs::Blame::kEventWait);
+  b.blocked(1, 2.0, 4.0, first, obs::Blame::kFinishWait);
+  b.blocked(1, 4.0, 5.0, first, obs::Blame::kFinishWait);
+  b.blocked(1, 5.0, 7.0, second);
+  b.blocked(0, 4.5, 6.0, second, obs::Blame::kCofenceWait);
+  b.compute(2, 5.5, 6.5);
+  std::swap(b.net[0], b.net[3]);
+  const obs::Capture& built = b.finish();
+  const obs::BlameReport built_report = obs::analyze_blame(built);
+  expect_same_report(built_report, oracle_blame(built));
+  const std::string built_text = obs::to_text(built_report);
+
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeOptions options = obs_options(8);
+    options.shards = shards;
+    options.net = reliable_wire();
+    options.net.jitter_us = 0.5;
+    options.net.faults.all.dup_probability = 0.4;
+    options.net.faults.all.delay_probability = 0.2;
+    options.net.faults.all.delay_max_us = 15.0;
+    options.net.faults.all.drop_probability = 0.1;
+    options.net.faults.scripted.push_back(
+        {.source = 0, .dest = 1, .nth = 1, .kind = FaultKind::kDuplicate});
+    const RunStats stats = run_stats(options, mixed_workload);
+    ASSERT_NE(stats.obs, nullptr);
+    const obs::BlameReport report = obs::analyze_blame(*stats.obs);
+    // Receiver dedup keeps a duplicate from landing twice, so only the
+    // hand-built capture repeats an id; here the faults show as retransmit
+    // delays and suppressed duplicates.
+    EXPECT_GT(stats.faults.duplicates_suppressed, 0u);
+    EXPECT_GT(report.retransmit_us, 0.0);
+    if (shards == 1) {
+      expect_same_report(report, oracle_blame(*stats.obs));
+    }
+    expect_golden(path, built_text + obs::to_text(report), shards == 1);
   }
 }
 
