@@ -11,11 +11,15 @@ void cofence(Pass downward, Pass upward) {
   obs::Recorder* const rec = image.runtime().observer();
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
-  auto& scope = image.cofence_tracker().current();
+  // Looked up at every test, not held: a shipped function run while this
+  // image waits pushes a scope, which may move the scope stack.
+  rt::CofenceTracker& tracker = image.cofence_tracker();
   {
     obs::BlameScope blame(rec, image.rank(), obs::Blame::kCofenceWait);
     image.wait_for(
-        [&scope, downward] { return scope.data_complete_for(downward); },
+        [&tracker, downward] {
+          return tracker.current().data_complete_for(downward);
+        },
         "cofence",
         obs::ResourceId{obs::ResourceKind::kOpCompletion, image.rank(), 0,
                         0});

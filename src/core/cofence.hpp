@@ -35,8 +35,8 @@ using Pass = rt::PassClass;
 /// relaxation for operations after the fence.
 void cofence(Pass downward = Pass::kNone, Pass upward = Pass::kNone);
 
-/// Number of implicit operations still outstanding in the current scope
-/// (diagnostic; used by tests).
+/// Number of implicit operations in the current scope still short of local
+/// operation completion (diagnostic; used by tests).
 std::size_t outstanding_implicit_ops();
 
 }  // namespace caf2

@@ -27,7 +27,9 @@ net::FinishKey begin_finish(rt::Image& image, const Team& team) {
   CAF2_REQUIRE(image.cofence_tracker().depth() == 1,
                "finish may not be used inside a shipped function");
   const net::FinishKey key{team.id(), image.next_finish_seq(team.id())};
-  image.finish_state(key).mark_entered();
+  // Create the scope's state now: Image::finish_scope_passed tells a member
+  // inside the scope (live state) from one that passed it (none).
+  image.finish_state(key);
   image.push_finish(key);
   return key;
 }
@@ -113,23 +115,5 @@ void finish(const Team& team, const std::function<void()>& body,
 FinishReport last_finish_report() {
   return last_report(rt::Image::current());
 }
-
-FinishScope::FinishScope(const Team& team, FinishOptions options)
-    : team_(team), options_(options) {
-  begin_finish(rt::Image::current(), team_);
-}
-
-void FinishScope::end() {
-  if (ended_) {
-    return;
-  }
-  ended_ = true;
-  rt::Image& image = rt::Image::current();
-  const net::FinishKey key = image.current_finish();
-  CAF2_ASSERT(key.valid(), "FinishScope lost its scope");
-  end_finish(image, team_, key, options_);
-}
-
-FinishScope::~FinishScope() { end(); }
 
 }  // namespace caf2

@@ -55,28 +55,4 @@ void finish(const Team& team, const std::function<void()>& body,
 /// Report of the calling image's most recent completed finish block.
 FinishReport last_finish_report();
 
-/// RAII alternative to the functional form, for bodies that do not nest
-/// cleanly into a lambda:
-///
-///     { FinishScope scope(team); ...; }   // detection runs in ~FinishScope
-///
-/// Prefer caf2::finish(); the destructor of FinishScope performs blocking
-/// communication and will std::terminate if it throws during unwinding.
-class FinishScope {
- public:
-  explicit FinishScope(const Team& team, FinishOptions options = {});
-  ~FinishScope();
-
-  FinishScope(const FinishScope&) = delete;
-  FinishScope& operator=(const FinishScope&) = delete;
-
-  /// Run termination detection now (idempotent; also run by the destructor).
-  void end();
-
- private:
-  Team team_;
-  FinishOptions options_;
-  bool ended_ = false;
-};
-
 }  // namespace caf2

@@ -73,7 +73,7 @@ class CollImplBase : public rt::CollBase {
 
   /// Entered once, after construction (and before any buffered replay).
   void start(rt::Image& image, const net::FinishKey& finish,
-             rt::ImplicitOpPtr op);
+             rt::ImplicitOp op);
 
  protected:
   /// Kind-specific initiation.
@@ -104,7 +104,7 @@ class CollImplBase : public rt::CollBase {
   rt::CollKey key_;
   CollDesc desc_;
   net::FinishKey finish_{};
-  rt::ImplicitOpPtr op_;
+  rt::ImplicitOp op_;
   int pending_stage_ = 0;
   int pending_ack_ = 0;
   double begin_us_ = 0.0;  ///< start() time, for the obs collective span

@@ -27,9 +27,9 @@ void CollImplBase::on_stage(Image& image, CollStageMsg&& msg) {
 }
 
 void CollImplBase::start(Image& image, const net::FinishKey& finish,
-                         rt::ImplicitOpPtr op) {
+                         rt::ImplicitOp op) {
   finish_ = finish;
-  op_ = std::move(op);
+  op_ = op;
   begin_us_ = image.runtime().engine().now();
   begin(image);
   try_complete(image);
@@ -79,9 +79,7 @@ void CollImplBase::mark_data_done(Image& image, bool after_stages) {
     return;
   }
   data_done_ = true;
-  if (op_) {
-    op_->data_complete = true;
-  }
+  op_.data_complete(image);
   if (desc_.src_done.valid()) {
     rt::post_event_raw(image.runtime(), image.rank(), desc_.src_done);
   }
@@ -102,9 +100,7 @@ void CollImplBase::try_complete(Image& image) {
   if (!data_done_) {
     mark_data_done(image);
   }
-  if (op_) {
-    op_->op_complete = true;
-  }
+  op_.op_complete(image);
   if (desc_.local_done.valid()) {
     rt::post_event_raw(image.runtime(), image.rank(), desc_.local_done);
   }
@@ -199,13 +195,13 @@ void start_collective(CollDesc desc) {
 
   const bool implicit =
       !desc.src_done.valid() && !desc.local_done.valid();
-  rt::ImplicitOpPtr op;
+  rt::ImplicitOp op;
   net::FinishKey finish{};
   if (implicit) {
     bool reads = false;
     bool writes = false;
     classify(desc, reads, writes);
-    op = image.register_implicit(reads, writes, "collective");
+    op = image.register_implicit(reads, writes);
     finish = image.current_finish();
     if (finish.valid()) {
       const auto finish_team = image.find_team(finish.team);
@@ -225,7 +221,7 @@ void start_collective(CollDesc desc) {
   std::unique_ptr<CollImplBase> impl = factory(key, std::move(desc));
   CollImplBase* const raw = impl.get();
   pending.op = std::move(impl);
-  raw->start(image, finish, std::move(op));
+  raw->start(image, finish, op);
 
   auto buffered = std::move(pending.buffered);
   pending.buffered.clear();

@@ -62,7 +62,7 @@ void post_done(Image& image, const RemoteEvent& event) {
 /// Both end points are buffers local to \p image: a staged local memcpy.
 /// A tracked local copy is charged to the finish as a self-message so the
 /// scope cannot terminate before the copy completes.
-void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
+void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOp op,
                       const net::FinishKey& finish) {
   const bool odd = image.charge_local(finish);
   // The network validated the bandwidth > 0 (infinity => no injection time).
@@ -81,10 +81,8 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
   if (!posts_events) {
     auto copy = [img, dst, src, bytes, op, finish, odd] {
       std::memcpy(dst, src, bytes);
-      if (op) {
-        op->data_complete = true;
-        op->op_complete = true;
-      }
+      op.data_complete(*img);
+      op.op_complete(*img);
       img->complete_local(finish, odd);
       img->runtime().engine().unblock(img->rank());
     };
@@ -92,7 +90,7 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
     engine.post_in(inject, std::move(copy));
     return;
   }
-  CAF2_ASSERT(!op && !finish.valid(),
+  CAF2_ASSERT(op.empty() && !finish.valid(),
               "a copy with completion events is neither implicit nor tracked");
   auto copy = [img, dst, src, bytes, src_done = d.src_done,
                dst_done = d.dst_done] {
@@ -107,7 +105,7 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
 
 /// Source buffer is local to \p image, destination is a remote coarray
 /// block: a one-sided put. The source buffer is read at staging time.
-void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
+void start_put(Image& image, const CopyDesc& d, rt::ImplicitOp op,
                const net::FinishKey& finish) {
   PutWire wire{d.dst_coarray, d.dst_offset_bytes, d.dst_done};
   const void* src = d.src_local;
@@ -130,14 +128,10 @@ void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
       net::kStaged | net::kAcked, [img, op, src_done, rec, obs_begin, bytes,
                                    dst_image](net::SendPoint point) {
         if (point == net::kStaged) {
-          if (op) {
-            op->data_complete = true;
-          }
+          op.data_complete(*img);
           post_done(*img, src_done);
         } else {
-          if (op) {
-            op->op_complete = true;
-          }
+          op.op_complete(*img);
           if (rec != nullptr) {
             rec->op_span(img->rank(), obs::SpanKind::kPut, obs_begin,
                          img->runtime().engine().now(), bytes, 0, dst_image);
@@ -151,7 +145,7 @@ void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
 
 /// Destination buffer is local to \p image, source is a remote coarray
 /// block: a get, implemented as request + staged response.
-void start_get(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
+void start_get(Image& image, const CopyDesc& d, rt::ImplicitOp op,
                const net::FinishKey& finish) {
   Image* img = &image;
   void* dst = d.dst_local;
@@ -166,10 +160,8 @@ void start_get(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                        src_image](std::span<const std::uint8_t> data) {
         CAF2_ASSERT(data.size() == bytes, "get response size mismatch");
         std::memcpy(dst, data.data(), data.size());
-        if (op) {
-          op->data_complete = true;
-          op->op_complete = true;
-        }
+        op.data_complete(*img);
+        op.op_complete(*img);
         if (rec != nullptr) {
           rec->op_span(img->rank(), obs::SpanKind::kGet, obs_begin,
                        img->runtime().engine().now(), bytes, 0, src_image);
@@ -186,11 +178,9 @@ void start_get(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
 
 /// Neither end point is local: forward control to the source image, which
 /// performs the transfer (a local copy or a put) on the initiator's behalf.
-void start_forward(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
+void start_forward(Image& image, const CopyDesc& d, rt::ImplicitOp op,
                    const net::FinishKey& finish) {
-  if (op) {
-    op->data_complete = true;  // no initiator-local buffers are involved
-  }
+  op.data_complete(image);  // no initiator-local buffers are involved
   WriteArchive archive;
   archive.write(ForwardWire{d.dst_coarray, d.dst_offset_bytes,
                             d.dst_image, d.src_coarray, d.src_offset_bytes,
@@ -198,26 +188,25 @@ void start_forward(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
 
   Image* img = &image;
   net::SendCallbacks callbacks(net::kAcked, [img, op](net::SendPoint) {
-    if (op) {
-      op->op_complete = true;  // pair-wise communication involving the
-                               // initiator (the control message) is done
-    }
+    // Pair-wise communication involving the initiator (the control message)
+    // is done.
+    op.op_complete(*img);
     img->runtime().engine().unblock(img->rank());
   });
   image.send(d.src_image, rt::kHandlerCopyForward, archive.take(), finish,
              std::move(callbacks));
 }
 
-void execute_plan(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
+void execute_plan(Image& image, const CopyDesc& d, rt::ImplicitOp op,
                   const net::FinishKey& finish) {
   if (d.src_local != nullptr && d.dst_local != nullptr) {
-    start_local_copy(image, d, std::move(op), finish);
+    start_local_copy(image, d, op, finish);
   } else if (d.src_local != nullptr) {
-    start_put(image, d, std::move(op), finish);
+    start_put(image, d, op, finish);
   } else if (d.dst_local != nullptr) {
-    start_get(image, d, std::move(op), finish);
+    start_get(image, d, op, finish);
   } else {
-    start_forward(image, d, std::move(op), finish);
+    start_forward(image, d, op, finish);
   }
 }
 
@@ -246,16 +235,16 @@ void copy_async_bytes(CopyDesc desc) {
   // Implicit completion iff no completion events were supplied (paper §III:
   // the predicate event does not manage completion).
   const bool implicit = !desc.src_done.valid() && !desc.dst_done.valid();
-  rt::ImplicitOpPtr op;
+  rt::ImplicitOp op;
   if (implicit) {
     op = image.register_implicit(desc.src_local != nullptr,
-                                 desc.dst_local != nullptr, "copy_async");
+                                 desc.dst_local != nullptr);
   }
   const net::FinishKey finish =
       implicit ? image.current_finish() : net::FinishKey{};
 
   if (!desc.pre.valid()) {
-    execute_plan(image, desc, std::move(op), finish);
+    execute_plan(image, desc, op, finish);
     return;
   }
 
@@ -377,9 +366,9 @@ void install_copy_handlers(rt::Runtime& runtime) {
               "forwarded copy out of range at destination");
           d.dst_local = static_cast<std::uint8_t*>(dst_block.data) +
                         wire.dst_offset_bytes;
-          start_local_copy(image, d, nullptr, message.header.finish);
+          start_local_copy(image, d, {}, message.header.finish);
         } else {
-          start_put(image, d, nullptr, message.header.finish);
+          start_put(image, d, {}, message.header.finish);
         }
       });
 

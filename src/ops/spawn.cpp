@@ -39,10 +39,9 @@ void spawn_bytes(int target, TrampolineFn fn,
   // data completion = the argument payload has been injected; local
   // operation completion = delivery acknowledged (see DESIGN.md §4.2 for the
   // deviation from "complete on target", which explicit events do honor).
-  rt::ImplicitOpPtr op;
+  rt::ImplicitOp op;
   if (!done.valid()) {
-    op = image.register_implicit(/*reads_local=*/true, /*writes_local=*/false,
-                                 "spawn");
+    op = image.register_implicit(/*reads_local=*/true, /*writes_local=*/false);
   }
   Image* img = &image;
   obs::Recorder* const rec = image.runtime().observer();
@@ -53,13 +52,9 @@ void spawn_bytes(int target, TrampolineFn fn,
       net::kStaged | net::kAcked,
       [img, op, rec, obs_begin, payload_bytes, target](net::SendPoint point) {
         if (point == net::kStaged) {
-          if (op) {
-            op->data_complete = true;
-          }
+          op.data_complete(*img);
         } else {
-          if (op) {
-            op->op_complete = true;
-          }
+          op.op_complete(*img);
           if (rec != nullptr) {
             rec->op_span(img->rank(), obs::SpanKind::kSpawn, obs_begin,
                          img->runtime().engine().now(), payload_bytes, 0,

@@ -36,17 +36,19 @@ void Event::when_posted(std::function<void()> fn) {
   triggers_.push_back(std::move(fn));
 }
 
-void Event::notify() {
-  // Release semantics (paper §III-B4a): outstanding implicit operations in
-  // the current scope must reach local operation completion before the
-  // notification becomes visible; operations *after* the notify are free to
-  // start before it.
-  rt::Image& image = rt::Image::current();
+namespace {
+
+/// Release semantics (paper §III-B4a): outstanding implicit operations in
+/// the current scope must reach local operation completion before a
+/// notification becomes visible; operations *after* the notify are free to
+/// start before it. Records the notify span, naming \p peer.
+void release(rt::Image& image, int peer) {
   obs::Recorder* const rec = image.runtime().observer();
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
-  auto& scope = image.cofence_tracker().current();
-  image.wait_for([&scope] { return scope.op_complete_all(); },
+  // Looked up at every test, not held (see cofence()).
+  rt::CofenceTracker& tracker = image.cofence_tracker();
+  image.wait_for([&tracker] { return tracker.current().op_complete_all(); },
                  "event_notify release",
                  obs::ResourceId{obs::ResourceKind::kOpCompletion,
                                  image.rank(), 0, 0});
@@ -54,8 +56,14 @@ void Event::notify() {
     // The release wait keeps the enclosing blame context: an un-scoped wait
     // released by an ack is operation completion, i.e. network time.
     rec->op_span(image.rank(), obs::SpanKind::kEventNotify, obs_begin,
-                 image.runtime().engine().now());
+                 image.runtime().engine().now(), 0, 0, peer);
   }
+}
+
+}  // namespace
+
+void Event::notify() {
+  release(rt::Image::current(), -1);
   post();
 }
 
@@ -130,50 +138,29 @@ void install_event_handlers(Runtime& runtime) {
 
 void notify_event(const RemoteEvent& event) {
   rt::Image& image = rt::Image::current();
-  obs::Recorder* const rec = image.runtime().observer();
-  const double obs_begin =
-      rec != nullptr ? image.runtime().engine().now() : 0.0;
-  auto& scope = image.cofence_tracker().current();
-  image.wait_for([&scope] { return scope.op_complete_all(); },
-                 "event_notify release",
-                 obs::ResourceId{obs::ResourceKind::kOpCompletion,
-                                 image.rank(), 0, 0});
-  if (rec != nullptr) {
-    rec->op_span(image.rank(), obs::SpanKind::kEventNotify, obs_begin,
-                 image.runtime().engine().now(), 0, 0, event.image);
-  }
+  release(image, event.image);
   rt::post_event_raw(image.runtime(), image.rank(), event);
 }
 
 CoEvent::CoEvent(const Team& team)
     : team_(team),
       slot_(rt::Image::current().next_coevent_slot(team.id())) {
-  // Alias id is a deterministic function of (team, slot), identical on every
-  // member, so remote handles can be formed without communication.
-  const std::uint64_t alias =
-      (1ULL << 63) |
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(team.id()))
-       << 32) |
-      slot_;
-  rt::Image::current().register_event_alias(alias, &local_event_);
+  rt::Image::current().register_event_alias(alias(), &local_event_);
 }
 
-CoEvent::~CoEvent() {
-  const std::uint64_t alias =
-      (1ULL << 63) |
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(team_.id()))
-       << 32) |
-      slot_;
-  rt::Image::current().deregister_event(alias);
-}
+CoEvent::~CoEvent() { rt::Image::current().deregister_event(alias()); }
 
 RemoteEvent CoEvent::operator()(int team_rank) const {
-  const std::uint64_t alias =
-      (1ULL << 63) |
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(team_.id()))
-       << 32) |
-      slot_;
-  return RemoteEvent{team_.world_rank(team_rank), alias};
+  return RemoteEvent{team_.world_rank(team_rank), alias()};
+}
+
+std::uint64_t CoEvent::alias() const {
+  // A deterministic function of (team, slot), identical on every member, so
+  // remote handles can be formed without communication.
+  return (1ULL << 63) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(team_.id()))
+          << 32) |
+         slot_;
 }
 
 }  // namespace caf2

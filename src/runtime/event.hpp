@@ -111,6 +111,9 @@ class CoEvent {
   const Team& team() const { return team_; }
 
  private:
+  /// This coevent's event id on every member (registered as an alias).
+  std::uint64_t alias() const;
+
   Team team_;
   Event local_event_;
   std::uint64_t slot_ = 0;  ///< per-team coevent slot (same on all members)

@@ -178,11 +178,6 @@ class FinishState {
   bool terminated() const { return terminated_; }
   void mark_terminated() { terminated_ = true; }
 
-  /// The image has entered the end-finish statement (used to assert against
-  /// counting into a scope that already completed).
-  bool entered() const { return entered_; }
-  void mark_entered() { entered_ = true; }
-
   /// --- epoch-free totals (used by the baseline detectors of §V) -----------
 
   std::uint64_t sent_total() const { return even_.sent + odd_.sent; }
@@ -213,7 +208,6 @@ class FinishState {
   EpochCounters odd_{};
   SendCounts sent_to_;
   bool present_odd_ = false;
-  bool entered_ = false;
   bool terminated_ = false;
   int rounds_ = 0;
 };

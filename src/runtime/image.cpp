@@ -119,19 +119,6 @@ void Image::finish_ack(const net::MessageHeader& header) {
   runtime_.engine().unblock(rank_);
 }
 
-/// --- cofence ------------------------------------------------------------------
-
-ImplicitOpPtr Image::register_implicit(bool reads_local, bool writes_local,
-                                       const char* what) {
-  auto op = std::make_shared<ImplicitOp>();
-  op->id = next_op_id();
-  op->reads_local = reads_local;
-  op->writes_local = writes_local;
-  op->what = what;
-  cofence_.current().add(op);
-  return op;
-}
-
 /// --- events --------------------------------------------------------------------
 
 std::uint64_t Image::register_event(Event* event) {

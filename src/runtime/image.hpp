@@ -95,15 +95,12 @@ class Image {
   void progress();
 
   /// Block until \p pred holds, executing incoming messages while waiting.
-  /// \p reason appears in deadlock diagnostics.
-  void wait_for(const std::function<bool()>& pred, const char* reason);
-
-  /// Like wait_for(), but names the resource being waited on: the wait
-  /// appears on this image's wait stack (feeding the postmortem wait-for
-  /// graph) for its whole duration, and the flight recorder logs
+  /// \p reason appears in deadlock diagnostics. The wait, naming
+  /// \p resource, is on this image's wait stack (feeding the postmortem
+  /// wait-for graph) for its whole duration, and the flight recorder logs
   /// wait-begin/wait-end around any actual blocking.
   void wait_for(const std::function<bool()>& pred, const char* reason,
-                const obs::ResourceId& resource);
+                const obs::ResourceId& resource = {});
 
   /// --- wait stack (postmortem wait-for graph) ------------------------------
 
@@ -197,9 +194,11 @@ class Image {
 
   CofenceTracker& cofence_tracker() { return cofence_; }
 
-  /// Register an implicitly-synchronized operation in the current scope.
-  ImplicitOpPtr register_implicit(bool reads_local, bool writes_local,
-                                  const char* what);
+  /// Count an implicitly-synchronized operation in the current scope; the
+  /// returned handle reports its completions.
+  ImplicitOp register_implicit(bool reads_local, bool writes_local) {
+    return cofence_.start(reads_local, writes_local);
+  }
 
   /// --- events --------------------------------------------------------------
 
@@ -238,9 +237,6 @@ class Image {
   /// Run and discard plan \p id (no-op with a diagnostic failure if absent).
   void fire_plan(std::uint64_t id);
 
-  /// Fresh id for implicit-op / plan correlation.
-  std::uint64_t next_op_id() { return ++op_id_counter_; }
-
   /// --- pending-get destinations --------------------------------------------
   /// A get's destination pointer lives on the initiator until the response
   /// arrives; responses carry the plan id that retrieves it.
@@ -251,6 +247,9 @@ class Image {
   friend class Runtime;
 
   void execute(net::Message&& message);
+
+  /// Fresh id for plan / get-sink correlation.
+  std::uint64_t next_op_id() { return ++op_id_counter_; }
 
   /// The header of a message from this image; stamps and charges \p finish
   /// when it is valid (see send()).

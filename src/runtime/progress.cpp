@@ -90,10 +90,6 @@ void Image::progress() {
   }
 }
 
-void Image::wait_for(const std::function<bool()>& pred, const char* reason) {
-  wait_for(pred, reason, obs::ResourceId{});
-}
-
 void Image::wait_for(const std::function<bool()>& pred, const char* reason,
                      const obs::ResourceId& resource) {
   net::Mailbox& mail = runtime_.network().mailbox(rank_);

@@ -138,7 +138,7 @@ TEST(Cofence, SequentialFencesDrainProgressively) {
         cofence();
         // payload destroyed here; safe because staging completed.
       }
-      // Data-complete records stay tracked until their acks return.
+      // Data-complete ops stay outstanding until their acks return.
       EXPECT_LE(outstanding_implicit_ops(), 5u);
       EXPECT_GE(outstanding_implicit_ops(), 1u);
     }
@@ -146,8 +146,8 @@ TEST(Cofence, SequentialFencesDrainProgressively) {
     compute(200.0);  // all acks land
     team_barrier(world);
     if (world.rank() == 0) {
-      cofence();  // prunes fully-complete records
-      EXPECT_EQ(outstanding_implicit_ops(), 0u);
+      cofence();
+      EXPECT_EQ(outstanding_implicit_ops(), 0u);  // every ack has landed
     }
     if (world.rank() == 1) {
       EXPECT_EQ(box[0], 4);
@@ -186,6 +186,26 @@ TEST(Cofence, SpawnArgumentsFencedLikeReads) {
   });
 }
 
+TEST(Cofence, ShippedFunctionRunDuringTheFenceLeavesItsScopeIntact) {
+  // A shipped function that runs while this image waits in cofence pushes
+  // and pops a scope; the fence must go on testing the scope it began in.
+  run(cofence_options(2), [] {
+    Team world = team_world();
+    Coarray<int> box(world, 1000);
+    team_barrier(world);
+    if (world.rank() == 0) {
+      std::vector<int> payload(1000, 4);  // 4000 B -> 40 us staging
+      const double t0 = now_us();
+      copy_async(box(1), std::span<const int>(payload));
+      cofence();  // the spawn below lands (20 us flight) while this waits
+      EXPECT_GE(now_us() - t0, 40.0);
+    } else {
+      spawn<sink_fn>(0, std::vector<int>(4, 1));
+    }
+    team_barrier(world);
+  });
+}
+
 TEST(Cofence, EventNotifyWaitsForOperationCompletion) {
   // Release semantics are *stronger* than cofence: notify waits for local
   // operation completion (delivery acks), not just staging.
@@ -207,6 +227,83 @@ TEST(Cofence, EventNotifyWaitsForOperationCompletion) {
     }
     team_barrier(world);
   });
+}
+
+void count_call(Coref<long> counter) { counter.local()[0] += 1; }
+
+constexpr long kSpawns = 32;
+
+TEST(Cofence, UnfencedSpawnsLeaveNothingOutstandingAfterFinish) {
+  // RandomAccess-style function shipping: implicit spawns that no cofence or
+  // notify ever looks at. Finish proves every one delivered, so none may
+  // still count as outstanding afterwards.
+  run(cofence_options(4), [] {
+    Team world = team_world();
+    Coarray<long> counter(world, 1);
+    counter[0] = 0;
+    team_barrier(world);
+    finish(world, [&] {
+      for (long i = 0; i < kSpawns; ++i) {
+        spawn<count_call>((world.rank() + 1) % world.size(), counter.ref());
+      }
+    });
+    EXPECT_EQ(outstanding_implicit_ops(), 0u);
+    EXPECT_EQ(counter[0], kSpawns);
+    team_barrier(world);
+  });
+}
+
+constexpr int kShipInts = 1000;  // 4000 B -> 40 us staging
+double g_unfenced_started_us = -1.0;
+bool g_second_ok = false;
+
+/// Starts an implicit copy out of its image's own block and returns without
+/// fencing; the block outlives the copy.
+void ship_unfenced_copy(Coref<int> block) {
+  const int here = this_image();
+  copy_async(RemoteSlice<int>{block.coarray_id, (here + 1) % num_images(), 0,
+                              kShipInts},
+             RemoteSlice<int>{block.coarray_id, here, 0, kShipInts});
+  g_unfenced_started_us = now_us();
+}
+
+/// Runs at the depth the previous shipped function ran at, while that
+/// function's copy is still staging: its scope starts empty, and completions
+/// of the earlier copy must neither hold nor release its fences.
+void ship_fenced_copy(Coref<int> block) {
+  EXPECT_LT(now_us() - g_unfenced_started_us, 10.0);  // earlier copy staging
+  EXPECT_EQ(outstanding_implicit_ops(), 0u);
+  const double t0 = now_us();
+  cofence();
+  EXPECT_EQ(now_us(), t0);  // did not wait for the earlier copy
+  const int here = this_image();
+  copy_async(RemoteSlice<int>{block.coarray_id, (here + 1) % num_images(),
+                              kShipInts, kShipInts},
+             RemoteSlice<int>{block.coarray_id, here, kShipInts, kShipInts});
+  EXPECT_EQ(outstanding_implicit_ops(), 1u);
+  cofence();  // own copy staged (after the earlier one, on the same link)
+  EXPECT_GE(now_us() - t0, 40.0);
+  Event flush;
+  flush.notify();  // own copy acknowledged
+  EXPECT_EQ(outstanding_implicit_ops(), 0u);
+  g_second_ok = true;
+}
+
+TEST(Cofence, LaterShippedFunctionAtSameDepthStartsEmpty) {
+  g_second_ok = false;
+  run(cofence_options(3), [] {
+    Team world = team_world();
+    Coarray<int> block(world, 2 * kShipInts);
+    team_barrier(world);
+    finish(world, [&] {
+      if (world.rank() == 0) {
+        spawn<ship_unfenced_copy>(1, block.ref());
+        spawn<ship_fenced_copy>(1, block.ref());
+      }
+    });
+    team_barrier(world);
+  });
+  EXPECT_TRUE(g_second_ok);
 }
 
 }  // namespace

@@ -323,8 +323,8 @@ TEST(Copy, ImplicitCopiesTrackedByCofence) {
       copy_async(box(1), std::span<const int>(payload));
       EXPECT_EQ(outstanding_implicit_ops(), 1u);
       cofence();
-      // After local data completion + pruning of fully-complete records the
-      // count eventually returns to zero (ack may still be in flight).
+      // Local data completion only: the op stays outstanding until its ack
+      // returns, which is still in flight here.
       Event done;
       copy_async(box(1), std::span<const int>(payload),
                  {.dst_done = done.handle()});

@@ -324,23 +324,6 @@ TEST(Finish, ImplicitCopiesGloballyCompleteAtEnd) {
   });
 }
 
-TEST(Finish, FinishScopeRaii) {
-  run(finish_options(3), [] {
-    Team world = team_world();
-    Coarray<long> counter(world, 1);
-    counter[0] = 0;
-    team_barrier(world);
-    {
-      FinishScope scope(world);
-      spawn<bump>((this_image() + 1) % world.size(), counter.ref());
-      scope.end();
-      EXPECT_EQ(counter[0], 1);
-    }
-    // end() is idempotent; the destructor must not run detection twice.
-    team_barrier(world);
-  });
-}
-
 TEST(Finish, ReportsDetectionTime) {
   run(finish_options(4, /*latency=*/10.0), [] {
     finish(team_world(), [] {});
